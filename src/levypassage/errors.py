@@ -54,10 +54,6 @@ class SchemaError(UsageError):
     """JSON document does not match the expected model/policy schema."""
 
 
-class BracketFailure(NumericalError):
-    """Root bracketing failed."""
-
-
 class NoBracket(NumericalError):
     """f(lo) and f(hi) do not straddle zero."""
 

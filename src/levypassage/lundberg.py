@@ -16,13 +16,13 @@ function and the factor every last-passage law is built from.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     CardinalityMismatch,
+    NoConvergence,
     NoPerturbation,
     RepeatedRoots,
     SeriesNotConverged,
@@ -34,9 +34,9 @@ from .numerics import (
     InversionConfig,
     find_root_bracketed,
     grid_convolve,
+    laplace_invert,
     poly_roots_complex,
     stehfest_coefficients,
-    worker_count,
 )
 from .renewal import build_renewal_kernels
 
@@ -87,7 +87,8 @@ def _positive_root(phi, model: ModelSpec, delta: float) -> float:
             raise NoPerturbation("failed to bracket the Lundberg root")
     root = find_root_bracketed(lambda u: phi(u) - delta, lo, hi)
     resid = abs(phi(root) - delta)
-    assert resid <= 1e-9 * max(1.0, delta), f"Lundberg residual {resid:g}"
+    if not resid <= 1e-9 * max(1.0, delta):
+        raise NoConvergence(f"Lundberg residual {resid:g} at rho = {root:g}")
     return root
 
 
@@ -425,36 +426,21 @@ def scale_via_inversion(
         s = np.asarray(s)
         return s / (np.asarray(model.phi_d((s + rho).ravel())).reshape(s.shape) - delta)
 
+    positive = xs[1:]
     if cfg.method == "gaver_stehfest":
         coeffs = stehfest_coefficients(cfg.terms)
-        k = np.arange(1, cfg.terms + 1)
+        s_nodes = np.log(2.0) * np.arange(1, cfg.terms + 1)[None, :] / positive[:, None]
 
-        def invert_chunk(chunk: np.ndarray, transform=tilted_transform) -> np.ndarray:
-            s = np.log(2.0) * k[None, :] / chunk[:, None]
-            return np.log(2.0) / chunk * (transform(s) @ coeffs)
+        def invert(transform) -> np.ndarray:
+            return np.log(2.0) / positive * (transform(s_nodes) @ coeffs)
 
     else:
 
-        def invert_chunk(chunk: np.ndarray, transform=tilted_transform) -> np.ndarray:
-            from .numerics import laplace_invert
+        def invert(transform) -> np.ndarray:
+            return np.asarray(laplace_invert(transform, positive, cfg))
 
-            return np.asarray(laplace_invert(transform, chunk, cfg))
-
-    positive = xs[1:]
-    nw = worker_count()
-    if nw > 1:
-        chunks = np.array_split(positive, nw)
-        with ThreadPoolExecutor(max_workers=nw) as pool:
-            parts = list(pool.map(invert_chunk, chunks))
-        tilt_pos = np.concatenate(parts)
-        with ThreadPoolExecutor(max_workers=nw) as pool:
-            parts_u = list(
-                pool.map(lambda c: invert_chunk(c, tilted_u_transform), chunks)
-            )
-        tiltp_pos = np.concatenate(parts_u)
-    else:
-        tilt_pos = invert_chunk(positive)
-        tiltp_pos = invert_chunk(positive, tilted_u_transform)
+    tilt_pos = invert(tilted_transform)
+    tiltp_pos = invert(tilted_u_transform)
     tilt = np.maximum(np.concatenate(([0.0], tilt_pos)), 0.0)
     # value of tilt' at 0+ equals W'(0) = 2/sigma^2 (transform ~ s * sigma^2/2 s^2)
     tilt_prime = np.maximum(np.concatenate(([2.0 / model.sigma**2], tiltp_pos)), 0.0)

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .last_passage import density_of_dt
 from .lundberg import escape_probability, escape_rate
-from .mc import SimResult, _bridge_min, _step_jumps, _substream, increment_exact, _mean_result
+from .mc import SimResult, _mean_result, _substream, increment_exact, run_cycle_skeleton
 from .models import ModelSpec
 
 _T_FLOOR = 1e-6  # degenerate-density floor for z -> m(y)
@@ -212,10 +212,13 @@ class PolicyKernels:
         return float(np.trapezoid(vals, xs))
 
     def kernel_cz(self, y: float, z: float) -> float:
-        """Unconditional idle-time survivor P[m(y) - L >= z, failure] from y."""
+        """Unconditional idle-time survivor P[m(y) - L >= z, failure] from y;
+        0 for z > m(y), since the idle time cannot exceed the cycle."""
+        if z < 0:
+            raise ValueError("idle time must be nonnegative")
         t = float(self.policy.m(y))
-        if z < 0 or z > t:
-            raise ValueError("idle time must lie in [0, m(y)]")
+        if z > t:
+            return 0.0
         return self.kernel_c(y, horizon=t - z)
 
     def kernel_cr(self, y: float, z: float) -> float:
@@ -397,9 +400,7 @@ def simulate_policy(
             break
         horizons = np.asarray(policy.m(x), dtype=float)
         if idle_mode:
-            v, last_contact = _cycle_skeleton(
-                model, rng, x, horizons, b, steps_per_cycle
-            )
+            v, last_contact = run_cycle_skeleton(model, rng, x, horizons, b, steps_per_cycle)
         else:
             v = x + increment_exact(model, rng, horizons)
             last_contact = None
@@ -418,27 +419,3 @@ def simulate_policy(
         raise HorizonExceeded(f"{idx.size} paths exceeded {max_cycles} cycles")
     return PolicySimResult(n_paths, i_of_path, t_star, idle)
 
-
-def _cycle_skeleton(model, rng, x, horizons, b, steps):
-    """Cycle endpoints plus last in-cycle contact time with (-inf, b]."""
-    m = x.size
-    dt = horizons / steps
-    v = x.copy()
-    last_contact = np.where(x <= b, 0.0, np.nan)
-    var_dt = (model.sigma**2) * dt
-    for k in range(1, steps + 1):
-        c_end = v + model.mu * dt
-        if model.sigma > 0:
-            c_end = c_end + rng.normal(0.0, np.sqrt(var_dt))
-        if model.sigma > 0:
-            m_min = _bridge_min(rng, v, c_end, var_dt)
-        else:
-            m_min = np.minimum(v, c_end)
-        contact = m_min <= b
-        last_contact[contact] = (k * dt)[contact]
-        v = c_end + _step_jumps(model, rng, m, dt)
-    # paths that never touched the threshold from above: treat the cycle start
-    # as the reference point (flagged by the caller via NaN -> full horizon)
-    nan = np.isnan(last_contact)
-    last_contact[nan] = 0.0
-    return v, last_contact

@@ -8,9 +8,11 @@ with the exact escape Bernoulli test P(never return below b | value v) =
 1 - e^{-rho(0)(v-b)}, which removes the infinite-horizon problem without
 bias.
 
-Paths are simulated in deterministic batches with counter-based Philox
-substreams keyed by (seed, stream, batch), so results are reproducible
-regardless of batch size or parallel scheduling.
+Every estimator advances its paths with one step function and keeps only
+its own state and stopping rule.  Paths run in fixed blocks of 100 000, each
+with a counter-based Philox substream keyed by (seed, stream, block), so for
+a given model, threshold and step settings a result depends only on
+(seed, stream, n_paths); no batching option can change it.
 """
 
 from __future__ import annotations
@@ -35,16 +37,17 @@ EXIT_NONE = 0
 EXIT_CREEP = 1
 EXIT_JUMP = 2
 
+_BLOCK_PATHS = 100_000  # paths per Philox substream
+
 
 @dataclass(frozen=True)
 class SimConfig:
     dt: float = 1e-3
-    t_max: float = 8.0  # horizon per block; open-ended estimators chain blocks
+    t_max: float = 8.0  # horizon per time block; open-ended estimators chain max_blocks
     n_paths: int = 10_000
     seed: int = 0
     bridge_correction: bool = True
     max_blocks: int = 64
-    batch_size: int = 100_000
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_max < self.dt or self.n_paths < 1:
@@ -63,9 +66,9 @@ class SimResult:
         return abs(self.estimate - target) <= k * max(self.std_error, 1e-300)
 
 
-def _substream(seed: int, stream: int, batch: int) -> np.random.Generator:
+def _substream(seed: int, stream: int, block: int) -> np.random.Generator:
     key = np.array(
-        [np.uint64(seed & (2**64 - 1)), np.uint64(((stream & 0xFFFF) << 32) | (batch & 0xFFFFFFFF))],
+        [np.uint64(seed & (2**64 - 1)), np.uint64(((stream & 0xFFFF) << 32) | (block & 0xFFFFFFFF))],
         dtype=np.uint64,
     )
     return np.random.Generator(np.random.Philox(key=key))
@@ -111,12 +114,11 @@ def sample_phase_type(ph: PhaseType, rng: np.random.Generator, size: int) -> np.
 
 def _step_jumps(model: ModelSpec, rng: np.random.Generator, m: int, dt) -> np.ndarray:
     """Jump-part increment over one step (exact in law, lumped at step end)."""
-    dt = np.broadcast_to(np.asarray(dt, dtype=float), (m,))
     if model.kind == KIND_BROWNIAN:
         return np.zeros(m)
     if model.kind in (KIND_PURE_GAMMA, KIND_PERTURBED_GAMMA):
-        return rng.gamma(model.alpha * dt, model.xi)
-    counts = rng.poisson(model.lam * dt)
+        return rng.gamma(model.alpha * dt, model.xi, m)
+    counts = rng.poisson(model.lam * dt, m)
     total = int(counts.sum())
     out = np.zeros(m)
     if total:
@@ -136,15 +138,74 @@ def increment_exact(model: ModelSpec, rng: np.random.Generator, t) -> np.ndarray
     return out
 
 
-def _bridge_min(rng, v0, v1, var_dt):
-    """Sample the minimum of a Brownian bridge between v0 and v1."""
-    u = rng.random(v0.size)
-    return 0.5 * (v0 + v1 - np.sqrt((v0 - v1) ** 2 - 2.0 * var_dt * np.log(u)))
+# ---------------------------------------------------------------------------
+# Path engine: the one time step and the tests built on it
 
 
-def _cross_up_prob(v0, v1, level, var_dt):
-    """P(continuous bridge from v0 to v1 exceeds level), both endpoints below."""
-    return np.exp(-2.0 * np.clip(level - v0, 0.0, None) * np.clip(level - v1, 0.0, None) / var_dt)
+def _path_blocks(cfg: SimConfig, stream: int):
+    """(rng, path indices) per block of _BLOCK_PATHS paths, keyed (seed, stream, block)."""
+    for block, start in enumerate(range(0, cfg.n_paths, _BLOCK_PATHS)):
+        yield _substream(cfg.seed, stream, block), np.arange(
+            start, min(start + _BLOCK_PATHS, cfg.n_paths)
+        )
+
+
+def _step_times(cfg: SimConfig):
+    """(t_end, horizon_end) for every step of max_blocks chained horizons of
+    length t_max; horizon_end flags the last step of each horizon."""
+    steps = int(round(cfg.t_max / cfg.dt))
+    for block in range(cfg.max_blocks):
+        for k in range(steps):
+            yield block * cfg.t_max + (k + 1) * cfg.dt, k == steps - 1
+
+
+def _step(model: ModelSpec, rng, v: np.ndarray, dt, minimum: bool = True, bridge: bool = True):
+    """Advance levels v by one step of scalar or per-path length dt.
+
+    Draws, in this order, the Gaussian increment, the Brownian-bridge minimum
+    of the continuous part (only when ``minimum``, sigma > 0 and ``bridge``)
+    and the jump increment lumped at the step end.  Returns (c_end, m_min,
+    post): the continuous level at the step end, its minimum over the step
+    (None without ``minimum``; the smaller endpoint without a bridge draw)
+    and the level after the jumps.
+    """
+    var_dt = model.sigma**2 * dt
+    c_end = v + model.mu * dt
+    if model.sigma > 0:
+        c_end = c_end + rng.normal(0.0, np.sqrt(var_dt), v.size)
+    m_min = None
+    if minimum:
+        if model.sigma > 0 and bridge:
+            u = rng.random(v.size)
+            m_min = 0.5 * (v + c_end - np.sqrt((v - c_end) ** 2 - 2.0 * var_dt * np.log(u)))
+        else:
+            m_min = np.minimum(v, c_end)
+    return c_end, m_min, c_end + _step_jumps(model, rng, v.size, dt)
+
+
+def _crossed_up(model: ModelSpec, rng, v, c_end, post, level, dt, bridge: bool):
+    """(creep, jump) masks of an up-crossing of ``level`` (scalar or per path)
+    during the step v -> c_end -> post: the continuous end value reaches the
+    level, else the bridge between v and c_end crosses it (one uniform per
+    remaining path), else the jump carries the path over."""
+    creep = c_end >= level
+    if model.sigma > 0 and bridge:
+        below = ~creep
+        lv = level[below] if isinstance(level, np.ndarray) else level
+        gap0 = np.clip(lv - v[below], 0.0, None)
+        gap1 = np.clip(lv - c_end[below], 0.0, None)
+        p = np.exp(-2.0 * gap0 * gap1 / (model.sigma**2 * dt))
+        creep[below] |= rng.random(p.size) < p
+    return creep, ~creep & (post >= level)
+
+
+def _escapes(rng: np.random.Generator, x: np.ndarray, b: float, rho0: float) -> np.ndarray:
+    """Exact escape Bernoulli draw per path at level x: True where the path
+    never returns to (-inf, b] (probability 1 - e^{-rho0 (x - b)} above b)."""
+    p = np.zeros(x.size)
+    above = x > b
+    p[above] = escape_probability(x[above] - b, rho0)
+    return rng.random(x.size) < p
 
 
 def sample_path(model: ModelSpec, cfg: SimConfig, stream: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -222,44 +283,23 @@ def run_first_passage(model: ModelSpec, cfg: SimConfig, b: float, stream: int = 
     kind = np.zeros(n, dtype=np.int8)
     und = np.zeros(n)
     over = np.zeros(n)
-    var_dt = (model.sigma**2) * cfg.dt
-    steps = int(round(cfg.t_max / cfg.dt))
-    for start in range(0, n, cfg.batch_size):
-        m0 = min(cfg.batch_size, n - start)
-        rng = _substream(cfg.seed, stream, start // cfg.batch_size)
-        idx = np.arange(start, start + m0)
-        v = np.zeros(m0)
-        for block in range(cfg.max_blocks):
-            t0 = block * cfg.t_max
-            for k in range(steps):
-                m = v.size
-                if m == 0:
+    for rng, idx in _path_blocks(cfg, stream):
+        v = np.zeros(idx.size)
+        for t_end, _ in _step_times(cfg):
+            c_end, _, post = _step(model, rng, v, cfg.dt, minimum=False)
+            creep, jumpx = _crossed_up(model, rng, v, c_end, post, b, cfg.dt, cfg.bridge_correction)
+            done = creep | jumpx
+            if done.any():
+                gi = idx[done]
+                t_cross[gi] = t_end
+                kind[gi] = np.where(creep[done], EXIT_CREEP, EXIT_JUMP)
+                und[gi] = np.where(creep[done], 0.0, b - c_end[done])
+                over[gi] = np.where(creep[done], 0.0, post[done] - b)
+                keep = ~done
+                post, idx = post[keep], idx[keep]
+                if idx.size == 0:
                     break
-                t_end = t0 + (k + 1) * cfg.dt
-                c_end = v + model.mu * cfg.dt
-                if model.sigma > 0:
-                    c_end = c_end + rng.normal(0.0, math.sqrt(var_dt), m)
-                post = c_end + _step_jumps(model, rng, m, cfg.dt)
-                creep = c_end >= b
-                if model.sigma > 0 and cfg.bridge_correction:
-                    below = ~creep
-                    p = _cross_up_prob(v[below], c_end[below], b, var_dt)
-                    hit = rng.random(p.size) < p
-                    creep[below] |= hit
-                jumpx = ~creep & (post >= b)
-                done = creep | jumpx
-                if done.any():
-                    gi = idx[done]
-                    t_cross[gi] = t_end
-                    kind[gi] = np.where(creep[done], EXIT_CREEP, EXIT_JUMP)
-                    und[gi] = np.where(creep[done], 0.0, b - c_end[done])
-                    over[gi] = np.where(creep[done], 0.0, post[done] - b)
-                    keep = ~done
-                    v, idx = post[keep], idx[keep]
-                else:
-                    v = post
-            if idx.size == 0:
-                break
+            v = post
     return FirstPassageSample(b, t_cross, kind, und, over, cfg.t_max * cfg.max_blocks)
 
 
@@ -344,62 +384,38 @@ def run_last_passage(
     und = np.zeros(n)
     over = np.zeros(n)
     censored = 0
-    var_dt = (model.sigma**2) * cfg.dt
-    steps = int(round(cfg.t_max / cfg.dt))
-    for start in range(0, n, cfg.batch_size):
-        m0 = min(cfg.batch_size, n - start)
-        rng = _substream(cfg.seed, stream, start // cfg.batch_size)
-        idx = np.arange(start, start + m0)
-        v = np.zeros(m0)
+    for rng, idx in _path_blocks(cfg, stream):
+        v = np.zeros(idx.size)
         # state per active path
-        last_t = np.zeros(m0)  # start at 0 <= b: contact at time 0
-        e_kind = np.full(m0, EXIT_CREEP, dtype=np.int8)
-        e_y = np.zeros(m0)
-        e_w = np.zeros(m0)
-        for block in range(cfg.max_blocks):
-            t0 = block * cfg.t_max
-            for k in range(steps):
-                m = v.size
-                if m == 0:
-                    break
-                t_end = t0 + (k + 1) * cfg.dt
-                c_end = v + model.mu * cfg.dt
-                if model.sigma > 0:
-                    c_end = c_end + rng.normal(0.0, math.sqrt(var_dt), m)
-                if model.sigma > 0 and cfg.bridge_correction:
-                    m_min = _bridge_min(rng, v, c_end, var_dt)
-                else:
-                    m_min = np.minimum(v, c_end)
-                post = c_end + _step_jumps(model, rng, m, cfg.dt)
-                contact = m_min <= b
-                if contact.any():
-                    last_t[contact] = t_end
-                    creep_exit = contact & (c_end > b)
-                    jump_exit = contact & (c_end <= b) & (post > b)
-                    e_kind[creep_exit] = EXIT_CREEP
-                    e_y[creep_exit] = 0.0
-                    e_w[creep_exit] = 0.0
-                    e_kind[jump_exit] = EXIT_JUMP
-                    e_y[jump_exit] = b - c_end[jump_exit]
-                    e_w[jump_exit] = post[jump_exit] - b
-                v = post
-            if v.size == 0:
-                break
-            # escape test at block end
-            above = v > b
-            esc_p = np.zeros(v.size)
-            esc_p[above] = escape_probability(v[above] - b, rho0)
-            escaped = rng.random(v.size) < esc_p
-            if escaped.any():
+        last_t = np.zeros(idx.size)  # start at 0 <= b: contact at time 0
+        e_kind = np.full(idx.size, EXIT_CREEP, dtype=np.int8)
+        e_y = np.zeros(idx.size)
+        e_w = np.zeros(idx.size)
+        for t_end, horizon_end in _step_times(cfg):
+            c_end, m_min, v = _step(model, rng, v, cfg.dt, bridge=cfg.bridge_correction)
+            contact = m_min <= b
+            if contact.any():
+                last_t[contact] = t_end
+                creep_exit = contact & (c_end > b)
+                jump_exit = contact & (c_end <= b) & (v > b)
+                e_kind[creep_exit] = EXIT_CREEP
+                e_y[creep_exit] = 0.0
+                e_w[creep_exit] = 0.0
+                e_kind[jump_exit] = EXIT_JUMP
+                e_y[jump_exit] = b - c_end[jump_exit]
+                e_w[jump_exit] = v[jump_exit] - b
+            if horizon_end:
+                escaped = _escapes(rng, v, b, rho0)
                 gi = idx[escaped]
                 l_last[gi] = last_t[escaped]
                 kind[gi] = e_kind[escaped]
                 und[gi] = e_y[escaped]
                 over[gi] = e_w[escaped]
                 keep = ~escaped
-                v, idx = v[keep], idx[keep]
-                last_t, e_kind = last_t[keep], e_kind[keep]
-                e_y, e_w = e_y[keep], e_w[keep]
+                v, idx, last_t = v[keep], idx[keep], last_t[keep]
+                e_kind, e_y, e_w = e_kind[keep], e_y[keep], e_w[keep]
+                if idx.size == 0:
+                    break
         censored += idx.size
     return LastPassageSample(b, l_last, kind, und, over, censored)
 
@@ -436,27 +452,16 @@ def run_reflected_marginal(
     t_final = float(times.max())
     steps = int(round(t_final / cfg.dt))
     record_steps = np.round(times / cfg.dt).astype(int)
-    n = cfg.n_paths
-    out = np.empty((n, times.size))
-    var_dt = (model.sigma**2) * cfg.dt
-    for start in range(0, n, cfg.batch_size):
-        m = min(cfg.batch_size, n - start)
-        rng = _substream(cfg.seed, stream, start // cfg.batch_size)
-        v = np.zeros(m)
-        run_inf = np.zeros(m)  # inf of (V ^ 0) so far
-        col = {int(s): j for j, s in enumerate(record_steps)}
+    col = {int(s): j for j, s in enumerate(record_steps)}
+    out = np.empty((cfg.n_paths, times.size))
+    for rng, idx in _path_blocks(cfg, stream):
+        v = np.zeros(idx.size)
+        run_inf = np.zeros(idx.size)  # inf of (V ^ 0) so far
         for k in range(1, steps + 1):
-            c_end = v + model.mu * cfg.dt
-            if model.sigma > 0:
-                c_end = c_end + rng.normal(0.0, math.sqrt(var_dt), m)
-            if model.sigma > 0 and cfg.bridge_correction:
-                m_min = _bridge_min(rng, v, c_end, var_dt)
-            else:
-                m_min = np.minimum(v, c_end)
+            _, m_min, v = _step(model, rng, v, cfg.dt, bridge=cfg.bridge_correction)
             run_inf = np.minimum(run_inf, m_min)
-            v = c_end + _step_jumps(model, rng, m, cfg.dt)
             if k in col:
-                out[start : start + m, col[k]] = v - run_inf
+                out[idx, col[k]] = v - run_inf
     return out
 
 
@@ -496,53 +501,31 @@ def run_reflected_first_passage(
     kind = np.zeros(n, dtype=np.int8)
     pre = np.zeros(n)
     post_l = np.zeros(n)
-    var_dt = (model.sigma**2) * cfg.dt
-    steps = int(round(cfg.t_max / cfg.dt))
-    for start in range(0, n, cfg.batch_size):
-        m0 = min(cfg.batch_size, n - start)
-        rng = _substream(cfg.seed, stream, start // cfg.batch_size)
-        idx = np.arange(start, start + m0)
-        v = np.zeros(m0)
-        run_inf = np.zeros(m0)
-        for block in range(cfg.max_blocks):
-            t0 = block * cfg.t_max
-            for k in range(steps):
-                m = v.size
-                if m == 0:
+    for rng, idx in _path_blocks(cfg, stream):
+        v = np.zeros(idx.size)
+        run_inf = np.zeros(idx.size)
+        for t_end, _ in _step_times(cfg):
+            # crossing level for the free coordinates, using the running
+            # infimum before this step (within-step ordering is O(dt))
+            ref = np.minimum(run_inf, 0.0)
+            level = b + ref
+            c_end, m_min, post = _step(model, rng, v, cfg.dt, bridge=cfg.bridge_correction)
+            creep, jumpx = _crossed_up(
+                model, rng, v, c_end, post, level, cfg.dt, cfg.bridge_correction
+            )
+            done = creep | jumpx
+            run_inf = np.minimum(run_inf, m_min)
+            if done.any():
+                gi = idx[done]
+                t_cross[gi] = t_end
+                kind[gi] = np.where(creep[done], EXIT_CREEP, EXIT_JUMP)
+                pre[gi] = np.where(creep[done], b, (c_end - ref)[done])
+                post_l[gi] = np.where(creep[done], b, (post - ref)[done])
+                keep = ~done
+                post, idx, run_inf = post[keep], idx[keep], run_inf[keep]
+                if idx.size == 0:
                     break
-                t_end = t0 + (k + 1) * cfg.dt
-                # crossing level for the free coordinates, using the running
-                # infimum before this step (within-step ordering is O(dt))
-                ref = np.minimum(run_inf, 0.0)
-                level = b + ref
-                c_end = v + model.mu * cfg.dt
-                if model.sigma > 0:
-                    c_end = c_end + rng.normal(0.0, math.sqrt(var_dt), m)
-                if model.sigma > 0 and cfg.bridge_correction:
-                    m_min = _bridge_min(rng, v, c_end, var_dt)
-                else:
-                    m_min = np.minimum(v, c_end)
-                post = c_end + _step_jumps(model, rng, m, cfg.dt)
-                creep = c_end >= level
-                if model.sigma > 0 and cfg.bridge_correction:
-                    below = ~creep
-                    p = _cross_up_prob(v[below], c_end[below], level[below], var_dt)
-                    creep[below] |= rng.random(p.size) < p
-                jumpx = ~creep & (post >= level)
-                done = creep | jumpx
-                run_inf = np.minimum(run_inf, m_min)
-                if done.any():
-                    gi = idx[done]
-                    t_cross[gi] = t_end
-                    kind[gi] = np.where(creep[done], EXIT_CREEP, EXIT_JUMP)
-                    pre[gi] = np.where(creep[done], b, (c_end - ref)[done])
-                    post_l[gi] = np.where(creep[done], b, (post - ref)[done])
-                    keep = ~done
-                    v, idx, run_inf = post[keep], idx[keep], run_inf[keep]
-                else:
-                    v = post
-            if idx.size == 0:
-                break
+            v = post
     return ReflectedFirstPassageSample(b, t_cross, kind, pre, post_l)
 
 
@@ -561,41 +544,21 @@ def run_reflected_at_exp_horizon(
     so the joint indicator is resolved by one exact Bernoulli draw.
     """
     rho0 = escape_rate(model) if rho0 is None else rho0
-    n = cfg.n_paths
-    d_at_t = np.empty(n)
-    joint = np.zeros(n)
-    var_dt = (model.sigma**2) * cfg.dt
-    for start in range(0, n, cfg.batch_size):
-        m = min(cfg.batch_size, n - start)
-        rng = _substream(cfg.seed, stream, start // cfg.batch_size)
-        horizon = rng.exponential(1.0 / delta, m)
+    d_at_t = np.empty(cfg.n_paths)
+    joint = np.zeros(cfg.n_paths)
+    for rng, idx in _path_blocks(cfg, stream):
+        horizon = rng.exponential(1.0 / delta, idx.size)
         steps_needed = np.maximum(1, np.ceil(horizon / cfg.dt).astype(int))
-        max_steps = int(steps_needed.max())
-        v = np.zeros(m)
-        run_inf = np.zeros(m)
-        vals = np.empty(m)
-        for k in range(1, max_steps + 1):
+        v = np.zeros(idx.size)
+        run_inf = np.zeros(idx.size)
+        for k in range(1, int(steps_needed.max()) + 1):
             active = steps_needed >= k
-            if not active.any():
-                break
-            ma = int(active.sum())
-            c_end = v[active] + model.mu * cfg.dt
-            if model.sigma > 0:
-                c_end = c_end + rng.normal(0.0, math.sqrt(var_dt), ma)
-            if model.sigma > 0 and cfg.bridge_correction:
-                m_min = _bridge_min(rng, v[active], c_end, var_dt)
-            else:
-                m_min = np.minimum(v[active], c_end)
+            _, m_min, v[active] = _step(model, rng, v[active], cfg.dt, bridge=cfg.bridge_correction)
             run_inf[active] = np.minimum(run_inf[active], m_min)
-            v[active] = c_end + _step_jumps(model, rng, ma, cfg.dt)
-            finished = active & (steps_needed == k)
-            vals[finished] = (v - np.minimum(run_inf, 0.0))[finished]
-        d_at_t[start : start + m] = vals
-        above = vals > b
-        u = rng.random(m)
-        joint[start : start + m] = above & (
-            u >= escape_probability(np.clip(vals - b, 0.0, None), rho0)
-        )
+            finished = steps_needed == k
+            d_at_t[idx[finished]] = (v - np.minimum(run_inf, 0.0))[finished]
+        vals = d_at_t[idx]
+        joint[idx] = (vals > b) & ~_escapes(rng, vals, b, rho0)
     return d_at_t, joint
 
 
@@ -623,50 +586,43 @@ def run_reflected_last_passage(
     if b <= 0:
         raise ValueError("threshold must be positive")
     rho0 = escape_rate(model) if rho0 is None else rho0
-    n = cfg.n_paths
-    l_last = np.full(n, np.nan)
+    l_last = np.full(cfg.n_paths, np.nan)
     censored = 0
-    var_dt = (model.sigma**2) * cfg.dt
-    steps = int(round(cfg.t_max / cfg.dt))
-    for start in range(0, n, cfg.batch_size):
-        m0 = min(cfg.batch_size, n - start)
-        rng = _substream(cfg.seed, stream, start // cfg.batch_size)
-        idx = np.arange(start, start + m0)
-        v = np.zeros(m0)
-        run_inf = np.zeros(m0)
-        last_t = np.zeros(m0)
-        for block in range(cfg.max_blocks):
-            t0 = block * cfg.t_max
-            for k in range(steps):
-                m = v.size
-                if m == 0:
-                    break
-                t_end = t0 + (k + 1) * cfg.dt
-                c_end = v + model.mu * cfg.dt
-                if model.sigma > 0:
-                    c_end = c_end + rng.normal(0.0, math.sqrt(var_dt), m)
-                if model.sigma > 0 and cfg.bridge_correction:
-                    m_min = _bridge_min(rng, v, c_end, var_dt)
-                else:
-                    m_min = np.minimum(v, c_end)
-                new_inf = np.minimum(run_inf, m_min)
-                # reflected minimum over the step
-                refl_min = m_min - np.minimum(new_inf, 0.0)
-                contact = refl_min <= b
-                last_t[contact] = t_end
-                run_inf = new_inf
-                v = c_end + _step_jumps(model, rng, m, cfg.dt)
-            if v.size == 0:
-                break
-            d_star = v - np.minimum(run_inf, 0.0)
-            above = d_star > b
-            esc_p = np.zeros(v.size)
-            esc_p[above] = escape_probability(d_star[above] - b, rho0)
-            escaped = rng.random(v.size) < esc_p
-            if escaped.any():
+    for rng, idx in _path_blocks(cfg, stream):
+        v = np.zeros(idx.size)
+        run_inf = np.zeros(idx.size)
+        last_t = np.zeros(idx.size)
+        for t_end, horizon_end in _step_times(cfg):
+            _, m_min, v = _step(model, rng, v, cfg.dt, bridge=cfg.bridge_correction)
+            run_inf = np.minimum(run_inf, m_min)
+            # contact when the reflected minimum over the step is at or below b
+            last_t[m_min - np.minimum(run_inf, 0.0) <= b] = t_end
+            if horizon_end:
+                escaped = _escapes(rng, v - np.minimum(run_inf, 0.0), b, rho0)
                 l_last[idx[escaped]] = last_t[escaped]
                 keep = ~escaped
-                v, idx = v[keep], idx[keep]
-                run_inf, last_t = run_inf[keep], last_t[keep]
+                v, idx, run_inf, last_t = v[keep], idx[keep], run_inf[keep], last_t[keep]
+                if idx.size == 0:
+                    break
         censored += idx.size
     return ReflectedLastPassageSample(b, l_last, censored)
+
+
+# ---------------------------------------------------------------------------
+# Inspection cycles
+
+
+def run_cycle_skeleton(
+    model: ModelSpec, rng: np.random.Generator, x: np.ndarray, horizons, b: float, steps: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cycle end levels from start levels x over per-path horizons, on a
+    bridge-corrected skeleton of ``steps`` steps per cycle, plus the last
+    in-cycle time at which the path touched (-inf, b] (0 if it never did)."""
+    dt = horizons / steps
+    v = x
+    last_contact = np.zeros(x.size)
+    for k in range(1, steps + 1):
+        _, m_min, v = _step(model, rng, v, dt)
+        contact = m_min <= b
+        last_contact[contact] = (k * dt)[contact]
+    return v, last_contact

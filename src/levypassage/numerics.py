@@ -9,14 +9,14 @@ here is a pure function of its inputs.
 from __future__ import annotations
 
 import math
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import gammainc, gammaincc
 
 from .errors import (
     DegenerateLeadingCoefficient,
@@ -37,15 +37,6 @@ _GL4_WEIGHTS = np.array(
 )
 
 
-def worker_count() -> int:
-    """Worker cap from LEVY_PASSAGE_THREADS (0 or unset means single-threaded)."""
-    try:
-        n = int(os.environ.get("LEVY_PASSAGE_THREADS", "0"))
-    except ValueError:
-        n = 0
-    return max(0, n)
-
-
 # ---------------------------------------------------------------------------
 # Grid functions
 
@@ -54,15 +45,14 @@ def worker_count() -> int:
 class GridFunction:
     """A real function tabulated on the uniform grid x0 + h*k, k = 0..n-1.
 
-    Evaluation interpolates (linear or monotone cubic); points outside the
-    grid raise OutOfGrid unless ``extrapolate`` is "clip" (hold endpoint
-    values) or "zero".
+    Evaluation interpolates linearly; points outside the grid raise
+    OutOfGrid unless ``extrapolate`` is "clip" (hold endpoint values) or
+    "zero".
     """
 
     x0: float
     h: float
     values: np.ndarray
-    interp: str = "linear"  # "linear" | "cubic_monotone"
     extrapolate: str = "error"  # "error" | "clip" | "zero"
 
     def __post_init__(self):
@@ -72,8 +62,6 @@ class GridFunction:
             raise ValueError("grid step must be positive")
         if vals.ndim != 1 or vals.size < 2:
             raise ValueError("grid needs at least two values")
-        if self.interp not in ("linear", "cubic_monotone"):
-            raise ValueError(f"unknown interpolation {self.interp!r}")
         if self.extrapolate not in ("error", "clip", "zero"):
             raise ValueError(f"unknown extrapolation mode {self.extrapolate!r}")
 
@@ -106,33 +94,15 @@ class GridFunction:
         lo, hi = self.x0, self.x_max
         tol = 1e-9 * max(self.h, 1.0)
         inside = (x >= lo - tol) & (x <= hi + tol)
-        if self.extrapolate == "error":
-            if not inside.all():
-                bad = x[~inside][0]
-                raise OutOfGrid(f"x={bad:g} outside grid [{lo:g}, {hi:g}]")
-            xq = np.clip(x, lo, hi)
-            out = self._interp(xq)
-        elif self.extrapolate == "clip":
-            out = self._interp(np.clip(x, lo, hi))
-        else:  # zero
+        if self.extrapolate == "error" and not inside.all():
+            bad = x[~inside][0]
+            raise OutOfGrid(f"x={bad:g} outside grid [{lo:g}, {hi:g}]")
+        if self.extrapolate == "zero":
             out = np.zeros_like(x)
-            xq = np.clip(x[inside], lo, hi)
-            out[inside] = self._interp(xq)
+            out[inside] = np.interp(np.clip(x[inside], lo, hi), self.grid(), self.values)
+        else:
+            out = np.interp(np.clip(x, lo, hi), self.grid(), self.values)
         return float(out[0]) if scalar else out
-
-    def _interp(self, x: np.ndarray) -> np.ndarray:
-        if self.interp == "linear":
-            return np.interp(x, self.grid(), self.values)
-        return self._pchip()(x)
-
-    def _pchip(self):
-        cached = self.__dict__.get("_pchip_cache")
-        if cached is None:
-            from scipy.interpolate import PchipInterpolator
-
-            cached = PchipInterpolator(self.grid(), self.values, extrapolate=False)
-            object.__setattr__(self, "_pchip_cache", cached)
-        return cached
 
     # -- calculus on the grid
 
@@ -140,15 +110,15 @@ class GridFunction:
         """Trapezoid antiderivative on the same grid, starting at 0."""
         vals = self.values
         cum = np.concatenate(([0.0], np.cumsum(0.5 * self.h * (vals[1:] + vals[:-1]))))
-        return GridFunction(self.x0, self.h, cum, self.interp, self.extrapolate)
+        return GridFunction(self.x0, self.h, cum, extrapolate=self.extrapolate)
 
     def derivative(self) -> "GridFunction":
         """Centered differences, one-sided at the endpoints."""
         d = np.gradient(self.values, self.h)
-        return GridFunction(self.x0, self.h, d, self.interp, self.extrapolate)
+        return GridFunction(self.x0, self.h, d, extrapolate=self.extrapolate)
 
     def with_values(self, values: np.ndarray) -> "GridFunction":
-        return GridFunction(self.x0, self.h, values, self.interp, self.extrapolate)
+        return GridFunction(self.x0, self.h, values, extrapolate=self.extrapolate)
 
 
 def grid_convolve(f: GridFunction, g: GridFunction) -> GridFunction:
@@ -170,7 +140,7 @@ def grid_convolve(f: GridFunction, g: GridFunction) -> GridFunction:
         full = np.convolve(a, b)[:n]
     out = f.h * (full - 0.5 * a[0] * b - 0.5 * b[0] * a)
     out[0] = 0.0
-    return GridFunction(f.x0, f.h, out, f.interp, f.extrapolate)
+    return GridFunction(f.x0, f.h, out, extrapolate=f.extrapolate)
 
 
 def cell_nodes(x0: float, h: float, n_cells: int):
@@ -195,70 +165,23 @@ def cumulative_from_cells(cell_integrals: np.ndarray) -> np.ndarray:
 # Incomplete gamma
 
 
-def _gamma_p_series(s: float, x: float) -> float:
-    # regularized lower P(s,x), valid for x <= s+1
-    term = 1.0 / s
-    total = term
-    for n in range(1, 10000):
-        term *= x / (s + n)
-        total += term
-        if abs(term) < abs(total) * 1e-16:
-            break
-    else:
-        raise NoConvergence("incomplete gamma series did not converge")
-    return total * math.exp(-x + s * math.log(x) - math.lgamma(s))
-
-
-def _gamma_q_contfrac(s: float, x: float) -> float:
-    # regularized upper Q(s,x) by modified Lentz continued fraction, x > s+1
-    tiny = 1e-300
-    b = x + 1.0 - s
-    c = 1.0 / tiny
-    d = 1.0 / b
-    f = d
-    for i in range(1, 10000):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        f *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    else:
-        raise NoConvergence("incomplete gamma continued fraction did not converge")
-    return f * math.exp(-x + s * math.log(x) - math.lgamma(s))
+def _check_gamma_args(s: float, x: float) -> None:
+    if s <= 0:
+        raise ValueError("s must be positive")
+    if x < 0:
+        raise ValueError("x must be nonnegative")
 
 
 def reg_gamma_q(s: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(s, x) = Gamma(s,x)/Gamma(s)."""
-    if s <= 0:
-        raise ValueError("s must be positive")
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    if x == 0.0:
-        return 1.0
-    if x <= s + 1.0:
-        return 1.0 - _gamma_p_series(s, x)
-    return _gamma_q_contfrac(s, x)
+    _check_gamma_args(s, x)
+    return float(gammaincc(s, x))
 
 
 def reg_gamma_p(s: float, x: float) -> float:
     """Regularized lower incomplete gamma P(s, x) = gamma(s,x)/Gamma(s)."""
-    if s <= 0:
-        raise ValueError("s must be positive")
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    if x == 0.0:
-        return 0.0
-    if x <= s + 1.0:
-        return _gamma_p_series(s, x)
-    return 1.0 - _gamma_q_contfrac(s, x)
+    _check_gamma_args(s, x)
+    return float(gammainc(s, x))
 
 
 def upper_incomplete_gamma(s: float, x: float) -> float:
@@ -339,7 +262,6 @@ def _gl_rule(n: int):
 
 
 _GL64_NODES, _GL64_WEIGHTS = _gl_rule(64)
-_GL128_NODES, _GL128_WEIGHTS = _gl_rule(128)
 
 
 @lru_cache(maxsize=256)

@@ -73,7 +73,6 @@ def duality_check(
         seed=cfg.seed,
         bridge_correction=cfg.bridge_correction,
         max_blocks=1,
-        batch_size=cfg.batch_size,
     )
     p_reflected = estimate_reflected_exceedance(model, cfg, b, t)
     sample = run_first_passage(model, cfg_fp, b)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from levypassage.errors import NoPerturbation, RepeatedRoots, WrongKind
+import levypassage.lundberg as lundberg
+from levypassage.errors import NoConvergence, NoPerturbation, RepeatedRoots, WrongKind
 from levypassage.lundberg import (
     ROUTE_CLOSED_BM,
     ROUTE_CLOSED_PH,
@@ -61,6 +62,15 @@ class TestSolveLundberg:
     def test_sigma_zero_rejected(self, gamma_model):
         with pytest.raises(NoPerturbation):
             solve_lundberg(gamma_model, 0.5)
+
+    def test_off_root_raises_typed_error(self, pgamma_model, monkeypatch):
+        # the residual check must survive python -O, so it cannot be an assert
+        exact = lundberg.find_root_bracketed
+        monkeypatch.setattr(
+            lundberg, "find_root_bracketed", lambda f, lo, hi: exact(f, lo, hi) + 0.1
+        )
+        with pytest.raises(NoConvergence):
+            solve_lundberg(pgamma_model, 0.5)
 
 
 class TestLundbergTruncated:
