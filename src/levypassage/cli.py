@@ -324,8 +324,9 @@ def _cmd_maintenance(args) -> int:
     )
     if args.what == "kernels":
         ys = kernels.default_state_grid(args.i)
-        a0 = kernels.kernel_a(0.0, ys)
-        rows = [(float(y), float(a), kernels.kernel_c(float(y))) for y, a in zip(ys[:: max(1, ys.size // 64)], a0[:: max(1, ys.size // 64)])]
+        every = slice(None, None, max(1, ys.size // 64))
+        a0 = kernels.kernel_a(0.0, ys)[every]
+        rows = list(zip(ys[every], a0, kernels.kernel_c(ys[every])))
         _write_rows(args.out, manifest, ["y", "A0_density", "C"], rows)
     elif args.what == "joint":
         p_fail, _, _, _ = kernels.chain(args.i)
@@ -474,6 +475,17 @@ def run_validation(quick: bool = True, seed: int = 20260810) -> list[tuple[str, 
         mass = float(np.trapezoid(ker.kernel_a(x, ys), ys)) + ker.kernel_c(x)
         worst = max(worst, abs(mass - 1.0))
     add("maintenance_cycle_mass", worst, 1e-4)
+
+    # failure kernel C: the escape-mass identity against the D_t grid route
+    pol = PolicySpec(
+        b=2.0,
+        m=InspectionSchedule("affine", value=1.0, slope=0.2, floor=0.2),
+        d=MaintenanceAction("affine", theta=0.5),
+    )
+    ker = PolicyKernels(pg, pol)
+    ys = np.array([0.0, 0.5, 1.0, 1.5])
+    grid_route = [last_passage_cdf(pg, pol.b - y, float(pol.m(y)), rho0=ker.rho0) for y in ys]
+    add("maintenance_kernel_c_route_gap", float(np.max(np.abs(ker.kernel_c(ys) - grid_route))), 1e-4)
 
     return rows
 

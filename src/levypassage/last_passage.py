@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.special import gammaincc, gammainccinv, gammaln, log_ndtr, ndtr
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import norm
 
@@ -34,7 +35,9 @@ from .models import (
     KIND_PURE_GAMMA,
     ModelSpec,
 )
-from .numerics import GridFunction, _pcd_core_integral
+from .numerics import GridFunction, _gl_rule, _jacobi_rule, _pcd_core_integral
+
+_GL32_NODES, _GL32_WEIGHTS = _gl_rule(32)
 
 
 def _grid_bounds(model: ModelSpec, t: float) -> tuple[float, float]:
@@ -133,6 +136,102 @@ def _closed_form_density(model: ModelSpec, t: float, a) -> np.ndarray:
     return perturbed_gamma_density(model, t, a)
 
 
+def _gaussian_escape_mass(u, tau: float, rho0: float):
+    """int_u^inf (1 - e^{-rho0 (v - u)}) phi_tau(v) dv for v ~ N(0, tau^2):
+
+        Phi-bar(u/tau) - e^{rho0 u + (rho0 tau)^2 / 2} Phi-bar(u/tau + rho0 tau),
+
+    formed as -Phi-bar(u/tau) expm1(.) with the exponent taken from log
+    normal tails, so it neither overflows nor loses the far right tail.
+    """
+    z = np.asarray(u, dtype=float) / tau
+    a = rho0 * tau
+    expo = a * z + 0.5 * a * a + log_ndtr(-(z + a)) - log_ndtr(-z)
+    return np.clip(-ndtr(-z) * np.expm1(expo), 0.0, 1.0)
+
+
+def _perturbed_gamma_escape_mass(model: ModelSpec, t: float, c: np.ndarray, rho0: float) -> np.ndarray:
+    """int_c^inf esc(a - c) f_{D_t}(a) da = int_0^inf g(x) k(c - mu t - x) dx.
+
+    g is the gamma density of G_t (shape s = alpha t, scale xi) and k the
+    Gaussian escape mass of sigma B_t, so the Esscher tilt acts on the
+    Gaussian part only and the gamma scale stays xi.  k(u) is 1 to e^{-40}
+    for u < -(9 tau + 40/rho0) and falls like a normal tail for u > 0, where
+    g(x) k(c' - x) peaks tau^2/xi below c' = c - mu t with width tau.  So the
+    integral runs over panels within [c' - 9 tau - tau^2/xi, c' + above];
+    the gamma mass beyond counts with k = 1 through Q(s, .).  Panels are no
+    wider than 6 tau or 12 xi (8/rho0 beyond 9 tau above c').  Near the
+    origin, edges double from a first panel [0, a] that carries the x^{s-1}
+    weight through a Gauss-Jacobi rule, so every Gauss-Legendre panel lies at
+    least its own width away from the singularity.
+    """
+    s = model.alpha * t
+    xi = model.xi
+    tau = model.sigma * math.sqrt(t)
+    cp = c - model.mu * t
+    # P(G > y + x | G > y) <= e^{-42} or Q(s, x/xi): the tail beyond c' + above
+    above = min(9.0 * tau + 40.0 / rho0, xi * max(42.0, float(gammainccinv(s, 1e-18))))
+    below = 9.0 * tau + tau * tau / xi
+    near = min(6.0 * tau, 12.0 * xi)
+    mid = min(9.0 * tau, above)
+    far = min(12.0 * xi, 8.0 / rho0)
+
+    def spaced(lo, hi, step):
+        return np.linspace(lo, hi, max(1, math.ceil((hi - lo) / step)) + 1)[1:]
+
+    offsets = [np.array([-below]), spaced(-below, 0.0, near), spaced(0.0, mid, near)]
+    if above > mid:
+        offsets.append(spaced(mid, above, far))
+    widest = max(near, far) if above > mid else near
+    ladder = widest * 2.0 ** -np.arange(math.ceil(math.log2(widest / near)), -1, -1)
+    edges = np.maximum(cp[:, None] + np.concatenate(offsets)[None, :], 0.0)
+    edges = np.where(edges < ladder[0], 0.0, edges)
+    lowest = edges[:, :1]
+    ladder = np.where(lowest < widest, np.append(0.0, ladder)[None, :], lowest)
+    edges = np.sort(np.concatenate([edges, ladder], axis=1), axis=1)
+    width = np.diff(edges, axis=1)
+    row, col = np.nonzero(width > 0.0)
+    left, width = edges[row, col], width[row, col]
+    log_norm = -gammaln(s) - s * math.log(xi)
+    vals = np.empty(row.size)
+    at0 = left == 0.0
+    # Gauss-Jacobi: int_0^w x^{s-1} F(x) dx = (w/2)^s sum_j w_j F(w u_j)
+    uj, wj = _jacobi_rule(s)
+    x = width[at0, None] * uj[None, :]
+    f = np.exp(log_norm - x / xi) * _gaussian_escape_mass(cp[row[at0], None] - x, tau, rho0)
+    vals[at0] = np.exp(s * np.log(0.5 * width[at0])) * (f @ wj)
+    x = left[~at0, None] + width[~at0, None] * _GL32_NODES[None, :]
+    f = np.exp(log_norm + (s - 1.0) * np.log(x) - x / xi)
+    f *= _gaussian_escape_mass(cp[row[~at0], None] - x, tau, rho0)
+    vals[~at0] = width[~at0] * (f @ _GL32_WEIGHTS)
+    out = gammaincc(s, edges[:, -1] / xi) + np.bincount(row, weights=vals, minlength=cp.size)
+    return np.clip(out, 0.0, 1.0)
+
+
+def _grid_escape_mass(f: GridFunction, c: np.ndarray, rho0: float) -> np.ndarray:
+    """int_c^inf esc(a - c) f(a) da for a tabulated density (zero off the grid).
+
+    Reverse trapezoid sums give, at each node x_j, the mass above it and its
+    e^{-rho0 (a - x_j)}-weighted companion.  The weighted sum obeys
+    T_j = e^{-rho0 h} T_{j+1} + panel_j; it is accumulated in log space, since
+    the closed sum e^{rho0 x_j} sum_k e^{-rho0 x_k} panel_k overflows.
+    A state between nodes adds its partial panel up to the next node.
+    """
+    v, h = f.values, f.h
+    plain = 0.5 * h * (v[:-1] + v[1:])
+    tilted = 0.5 * h * (v[:-1] + math.exp(-rho0 * h) * v[1:])
+    mass = np.append(np.cumsum(plain[::-1])[::-1], 0.0)
+    shift = rho0 * h * np.arange(tilted.size)
+    with np.errstate(divide="ignore"):
+        log_t = np.logaddexp.accumulate((np.log(tilted) - shift)[::-1])[::-1] + shift
+    weighted = np.append(np.exp(log_t), 0.0)
+    j = np.clip(np.ceil((c - f.x0) / h), 0, v.size - 1).astype(int)
+    gap = np.maximum(f.x0 + h * j - c, 0.0)
+    partial = np.where(j > 0, 0.5 * gap * -np.expm1(-rho0 * gap) * v[j], 0.0)
+    out = mass[j] - np.exp(-rho0 * gap) * weighted[j] + partial
+    return np.where(c >= f.x_max, 0.0, np.clip(out, 0.0, 1.0))
+
+
 @dataclass(frozen=True)
 class MarginalDensityD:
     """Density of D_t: exact where a closed form exists, plus its grid.
@@ -167,6 +266,30 @@ class MarginalDensityD:
 
     def mass(self) -> float:
         return float(np.trapezoid(self.f.values, dx=self.f.h))
+
+    def escape_mass(self, c, rho0: float):
+        """int_c^inf esc(a - c) f_{D_t}(a) da for every c at once; P(L_c < t) for c > 0.
+
+        Because phi_D(rho0) = 0, E[e^{-rho0 D_t}] = 1 and the value equals
+        P(D_t > c) - e^{rho0 c} P~(D_t > c) under the Esscher tilt
+        dP~ = e^{-rho0 D_t} dP.  Brownian: the closed form (the
+        ``bm_last_passage_cdf`` formula); pure gamma (rho0 = inf): P(D_t > c)
+        by ``gammaincc``; perturbed gamma: the Gaussian part in closed form
+        under a panel quadrature over the gamma part; phase type: reverse
+        sums over the grid ``f``.  ``c`` may have any sign.
+        """
+        c_in = np.asarray(c, dtype=float)
+        c = np.atleast_1d(c_in)
+        kind, t = self.model.kind, self.t
+        if kind == KIND_BROWNIAN:
+            out = _gaussian_escape_mass(c - self.model.mu * t, self.model.sigma * math.sqrt(t), rho0)
+        elif kind == KIND_PURE_GAMMA:
+            out = gammaincc(self.model.alpha * t, np.maximum(c - self.model.mu * t, 0.0) / self.model.xi)
+        elif kind == KIND_PERTURBED_GAMMA:
+            out = _perturbed_gamma_escape_mass(self.model, t, c, rho0)
+        else:
+            out = _grid_escape_mass(self.f, c, rho0)
+        return out.reshape(c_in.shape) if c_in.ndim else float(out[0])
 
     def grid(self) -> np.ndarray:
         return self.f.grid()

@@ -11,7 +11,20 @@ d.  The cycle kernels are
     Cz(y, z) = same as C with horizon m(y) - z   (= C(y) * C_r(y, z))
 
 with f_t the increment density of D over [0, t] and esc(z) = 1 - e^{-rho(0) z}
-the never-return probability.  Because failure is decided by the escape test
+the never-return probability.  Since phi_D(rho(0)) = 0, E[e^{-rho(0) D_t}] = 1,
+so with c = b - y
+
+    C(y) = P(D_t > c) - e^{rho(0) c} P~(D_t > c),   dP~ = e^{-rho(0) D_t} dP,
+
+and under P~ the law of D_t is again Gaussian plus gamma: drift
+mu - rho(0) sigma^2, the same sigma, gamma shape alpha t and scale
+xi / (1 + rho(0) xi); for Brownian motion it is N(-mu t, sigma^2 t).  C is
+evaluated for all states at once by ``MarginalDensityD.escape_mass``, one call
+per distinct horizon: closed forms for the Brownian and pure-gamma kinds, the
+tilt of the Gaussian part in closed form under a panel quadrature over the
+gamma part for perturbed gamma (the tilted gamma scale shrinks with sigma^2,
+the untilted one does not), and reverse sums over the D_t grid for phase
+type.  Because failure is decided by the escape test
 at the end-of-cycle value, the policy Monte Carlo can sample cycle endpoints
 from their exact laws; a skeleton mode adds the within-cycle last-contact
 time needed for idle-time statistics.
@@ -198,35 +211,48 @@ class PolicyKernels:
         dens = self._density(t)(a - x)
         return surv * dens / d.derivative(y)
 
-    def kernel_c(self, y: float, horizon: float | None = None) -> float:
-        """Failure probability before the next inspection from state y."""
-        t = float(self.policy.m(y)) if horizon is None else horizon
-        t = max(t, _T_FLOOR)
-        dens = self._density(t)
-        lo = self.policy.b - y
-        hi = dens.f.x_max
-        if hi <= lo:
-            return 0.0
-        xs = np.linspace(lo, hi, 2049)
-        vals = escape_probability(xs - lo, self.rho0) * dens.f(xs)
-        return float(np.trapezoid(vals, xs))
+    def kernel_c(self, y, horizon=None):
+        """Failure probability before the next inspection, for every state in y.
 
-    def kernel_cz(self, y: float, z: float) -> float:
+        ``horizon`` (default m(y)) broadcasts against y.  States are grouped
+        by horizon, one D_t law per distinct horizon, and each group is one
+        ``escape_mass`` call.
+        """
+        y_in = np.asarray(y, dtype=float)
+        ys = np.atleast_1d(y_in)
+        t = self.policy.m(ys) if horizon is None else horizon
+        keys = np.round(np.maximum(np.broadcast_to(t, ys.shape), _T_FLOOR), 12)
+        c = self.policy.b - ys
+        out = np.empty(ys.shape)
+        for key in np.unique(keys):
+            sel = keys == key
+            out[sel] = self._density(float(key)).escape_mass(c[sel], self.rho0)
+        return out.reshape(y_in.shape) if y_in.ndim else float(out[0])
+
+    def kernel_cz(self, y, z):
         """Unconditional idle-time survivor P[m(y) - L >= z, failure] from y;
         0 for z > m(y), since the idle time cannot exceed the cycle."""
-        if z < 0:
+        y_in, z = np.broadcast_arrays(np.asarray(y, dtype=float), np.asarray(z, dtype=float))
+        if np.any(z < 0):
             raise ValueError("idle time must be nonnegative")
-        t = float(self.policy.m(y))
-        if z > t:
-            return 0.0
-        return self.kernel_c(y, horizon=t - z)
+        ys, z = np.atleast_1d(y_in), np.atleast_1d(z)
+        t = np.asarray(self.policy.m(ys))
+        live = z <= t
+        out = np.zeros(ys.shape)
+        if live.any():
+            out[live] = self.kernel_c(ys[live], horizon=(t - z)[live])
+        return out.reshape(y_in.shape) if y_in.ndim else float(out[0])
 
-    def kernel_cr(self, y: float, z: float) -> float:
+    def kernel_cr(self, y, z):
         """Conditional idle-time survivor C_r(y, z) = Cz(y, z) / C(y)."""
         c = self.kernel_c(y)
-        if c < 1e-12:
-            raise ConditioningOnNull(f"C({y:g}) = {c:.2e} is numerically zero")
+        if np.min(c) < 1e-12:
+            raise ConditioningOnNull(f"C(y) = {np.min(c):.2e} is numerically zero")
         return self.kernel_cz(y, z) / c
+
+    def _transition_rows(self, ys: np.ndarray) -> np.ndarray:
+        """Matrix of kernel_a(y_i, y_j) over the state grid, one row per state."""
+        return np.stack([self.kernel_a(float(y), ys) for y in ys])
 
     # -- state grid and chain products
 
@@ -259,10 +285,10 @@ class PolicyKernels:
         wts = np.full(ys.size, ys[1] - ys[0])
         wts[0] *= 0.5
         wts[-1] *= 0.5
-        c_vals = np.array([self.kernel_c(float(y)) for y in ys])
+        c_all = self.kernel_c(np.concatenate(([0.0], ys)))
+        c0, c_vals = float(c_all[0]), c_all[1:]
         m_vals = np.asarray(self.policy.m(ys))
         m0 = float(self.policy.m(0.0))
-        c0 = self.kernel_c(0.0)
         p_fail = [c0]
         e_time = [m0 * c0]
         rho = self.kernel_a(0.0, ys)
@@ -272,7 +298,7 @@ class PolicyKernels:
             p_fail.append(float(np.sum(rho * wts * c_vals)))
             e_time.append(float(np.sum((tau + m_vals * rho) * wts * c_vals)))
             if rows is None:
-                rows = np.stack([self.kernel_a(float(y), ys) for y in ys])
+                rows = self._transition_rows(ys)
             new_rho = (rho * wts) @ rows
             new_tau = ((tau + m_vals * rho) * wts) @ rows
             rho, tau = new_rho, new_tau
@@ -280,8 +306,7 @@ class PolicyKernels:
 
     def _chain_reset(self, i_max: int):
         d0 = float(self.policy.d(0.0))
-        c0 = self.kernel_c(0.0)
-        cd = self.kernel_c(d0)
+        c0, cd = self.kernel_c(np.array([0.0, d0]))
         m0 = float(self.policy.m(0.0))
         md = float(self.policy.m(d0))
         p_fail = [c0]
@@ -312,9 +337,8 @@ def joint_law_idle(kernels: PolicyKernels, i: int, z: float, state_grid=None) ->
         d0 = float(kernels.policy.d(0.0))
         if i == 1:
             return kernels.kernel_cz(0.0, z)
-        surv = 1.0 - kernels.kernel_c(0.0)
-        cd = kernels.kernel_c(d0)
-        return surv * (1.0 - cd) ** (i - 2) * kernels.kernel_cz(d0, z)
+        c0, cd = kernels.kernel_c(np.array([0.0, d0]))
+        return (1.0 - c0) * (1.0 - cd) ** (i - 2) * kernels.kernel_cz(d0, z)
     ys = kernels.default_state_grid(i) if state_grid is None else state_grid
     if i == 1:
         return kernels.kernel_cz(0.0, z)
@@ -323,11 +347,10 @@ def joint_law_idle(kernels: PolicyKernels, i: int, z: float, state_grid=None) ->
     wts[-1] *= 0.5
     rho = kernels.kernel_a(0.0, ys)
     if i > 2:
-        rows = np.stack([kernels.kernel_a(float(y), ys) for y in ys])
+        rows = kernels._transition_rows(ys)
         for _ in range(i - 2):
             rho = (rho * wts) @ rows
-    cz = np.array([kernels.kernel_cz(float(y), z) for y in ys])
-    return float(np.sum(rho * wts * cz))
+    return float(np.sum(rho * wts * kernels.kernel_cz(ys, z)))
 
 
 def expected_time_to_renewal(kernels: PolicyKernels, i: int, state_grid=None) -> float:

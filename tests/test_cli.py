@@ -1,0 +1,50 @@
+import json
+
+import numpy as np
+import pytest
+
+from levypassage.cli import dispatch, run_validation
+from levypassage.maintenance import PolicyKernels, policy_from_dict
+from levypassage.models import model_from_dict
+
+BM = {"kind": "brownian_drift", "mu": 1.0, "sigma": 1.0}
+POLICY = {"b": 2.0, "m": {"family": "constant", "value": 1.0}, "d": {"family": "affine", "theta": 0.5}}
+
+
+def _read_csv(path):
+    lines = path.read_text().splitlines()
+    assert lines[0].startswith("# ")
+    header = lines[1].split(",")
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
+    return header, rows
+
+
+@pytest.fixture
+def bm_files(tmp_path):
+    model, policy = tmp_path / "model.json", tmp_path / "policy.json"
+    model.write_text(json.dumps(BM))
+    policy.write_text(json.dumps(POLICY))
+    return ["--model", str(model), "--policy", str(policy)]
+
+
+def test_validate_quick_passes():
+    rows = run_validation(quick=True)
+    assert "maintenance_kernel_c_route_gap" in [name for name, *_ in rows]
+    assert [name for name, _, _, ok in rows if not ok] == []
+
+
+@pytest.mark.parametrize("what", ["kernels", "joint", "idle"])
+def test_maintenance_runs(what, bm_files, tmp_path):
+    out = tmp_path / f"{what}.csv"
+    assert dispatch(["maintenance", *bm_files, "--what", what, "--i", "2", "--out", str(out)]) == 0
+    _, rows = _read_csv(out)
+    assert rows.size and np.all(np.isfinite(rows))
+
+
+def test_kernels_c_column_is_kernel_c(bm_files, tmp_path):
+    out = tmp_path / "kernels.csv"
+    assert dispatch(["maintenance", *bm_files, "--what", "kernels", "--i", "3", "--out", str(out)]) == 0
+    header, rows = _read_csv(out)
+    assert header == ["y", "A0_density", "C"]
+    kernels = PolicyKernels(model_from_dict(BM), policy_from_dict(POLICY))
+    assert rows[:, 2] == pytest.approx(kernels.kernel_c(rows[:, 0]), rel=1e-15)

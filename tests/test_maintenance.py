@@ -1,7 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from conftest import assert_within_se
+from scipy.integrate import quad
 
+from levypassage.last_passage import bm_last_passage_cdf, last_passage_cdf, perturbed_gamma_density
+from levypassage.lundberg import escape_rate
 from levypassage.maintenance import (
     InspectionSchedule,
     MaintenanceAction,
@@ -10,6 +15,126 @@ from levypassage.maintenance import (
     joint_law_idle,
     simulate_policy,
 )
+from levypassage.models import KIND_PERTURBED_GAMMA, ModelSpec
+
+KINDS = ["bm_model", "gamma_model", "pgamma_model_wide", "ph2_model"]
+
+
+def _affine_policy(value=1.0):
+    return PolicySpec(
+        b=2.0,
+        m=InspectionSchedule("affine", value, slope=0.2, floor=0.2),
+        d=MaintenanceAction("affine", 0.5),
+    )
+
+
+def _check_against_quadrature(model, t, cs):
+    """kernel_c against adaptive quadrature of esc(a - c) f_{D_t}(a), to 1e-9."""
+    rho0 = escape_rate(model)
+    policy = _affine_policy()
+    got = PolicyKernels(model, policy).kernel_c(policy.b - np.asarray(cs), horizon=t)
+    sd = math.sqrt(model.var_d1 * t)
+    top = model.mean_d1 * t + 60.0 * sd + 40.0
+    for c, value in zip(cs, got):
+
+        def integrand(a, c=c):
+            return -math.expm1(-rho0 * (a - c)) * perturbed_gamma_density(model, t, a)
+
+        pts = [c + k * sd for k in (0.01, 0.1, 0.5, 1.0, 2.0, 4.0, 8.0)]
+        want = quad(integrand, c, top, points=pts, limit=500, epsabs=0.0, epsrel=1e-13)[0]
+        assert value == pytest.approx(want, rel=1e-9, abs=0.0), f"c = {c}"
+
+
+class TestKernelC:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_batched_vs_grid_route(self, kind, request):
+        model = request.getfixturevalue(kind)
+        policy = _affine_policy(value=1.5)
+        kernels = PolicyKernels(model, policy)
+        ys = np.linspace(-1.0, 1.9, 9)  # nine distinct horizons m(y)
+        got = kernels.kernel_c(ys)
+        want = [last_passage_cdf(model, policy.b - y, float(policy.m(y))) for y in ys]
+        assert got == pytest.approx(want, abs=1e-4)
+        one_by_one = [kernels.kernel_c(float(y)) for y in ys]
+        assert got == pytest.approx(one_by_one, rel=1e-13, abs=1e-300)
+
+    def test_bm_closed_form(self, bm_model):
+        policy = _affine_policy()
+        kernels = PolicyKernels(bm_model, policy)
+        ys = np.linspace(-3.0, 1.99, 41)
+        got = kernels.kernel_c(ys)
+        want = [bm_last_passage_cdf(bm_model, policy.b - y, float(policy.m(y))) for y in ys]
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("sigma", [0.05, 0.3, 0.9])
+    @pytest.mark.parametrize("t", [0.2, 2.0])
+    def test_perturbed_gamma_vs_quadrature(self, sigma, t):
+        # alpha t = 0.3 (singular gamma density at 0) and 3
+        model = ModelSpec(kind=KIND_PERTURBED_GAMMA, mu=0.2, sigma=sigma, alpha=1.5, xi=0.7)
+        _check_against_quadrature(model, t, [-1.0, 0.05, 0.3, 1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "alpha, sigma, xi, t, cs",
+        [
+            # jumps small against sigma sqrt(t): at c = 6 the integrand peaks
+            # sigma^2 t / xi = 5 below c, 10 sd from it
+            (0.5, 0.5, 0.05, 1.0, [0.05, 1.0, 6.0]),
+            # short horizon: alpha t = 1e-5, panels graded towards x^{s-1}
+            (1.0, 1.0, 1.0, 1e-5, [0.01, 0.05, 1.0]),
+        ],
+    )
+    def test_perturbed_gamma_far_regimes_vs_quadrature(self, alpha, sigma, xi, t, cs):
+        model = ModelSpec(kind=KIND_PERTURBED_GAMMA, mu=0.0, sigma=sigma, alpha=alpha, xi=xi)
+        _check_against_quadrature(model, t, cs)
+
+    def test_phase_type_continuous_between_grid_nodes(self, ph2_model):
+        # the partial panel up to the next node keeps C continuous in the state
+        kernels = PolicyKernels(ph2_model, _affine_policy())
+        grid = kernels._density(1.0).grid()
+        node = grid[np.searchsorted(grid, 1.0)]
+        vals = kernels.kernel_c(2.0 - node + np.array([-1e-12, 0.0, 1e-12]), horizon=1.0)
+        assert vals == pytest.approx(vals[1], abs=1e-10)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_values_finite_in_unit_interval(self, kind, request):
+        kernels = PolicyKernels(request.getfixturevalue(kind), _affine_policy())
+        ys = np.array([-50.0, -5.0, 0.0, 2.0 - 1e-12, 2.0, 2.0 + 1e-9, 7.0, 52.0])
+        for horizon in (1e-6, 0.5, 5.0):
+            vals = kernels.kernel_c(ys, horizon=horizon)
+            assert np.all(np.isfinite(vals))
+            assert np.all((vals >= 0.0) & (vals <= 1.0))
+        vals = kernels.kernel_c(ys)
+        assert np.all(np.isfinite(vals)) and np.all((vals >= 0.0) & (vals <= 1.0))
+
+
+class TestChain:
+    def test_state_dependent_perturbed_gamma_vs_simulation(self, pgamma_model):
+        policy = _affine_policy()
+        # the default 512-point state grid: on 129 points (step 0.25 over the
+        # reachable span [-7.4, 24.9]) the state-grid quadrature of kernel_a
+        # alone leaves 3.8e-3 of the mass unbalanced
+        p_fail, e_time, ys, rho = PolicyKernels(pgamma_model, policy).chain(4)
+        assert p_fail.sum() + np.trapezoid(rho, ys) == pytest.approx(1.0, abs=2e-3)
+        sim = simulate_policy(pgamma_model, policy, 20_000, seed=3)
+        for i in range(1, 5):
+            mc = sim.p_i(i)
+            assert_within_se(mc.estimate, mc.std_error, p_fail[i - 1], 3.0, f"P(I = {i})")
+            mc = sim.e_t_star_on_i(i)
+            assert_within_se(mc.estimate, mc.std_error, e_time[i - 1], 3.0, f"E[T*; I = {i}]")
+
+    @pytest.mark.parametrize("kind", ["pgamma_model", "ph_model"])
+    def test_reset_chain_geometric(self, kind, request):
+        model = request.getfixturevalue(kind)
+        policy = PolicySpec(
+            b=2.0, m=InspectionSchedule("constant", 0.8), d=MaintenanceAction("reset", d0=0.3)
+        )
+        p_fail, e_time, _, _ = PolicyKernels(model, policy).chain(4)
+        c0 = last_passage_cdf(model, 2.0, 0.8)
+        cd = last_passage_cdf(model, 1.7, 0.8)
+        i = np.arange(1, 5)
+        want = np.where(i == 1, c0, (1.0 - c0) * (1.0 - cd) ** np.maximum(i - 2, 0) * cd)
+        assert p_fail == pytest.approx(want, abs=1e-4)
+        assert e_time == pytest.approx(0.8 * i * want, abs=1e-4)
 
 
 class TestIdleLaw:
