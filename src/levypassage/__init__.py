@@ -57,7 +57,6 @@ from .maintenance import (
     PolicyKernels,
     PolicySpec,
     expected_time_to_renewal,
-    joint_law_i_states,
     joint_law_idle,
     policy_from_dict,
     policy_from_json,
@@ -67,18 +66,14 @@ from .mc import (
     SimConfig,
     SimResult,
     estimate_first_passage,
-    estimate_last_passage,
     estimate_reflected_exceedance,
     increment_exact,
-    reflected_path,
     run_first_passage,
     run_last_passage,
     run_reflected_at_exp_horizon,
     run_reflected_first_passage,
     run_reflected_last_passage,
     run_reflected_marginal,
-    sample_path,
-    sample_phase_type,
 )
 from .models import (
     CPApprox,
@@ -92,6 +87,7 @@ from .models import (
     model_from_dict,
     model_from_json,
     model_to_dict,
+    sample_phase_type,
 )
 from .numerics import (
     GridFunction,

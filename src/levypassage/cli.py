@@ -45,7 +45,6 @@ from .lundberg import (
     escape_rate,
     lundberg_truncated,
     scale_route_gap,
-    scale_via_inversion,
     scale_via_ode_series,
     solve_lundberg,
 )

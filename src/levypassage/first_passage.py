@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import digamma
+from scipy.special import digamma, log_ndtr
 from scipy.stats import norm
 
 from .errors import SeriesNotConverged, WrongKind, ZeroMeanDrift
@@ -154,9 +154,11 @@ def transform_from_scales(scales: ScaleSet) -> PassageTransform:
 
 
 def gamma_exact_cdf(model: ModelSpec, b: float, t: float) -> float:
-    """Park-Padgett cdf of T_b for the pure gamma process:
+    """Park-Padgett cdf of T_b for the pure gamma process with drift mu:
 
-        F(t) = Gamma(alpha t, b/xi) / Gamma(alpha t) = P[D_t >= b].
+        F(t) = Gamma(alpha t, z) / Gamma(alpha t) = P[D_t >= b],  z = (b - mu t)^+ / xi,
+
+    which is 1 once the drift alone reaches b (mu t >= b).
     """
     if model.kind != KIND_PURE_GAMMA:
         raise WrongKind("exact gamma passage law needs kind=pure_gamma")
@@ -164,7 +166,10 @@ def gamma_exact_cdf(model: ModelSpec, b: float, t: float) -> float:
         raise ValueError("need b > 0 and t >= 0")
     if t == 0:
         return 0.0
-    return reg_gamma_q(model.alpha * t, b / model.xi)
+    x = b - model.mu * t
+    if x <= 0:
+        return 1.0
+    return reg_gamma_q(model.alpha * t, x / model.xi)
 
 
 def gamma_exact_sf(model: ModelSpec, b: float, t: float) -> float:
@@ -173,24 +178,32 @@ def gamma_exact_sf(model: ModelSpec, b: float, t: float) -> float:
 
 
 def gamma_exact_pdf(model: ModelSpec, b: float, t: float) -> float:
-    """Park-Padgett density of T_b:
+    """Park-Padgett density of T_b, with z = (b - mu t)/xi:
 
-        f(t) = alpha (psi(alpha t) - log(b/xi)) gamma(alpha t, b/xi)/Gamma(alpha t)
-               + alpha/((alpha t)^2 Gamma(alpha t)) (b/xi)^{alpha t}
-                 2F2(alpha t, alpha t; alpha t+1, alpha t+1; -b/xi).
+        f(t) = alpha (psi(alpha t) - log z) gamma(alpha t, z)/Gamma(alpha t)
+               + alpha/((alpha t)^2 Gamma(alpha t)) z^{alpha t}
+                 2F2(alpha t, alpha t; alpha t+1, alpha t+1; -z)
+               + mu g_t(b - mu t),
+
+    g_t the Gamma(alpha t, xi) density: the last term is the drift moving the
+    threshold of P[D_t >= b].  It is 0 once mu t >= b.
     """
     if model.kind != KIND_PURE_GAMMA:
         raise WrongKind("exact gamma passage law needs kind=pure_gamma")
     if b <= 0 or t <= 0:
         raise ValueError("need b > 0 and t > 0")
+    x = b - model.mu * t
+    if x <= 0:
+        return 0.0
     s = model.alpha * t
-    z = b / model.xi
+    z = x / model.xi
     first = model.alpha * (digamma(s) - math.log(z)) * reg_gamma_p(s, z)
     series = hyp2f2(s, s, s + 1.0, s + 1.0, -z)
     # (z^s / Gamma(s)) / s^2 in log space to survive large alpha*t
     log_pref = s * math.log(z) - math.lgamma(s) - 2.0 * math.log(s)
     second = model.alpha * math.exp(log_pref) * series
-    return first + second
+    drift = model.mu / model.xi * math.exp((s - 1.0) * math.log(z) - z - math.lgamma(s))
+    return first + second + drift
 
 
 def inverse_gaussian_pdf(model: ModelSpec, b: float, t) -> np.ndarray:
@@ -223,12 +236,10 @@ def inverse_gaussian_cdf(model: ModelSpec, b: float, t) -> np.ndarray:
     mu, sig = model.mu, model.sigma
     with np.errstate(divide="ignore", invalid="ignore"):
         st = sig * np.sqrt(t)
-        out = np.where(
-            t > 0,
-            norm.cdf((mu * t - b) / st)
-            + np.exp(2.0 * mu * b / sig**2) * norm.cdf(-(b + mu * t) / st),
-            0.0,
-        )
+        # e^{2 mu b/sigma^2} Phi(.) as one exponential: the product is inf * 0
+        # once 2 mu b/sigma^2 > 709
+        reflected = np.exp(2.0 * mu * b / sig**2 + log_ndtr(-(b + mu * t) / st))
+        out = np.where(t > 0, norm.cdf((mu * t - b) / st) + reflected, 0.0)
     return out if out.ndim else float(out)
 
 

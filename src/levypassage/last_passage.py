@@ -38,6 +38,7 @@ from .models import (
 from .numerics import GridFunction, _gl_rule, _jacobi_rule, _pcd_core_integral
 
 _GL32_NODES, _GL32_WEIGHTS = _gl_rule(32)
+_N_QUAD = 4097  # trapezoid nodes per a-integral over the D_t grid
 
 
 def _grid_bounds(model: ModelSpec, t: float) -> tuple[float, float]:
@@ -323,20 +324,19 @@ def last_passage_cdf(
     t: float,
     rho0: float | None = None,
     density: MarginalDensityD | None = None,
-    n_quad: int = 4097,
 ) -> float:
     """P(L_b < t) = int_b^inf esc(a - b) f_{D_t}(a) da."""
     if b <= 0:
         raise ValueError("threshold must be positive")
     rho0 = escape_rate(model) if rho0 is None else rho0
+    density = density or density_of_dt(model, t)
     if model.kind == KIND_PURE_GAMMA:
         # monotone paths: esc = 1 above b, so the law collapses to P(D_t >= b)
-        return float(gamma_dist.sf(b - model.mu * t, model.alpha * t, scale=model.xi))
-    density = density or density_of_dt(model, t)
+        return density.escape_mass(b, rho0)
     hi = density.f.x_max
     if hi <= b:
         return 0.0
-    xs = np.linspace(b, hi, n_quad)
+    xs = np.linspace(b, hi, _N_QUAD)
     vals = escape_probability(xs - b, rho0) * density.f(xs)
     return float(np.trapezoid(vals, xs))
 
@@ -363,7 +363,6 @@ def last_passage_joint_mass(
     t: float,
     rho0: float | None = None,
     density: MarginalDensityD | None = None,
-    n_quad: int = 4097,
 ) -> float:
     """P(L_b >= t): the a-integral of the joint density, split at a = b where
     the escape factor may be discontinuous (sigma = 0 kinds)."""
@@ -374,10 +373,10 @@ def last_passage_joint_mass(
     lo, hi = density.f.x0, density.f.x_max
     total = 0.0
     if lo < b:
-        xs = np.linspace(lo, min(b, hi), n_quad)
+        xs = np.linspace(lo, min(b, hi), _N_QUAD)
         total += float(np.trapezoid(density.f(xs), xs))
     if hi > b:
-        xs = np.linspace(b, hi, n_quad)
+        xs = np.linspace(b, hi, _N_QUAD)
         vals = (1.0 - escape_probability(xs - b, rho0)) * density.f(xs)
         total += float(np.trapezoid(vals, xs))
     return total
@@ -403,19 +402,19 @@ def bm_last_passage_density(model: ModelSpec, b: float, t) -> np.ndarray:
 
 
 def bm_last_passage_cdf(model: ModelSpec, b: float, t) -> np.ndarray:
-    """Closed-form P(L_b < t) for Brownian motion with drift."""
+    """Closed-form P(L_b < t) for Brownian motion with drift:
+
+        Phi((mu t - b)/(sigma sqrt t)) - e^{2 mu b/sigma^2} Phi(-(mu t + b)/(sigma sqrt t)),
+
+    the Gaussian escape mass with rho(0) = 2 mu/sigma^2, which stays finite
+    where the product of the two factors would be inf * 0."""
     if model.kind != KIND_BROWNIAN:
         raise WrongKind("closed-form last-passage cdf needs kind=brownian_drift")
     t = np.asarray(t, dtype=float)
     mu, sig = model.mu, model.sigma
     with np.errstate(divide="ignore", invalid="ignore"):
-        st = sig * np.sqrt(t)
-        out = np.where(
-            t > 0,
-            norm.cdf((mu * t - b) / st)
-            - np.exp(2.0 * mu * b / sig**2) * norm.cdf(-(mu * t + b) / st),
-            0.0,
-        )
+        esc = _gaussian_escape_mass(b - mu * t, sig * np.sqrt(t), 2.0 * mu / sig**2)
+        out = np.where(t > 0, esc, 0.0)
     return out if out.ndim else float(out)
 
 

@@ -31,10 +31,8 @@ from .errors import (
 from .models import KIND_BROWNIAN, KIND_PH, ModelSpec
 from .numerics import (
     GridFunction,
-    InversionConfig,
     find_root_bracketed,
     grid_convolve,
-    laplace_invert,
     poly_roots_complex,
     stehfest_coefficients,
 )
@@ -44,6 +42,8 @@ ROUTE_CLOSED_BM = "closed_bm"
 ROUTE_CLOSED_PH = "closed_ph"
 ROUTE_INVERSION = "laplace_inversion"
 ROUTE_ODE_SERIES = "ode_series"
+
+_STEHFEST_TERMS = 14  # Gaver-Stehfest terms; more are unstable in doubles
 
 
 @dataclass(frozen=True)
@@ -402,16 +402,15 @@ def scale_via_inversion(
     delta: float,
     x_max: float,
     n: int = 2049,
-    cfg: InversionConfig | None = None,
 ) -> ScaleSet:
     """W from numerical inversion of 1/(phi_D(lambda) - delta).
 
     The tilted function e^{-rho x} W(x), whose transform is
-    1/(phi_D(s + rho) - delta), is inverted instead so the target is bounded;
-    W' comes from centered differences of the tilted values."""
+    1/(phi_D(s + rho) - delta), is inverted instead so the target is bounded,
+    by Gaver-Stehfest on real abscissae; the tilted U-density
+    e^{-rho x} (W' - rho W) is inverted from its own transform."""
     if model.sigma <= 0:
         raise NoPerturbation("scale functions require sigma > 0")
-    cfg = cfg or InversionConfig(method="gaver_stehfest")
     root = solve_lundberg(model, delta)
     rho = root.rho
     xs = np.linspace(0.0, x_max, n)
@@ -427,20 +426,10 @@ def scale_via_inversion(
         return s / (np.asarray(model.phi_d((s + rho).ravel())).reshape(s.shape) - delta)
 
     positive = xs[1:]
-    if cfg.method == "gaver_stehfest":
-        coeffs = stehfest_coefficients(cfg.terms)
-        s_nodes = np.log(2.0) * np.arange(1, cfg.terms + 1)[None, :] / positive[:, None]
-
-        def invert(transform) -> np.ndarray:
-            return np.log(2.0) / positive * (transform(s_nodes) @ coeffs)
-
-    else:
-
-        def invert(transform) -> np.ndarray:
-            return np.asarray(laplace_invert(transform, positive, cfg))
-
-    tilt_pos = invert(tilted_transform)
-    tiltp_pos = invert(tilted_u_transform)
+    coeffs = stehfest_coefficients(_STEHFEST_TERMS)
+    s_nodes = np.log(2.0) * np.arange(1, _STEHFEST_TERMS + 1)[None, :] / positive[:, None]
+    tilt_pos = np.log(2.0) / positive * (tilted_transform(s_nodes) @ coeffs)
+    tiltp_pos = np.log(2.0) / positive * (tilted_u_transform(s_nodes) @ coeffs)
     tilt = np.maximum(np.concatenate(([0.0], tilt_pos)), 0.0)
     # value of tilt' at 0+ equals W'(0) = 2/sigma^2 (transform ~ s * sigma^2/2 s^2)
     tilt_prime = np.maximum(np.concatenate(([2.0 / model.sigma**2], tiltp_pos)), 0.0)

@@ -321,14 +321,6 @@ class PolicyKernels:
         return np.asarray(p_fail), np.asarray(e_time), np.array([d0]), None
 
 
-def joint_law_i_states(kernels: PolicyKernels, i: int, state_grid=None):
-    """P[I = i] and the surviving-state density entering the failing cycle."""
-    if i < 1:
-        raise ValueError("cycle index starts at 1")
-    p_fail, _, ys, _ = kernels.chain(i, state_grid)
-    return float(p_fail[i - 1]), ys
-
-
 def joint_law_idle(kernels: PolicyKernels, i: int, z: float, state_grid=None) -> float:
     """P[idle > z, I = i]: the chain with the final factor Cz(y, z)."""
     if i < 1:

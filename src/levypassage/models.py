@@ -24,7 +24,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.special import exp1
 
-from .errors import NoJumpPart, SchemaError
+from .errors import HorizonExceeded, NoJumpPart, SchemaError
 from .numerics import GridFunction, find_root_bracketed
 
 KIND_BROWNIAN = "brownian_drift"
@@ -147,9 +147,38 @@ class PhaseType:
         return out.reshape(shape)
 
 
+def sample_phase_type(ph: PhaseType, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Exact phase-type samples by simulating the absorbing phase chain."""
+    m = ph.order
+    rates = -np.diag(ph.t_mat)
+    # transition kernel rows: to the other phases then to absorption
+    jumps = np.column_stack((ph.t_mat - np.diag(np.diag(ph.t_mat)), ph.exit_vector))
+    cum = np.cumsum(jumps / rates[:, None], axis=1)
+    start = np.concatenate((ph.alpha, [max(0.0, 1.0 - ph.alpha.sum())]))
+    start = start / start.sum()
+    state = rng.choice(m + 1, p=start, size=size)
+    total = np.zeros(size)
+    active = state < m
+    guard = 0
+    while active.any():
+        guard += 1
+        if guard > 100_000:
+            raise HorizonExceeded("phase chain failed to absorb")
+        s = state[active]
+        total[active] += rng.exponential(1.0 / rates[s])
+        u = rng.random(s.size)
+        state[active] = (u[:, None] > cum[s]).sum(axis=1)
+        active = state < m
+    return total
+
+
 @dataclass(frozen=True)
 class ModelSpec:
-    """Parameters of one degradation model; immutable after validation."""
+    """Parameters of one degradation model; immutable after validation.
+
+    ``jumps`` is the Levy-measure view of the jump part J (None for Brownian
+    drift); every jump-law quantity below reads from it.
+    """
 
     kind: str
     mu: float = 0.0
@@ -158,6 +187,7 @@ class ModelSpec:
     xi: float | None = None  # gamma jump scale (deg units)
     lam: float | None = None  # compound-Poisson intensity (1/time)
     ph: PhaseType | None = None
+    jumps: "LevyMeasureView | None" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
@@ -169,14 +199,18 @@ class ModelSpec:
                 raise ValueError("pure_gamma requires sigma = 0")
         elif self.sigma <= 0:
             raise ValueError(f"{self.kind} requires sigma > 0")
+        jumps = None
         if self.kind in _GAMMA_KINDS:
             if not self.alpha or self.alpha <= 0 or not self.xi or self.xi <= 0:
                 raise ValueError("gamma kinds require alpha > 0 and xi > 0")
-        if self.kind == KIND_PH:
+            jumps = GammaMeasure(self.alpha, self.xi)
+        elif self.kind == KIND_PH:
             if not self.lam or self.lam <= 0:
                 raise ValueError("phase-type kind requires intensity lambda > 0")
             if self.ph is None:
                 raise ValueError("phase-type kind requires a (alpha, T) representation")
+            jumps = PHMeasure(self.lam, self.ph)
+        object.__setattr__(self, "jumps", jumps)
         if self.mean_d1 <= 0:
             raise ValueError(
                 f"E[D_1] = {self.mean_d1:g} must be positive (process must drift to +inf)"
@@ -186,23 +220,15 @@ class ModelSpec:
 
     @property
     def has_jumps(self) -> bool:
-        return self.kind != KIND_BROWNIAN
+        return self.jumps is not None
 
     @property
     def jump_mean(self) -> float:
-        if self.kind == KIND_BROWNIAN:
-            return 0.0
-        if self.kind in _GAMMA_KINDS:
-            return self.alpha * self.xi
-        return self.lam * self.ph.moment(1)
+        return 0.0 if self.jumps is None else self.jumps.moment(1)
 
     @property
     def jump_second_moment(self) -> float:
-        if self.kind == KIND_BROWNIAN:
-            return 0.0
-        if self.kind in _GAMMA_KINDS:
-            return self.alpha * self.xi**2
-        return self.lam * self.ph.moment(2)
+        return 0.0 if self.jumps is None else self.jumps.moment(2)
 
     @property
     def mean_d1(self) -> float:
@@ -218,50 +244,28 @@ class ModelSpec:
         """phi_D(u) with E[exp(-u D_t)] = exp(t phi_D(u)); phi_D(0) = 0."""
         u = np.asarray(u)
         out = -self.mu * u + 0.5 * (self.sigma * u) ** 2
-        if self.kind in _GAMMA_KINDS:
-            out = out - self.alpha * _log1p_any(u * self.xi)
-        elif self.kind == KIND_PH:
-            out = out + self.lam * (self._ph_resolvent(u, power=1) - 1.0)
+        if self.jumps is not None:
+            out = out + self.jumps.phi(u)
         return out if out.ndim else out[()]
 
     def phi_d_prime(self, u):
         u = np.asarray(u)
         out = -self.mu + self.sigma**2 * u
-        if self.kind in _GAMMA_KINDS:
-            out = out - self.alpha * self.xi / (1.0 + u * self.xi)
-        elif self.kind == KIND_PH:
-            out = out - self.lam * self._ph_resolvent(u, power=2)
+        if self.jumps is not None:
+            out = out + self.jumps.phi_prime(u)
         return out if out.ndim else out[()]
 
     def phi_d_second(self, u):
         u = np.asarray(u)
         out = np.full(np.shape(u) or (), self.sigma**2, dtype=float)
-        if self.kind in _GAMMA_KINDS:
-            out = out + self.alpha * self.xi**2 / (1.0 + u * self.xi) ** 2
-        elif self.kind == KIND_PH:
-            out = out + 2.0 * self.lam * self._ph_resolvent(u, power=3)
+        if self.jumps is not None:
+            out = out + self.jumps.phi_second(u)
         return out if out.ndim else out[()]
 
-    def _ph_resolvent(self, u, power: int):
-        """alpha (uI - T)^-power t, batched over u (real or complex)."""
-        shape = np.shape(u)
-        u = np.atleast_1d(np.asarray(u))
-        m = self.ph.order
-        eye = np.eye(m)
-        mats = u[:, None, None] * eye[None, :, :] - self.ph.t_mat[None, :, :]
-        vec = np.broadcast_to(self.ph.exit_vector, (u.size, m))
-        x = vec
-        for _ in range(power):
-            x = np.linalg.solve(mats, x[..., None])[..., 0]
-        out = x @ self.ph.alpha
-        return out.reshape(shape)
-
     def levy_measure(self) -> "LevyMeasureView":
-        if not self.has_jumps:
+        if self.jumps is None:
             raise NoJumpPart("Brownian-with-drift model has no jump part")
-        if self.kind in _GAMMA_KINDS:
-            return GammaMeasure(self.alpha, self.xi)
-        return PHMeasure(self.lam, self.ph)
+        return self.jumps
 
 
 def _log1p_any(z):
@@ -276,7 +280,26 @@ def _log1p_any(z):
 
 
 class LevyMeasureView:
-    """Density, tail, and exponentially weighted tails of the jump measure."""
+    """The jump law of J through its Levy measure Q: density, tails, the
+    jump part of phi_D and its derivatives, moments, and exact sampling."""
+
+    def phi(self, u):
+        """int_0^inf (e^{-u x} - 1) Q(dx), for real or complex u."""
+        raise NotImplementedError
+
+    def phi_prime(self, u):
+        raise NotImplementedError
+
+    def phi_second(self, u):
+        raise NotImplementedError
+
+    def moment(self, k: int) -> float:
+        """int_0^inf x^k Q(dx), so E[J_1] for k = 1 and Var[J_1] for k = 2."""
+        raise NotImplementedError
+
+    def sample(self, rng: np.random.Generator, m: int, dt) -> np.ndarray:
+        """m exact draws of J over a scalar or per-draw length dt."""
+        raise NotImplementedError
 
     def density(self, x) -> np.ndarray:
         raise NotImplementedError
@@ -320,6 +343,21 @@ class GammaMeasure(LevyMeasureView):
     def __init__(self, alpha: float, xi: float):
         self.alpha = alpha
         self.xi = xi
+
+    def phi(self, u):
+        return -self.alpha * _log1p_any(u * self.xi)
+
+    def phi_prime(self, u):
+        return -(self.alpha * self.xi / (1.0 + u * self.xi))
+
+    def phi_second(self, u):
+        return self.alpha * self.xi**2 / (1.0 + u * self.xi) ** 2
+
+    def moment(self, k: int) -> float:
+        return self.alpha * math.factorial(k - 1) * self.xi**k
+
+    def sample(self, rng, m, dt):
+        return rng.gamma(self.alpha * dt, self.xi, m)
 
     def density(self, x):
         x = np.asarray(x, dtype=float)
@@ -369,6 +407,38 @@ class PHMeasure(LevyMeasureView):
     def __init__(self, lam: float, ph: PhaseType):
         self.lam = lam
         self.ph = ph
+
+    def _resolvent(self, u, power: int):
+        """alpha (uI - T)^-power t, batched over u (real or complex)."""
+        shape = np.shape(u)
+        u = np.atleast_1d(np.asarray(u))
+        m = self.ph.order
+        mats = u[:, None, None] * np.eye(m)[None, :, :] - self.ph.t_mat[None, :, :]
+        x = np.broadcast_to(self.ph.exit_vector, (u.size, m))
+        for _ in range(power):
+            x = np.linalg.solve(mats, x[..., None])[..., 0]
+        out = x @ self.ph.alpha
+        return out.reshape(shape)
+
+    def phi(self, u):
+        return self.lam * (self._resolvent(u, power=1) - 1.0)
+
+    def phi_prime(self, u):
+        return -(self.lam * self._resolvent(u, power=2))
+
+    def phi_second(self, u):
+        return 2.0 * self.lam * self._resolvent(u, power=3)
+
+    def moment(self, k: int) -> float:
+        return self.lam * self.ph.moment(k)
+
+    def sample(self, rng, m, dt):
+        counts = rng.poisson(self.lam * dt, m)
+        total = int(counts.sum())
+        if not total:
+            return np.zeros(m)
+        sizes = sample_phase_type(self.ph, rng, total)
+        return np.bincount(np.repeat(np.arange(m), counts), weights=sizes, minlength=m)
 
     def density(self, x):
         return self.lam * self.ph.density(x)

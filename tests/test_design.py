@@ -1,0 +1,78 @@
+"""Design guard: the model kind is switched on only where the jump law is
+defined (models.py), where the D_t law is evaluated, and in a few named
+places; everything else reads the law from ``ModelSpec``."""
+
+import ast
+from pathlib import Path
+
+import levypassage
+
+SRC = Path(levypassage.__file__).parent
+
+# (module, top-level function or class) allowed to compare a model's kind
+ALLOWED = {
+    ("last_passage", "_grid_bounds"),
+    ("last_passage", "_closed_form_density"),
+    ("last_passage", "MarginalDensityD"),
+    ("last_passage", "density_of_dt"),
+    ("last_passage", "last_passage_cdf"),
+    ("last_passage", "last_passage_joint_mass"),
+    ("lundberg", "solve_lundberg"),
+    ("lundberg", "build_scale_set"),
+    ("cli", "_closed_transform"),
+}
+
+
+def _is_kind(node) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "kind") or (
+        isinstance(node, ast.Name) and node.id == "kind"
+    )
+
+
+def _kind_compares(node):
+    return [
+        n
+        for n in ast.walk(node)
+        if isinstance(n, ast.Compare) and any(_is_kind(x) for x in [n.left, *n.comparators])
+    ]
+
+
+def _is_wrong_kind_guard(node) -> bool:
+    """``if <kind test>: raise WrongKind(...)`` with nothing else in it."""
+    return (
+        isinstance(node, ast.If)
+        and not node.orelse
+        and len(node.body) == 1
+        and isinstance(node.body[0], ast.Raise)
+        and isinstance(node.body[0].exc, ast.Call)
+        and getattr(node.body[0].exc.func, "id", None) == "WrongKind"
+    )
+
+
+def kind_branch_sites() -> set[tuple[str, str]]:
+    """(module, enclosing top-level name) of every kind comparison outside a
+    ``WrongKind`` guard."""
+    sites = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            guards = {
+                id(c) for n in ast.walk(top) if _is_wrong_kind_guard(n) for c in _kind_compares(n.test)
+            }
+            if any(id(c) not in guards for c in _kind_compares(top)):
+                sites.add((path.stem, getattr(top, "name", f"<line {top.lineno}>")))
+    return sites
+
+
+def test_kind_branches_only_at_allowed_sites():
+    sites = kind_branch_sites()
+    outside_models = {key for key in sites if key[0] != "models"}
+    assert outside_models == ALLOWED
+    assert any(key[0] == "models" for key in sites)
+
+
+def test_mc_reads_the_jump_law_from_the_model():
+    tree = ast.parse((SRC / "mc.py").read_text())
+    imported = {
+        alias.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for alias in n.names
+    }
+    assert not {name for name in imported if name.startswith("KIND_")}

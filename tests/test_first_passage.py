@@ -20,6 +20,7 @@ from levypassage.first_passage import (
     scale_formula_transform,
     transform_from_scales,
 )
+from levypassage.last_passage import last_passage_cdf
 from levypassage.lundberg import build_scale_set
 from levypassage.mc import SimConfig, run_first_passage
 from levypassage.models import KIND_PURE_GAMMA, ModelSpec
@@ -144,6 +145,26 @@ class TestGammaExact:
     def test_wrong_kind(self, bm_model):
         with pytest.raises(WrongKind):
             gamma_exact_cdf(bm_model, 1.0, 1.0)
+
+    def test_drift_shifts_the_threshold(self):
+        # P[T_b <= t] = P[D_t >= b] = Q(alpha t, (b - mu t)/xi) for D_t = mu t + G_t
+        model = ModelSpec(kind=KIND_PURE_GAMMA, mu=0.5, alpha=1.0, xi=1.0)
+        cdf = gamma_exact_cdf(model, 2.0, 1.5)
+        assert cdf == pytest.approx(0.47529, abs=1e-5)
+        assert cdf == pytest.approx(last_passage_cdf(model, 2.0, 1.5), abs=1e-12)
+
+    @pytest.mark.parametrize("t", [0.4, 1.5, 3.5])
+    def test_drift_pdf_matches_cdf_derivative(self, t):
+        model = ModelSpec(kind=KIND_PURE_GAMMA, mu=0.5, alpha=1.3, xi=0.7)
+        eps = 1e-5
+        fd = (gamma_exact_cdf(model, 2.0, t + eps) - gamma_exact_cdf(model, 2.0, t - eps)) / (2 * eps)
+        assert gamma_exact_pdf(model, 2.0, t) == pytest.approx(fd, rel=1e-6)
+
+    def test_drift_alone_reaches_threshold(self):
+        model = ModelSpec(kind=KIND_PURE_GAMMA, mu=0.5, alpha=1.0, xi=1.0)
+        assert gamma_exact_cdf(model, 2.0, 4.0) == 1.0
+        assert gamma_exact_cdf(model, 2.0, 5.0) == 1.0
+        assert gamma_exact_pdf(model, 2.0, 5.0) == 0.0
 
 
 class TestInverseGaussian:

@@ -7,7 +7,7 @@ from scipy.stats import norm
 
 from conftest import assert_within_se
 from levypassage.errors import NoJumpPart, TailNotDominated, WrongKind
-from levypassage.first_passage import transform_from_scales
+from levypassage.first_passage import inverse_gaussian_cdf, transform_from_scales
 from levypassage.last_passage import (
     bm_last_passage_cdf,
     bm_last_passage_density,
@@ -27,6 +27,7 @@ from levypassage.mc import (
     run_reflected_at_exp_horizon,
     run_reflected_last_passage,
 )
+from levypassage.models import KIND_BROWNIAN, ModelSpec
 
 
 class TestDensityOfDt:
@@ -177,6 +178,17 @@ class TestBMClosedForms:
     def test_wrong_kind(self, pgamma_model):
         with pytest.raises(WrongKind):
             bm_last_passage_density(pgamma_model, 1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "cdf, at_5", [(bm_last_passage_cdf, 0.9999957), (inverse_gaussian_cdf, 0.9999966)]
+    )
+    def test_large_escape_rate_stays_finite(self, cdf, at_5):
+        # 2 mu b / sigma^2 = 800: e^800 overflows while its Phi factor underflows
+        model = ModelSpec(kind=KIND_BROWNIAN, mu=1.0, sigma=0.1)
+        vals = cdf(model, 4.0, np.array([1.0, 3.0, 3.9, 4.0, 4.1, 5.0]))
+        assert np.all(np.isfinite(vals)) and np.all((vals >= 0) & (vals <= 1))
+        assert np.all(np.diff(vals) >= 0)
+        assert vals[-1] == pytest.approx(at_5, abs=1e-7)
 
 
 class TestOvershootTransform:

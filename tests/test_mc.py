@@ -1,11 +1,32 @@
-"""Monte Carlo estimators of the reflected process against exact laws."""
+"""The exact increment sampler and the Monte Carlo estimators of the reflected
+process against exact laws."""
+
+import math
+
+import numpy as np
+import pytest
 
 from conftest import assert_within_se
 
 from levypassage.first_passage import inverse_gaussian_cdf
 from levypassage.lundberg import build_scale_set
-from levypassage.mc import SimConfig, run_reflected_first_passage
+from levypassage.mc import SimConfig, increment_exact, run_reflected_first_passage
 from levypassage.reflected import duality_check
+
+
+@pytest.mark.parametrize("name", ["bm_model", "gamma_model", "pgamma_model_wide", "ph2_model"])
+@pytest.mark.parametrize("t", [0.3, 2.0])
+def test_increment_exact_moments(request, name, t):
+    # D_t has mean E[D_1] t and variance Var[D_1] t for every kind
+    model = request.getfixturevalue(name)
+    rng = np.random.Generator(np.random.Philox(11))
+    x = increment_exact(model, rng, np.full(20_000, t))
+    n = x.size
+    centred = x - x.mean()
+    var = float(np.mean(centred**2)) * n / (n - 1)
+    se_var = math.sqrt((float(np.mean(centred**4)) - var**2) / n)
+    assert_within_se(float(x.mean()), math.sqrt(var / n), model.mean_d1 * t, 4.0, f"{name} mean")
+    assert_within_se(var, se_var, model.var_d1 * t, 4.0, f"{name} variance")
 
 
 class TestReflectedMC:
