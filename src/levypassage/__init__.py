@@ -65,7 +65,6 @@ from .maintenance import (
 from .mc import (
     SimConfig,
     SimResult,
-    estimate_first_passage,
     estimate_reflected_exceedance,
     increment_exact,
     run_first_passage,
@@ -102,4 +101,4 @@ from .numerics import (
     poly_roots_complex,
     upper_incomplete_gamma,
 )
-from .reflected import ReflectedPassageKernel, duality_check, reflected_passage_density
+from .reflected import duality_check, reflected_passage_density

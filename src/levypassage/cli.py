@@ -4,7 +4,8 @@ Subcommands parse model/policy JSON files, dispatch to the library, and emit
 CSV (one `#`-prefixed manifest header line, then %.17g numeric rows) or JSON.
 `validate` runs the cross-validation suites and prints a PASS/FAIL table.
 
-Exit codes: 0 success, 1 numerical failure, 2 usage error.
+Exit codes: 0 success, 1 numerical failure, 2 usage error (including a
+``ValueError`` from the library on out-of-domain input).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .errors import NumericalError, UsageError
 from .first_passage import (
     PenaltySpec,
     gamma_exact_cdf,
-    inverse_gaussian_cdf,
     ph_transform,
     pk_series_transform,
     scale_formula_transform,
@@ -36,16 +36,14 @@ from .last_passage import (
     density_of_dt,
     last_passage_cdf,
     last_passage_joint_density,
+    last_passage_joint_mass,
     last_passage_overshoot_transform,
-    reflected_last_passage_exp_joint,
     reflected_last_passage_transform,
 )
 from .lundberg import (
     build_scale_set,
     escape_rate,
     lundberg_truncated,
-    scale_route_gap,
-    scale_via_ode_series,
     solve_lundberg,
 )
 from .maintenance import (
@@ -57,7 +55,6 @@ from .maintenance import (
 )
 from .mc import (
     SimConfig,
-    estimate_first_passage,
     run_first_passage,
     run_last_passage,
     run_reflected_last_passage,
@@ -70,7 +67,7 @@ from .models import (
     model_from_json,
     model_to_dict,
 )
-from .reflected import ReflectedPassageKernel, duality_check, reflected_passage_density
+from .reflected import duality_check, reflected_passage_density
 
 
 @dataclass
@@ -352,6 +349,8 @@ def _cmd_maintenance(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.target in ("first", "last") and args.t is None and args.delta is None:
+        raise UsageError(f"--target {args.target} needs --t or --delta")
     model = _load_model(args.model)
     cfg = SimConfig(
         dt=args.dt,
@@ -405,8 +404,6 @@ def _example_models() -> dict[str, ModelSpec]:
 
 def run_validation(quick: bool = True, seed: int = 20260810) -> list[tuple[str, float, float, bool]]:
     """Cross-validation rows: (name, value, tolerance, passed)."""
-    from .last_passage import last_passage_joint_mass
-
     models = _example_models()
     rows: list[tuple[str, float, float, bool]] = []
 
@@ -458,7 +455,7 @@ def run_validation(quick: bool = True, seed: int = 20260810) -> list[tuple[str, 
 
     # MC vs analytic first passage (Brownian)
     cfg2 = SimConfig(dt=2e-3, t_max=8.0, n_paths=n_paths, seed=seed + 1, max_blocks=4)
-    mc = estimate_first_passage(models["bm"], cfg2, 1.0, "laplace", delta=0.5)
+    mc = run_first_passage(models["bm"], cfg2, 1.0).laplace_at(0.5)
     add("bm_laplace_mc_gap_in_3se", abs(mc.estimate - exact) / (3.0 * mc.std_error), 1.0)
 
     # maintenance mass conservation
@@ -483,7 +480,9 @@ def run_validation(quick: bool = True, seed: int = 20260810) -> list[tuple[str, 
     )
     ker = PolicyKernels(pg, pol)
     ys = np.array([0.0, 0.5, 1.0, 1.5])
-    grid_route = [last_passage_cdf(pg, pol.b - y, float(pol.m(y)), rho0=ker.rho0) for y in ys]
+    grid_route = [
+        1.0 - last_passage_joint_mass(pg, pol.b - y, float(pol.m(y)), rho0=ker.rho0) for y in ys
+    ]
     add("maintenance_kernel_c_route_gap", float(np.max(np.abs(ker.kernel_c(ys) - grid_route))), 1e-4)
 
     return rows
@@ -610,15 +609,12 @@ def dispatch(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def main() -> None:

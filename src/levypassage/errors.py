@@ -46,10 +46,6 @@ class NonBijectiveMaintenance(UsageError):
     """Maintenance function is not increasing at the requested point."""
 
 
-class ConditioningOnNull(UsageError):
-    """Conditional quantity requested on an event of (numerically) zero mass."""
-
-
 class SchemaError(UsageError):
     """JSON document does not match the expected model/policy schema."""
 

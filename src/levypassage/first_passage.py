@@ -54,7 +54,6 @@ class PenaltySpec:
     tag: str = "one"
     eps: float = 0.0
     w: Callable | None = None
-    bound: float = 1.0
 
     def creep_value(self) -> float:
         """w(0, 0): the weight a continuous (creeping) crossing receives."""

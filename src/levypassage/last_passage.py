@@ -38,7 +38,7 @@ from .models import (
 from .numerics import GridFunction, _gl_rule, _jacobi_rule, _pcd_core_integral
 
 _GL32_NODES, _GL32_WEIGHTS = _gl_rule(32)
-_N_QUAD = 4097  # trapezoid nodes per a-integral over the D_t grid
+_N_QUAD = 4097  # trapezoid nodes per a-integral of last_passage_joint_mass
 
 
 def _grid_bounds(model: ModelSpec, t: float) -> tuple[float, float]:
@@ -325,20 +325,11 @@ def last_passage_cdf(
     rho0: float | None = None,
     density: MarginalDensityD | None = None,
 ) -> float:
-    """P(L_b < t) = int_b^inf esc(a - b) f_{D_t}(a) da."""
+    """P(L_b < t) = int_b^inf esc(a - b) f_{D_t}(a) da, by ``escape_mass``."""
     if b <= 0:
         raise ValueError("threshold must be positive")
     rho0 = escape_rate(model) if rho0 is None else rho0
-    density = density or density_of_dt(model, t)
-    if model.kind == KIND_PURE_GAMMA:
-        # monotone paths: esc = 1 above b, so the law collapses to P(D_t >= b)
-        return density.escape_mass(b, rho0)
-    hi = density.f.x_max
-    if hi <= b:
-        return 0.0
-    xs = np.linspace(b, hi, _N_QUAD)
-    vals = escape_probability(xs - b, rho0) * density.f(xs)
-    return float(np.trapezoid(vals, xs))
+    return (density or density_of_dt(model, t)).escape_mass(b, rho0)
 
 
 def last_passage_joint_density(

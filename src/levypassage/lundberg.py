@@ -79,7 +79,11 @@ def _positive_root(phi, model: ModelSpec, delta: float) -> float:
         if hi > 1e12:
             raise NoPerturbation("phi_D' never becomes positive")
     u_min = find_root_bracketed(lambda u: float(model.phi_d_prime(u)), 0.0, hi)
+    # phi_D(u_min) < 0; an exponent that dominates phi_D may sit above delta
+    # there, with its root further left
     lo = u_min
+    while phi(lo) >= delta and lo > 1e-12:
+        lo /= 2.0
     hi = max(2.0 * u_min, 1.0)
     while phi(hi) <= delta:
         hi *= 2.0
@@ -109,21 +113,8 @@ def lundberg_truncated(model: ModelSpec, delta: float, n: int) -> float:
         jump = math.exp(-u * eps) * float(view.exp_tail(u, eps)) - lam_n
         return -model.mu * u + 0.5 * (model.sigma * u) ** 2 + jump
 
-    hi = 1.0
-    while model.phi_d_prime(hi) <= 0:
-        hi *= 2.0
-    u_min = find_root_bracketed(lambda u: float(model.phi_d_prime(u)), 0.0, hi)
-    # truncated exponent dominates phi_D, so its root lies left of rho(delta);
-    # bracket from the full exponent's minimizer scaled down toward zero
-    lo = u_min
-    while phi_n(lo) >= delta and lo > 1e-12:
-        lo /= 2.0
-    hi = max(2.0 * u_min, 1.0)
-    while phi_n(hi) <= delta:
-        hi *= 2.0
-        if hi > 1e12:
-            raise NoPerturbation("failed to bracket the truncated root")
-    return find_root_bracketed(lambda u: phi_n(u) - delta, lo, hi)
+    # the truncated exponent dominates phi_D, so its root lies left of rho(delta)
+    return _positive_root(phi_n, model, delta)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ d.  The cycle kernels are
 
     A(x, dy) = [1 - esc(d^{-1}(y) - b)] f_{m(x)}(d^{-1}(y) - x) / d'(d^{-1}(y)) dy
     C(y)     = int_{b-y}^inf esc(a - (b - y)) f_{m(y)}(a) da
-    Cz(y, z) = same as C with horizon m(y) - z   (= C(y) * C_r(y, z))
+    Cz(y, z) = same as C with horizon m(y) - z
 
 with f_t the increment density of D over [0, t] and esc(z) = 1 - e^{-rho(0) z}
 the never-return probability.  Since phi_D(rho(0)) = 0, E[e^{-rho(0) D_t}] = 1,
@@ -28,17 +28,22 @@ type.  Because failure is decided by the escape test
 at the end-of-cycle value, the policy Monte Carlo can sample cycle endpoints
 from their exact laws; a skeleton mode adds the within-cycle last-contact
 time needed for idle-time statistics.
+
+Every policy law runs one forward recursion over the post-maintenance
+states, rho_{k+1}(y') = int rho_k(y) A(y, y') dy from rho_1 = A(0, .), and
+ends with C (failure at cycle k + 1) or Cz (idle time).  Reset maintenance
+has no change of variables: it is the one-state case, all survivors at d0
+with rho_1 = 1 - C(0) and one-cycle survival 1 - C(d0).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    ConditioningOnNull,
     HorizonExceeded,
     NonBijectiveMaintenance,
     SchemaError,
@@ -243,13 +248,6 @@ class PolicyKernels:
             out[live] = self.kernel_c(ys[live], horizon=(t - z)[live])
         return out.reshape(y_in.shape) if y_in.ndim else float(out[0])
 
-    def kernel_cr(self, y, z):
-        """Conditional idle-time survivor C_r(y, z) = Cz(y, z) / C(y)."""
-        c = self.kernel_c(y)
-        if np.min(c) < 1e-12:
-            raise ConditioningOnNull(f"C(y) = {np.min(c):.2e} is numerically zero")
-        return self.kernel_cz(y, z) / c
-
     def _transition_rows(self, ys: np.ndarray) -> np.ndarray:
         """Matrix of kernel_a(y_i, y_j) over the state grid, one row per state."""
         return np.stack([self.kernel_a(float(y), ys) for y in ys])
@@ -272,76 +270,58 @@ class PolicyKernels:
             lo, hi = min(lo, float(d(lo + inc_lo))), max(hi, float(d(hi + inc_hi)))
         return np.linspace(lo, hi, n)
 
-    def chain(self, i_max: int, state_grid: np.ndarray | None = None):
-        """Forward state densities rho_k and time-weighted companions tau_k.
+    def _first_cycle(self, i_max: int, state_grid: np.ndarray | None):
+        """States y after a survived first cycle, their quadrature weights,
+        rho_1 on them, and a builder of the one-cycle transition matrix.
 
-        rho_k(y) dy = P[I > k, X_{U_k} in dy] for k >= 1; returns also the
-        per-level failure masses P[I = i] for i = 1..i_max and the expected
-        accumulated inspection times E[T* 1{I=i}].
+        Reset maintenance is the one-state case: every survivor sits at d0,
+        with mass 1 - C(0), and survives each later cycle with 1 - C(d0).
         """
         if not self.policy.d.bijective:
-            return self._chain_reset(i_max)
+            d0 = float(self.policy.d(0.0))
+            c0, cd = self.kernel_c(np.array([0.0, d0]))
+            return np.array([d0]), np.ones(1), np.array([1.0 - c0]), lambda: np.array([[1.0 - cd]])
         ys = self.default_state_grid(i_max) if state_grid is None else state_grid
         wts = np.full(ys.size, ys[1] - ys[0])
         wts[0] *= 0.5
         wts[-1] *= 0.5
+        return ys, wts, self.kernel_a(0.0, ys), lambda: self._transition_rows(ys)
+
+    def chain(self, i_max: int, state_grid: np.ndarray | None = None):
+        """Forward state densities rho_k and time-weighted companions tau_k.
+
+        rho_k(y) dy = P[I > k, X_{U_k} in dy] for k >= 1; returns the per-level
+        failure masses P[I = i] for i = 1..i_max, the expected accumulated
+        inspection times E[T* 1{I=i}], the states and rho_{i_max} on them.
+        For reset maintenance the states are the single point d0 and rho_k is
+        the point mass P[I > k] there.
+        """
+        ys, wts, rho, transition = self._first_cycle(i_max, state_grid)
         c_all = self.kernel_c(np.concatenate(([0.0], ys)))
         c0, c_vals = float(c_all[0]), c_all[1:]
         m_vals = np.asarray(self.policy.m(ys))
         m0 = float(self.policy.m(0.0))
         p_fail = [c0]
         e_time = [m0 * c0]
-        rho = self.kernel_a(0.0, ys)
         tau = m0 * rho  # E of accumulated time density
-        rows = None
+        rows = transition() if i_max > 1 else None
         for _ in range(2, i_max + 1):
             p_fail.append(float(np.sum(rho * wts * c_vals)))
             e_time.append(float(np.sum((tau + m_vals * rho) * wts * c_vals)))
-            if rows is None:
-                rows = self._transition_rows(ys)
-            new_rho = (rho * wts) @ rows
-            new_tau = ((tau + m_vals * rho) * wts) @ rows
-            rho, tau = new_rho, new_tau
+            rho, tau = (rho * wts) @ rows, ((tau + m_vals * rho) * wts) @ rows
         return np.asarray(p_fail), np.asarray(e_time), ys, rho
-
-    def _chain_reset(self, i_max: int):
-        d0 = float(self.policy.d(0.0))
-        c0, cd = self.kernel_c(np.array([0.0, d0]))
-        m0 = float(self.policy.m(0.0))
-        md = float(self.policy.m(d0))
-        p_fail = [c0]
-        e_time = [m0 * c0]
-        surv = 1.0 - c0
-        t_acc = m0
-        for _ in range(2, i_max + 1):
-            p_fail.append(surv * cd)
-            e_time.append((t_acc + md) * cd * surv)
-            t_acc += md
-            surv *= 1.0 - cd
-        return np.asarray(p_fail), np.asarray(e_time), np.array([d0]), None
 
 
 def joint_law_idle(kernels: PolicyKernels, i: int, z: float, state_grid=None) -> float:
     """P[idle > z, I = i]: the chain with the final factor Cz(y, z)."""
     if i < 1:
         raise ValueError("cycle index starts at 1")
-    if not kernels.policy.d.bijective:
-        d0 = float(kernels.policy.d(0.0))
-        if i == 1:
-            return kernels.kernel_cz(0.0, z)
-        c0, cd = kernels.kernel_c(np.array([0.0, d0]))
-        return (1.0 - c0) * (1.0 - cd) ** (i - 2) * kernels.kernel_cz(d0, z)
-    ys = kernels.default_state_grid(i) if state_grid is None else state_grid
     if i == 1:
         return kernels.kernel_cz(0.0, z)
-    wts = np.full(ys.size, ys[1] - ys[0])
-    wts[0] *= 0.5
-    wts[-1] *= 0.5
-    rho = kernels.kernel_a(0.0, ys)
-    if i > 2:
-        rows = kernels._transition_rows(ys)
-        for _ in range(i - 2):
-            rho = (rho * wts) @ rows
+    ys, wts, rho, transition = kernels._first_cycle(i, state_grid)
+    rows = transition() if i > 2 else None
+    for _ in range(i - 2):
+        rho = (rho * wts) @ rows
     return float(np.sum(rho * wts * kernels.kernel_cz(ys, z)))
 
 

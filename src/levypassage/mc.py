@@ -236,29 +236,6 @@ def run_first_passage(model: ModelSpec, cfg: SimConfig, b: float, stream: int = 
     return FirstPassageSample(b, t_cross, kind, und, over, cfg.t_max * cfg.max_blocks)
 
 
-def estimate_first_passage(
-    model: ModelSpec,
-    cfg: SimConfig,
-    b: float,
-    functional: str = "laplace",
-    t: float | None = None,
-    delta: float | None = None,
-    eps: float = 0.0,
-    stream: int = 1,
-) -> SimResult:
-    """One-shot estimator; functional in {"cdf", "laplace", "penalty", "jump_prob"}."""
-    sample = run_first_passage(model, cfg, b, stream)
-    if functional == "cdf":
-        return sample.cdf_at(t)
-    if functional == "laplace":
-        return sample.laplace_at(delta)
-    if functional == "penalty":
-        return sample.penalty_laplace(delta, eps)
-    if functional == "jump_prob":
-        return sample.jump_crossing_prob()
-    raise ValueError(f"unknown functional {functional!r}")
-
-
 # ---------------------------------------------------------------------------
 # Last passage of the free process
 

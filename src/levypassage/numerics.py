@@ -330,7 +330,6 @@ class InversionConfig:
 
     method: str = "talbot"  # "gaver_stehfest" | "talbot"
     terms: int | None = None
-    precision_digits: int = 15
 
     def __post_init__(self):
         if self.terms is None:

@@ -18,33 +18,13 @@ from .errors import NoJumpPart, OutOfGrid
 from .lundberg import ScaleSet
 from .mc import SimConfig, SimResult, estimate_reflected_exceedance, run_first_passage
 from .models import ModelSpec
-from .numerics import GridFunction
-
-
-class ReflectedPassageKernel:
-    """r_b(y) = W(b) W'(y) / W'(b) - W(y) tabulated on y in [0, b]."""
-
-    def __init__(self, scales: ScaleSet, b: float, n: int = 513):
-        if b <= 0 or b > scales.x_max:
-            raise OutOfGrid("threshold must lie inside the scale grid")
-        self.delta = scales.delta
-        self.b = b
-        self.scales = scales
-        ys = np.linspace(0.0, b, n)
-        w_b = float(scales.w(b))
-        wp_b = float(scales.w_prime(b))
-        vals = w_b * scales.w_prime(ys) / wp_b - scales.w(ys)
-        self.r_hat = GridFunction(0.0, ys[1] - ys[0], vals)
-
-    def __call__(self, y):
-        return self.r_hat(y)
 
 
 def reflected_passage_density(
     model: ModelSpec, scales: ScaleSet, b: float, y, z
 ):
     """Transform-density of E[e^{-delta T*_b}; D*(T*-) in dy, D*(T*) in dz]
-    for jump crossings: q(z - y) r_b(y)."""
+    for jump crossings: q(z - y) r_b(y), with r_b read off the scale set."""
     if not model.has_jumps:
         raise NoJumpPart(
             "pure-diffusion crossings creep through the boundary; the jump-overshoot "
@@ -56,9 +36,10 @@ def reflected_passage_density(
         raise OutOfGrid("pre-crossing level must lie in [0, b]")
     if np.any(z <= b):
         raise OutOfGrid("post-crossing level must exceed b")
-    kernel = ReflectedPassageKernel(scales, b)
-    view = model.levy_measure()
-    out = view.density(z - y) * kernel(y)
+    if b <= 0 or b > scales.x_max:
+        raise OutOfGrid("threshold must lie inside the scale grid")
+    r_b = float(scales.w(b)) * scales.w_prime(y) / float(scales.w_prime(b)) - scales.w(y)
+    out = model.levy_measure().density(z - y) * r_b
     return out if out.ndim else float(out)
 
 

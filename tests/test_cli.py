@@ -48,3 +48,26 @@ def test_kernels_c_column_is_kernel_c(bm_files, tmp_path):
     assert header == ["y", "A0_density", "C"]
     kernels = PolicyKernels(model_from_dict(BM), policy_from_dict(POLICY))
     assert rows[:, 2] == pytest.approx(kernels.kernel_c(rows[:, 0]), rel=1e-15)
+
+
+@pytest.fixture
+def bm_model_file(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(BM))
+    return str(path)
+
+
+@pytest.mark.parametrize("target", ["first", "last"])
+def test_simulate_without_t_or_delta_is_usage_error(target, bm_model_file, capsys):
+    argv = ["simulate", "--model", bm_model_file, "--target", target, "--b", "1", "--paths", "10"]
+    assert dispatch(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["last-passage", "--b", "-1"], ["first-passage", "--delta", "0", "--b", "1"]],
+)
+def test_out_of_domain_input_is_usage_error(argv, bm_model_file, capsys):
+    assert dispatch([argv[0], "--model", bm_model_file, *argv[1:]]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

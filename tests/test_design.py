@@ -15,7 +15,6 @@ ALLOWED = {
     ("last_passage", "_closed_form_density"),
     ("last_passage", "MarginalDensityD"),
     ("last_passage", "density_of_dt"),
-    ("last_passage", "last_passage_cdf"),
     ("last_passage", "last_passage_joint_mass"),
     ("lundberg", "solve_lundberg"),
     ("lundberg", "build_scale_set"),

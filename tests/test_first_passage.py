@@ -77,7 +77,7 @@ class TestPKSeries:
     def test_callable_penalty_vs_mc(self, ph_model):
         # smooth penalty w(u, v) = e^{-v}; generic quadrature path against an
         # MC oracle evaluating the same functional on simulated crossings
-        pen = PenaltySpec(tag="custom", w=lambda u, v: np.exp(-v), bound=1.0)
+        pen = PenaltySpec(tag="custom", w=lambda u, v: np.exp(-v))
         tr = pk_series_transform(ph_model, 0.5, pen, b_max=1.5, n=1025)
         cfg = SimConfig(dt=1e-3, t_max=8.0, n_paths=30_000, seed=99, max_blocks=4)
         sample = run_first_passage(ph_model, cfg, 1.0)

@@ -136,6 +136,22 @@ class TestLastPassageFree:
             )
             assert total == pytest.approx(1.0, abs=1e-5), model.kind
 
+    @pytest.mark.parametrize("model", ["pgamma_model", "pgamma_model_wide"])
+    @pytest.mark.parametrize("b, t", [(1.0, 0.5), (1.0, 2.0), (3.0, 1.0)])
+    def test_perturbed_gamma_cdf_vs_quadrature(self, model, b, t, request):
+        # the escape-mass route is exact, not a grid approximation
+        model = request.getfixturevalue(model)
+        rho0 = escape_rate(model)
+        sd = math.sqrt(model.var_d1 * t)
+        top = model.mean_d1 * t + 60.0 * sd + 40.0
+
+        def integrand(a):
+            return -math.expm1(-rho0 * (a - b)) * perturbed_gamma_density(model, t, a)
+
+        pts = [b + k * sd for k in (0.01, 0.1, 0.5, 1.0, 2.0, 4.0, 8.0)]
+        want = quad(integrand, b, top, points=pts, limit=500, epsabs=0.0, epsrel=1e-13)[0]
+        assert last_passage_cdf(model, b, t) == pytest.approx(want, rel=1e-9, abs=0.0)
+
     def test_cdf_dominated_by_first_passage(self, bm_model, gamma_model):
         # L_b >= T_b pathwise, so P(L_b < t) <= P(T_b <= t)
         from levypassage.first_passage import gamma_exact_cdf, inverse_gaussian_cdf
@@ -170,8 +186,9 @@ class TestBMClosedForms:
         )
 
     def test_quadrature_cdf_matches_closed_form(self, bm_model):
+        # the trapezoid route over the D_t grid, as 1 - P(L_b >= t)
         for t in (0.5, 1.0, 2.0):
-            assert last_passage_cdf(bm_model, 1.0, t) == pytest.approx(
+            assert 1.0 - last_passage_joint_mass(bm_model, 1.0, t) == pytest.approx(
                 float(bm_last_passage_cdf(bm_model, 1.0, t)), abs=1e-5
             )
 

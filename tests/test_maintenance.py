@@ -5,7 +5,12 @@ import pytest
 from conftest import assert_within_se
 from scipy.integrate import quad
 
-from levypassage.last_passage import bm_last_passage_cdf, last_passage_cdf, perturbed_gamma_density
+from levypassage.last_passage import (
+    bm_last_passage_cdf,
+    last_passage_cdf,
+    last_passage_joint_mass,
+    perturbed_gamma_density,
+)
 from levypassage.lundberg import escape_rate
 from levypassage.maintenance import (
     InspectionSchedule,
@@ -53,7 +58,8 @@ class TestKernelC:
         kernels = PolicyKernels(model, policy)
         ys = np.linspace(-1.0, 1.9, 9)  # nine distinct horizons m(y)
         got = kernels.kernel_c(ys)
-        want = [last_passage_cdf(model, policy.b - y, float(policy.m(y))) for y in ys]
+        # the trapezoid route over the D_t grid, as 1 - P(L_c >= t)
+        want = [1.0 - last_passage_joint_mass(model, policy.b - y, float(policy.m(y))) for y in ys]
         assert got == pytest.approx(want, abs=1e-4)
         one_by_one = [kernels.kernel_c(float(y)) for y in ys]
         assert got == pytest.approx(one_by_one, rel=1e-13, abs=1e-300)
@@ -128,13 +134,17 @@ class TestChain:
         policy = PolicySpec(
             b=2.0, m=InspectionSchedule("constant", 0.8), d=MaintenanceAction("reset", d0=0.3)
         )
-        p_fail, e_time, _, _ = PolicyKernels(model, policy).chain(4)
+        kernels = PolicyKernels(model, policy)
+        p_fail, e_time, _, _ = kernels.chain(4)
         c0 = last_passage_cdf(model, 2.0, 0.8)
         cd = last_passage_cdf(model, 1.7, 0.8)
         i = np.arange(1, 5)
         want = np.where(i == 1, c0, (1.0 - c0) * (1.0 - cd) ** np.maximum(i - 2, 0) * cd)
         assert p_fail == pytest.approx(want, abs=1e-4)
         assert e_time == pytest.approx(0.8 * i * want, abs=1e-4)
+        # the idle law at z = 0 runs the same recursion and ends with C
+        idle = [joint_law_idle(kernels, k, 0.0) for k in i]
+        assert idle == pytest.approx(p_fail, rel=1e-12)
 
 
 class TestIdleLaw:

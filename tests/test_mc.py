@@ -11,7 +11,7 @@ from conftest import assert_within_se
 from levypassage.first_passage import inverse_gaussian_cdf
 from levypassage.lundberg import build_scale_set
 from levypassage.mc import SimConfig, increment_exact, run_reflected_first_passage
-from levypassage.reflected import duality_check
+from levypassage.reflected import duality_check, reflected_passage_density
 
 
 @pytest.mark.parametrize("name", ["bm_model", "gamma_model", "pgamma_model_wide", "ph2_model"])
@@ -39,6 +39,19 @@ class TestReflectedMC:
         cfg = SimConfig(dt=1e-3, t_max=8.0, n_paths=20_000, seed=3, max_blocks=4)
         mc = run_reflected_first_passage(bm_model, cfg, b).laplace_at(delta)
         assert_within_se(mc.estimate, mc.std_error, target, 3.0, "reflected first passage")
+
+    def test_reflected_jump_density_vs_mc_ph(self, ph_model):
+        # the jump-crossing density integrated over y in [0, b] and z > b is
+        # E[e^{-delta T*_b}; crossing by a jump]
+        b, delta = 1.0, 0.5
+        scales = build_scale_set(ph_model, delta, 2.0 * b)
+        ys = np.linspace(0.0, b, 401)
+        zs = b + np.linspace(1e-9, 40.0, 4001)
+        dens = reflected_passage_density(ph_model, scales, b, ys[:, None], zs[None, :])
+        target = np.trapezoid(np.trapezoid(dens, zs, axis=1), ys)
+        cfg = SimConfig(dt=1e-3, t_max=8.0, n_paths=20_000, seed=3, max_blocks=4)
+        mc = run_reflected_first_passage(ph_model, cfg, b).jump_laplace(delta)
+        assert_within_se(mc.estimate, mc.std_error, target, 3.0, "reflected jump crossing")
 
     def test_duality_bm(self, bm_model):
         # P(D*_t > b) = P(T_b <= t), the inverse Gaussian law for BM
