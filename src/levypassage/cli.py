@@ -57,6 +57,7 @@ from .mc import (
     SimConfig,
     run_first_passage,
     run_last_passage,
+    run_reflected_first_passage,
     run_reflected_last_passage,
 )
 from .models import (
@@ -360,6 +361,7 @@ def _cmd_simulate(args) -> int:
         bridge_correction=args.bridge == "on",
         max_blocks=args.max_blocks,
     )
+    delta = 0.5 if args.delta is None else args.delta
     if args.target == "first":
         sample = run_first_passage(model, cfg, args.b)
         res = sample.cdf_at(args.t) if args.delta is None else sample.laplace_at(args.delta)
@@ -367,11 +369,9 @@ def _cmd_simulate(args) -> int:
         sample = run_last_passage(model, cfg, args.b)
         res = sample.cdf_at(args.t) if args.delta is None else sample.laplace_at(args.delta)
     elif args.target == "reflected-first":
-        from .mc import run_reflected_first_passage
-
-        res = run_reflected_first_passage(model, cfg, args.b).laplace_at(args.delta or 0.5)
+        res = run_reflected_first_passage(model, cfg, args.b).laplace_at(delta)
     elif args.target == "reflected-last":
-        res = run_reflected_last_passage(model, cfg, args.b).laplace_at(args.delta or 0.5)
+        res = run_reflected_last_passage(model, cfg, args.b).laplace_at(delta)
     else:
         raise UsageError(f"unknown target {args.target!r}")
     doc = {

@@ -18,9 +18,11 @@ so with c = b - y
 
 and under P~ the law of D_t is again Gaussian plus gamma: drift
 mu - rho(0) sigma^2, the same sigma, gamma shape alpha t and scale
-xi / (1 + rho(0) xi); for Brownian motion it is N(-mu t, sigma^2 t).  C is
-evaluated for all states at once by ``MarginalDensityD.escape_mass``, one call
-per distinct horizon: closed forms for the Brownian and pure-gamma kinds, the
+xi / (1 + rho(0) xi); for Brownian motion it is N(-mu t, sigma^2 t).  The
+jump part of this tilt, e^{-rho(0) x} Q(dx), is ``LevyMeasureView.tilt`` for
+both jump families (the last-passage Monte Carlo draws its conditioned
+returns from it).  C is evaluated for all states at once by
+``MarginalDensityD.escape_mass``, one call per distinct horizon: closed forms for the Brownian and pure-gamma kinds, the
 tilt of the Gaussian part in closed form under a panel quadrature over the
 gamma part for perturbed gamma (the tilted gamma scale shrinks with sigma^2,
 the untilted one does not), and reverse sums over the D_t grid for phase

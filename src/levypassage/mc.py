@@ -3,19 +3,29 @@
 Increments are sampled from their exact laws per step (Gaussian, gamma,
 compound Poisson with phase-type sizes); the within-step diffusion extremes
 use Brownian-bridge corrections, so level crossings by the continuous part
-are detected without refining dt.  Last-passage estimators finish each path
-with the escape Bernoulli test P(never return below b | value v) =
-1 - e^{-rho(0)(v-b)} at the end of each horizon of length t_max.  A path
-the test keeps continues unconditioned, not conditioned to return below b,
-so its last passage may be recorded too early.  The estimate is therefore
-accurate only when t_max is long enough that almost every path is far above
-b at the first horizon end: for mu = sigma = b = 1, P(L_b <= 1) is 38 SE
-(40 000 paths) too high at t_max = 0.5 and within 1 SE at t_max = 8.
+are detected without refining dt.
 
-Every estimator advances its paths with one step function and keeps only
-its own state and stopping rule.  Paths run in fixed blocks of 100 000, each
-with a counter-based Philox substream keyed by (seed, stream, block), so for
-a given model, threshold and step settings a result depends only on
+Last-passage estimators use the escape test.  From a level x > b the path
+never returns to (-inf, b] with probability 1 - e^{-rho0 (x - b)}; given that
+it does return, it runs until the return under the Esscher-tilted law
+dP~ = e^{-rho0 D} dP (drift mu - rho0 sigma^2, jump measure e^{-rho0 x} Q(dx),
+see ``LevyMeasureView.tilt``), and with no downward jumps it returns to b
+continuously.  A path is tested at the first step end where it stands
+above b + 1/rho0 (above b when rho0 = inf, sigma = 0).  If it
+escapes, it retires with its last contact; otherwise it takes this
+conditioned return, records the contact there and resumes the untilted law
+from b.  The test is exact at any stopping time, so the estimates do not
+depend on t_max: t_max * max_blocks only sets the censoring horizon.  Times
+are step ends, so a recorded last contact lies up to dt after the true one,
+and a return restarts from b at the end of the step in which it reaches b.
+
+Every estimator advances its paths with one block kernel, which draws a
+(paths x k) block of steps at once, k = max(1, 2**13 // live paths), so the
+few long paths at the end of a run cost few calls.  Callers find their
+events by first/last-True searches along the block; last-passage paths carry
+their own step clocks, since a return takes a path off the common schedule.  Paths run in fixed groups of 100 000, each with a
+counter-based Philox substream keyed by (seed, stream, group), so for a given
+model, threshold and step settings a result depends only on
 (seed, stream, n_paths); no batching option can change it.
 """
 
@@ -23,24 +33,34 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EscapeTestUnavailable
+from .errors import EscapeTestUnavailable, LevyPassageError
 from .lundberg import escape_probability, escape_rate
-from .models import ModelSpec
+from .models import LevyMeasureView, ModelSpec
 
 EXIT_NONE = 0
 EXIT_CREEP = 1
 EXIT_JUMP = 2
 
-_BLOCK_PATHS = 100_000  # paths per Philox substream
+_GROUP_PATHS = 100_000  # paths per Philox substream
+_BLOCK_CELLS = 2**13  # path-steps per block draw
 
 
 @dataclass(frozen=True)
 class SimConfig:
+    """Step settings of a Monte Carlo run.
+
+    ``t_max * max_blocks`` is the censoring horizon: a path without its event
+    by then is censored.  The split into t_max and max_blocks changes no
+    estimate, since last-passage paths take the escape test at their own
+    stopping times (see the module docstring).
+    """
+
     dt: float = 1e-3
-    t_max: float = 8.0  # horizon per time block; open-ended estimators chain max_blocks
+    t_max: float = 8.0
     n_paths: int = 10_000
     seed: int = 0
     bridge_correction: bool = True
@@ -49,6 +69,10 @@ class SimConfig:
     def __post_init__(self):
         if self.dt <= 0 or self.t_max < self.dt or self.n_paths < 1:
             raise ValueError("need dt > 0, t_max >= dt, n_paths >= 1")
+
+    @property
+    def horizon_steps(self) -> int:
+        return int(round(self.t_max * self.max_blocks / self.dt))
 
 
 @dataclass(frozen=True)
@@ -63,9 +87,9 @@ class SimResult:
         return abs(self.estimate - target) <= k * max(self.std_error, 1e-300)
 
 
-def _substream(seed: int, stream: int, block: int) -> np.random.Generator:
+def _substream(seed: int, stream: int, group: int) -> np.random.Generator:
     key = np.array(
-        [np.uint64(seed & (2**64 - 1)), np.uint64(((stream & 0xFFFF) << 32) | (block & 0xFFFFFFFF))],
+        [np.uint64(seed & (2**64 - 1)), np.uint64(((stream & 0xFFFF) << 32) | (group & 0xFFFFFFFF))],
         dtype=np.uint64,
     )
     return np.random.Generator(np.random.Philox(key=key))
@@ -78,79 +102,130 @@ def _mean_result(values: np.ndarray, meta: str, extra: dict | None = None) -> Si
     return SimResult(est, se, n, meta, extra or {})
 
 
-def _step_jumps(model: ModelSpec, rng: np.random.Generator, m: int, dt) -> np.ndarray:
-    """Jump-part increment over one step (exact in law, lumped at step end)."""
-    return np.zeros(m) if model.jumps is None else model.jumps.sample(rng, m, dt)
-
-
 def increment_exact(model: ModelSpec, rng: np.random.Generator, t) -> np.ndarray:
     """Exact sample of D_t - D_0 for an array of horizons t (one per path)."""
     t = np.asarray(t, dtype=float)
     m = t.size
-    out = model.mu * t + _step_jumps(model, rng, m, t)
+    out = model.mu * t
+    if model.jumps is not None:
+        out = out + model.jumps.sample(rng, m, t)
     if model.sigma > 0:
         out = out + rng.normal(0.0, model.sigma * np.sqrt(t))
     return out
 
 
 # ---------------------------------------------------------------------------
-# Path engine: the one time step and the tests built on it
+# Path engine: the one block kernel and the searches built on it
 
 
-def _path_blocks(cfg: SimConfig, stream: int):
-    """(rng, path indices) per block of _BLOCK_PATHS paths, keyed (seed, stream, block)."""
-    for block, start in enumerate(range(0, cfg.n_paths, _BLOCK_PATHS)):
-        yield _substream(cfg.seed, stream, block), np.arange(
-            start, min(start + _BLOCK_PATHS, cfg.n_paths)
+class _Law(NamedTuple):
+    """The law a block is drawn from: the model's, or its Esscher tilt for a
+    conditioned return, whose drift may be negative."""
+
+    mu: float
+    sigma: float
+    jumps: LevyMeasureView | None
+
+    @classmethod
+    def of(cls, model: ModelSpec) -> "_Law":
+        return cls(model.mu, model.sigma, model.jumps)
+
+    @classmethod
+    def tilted(cls, model: ModelSpec, rho: float) -> "_Law":
+        """The law under dP~ = e^{-rho D} dP, for phi_D(rho) = 0."""
+        jumps = None if model.jumps is None else model.jumps.tilt(rho)
+        return cls(model.mu - rho * model.sigma**2, model.sigma, jumps)
+
+
+def _path_groups(cfg: SimConfig, stream: int):
+    """(rng, path indices) per group of _GROUP_PATHS paths, keyed (seed, stream, group)."""
+    for group, start in enumerate(range(0, cfg.n_paths, _GROUP_PATHS)):
+        yield _substream(cfg.seed, stream, group), np.arange(
+            start, min(start + _GROUP_PATHS, cfg.n_paths)
         )
 
 
-def _step_times(cfg: SimConfig):
-    """(t_end, horizon_end) for every step of max_blocks chained horizons of
-    length t_max; horizon_end flags the last step of each horizon."""
-    steps = int(round(cfg.t_max / cfg.dt))
-    for block in range(cfg.max_blocks):
-        for k in range(steps):
-            yield block * cfg.t_max + (k + 1) * cfg.dt, k == steps - 1
+def _block_len(live: int) -> int:
+    return max(1, _BLOCK_CELLS // live)
 
 
-def _step(model: ModelSpec, rng, v: np.ndarray, dt, minimum: bool = True, bridge: bool = True):
-    """Advance levels v by one step of scalar or per-path length dt.
+def _block(law: _Law, rng, v: np.ndarray, dt, k: int, minimum: bool = True, bridge: bool = True):
+    """k steps from levels v, of scalar or per-path length dt.
 
-    Draws, in this order, the Gaussian increment, the Brownian-bridge minimum
-    of the continuous part (only when ``minimum``, sigma > 0 and ``bridge``)
-    and the jump increment lumped at the step end.  Returns (c_end, m_min,
-    post): the continuous level at the step end, its minimum over the step
-    (None without ``minimum``; the smaller endpoint without a bridge draw)
-    and the level after the jumps.
+    Draws, in this order, the Gaussian increments, the uniforms of the
+    Brownian-bridge minima of the continuous part (only when ``minimum``,
+    sigma > 0 and ``bridge``) and the jump increments lumped at each step
+    end, each as a (paths x k) block; levels are their cumulative sums.
+    Returns (start, c_end, m_min, post): the level at each step start, the
+    continuous level at the step end, its minimum over the step (None without
+    ``minimum``; the smaller endpoint without a bridge draw) and the level
+    after the jumps.
     """
-    var_dt = model.sigma**2 * dt
-    c_end = v + model.mu * dt
-    if model.sigma > 0:
-        c_end = c_end + rng.normal(0.0, np.sqrt(var_dt), v.size)
+    n = v.size
+    dt = np.asarray(dt, dtype=float)
+    dt_col = dt[:, None] if dt.ndim else dt
+    if law.sigma > 0:
+        cont = rng.normal(law.mu * dt_col, law.sigma * np.sqrt(dt_col), (n, k))
+    else:
+        cont = np.broadcast_to(law.mu * dt_col, (n, k))
+    u = rng.random((n, k)) if minimum and law.sigma > 0 and bridge else None
+    inc = cont
+    if law.jumps is not None:
+        dt_cells = np.broadcast_to(dt_col, (n, k)).ravel() if dt.ndim else dt
+        inc = cont + law.jumps.sample(rng, n * k, dt_cells).reshape(n, k)
+    post = v[:, None] + _cumulative(np.add, inc)
+    start = v[:, None] if k == 1 else np.hstack((v[:, None], post[:, :-1]))
+    c_end = post if law.jumps is None else start + cont
     m_min = None
-    if minimum:
-        if model.sigma > 0 and bridge:
-            u = rng.random(v.size)
-            m_min = 0.5 * (v + c_end - np.sqrt((v - c_end) ** 2 - 2.0 * var_dt * np.log(u)))
-        else:
-            m_min = np.minimum(v, c_end)
-    return c_end, m_min, c_end + _step_jumps(model, rng, v.size, dt)
+    if u is not None:
+        var_dt = law.sigma**2 * dt_col
+        m_min = start + 0.5 * (cont - np.sqrt(cont**2 - 2.0 * var_dt * np.log(u)))
+    elif minimum:
+        m_min = np.minimum(start, c_end)
+    return start, c_end, m_min, post
 
 
-def _crossed_up(model: ModelSpec, rng, v, c_end, post, level, dt, bridge: bool):
-    """(creep, jump) masks of an up-crossing of ``level`` (scalar or per path)
-    during the step v -> c_end -> post: the continuous end value reaches the
-    level, else the bridge between v and c_end crosses it (one uniform per
-    remaining path), else the jump carries the path over."""
+def _cumulative(ufunc, x: np.ndarray) -> np.ndarray:
+    """ufunc.accumulate along the block axis (a single step is its own total)."""
+    return x if x.shape[1] == 1 else ufunc.accumulate(x, axis=1)
+
+
+def _first(mask: np.ndarray):
+    """(any, column of the first True) per row."""
+    if mask.shape[1] == 1:
+        return mask[:, 0], np.zeros(mask.shape[0], dtype=np.int64)
+    j = mask.argmax(axis=1)
+    return mask[np.arange(mask.shape[0]), j], j
+
+
+def _last(mask: np.ndarray):
+    """(any, column of the last True) per row."""
+    if mask.shape[1] == 1:
+        return mask[:, 0], np.zeros(mask.shape[0], dtype=np.int64)
+    j = mask.shape[1] - 1 - mask[:, ::-1].argmax(axis=1)
+    return mask[np.arange(mask.shape[0]), j], j
+
+
+def _at(x: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """x[i, j[i]] for every row i."""
+    return x[:, 0] if x.shape[1] == 1 else np.take_along_axis(x, j[:, None], axis=1)[:, 0]
+
+
+def _running_inf(m_min: np.ndarray, inf0: np.ndarray) -> np.ndarray:
+    """inf(D ^ 0) after each step of the block, from inf0 before it."""
+    return _cumulative(np.minimum, np.minimum(m_min, inf0[:, None]))
+
+
+def _crossed_up(law: _Law, rng, start, c_end, post, level, dt, bridge: bool):
+    """(creep, jump) masks of an up-crossing of ``level`` (scalar or per cell)
+    in each step start -> c_end -> post: the continuous end value reaches the
+    level, else the bridge between start and c_end crosses it (one uniform
+    per cell), else the jump carries the path over."""
     creep = c_end >= level
-    if model.sigma > 0 and bridge:
-        below = ~creep
-        lv = level[below] if isinstance(level, np.ndarray) else level
-        gap0 = np.clip(lv - v[below], 0.0, None)
-        gap1 = np.clip(lv - c_end[below], 0.0, None)
-        p = np.exp(-2.0 * gap0 * gap1 / (model.sigma**2 * dt))
-        creep[below] |= rng.random(p.size) < p
+    if law.sigma > 0 and bridge:
+        gap0 = np.clip(level - start, 0.0, None)
+        gap1 = np.clip(level - c_end, 0.0, None)
+        creep |= rng.random(creep.shape) < np.exp(-2.0 * gap0 * gap1 / (law.sigma**2 * dt))
     return creep, ~creep & (post >= level)
 
 
@@ -163,8 +238,17 @@ def _escapes(rng: np.random.Generator, x: np.ndarray, b: float, rho0: float) -> 
     return rng.random(x.size) < p
 
 
+def _escape_rate(model: ModelSpec, rho0: float | None) -> float:
+    if rho0 is not None:
+        return rho0
+    try:
+        return escape_rate(model)
+    except LevyPassageError as exc:
+        raise EscapeTestUnavailable(str(exc)) from exc
+
+
 # ---------------------------------------------------------------------------
-# First passage of the free process
+# First passage of D and of D*
 
 
 @dataclass(frozen=True)
@@ -208,36 +292,55 @@ class FirstPassageSample:
         return _mean_result((self.exit_kind == EXIT_JUMP).astype(float), "P(cross by jump)")
 
 
-def run_first_passage(model: ModelSpec, cfg: SimConfig, b: float, stream: int = 1) -> FirstPassageSample:
+def _first_passages(model: ModelSpec, cfg: SimConfig, b: float, stream: int, reflect: bool):
+    """First up-crossings of b by D, or by D* = D - inf(D ^ 0) when
+    ``reflect``: (t_cross, exit_kind, undershoot, overshoot), +inf in t_cross
+    where censored.  D* crosses b when D crosses b + inf(D ^ 0), taken before
+    each step (within-step ordering is O(dt)); the free process keeps that
+    infimum at 0."""
     if b <= 0:
         raise ValueError("threshold must be positive")
+    law = _Law.of(model)
     n = cfg.n_paths
     t_cross = np.full(n, np.inf)
     kind = np.zeros(n, dtype=np.int8)
     und = np.zeros(n)
     over = np.zeros(n)
-    for rng, idx in _path_blocks(cfg, stream):
+    for rng, idx in _path_groups(cfg, stream):
         v = np.zeros(idx.size)
-        for t_end, _ in _step_times(cfg):
-            c_end, _, post = _step(model, rng, v, cfg.dt, minimum=False)
-            creep, jumpx = _crossed_up(model, rng, v, c_end, post, b, cfg.dt, cfg.bridge_correction)
-            done = creep | jumpx
+        inf_d = np.zeros(idx.size)
+        clock = 0  # steps taken, the same for every live path
+        while idx.size and clock < cfg.horizon_steps:
+            k = min(_block_len(idx.size), cfg.horizon_steps - clock)
+            start, c_end, m_min, post = _block(
+                law, rng, v, cfg.dt, k, minimum=reflect, bridge=cfg.bridge_correction
+            )
+            inf_after = _running_inf(m_min, inf_d) if reflect else np.zeros_like(post)
+            level = b + np.hstack((inf_d[:, None], inf_after[:, :-1]))
+            creep, jumpx = _crossed_up(law, rng, start, c_end, post, level, cfg.dt, cfg.bridge_correction)
+            done, j = _first(creep | jumpx)
             if done.any():
-                gi = idx[done]
-                t_cross[gi] = t_end
-                kind[gi] = np.where(creep[done], EXIT_CREEP, EXIT_JUMP)
-                und[gi] = np.where(creep[done], 0.0, b - c_end[done])
-                over[gi] = np.where(creep[done], 0.0, post[done] - b)
-                keep = ~done
-                post, idx = post[keep], idx[keep]
-                if idx.size == 0:
-                    break
-            v = post
-    return FirstPassageSample(b, t_cross, kind, und, over, cfg.t_max * cfg.max_blocks)
+                rows, j = np.flatnonzero(done), j[done]
+                gi = idx[rows]
+                by_creep = creep[rows, j]
+                lev = level[rows, j]
+                t_cross[gi] = (clock + j + 1) * cfg.dt
+                kind[gi] = np.where(by_creep, EXIT_CREEP, EXIT_JUMP)
+                und[gi] = np.where(by_creep, 0.0, lev - c_end[rows, j])
+                over[gi] = np.where(by_creep, 0.0, post[rows, j] - lev)
+            v, inf_d, idx = post[~done, -1], inf_after[~done, -1], idx[~done]
+            clock += k
+    return t_cross, kind, und, over
+
+
+def run_first_passage(model: ModelSpec, cfg: SimConfig, b: float, stream: int = 1) -> FirstPassageSample:
+    return FirstPassageSample(
+        b, *_first_passages(model, cfg, b, stream, False), cfg.t_max * cfg.max_blocks
+    )
 
 
 # ---------------------------------------------------------------------------
-# Last passage of the free process
+# Last passage of D and of D*
 
 
 @dataclass(frozen=True)
@@ -270,6 +373,90 @@ class LastPassageSample:
         )
 
 
+def _last_passages(model: ModelSpec, cfg: SimConfig, b: float, rho0: float, stream: int, reflect: bool):
+    """Last contacts with (-inf, b] of D, or of D* = D - inf(D ^ 0) when
+    ``reflect``, by the escape test with conditioned returns (see the module
+    docstring).  Returns (l_last, exit_kind, undershoot, overshoot), NaN in
+    l_last where censored, and the censored count.  Above b > 0 the reflected
+    process moves as D does, so one loop serves both: the free process keeps
+    its infimum at 0."""
+    if b <= 0:
+        raise ValueError("threshold must be positive")
+    law, tilted = _Law.of(model), None
+    gap = 1.0 / rho0  # a path is tested above b + gap
+    horizon, dt = cfg.horizon_steps, cfg.dt
+    n = cfg.n_paths
+    l_last = np.full(n, np.nan)
+    kind = np.zeros(n, dtype=np.int8)
+    und = np.zeros(n)
+    over = np.zeros(n)
+    censored = 0
+    for rng, idx in _path_groups(cfg, stream):
+        m = idx.size
+        v = np.zeros(m)
+        inf_d = np.zeros(m)
+        clock = np.zeros(m, dtype=np.int64)  # steps taken, per path
+        last = np.zeros(m)  # last contact time: D_0 = 0 <= b
+        e_kind = np.full(m, EXIT_CREEP, dtype=np.int8)
+        e_y = np.zeros(m)
+        e_w = np.zeros(m)
+        returning = np.zeros(m, dtype=bool)
+        escaped = np.zeros(m, dtype=bool)
+        live = np.arange(m)
+        while live.size:
+            # every cell of the block lies within the censoring horizon
+            k = min(_block_len(live.size), horizon - int(clock[live].max()))
+            ret = returning[live]
+            back, fwd = live[ret], live[~ret]
+            if back.size:
+                # conditioned return: the tilted law until the bridge minimum reaches b
+                tilted = tilted or _Law.tilted(model, rho0)
+                _, _, m_min, post = _block(tilted, rng, v[back], dt, k, bridge=cfg.bridge_correction)
+                level = b + inf_d[back]
+                hit, j = _first(m_min <= level[:, None])
+                r, j = back[hit], j[hit]
+                last[r] = (clock[r] + j + 1) * dt
+                v[r] = level[hit]
+                clock[r] += j + 1
+                returning[r] = False
+                r = back[~hit]
+                v[r] = post[~hit, -1]
+                clock[r] += k
+            if fwd.size:
+                _, c_end, m_min, post = _block(law, rng, v[fwd], dt, k, bridge=cfg.bridge_correction)
+                inf_after = _running_inf(m_min, inf_d[fwd]) if reflect else np.zeros_like(post)
+                level = b + inf_after
+                tested, jt = _first(post - level > gap)
+                upto = np.where(tested, jt, k - 1)
+                contact = m_min <= level
+                if k > 1:
+                    contact &= np.arange(k) <= upto[:, None]
+                touched, j = _last(contact)
+                r, j = fwd[touched], j[touched]
+                lev = _at(level[touched], j)
+                ce, po = _at(c_end[touched], j), _at(post[touched], j)
+                by_creep = ce > lev
+                last[r] = (clock[r] + j + 1) * dt
+                e_kind[r] = np.where(by_creep, EXIT_CREEP, EXIT_JUMP)
+                e_y[r] = np.where(by_creep, 0.0, lev - ce)
+                e_w[r] = np.where(by_creep, 0.0, po - lev)
+                v[fwd] = _at(post, upto)
+                inf_d[fwd] = _at(inf_after, upto)
+                clock[fwd] += upto + 1
+                r = fwd[tested]
+                esc = _escapes(rng, v[r] - inf_d[r], b, rho0)
+                escaped[r[esc]] = True
+                returning[r[~esc]] = True
+            live = live[~escaped[live] & (clock[live] < horizon)]
+        gi = idx[escaped]
+        l_last[gi] = last[escaped]
+        kind[gi] = e_kind[escaped]
+        und[gi] = e_y[escaped]
+        over[gi] = e_w[escaped]
+        censored += m - int(escaped.sum())
+    return l_last, kind, und, over, censored
+
+
 def run_last_passage(
     model: ModelSpec,
     cfg: SimConfig,
@@ -277,58 +464,10 @@ def run_last_passage(
     rho0: float | None = None,
     stream: int = 2,
 ) -> LastPassageSample:
-    """Simulate until the escape test accepts; accurate for L_b laws only
-    when t_max is long (see the module docstring)."""
-    if b <= 0:
-        raise ValueError("threshold must be positive")
-    if rho0 is None:
-        if model.sigma == 0:
-            rho0 = math.inf
-        else:
-            try:
-                rho0 = escape_rate(model)
-            except Exception as exc:  # pragma: no cover - defensive
-                raise EscapeTestUnavailable(str(exc)) from exc
-    n = cfg.n_paths
-    l_last = np.full(n, np.nan)
-    kind = np.zeros(n, dtype=np.int8)
-    und = np.zeros(n)
-    over = np.zeros(n)
-    censored = 0
-    for rng, idx in _path_blocks(cfg, stream):
-        v = np.zeros(idx.size)
-        # state per active path
-        last_t = np.zeros(idx.size)  # start at 0 <= b: contact at time 0
-        e_kind = np.full(idx.size, EXIT_CREEP, dtype=np.int8)
-        e_y = np.zeros(idx.size)
-        e_w = np.zeros(idx.size)
-        for t_end, horizon_end in _step_times(cfg):
-            c_end, m_min, v = _step(model, rng, v, cfg.dt, bridge=cfg.bridge_correction)
-            contact = m_min <= b
-            if contact.any():
-                last_t[contact] = t_end
-                creep_exit = contact & (c_end > b)
-                jump_exit = contact & (c_end <= b) & (v > b)
-                e_kind[creep_exit] = EXIT_CREEP
-                e_y[creep_exit] = 0.0
-                e_w[creep_exit] = 0.0
-                e_kind[jump_exit] = EXIT_JUMP
-                e_y[jump_exit] = b - c_end[jump_exit]
-                e_w[jump_exit] = v[jump_exit] - b
-            if horizon_end:
-                escaped = _escapes(rng, v, b, rho0)
-                gi = idx[escaped]
-                l_last[gi] = last_t[escaped]
-                kind[gi] = e_kind[escaped]
-                und[gi] = e_y[escaped]
-                over[gi] = e_w[escaped]
-                keep = ~escaped
-                v, idx, last_t = v[keep], idx[keep], last_t[keep]
-                e_kind, e_y, e_w = e_kind[keep], e_y[keep], e_w[keep]
-                if idx.size == 0:
-                    break
-        censored += idx.size
-    return LastPassageSample(b, l_last, kind, und, over, censored)
+    """Simulate each path until the escape test accepts it.  A path the test
+    keeps first returns to b under the tilted law, so the estimate does not
+    depend on t_max beyond the censoring horizon (see the module docstring)."""
+    return LastPassageSample(b, *_last_passages(model, cfg, b, _escape_rate(model, rho0), stream, False))
 
 
 # ---------------------------------------------------------------------------
@@ -340,19 +479,23 @@ def run_reflected_marginal(
 ) -> np.ndarray:
     """Values of D* at the requested times for every path (rows = paths)."""
     times = np.asarray(times, dtype=float)
-    t_final = float(times.max())
-    steps = int(round(t_final / cfg.dt))
-    record_steps = np.round(times / cfg.dt).astype(int)
-    col = {int(s): j for j, s in enumerate(record_steps)}
-    out = np.empty((cfg.n_paths, times.size))
-    for rng, idx in _path_blocks(cfg, stream):
+    record = np.round(times / cfg.dt).astype(int)
+    steps = int(record.max())
+    law = _Law.of(model)
+    out = np.zeros((cfg.n_paths, times.size))  # D*_0 = 0
+    for rng, idx in _path_groups(cfg, stream):
         v = np.zeros(idx.size)
-        run_inf = np.zeros(idx.size)  # inf of (V ^ 0) so far
-        for k in range(1, steps + 1):
-            _, m_min, v = _step(model, rng, v, cfg.dt, bridge=cfg.bridge_correction)
-            run_inf = np.minimum(run_inf, m_min)
-            if k in col:
-                out[idx, col[k]] = v - run_inf
+        inf_d = np.zeros(idx.size)
+        clock = 0
+        while clock < steps:
+            k = min(_block_len(idx.size), steps - clock)
+            _, _, m_min, post = _block(law, rng, v, cfg.dt, k, bridge=cfg.bridge_correction)
+            inf_after = _running_inf(m_min, inf_d)
+            for col in np.flatnonzero((record > clock) & (record <= clock + k)):
+                j = record[col] - clock - 1
+                out[idx, col] = post[:, j] - inf_after[:, j]
+            v, inf_d = post[:, -1], inf_after[:, -1]
+            clock += k
     return out
 
 
@@ -385,39 +528,8 @@ class ReflectedFirstPassageSample:
 def run_reflected_first_passage(
     model: ModelSpec, cfg: SimConfig, b: float, stream: int = 4
 ) -> ReflectedFirstPassageSample:
-    if b <= 0:
-        raise ValueError("threshold must be positive")
-    n = cfg.n_paths
-    t_cross = np.full(n, np.inf)
-    kind = np.zeros(n, dtype=np.int8)
-    pre = np.zeros(n)
-    post_l = np.zeros(n)
-    for rng, idx in _path_blocks(cfg, stream):
-        v = np.zeros(idx.size)
-        run_inf = np.zeros(idx.size)
-        for t_end, _ in _step_times(cfg):
-            # crossing level for the free coordinates, using the running
-            # infimum before this step (within-step ordering is O(dt))
-            ref = np.minimum(run_inf, 0.0)
-            level = b + ref
-            c_end, m_min, post = _step(model, rng, v, cfg.dt, bridge=cfg.bridge_correction)
-            creep, jumpx = _crossed_up(
-                model, rng, v, c_end, post, level, cfg.dt, cfg.bridge_correction
-            )
-            done = creep | jumpx
-            run_inf = np.minimum(run_inf, m_min)
-            if done.any():
-                gi = idx[done]
-                t_cross[gi] = t_end
-                kind[gi] = np.where(creep[done], EXIT_CREEP, EXIT_JUMP)
-                pre[gi] = np.where(creep[done], b, (c_end - ref)[done])
-                post_l[gi] = np.where(creep[done], b, (post - ref)[done])
-                keep = ~done
-                post, idx, run_inf = post[keep], idx[keep], run_inf[keep]
-                if idx.size == 0:
-                    break
-            v = post
-    return ReflectedFirstPassageSample(b, t_cross, kind, pre, post_l)
+    t_cross, kind, und, over = _first_passages(model, cfg, b, stream, True)
+    return ReflectedFirstPassageSample(b, t_cross, kind, b - und, b + over)
 
 
 def run_reflected_at_exp_horizon(
@@ -434,20 +546,28 @@ def run_reflected_at_exp_horizon(
     T, whose probability is 1 - esc(D*_T - b) when D*_T > b (and 1 if <= b),
     so the joint indicator is resolved by one exact Bernoulli draw.
     """
-    rho0 = escape_rate(model) if rho0 is None else rho0
+    rho0 = _escape_rate(model, rho0)
+    law = _Law.of(model)
     d_at_t = np.empty(cfg.n_paths)
     joint = np.zeros(cfg.n_paths)
-    for rng, idx in _path_blocks(cfg, stream):
+    for rng, idx in _path_groups(cfg, stream):
         horizon = rng.exponential(1.0 / delta, idx.size)
-        steps_needed = np.maximum(1, np.ceil(horizon / cfg.dt).astype(int))
+        need = np.maximum(1, np.ceil(horizon / cfg.dt).astype(int))  # steps to T
         v = np.zeros(idx.size)
-        run_inf = np.zeros(idx.size)
-        for k in range(1, int(steps_needed.max()) + 1):
-            active = steps_needed >= k
-            _, m_min, v[active] = _step(model, rng, v[active], cfg.dt, bridge=cfg.bridge_correction)
-            run_inf[active] = np.minimum(run_inf[active], m_min)
-            finished = steps_needed == k
-            d_at_t[idx[finished]] = (v - np.minimum(run_inf, 0.0))[finished]
+        inf_d = np.zeros(idx.size)
+        live = np.arange(idx.size)
+        clock = 0
+        while live.size:
+            k = min(_block_len(live.size), int(need[live].max()) - clock)
+            _, _, m_min, post = _block(law, rng, v[live], cfg.dt, k, bridge=cfg.bridge_correction)
+            inf_after = _running_inf(m_min, inf_d[live])
+            j = need[live] - clock - 1
+            fin = j < k
+            rows, j = np.flatnonzero(fin), j[fin]
+            d_at_t[idx[live[fin]]] = post[rows, j] - inf_after[rows, j]
+            v[live], inf_d[live] = post[:, -1], inf_after[:, -1]
+            live = live[~fin]
+            clock += k
         vals = d_at_t[idx]
         joint[idx] = (vals > b) & ~_escapes(rng, vals, b, rho0)
     return d_at_t, joint
@@ -473,29 +593,9 @@ def run_reflected_last_passage(
     rho0: float | None = None,
     stream: int = 5,
 ) -> ReflectedLastPassageSample:
-    """L*_b = last time D* <= b; escape test applies unchanged above b > 0."""
-    if b <= 0:
-        raise ValueError("threshold must be positive")
-    rho0 = escape_rate(model) if rho0 is None else rho0
-    l_last = np.full(cfg.n_paths, np.nan)
-    censored = 0
-    for rng, idx in _path_blocks(cfg, stream):
-        v = np.zeros(idx.size)
-        run_inf = np.zeros(idx.size)
-        last_t = np.zeros(idx.size)
-        for t_end, horizon_end in _step_times(cfg):
-            _, m_min, v = _step(model, rng, v, cfg.dt, bridge=cfg.bridge_correction)
-            run_inf = np.minimum(run_inf, m_min)
-            # contact when the reflected minimum over the step is at or below b
-            last_t[m_min - np.minimum(run_inf, 0.0) <= b] = t_end
-            if horizon_end:
-                escaped = _escapes(rng, v - np.minimum(run_inf, 0.0), b, rho0)
-                l_last[idx[escaped]] = last_t[escaped]
-                keep = ~escaped
-                v, idx, run_inf, last_t = v[keep], idx[keep], run_inf[keep], last_t[keep]
-                if idx.size == 0:
-                    break
-        censored += idx.size
+    """L*_b = last time D* <= b; escape test and conditioned return apply
+    unchanged above b > 0."""
+    l_last, _, _, _, censored = _last_passages(model, cfg, b, _escape_rate(model, rho0), stream, True)
     return ReflectedLastPassageSample(b, l_last, censored)
 
 
@@ -509,11 +609,16 @@ def run_cycle_skeleton(
     """Cycle end levels from start levels x over per-path horizons, on a
     bridge-corrected skeleton of ``steps`` steps per cycle, plus the last
     in-cycle time at which the path touched (-inf, b] (0 if it never did)."""
+    law = _Law.of(model)
     dt = horizons / steps
     v = x
     last_contact = np.zeros(x.size)
-    for k in range(1, steps + 1):
-        _, m_min, v = _step(model, rng, v, dt)
-        contact = m_min <= b
-        last_contact[contact] = (k * dt)[contact]
+    clock = 0
+    while clock < steps:
+        k = min(_block_len(x.size), steps - clock)
+        _, _, m_min, post = _block(law, rng, v, dt, k)
+        touched, j = _last(m_min <= b)
+        last_contact[touched] = ((clock + j + 1) * dt)[touched]
+        v = post[:, -1]
+        clock += k
     return v, last_contact

@@ -300,6 +300,11 @@ class LevyMeasureView:
         """m exact draws of J over a scalar or per-draw length dt."""
         raise NotImplementedError
 
+    def tilt(self, rho: float) -> "LevyMeasureView":
+        """The Esscher-tilted measure e^{-rho x} Q(dx), as a view of the same
+        family: its phi(u) is phi(u + rho) - phi(rho)."""
+        raise NotImplementedError
+
     def density(self, x) -> np.ndarray:
         raise NotImplementedError
 
@@ -357,6 +362,9 @@ class GammaMeasure(LevyMeasureView):
 
     def sample(self, rng, m, dt):
         return rng.gamma(self.alpha * dt, self.xi, m)
+
+    def tilt(self, rho):
+        return GammaMeasure(self.alpha, self.xi / (1.0 + rho * self.xi))
 
     def density(self, x):
         x = np.asarray(x, dtype=float)
@@ -438,6 +446,18 @@ class PHMeasure(LevyMeasureView):
             return np.zeros(m)
         sizes = sample_phase_type(self.ph, rng, total)
         return np.bincount(np.repeat(np.arange(m), counts), weights=sizes, minlength=m)
+
+    def tilt(self, rho):
+        """lam alpha e^{x (T - rho I)} t dx, renormalised through
+        v = (rho I - T)^{-1} t and D = diag(v): rate lam (alpha v) and
+        PhaseType(alpha D / (alpha v), D^{-1} (T - rho I) D)."""
+        m = self.ph.order
+        shifted = self.ph.t_mat - rho * np.eye(m)
+        v = np.linalg.solve(-shifted, self.ph.exit_vector)
+        mass = float(self.ph.alpha @ v)
+        return PHMeasure(
+            self.lam * mass, PhaseType(self.ph.alpha * v / mass, shifted * v[None, :] / v[:, None])
+        )
 
     def density(self, x):
         return self.lam * self.ph.density(x)

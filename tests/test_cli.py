@@ -64,6 +64,15 @@ def test_simulate_without_t_or_delta_is_usage_error(target, bm_model_file, capsy
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("target", ["reflected-first", "reflected-last"])
+def test_simulate_honours_delta_zero(target, bm_model_file, capsys):
+    argv = ["simulate", "--model", bm_model_file, "--target", target, "--b", "1", "--delta", "0"]
+    assert dispatch([*argv, "--paths", "200", "--dt", "0.01"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["meta"].startswith("E[e^(-0 ")
+    assert doc["estimate"] == 1.0
+
+
 @pytest.mark.parametrize(
     "argv",
     [["last-passage", "--b", "-1"], ["first-passage", "--delta", "0", "--b", "1"]],

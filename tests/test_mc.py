@@ -1,6 +1,7 @@
-"""The exact increment sampler and the Monte Carlo estimators of the reflected
-process against exact laws."""
+"""The exact increment sampler, the last-passage escape test and the Monte
+Carlo estimators of the reflected process against exact laws."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,8 +10,15 @@ import pytest
 from conftest import assert_within_se
 
 from levypassage.first_passage import inverse_gaussian_cdf
+from levypassage.last_passage import bm_last_passage_cdf, last_passage_cdf
 from levypassage.lundberg import build_scale_set
-from levypassage.mc import SimConfig, increment_exact, run_reflected_first_passage
+from levypassage.mc import (
+    SimConfig,
+    increment_exact,
+    run_last_passage,
+    run_reflected_first_passage,
+    run_reflected_last_passage,
+)
 from levypassage.reflected import duality_check, reflected_passage_density
 
 
@@ -27,6 +35,51 @@ def test_increment_exact_moments(request, name, t):
     se_var = math.sqrt((float(np.mean(centred**4)) - var**2) / n)
     assert_within_se(float(x.mean()), math.sqrt(var / n), model.mean_d1 * t, 4.0, f"{name} mean")
     assert_within_se(var, se_var, model.var_d1 * t, 4.0, f"{name} variance")
+
+
+class TestLastPassageEscapeTest:
+    """A path the escape test keeps returns to b under the tilted law, so the
+    test is exact at any schedule and t_max only sets the censoring horizon."""
+
+    SHORT = SimConfig(dt=2e-3, t_max=0.5, n_paths=40_000, seed=3, max_blocks=120)
+
+    def test_bm_at_short_t_max(self, bm_model):
+        sample = run_last_passage(bm_model, self.SHORT, 1.0)
+        for t in (0.5, 1.0, 2.0, 3.0):
+            mc = sample.cdf_at(t)
+            target = float(bm_last_passage_cdf(bm_model, 1.0, t))
+            assert_within_se(mc.estimate, mc.std_error, target, 3.0, f"P(L_b < {t})")
+
+    def test_perturbed_gamma_at_short_t_max(self, pgamma_model_wide):
+        sample = run_last_passage(pgamma_model_wide, self.SHORT, 1.0)
+        for t in (0.5, 1.0, 2.0, 3.0):
+            mc = sample.cdf_at(t)
+            target = last_passage_cdf(pgamma_model_wide, 1.0, t)
+            assert_within_se(mc.estimate, mc.std_error, target, 3.0, f"P(L_b < {t})")
+
+    @staticmethod
+    def _assert_same(a, b):
+        for f in dataclasses.fields(a):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            assert np.array_equal(x, y, equal_nan=True), f.name
+
+    @pytest.mark.parametrize("run", [run_last_passage, run_reflected_last_passage])
+    def test_t_max_only_sets_the_horizon(self, ph2_model, run):
+        # 0.5 * 120 = 6 * 10: the same horizon split two ways
+        short = run(ph2_model, SimConfig(dt=2e-3, t_max=0.5, n_paths=2_000, seed=5, max_blocks=120), 1.0)
+        cfg = SimConfig(dt=2e-3, t_max=6.0, n_paths=2_000, seed=5, max_blocks=10)
+        long = run(ph2_model, cfg, 1.0)
+        self._assert_same(short, long)
+        self._assert_same(long, run(ph2_model, cfg, 1.0))
+
+    def test_paths_past_100_000_use_a_second_substream(self, bm_model):
+        def cfg(n):
+            return SimConfig(dt=0.05, t_max=6.0, n_paths=n, seed=5, max_blocks=10)
+
+        full = run_last_passage(bm_model, cfg(100_010), 1.0).l_last
+        first = run_last_passage(bm_model, cfg(100_000), 1.0).l_last
+        assert np.array_equal(full[:100_000], first, equal_nan=True)
+        assert not np.array_equal(full[100_000:], full[:10], equal_nan=True)
 
 
 class TestReflectedMC:

@@ -12,7 +12,9 @@ from levypassage.models import (
     KIND_PERTURBED_GAMMA,
     KIND_PH,
     KIND_PURE_GAMMA,
+    GammaMeasure,
     ModelSpec,
+    PHMeasure,
     PhaseType,
     cp_approximation,
     levy_measure,
@@ -149,6 +151,36 @@ class TestLevyMeasure:
     def test_no_jump_part(self, bm_model):
         with pytest.raises(NoJumpPart):
             levy_measure(bm_model)
+
+
+class TestTilt:
+    """The Esscher tilt e^{-rho x} Q(dx) has jump exponent phi(u + rho) - phi(rho)."""
+
+    U = np.array([0.0, 0.3, 2.5, 1.0 + 2.0j, 0.5 - 3.0j])
+    PH = {
+        1: ([1.0], [[-1.5]]),
+        2: ([0.6, 0.4], [[-2.0, 0.5], [0.3, -1.0]]),
+        3: ([0.5, 0.3, 0.2], [[-3.0, 1.0, 0.5], [0.2, -1.5, 0.4], [0.0, 0.6, -2.0]]),
+    }
+
+    @staticmethod
+    def _assert_tilted(measure, rho, u):
+        got = measure.tilt(rho).phi(u)
+        want = measure.phi(u + rho) - measure.phi(rho)
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("rho", [0.4, 2.0])
+    def test_gamma(self, rho):
+        self._assert_tilted(GammaMeasure(1.5, 0.7), rho, self.U)
+
+    @pytest.mark.parametrize("rho", [0.4, 2.0])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_phase_type(self, order, rho):
+        measure = PHMeasure(0.8, PhaseType(*self.PH[order]))
+        self._assert_tilted(measure, rho, self.U)
+        tilted = measure.tilt(rho).ph
+        PhaseType(tilted.alpha, tilted.t_mat)  # passes its own validation
+        assert tilted.alpha.sum() == pytest.approx(1.0, abs=1e-14)
 
 
 class TestCPApproximation:
