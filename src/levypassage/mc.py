@@ -11,22 +11,25 @@ it does return, it runs until the return under the Esscher-tilted law
 dP~ = e^{-rho0 D} dP (drift mu - rho0 sigma^2, jump measure e^{-rho0 x} Q(dx),
 see ``LevyMeasureView.tilt``), and with no downward jumps it returns to b
 continuously.  A path is tested at the first step end where it stands
-above b + 1/rho0 (above b when rho0 = inf, sigma = 0).  If it
-escapes, it retires with its last contact; otherwise it takes this
-conditioned return, records the contact there and resumes the untilted law
-from b.  The test is exact at any stopping time, so the estimates do not
-depend on t_max: t_max * max_blocks only sets the censoring horizon.  Times
-are step ends, so a recorded last contact lies up to dt after the true one,
-and a return restarts from b at the end of the step in which it reaches b.
+above b + 1/rho0 (above b when rho0 = inf, sigma = 0); a test just above b
+would mostly send the path straight back.  If it escapes, it retires with
+its last contact; otherwise it takes this conditioned return and resumes the
+untilted law from b at the hitting time, which is drawn inside the step from
+the Brownian bridge.  The test is exact at any stopping time, so the
+estimates do not depend on t_max: t_max * max_blocks only sets the censoring
+horizon.  A creeping last contact is drawn inside its step the same way, from
+the bridge run backwards; a jump exit's is its step end.  The O(dt) bias
+left comes from lumping each step's jumps at its end.
 
 Every estimator advances its paths with one block kernel, which draws a
 (paths x k) block of steps at once, k = max(1, 2**13 // live paths), so the
 few long paths at the end of a run cost few calls.  Callers find their
 events by first/last-True searches along the block; last-passage paths carry
-their own step clocks, since a return takes a path off the common schedule.  Paths run in fixed groups of 100 000, each with a
-counter-based Philox substream keyed by (seed, stream, group), so for a given
-model, threshold and step settings a result depends only on
-(seed, stream, n_paths); no batching option can change it.
+their own step clocks, since a return takes a path off the common schedule.
+Paths run in fixed groups of 100 000, each with a counter-based Philox
+substream keyed by (seed, stream, group), so for a given model, threshold
+and step settings a result depends only on (seed, stream, n_paths); no
+batching option can change it.
 """
 
 from __future__ import annotations
@@ -173,8 +176,8 @@ def _block(law: _Law, rng, v: np.ndarray, dt, k: int, minimum: bool = True, brid
     if law.jumps is not None:
         dt_cells = np.broadcast_to(dt_col, (n, k)).ravel() if dt.ndim else dt
         inc = cont + law.jumps.sample(rng, n * k, dt_cells).reshape(n, k)
-    post = v[:, None] + _cumulative(np.add, inc)
-    start = v[:, None] if k == 1 else np.hstack((v[:, None], post[:, :-1]))
+    post = v[:, None] + np.add.accumulate(inc, axis=1)
+    start = np.hstack((v[:, None], post[:, :-1]))
     c_end = post if law.jumps is None else start + cont
     m_min = None
     if u is not None:
@@ -185,35 +188,27 @@ def _block(law: _Law, rng, v: np.ndarray, dt, k: int, minimum: bool = True, brid
     return start, c_end, m_min, post
 
 
-def _cumulative(ufunc, x: np.ndarray) -> np.ndarray:
-    """ufunc.accumulate along the block axis (a single step is its own total)."""
-    return x if x.shape[1] == 1 else ufunc.accumulate(x, axis=1)
-
-
 def _first(mask: np.ndarray):
     """(any, column of the first True) per row."""
-    if mask.shape[1] == 1:
-        return mask[:, 0], np.zeros(mask.shape[0], dtype=np.int64)
     j = mask.argmax(axis=1)
-    return mask[np.arange(mask.shape[0]), j], j
+    return _at(mask, j), j
 
 
 def _last(mask: np.ndarray):
     """(any, column of the last True) per row."""
-    if mask.shape[1] == 1:
-        return mask[:, 0], np.zeros(mask.shape[0], dtype=np.int64)
     j = mask.shape[1] - 1 - mask[:, ::-1].argmax(axis=1)
-    return mask[np.arange(mask.shape[0]), j], j
+    return _at(mask, j), j
 
 
 def _at(x: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """x[i, j[i]] for every row i."""
-    return x[:, 0] if x.shape[1] == 1 else np.take_along_axis(x, j[:, None], axis=1)[:, 0]
+    """x[i, j[i]] for every row i (a flat gather, cheaper than take_along_axis)."""
+    n, k = x.shape
+    return x.reshape(-1)[np.arange(n) * k + j]
 
 
 def _running_inf(m_min: np.ndarray, inf0: np.ndarray) -> np.ndarray:
     """inf(D ^ 0) after each step of the block, from inf0 before it."""
-    return _cumulative(np.minimum, np.minimum(m_min, inf0[:, None]))
+    return np.minimum.accumulate(np.minimum(m_min, inf0[:, None]), axis=1)
 
 
 def _crossed_up(law: _Law, rng, start, c_end, post, level, dt, bridge: bool):
@@ -227,6 +222,26 @@ def _crossed_up(law: _Law, rng, start, c_end, post, level, dt, bridge: bool):
         gap1 = np.clip(level - c_end, 0.0, None)
         creep |= rng.random(creep.shape) < np.exp(-2.0 * gap0 * gap1 / (law.sigma**2 * dt))
     return creep, ~creep & (post >= level)
+
+
+def _hit_time(law: _Law, rng, h0: np.ndarray, h1: np.ndarray, dt: float, bridge: bool) -> np.ndarray:
+    """Time into a step at which its continuous part, h0 > 0 above a level at
+    the start and h1 at the end, first reaches the level, given that it does.
+    Under s = dt u/(1+u) the Brownian bridge is a Brownian motion in u with
+    drift |h1| / (sigma sqrt(dt)) towards or away from the level, so u given
+    the hit is inverse Gaussian; it is drawn by Michael, Schucany & Haas
+    (1976), in a form that stays finite as that drift goes to 0.  Without a
+    bridge the continuous part is taken linear within the step."""
+    if not (law.sigma > 0 and bridge):
+        return dt * h0 / (h0 - h1)
+    scale = law.sigma * math.sqrt(dt)
+    d = h0 / scale  # u-distance to the level
+    nu = np.abs(h1) / scale  # |drift| in u
+    y = rng.standard_normal(d.size) ** 2
+    inv_u = (y + 2.0 * d * nu + np.sqrt(y * y + 4.0 * d * nu * y)) / (2.0 * d * d)  # 1/u, smaller root
+    far = rng.random(d.size) * (d + nu / inv_u) >= d  # take the larger root (mean d/nu)^2 / u
+    inv_u[far] = (nu[far] / d[far]) ** 2 / inv_u[far]
+    return dt / (1.0 + inv_u)
 
 
 def _escapes(rng: np.random.Generator, x: np.ndarray, b: float, rho0: float) -> np.ndarray:
@@ -346,7 +361,7 @@ def run_first_passage(model: ModelSpec, cfg: SimConfig, b: float, stream: int = 
 @dataclass(frozen=True)
 class LastPassageSample:
     b: float
-    l_last: np.ndarray  # last time at or below b (dt resolution); NaN if censored
+    l_last: np.ndarray  # last time at or below b; NaN if censored
     exit_kind: np.ndarray
     undershoot: np.ndarray  # b - D(L-) for jump exits
     overshoot: np.ndarray  # D(L) - b for jump exits
@@ -383,7 +398,7 @@ def _last_passages(model: ModelSpec, cfg: SimConfig, b: float, rho0: float, stre
     if b <= 0:
         raise ValueError("threshold must be positive")
     law, tilted = _Law.of(model), None
-    gap = 1.0 / rho0  # a path is tested above b + gap
+    gap = 1.0 / rho0  # a path is tested above b + gap (see the module docstring)
     horizon, dt = cfg.horizon_steps, cfg.dt
     n = cfg.n_paths
     l_last = np.full(n, np.nan)
@@ -396,10 +411,16 @@ def _last_passages(model: ModelSpec, cfg: SimConfig, b: float, rho0: float, stre
         v = np.zeros(m)
         inf_d = np.zeros(m)
         clock = np.zeros(m, dtype=np.int64)  # steps taken, per path
-        last = np.zeros(m)  # last contact time: D_0 = 0 <= b
-        e_kind = np.full(m, EXIT_CREEP, dtype=np.int8)
+        lag = np.zeros(m)  # time a path's returns ended before their step ends
+        # at the step of the last contact with (-inf, b]: its end time, the exit
+        # kind, under- and overshoot, and the continuous level above b at the
+        # step's end and start
+        last = np.zeros(m)
+        e_kind = np.zeros(m, dtype=np.int8)
         e_y = np.zeros(m)
         e_w = np.zeros(m)
+        e_end = np.zeros(m)
+        e_start = np.zeros(m)
         returning = np.zeros(m, dtype=bool)
         escaped = np.zeros(m, dtype=bool)
         live = np.arange(m)
@@ -409,37 +430,39 @@ def _last_passages(model: ModelSpec, cfg: SimConfig, b: float, rho0: float, stre
             ret = returning[live]
             back, fwd = live[ret], live[~ret]
             if back.size:
-                # conditioned return: the tilted law until the bridge minimum reaches b
+                # conditioned return: the tilted law until the bridge reaches b;
+                # the path resumes from b at the hitting time, so its next
+                # forward step records the contact
                 tilted = tilted or _Law.tilted(model, rho0)
-                _, _, m_min, post = _block(tilted, rng, v[back], dt, k, bridge=cfg.bridge_correction)
-                level = b + inf_d[back]
-                hit, j = _first(m_min <= level[:, None])
-                r, j = back[hit], j[hit]
-                last[r] = (clock[r] + j + 1) * dt
-                v[r] = level[hit]
-                clock[r] += j + 1
+                start, c_end, m_min, post = _block(tilted, rng, v[back], dt, k, bridge=cfg.bridge_correction)
+                level = (b + inf_d[back])[:, None]
+                hit, j = _first(m_min <= level)
+                level = level[hit, 0]
+                h0, h1 = _at(start, j)[hit] - level, _at(c_end, j)[hit] - level
+                r = back[hit]
+                clock[r] += j[hit] + 1
+                lag[r] += dt - _hit_time(tilted, rng, h0, h1, dt, cfg.bridge_correction)
+                v[r] = level
                 returning[r] = False
                 r = back[~hit]
                 v[r] = post[~hit, -1]
                 clock[r] += k
             if fwd.size:
-                _, c_end, m_min, post = _block(law, rng, v[fwd], dt, k, bridge=cfg.bridge_correction)
+                start, c_end, m_min, post = _block(law, rng, v[fwd], dt, k, bridge=cfg.bridge_correction)
                 inf_after = _running_inf(m_min, inf_d[fwd]) if reflect else np.zeros_like(post)
                 level = b + inf_after
                 tested, jt = _first(post - level > gap)
                 upto = np.where(tested, jt, k - 1)
-                contact = m_min <= level
-                if k > 1:
-                    contact &= np.arange(k) <= upto[:, None]
+                contact = (m_min <= level) & (np.arange(k) <= upto[:, None])
                 touched, j = _last(contact)
+                lev, st, ce, po = (_at(x, j)[touched] for x in (level, start, c_end, post))
                 r, j = fwd[touched], j[touched]
-                lev = _at(level[touched], j)
-                ce, po = _at(c_end[touched], j), _at(post[touched], j)
                 by_creep = ce > lev
-                last[r] = (clock[r] + j + 1) * dt
+                last[r] = (clock[r] + j + 1) * dt - lag[r]
                 e_kind[r] = np.where(by_creep, EXIT_CREEP, EXIT_JUMP)
                 e_y[r] = np.where(by_creep, 0.0, lev - ce)
                 e_w[r] = np.where(by_creep, 0.0, po - lev)
+                e_end[r], e_start[r] = ce - lev, st - lev
                 v[fwd] = _at(post, upto)
                 inf_d[fwd] = _at(inf_after, upto)
                 clock[fwd] += upto + 1
@@ -448,6 +471,10 @@ def _last_passages(model: ModelSpec, cfg: SimConfig, b: float, rho0: float, stre
                 escaped[r[esc]] = True
                 returning[r[~esc]] = True
             live = live[~escaped[live] & (clock[live] < horizon)]
+        # a creeping exit leaves (-inf, b] inside its step, at the first hit of
+        # b by the step's bridge run backwards from the step end
+        creep = escaped & (e_kind == EXIT_CREEP)
+        last[creep] -= _hit_time(law, rng, e_end[creep], e_start[creep], dt, cfg.bridge_correction)
         gi = idx[escaped]
         l_last[gi] = last[escaped]
         kind[gi] = e_kind[escaped]

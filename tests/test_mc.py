@@ -57,6 +57,16 @@ class TestLastPassageEscapeTest:
             target = last_passage_cdf(pgamma_model_wide, 1.0, t)
             assert_within_se(mc.estimate, mc.std_error, target, 3.0, f"P(L_b < {t})")
 
+    def test_bm_mean_at_coarse_dt(self, bm_model):
+        # E[L_b] = b/mu + sigma^2/mu^2 = 2.  Contact times at step ends read
+        # about dt/2 = 0.02 late (7 SE here), and a return that resumes at its
+        # step end adds to that; hitting times drawn inside the step do not.
+        cfg = SimConfig(dt=0.04, t_max=20.0, n_paths=400_000, seed=0, max_blocks=4)
+        sample = run_last_passage(bm_model, cfg, 1.0)
+        assert sample.censored == 0
+        l = sample.l_last
+        assert_within_se(l.mean(), l.std(ddof=1) / math.sqrt(l.size), 2.0, 3.0, "E[L_b]")
+
     @staticmethod
     def _assert_same(a, b):
         for f in dataclasses.fields(a):
