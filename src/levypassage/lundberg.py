@@ -6,7 +6,9 @@ transform int_0^inf e^{-lambda x} W_delta(x) dx = 1/(phi_D(lambda) - delta)
 for lambda > rho(delta); it vanishes at 0, is nondecreasing, and grows like
 e^{rho x}/phi_D'(rho).  Three computation routes are provided (closed form
 for Brownian drift and phase-type jumps, tilted Laplace inversion, and the
-renewal ODE series) and cross-validated.
+renewal ODE series) and cross-validated.  Every route tabulates only the
+bounded e^{-rho x} W(x) and U_delta density W' - rho W, and ``ScaleSet``
+reads every law it serves from them.
 
 The escape probability P(process started at z > 0 never reaches 0) equals
 1 - e^{-rho(0) z}; it is the bounded companion of the delta = 0 scale
@@ -149,18 +151,18 @@ def escape_probability(z, rho0: float):
 
 @dataclass(frozen=True)
 class ScaleSet:
-    """Tabulated W_delta, W_delta', Z_delta on [0, x_max] plus two stable
-    companions: the tilted values e^{-rho x} W(x) (bounded, increasing to
-    1/phi_D'(rho)) and the U_delta density u = W' - rho W.
+    """W_delta on [0, x_max] through its two bounded tables: the tilted
+    T(x) = e^{-rho x} W(x), increasing to 1/phi_D'(rho), and the U_delta
+    density u = W' - rho W.
 
-    u is stored from a cancellation-free per-route expression; recomputing
-    W' - rho W from the tabulated W at large rho*x would lose all digits."""
+    W = e^{rho x} T, W' = rho W + u and Z = 1 + delta int_0^x W are derived
+    on demand; they grow like e^{rho x} and overflow once rho x > 709, so
+    no law in the library is read from them.  Each route tabulates u from
+    a cancellation-free expression: recomputing W' - rho W from W at large
+    rho x would lose all digits."""
 
     delta: float
     rho: LundbergRoot
-    w: GridFunction
-    w_prime: GridFunction
-    z: GridFunction
     tilted: GridFunction
     u_delta: GridFunction
     route: str
@@ -168,11 +170,38 @@ class ScaleSet:
 
     @property
     def x_max(self) -> float:
-        return self.w.x_max
+        return self.tilted.x_max
 
     @property
     def h(self) -> float:
-        return self.w.h
+        return self.tilted.h
+
+    @property
+    def w(self) -> GridFunction:
+        growth = np.exp(self.rho.rho * self.tilted.grid())
+        return self.tilted.with_values(growth * self.tilted.values)
+
+    @property
+    def w_prime(self) -> GridFunction:
+        return self.u_delta.with_values(self.rho.rho * self.w.values + self.u_delta.values)
+
+    @property
+    def z(self) -> GridFunction:
+        return self.tilted.with_values(1.0 + self.delta * self.w.cumulative().values)
+
+    def r_b(self, b: float, y):
+        """Reflected resolvent kernel W(b) W'(y)/W'(b) - W(y) = (W(b) u(y) -
+        W(y) u(b)) / W'(b), divided through by e^{rho b}:
+
+            (T(b) u(y) - e^{-rho(b-y)} T(y) u(b)) / (rho T(b) + e^{-rho b} u(b)).
+
+        No factor grows with rho b: nothing overflows, and the two terms cancel
+        only as y -> b, where r_b vanishes."""
+        rho = self.rho.rho
+        t_b, u_b = float(self.tilted(b)), float(self.u_delta(b))
+        y = np.asarray(y, dtype=float)
+        num = t_b * self.u_delta(y) - np.exp(-rho * (b - y)) * self.tilted(y) * u_b
+        return num / (rho * t_b + math.exp(-rho * b) * u_b)
 
     def passage_transform_values(self) -> np.ndarray:
         """E[e^{-delta T_b}] on the grid via the stable form
@@ -182,36 +211,23 @@ class ScaleSet:
         equal to Z(b) - (delta/rho) W(b) but free of the e^{rho b}
         cancellation that kills the direct form at large thresholds."""
         if self.delta == 0:
-            return np.ones(self.w.n)
+            return np.ones(self.tilted.n)
         vals = 1.0 - (self.delta / self.rho.rho) * self.u_delta.cumulative().values
         return np.maximum(vals, 0.0)
 
     def laplace_numeric(self, beta: float) -> float:
-        """int_0^inf e^{-beta x} W(x) dx: grid trapezoid plus the analytic
-        tail e^{-(beta-rho) x_max} * tilted(x_max) / (beta - rho)."""
-        if beta <= self.rho.rho:
+        """int_0^inf e^{-beta x} W(x) dx = int_0^inf e^{-(beta-rho) x} T(x) dx:
+        grid trapezoid plus the analytic tail
+        e^{-(beta-rho) x_max} * T(x_max) / (beta - rho)."""
+        gap = beta - self.rho.rho
+        if gap <= 0:
             raise ValueError("transform abscissa must exceed rho(delta)")
-        xs = self.w.grid()
-        integrand = np.exp(-beta * xs) * self.w.values
-        core = np.trapezoid(integrand, dx=self.h)
-        tail = (
-            self.tilted.values[-1]
-            * math.exp(-(beta - self.rho.rho) * self.x_max)
-            / (beta - self.rho.rho)
-        )
+        core = np.trapezoid(np.exp(-gap * self.tilted.grid()) * self.tilted.values, dx=self.h)
+        tail = self.tilted.values[-1] * math.exp(-gap * self.x_max) / gap
         return float(core + tail)
 
     def laplace_exact(self, model: ModelSpec, beta: float) -> float:
         return 1.0 / (float(model.phi_d(beta)) - self.delta)
-
-
-def _assemble(delta, root, h, w_vals, wp_vals, tilt_vals, u_vals, route, phip) -> ScaleSet:
-    w = GridFunction(0.0, h, w_vals)
-    wp = GridFunction(0.0, h, wp_vals)
-    z = GridFunction(0.0, h, 1.0 + delta * w.cumulative().values)
-    tilt = GridFunction(0.0, h, tilt_vals)
-    u = GridFunction(0.0, h, u_vals)
-    return ScaleSet(delta, root, w, wp, z, tilt, u, route, phip)
 
 
 def scale_closed_bm(model: ModelSpec, delta: float, x) -> np.ndarray:
@@ -228,11 +244,7 @@ def scale_closed_bm(model: ModelSpec, delta: float, x) -> np.ndarray:
     gam = math.sqrt(model.mu**2 + 2.0 * delta * model.sigma**2)
     rp = (model.mu + gam) / model.sigma**2
     rm = (model.mu - gam) / model.sigma**2
-    if delta == 0:
-        # rm = 0: W(x) = (e^{rho0 x} - 1)/mu
-        out = (np.exp(rp * x) - np.exp(rm * x)) / gam if gam > 0 else x * np.nan
-    else:
-        out = (np.exp(rp * x) - np.exp(rm * x)) / gam
+    out = (np.exp(rp * x) - np.exp(rm * x)) / gam  # gam >= mu > 0; rm = 0 at delta = 0
     return out if out.ndim else float(out)
 
 
@@ -242,14 +254,9 @@ def _scale_set_bm(model: ModelSpec, delta: float, x_max: float, n: int) -> Scale
     rp = root.rho
     rm = (model.mu - gam) / model.sigma**2
     xs = np.linspace(0.0, x_max, n)
-    w_vals = (np.exp(rp * xs) - np.exp(rm * xs)) / gam
-    wp_vals = (rp * np.exp(rp * xs) - rm * np.exp(rm * xs)) / gam
-    tilt = (1.0 - np.exp((rm - rp) * xs)) / gam
-    u_vals = 2.0 / model.sigma**2 * np.exp(rm * xs)
-    phip = float(model.phi_d_prime(rp))
-    return _assemble(
-        delta, root, xs[1] - xs[0], w_vals, wp_vals, tilt, u_vals, ROUTE_CLOSED_BM, phip
-    )
+    tilt = GridFunction(0.0, xs[1], (1.0 - np.exp((rm - rp) * xs)) / gam)
+    u = GridFunction(0.0, xs[1], 2.0 / model.sigma**2 * np.exp(rm * xs))
+    return ScaleSet(delta, root, tilt, u, ROUTE_CLOSED_BM, float(model.phi_d_prime(rp)))
 
 
 @dataclass(frozen=True)
@@ -369,23 +376,16 @@ def scale_closed_ph(model: ModelSpec, delta: float):
 
 
 def _scale_set_ph(model: ModelSpec, delta: float, x_max: float, n: int) -> ScaleSet:
-    data, _ = scale_closed_ph(model, delta)
-    root = LundbergRoot(delta, data.rho)
+    data = ph_root_data(model, delta)
     xs = np.linspace(0.0, x_max, n)
     pref = 2.0 / (model.sigma**2 * data.varrho)
     coef = data.a_coeffs * data.xi_roots / (data.rho + data.xi_roots)
-    egrow = np.exp(data.rho * xs)
     edecay = np.exp(-np.outer(xs, data.xi_roots))
-    w_vals = pref * np.real((egrow[:, None] - edecay) @ coef)
-    wp_vals = pref * np.real(
-        (data.rho * egrow[:, None] + edecay * data.xi_roots[None, :]) @ coef
-    )
     tilt = pref * np.real((1.0 - edecay * np.exp(-data.rho * xs)[:, None]) @ coef)
-    u_vals = pref * np.real(edecay @ (coef * (data.rho + data.xi_roots)))
-    phip = float(model.phi_d_prime(data.rho))
-    return _assemble(
-        delta, root, xs[1] - xs[0], w_vals, wp_vals, tilt, u_vals, ROUTE_CLOSED_PH, phip
-    )
+    u = pref * np.real(edecay @ (coef * (data.rho + data.xi_roots)))
+    tilt, u = GridFunction(0.0, xs[1], tilt), GridFunction(0.0, xs[1], u)
+    root, phip = LundbergRoot(delta, data.rho), float(model.phi_d_prime(data.rho))
+    return ScaleSet(delta, root, tilt, u, ROUTE_CLOSED_PH, phip)
 
 
 def scale_via_inversion(
@@ -398,8 +398,9 @@ def scale_via_inversion(
 
     The tilted function e^{-rho x} W(x), whose transform is
     1/(phi_D(s + rho) - delta), is inverted instead so the target is bounded,
-    by Gaver-Stehfest on real abscissae; the tilted U-density
-    e^{-rho x} (W' - rho W) is inverted from its own transform."""
+    by Gaver-Stehfest on real abscissae; the U-density W' - rho W, bounded
+    too, is inverted from its own transform (s - rho)/(phi_D(s) - delta),
+    whose singularity at s = rho is removable."""
     if model.sigma <= 0:
         raise NoPerturbation("scale functions require sigma > 0")
     root = solve_lundberg(model, delta)
@@ -411,24 +412,20 @@ def scale_via_inversion(
         s = np.asarray(s)
         return 1.0 / (np.asarray(model.phi_d((s + rho).ravel())).reshape(s.shape) - delta)
 
-    def tilted_u_transform(s):
-        # transform of e^{-rho x} (W' - rho W)
+    def u_transform(s):
         s = np.asarray(s)
-        return s / (np.asarray(model.phi_d((s + rho).ravel())).reshape(s.shape) - delta)
+        return (s - rho) / (np.asarray(model.phi_d(s.ravel())).reshape(s.shape) - delta)
 
     positive = xs[1:]
     coeffs = stehfest_coefficients(_STEHFEST_TERMS)
     s_nodes = np.log(2.0) * np.arange(1, _STEHFEST_TERMS + 1)[None, :] / positive[:, None]
     tilt_pos = np.log(2.0) / positive * (tilted_transform(s_nodes) @ coeffs)
-    tiltp_pos = np.log(2.0) / positive * (tilted_u_transform(s_nodes) @ coeffs)
+    u_pos = np.log(2.0) / positive * (u_transform(s_nodes) @ coeffs)
     tilt = np.maximum(np.concatenate(([0.0], tilt_pos)), 0.0)
-    # value of tilt' at 0+ equals W'(0) = 2/sigma^2 (transform ~ s * sigma^2/2 s^2)
-    tilt_prime = np.maximum(np.concatenate(([2.0 / model.sigma**2], tiltp_pos)), 0.0)
-    w_vals = np.exp(rho * xs) * tilt
-    u_vals = np.exp(rho * xs) * tilt_prime
-    wp_vals = rho * w_vals + u_vals
-    phip = float(model.phi_d_prime(rho))
-    return _assemble(delta, root, h, w_vals, wp_vals, tilt, u_vals, ROUTE_INVERSION, phip)
+    # u(0+) = W'(0) = 2/sigma^2 (transform ~ 2/(sigma^2 s) as s -> inf)
+    u = np.maximum(np.concatenate(([2.0 / model.sigma**2], u_pos)), 0.0)
+    tilt, u = GridFunction(0.0, h, tilt), GridFunction(0.0, h, u)
+    return ScaleSet(delta, root, tilt, u, ROUTE_INVERSION, float(model.phi_d_prime(rho)))
 
 
 def scale_via_ode_series(
@@ -475,12 +472,8 @@ def scale_via_ode_series(
     tilt = np.concatenate(
         ([0.0], np.cumsum(0.5 * h_step * (integrand[1:] + integrand[:-1])))
     )
-    w_vals = np.exp(rho * xs) * tilt
-    wp_vals = rho * w_vals + h_vals
-    phip = float(model.phi_d_prime(rho))
-    return _assemble(
-        delta, root, h_step, w_vals, wp_vals, tilt, h_vals, ROUTE_ODE_SERIES, phip
-    )
+    tilt, u = GridFunction(0.0, h_step, tilt), GridFunction(0.0, h_step, h_vals)
+    return ScaleSet(delta, root, tilt, u, ROUTE_ODE_SERIES, float(model.phi_d_prime(rho)))
 
 
 def build_scale_set(

@@ -257,20 +257,22 @@ class PolicyKernels:
     # -- state grid and chain products
 
     def default_state_grid(self, i_max: int = 8, n: int = 512) -> np.ndarray:
-        """Grid spanning the reachable post-maintenance states over i_max cycles."""
-        d, m = self.policy.d, self.policy.m
-        t_widest = float(m(min(0.0, -2.0 * self.policy.b)))
-        dens = self._density(t_widest)
-        cdf = np.concatenate(([0.0], np.cumsum(dens.f.values[:-1] + dens.f.values[1:]))) * (
-            dens.f.h / 2.0
-        )
-        grid = dens.grid()
-        inc_lo = float(np.interp(1e-10, cdf, grid))
-        inc_hi = float(np.interp(cdf[-1] - 1e-10, cdf, grid))
-        lo = hi = 0.0
+        """Grid spanning the post-maintenance states that carry mass in i_max cycles.
+
+        A survivor's end level a has weight 1 - esc(a - b) = e^{-rho0 (a - b)}
+        above b, so whatever its start state and horizon it ends below
+        b + K/rho0 up to mass e^{-K}: the top is d(b + K/rho0) with K = 23
+        (e^{-K} = 1e-10), or d(b) when rho0 = inf.  Jumps only push the level
+        up, so the bottom iterates the Gaussian part's 1e-10 quantile over the
+        widest horizon, mu t - 6.4 sigma sqrt(t), through d for i_max cycles.
+        """
+        d, model = self.policy.d, self.model
+        t = float(self.policy.m(min(0.0, -2.0 * self.policy.b)))
+        inc_lo = model.mu * t - 6.4 * model.sigma * np.sqrt(t)
+        lo = 0.0
         for _ in range(i_max):
-            lo, hi = min(lo, float(d(lo + inc_lo))), max(hi, float(d(hi + inc_hi)))
-        return np.linspace(lo, hi, n)
+            lo = min(lo, float(d(lo + inc_lo)))
+        return np.linspace(lo, float(d(self.policy.b + 23.0 / self.rho0)), n)
 
     def _first_cycle(self, i_max: int, state_grid: np.ndarray | None):
         """States y after a survived first cycle, their quadrature weights,

@@ -208,6 +208,11 @@ class ModelSpec:
                 raise ValueError("phase-type kind requires intensity lambda > 0")
             if self.ph is None:
                 raise ValueError("phase-type kind requires a (alpha, T) representation")
+            if abs(self.ph.alpha.sum() - 1.0) > 1e-12:  # phi_D and the D_t law assume it
+                raise ValueError(
+                    f"phase-type alpha sums to {self.ph.alpha.sum():.17g}, not 1: fold the "
+                    "missing mass into lambda (lambda * sum(alpha), alpha / sum(alpha))"
+                )
             jumps = PHMeasure(self.lam, self.ph)
         object.__setattr__(self, "jumps", jumps)
         if self.mean_d1 <= 0:

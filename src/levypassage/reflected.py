@@ -5,9 +5,10 @@ The jump-crossing part of the law of (T*_b, D*(T*-), D*(T*)) has density
     q(z - y) * r_b(y),   y in [0, b], z > b,
 
 where r_b(y) = W(b) W'(y) / W'(b) - W(y) is the reflected resolvent kernel
-built from the delta-scale function.  The creeping (continuous-crossing)
-mass is not covered by this formula; it is reported as the complement
-against the Monte Carlo total.
+built from the delta-scale function, read in the bounded form ``ScaleSet.r_b``
+(the direct form cancels to 0, inf or NaN at large rho b).  The creeping
+(continuous-crossing) mass is not covered by this formula; it is reported as
+the complement against the Monte Carlo total.
 """
 
 from __future__ import annotations
@@ -38,8 +39,7 @@ def reflected_passage_density(
         raise OutOfGrid("post-crossing level must exceed b")
     if b <= 0 or b > scales.x_max:
         raise OutOfGrid("threshold must lie inside the scale grid")
-    r_b = float(scales.w(b)) * scales.w_prime(y) / float(scales.w_prime(b)) - scales.w(y)
-    out = model.levy_measure().density(z - y) * r_b
+    out = model.levy_measure().density(z - y) * scales.r_b(b, y)
     return out if out.ndim else float(out)
 
 

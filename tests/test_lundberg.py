@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -25,7 +26,8 @@ from levypassage.lundberg import (
     u_delta_density,
     u_hat_delta_density,
 )
-from levypassage.models import KIND_PURE_GAMMA, ModelSpec
+from levypassage.models import KIND_PH, KIND_PURE_GAMMA, ModelSpec, PhaseType
+from levypassage.reflected import reflected_passage_density
 
 
 def bisect(fn, lo, hi, iters=200):
@@ -258,6 +260,22 @@ class TestScaleSets:
                             f"{sets[i].route} vs {sets[j].route} gap {gap:.2e}"
                         )
 
+    def test_inversion_u_density_matches_closed_forms(self, bm_model, ph_model):
+        # u is inverted from its own transform; read as e^{rho x} times the
+        # inverted e^{-rho x} u it was off by 140% at rho = 2.7 and 1e69 at rho = 100
+        small_sigma = dataclasses.replace(ph_model, mu=0.5, sigma=0.1)
+        for model, route in (
+            (bm_model, ROUTE_CLOSED_BM),
+            (ph_model, ROUTE_CLOSED_PH),
+            (small_sigma, ROUTE_CLOSED_PH),
+        ):
+            for delta in (0.25, 1.0, 4.0):
+                inv = scale_via_inversion(model, delta, 4.0, 2049).u_delta.values
+                closed = build_scale_set(model, delta, 4.0, 2049, route=route).u_delta.values
+                assert np.max(np.abs(inv - closed)) < 1e-4 * np.max(closed), (
+                    f"{model.kind} sigma={model.sigma} delta={delta}"
+                )
+
     def test_ode_series_matches_closed_bm(self, bm_model):
         # spec pins 1e-6 sup agreement for the jump-free case on [0, 4]
         ode = scale_via_ode_series(bm_model, 0.5, 4.0, 4097)
@@ -274,6 +292,55 @@ class TestScaleSets:
         assert np.all(np.diff(scales.w.values) >= -1e-10)
         # Z = 1 identically at delta = 0
         assert np.max(np.abs(scales.z.values - 1.0)) < 1e-12
+
+
+class TestReflectedKernel:
+    """r_b(y) = W(b) W'(y)/W'(b) - W(y) on exponential jumps (lambda = 1,
+    mu = 0.5, delta = 0.5, b = 4), where rho(delta) b runs from 54 to 1600
+    and the direct form returns 0, inf or NaN."""
+
+    B, DELTA = 4.0, 0.5
+
+    def _model(self, sigma):
+        return ModelSpec(
+            kind=KIND_PH, mu=0.5, sigma=sigma, lam=1.0, ph=PhaseType([1.0], [[-1.0]])
+        )
+
+    def _r_b(self, sigma, ys):
+        model = self._model(sigma)
+        scales = build_scale_set(model, self.DELTA, 6.0)
+        zs = np.full_like(ys, self.B + 0.5)
+        dens = reflected_passage_density(model, scales, self.B, ys, zs)
+        return dens / model.levy_measure().density(zs - ys)
+
+    @staticmethod
+    def _nodes(h):
+        return np.array([round(y / h) * h for y in (0.5, 2.0, 3.9)])
+
+    @pytest.mark.parametrize("sigma", [0.3, 0.1])
+    def test_against_residue_sum(self, sigma):
+        # W(x) = sum_r e^{r x}/phi_D'(r) over the three roots of phi_D(u) = delta,
+        # (sigma^2 u^2/2 - mu u - delta)(1 + u) - lam u = 0, at 600 digits
+        mp = pytest.importorskip("mpmath")
+        ys = self._nodes(6.0 / 2048)
+        got = self._r_b(sigma, ys)
+        with mp.workdps(600):
+            s2, mu, lam, delta = mp.mpf(sigma) ** 2, mp.mpf("0.5"), mp.mpf(1), mp.mpf("0.5")
+            roots = mp.polyroots(
+                [s2 / 2, s2 / 2 - mu, -mu - delta - lam, -delta], maxsteps=400, extraprec=2000
+            )
+            weights = [1 / (-mu + s2 * r - lam / (1 + r) ** 2) for r in roots]
+
+            def w(x, k=0):
+                return mp.re(sum(c * r**k * mp.exp(r * x) for c, r in zip(weights, roots)))
+
+            b = mp.mpf(self.B)
+            want = [float(w(b) * w(mp.mpf(y), 1) / w(b, 1) - w(mp.mpf(y))) for y in ys]
+        assert got == pytest.approx(want, rel=1e-6)
+
+    def test_finite_at_small_sigma(self):
+        got = self._r_b(0.05, self._nodes(6.0 / 2048))
+        assert np.all(np.isfinite(got)) and np.all(got >= 0)
 
 
 class TestUMeasures:

@@ -116,9 +116,9 @@ class TestKernelC:
 class TestChain:
     def test_state_dependent_perturbed_gamma_vs_simulation(self, pgamma_model):
         policy = _affine_policy()
-        # the default 512-point state grid: on 129 points (step 0.25 over the
-        # reachable span [-7.4, 24.9]) the state-grid quadrature of kernel_a
-        # alone leaves 3.8e-3 of the mass unbalanced
+        # the default 512-point state grid: on 129 points (step 0.14 over the
+        # span [-8.0, 9.9]) the state-grid quadrature of kernel_a alone leaves
+        # 2.3e-3 of the mass unbalanced
         p_fail, e_time, ys, rho = PolicyKernels(pgamma_model, policy).chain(4)
         assert p_fail.sum() + np.trapezoid(rho, ys) == pytest.approx(1.0, abs=2e-3)
         sim = simulate_policy(pgamma_model, policy, 20_000, seed=3)
@@ -127,6 +127,18 @@ class TestChain:
             assert_within_se(mc.estimate, mc.std_error, p_fail[i - 1], 3.0, f"P(I = {i})")
             mc = sim.e_t_star_on_i(i)
             assert_within_se(mc.estimate, mc.std_error, e_time[i - 1], 3.0, f"E[T*; I = {i}]")
+
+    def test_pure_gamma_affine_vs_simulation(self, gamma_model):
+        # the state grid stops at d(b): a pure-gamma survivor ends at or below b
+        policy = PolicySpec(
+            b=2.0, m=InspectionSchedule("constant", 1.5), d=MaintenanceAction("affine", 0.5, 0.1)
+        )
+        p_fail, _, ys, rho = PolicyKernels(gamma_model, policy).chain(4)
+        assert p_fail.sum() + np.trapezoid(rho, ys) == pytest.approx(1.0, abs=2e-3)
+        sim = simulate_policy(gamma_model, policy, 100_000, seed=3)
+        for i in range(1, 5):
+            mc = sim.p_i(i)
+            assert_within_se(mc.estimate, mc.std_error, p_fail[i - 1], 3.0, f"P(I = {i})")
 
     @pytest.mark.parametrize("kind", ["pgamma_model", "ph_model"])
     def test_reset_chain_geometric(self, kind, request):

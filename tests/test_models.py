@@ -237,6 +237,19 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             PhaseType([1.0, 0.0], [[-1.0, 2.0], [0.0, -1.0]])  # positive row sum
 
+    def test_ph_initial_vector_must_sum_to_one(self):
+        # phi_D, the Lundberg polynomial and the D_t density assume alpha . 1 = 1
+        short = PhaseType([0.5], [[-1.0]])  # a defective law is still a PhaseType
+        with pytest.raises(ValueError, match="fold the missing mass into lambda"):
+            ModelSpec(kind=KIND_PH, mu=0.5, sigma=1.0, lam=1.0, ph=short)
+        doc = {"kind": "perturbed_cp_ph", "sigma": 1.0, "lambda": 1.0}
+        with pytest.raises(SchemaError, match="fold the missing mass into lambda"):
+            model_from_dict({**doc, "ph": {"alpha": [0.5], "T": [[-1.0]]}})
+        a = 0.37
+        ph = {"alpha": [a, 1.0 - a], "T": [[-3.0, 1.0], [0.5, -2.0]]}
+        model = model_from_dict({**doc, "ph": ph})
+        assert float(model.phi_d(0.0)) == 0.0
+
     def test_ph_moments(self):
         ph = PhaseType([1.0], [[-2.0]])  # Exp(2)
         assert ph.moment(1) == pytest.approx(0.5)
