@@ -72,7 +72,6 @@ from .mc import (
     run_reflected_at_exp_horizon,
     run_reflected_first_passage,
     run_reflected_last_passage,
-    run_reflected_marginal,
 )
 from .models import (
     CPApprox,

@@ -294,7 +294,6 @@ def _cmd_duality(args) -> int:
         t_max=max(args.t, args.dt),
         n_paths=args.paths,
         seed=args.seed,
-        bridge_correction=args.bridge == "on",
         max_blocks=1,
     )
     refl, fp = duality_check(model, args.b, args.t, cfg)
@@ -358,7 +357,6 @@ def _cmd_simulate(args) -> int:
         t_max=args.t_max,
         n_paths=args.paths,
         seed=args.seed,
-        bridge_correction=args.bridge == "on",
         max_blocks=args.max_blocks,
     )
     delta = 0.5 if args.delta is None else args.delta
@@ -379,7 +377,7 @@ def _cmd_simulate(args) -> int:
         "se": res.std_error,
         "n": res.n,
         "meta": res.meta,
-        "censored": res.extra.get("censored", 0),
+        "censored": res.censored,
     }
     print(json.dumps(doc, indent=2, sort_keys=True))
     return 0
@@ -566,7 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--paths", type=int, default=20000)
     q.add_argument("--dt", type=float, default=2e-3)
     q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--bridge", default="on", choices=["on", "off"])
     q.set_defaults(func=_cmd_duality)
 
     q = sub.add_parser("maintenance", help="inspection-policy kernels and laws")
@@ -592,7 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--t-max", type=float, default=8.0)
     q.add_argument("--max-blocks", type=int, default=16)
     q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--bridge", default="on", choices=["on", "off"])
     q.set_defaults(func=_cmd_simulate)
 
     q = sub.add_parser("validate", help="run the cross-validation suite")

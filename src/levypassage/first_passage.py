@@ -35,7 +35,7 @@ from .numerics import (
     reg_gamma_p,
     reg_gamma_q,
 )
-from .renewal import build_renewal_kernels
+from .renewal import SERIES_TERMS, build_renewal_kernels
 
 ROUTE_PK_SERIES = "pk_series"
 ROUTE_SCALE = "scale_formula"
@@ -87,7 +87,6 @@ def pk_series_transform(
     penalty: PenaltySpec | None = None,
     b_max: float = 4.0,
     n: int = 2049,
-    k_max: int = 200,
 ) -> PassageTransform:
     """Penalty transform by the renewal series phi = sum_k g*k * h.
 
@@ -111,7 +110,7 @@ def pk_series_transform(
     term = kernels.h
     total = term.values.copy()
     converged = False
-    for _ in range(k_max):
+    for _ in range(SERIES_TERMS):
         if np.max(np.abs(term.values)) < 1e-10:
             converged = True
             break
@@ -119,7 +118,7 @@ def pk_series_transform(
         total += term.values
     if not converged and np.max(np.abs(term.values)) > 1e-8:
         raise SeriesNotConverged(
-            f"renewal series sup-norm {np.max(np.abs(term.values)):.2e} after {k_max} terms"
+            f"renewal series sup-norm {np.max(np.abs(term.values)):.2e} after {SERIES_TERMS} terms"
         )
     return PassageTransform(
         delta, GridFunction(0.0, kernels.h.h, total), ROUTE_PK_SERIES

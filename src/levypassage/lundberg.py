@@ -38,7 +38,7 @@ from .numerics import (
     poly_roots_complex,
     stehfest_coefficients,
 )
-from .renewal import build_renewal_kernels
+from .renewal import SERIES_TERMS, build_renewal_kernels
 
 ROUTE_CLOSED_BM = "closed_bm"
 ROUTE_CLOSED_PH = "closed_ph"
@@ -433,7 +433,6 @@ def scale_via_ode_series(
     delta: float,
     x_max: float,
     n: int = 2049,
-    k_max: int = 200,
 ) -> ScaleSet:
     """W from the renewal route: W' - rho W = H with
 
@@ -455,7 +454,7 @@ def scale_via_ode_series(
     term = kernels.h_prime.with_values(kernels.h_prime.values + kernels.g.values)
     series = term.values.copy()
     converged = False
-    for _ in range(k_max):
+    for _ in range(SERIES_TERMS):
         if np.max(np.abs(term.values)) < 1e-10:
             converged = True
             break
@@ -463,7 +462,7 @@ def scale_via_ode_series(
         series += term.values
     if not converged and np.max(np.abs(term.values)) > 1e-6:
         raise SeriesNotConverged(
-            f"ODE-series term sup-norm {np.max(np.abs(term.values)):.2e} after {k_max} terms"
+            f"ODE-series term sup-norm {np.max(np.abs(term.values)):.2e} after {SERIES_TERMS} terms"
         )
     h_vals = -(rho / delta) * series
     xs = kernels.g.grid()

@@ -56,6 +56,9 @@ from .mc import SimResult, _mean_result, _substream, increment_exact, run_cycle_
 from .models import ModelSpec
 
 _T_FLOOR = 1e-6  # degenerate-density floor for z -> m(y)
+_POLICY_STREAM = 7  # Philox stream of simulate_policy (see the mc module docstring)
+_STEPS_PER_CYCLE = 256  # skeleton steps per cycle in idle mode
+_MAX_CYCLES = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +374,6 @@ def simulate_policy(
     n_paths: int,
     seed: int = 0,
     idle_mode: bool = False,
-    steps_per_cycle: int = 256,
-    max_cycles: int = 10_000,
-    stream: int = 7,
 ) -> PolicySimResult:
     """Simulate renewal cycles of the maintained component.
 
@@ -381,25 +381,25 @@ def simulate_policy(
     the end-of-cycle value, so plain mode samples cycle endpoints from their
     exact laws.  ``idle_mode`` simulates a within-cycle skeleton to record
     the last time at or below the threshold (idle time = cycle end - last
-    contact), at O(steps_per_cycle) extra cost.
+    contact), at O(_STEPS_PER_CYCLE) extra cost per cycle.
     """
     if n_paths < 1:
         raise ValueError("need at least one path")
     rho0 = escape_rate(model)
-    rng = _substream(seed, stream, 0)
+    rng = _substream(seed, _POLICY_STREAM, 0)
     b = policy.b
     x = np.zeros(n_paths)
     t_star = np.zeros(n_paths)
     i_of_path = np.zeros(n_paths, dtype=np.int64)
     idle = np.full(n_paths, np.nan) if idle_mode else None
     idx = np.arange(n_paths)
-    for cycle in range(1, max_cycles + 1):
+    for cycle in range(1, _MAX_CYCLES + 1):
         m = idx.size
         if m == 0:
             break
         horizons = np.asarray(policy.m(x), dtype=float)
         if idle_mode:
-            v, last_contact = run_cycle_skeleton(model, rng, x, horizons, b, steps_per_cycle)
+            v, last_contact = run_cycle_skeleton(model, rng, x, horizons, b, _STEPS_PER_CYCLE)
         else:
             v = x + increment_exact(model, rng, horizons)
             last_contact = None
@@ -415,6 +415,6 @@ def simulate_policy(
         x = np.asarray(policy.d(v[keep]))
         idx = idx[keep]
     if idx.size:
-        raise HorizonExceeded(f"{idx.size} paths exceeded {max_cycles} cycles")
+        raise HorizonExceeded(f"{idx.size} paths exceeded {_MAX_CYCLES} cycles")
     return PolicySimResult(n_paths, i_of_path, t_star, idle)
 

@@ -1,9 +1,10 @@
 """Monte Carlo oracle: exact-increment path simulation for all model kinds.
 
 Increments are sampled from their exact laws per step (Gaussian, gamma,
-compound Poisson with phase-type sizes); the within-step diffusion extremes
-use Brownian-bridge corrections, so level crossings by the continuous part
-are detected without refining dt.
+compound Poisson with phase-type sizes).  For sigma > 0 the within-step
+extremes and hitting times of the continuous part are always drawn from its
+Brownian bridge, so level crossings are detected without refining dt; at
+sigma = 0 (pure gamma with drift) the path creeps linearly within a step.
 
 Last-passage estimators use the escape test.  From a level x > b the path
 never returns to (-inf, b] with probability 1 - e^{-rho0 (x - b)}; given that
@@ -27,20 +28,24 @@ few long paths at the end of a run cost few calls.  Callers find their
 events by first/last-True searches along the block; last-passage paths carry
 their own step clocks, since a return takes a path off the common schedule.
 Paths run in fixed groups of 100 000, each with a counter-based Philox
-substream keyed by (seed, stream, group), so for a given model, threshold
-and step settings a result depends only on (seed, stream, n_paths); no
-batching option can change it.
+substream keyed by (seed, stream, group).  Each estimator has its own stream
+number: 1 ``run_first_passage``, 2 ``run_last_passage``, 3
+``estimate_reflected_exceedance``, 4 ``run_reflected_first_passage``, 5
+``run_reflected_last_passage`` and 6 ``run_reflected_at_exp_horizon``
+(``maintenance.simulate_policy`` uses 7).  So for a given model, threshold
+and step settings a result depends only on (seed, n_paths); no batching
+option can change it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EscapeTestUnavailable, LevyPassageError
+from .errors import EscapeTestUnavailable, HorizonExceeded, LevyPassageError
 from .lundberg import escape_probability, escape_rate
 from .models import LevyMeasureView, ModelSpec
 
@@ -50,6 +55,9 @@ EXIT_JUMP = 2
 
 _GROUP_PATHS = 100_000  # paths per Philox substream
 _BLOCK_CELLS = 2**13  # path-steps per block draw
+# Philox stream number of each estimator (see the module docstring)
+_STREAM_FIRST, _STREAM_LAST, _STREAM_EXCEEDANCE = 1, 2, 3
+_STREAM_REFLECTED_FIRST, _STREAM_REFLECTED_LAST, _STREAM_EXP_HORIZON = 4, 5, 6
 
 
 @dataclass(frozen=True)
@@ -66,12 +74,13 @@ class SimConfig:
     t_max: float = 8.0
     n_paths: int = 10_000
     seed: int = 0
-    bridge_correction: bool = True
     max_blocks: int = 64
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_max < self.dt or self.n_paths < 1:
             raise ValueError("need dt > 0, t_max >= dt, n_paths >= 1")
+        if self.max_blocks < 1:
+            raise ValueError(f"need max_blocks >= 1, got {self.max_blocks}")
 
     @property
     def horizon_steps(self) -> int:
@@ -84,10 +93,7 @@ class SimResult:
     std_error: float
     n: int
     meta: str = ""
-    extra: dict = field(default_factory=dict)
-
-    def within(self, target: float, k: float = 3.0) -> bool:
-        return abs(self.estimate - target) <= k * max(self.std_error, 1e-300)
+    censored: int = 0  # paths without their event by the censoring horizon
 
 
 def _substream(seed: int, stream: int, group: int) -> np.random.Generator:
@@ -98,11 +104,18 @@ def _substream(seed: int, stream: int, group: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _mean_result(values: np.ndarray, meta: str, extra: dict | None = None) -> SimResult:
+def _mean_result(values: np.ndarray, meta: str, censored: int = 0) -> SimResult:
     n = values.size
+    if n == 0:
+        raise HorizonExceeded(f"{meta}: all {censored} paths censored; raise t_max * max_blocks")
     est = float(np.mean(values))
     se = float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else math.inf
-    return SimResult(est, se, n, meta, extra or {})
+    return SimResult(est, se, n, meta, censored)
+
+
+def _discount(t: np.ndarray, delta: float, ok: np.ndarray) -> np.ndarray:
+    """e^{-delta t} where ``ok``, 0 elsewhere."""
+    return np.where(ok, np.exp(-delta * np.where(ok, t, 0.0)), 0.0)
 
 
 def increment_exact(model: ModelSpec, rng: np.random.Generator, t) -> np.ndarray:
@@ -152,17 +165,16 @@ def _block_len(live: int) -> int:
     return max(1, _BLOCK_CELLS // live)
 
 
-def _block(law: _Law, rng, v: np.ndarray, dt, k: int, minimum: bool = True, bridge: bool = True):
+def _block(law: _Law, rng, v: np.ndarray, dt, k: int, minimum: bool = True):
     """k steps from levels v, of scalar or per-path length dt.
 
     Draws, in this order, the Gaussian increments, the uniforms of the
-    Brownian-bridge minima of the continuous part (only when ``minimum``,
-    sigma > 0 and ``bridge``) and the jump increments lumped at each step
-    end, each as a (paths x k) block; levels are their cumulative sums.
-    Returns (start, c_end, m_min, post): the level at each step start, the
-    continuous level at the step end, its minimum over the step (None without
-    ``minimum``; the smaller endpoint without a bridge draw) and the level
-    after the jumps.
+    Brownian-bridge minima of the continuous part (only when ``minimum`` and
+    sigma > 0) and the jump increments lumped at each step end, each as a
+    (paths x k) block; levels are their cumulative sums.  Returns (start,
+    c_end, m_min, post): the level at each step start, the continuous level
+    at the step end, its minimum over the step (None without ``minimum``;
+    the smaller endpoint at sigma = 0) and the level after the jumps.
     """
     n = v.size
     dt = np.asarray(dt, dtype=float)
@@ -171,7 +183,7 @@ def _block(law: _Law, rng, v: np.ndarray, dt, k: int, minimum: bool = True, brid
         cont = rng.normal(law.mu * dt_col, law.sigma * np.sqrt(dt_col), (n, k))
     else:
         cont = np.broadcast_to(law.mu * dt_col, (n, k))
-    u = rng.random((n, k)) if minimum and law.sigma > 0 and bridge else None
+    u = rng.random((n, k)) if minimum and law.sigma > 0 else None
     inc = cont
     if law.jumps is not None:
         dt_cells = np.broadcast_to(dt_col, (n, k)).ravel() if dt.ndim else dt
@@ -211,28 +223,28 @@ def _running_inf(m_min: np.ndarray, inf0: np.ndarray) -> np.ndarray:
     return np.minimum.accumulate(np.minimum(m_min, inf0[:, None]), axis=1)
 
 
-def _crossed_up(law: _Law, rng, start, c_end, post, level, dt, bridge: bool):
+def _crossed_up(law: _Law, rng, start, c_end, post, level, dt):
     """(creep, jump) masks of an up-crossing of ``level`` (scalar or per cell)
     in each step start -> c_end -> post: the continuous end value reaches the
     level, else the bridge between start and c_end crosses it (one uniform
     per cell), else the jump carries the path over."""
     creep = c_end >= level
-    if law.sigma > 0 and bridge:
+    if law.sigma > 0:
         gap0 = np.clip(level - start, 0.0, None)
         gap1 = np.clip(level - c_end, 0.0, None)
         creep |= rng.random(creep.shape) < np.exp(-2.0 * gap0 * gap1 / (law.sigma**2 * dt))
     return creep, ~creep & (post >= level)
 
 
-def _hit_time(law: _Law, rng, h0: np.ndarray, h1: np.ndarray, dt: float, bridge: bool) -> np.ndarray:
+def _hit_time(law: _Law, rng, h0: np.ndarray, h1: np.ndarray, dt: float) -> np.ndarray:
     """Time into a step at which its continuous part, h0 > 0 above a level at
     the start and h1 at the end, first reaches the level, given that it does.
     Under s = dt u/(1+u) the Brownian bridge is a Brownian motion in u with
     drift |h1| / (sigma sqrt(dt)) towards or away from the level, so u given
     the hit is inverse Gaussian; it is drawn by Michael, Schucany & Haas
-    (1976), in a form that stays finite as that drift goes to 0.  Without a
-    bridge the continuous part is taken linear within the step."""
-    if not (law.sigma > 0 and bridge):
+    (1976), in a form that stays finite as that drift goes to 0.  At sigma = 0
+    the continuous part is linear within the step."""
+    if law.sigma == 0:
         return dt * h0 / (h0 - h1)
     scale = law.sigma * math.sqrt(dt)
     d = h0 / scale  # u-distance to the level
@@ -268,49 +280,47 @@ def _escape_rate(model: ModelSpec, rho0: float | None) -> float:
 
 @dataclass(frozen=True)
 class FirstPassageSample:
+    """First up-crossings of b by D (``label`` T_b) or by D* (T*_b)."""
+
     b: float
     t_cross: np.ndarray  # +inf when censored
     exit_kind: np.ndarray
-    undershoot: np.ndarray  # b - D(T-), 0 for creeping
-    overshoot: np.ndarray  # D(T) - b, 0 for creeping
+    undershoot: np.ndarray  # b - D(T-) (D*(T-) for T*_b), 0 for creeping
+    overshoot: np.ndarray  # D(T) - b (D*(T) for T*_b), 0 for creeping
     horizon: float
+    label: str
 
     @property
     def n(self) -> int:
         return self.t_cross.size
 
+    @property
+    def censored(self) -> int:
+        return int(np.sum(~np.isfinite(self.t_cross)))
+
     def cdf_at(self, t: float) -> SimResult:
-        return _mean_result((self.t_cross <= t).astype(float), f"P(T_b<= {t:g})")
+        return _mean_result((self.t_cross <= t).astype(float), f"P({self.label}<= {t:g})", self.censored)
 
     def laplace_at(self, delta: float) -> SimResult:
-        vals = np.where(np.isfinite(self.t_cross), np.exp(-delta * self.t_cross), 0.0)
-        extra = {"censored": int(np.sum(~np.isfinite(self.t_cross)))}
-        return _mean_result(vals, f"E[e^(-{delta:g} T_b)]", extra)
+        vals = _discount(self.t_cross, delta, np.isfinite(self.t_cross))
+        return _mean_result(vals, f"E[e^(-{delta:g} {self.label})]", self.censored)
 
-    def penalty_laplace(self, delta: float, eps: float) -> SimResult:
-        """E[e^{-delta T_b} 1{overshoot > eps}]."""
-        ind = (self.exit_kind == EXIT_JUMP) & (self.overshoot > eps)
-        vals = np.where(
-            ind & np.isfinite(self.t_cross), np.exp(-delta * self.t_cross), 0.0
-        )
-        return _mean_result(vals, f"E[e^(-{delta:g} T_b); w>{eps:g}]")
+    def jump_laplace(self, delta: float) -> SimResult:
+        ok = np.isfinite(self.t_cross) & (self.exit_kind == EXIT_JUMP)
+        vals = _discount(self.t_cross, delta, ok)
+        return _mean_result(vals, f"E[e^(-{delta:g} {self.label}); jump]", self.censored)
 
     def penalty_value(self, delta: float, w) -> SimResult:
         """E[e^{-delta T_b} w(undershoot, overshoot)]; creeping paths carry
         w(0, 0) since they cross with zero under- and overshoot."""
-        ok = np.isfinite(self.t_cross)
         weights = np.asarray(w(self.undershoot, self.overshoot), dtype=float)
-        vals = np.where(ok, np.exp(-delta * np.where(ok, self.t_cross, 0.0)) * weights, 0.0)
-        return _mean_result(vals, f"E[e^(-{delta:g} T_b) w]")
-
-    def jump_crossing_prob(self) -> SimResult:
-        return _mean_result((self.exit_kind == EXIT_JUMP).astype(float), "P(cross by jump)")
+        vals = _discount(self.t_cross, delta, np.isfinite(self.t_cross)) * weights
+        return _mean_result(vals, f"E[e^(-{delta:g} {self.label}) w]", self.censored)
 
 
-def _first_passages(model: ModelSpec, cfg: SimConfig, b: float, stream: int, reflect: bool):
+def _first_passages(model: ModelSpec, cfg: SimConfig, b: float, reflect: bool) -> FirstPassageSample:
     """First up-crossings of b by D, or by D* = D - inf(D ^ 0) when
-    ``reflect``: (t_cross, exit_kind, undershoot, overshoot), +inf in t_cross
-    where censored.  D* crosses b when D crosses b + inf(D ^ 0), taken before
+    ``reflect``.  D* crosses b when D crosses b + inf(D ^ 0), taken before
     each step (within-step ordering is O(dt)); the free process keeps that
     infimum at 0."""
     if b <= 0:
@@ -321,18 +331,16 @@ def _first_passages(model: ModelSpec, cfg: SimConfig, b: float, stream: int, ref
     kind = np.zeros(n, dtype=np.int8)
     und = np.zeros(n)
     over = np.zeros(n)
-    for rng, idx in _path_groups(cfg, stream):
+    for rng, idx in _path_groups(cfg, _STREAM_REFLECTED_FIRST if reflect else _STREAM_FIRST):
         v = np.zeros(idx.size)
         inf_d = np.zeros(idx.size)
         clock = 0  # steps taken, the same for every live path
         while idx.size and clock < cfg.horizon_steps:
             k = min(_block_len(idx.size), cfg.horizon_steps - clock)
-            start, c_end, m_min, post = _block(
-                law, rng, v, cfg.dt, k, minimum=reflect, bridge=cfg.bridge_correction
-            )
+            start, c_end, m_min, post = _block(law, rng, v, cfg.dt, k, minimum=reflect)
             inf_after = _running_inf(m_min, inf_d) if reflect else np.zeros_like(post)
             level = b + np.hstack((inf_d[:, None], inf_after[:, :-1]))
-            creep, jumpx = _crossed_up(law, rng, start, c_end, post, level, cfg.dt, cfg.bridge_correction)
+            creep, jumpx = _crossed_up(law, rng, start, c_end, post, level, cfg.dt)
             done, j = _first(creep | jumpx)
             if done.any():
                 rows, j = np.flatnonzero(done), j[done]
@@ -345,13 +353,16 @@ def _first_passages(model: ModelSpec, cfg: SimConfig, b: float, stream: int, ref
                 over[gi] = np.where(by_creep, 0.0, post[rows, j] - lev)
             v, inf_d, idx = post[~done, -1], inf_after[~done, -1], idx[~done]
             clock += k
-    return t_cross, kind, und, over
+    label = "T*_b" if reflect else "T_b"
+    return FirstPassageSample(b, t_cross, kind, und, over, cfg.t_max * cfg.max_blocks, label)
 
 
-def run_first_passage(model: ModelSpec, cfg: SimConfig, b: float, stream: int = 1) -> FirstPassageSample:
-    return FirstPassageSample(
-        b, *_first_passages(model, cfg, b, stream, False), cfg.t_max * cfg.max_blocks
-    )
+def run_first_passage(model: ModelSpec, cfg: SimConfig, b: float) -> FirstPassageSample:
+    return _first_passages(model, cfg, b, False)
+
+
+def run_reflected_first_passage(model: ModelSpec, cfg: SimConfig, b: float) -> FirstPassageSample:
+    return _first_passages(model, cfg, b, True)
 
 
 # ---------------------------------------------------------------------------
@@ -360,43 +371,44 @@ def run_first_passage(model: ModelSpec, cfg: SimConfig, b: float, stream: int = 
 
 @dataclass(frozen=True)
 class LastPassageSample:
+    """Last contacts with (-inf, b] of D (``label`` L_b) or of D* (L*_b)."""
+
     b: float
     l_last: np.ndarray  # last time at or below b; NaN if censored
     exit_kind: np.ndarray
     undershoot: np.ndarray  # b - D(L-) for jump exits
     overshoot: np.ndarray  # D(L) - b for jump exits
     censored: int
+    label: str
 
     @property
     def n(self) -> int:
         return self.l_last.size
 
+    def _mean(self, values: np.ndarray, meta: str) -> SimResult:
+        """Mean of per-path values over the uncensored paths."""
+        return _mean_result(values[np.isfinite(self.l_last)], meta, self.censored)
+
     def cdf_at(self, t: float) -> SimResult:
-        ok = np.isfinite(self.l_last)
-        return _mean_result(
-            (self.l_last[ok] < t).astype(float), f"P(L_b< {t:g})", {"censored": self.censored}
-        )
+        return self._mean((self.l_last < t).astype(float), f"P({self.label}< {t:g})")
 
     def laplace_at(self, delta: float) -> SimResult:
-        ok = np.isfinite(self.l_last)
-        return _mean_result(np.exp(-delta * self.l_last[ok]), f"E[e^(-{delta:g} L_b)]")
+        return self._mean(np.exp(-delta * self.l_last), f"E[e^(-{delta:g} {self.label})]")
 
     def jump_crossing_prob(self) -> SimResult:
-        ok = np.isfinite(self.l_last)
-        return _mean_result(
-            (self.exit_kind[ok] == EXIT_JUMP).astype(float), "P(last crossing by jump)"
-        )
+        return self._mean((self.exit_kind == EXIT_JUMP).astype(float), "P(last crossing by jump)")
 
 
-def _last_passages(model: ModelSpec, cfg: SimConfig, b: float, rho0: float, stream: int, reflect: bool):
+def _last_passages(
+    model: ModelSpec, cfg: SimConfig, b: float, rho0: float | None, reflect: bool
+) -> LastPassageSample:
     """Last contacts with (-inf, b] of D, or of D* = D - inf(D ^ 0) when
     ``reflect``, by the escape test with conditioned returns (see the module
-    docstring).  Returns (l_last, exit_kind, undershoot, overshoot), NaN in
-    l_last where censored, and the censored count.  Above b > 0 the reflected
-    process moves as D does, so one loop serves both: the free process keeps
-    its infimum at 0."""
+    docstring).  Above b > 0 the reflected process moves as D does, so one
+    loop serves both: the free process keeps its infimum at 0."""
     if b <= 0:
         raise ValueError("threshold must be positive")
+    rho0 = _escape_rate(model, rho0)
     law, tilted = _Law.of(model), None
     gap = 1.0 / rho0  # a path is tested above b + gap (see the module docstring)
     horizon, dt = cfg.horizon_steps, cfg.dt
@@ -406,7 +418,7 @@ def _last_passages(model: ModelSpec, cfg: SimConfig, b: float, rho0: float, stre
     und = np.zeros(n)
     over = np.zeros(n)
     censored = 0
-    for rng, idx in _path_groups(cfg, stream):
+    for rng, idx in _path_groups(cfg, _STREAM_REFLECTED_LAST if reflect else _STREAM_LAST):
         m = idx.size
         v = np.zeros(m)
         inf_d = np.zeros(m)
@@ -434,21 +446,21 @@ def _last_passages(model: ModelSpec, cfg: SimConfig, b: float, rho0: float, stre
                 # the path resumes from b at the hitting time, so its next
                 # forward step records the contact
                 tilted = tilted or _Law.tilted(model, rho0)
-                start, c_end, m_min, post = _block(tilted, rng, v[back], dt, k, bridge=cfg.bridge_correction)
+                start, c_end, m_min, post = _block(tilted, rng, v[back], dt, k)
                 level = (b + inf_d[back])[:, None]
                 hit, j = _first(m_min <= level)
                 level = level[hit, 0]
                 h0, h1 = _at(start, j)[hit] - level, _at(c_end, j)[hit] - level
                 r = back[hit]
                 clock[r] += j[hit] + 1
-                lag[r] += dt - _hit_time(tilted, rng, h0, h1, dt, cfg.bridge_correction)
+                lag[r] += dt - _hit_time(tilted, rng, h0, h1, dt)
                 v[r] = level
                 returning[r] = False
                 r = back[~hit]
                 v[r] = post[~hit, -1]
                 clock[r] += k
             if fwd.size:
-                start, c_end, m_min, post = _block(law, rng, v[fwd], dt, k, bridge=cfg.bridge_correction)
+                start, c_end, m_min, post = _block(law, rng, v[fwd], dt, k)
                 inf_after = _running_inf(m_min, inf_d[fwd]) if reflect else np.zeros_like(post)
                 level = b + inf_after
                 tested, jt = _first(post - level > gap)
@@ -474,98 +486,72 @@ def _last_passages(model: ModelSpec, cfg: SimConfig, b: float, rho0: float, stre
         # a creeping exit leaves (-inf, b] inside its step, at the first hit of
         # b by the step's bridge run backwards from the step end
         creep = escaped & (e_kind == EXIT_CREEP)
-        last[creep] -= _hit_time(law, rng, e_end[creep], e_start[creep], dt, cfg.bridge_correction)
+        last[creep] -= _hit_time(law, rng, e_end[creep], e_start[creep], dt)
         gi = idx[escaped]
         l_last[gi] = last[escaped]
         kind[gi] = e_kind[escaped]
         und[gi] = e_y[escaped]
         over[gi] = e_w[escaped]
         censored += m - int(escaped.sum())
-    return l_last, kind, und, over, censored
+    label = "L*_b" if reflect else "L_b"
+    return LastPassageSample(b, l_last, kind, und, over, censored, label)
 
 
 def run_last_passage(
-    model: ModelSpec,
-    cfg: SimConfig,
-    b: float,
-    rho0: float | None = None,
-    stream: int = 2,
+    model: ModelSpec, cfg: SimConfig, b: float, rho0: float | None = None
 ) -> LastPassageSample:
     """Simulate each path until the escape test accepts it.  A path the test
     keeps first returns to b under the tilted law, so the estimate does not
     depend on t_max beyond the censoring horizon (see the module docstring)."""
-    return LastPassageSample(b, *_last_passages(model, cfg, b, _escape_rate(model, rho0), stream, False))
+    return _last_passages(model, cfg, b, rho0, False)
+
+
+def run_reflected_last_passage(
+    model: ModelSpec, cfg: SimConfig, b: float, rho0: float | None = None
+) -> LastPassageSample:
+    """L*_b = last time D* <= b; escape test and conditioned return apply
+    unchanged above b > 0."""
+    return _last_passages(model, cfg, b, rho0, True)
 
 
 # ---------------------------------------------------------------------------
-# Reflected process D* = D - inf(D ^ 0)
+# D* = D - inf(D ^ 0) at a given time
 
 
-def run_reflected_marginal(
-    model: ModelSpec, cfg: SimConfig, times: np.ndarray, stream: int = 3
-) -> np.ndarray:
-    """Values of D* at the requested times for every path (rows = paths)."""
-    times = np.asarray(times, dtype=float)
-    record = np.round(times / cfg.dt).astype(int)
-    steps = int(record.max())
-    law = _Law.of(model)
-    out = np.zeros((cfg.n_paths, times.size))  # D*_0 = 0
-    for rng, idx in _path_groups(cfg, stream):
-        v = np.zeros(idx.size)
-        inf_d = np.zeros(idx.size)
-        clock = 0
-        while clock < steps:
-            k = min(_block_len(idx.size), steps - clock)
-            _, _, m_min, post = _block(law, rng, v, cfg.dt, k, bridge=cfg.bridge_correction)
-            inf_after = _running_inf(m_min, inf_d)
-            for col in np.flatnonzero((record > clock) & (record <= clock + k)):
-                j = record[col] - clock - 1
-                out[idx, col] = post[:, j] - inf_after[:, j]
-            v, inf_d = post[:, -1], inf_after[:, -1]
-            clock += k
+def _reflected_after(law: _Law, rng, dt: float, need: np.ndarray) -> np.ndarray:
+    """D* after need[i] steps of path i (D*_0 = 0 where need[i] is 0)."""
+    out = np.zeros(need.size)
+    v = np.zeros(need.size)
+    inf_d = np.zeros(need.size)
+    live = np.flatnonzero(need > 0)
+    clock = 0
+    while live.size:
+        k = min(_block_len(live.size), int(need[live].max()) - clock)
+        _, _, m_min, post = _block(law, rng, v[live], dt, k)
+        inf_after = _running_inf(m_min, inf_d[live])
+        j = need[live] - clock - 1
+        fin = j < k
+        rows, j = np.flatnonzero(fin), j[fin]
+        out[live[fin]] = post[rows, j] - inf_after[rows, j]
+        v[live], inf_d[live] = post[:, -1], inf_after[:, -1]
+        live = live[~fin]
+        clock += k
     return out
 
 
-def estimate_reflected_exceedance(
-    model: ModelSpec, cfg: SimConfig, b: float, t: float, stream: int = 3
-) -> SimResult:
+def estimate_reflected_exceedance(model: ModelSpec, cfg: SimConfig, b: float, t: float) -> SimResult:
     """P(D*_t > b) by simulation."""
-    vals = run_reflected_marginal(model, cfg, np.array([t]), stream)[:, 0]
+    law = _Law.of(model)
+    steps = int(np.round(t / cfg.dt))
+    vals = np.concatenate([
+        _reflected_after(law, rng, cfg.dt, np.full(idx.size, steps))
+        for rng, idx in _path_groups(cfg, _STREAM_EXCEEDANCE)
+    ])
     return _mean_result((vals > b).astype(float), f"P(D*_{t:g} > {b:g})")
 
 
-@dataclass(frozen=True)
-class ReflectedFirstPassageSample:
-    b: float
-    t_cross: np.ndarray
-    exit_kind: np.ndarray
-    pre_level: np.ndarray  # D*(T-) for jump exits
-    post_level: np.ndarray  # D*(T) for jump exits
-
-    def laplace_at(self, delta: float) -> SimResult:
-        vals = np.where(np.isfinite(self.t_cross), np.exp(-delta * self.t_cross), 0.0)
-        return _mean_result(vals, f"E[e^(-{delta:g} T*_b)]")
-
-    def jump_laplace(self, delta: float) -> SimResult:
-        ok = np.isfinite(self.t_cross) & (self.exit_kind == EXIT_JUMP)
-        vals = np.where(ok, np.exp(-delta * np.where(ok, self.t_cross, 1.0)), 0.0)
-        return _mean_result(vals, f"E[e^(-{delta:g} T*_b); jump]")
-
-
-def run_reflected_first_passage(
-    model: ModelSpec, cfg: SimConfig, b: float, stream: int = 4
-) -> ReflectedFirstPassageSample:
-    t_cross, kind, und, over = _first_passages(model, cfg, b, stream, True)
-    return ReflectedFirstPassageSample(b, t_cross, kind, b - und, b + over)
-
-
 def run_reflected_at_exp_horizon(
-    model: ModelSpec,
-    cfg: SimConfig,
-    delta: float,
-    b: float,
-    rho0: float | None = None,
-    stream: int = 6,
+    model: ModelSpec, cfg: SimConfig, delta: float, b: float, rho0: float | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """(D*_T, indicator[L*_b >= T, D*_T > b]) for independent T ~ Exp(delta).
 
@@ -577,53 +563,12 @@ def run_reflected_at_exp_horizon(
     law = _Law.of(model)
     d_at_t = np.empty(cfg.n_paths)
     joint = np.zeros(cfg.n_paths)
-    for rng, idx in _path_groups(cfg, stream):
+    for rng, idx in _path_groups(cfg, _STREAM_EXP_HORIZON):
         horizon = rng.exponential(1.0 / delta, idx.size)
         need = np.maximum(1, np.ceil(horizon / cfg.dt).astype(int))  # steps to T
-        v = np.zeros(idx.size)
-        inf_d = np.zeros(idx.size)
-        live = np.arange(idx.size)
-        clock = 0
-        while live.size:
-            k = min(_block_len(live.size), int(need[live].max()) - clock)
-            _, _, m_min, post = _block(law, rng, v[live], cfg.dt, k, bridge=cfg.bridge_correction)
-            inf_after = _running_inf(m_min, inf_d[live])
-            j = need[live] - clock - 1
-            fin = j < k
-            rows, j = np.flatnonzero(fin), j[fin]
-            d_at_t[idx[live[fin]]] = post[rows, j] - inf_after[rows, j]
-            v[live], inf_d[live] = post[:, -1], inf_after[:, -1]
-            live = live[~fin]
-            clock += k
-        vals = d_at_t[idx]
+        vals = d_at_t[idx] = _reflected_after(law, rng, cfg.dt, need)
         joint[idx] = (vals > b) & ~_escapes(rng, vals, b, rho0)
     return d_at_t, joint
-
-
-@dataclass(frozen=True)
-class ReflectedLastPassageSample:
-    b: float
-    l_last: np.ndarray
-    censored: int
-
-    def laplace_at(self, delta: float) -> SimResult:
-        ok = np.isfinite(self.l_last)
-        return _mean_result(
-            np.exp(-delta * self.l_last[ok]), f"E[e^(-{delta:g} L*_b)]", {"censored": self.censored}
-        )
-
-
-def run_reflected_last_passage(
-    model: ModelSpec,
-    cfg: SimConfig,
-    b: float,
-    rho0: float | None = None,
-    stream: int = 5,
-) -> ReflectedLastPassageSample:
-    """L*_b = last time D* <= b; escape test and conditioned return apply
-    unchanged above b > 0."""
-    l_last, _, _, _, censored = _last_passages(model, cfg, b, _escape_rate(model, rho0), stream, True)
-    return ReflectedLastPassageSample(b, l_last, censored)
 
 
 # ---------------------------------------------------------------------------

@@ -329,10 +329,6 @@ class LevyMeasureView:
         """int_x^inf exp(-rho (u - x)) Qbar(u) du."""
         raise NotImplementedError
 
-    def total_mass(self) -> float:
-        """Q((0, inf)); inf for infinite-activity measures."""
-        raise NotImplementedError
-
     def default_x_max(self) -> float:
         """Smallest x with Qbar(x) < 1e-12 * Qbar(1e-3) (jump-support cutoff)."""
         target = 1e-12 * float(self.tail(1e-3))
@@ -409,9 +405,6 @@ class GammaMeasure(LevyMeasureView):
             )
         return out
 
-    def total_mass(self) -> float:
-        return math.inf
-
 
 class PHMeasure(LevyMeasureView):
     """Q(dx) = lam * alpha exp(x T) t dx (finite activity)."""
@@ -487,9 +480,6 @@ class PHMeasure(LevyMeasureView):
         m = self.ph.order
         rear = np.linalg.solve(rho * np.eye(m) - self.ph.t_mat, np.ones(m))
         return self.lam * self.ph.front_action(x, rear)
-
-    def total_mass(self) -> float:
-        return self.lam * float(self.ph.alpha.sum())
 
 
 def levy_measure(model: ModelSpec) -> LevyMeasureView:

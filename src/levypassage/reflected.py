@@ -52,7 +52,6 @@ def duality_check(
         t_max=t,
         n_paths=cfg.n_paths,
         seed=cfg.seed,
-        bridge_correction=cfg.bridge_correction,
         max_blocks=1,
     )
     p_reflected = estimate_reflected_exceedance(model, cfg, b, t)

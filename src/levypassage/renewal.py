@@ -35,6 +35,7 @@ from .errors import NoPerturbation
 from .models import LevyMeasureView, ModelSpec
 from .numerics import GridFunction, cell_nodes, cumulative_from_cells
 
+SERIES_TERMS = 200  # terms of a renewal series sum_k g*k before it counts as not converged
 _GL_TAIL_NODES, _GL_TAIL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 _GL_TAIL_NODES = 0.5 * (_GL_TAIL_NODES + 1.0)
 _GL_TAIL_WEIGHTS = 0.5 * _GL_TAIL_WEIGHTS

@@ -5,6 +5,7 @@ import pytest
 
 from levypassage.cli import dispatch, run_validation
 from levypassage.maintenance import PolicyKernels, policy_from_dict
+from levypassage.mc import SimConfig
 from levypassage.models import model_from_dict
 
 BM = {"kind": "brownian_drift", "mu": 1.0, "sigma": 1.0}
@@ -80,3 +81,34 @@ def test_simulate_honours_delta_zero(target, bm_model_file, capsys):
 def test_out_of_domain_input_is_usage_error(argv, bm_model_file, capsys):
     assert dispatch([argv[0], "--model", bm_model_file, *argv[1:]]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _simulate(model_file, *argv):
+    return dispatch(["simulate", "--model", model_file, "--paths", "200", "--dt", "0.01", *argv])
+
+
+def test_simulate_reports_the_censored_count(bm_model_file, capsys):
+    # a horizon of 0.05 is far too short for b = 1: every path is censored
+    argv = ["--target", "first", "--b", "1", "--t", "5", "--t-max", "0.05", "--max-blocks", "1"]
+    assert _simulate(bm_model_file, *argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["censored"] == 200 and doc["n"] == 200
+
+
+def test_simulate_with_every_path_censored_is_numerical_failure(bm_model_file, capsys):
+    # the last-passage estimates drop censored paths; none is left here
+    argv = ["--target", "last", "--b", "3", "--delta", "0.5", "--t-max", "0.5", "--max-blocks", "1"]
+    assert _simulate(bm_model_file, *argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: ") and "censored" in captured.err
+
+
+@pytest.mark.parametrize("max_blocks", [0, -3])
+def test_max_blocks_below_one_is_rejected(max_blocks, bm_model_file, capsys):
+    with pytest.raises(ValueError, match="max_blocks"):
+        SimConfig(max_blocks=max_blocks)
+    argv = ["--target", "first", "--b", "1", "--t", "1", "--max-blocks", str(max_blocks)]
+    assert _simulate(bm_model_file, *argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "max_blocks" in err

@@ -3,9 +3,12 @@ defined (models.py), where the D_t law is evaluated, and in a few named
 places; everything else reads the law from ``ModelSpec``."""
 
 import ast
+import dataclasses
+import importlib.util
 from pathlib import Path
 
 import levypassage
+from levypassage.mc import SimConfig
 
 SRC = Path(levypassage.__file__).parent
 
@@ -75,3 +78,29 @@ def test_mc_reads_the_jump_law_from_the_model():
         alias.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for alias in n.names
     }
     assert not {name for name in imported if name.startswith("KIND_")}
+
+
+def _perfbench_tracing():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_names_resolve():
+    # the benchmark's traced mode patches these (module, attr) pairs; a
+    # deleted or renamed one would only show when a traced run breaks
+    tracing = _perfbench_tracing()
+    for module, attr in tracing.SPANNED + tracing.COUNTED:
+        owner = getattr(levypassage, module)
+        *cls, name = attr.split(".")
+        if cls:
+            owner = getattr(owner, cls[0])
+            assert name in vars(owner), f"{module}.{attr}"
+        else:
+            assert callable(getattr(owner, name, None)), f"{module}.{attr}"
+
+
+def test_sim_config_fields():
+    assert {f.name for f in dataclasses.fields(SimConfig)} == {"dt", "t_max", "n_paths", "seed", "max_blocks"}

@@ -71,7 +71,7 @@ class TestPKSeries:
         tr = pk_series_transform(ph_model, delta, pen, b_max=2.0)
         cfg = SimConfig(dt=1e-3, t_max=8.0, n_paths=30_000, seed=42, max_blocks=4)
         sample = run_first_passage(ph_model, cfg, b)
-        mc = sample.penalty_laplace(delta, eps)
+        mc = sample.penalty_value(delta, lambda u, v: v > eps)
         assert_within_se(mc.estimate, mc.std_error, float(tr(b)), 3.0, "overshoot indicator")
 
     def test_callable_penalty_vs_mc(self, ph_model):

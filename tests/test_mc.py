@@ -71,7 +71,10 @@ class TestLastPassageEscapeTest:
     def _assert_same(a, b):
         for f in dataclasses.fields(a):
             x, y = getattr(a, f.name), getattr(b, f.name)
-            assert np.array_equal(x, y, equal_nan=True), f.name
+            if isinstance(x, np.ndarray):
+                assert np.array_equal(x, y, equal_nan=True), f.name
+            else:
+                assert x == y, f.name
 
     @pytest.mark.parametrize("run", [run_last_passage, run_reflected_last_passage])
     def test_t_max_only_sets_the_horizon(self, ph2_model, run):
