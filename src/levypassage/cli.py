@@ -374,7 +374,7 @@ def _cmd_simulate(args) -> int:
         raise UsageError(f"unknown target {args.target!r}")
     doc = {
         "estimate": res.estimate,
-        "se": res.std_error,
+        "se": res.std_error if math.isfinite(res.std_error) else None,  # one path has no SE
         "n": res.n,
         "meta": res.meta,
         "censored": res.censored,
@@ -615,3 +615,7 @@ def dispatch(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(dispatch())
+
+
+if __name__ == "__main__":
+    main()

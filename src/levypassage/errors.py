@@ -82,5 +82,9 @@ class EscapeTestUnavailable(UsageError):
     """Exact last-passage escape test needs the Lundberg root at delta = 0."""
 
 
+class UnresolvedKernel(NumericalError):
+    """A density cannot be resolved by point values on the requested lattice."""
+
+
 class HorizonExceeded(NumericalError):
     """Simulation exceeded its cycle/step budget."""

@@ -21,11 +21,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len
 from scipy.special import gammaincc, gammainccinv, gammaln, log_ndtr, ndtr
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import norm
 
-from .errors import NoJumpPart, TailNotDominated, WrongKind
+from .errors import NoJumpPart, TailNotDominated, UnresolvedKernel, WrongKind
 from .first_passage import PassageTransform
 from .lundberg import ScaleSet, escape_probability, escape_rate
 from .models import (
@@ -39,17 +40,21 @@ from .numerics import GridFunction, _gl_rule, _jacobi_rule, _pcd_core_integral
 
 _GL32_NODES, _GL32_WEIGHTS = _gl_rule(32)
 _N_QUAD = 4097  # trapezoid nodes per a-integral of last_passage_joint_mass
+_LATTICE_TAIL = 1e-16  # |characteristic function| at the Nyquist frequency of density_lattice
+_LATTICE_MAX = 1 << 18  # most lattice points per period density_lattice may use
+_LATTICE_BATCH = 1 << 16  # complex entries (1 MB) per batch of density_lattice rows
 
 
-def _grid_bounds(model: ModelSpec, t: float) -> tuple[float, float]:
+def _grid_bounds(model: ModelSpec, t):
+    """Support [lo, hi] of the D_t density, for a horizon or an array of them."""
     mean = model.mean_d1 * t
-    spread = math.sqrt(model.var_d1 * t)
+    spread = np.sqrt(model.var_d1 * t)
     lo = mean - 10.0 * spread - 1.0
     hi = mean + 14.0 * spread + 1.0
     if model.kind == KIND_PURE_GAMMA:
         lo = model.mu * t
     if model.kind in (KIND_PURE_GAMMA, KIND_PERTURBED_GAMMA):
-        hi = max(hi, model.mu * t + gamma_dist.isf(1e-13, model.alpha * t, scale=model.xi))
+        hi = np.maximum(hi, model.mu * t + gamma_dist.isf(1e-13, model.alpha * t, scale=model.xi))
     return lo, hi
 
 
@@ -135,6 +140,60 @@ def _closed_form_density(model: ModelSpec, t: float, a) -> np.ndarray:
     if model.kind == KIND_PURE_GAMMA:
         return gamma_dist.pdf(np.asarray(a) - model.mu * t, model.alpha * t, scale=model.xi)
     return perturbed_gamma_density(model, t, a)
+
+
+def density_lattice(model: ModelSpec, t, x0, step: float, n: int) -> np.ndarray:
+    """f_t(x0 + j step) for j = 0..n-1: one row per horizon t_i and start x0_i.
+
+    For sigma > 0 each row is one inverse real FFT of the characteristic
+    function, e^{t psi_D(i w) + i w x0} on the frequencies of a lattice of
+    step step/K (the lattice technique of Carr & Madan, J. Comput. Finance
+    2(4), 1999).  The inverse DFT samples the density periodised with period
+    P = N step/K, so N is sized for P to cover each row and the
+    ``_grid_bounds`` support of its horizon (nothing aliases), and the
+    integer oversampling K is the least that brings |e^{t psi_D(i w)}| at
+    the Nyquist frequency below 1e-16 for the shortest horizon (nothing is
+    truncated).  psi_D is evaluated once; a horizon enters only through
+    e^{t psi_D}.  A regime that would need more than 2^18 lattice points
+    raises ``UnresolvedKernel``.
+
+    For sigma = 0 (pure gamma) the closed form is evaluated at every lattice
+    point in one call.  Once alpha t < 1 that density is unbounded at the
+    origin and point values do not resolve it, which raises
+    ``UnresolvedKernel`` too.
+    """
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    x0 = np.broadcast_to(np.asarray(x0, dtype=float), t.shape)
+    if model.sigma == 0:
+        if model.alpha * t.min() < 1.0:
+            raise UnresolvedKernel(
+                f"the gamma density of D_t at t = {t.min():g} has shape alpha t < 1 and is "
+                "unbounded at the origin; its point values need a cell-mass chain "
+                "(ROADMAP direction 2)"
+            )
+        return _closed_form_density(model, t[:, None], x0[:, None] + step * np.arange(n))
+    lo, hi = _grid_bounds(model, t)
+    period = max(n * step, float(np.max(np.maximum(hi - x0, x0 + (n - 1) * step - lo))))
+    cells = math.ceil(period / step)
+    ks = np.arange(1, _LATTICE_MAX // cells + 1)
+    decays = t.min() * np.real(model.phi_d(1j * np.pi * ks / step)) <= math.log(_LATTICE_TAIL)
+    if not decays.any():
+        raise UnresolvedKernel(
+            f"|E e^(i w D_t)| at t = {t.min():g} stays above {_LATTICE_TAIL:g} up to the "
+            f"Nyquist frequency of {_LATTICE_MAX} lattice points (sigma = {model.sigma:g})"
+        )
+    k = int(ks[np.argmax(decays)])
+    size = next_fast_len(k * cells, real=True)
+    dx = step / k
+    omega = 2.0 * np.pi / (size * dx) * np.arange(size // 2 + 1)
+    psi = model.phi_d(1j * omega)
+    out = np.empty((t.size, n))
+    batch = max(1, _LATTICE_BATCH // omega.size)
+    for s in range(0, t.size, batch):
+        rows = slice(s, s + batch)
+        spec = np.exp(t[rows, None] * psi + 1j * np.outer(x0[rows], omega))
+        out[rows] = irfft(spec, size, axis=1)[:, : k * n : k] / dx
+    return np.maximum(out, 0.0)
 
 
 def _gaussian_escape_mass(u, tau: float, rho0: float):

@@ -36,6 +36,15 @@ states, rho_{k+1}(y') = int rho_k(y) A(y, y') dy from rho_1 = A(0, .), and
 ends with C (failure at cycle k + 1) or Cz (idle time).  Reset maintenance
 has no change of variables: it is the one-state case, all survivors at d0
 with rho_1 = 1 - C(0) and one-cycle survival 1 - C(d0).
+
+The recursion is a trapezoid sum over a uniform state grid y_j, so A is a
+matrix A(y_i, y_j).  With affine d the end levels a_j = d^{-1}(y_j) are
+uniform as well, and row i needs f_{m(y_i)} on the lattice a_j - y_i.
+``density_lattice`` builds every row from the characteristic function
+E[e^{-i w D_t}] = e^{t psi_D(i w)}: one inverse FFT per row when sigma > 0,
+with psi_D evaluated once for all rows, and the closed-form gamma density
+in one call when sigma = 0.  ``kernel_a`` stays the pointwise kernel (it
+gives rho_1) and the tests' reference for the matrix.
 """
 
 from __future__ import annotations
@@ -46,11 +55,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    GridMismatch,
     HorizonExceeded,
     NonBijectiveMaintenance,
     SchemaError,
 )
-from .last_passage import density_of_dt
+from .last_passage import density_lattice, density_of_dt
 from .lundberg import escape_probability, escape_rate
 from .mc import SimResult, _mean_result, _substream, increment_exact, run_cycle_skeleton
 from .models import ModelSpec
@@ -192,8 +202,25 @@ def policy_from_json(text: str) -> PolicySpec:
 # Cycle kernels
 
 
+def _uniform_grid(ys) -> np.ndarray:
+    """A caller's state grid, checked to be increasing and uniform to 1e-12
+    of its span: the trapezoid weights and the transition lattice assume it."""
+    ys = np.asarray(ys, dtype=float)
+    if ys.ndim != 1 or ys.size < 2 or not ys[-1] > ys[0]:
+        raise GridMismatch("a state grid needs at least two increasing points")
+    if np.max(np.abs(ys - np.linspace(ys[0], ys[-1], ys.size))) > 1e-12 * (ys[-1] - ys[0]):
+        raise GridMismatch("the state grid must be uniform (to 1e-12 of its span)")
+    return ys
+
+
 class PolicyKernels:
-    """A, C and the idle-time survivor for one (model, policy) pair."""
+    """A, C and the idle-time survivor for one (model, policy) pair.
+
+    ``kernel_a`` evaluates A pointwise; the chain builds the whole matrix of
+    A over its uniform state grid with ``_transition_matrix``, one lattice
+    of the D_t density per state.  ``kernel_c`` and ``kernel_cz`` take
+    arrays of states and make one ``escape_mass`` call per distinct horizon.
+    """
 
     def __init__(self, model: ModelSpec, policy: PolicySpec, rho0: float | None = None):
         self.model = model
@@ -253,9 +280,19 @@ class PolicyKernels:
             out[live] = self.kernel_c(ys[live], horizon=(t - z)[live])
         return out.reshape(y_in.shape) if y_in.ndim else float(out[0])
 
-    def _transition_rows(self, ys: np.ndarray) -> np.ndarray:
-        """Matrix of kernel_a(y_i, y_j) over the state grid, one row per state."""
-        return np.stack([self.kernel_a(float(y), ys) for y in ys])
+    def _transition_matrix(self, ys: np.ndarray) -> np.ndarray:
+        """kernel_a(y_i, y_j) for every pair of states of a uniform grid.
+
+        The end levels a_j = d^{-1}(y_j) are uniform too, so row i is the
+        density of D_{m(y_i)} on the lattice a_j - y_i: ``density_lattice``
+        gives all rows at once, one inverse FFT each for sigma > 0.
+        """
+        d = self.policy.d
+        a = d.inverse(ys)
+        t = np.maximum(self.policy.m(ys), _T_FLOOR)
+        step = (ys[-1] - ys[0]) / (ys.size - 1) / d.theta
+        surv = 1.0 - escape_probability(a - self.policy.b, self.rho0)
+        return density_lattice(self.model, t, a[0] - ys, step, ys.size) * (surv / d.derivative(ys))
 
     # -- state grid and chain products
 
@@ -288,11 +325,11 @@ class PolicyKernels:
             d0 = float(self.policy.d(0.0))
             c0, cd = self.kernel_c(np.array([0.0, d0]))
             return np.array([d0]), np.ones(1), np.array([1.0 - c0]), lambda: np.array([[1.0 - cd]])
-        ys = self.default_state_grid(i_max) if state_grid is None else state_grid
-        wts = np.full(ys.size, ys[1] - ys[0])
+        ys = self.default_state_grid(i_max) if state_grid is None else _uniform_grid(state_grid)
+        wts = np.full(ys.size, (ys[-1] - ys[0]) / (ys.size - 1))
         wts[0] *= 0.5
         wts[-1] *= 0.5
-        return ys, wts, self.kernel_a(0.0, ys), lambda: self._transition_rows(ys)
+        return ys, wts, self.kernel_a(0.0, ys), lambda: self._transition_matrix(ys)
 
     def chain(self, i_max: int, state_grid: np.ndarray | None = None):
         """Forward state densities rho_k and time-weighted companions tau_k.

@@ -299,6 +299,13 @@ class FirstPassageSample:
         return int(np.sum(~np.isfinite(self.t_cross)))
 
     def cdf_at(self, t: float) -> SimResult:
+        """P(T <= t); a censored path has not crossed by the horizon, so t
+        beyond the horizon with censored paths raises ``HorizonExceeded``."""
+        if t > self.horizon and self.censored:
+            raise HorizonExceeded(
+                f"P({self.label}<= {t:g}): {self.censored} paths censored at the horizon "
+                f"{self.horizon:g} < t; raise t_max * max_blocks"
+            )
         return _mean_result((self.t_cross <= t).astype(float), f"P({self.label}<= {t:g})", self.censored)
 
     def laplace_at(self, delta: float) -> SimResult:

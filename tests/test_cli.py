@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import levypassage
 from levypassage.cli import dispatch, run_validation
 from levypassage.maintenance import PolicyKernels, policy_from_dict
 from levypassage.mc import SimConfig
@@ -88,11 +93,48 @@ def _simulate(model_file, *argv):
 
 
 def test_simulate_reports_the_censored_count(bm_model_file, capsys):
-    # a horizon of 0.05 is far too short for b = 1: every path is censored
-    argv = ["--target", "first", "--b", "1", "--t", "5", "--t-max", "0.05", "--max-blocks", "1"]
+    # a horizon of 0.05 is far too short for b = 1: every path is censored,
+    # and none has crossed by t = 0.05
+    argv = ["--target", "first", "--b", "1", "--t", "0.05", "--t-max", "0.05", "--max-blocks", "1"]
     assert _simulate(bm_model_file, *argv) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["censored"] == 200 and doc["n"] == 200
+
+
+def test_simulate_cdf_beyond_the_horizon_is_numerical_failure(bm_model_file, capsys):
+    # P(T_1 <= 5) is about 0.98, but the paths censored at 0.05 cannot tell
+    argv = ["--target", "first", "--b", "1", "--t", "5", "--t-max", "0.05", "--max-blocks", "1"]
+    assert _simulate(bm_model_file, *argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: ") and "censored" in captured.err
+
+
+def test_simulate_with_one_uncensored_path_prints_json(tmp_path, capsys):
+    # 199 of 200 paths are censored: one value has no standard error
+    model = tmp_path / "pg.json"
+    model.write_text(json.dumps({"kind": "perturbed_gamma", "mu": 0.2, "sigma": 0.8, "alpha": 1.5, "xi": 0.7}))
+    argv = ["--target", "last", "--b", "3", "--delta", "0.5", "--t-max", "0.5", "--max-blocks", "1", "--seed", "2"]
+    assert _simulate(str(model), *argv) == 0
+
+    def not_json(name):
+        raise ValueError(f"{name} is not JSON")
+
+    doc = json.loads(capsys.readouterr().out, parse_constant=not_json)
+    assert doc["n"] == 1 and doc["censored"] == 199
+    assert doc["se"] is None and 0.0 < doc["estimate"] < 1.0
+
+
+@pytest.mark.parametrize("module", ["levypassage", "levypassage.cli"])
+def test_module_entry_point_runs_validate(module):
+    src = str(Path(levypassage.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", module, "validate", "--quick"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "15/15 checks passed" in done.stdout
 
 
 def test_simulate_with_every_path_censored_is_numerical_failure(bm_model_file, capsys):

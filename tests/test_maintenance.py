@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from conftest import assert_within_se
 from scipy.integrate import quad
+from scipy.special import ive
 
+from levypassage.errors import GridMismatch, UnresolvedKernel
 from levypassage.last_passage import (
     bm_last_passage_cdf,
+    density_lattice,
     last_passage_cdf,
     last_passage_joint_mass,
     perturbed_gamma_density,
@@ -17,10 +20,11 @@ from levypassage.maintenance import (
     MaintenanceAction,
     PolicyKernels,
     PolicySpec,
+    expected_time_to_renewal,
     joint_law_idle,
     simulate_policy,
 )
-from levypassage.models import KIND_PERTURBED_GAMMA, ModelSpec
+from levypassage.models import KIND_PERTURBED_GAMMA, KIND_PURE_GAMMA, ModelSpec
 
 KINDS = ["bm_model", "gamma_model", "pgamma_model_wide", "ph2_model"]
 
@@ -192,3 +196,104 @@ class TestIdleLaw:
         assert np.all(np.isfinite(idle))
         assert idle[0] == pytest.approx(p_fail[2], rel=1e-12)
         assert 0.0 < idle[1] < idle[0]
+
+
+def _ph1_density(model, t, x):
+    """f_{D_t}(x) for exponential jumps of rate 1, by adaptive quadrature of
+    the Gaussian part against the compound-Poisson law: an atom e^{-lam t}
+    at 0 plus the density e^{-lam t - y} sqrt(lam t / y) I_1(2 sqrt(lam t y))."""
+    lt, s, c = model.lam * t, model.sigma * math.sqrt(t), x - model.mu * t
+
+    def gauss(u):
+        return math.exp(-0.5 * (u / s) ** 2) / (s * math.sqrt(2.0 * math.pi))
+
+    def integrand(y):
+        z = 2.0 * math.sqrt(lt * y)
+        return gauss(c - y) * math.exp(-lt - y + z) * math.sqrt(lt / y) * ive(1, z)
+
+    lo, top = max(0.0, c - 12.0 * s), max(c, 0.0) + 12.0 * s
+    pts = [p for p in (c - 2 * s, c - s, c, c + s, c + 2 * s) if lo < p < top]
+    body = quad(integrand, lo, top, points=pts or None, limit=400, epsabs=1e-300, epsrel=1e-13)[0]
+    tail = quad(integrand, top, math.inf, limit=400, epsabs=1e-300, epsrel=1e-13)[0]
+    return math.exp(-lt) * gauss(c) + body + tail
+
+
+class TestTransitionMatrix:
+    """The lattice-built matrix against the pointwise kernel_a, row by row."""
+
+    @pytest.mark.parametrize("n", [33, 512])
+    @pytest.mark.parametrize(
+        "kind, sigma, schedule",
+        [
+            ("bm_model", None, "affine"),
+            ("pgamma_model", None, "constant"),
+            ("pgamma_model", None, "affine"),
+            # on 33 states |E e^{i w D_t}| at the lattice's Nyquist frequency
+            # is far above 1e-16, so the rows come from an oversampled lattice
+            ("pgamma_model_wide", 0.05, "affine"),
+            ("gamma_model", None, "constant"),
+        ],
+    )
+    def test_matches_stacked_kernel_a(self, kind, sigma, schedule, n, request):
+        model = request.getfixturevalue(kind)
+        if sigma is not None:
+            model = ModelSpec(kind=model.kind, mu=model.mu, sigma=sigma, alpha=model.alpha, xi=model.xi)
+        m = (
+            InspectionSchedule("affine", 1.0, slope=0.2, floor=0.2)
+            if schedule == "affine"
+            else InspectionSchedule("constant", 1.5)
+        )
+        kernels = PolicyKernels(model, PolicySpec(b=2.0, m=m, d=MaintenanceAction("affine", 0.5, 0.1)))
+        ys = kernels.default_state_grid(4, n)
+        got = kernels._transition_matrix(ys)
+        want = np.stack([kernels.kernel_a(float(y), ys) for y in ys])
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(want)
+        if sigma is not None and n == 33:
+            step = (ys[1] - ys[0]) / 0.5
+            nyquist = np.exp(float(m(ys[-1])) * model.phi_d(1j * np.pi / step))
+            assert abs(nyquist) > 1e-3
+
+    def test_phase_type_vs_quadrature(self, ph_model):
+        ts = np.array([0.2, 1.0, 3.0])
+        x0 = np.array([-4.0, -2.5, -1.0])
+        got = density_lattice(ph_model, ts, x0, 0.3, 33)
+        want = np.array([[_ph1_density(ph_model, t, a + 0.3 * j) for j in range(33)] for t, a in zip(ts, x0)])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+
+    def test_unresolvable_small_sigma_raises(self):
+        # |E e^{i w D_t}| falls below 1e-16 only past 2^18 lattice points
+        model = ModelSpec(kind=KIND_PERTURBED_GAMMA, mu=0.2, sigma=1e-4, alpha=1.5, xi=0.7)
+        with pytest.raises(UnresolvedKernel):
+            PolicyKernels(model, _affine_policy()).chain(4)
+
+    @pytest.mark.parametrize("d0", [0.0, 0.1])
+    def test_singular_pure_gamma_density_raises(self, d0):
+        # alpha m = 0.5 < 1: the gamma density of each cycle is unbounded at 0
+        model = ModelSpec(kind=KIND_PURE_GAMMA, alpha=1.0, xi=1.0)
+        policy = PolicySpec(
+            b=2.0, m=InspectionSchedule("constant", 0.5), d=MaintenanceAction("affine", 0.5, d0)
+        )
+        with pytest.raises(UnresolvedKernel, match="direction 2"):
+            PolicyKernels(model, policy).chain(4)
+
+
+class TestStateGrid:
+    def test_non_uniform_grid_is_rejected(self, bm_model):
+        kernels = PolicyKernels(bm_model, _affine_policy())
+        grid = kernels.default_state_grid(3, n=33)
+        bent = grid.copy()
+        bent[10] += 1e-3 * (grid[1] - grid[0])
+        with pytest.raises(GridMismatch):
+            kernels.chain(3, bent)
+        with pytest.raises(GridMismatch):
+            joint_law_idle(kernels, 3, 0.1, state_grid=bent)
+        with pytest.raises(GridMismatch):
+            expected_time_to_renewal(kernels, 3, state_grid=bent)
+        with pytest.raises(GridMismatch):
+            kernels.chain(3, grid[::-1])
+
+    def test_rounding_level_deviation_is_accepted(self, bm_model):
+        kernels = PolicyKernels(bm_model, _affine_policy())
+        grid = kernels.default_state_grid(3, n=33)
+        nudged = grid * (1.0 + 1e-15)
+        assert kernels.chain(3, nudged)[0] == pytest.approx(kernels.chain(3, grid)[0], rel=1e-12)
