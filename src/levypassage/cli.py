@@ -336,12 +336,14 @@ def _cmd_maintenance(args) -> int:
         _write_rows(args.out, manifest, ["i", "E_Tstar_on_I"], rows)
     elif args.what == "simulate":
         sim = simulate_policy(model, policy, args.paths, seed=args.seed, idle_mode=args.idle)
-        doc = {"n": sim.n, "p_i": {}, "mean_t_star": None}
-        for i in range(1, args.i + 1):
-            r = sim.p_i(i)
-            doc["p_i"][str(i)] = {"estimate": r.estimate, "se": r.std_error}
-        m = sim.mean_t_star()
-        doc["mean_t_star"] = {"estimate": m.estimate, "se": m.std_error}
+        levels = range(1, args.i + 1)
+        doc = {
+            "n": sim.n,
+            "p_i": {str(i): _estimate(sim.p_i(i)) for i in levels},
+            "mean_t_star": _estimate(sim.mean_t_star()),
+        }
+        if args.idle:  # P(idle > --z, I = i)
+            doc["p_idle"] = {str(i): _estimate(sim.p_idle_joint(i, args.z)) for i in levels}
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         raise UsageError(f"unknown --what {args.what!r}")
@@ -372,15 +374,14 @@ def _cmd_simulate(args) -> int:
         res = run_reflected_last_passage(model, cfg, args.b).laplace_at(delta)
     else:
         raise UsageError(f"unknown target {args.target!r}")
-    doc = {
-        "estimate": res.estimate,
-        "se": res.std_error if math.isfinite(res.std_error) else None,  # one path has no SE
-        "n": res.n,
-        "meta": res.meta,
-        "censored": res.censored,
-    }
+    doc = {**_estimate(res), "n": res.n, "meta": res.meta, "censored": res.censored}
     print(json.dumps(doc, indent=2, sort_keys=True))
     return 0
+
+
+def _estimate(res) -> dict:
+    """An MC estimate and its standard error as JSON; one path has no SE (null)."""
+    return {"estimate": res.estimate, "se": res.std_error if math.isfinite(res.std_error) else None}
 
 
 # ---------------------------------------------------------------------------

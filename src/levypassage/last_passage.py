@@ -142,6 +142,18 @@ def _closed_form_density(model: ModelSpec, t: float, a) -> np.ndarray:
     return perturbed_gamma_density(model, t, a)
 
 
+def check_point_density(model: ModelSpec, t: float) -> None:
+    """Raise ``UnresolvedKernel`` where point values of the D_t density at
+    horizons >= t cannot stand for it: at sigma = 0 with alpha t < 1 the
+    gamma density is unbounded at the origin."""
+    if model.sigma == 0 and model.alpha * t < 1.0:
+        raise UnresolvedKernel(
+            f"the gamma density of D_t at t = {t:g} has shape alpha t < 1 and is "
+            "unbounded at the origin; its point values need a cell-mass chain "
+            "(ROADMAP direction 2)"
+        )
+
+
 def density_lattice(model: ModelSpec, t, x0, step: float, n: int) -> np.ndarray:
     """f_t(x0 + j step) for j = 0..n-1: one row per horizon t_i and start x0_i.
 
@@ -165,12 +177,7 @@ def density_lattice(model: ModelSpec, t, x0, step: float, n: int) -> np.ndarray:
     t = np.atleast_1d(np.asarray(t, dtype=float))
     x0 = np.broadcast_to(np.asarray(x0, dtype=float), t.shape)
     if model.sigma == 0:
-        if model.alpha * t.min() < 1.0:
-            raise UnresolvedKernel(
-                f"the gamma density of D_t at t = {t.min():g} has shape alpha t < 1 and is "
-                "unbounded at the origin; its point values need a cell-mass chain "
-                "(ROADMAP direction 2)"
-            )
+        check_point_density(model, t.min())
         return _closed_form_density(model, t[:, None], x0[:, None] + step * np.arange(n))
     lo, hi = _grid_bounds(model, t)
     period = max(n * step, float(np.max(np.maximum(hi - x0, x0 + (n - 1) * step - lo))))

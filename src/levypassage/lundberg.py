@@ -141,7 +141,9 @@ def escape_probability(z, rho0: float):
     if math.isinf(rho0):
         out = np.where(z >= 0, 1.0, 0.0)
     else:
-        out = np.where(z > 0, -np.expm1(-rho0 * z), 0.0)
+        # z <= 0 (and NaN) is clamped to 0 before expm1, which then gives 0 with
+        # no overflow; 0.0 - e makes that +0.0, where -e would give -0.0
+        out = 0.0 - np.expm1(-rho0 * np.fmax(z, 0.0))
     return out if out.ndim else float(out)
 
 

@@ -27,9 +27,9 @@ tilt of the Gaussian part in closed form under a panel quadrature over the
 gamma part for perturbed gamma (the tilted gamma scale shrinks with sigma^2,
 the untilted one does not), and reverse sums over the D_t grid for phase
 type.  Because failure is decided by the escape test
-at the end-of-cycle value, the policy Monte Carlo can sample cycle endpoints
-from their exact laws; a skeleton mode adds the within-cycle last-contact
-time needed for idle-time statistics.
+at the end-of-cycle value, the policy Monte Carlo samples cycle endpoints
+from their exact laws; its idle mode bridges only the cycle in which a path
+fails, for the within-cycle last-contact time of the idle-time statistics.
 
 Every policy law runs one forward recursion over the post-maintenance
 states, rho_{k+1}(y') = int rho_k(y) A(y, y') dy from rho_1 = A(0, .), and
@@ -60,14 +60,16 @@ from .errors import (
     NonBijectiveMaintenance,
     SchemaError,
 )
-from .last_passage import density_lattice, density_of_dt
+from .last_passage import check_point_density, density_lattice, density_of_dt
 from .lundberg import escape_probability, escape_rate
-from .mc import SimResult, _mean_result, _substream, increment_exact, run_cycle_skeleton
+from .mc import SimResult, _mean_result, _substream, cycle_ends
 from .models import ModelSpec
 
 _T_FLOOR = 1e-6  # degenerate-density floor for z -> m(y)
-_POLICY_STREAM = 7  # Philox stream of simulate_policy (see the mc module docstring)
-_STEPS_PER_CYCLE = 256  # skeleton steps per cycle in idle mode
+# Philox streams of simulate_policy's cycles and of its idle-mode bridges
+# (see the mc module docstring)
+_POLICY_STREAM, _BRIDGE_STREAM = 7, 8
+_STEPS_PER_CYCLE = 256  # skeleton steps of a failing cycle in idle mode
 _MAX_CYCLES = 10_000
 
 
@@ -325,6 +327,8 @@ class PolicyKernels:
             d0 = float(self.policy.d(0.0))
             c0, cd = self.kernel_c(np.array([0.0, d0]))
             return np.array([d0]), np.ones(1), np.array([1.0 - c0]), lambda: np.array([[1.0 - cd]])
+        # rho_1 is point values of the D_t density at t = m(0)
+        check_point_density(self.model, float(self.policy.m(0.0)))
         ys = self.default_state_grid(i_max) if state_grid is None else _uniform_grid(state_grid)
         wts = np.full(ys.size, (ys[-1] - ys[0]) / (ys.size - 1))
         wts[0] *= 0.5
@@ -386,7 +390,7 @@ class PolicySimResult:
     n: int
     i_of_path: np.ndarray  # failing cycle index per path
     t_star: np.ndarray  # regeneration time per path
-    idle: np.ndarray | None  # idle time per path (skeleton mode only)
+    idle: np.ndarray | None  # idle time per path (idle mode only)
 
     def p_i(self, i: int) -> SimResult:
         return _mean_result((self.i_of_path == i).astype(float), f"P(I={i})")
@@ -400,7 +404,7 @@ class PolicySimResult:
 
     def p_idle_joint(self, i: int, z: float) -> SimResult:
         if self.idle is None:
-            raise ValueError("idle statistics need skeleton mode")
+            raise ValueError("idle statistics need idle mode")
         vals = ((self.i_of_path == i) & (self.idle > z)).astype(float)
         return _mean_result(vals, f"P(idle>{z:g}, I={i})")
 
@@ -415,15 +419,19 @@ def simulate_policy(
     """Simulate renewal cycles of the maintained component.
 
     Failure within a cycle is decided by the exact escape Bernoulli test at
-    the end-of-cycle value, so plain mode samples cycle endpoints from their
-    exact laws.  ``idle_mode`` simulates a within-cycle skeleton to record
-    the last time at or below the threshold (idle time = cycle end - last
-    contact), at O(_STEPS_PER_CYCLE) extra cost per cycle.
+    the end-of-cycle value, so both modes sample cycle endpoints from their
+    exact laws.  ``idle_mode`` then bridges the cycle in which a path fails,
+    a skeleton of _STEPS_PER_CYCLE steps pinned at the drawn end, to record
+    the last time at or below the threshold (idle time = cycle length - last
+    contact): _STEPS_PER_CYCLE steps per failing path.  The bridges draw
+    from their own substream, so both modes give the same failing cycles
+    and regeneration times.
     """
     if n_paths < 1:
         raise ValueError("need at least one path")
     rho0 = escape_rate(model)
     rng = _substream(seed, _POLICY_STREAM, 0)
+    bridge_rng = _substream(seed, _BRIDGE_STREAM, 0) if idle_mode else None
     b = policy.b
     x = np.zeros(n_paths)
     t_star = np.zeros(n_paths)
@@ -435,11 +443,7 @@ def simulate_policy(
         if m == 0:
             break
         horizons = np.asarray(policy.m(x), dtype=float)
-        if idle_mode:
-            v, last_contact = run_cycle_skeleton(model, rng, x, horizons, b, _STEPS_PER_CYCLE)
-        else:
-            v = x + increment_exact(model, rng, horizons)
-            last_contact = None
+        v, last_contacts = cycle_ends(model, rng, x, horizons)
         t_star[idx] += horizons
         esc_p = escape_probability(v - b, rho0)
         fail = rng.random(m) < esc_p
@@ -447,7 +451,8 @@ def simulate_policy(
             gi = idx[fail]
             i_of_path[gi] = cycle
             if idle_mode:
-                idle[gi] = (horizons - last_contact)[fail]
+                rows = np.flatnonzero(fail)
+                idle[gi] = horizons[rows] - last_contacts(bridge_rng, rows, b, _STEPS_PER_CYCLE)
         keep = ~fail
         x = np.asarray(policy.d(v[keep]))
         idx = idx[keep]

@@ -31,8 +31,9 @@ Paths run in fixed groups of 100 000, each with a counter-based Philox
 substream keyed by (seed, stream, group).  Each estimator has its own stream
 number: 1 ``run_first_passage``, 2 ``run_last_passage``, 3
 ``estimate_reflected_exceedance``, 4 ``run_reflected_first_passage``, 5
-``run_reflected_last_passage`` and 6 ``run_reflected_at_exp_horizon``
-(``maintenance.simulate_policy`` uses 7).  So for a given model, threshold
+``run_reflected_last_passage`` and 6 ``run_reflected_at_exp_horizon``;
+``maintenance.simulate_policy`` uses 7 for its cycle ends and 8 for the
+bridges of its idle mode (``cycle_ends``).  So for a given model, threshold
 and step settings a result depends only on (seed, n_paths); no batching
 option can change it.
 """
@@ -120,14 +121,23 @@ def _discount(t: np.ndarray, delta: float, ok: np.ndarray) -> np.ndarray:
 
 def increment_exact(model: ModelSpec, rng: np.random.Generator, t) -> np.ndarray:
     """Exact sample of D_t - D_0 for an array of horizons t (one per path)."""
+    return _increment_parts(model, rng, t)[0]
+
+
+def _increment_parts(model: ModelSpec, rng: np.random.Generator, t):
+    """(D_t - D_0, sigma W_t or None at sigma = 0, the bridge of the jump part
+    or None without jumps): ``increment_exact``'s draws, with what a bridge
+    of each path needs."""
     t = np.asarray(t, dtype=float)
-    m = t.size
     out = model.mu * t
+    gauss = jump_bridge = None
     if model.jumps is not None:
-        out = out + model.jumps.sample(rng, m, t)
+        jumps, jump_bridge = model.jumps.sample_bridged(rng, t.size, t)
+        out = out + jumps
     if model.sigma > 0:
-        out = out + rng.normal(0.0, model.sigma * np.sqrt(t))
-    return out
+        gauss = rng.normal(0.0, model.sigma * np.sqrt(t))
+        out = out + gauss
+    return out, gauss, jump_bridge
 
 
 # ---------------------------------------------------------------------------
@@ -184,13 +194,21 @@ def _block(law: _Law, rng, v: np.ndarray, dt, k: int, minimum: bool = True):
     else:
         cont = np.broadcast_to(law.mu * dt_col, (n, k))
     u = rng.random((n, k)) if minimum and law.sigma > 0 else None
-    inc = cont
+    jumps = None
     if law.jumps is not None:
         dt_cells = np.broadcast_to(dt_col, (n, k)).ravel() if dt.ndim else dt
-        inc = cont + law.jumps.sample(rng, n * k, dt_cells).reshape(n, k)
+        jumps = law.jumps.sample(rng, n * k, dt_cells).reshape(n, k)
+    return _levels(law, v, cont, jumps, u, dt_col, minimum)
+
+
+def _levels(law: _Law, v: np.ndarray, cont, jumps, u, dt_col, minimum: bool):
+    """``_block``'s (start, c_end, m_min, post) from levels v and the drawn
+    continuous increments, jump increments (None without jumps) and
+    bridge-minimum uniforms (None without ``minimum`` or at sigma = 0)."""
+    inc = cont if jumps is None else cont + jumps
     post = v[:, None] + np.add.accumulate(inc, axis=1)
     start = np.hstack((v[:, None], post[:, :-1]))
-    c_end = post if law.jumps is None else start + cont
+    c_end = post if jumps is None else start + cont
     m_min = None
     if u is not None:
         var_dt = law.sigma**2 * dt_col
@@ -236,9 +254,10 @@ def _crossed_up(law: _Law, rng, start, c_end, post, level, dt):
     return creep, ~creep & (post >= level)
 
 
-def _hit_time(law: _Law, rng, h0: np.ndarray, h1: np.ndarray, dt: float) -> np.ndarray:
+def _hit_time(law: _Law, rng, h0: np.ndarray, h1: np.ndarray, dt) -> np.ndarray:
     """Time into a step at which its continuous part, h0 > 0 above a level at
-    the start and h1 at the end, first reaches the level, given that it does.
+    the start and h1 at the end, first reaches the level, given that it does;
+    dt is the step length, scalar or per path.
     Under s = dt u/(1+u) the Brownian bridge is a Brownian motion in u with
     drift |h1| / (sigma sqrt(dt)) towards or away from the level, so u given
     the hit is inverse Gaussian; it is drawn by Michael, Schucany & Haas
@@ -246,7 +265,7 @@ def _hit_time(law: _Law, rng, h0: np.ndarray, h1: np.ndarray, dt: float) -> np.n
     the continuous part is linear within the step."""
     if law.sigma == 0:
         return dt * h0 / (h0 - h1)
-    scale = law.sigma * math.sqrt(dt)
+    scale = law.sigma * np.sqrt(dt)
     d = h0 / scale  # u-distance to the level
     nu = np.abs(h1) / scale  # |drift| in u
     y = rng.standard_normal(d.size) ** 2
@@ -582,22 +601,56 @@ def run_reflected_at_exp_horizon(
 # Inspection cycles
 
 
-def run_cycle_skeleton(
-    model: ModelSpec, rng: np.random.Generator, x: np.ndarray, horizons, b: float, steps: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cycle end levels from start levels x over per-path horizons, on a
-    bridge-corrected skeleton of ``steps`` steps per cycle, plus the last
-    in-cycle time at which the path touched (-inf, b] (0 if it never did)."""
-    law = _Law.of(model)
-    dt = horizons / steps
-    v = x
-    last_contact = np.zeros(x.size)
-    clock = 0
-    while clock < steps:
-        k = min(_block_len(x.size), steps - clock)
-        _, _, m_min, post = _block(law, rng, v, dt, k)
-        touched, j = _last(m_min <= b)
-        last_contact[touched] = ((clock + j + 1) * dt)[touched]
-        v = post[:, -1]
-        clock += k
-    return v, last_contact
+def cycle_ends(model: ModelSpec, rng: np.random.Generator, x: np.ndarray, horizons: np.ndarray):
+    """(end, last_contacts): the levels x + D_h at the ends of cycles of
+    lengths h = ``horizons`` from levels x, drawn exactly as by
+    ``increment_exact``, and last_contacts(bridge_rng, rows, b, steps).
+
+    last_contacts gives, for the cycles ``rows``, the last time in [0, h] at
+    which the path touched (-inf, b] (0 if it never did), on a skeleton of
+    ``steps`` steps bridged to the drawn end: the continuous part is the
+    Brownian bridge to its drawn value, the jumps are the jump law's bridge
+    (``LevyMeasureView.sample_bridged``), lumped at step ends, and each step
+    takes its bridge minimum.  A creeping exit from (-inf, b] is drawn inside
+    its step, from the bridge run backwards; a jump exit's contact is its
+    step end.  The skeleton draws from ``bridge_rng`` alone, so a caller
+    that passes a substream of its own keeps the cycle ends of ``rng``
+    unchanged; rows go through in chunks of ``_BLOCK_CELLS`` cells.
+    """
+    inc, gauss, jump_bridge = _increment_parts(model, rng, horizons)
+
+    def last_contacts(bridge_rng, rows, b: float, steps: int) -> np.ndarray:
+        law = _Law.of(model)
+        out = np.empty(rows.size)
+        chunk = max(1, _BLOCK_CELLS // steps)
+        for s in range(0, rows.size, chunk):
+            r = rows[s : s + chunk]
+            cont = model.mu * horizons[r] + (0.0 if gauss is None else gauss[r])
+            jumps = None if jump_bridge is None else jump_bridge(bridge_rng, r, steps)
+            out[s : s + chunk] = _bridged_last_contact(law, bridge_rng, x[r], horizons[r], cont, jumps, b, steps)
+        return out
+
+    return x + inc, last_contacts
+
+
+def _bridged_last_contact(law: _Law, rng, x, h, cont, jumps, b: float, steps: int) -> np.ndarray:
+    """Last time at or below b of paths from x over [0, h] whose continuous
+    part moves by ``cont`` and whose per-step jumps are ``jumps`` (paths x
+    steps, or None); 0 for a path that never touched (-inf, b]."""
+    n = x.size
+    dt = h / steps
+    dt_col = dt[:, None]
+    if law.sigma > 0:
+        # Gaussian steps given their sum: iid steps less their mean, plus the drawn mean
+        z = rng.normal(0.0, law.sigma * np.sqrt(dt_col), (n, steps))
+        cont_steps = z + (cont / steps - z.mean(axis=1))[:, None]
+        u = rng.random((n, steps))
+    else:
+        cont_steps, u = np.broadcast_to((cont / steps)[:, None], (n, steps)), None
+    start, c_end, m_min, _ = _levels(law, x, cont_steps, jumps, u, dt_col, True)
+    touched, j = _last(m_min <= b)
+    last = np.where(touched, (j + 1) * dt, 0.0)
+    above_end, above_start = _at(c_end, j) - b, _at(start, j) - b
+    creep = touched & (above_end > 0)
+    last[creep] -= _hit_time(law, rng, above_end[creep], above_start[creep], dt[creep])
+    return last

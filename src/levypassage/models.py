@@ -303,6 +303,14 @@ class LevyMeasureView:
 
     def sample(self, rng: np.random.Generator, m: int, dt) -> np.ndarray:
         """m exact draws of J over a scalar or per-draw length dt."""
+        return self.sample_bridged(rng, m, dt)[0]
+
+    def sample_bridged(self, rng: np.random.Generator, m: int, dt):
+        """(draws, bridge): ``sample``'s m draws, from the same random numbers,
+        and bridge(bridge_rng, rows, steps), which splits the draws ``rows`` over
+        ``steps`` equal steps with the law of J's path given its total: a
+        (rows x steps) array of per-step increments, jumps lumped at step
+        ends, that sums to the draws along each row."""
         raise NotImplementedError
 
     def tilt(self, rho: float) -> "LevyMeasureView":
@@ -363,6 +371,22 @@ class GammaMeasure(LevyMeasureView):
 
     def sample(self, rng, m, dt):
         return rng.gamma(self.alpha * dt, self.xi, m)
+
+    def sample_bridged(self, rng, m, dt):
+        """The split of a gamma total over equal steps is Dirichlet with
+        parameters alpha dt / steps.  Its gamma draws are taken in log space,
+        Gamma(a) = Gamma(a + 1) U^{1/a}, and normalised by a log-sum-exp, since
+        for small a a direct Gamma(a) draw underflows to 0."""
+        total = self.sample(rng, m, dt)
+
+        def bridge(bridge_rng, rows, steps):
+            a = (self.alpha / steps * np.broadcast_to(dt, (m,))[rows])[:, None]
+            cells = (rows.size, steps)
+            log_g = np.log(bridge_rng.gamma(a + 1.0, 1.0, cells)) + np.log1p(-bridge_rng.random(cells)) / a
+            w = np.exp(log_g - log_g.max(axis=1, keepdims=True))
+            return total[rows, None] * (w / w.sum(axis=1, keepdims=True))
+
+        return total, bridge
 
     def tilt(self, rho):
         return GammaMeasure(self.alpha, self.xi / (1.0 + rho * self.xi))
@@ -437,13 +461,25 @@ class PHMeasure(LevyMeasureView):
     def moment(self, k: int) -> float:
         return self.lam * self.ph.moment(k)
 
-    def sample(self, rng, m, dt):
+    def sample_bridged(self, rng, m, dt):
+        """Given its jumps, a compound-Poisson path puts each at an independent
+        uniform time, so the bridge gives each jump a uniform step."""
         counts = rng.poisson(self.lam * dt, m)
-        total = int(counts.sum())
-        if not total:
-            return np.zeros(m)
-        sizes = sample_phase_type(self.ph, rng, total)
-        return np.bincount(np.repeat(np.arange(m), counts), weights=sizes, minlength=m)
+        n_jumps = int(counts.sum())
+        sizes = sample_phase_type(self.ph, rng, n_jumps) if n_jumps else np.zeros(0)
+        owner = np.repeat(np.arange(m), counts)
+        total = np.bincount(owner, weights=sizes, minlength=m) if n_jumps else np.zeros(m)
+
+        def bridge(bridge_rng, rows, steps):
+            k = counts[rows]
+            first = (np.cumsum(counts) - counts)[rows]  # each row's first jump in sizes
+            pick = np.repeat(first - (np.cumsum(k) - k), k) + np.arange(k.sum())
+            cell = np.repeat(np.arange(rows.size) * steps, k) + bridge_rng.integers(0, steps, pick.size)
+            out = np.zeros(rows.size * steps)
+            np.add.at(out, cell, sizes[pick])
+            return out.reshape(rows.size, steps)
+
+        return total, bridge
 
     def tilt(self, rho):
         """lam alpha e^{x (T - rho I)} t dx, renormalised through

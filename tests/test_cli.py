@@ -154,3 +154,30 @@ def test_max_blocks_below_one_is_rejected(max_blocks, bm_model_file, capsys):
     assert _simulate(bm_model_file, *argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "max_blocks" in err
+
+
+@pytest.mark.parametrize("idle", [False, True])
+def test_policy_simulation_prints_idle_law_in_idle_mode(idle, bm_files, capsys):
+    argv = ["maintenance", *bm_files, "--what", "simulate", "--i", "2", "--z", "0.3", "--paths", "500"]
+    assert dispatch(argv + ["--idle"] * idle) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert set(doc["p_i"]) == {"1", "2"}
+    assert ("p_idle" in doc) == idle
+    if idle:
+        assert set(doc["p_idle"]) == {"1", "2"}
+        for i in ("1", "2"):
+            assert 0.0 <= doc["p_idle"][i]["estimate"] <= doc["p_i"][i]["estimate"]
+            assert doc["p_idle"][i]["se"] >= 0.0
+
+
+def test_policy_simulation_with_one_path_prints_json(bm_files, capsys):
+    argv = ["maintenance", *bm_files, "--what", "simulate", "--i", "1", "--paths", "1", "--idle"]
+    assert dispatch(argv) == 0
+
+    def not_json(name):
+        raise ValueError(f"{name} is not JSON")
+
+    doc = json.loads(capsys.readouterr().out, parse_constant=not_json)
+    assert doc["n"] == 1
+    assert doc["p_i"]["1"]["se"] is None and doc["mean_t_star"]["se"] is None
+    assert doc["p_idle"]["1"]["se"] is None

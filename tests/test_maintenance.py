@@ -164,17 +164,31 @@ class TestChain:
 
 
 class TestIdleLaw:
-    def test_idle_joint_vs_skeleton_mc_bm(self, bm_model):
+    @pytest.mark.parametrize("kind", ["bm_model", "pgamma_model", "ph_model"])
+    def test_idle_joint_vs_idle_mode_mc(self, kind, request):
+        model = request.getfixturevalue(kind)
         policy = PolicySpec(
             b=2.0, m=InspectionSchedule("constant", 1.0), d=MaintenanceAction("affine", 0.5)
         )
-        kernels = PolicyKernels(bm_model, policy)
+        kernels = PolicyKernels(model, policy)
         grid = kernels.default_state_grid(2, n=129)
-        sim = simulate_policy(bm_model, policy, 20_000, seed=3, idle_mode=True)
+        sim = simulate_policy(model, policy, 20_000, seed=3, idle_mode=True)
         for i in (1, 2):
             target = joint_law_idle(kernels, i, 0.3, state_grid=grid)
             mc = sim.p_idle_joint(i, 0.3)
             assert_within_se(mc.estimate, mc.std_error, target, 3.0, f"P(idle > 0.3, I = {i})")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_idle_mode_keeps_the_plain_cycles(self, kind, request):
+        # the bridges draw from their own substream, so the failing cycle and
+        # the regeneration time of every path match plain mode bit for bit
+        model = request.getfixturevalue(kind)
+        policy = _affine_policy()
+        plain = simulate_policy(model, policy, 3_000, seed=5)
+        idle = simulate_policy(model, policy, 3_000, seed=5, idle_mode=True)
+        assert np.array_equal(idle.i_of_path, plain.i_of_path)
+        assert np.array_equal(idle.t_star, plain.t_star)
+        assert np.all((idle.idle >= 0.0) & (idle.idle <= idle.t_star))
 
     def test_idle_beyond_short_cycle_is_zero(self, pgamma_model):
         # affine m reaches its floor 0.2 < z on reachable states, where
@@ -273,8 +287,12 @@ class TestTransitionMatrix:
         policy = PolicySpec(
             b=2.0, m=InspectionSchedule("constant", 0.5), d=MaintenanceAction("affine", 0.5, d0)
         )
+        kernels = PolicyKernels(model, policy)
         with pytest.raises(UnresolvedKernel, match="direction 2"):
-            PolicyKernels(model, policy).chain(4)
+            kernels.chain(4)
+        # i = 2 builds no matrix but sums point values of rho_1 = A(0, .)
+        with pytest.raises(UnresolvedKernel, match="direction 2"):
+            joint_law_idle(kernels, 2, 0.1)
 
 
 class TestStateGrid:

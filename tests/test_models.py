@@ -183,6 +183,32 @@ class TestTilt:
         assert tilted.alpha.sum() == pytest.approx(1.0, abs=1e-14)
 
 
+class TestBridge:
+    """``sample_bridged`` splits each drawn total over equal steps."""
+
+    def test_gamma_split_survives_underflowing_steps(self):
+        # per-step shape alpha h / 256 = 1e-9: a direct Gamma(1e-9) draw falls
+        # below the smallest double with probability 1 - 7e-7, so normalising
+        # direct draws would give 0/0
+        rng = np.random.default_rng(7)
+        total, bridge = GammaMeasure(1.0, 0.7).sample_bridged(rng, 200_000, 256e-9)
+        rows = np.concatenate((np.flatnonzero(total > 0.0), np.arange(4)))
+        assert rows.size > 20
+        steps = bridge(np.random.default_rng(8), rows, 256)
+        assert np.all(np.isfinite(steps)) and np.all(steps >= 0.0)
+        assert steps.sum(axis=1) == pytest.approx(total[rows], rel=1e-12, abs=0.0)
+        assert np.all(rng.gamma(1e-9, 0.7, steps.shape) == 0.0)
+
+    def test_phase_type_split_keeps_each_total(self):
+        measure = PHMeasure(0.8, PhaseType([0.6, 0.4], [[-2.0, 0.5], [0.3, -1.0]]))
+        total, bridge = measure.sample_bridged(np.random.default_rng(9), 500, np.linspace(0.1, 3.0, 500))
+        rows = np.arange(3, 500, 2)
+        steps = bridge(np.random.default_rng(10), rows, 64)
+        assert steps.shape == (rows.size, 64) and np.all(steps >= 0.0)
+        assert steps.sum(axis=1) == pytest.approx(total[rows], rel=1e-12, abs=0.0)
+        assert np.count_nonzero(total[rows]) > 100
+
+
 class TestCPApproximation:
     def test_lambda_n_is_exponential_integral(self, pgamma_model):
         approx = cp_approximation(pgamma_model, 10)
