@@ -66,7 +66,7 @@ from .mc import SimResult, _mean_result, _substream, cycle_ends
 from .models import ModelSpec
 
 _T_FLOOR = 1e-6  # degenerate-density floor for z -> m(y)
-# Philox streams of simulate_policy's cycles and of its idle-mode bridges
+# substream numbers of simulate_policy's cycles and of its idle-mode bridges
 # (see the mc module docstring)
 _POLICY_STREAM, _BRIDGE_STREAM = 7, 8
 _STEPS_PER_CYCLE = 256  # skeleton steps of a failing cycle in idle mode

@@ -24,16 +24,18 @@ left comes from lumping each step's jumps at its end.
 
 Every estimator advances its paths with one block kernel, which draws a
 (paths x k) block of steps at once, k = max(1, 2**13 // live paths), so the
-few long paths at the end of a run cost few calls.  Callers find their
-events by first/last-True searches along the block; last-passage paths carry
-their own step clocks, since a return takes a path off the common schedule.
-Paths run in fixed groups of 100 000, each with a counter-based Philox
-substream keyed by (seed, stream, group).  Each estimator has its own stream
-number: 1 ``run_first_passage``, 2 ``run_last_passage``, 3
-``estimate_reflected_exceedance``, 4 ``run_reflected_first_passage``, 5
-``run_reflected_last_passage`` and 6 ``run_reflected_at_exp_horizon``;
-``maintenance.simulate_policy`` uses 7 for its cycle ends and 8 for the
-bridges of its idle mode (``cycle_ends``).  So for a given model, threshold
+few long paths at the end of a run cost few calls.  A block's compound-
+Poisson jumps are drawn for all its cells at once: one Poisson count for
+the block, each jump in a uniform cell (``PHMeasure.sample``).  Callers find
+their events by first/last-True searches along the block; last-passage
+paths carry their own step clocks, since a return takes a path off the
+common schedule.  Paths run in fixed groups of 100 000, each with an SFC64
+substream seeded by the SeedSequence of (seed, stream, group).  Each
+estimator has its own stream number: 1 ``run_first_passage``, 2
+``run_last_passage``, 3 ``estimate_reflected_exceedance``, 4
+``run_reflected_first_passage``, 5 ``run_reflected_last_passage`` and 6
+``run_reflected_at_exp_horizon``; ``maintenance.simulate_policy`` uses 7
+for its cycle ends and 8 for the bridges of its idle mode (``cycle_ends``).  So for a given model, threshold
 and step settings a result depends only on (seed, n_paths); no batching
 option can change it.
 """
@@ -54,9 +56,9 @@ EXIT_NONE = 0
 EXIT_CREEP = 1
 EXIT_JUMP = 2
 
-_GROUP_PATHS = 100_000  # paths per Philox substream
+_GROUP_PATHS = 100_000  # paths per substream
 _BLOCK_CELLS = 2**13  # path-steps per block draw
-# Philox stream number of each estimator (see the module docstring)
+# substream number of each estimator (see the module docstring)
 _STREAM_FIRST, _STREAM_LAST, _STREAM_EXCEEDANCE = 1, 2, 3
 _STREAM_REFLECTED_FIRST, _STREAM_REFLECTED_LAST, _STREAM_EXP_HORIZON = 4, 5, 6
 
@@ -98,11 +100,8 @@ class SimResult:
 
 
 def _substream(seed: int, stream: int, group: int) -> np.random.Generator:
-    key = np.array(
-        [np.uint64(seed & (2**64 - 1)), np.uint64(((stream & 0xFFFF) << 32) | (group & 0xFFFFFFFF))],
-        dtype=np.uint64,
-    )
-    return np.random.Generator(np.random.Philox(key=key))
+    seq = np.random.SeedSequence([seed & (2**64 - 1), stream, group])
+    return np.random.Generator(np.random.SFC64(seq))
 
 
 def _mean_result(values: np.ndarray, meta: str, censored: int = 0) -> SimResult:
@@ -175,8 +174,8 @@ def _block_len(live: int) -> int:
     return max(1, _BLOCK_CELLS // live)
 
 
-def _block(law: _Law, rng, v: np.ndarray, dt, k: int, minimum: bool = True):
-    """k steps from levels v, of scalar or per-path length dt.
+def _block(law: _Law, rng, v: np.ndarray, dt: float, k: int, minimum: bool = True):
+    """k steps of length dt from levels v.
 
     Draws, in this order, the Gaussian increments, the uniforms of the
     Brownian-bridge minima of the continuous part (only when ``minimum`` and
@@ -187,26 +186,24 @@ def _block(law: _Law, rng, v: np.ndarray, dt, k: int, minimum: bool = True):
     the smaller endpoint at sigma = 0) and the level after the jumps.
     """
     n = v.size
-    dt = np.asarray(dt, dtype=float)
-    dt_col = dt[:, None] if dt.ndim else dt
     if law.sigma > 0:
-        cont = rng.normal(law.mu * dt_col, law.sigma * np.sqrt(dt_col), (n, k))
+        cont = rng.normal(law.mu * dt, law.sigma * math.sqrt(dt), (n, k))
     else:
-        cont = np.broadcast_to(law.mu * dt_col, (n, k))
+        cont = np.broadcast_to(law.mu * dt, (n, k))
     u = rng.random((n, k)) if minimum and law.sigma > 0 else None
-    jumps = None
-    if law.jumps is not None:
-        dt_cells = np.broadcast_to(dt_col, (n, k)).ravel() if dt.ndim else dt
-        jumps = law.jumps.sample(rng, n * k, dt_cells).reshape(n, k)
-    return _levels(law, v, cont, jumps, u, dt_col, minimum)
+    jumps = None if law.jumps is None else law.jumps.sample(rng, n * k, dt).reshape(n, k)
+    return _levels(law, v, cont, jumps, u, dt, minimum)
 
 
 def _levels(law: _Law, v: np.ndarray, cont, jumps, u, dt_col, minimum: bool):
     """``_block``'s (start, c_end, m_min, post) from levels v and the drawn
     continuous increments, jump increments (None without jumps) and
-    bridge-minimum uniforms (None without ``minimum`` or at sigma = 0)."""
+    bridge-minimum uniforms (None without ``minimum`` or at sigma = 0);
+    dt_col is the step length, scalar or one per path as a column.  A
+    one-step block skips the row-wise scans here and in the searches below,
+    which cost far more than an elementwise pass when there are many rows."""
     inc = cont if jumps is None else cont + jumps
-    post = v[:, None] + np.add.accumulate(inc, axis=1)
+    post = v[:, None] + (inc if inc.shape[1] == 1 else np.add.accumulate(inc, axis=1))
     start = np.hstack((v[:, None], post[:, :-1]))
     c_end = post if jumps is None else start + cont
     m_min = None
@@ -220,12 +217,16 @@ def _levels(law: _Law, v: np.ndarray, cont, jumps, u, dt_col, minimum: bool):
 
 def _first(mask: np.ndarray):
     """(any, column of the first True) per row."""
+    if mask.shape[1] == 1:
+        return mask[:, 0], np.zeros(mask.shape[0], dtype=np.intp)
     j = mask.argmax(axis=1)
     return _at(mask, j), j
 
 
 def _last(mask: np.ndarray):
     """(any, column of the last True) per row."""
+    if mask.shape[1] == 1:
+        return _first(mask)
     j = mask.shape[1] - 1 - mask[:, ::-1].argmax(axis=1)
     return _at(mask, j), j
 
@@ -238,7 +239,8 @@ def _at(x: np.ndarray, j: np.ndarray) -> np.ndarray:
 
 def _running_inf(m_min: np.ndarray, inf0: np.ndarray) -> np.ndarray:
     """inf(D ^ 0) after each step of the block, from inf0 before it."""
-    return np.minimum.accumulate(np.minimum(m_min, inf0[:, None]), axis=1)
+    low = np.minimum(m_min, inf0[:, None])
+    return low if low.shape[1] == 1 else np.minimum.accumulate(low, axis=1)
 
 
 def _crossed_up(law: _Law, rng, start, c_end, post, level, dt):

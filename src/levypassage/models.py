@@ -114,6 +114,21 @@ class PhaseType:
             object.__setattr__(self, "_eig_cache", cached)
         return cached
 
+    def _chain(self):
+        """(mean holds, start table, move tables) of the absorbing phase chain.
+        The tables are cumulative probabilities over the phases, absorption
+        taking the rest: a uniform u lands in the phase whose interval holds
+        it, counted as the number of entries at or below u (m for absorption)."""
+        cached = self.__dict__.get("_chain_cache")
+        if cached is None:
+            rates = -np.diag(self.t_mat)
+            moves = np.column_stack((self.t_mat + np.diag(rates), self.exit_vector))
+            start = np.append(self.alpha, max(0.0, 1.0 - self.alpha.sum()))
+            start_cum = np.cumsum(start / start.sum())[:-1]
+            cached = (1.0 / rates, start_cum, np.cumsum(moves / rates[:, None], axis=1)[:, :-1])
+            object.__setattr__(self, "_chain_cache", cached)
+        return cached
+
     def front_action(self, x, rear: np.ndarray) -> np.ndarray:
         """alpha @ expm(x T) @ rear, vectorized over x >= 0."""
         shape = np.shape(x)
@@ -149,13 +164,8 @@ class PhaseType:
 def sample_phase_type(ph: PhaseType, rng: np.random.Generator, size: int) -> np.ndarray:
     """Exact phase-type samples by simulating the absorbing phase chain."""
     m = ph.order
-    rates = -np.diag(ph.t_mat)
-    # transition kernel rows: to the other phases then to absorption
-    jumps = np.column_stack((ph.t_mat - np.diag(np.diag(ph.t_mat)), ph.exit_vector))
-    cum = np.cumsum(jumps / rates[:, None], axis=1)
-    start = np.concatenate((ph.alpha, [max(0.0, 1.0 - ph.alpha.sum())]))
-    start = start / start.sum()
-    state = rng.choice(m + 1, p=start, size=size)
+    hold, start_cum, move_cum = ph._chain()
+    state = np.searchsorted(start_cum, rng.random(size), side="right")
     total = np.zeros(size)
     active = state < m
     guard = 0
@@ -164,9 +174,9 @@ def sample_phase_type(ph: PhaseType, rng: np.random.Generator, size: int) -> np.
         if guard > 100_000:
             raise HorizonExceeded("phase chain failed to absorb")
         s = state[active]
-        total[active] += rng.exponential(1.0 / rates[s])
+        total[active] += hold[s] * rng.standard_exponential(s.size)
         u = rng.random(s.size)
-        state[active] = (u[:, None] > cum[s]).sum(axis=1)
+        state[active] = (u[:, None] >= move_cum[s]).sum(axis=1)
         active = state < m
     return total
 
@@ -302,12 +312,13 @@ class LevyMeasureView:
         raise NotImplementedError
 
     def sample(self, rng: np.random.Generator, m: int, dt) -> np.ndarray:
-        """m exact draws of J over a scalar or per-draw length dt."""
-        return self.sample_bridged(rng, m, dt)[0]
+        """m exact draws of J over a scalar or per-draw length dt.  They agree
+        with ``sample_bridged(rng, m, dt)[0]`` in law, not draw for draw."""
+        raise NotImplementedError
 
     def sample_bridged(self, rng: np.random.Generator, m: int, dt):
-        """(draws, bridge): ``sample``'s m draws, from the same random numbers,
-        and bridge(bridge_rng, rows, steps), which splits the draws ``rows`` over
+        """(draws, bridge): m draws with ``sample``'s law, and
+        bridge(bridge_rng, rows, steps), which splits the draws ``rows`` over
         ``steps`` equal steps with the law of J's path given its total: a
         (rows x steps) array of per-step increments, jumps lumped at step
         ends, that sums to the draws along each row."""
@@ -460,6 +471,16 @@ class PHMeasure(LevyMeasureView):
 
     def moment(self, k: int) -> float:
         return self.lam * self.ph.moment(k)
+
+    def sample(self, rng, m, dt):
+        """At a scalar dt the m draws come at once: the m cells hold
+        Poisson(lam dt m) jumps in all, each in a uniform cell, which is the
+        joint law of one Poisson(lam dt) count per cell."""
+        if np.ndim(dt):
+            return self.sample_bridged(rng, m, dt)[0]
+        n_jumps = rng.poisson(self.lam * dt * m)
+        sizes = sample_phase_type(self.ph, rng, n_jumps)
+        return np.bincount(rng.integers(0, m, n_jumps), weights=sizes, minlength=m)
 
     def sample_bridged(self, rng, m, dt):
         """Given its jumps, a compound-Poisson path puts each at an independent

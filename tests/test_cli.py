@@ -114,7 +114,7 @@ def test_simulate_with_one_uncensored_path_prints_json(tmp_path, capsys):
     # 199 of 200 paths are censored: one value has no standard error
     model = tmp_path / "pg.json"
     model.write_text(json.dumps({"kind": "perturbed_gamma", "mu": 0.2, "sigma": 0.8, "alpha": 1.5, "xi": 0.7}))
-    argv = ["--target", "last", "--b", "3", "--delta", "0.5", "--t-max", "0.5", "--max-blocks", "1", "--seed", "2"]
+    argv = ["--target", "last", "--b", "3", "--delta", "0.5", "--t-max", "0.5", "--max-blocks", "1", "--seed", "9"]
     assert _simulate(str(model), *argv) == 0
 
     def not_json(name):

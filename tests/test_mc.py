@@ -2,6 +2,7 @@
 Carlo estimators of the reflected process against exact laws."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from levypassage.last_passage import bm_last_passage_cdf, last_passage_cdf
 from levypassage.lundberg import build_scale_set
 from levypassage.mc import (
     SimConfig,
+    _substream,
     increment_exact,
     run_last_passage,
     run_reflected_first_passage,
@@ -35,6 +37,16 @@ def test_increment_exact_moments(request, name, t):
     se_var = math.sqrt((float(np.mean(centred**4)) - var**2) / n)
     assert_within_se(float(x.mean()), math.sqrt(var / n), model.mean_d1 * t, 4.0, f"{name} mean")
     assert_within_se(var, se_var, model.var_d1 * t, 4.0, f"{name} variance")
+
+
+def test_substream_repeats_by_key_and_differs_across_keys():
+    def draws(seed, stream, group):
+        return _substream(seed, stream, group).random(8)
+
+    assert np.array_equal(draws(5, 1, 0), draws(5, 1, 0))
+    keys = [(5, 1, 0), (5, 2, 0), (5, 1, 1), (6, 1, 0), (5, 1, 2), (5, 2, 1)]
+    for a, b in itertools.combinations(keys, 2):
+        assert not np.array_equal(draws(*a), draws(*b)), (a, b)
 
 
 class TestLastPassageEscapeTest:

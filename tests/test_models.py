@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import exp1
 
+from conftest import assert_within_se
 from levypassage.errors import NoJumpPart, SchemaError
 from levypassage.models import (
     KIND_BROWNIAN,
@@ -21,6 +22,7 @@ from levypassage.models import (
     model_from_dict,
     model_from_json,
     model_to_dict,
+    sample_phase_type,
 )
 
 
@@ -207,6 +209,40 @@ class TestBridge:
         assert steps.shape == (rows.size, 64) and np.all(steps >= 0.0)
         assert steps.sum(axis=1) == pytest.approx(total[rows], rel=1e-12, abs=0.0)
         assert np.count_nonzero(total[rows]) > 100
+
+
+class TestSample:
+    """Exact jump draws against the moments of their laws."""
+
+    PH2 = PhaseType(*TestTilt.PH[2])
+
+    @pytest.mark.parametrize(
+        "measure",
+        [PHMeasure(0.8, PhaseType(*TestTilt.PH[1])), PHMeasure(0.8, PH2), PHMeasure(0.8, PH2).tilt(0.7)],
+        ids=["order1", "order2", "tilted"],
+    )
+    def test_phase_type_block_draw(self, measure):
+        # one Poisson(lam dt n) count spread over n uniform cells: each cell
+        # is compound Poisson with mean lam dt E[J], variance lam dt E[J^2]
+        # and no jump with probability e^{-lam dt}
+        dt, n = 0.25, 200_000
+        x = measure.sample(np.random.default_rng(4), n, dt)
+        rate = measure.lam * dt
+        mean, var = float(x.mean()), float(x.var(ddof=1))
+        se_var = math.sqrt((float(np.mean((x - mean) ** 4)) - var**2) / n)
+        zero = float(np.mean(x == 0.0))
+        p0 = math.exp(-rate)
+        assert_within_se(mean, math.sqrt(var / n), rate * measure.ph.moment(1), 4.0, "mean")
+        assert_within_se(var, se_var, rate * measure.ph.moment(2), 4.0, "variance")
+        assert_within_se(zero, math.sqrt(p0 * (1.0 - p0) / n), p0, 4.0, "zero cells")
+
+    def test_phase_chain_moments(self):
+        ph = PhaseType(*TestTilt.PH[3])  # moves between all three phases
+        n = 200_000
+        x = sample_phase_type(ph, np.random.default_rng(6), n)
+        for k in (1, 2):
+            xk = x**k
+            assert_within_se(float(xk.mean()), float(xk.std(ddof=1)) / math.sqrt(n), ph.moment(k), 4.0, f"E[J^{k}]")
 
 
 class TestCPApproximation:
