@@ -94,10 +94,8 @@ from .numerics import (
     grid_convolve,
     hyp2f2,
     laplace_invert,
-    lower_incomplete_gamma,
     parabolic_cylinder_d,
     parabolic_cylinder_d_batch,
     poly_roots_complex,
-    upper_incomplete_gamma,
 )
 from .reflected import duality_check, reflected_passage_density

@@ -94,45 +94,6 @@ def perturbed_gamma_density(model: ModelSpec, t: float, a) -> np.ndarray:
     return float(out[0]) if scalar else out
 
 
-def _ph_density_grid(model: ModelSpec, t: float, xs: np.ndarray) -> np.ndarray:
-    """Poisson-weighted convolution series for compound-Poisson + Gaussian."""
-    h = xs[1] - xs[0]
-    lam_t = model.lam * t
-    n_max = int(lam_t + 10.0 * math.sqrt(lam_t) + 20)
-    weights = np.empty(n_max + 1)
-    weights[0] = math.exp(-lam_t)
-    for k in range(1, n_max + 1):
-        weights[k] = weights[k - 1] * lam_t / k
-    # jump-size density on [0, L]; the compound sum lives below the grid span
-    span = xs[-1] - xs[0]
-    n_jump = int(span / h) + 1
-    jump_x = h * np.arange(n_jump)
-    # the one-jump term enters exactly; n >= 2 folds go through the FFT with
-    # trapezoid end-weights baked into the sampled density (p^{*n}(0) = 0, so
-    # the index-0 half-weight artifact is O(h^2) there)
-    p_vals = model.ph.density(jump_x)
-    p_w = p_vals * h
-    p_w[0] *= 0.5
-    m_fft = 1 << int(np.ceil(np.log2(2 * n_jump)))
-    p_hat = np.fft.rfft(p_w, m_fft)
-    acc_hat = np.zeros_like(p_hat)
-    cur = p_hat.copy()
-    for k in range(2, n_max + 1):
-        cur = cur * p_hat
-        if weights[k] > 1e-300:
-            acc_hat = acc_hat + weights[k] * cur
-    jump_mix = weights[1] * p_vals + np.fft.irfft(acc_hat, m_fft)[:n_jump] / h
-    jump_mix = np.maximum(jump_mix, 0.0)
-    # convolve with the Gaussian part N(mu t, sigma^2 t)
-    gauss = norm.pdf(xs, loc=model.mu * t, scale=model.sigma * math.sqrt(t))
-    mix_w = jump_mix * h
-    mix_w[0] *= 0.5
-    m2 = 1 << int(np.ceil(np.log2(xs.size + n_jump)))
-    conv = np.fft.irfft(np.fft.rfft(gauss, m2) * np.fft.rfft(mix_w, m2), m2)
-    out = weights[0] * gauss + conv[: xs.size]
-    return np.maximum(out, 0.0)
-
-
 def _closed_form_density(model: ModelSpec, t: float, a) -> np.ndarray:
     """Exact density of D_t at a for the kinds that have one."""
     if model.kind == KIND_BROWNIAN:
@@ -307,8 +268,10 @@ class MarginalDensityD:
     and perturbed-gamma kinds, and interpolates the grid ``f`` for the
     phase-type kind, which has no closed form.  ``f`` tabulates the density
     on ``n`` points spanning its effective support (zero outside); it fixes
-    the bounds and is what quadratures over D_t integrate.  It is built on
-    first use, so pointwise evaluation of a closed-form kind costs no grid.
+    the bounds and is what quadratures over D_t integrate.  For phase type
+    the grid is one inverse FFT of the characteristic function
+    (``density_lattice``).  It is built on first use, so pointwise
+    evaluation of a closed-form kind costs no grid.
     """
 
     model: ModelSpec
@@ -320,7 +283,7 @@ class MarginalDensityD:
         lo, hi = _grid_bounds(self.model, self.t)
         xs = np.linspace(lo, hi, self.n)
         if self.model.kind == KIND_PH:
-            vals = _ph_density_grid(self.model, self.t, xs)
+            vals = density_lattice(self.model, self.t, lo, xs[1] - xs[0], self.n)[0]
         else:
             vals = _closed_form_density(self.model, self.t, xs)
         return GridFunction(lo, xs[1] - xs[0], vals, extrapolate="zero")
@@ -368,14 +331,14 @@ def density_of_dt(model: ModelSpec, t: float, n: int | None = None) -> MarginalD
     Evaluation is exact for the Brownian, pure-gamma and perturbed-gamma
     kinds.  Every kind also carries the density tabulated on an automatically
     sized grid of ``n`` points, the bounds and quadrature helper; for the
-    phase-type kind the grid (a Poisson-weighted convolution series) is the
-    density itself.
+    phase-type kind the grid (one inverse FFT of e^{t psi_D(i w)}, by
+    ``density_lattice``) is the density itself.
     """
     if t <= 0:
         raise ValueError("time must be positive")
     if n is None:
-        # pure gamma: steep (or singular) left endpoint; phase type: repeated
-        # discrete convolutions have O(h^2) error worth damping
+        # pure gamma: steep (or singular) left endpoint; phase type: the
+        # trapezoid reverse sums of _grid_escape_mass are O(h^2)
         n = 16385 if model.kind in (KIND_PURE_GAMMA, KIND_PH) else 4097
     return MarginalDensityD(model, t, n)
 

@@ -145,17 +145,42 @@ class PhaseType:
     def density(self, x) -> np.ndarray:
         shape = np.shape(x)
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros_like(x)
         pos = x >= 0
+        if pos.all():  # every point in range: skip the gather and scatter
+            return np.maximum(self.front_action(x, self.exit_vector), 0.0).reshape(shape)
+        out = np.zeros_like(x)
         if pos.any():
             out[pos] = np.maximum(self.front_action(x[pos], self.exit_vector), 0.0)
         return out.reshape(shape)
 
+    def density_outer(self, x, v) -> np.ndarray:
+        """density(x_i + v_j) as an (x.size, v.size) table, from
+        e^{(x+v)T} = e^{xT} e^{vT}: the rows alpha e^{xT} times the columns
+        e^{vT} t, so N + V exponentials (or expm calls, for a defective T)
+        in place of N V."""
+        x = np.asarray(x, dtype=float)
+        v = np.asarray(v, dtype=float)
+        ok, w, vec, vinv = self._eig_action()
+        if ok:
+            rows = np.exp(np.outer(x, w)) * (self.alpha @ vec)
+            cols = np.exp(np.outer(w, v)) * (vinv @ self.exit_vector)[:, None]
+            out = np.real(rows @ cols)
+        else:
+            rows = self.alpha @ expm(x[:, None, None] * self.t_mat[None, :, :])
+            cols = expm(v[:, None, None] * self.t_mat[None, :, :]) @ self.exit_vector
+            out = rows @ cols.T
+        np.maximum(out, 0.0, out=out)
+        if x.min(initial=0.0) + v.min(initial=0.0) < 0:
+            out[np.add.outer(x, v) < 0] = 0.0
+        return out
+
     def survival(self, x) -> np.ndarray:
         shape = np.shape(x)
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.full_like(x, self.alpha.sum())
         pos = x > 0
+        if pos.all():
+            return np.clip(self.front_action(x, np.ones(self.order)), 0.0, None).reshape(shape)
+        out = np.full_like(x, self.alpha.sum())
         if pos.any():
             out[pos] = np.clip(self.front_action(x[pos], np.ones(self.order)), 0.0, None)
         return out.reshape(shape)
@@ -331,6 +356,10 @@ class LevyMeasureView:
 
     def density(self, x) -> np.ndarray:
         raise NotImplementedError
+
+    def density_outer(self, x, v) -> np.ndarray:
+        """q(x_i + v_j) for 1-D x and v, as an (x.size, v.size) table."""
+        return self.density(np.add.outer(x, v))
 
     def tail(self, x) -> np.ndarray:
         """Qbar(x) = Q([x, inf))."""
@@ -516,6 +545,9 @@ class PHMeasure(LevyMeasureView):
 
     def density(self, x):
         return self.lam * self.ph.density(x)
+
+    def density_outer(self, x, v):
+        return self.lam * self.ph.density_outer(x, v)
 
     def tail(self, x):
         return self.lam * self.ph.survival(x)

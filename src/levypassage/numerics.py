@@ -184,16 +184,6 @@ def reg_gamma_p(s: float, x: float) -> float:
     return float(gammainc(s, x))
 
 
-def upper_incomplete_gamma(s: float, x: float) -> float:
-    """Gamma(s, x) = int_x^inf t^(s-1) e^(-t) dt for s > 0, x >= 0."""
-    return reg_gamma_q(s, x) * math.exp(math.lgamma(s))
-
-
-def lower_incomplete_gamma(s: float, x: float) -> float:
-    """gamma(s, x) = Gamma(s) - Gamma(s, x)."""
-    return reg_gamma_p(s, x) * math.exp(math.lgamma(s))
-
-
 # ---------------------------------------------------------------------------
 # Generalized hypergeometric 2F2
 

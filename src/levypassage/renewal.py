@@ -26,6 +26,7 @@ integrable endpoint singularities of omega never get evaluated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -61,13 +62,14 @@ def _swap_convolution(y, kappa, rho, cum_c, r_vals):
 def _omega_generic(
     view: LevyMeasureView, w: Callable, x: np.ndarray, v_max: float, n_panels: int = 48
 ) -> np.ndarray:
-    """omega(x) = int_0^inf w(x, v) q(x + v) dv by panel quadrature in v."""
+    """omega(x) = int_0^inf w(x, v) q(x + v) dv for 1-D x, by panel
+    quadrature in v: one ``density_outer`` table per panel."""
     edges = np.linspace(0.0, v_max, n_panels + 1)
     out = np.zeros_like(x)
     for a, b in zip(edges[:-1], edges[1:]):
         v = a + (b - a) * _GL_TAIL_NODES
         wts = (b - a) * _GL_TAIL_WEIGHTS
-        vals = w(x[:, None], v[None, :]) * view.density(x[:, None] + v[None, :])
+        vals = w(x[:, None], v[None, :]) * view.density_outer(x, v)
         out += vals @ wts
     return out
 
@@ -142,17 +144,18 @@ def build_renewal_kernels(
             np.exp(-rho * (nodes - xs[:-1, None])) * omega_nodes * weights, axis=1
         )
         tail_edges = xs[-1] + np.linspace(0.0, v_max, 49)
-        seed = 0.0
-        for a, b in zip(tail_edges[:-1], tail_edges[1:]):
-            tx = a + (b - a) * _GL_TAIL_NODES
-            tw = (b - a) * _GL_TAIL_WEIGHTS
-            omega_tail = _omega_generic(view, omega, tx, v_max)
-            seed += float(np.sum(np.exp(-rho * (tx - xs[-1])) * omega_tail * tw))
-        r_omega = np.zeros(n)
-        r_omega[-1] = seed
-        decay = np.exp(-rho * h_step)
-        for i in range(n - 2, -1, -1):
-            r_omega[i] = decay * r_omega[i + 1] + cell_r[i]
+        tx = tail_edges[:-1, None] + np.diff(tail_edges)[:, None] * _GL_TAIL_NODES
+        tw = np.diff(tail_edges)[:, None] * _GL_TAIL_WEIGHTS
+        omega_tail = _omega_generic(view, omega, tx.ravel(), v_max).reshape(tx.shape)
+        seed = np.sum(np.exp(-rho * (tx - xs[-1])) * omega_tail * tw)
+        # R_i = sum_{k >= i} e^{-rho h (k - i)} r_k with r = (cell integrals, seed),
+        # as a doubling scan: after the pass with stride s each entry sums its next
+        # 2s terms, and the weights e^{-rho h s} <= 1 cannot overflow
+        r_omega = np.append(cell_r, seed)
+        stride = 1
+        while stride < n:
+            r_omega[:-stride] += math.exp(-rho * h_step * stride) * r_omega[stride:]
+            stride *= 2
     c_omega = cumulative_from_cells(np.sum(factor_nodes * omega_nodes * weights, axis=1))
     conv = _swap_convolution(xs, kappa, rho, c_omega, r_omega)
     creep = creep_weight * np.exp(-kappa * xs)

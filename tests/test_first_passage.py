@@ -84,6 +84,15 @@ class TestPKSeries:
         mc = sample.penalty_value(0.5, lambda u, v: np.exp(-v))
         assert_within_se(mc.estimate, mc.std_error, float(tr(1.0)), 3.0, "smooth penalty")
 
+    def test_callable_penalty_pinned(self, ph2_model):
+        # pinned from the omega quadrature that evaluated q at each (x, v)
+        # point; the rank-m density_outer table must reproduce it to rounding
+        pen = PenaltySpec(tag="custom", w=lambda u, v: np.exp(-1.3 * v) / (1.0 + 0.5 * u))
+        got = pk_series_transform(ph2_model, 0.6, penalty=pen)(np.array([0.25, 0.5, 1.0, 2.0, 3.5]))
+        want = [0.6919190573851788, 0.5089280833741213, 0.32007631511461715, 0.17663987602557113,
+                0.09260771491924366]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
 
 class TestScaleFormula:
     def test_zero_threshold(self, bm_model):

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from conftest import assert_within_se
-from levypassage.errors import NoJumpPart, TailNotDominated, WrongKind
+from levypassage.errors import NoJumpPart, TailNotDominated, UnresolvedKernel, WrongKind
 from levypassage.first_passage import inverse_gaussian_cdf, transform_from_scales
 from levypassage.last_passage import (
     bm_last_passage_cdf,
@@ -27,7 +27,7 @@ from levypassage.mc import (
     run_reflected_at_exp_horizon,
     run_reflected_last_passage,
 )
-from levypassage.models import KIND_BROWNIAN, ModelSpec
+from levypassage.models import KIND_BROWNIAN, KIND_PH, ModelSpec, PhaseType
 
 
 class TestDensityOfDt:
@@ -89,6 +89,39 @@ class TestDensityOfDt:
         xs = dens.grid()
         mean = np.trapezoid(xs * dens.f.values, xs)
         assert mean == pytest.approx(ph2_model.mean_d1 * 1.5, abs=5e-4)
+
+    @pytest.mark.parametrize(
+        "alpha, t_mat",
+        [([1.0], [[-1.0]]), ([0.6, 0.4], [[-2.0, 0.5], [0.3, -1.0]]),
+         ([1.0, 0.0, 0.0], [[-2.0, 1.5, 0.0], [0.0, -2.0, 1.5], [1.5, 0.0, -2.0]])],
+        ids=["order1", "order2", "order3"],
+    )
+    def test_ph_grid_mass_mean_variance(self, alpha, t_mat):
+        # the lattice grid is exact up to what its support leaves out; at
+        # t = 4 the _grid_bounds support holds the jump tail to below 1e-8
+        # (at t = 1.5 the order-2 law already puts 1e-6 of its variance above it)
+        model = ModelSpec(kind=KIND_PH, mu=0.1, sigma=0.7, lam=0.8, ph=PhaseType(alpha, t_mat))
+        t = 4.0
+        f = density_of_dt(model, t).f
+        xs, vals = f.grid(), f.values
+        mean = np.trapezoid(xs * vals, dx=f.h)
+        var = np.trapezoid((xs - mean) ** 2 * vals, dx=f.h)
+        assert np.trapezoid(vals, dx=f.h) == pytest.approx(1.0, abs=1e-8)
+        assert mean == pytest.approx(model.mean_d1 * t, rel=1e-8)
+        assert var == pytest.approx(model.var_d1 * t, rel=1e-8)
+
+    @pytest.mark.parametrize("t, sigma", [(1e-3, 0.05), (1e-6, 0.01)])
+    def test_ph_grid_short_horizon_small_sigma(self, ph_model, t, sigma):
+        # a finite grid that lost at most the jump mass 1 - e^{-lam t}, or a
+        # typed refusal; never NaN
+        model = ModelSpec(kind=KIND_PH, mu=0.1, sigma=sigma, lam=1.0, ph=ph_model.ph)
+        try:
+            f = density_of_dt(model, t).f
+        except UnresolvedKernel:
+            return
+        assert np.all(np.isfinite(f.values)) and np.all(f.values >= 0)
+        mass = np.trapezoid(f.values, dx=f.h)
+        assert -model.lam * t <= mass - 1.0 <= 1e-8
 
 
 class TestLastPassageFree:

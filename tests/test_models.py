@@ -102,6 +102,15 @@ class TestLevyMeasure:
         view = levy_measure(ph_model)
         assert float(view.density(0.5)) == pytest.approx(math.exp(-0.5), rel=1e-12)
 
+    def test_ph_values_do_not_depend_on_the_other_points(self, ph2_model):
+        # an all-nonnegative array skips the masked gather; a negative point
+        # forces it, and must not change a bit of the rest
+        ph = ph2_model.ph
+        x = np.linspace(0.0, 6.0, 1001)
+        with_negative = np.append(-1.0, x)
+        assert np.array_equal(ph.density(x), ph.density(with_negative)[1:])
+        assert np.array_equal(ph.survival(x[1:]), ph.survival(with_negative)[2:])
+
     def test_tail_derivative_consistency(self):
         # -Qbar'(x) = q(x) by the fundamental theorem of calculus
         model = ModelSpec(kind=KIND_PERTURBED_GAMMA, sigma=1.0, alpha=2.0, xi=1.0)
@@ -153,6 +162,39 @@ class TestLevyMeasure:
     def test_no_jump_part(self, bm_model):
         with pytest.raises(NoJumpPart):
             levy_measure(bm_model)
+
+
+class TestDensityOuter:
+    """density_outer(x, v) is density(x_i + v_j), whatever route builds it."""
+
+    X = np.linspace(-0.4, 4.0, 37)
+    V = np.linspace(0.0, 3.0, 24)
+
+    @pytest.mark.parametrize(
+        "case, alpha, t_mat",
+        [
+            pytest.param("order1", [1.0], [[-1.5]], id="order1"),
+            pytest.param("order2", [0.6, 0.4], [[-2.0, 0.5], [0.3, -1.0]], id="order2"),
+            pytest.param("order3", [0.5, 0.3, 0.2], [[-3.0, 1.0, 0.5], [0.0, -2.0, 1.0], [0.0, 0.0, -1.2]], id="order3"),
+            pytest.param("complex", [1.0, 0.0, 0.0], [[-2.0, 1.5, 0.0], [0.0, -2.0, 1.5], [1.5, 0.0, -2.0]], id="complex"),
+            pytest.param("defective", [1.0, 0.0], [[-2.0, 2.0], [0.0, -2.0]], id="defective"),
+        ],
+    )
+    def test_phase_type(self, case, alpha, t_mat):
+        view = PHMeasure(1.3, PhaseType(alpha, t_mat))
+        ok, w, _, _ = view.ph._eig_action()
+        assert ok == (case != "defective")
+        assert np.iscomplexobj(w) == (case == "complex")
+        want = view.density(np.add.outer(self.X, self.V))
+        # scipy's expm is itself good to about 2e-13 on the Erlang-2 block:
+        # both routes sit that far from 4x e^{-2x}
+        rtol = 1e-12 if case == "defective" else 1e-13
+        np.testing.assert_allclose(view.density_outer(self.X, self.V), want, rtol=rtol, atol=0.0)
+
+    def test_gamma_default(self):
+        view = GammaMeasure(1.4, 0.7)
+        want = view.density(np.add.outer(self.X, self.V))
+        np.testing.assert_array_equal(view.density_outer(self.X, self.V), want)
 
 
 class TestTilt:
