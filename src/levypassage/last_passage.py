@@ -17,7 +17,7 @@ threshold and the last passage coincides with the first passage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -43,6 +43,7 @@ _N_QUAD = 4097  # trapezoid nodes per a-integral of last_passage_joint_mass
 _LATTICE_TAIL = 1e-16  # |characteristic function| at the Nyquist frequency of density_lattice
 _LATTICE_MAX = 1 << 18  # most lattice points per period density_lattice may use
 _LATTICE_BATCH = 1 << 16  # complex entries (1 MB) per batch of density_lattice rows
+_GRID_MIN_SD = 1.5  # least width, in grid steps, of the Gaussian part of a phase-type D_t grid
 
 
 def _grid_bounds(model: ModelSpec, t):
@@ -123,12 +124,13 @@ def density_lattice(model: ModelSpec, t, x0, step: float, n: int) -> np.ndarray:
     step step/K (the lattice technique of Carr & Madan, J. Comput. Finance
     2(4), 1999).  The inverse DFT samples the density periodised with period
     P = N step/K, so N is sized for P to cover each row and the
-    ``_grid_bounds`` support of its horizon (nothing aliases), and the
-    integer oversampling K is the least that brings |e^{t psi_D(i w)}| at
-    the Nyquist frequency below 1e-16 for the shortest horizon (nothing is
-    truncated).  psi_D is evaluated once; a horizon enters only through
-    e^{t psi_D}.  A regime that would need more than 2^18 lattice points
-    raises ``UnresolvedKernel``.
+    ``_grid_bounds`` support of its horizon.  Mass past that support's upper
+    end (a compound-Poisson tail at short horizons) aliases onto the low end
+    of the period.  The integer oversampling K is the least that brings
+    |e^{t psi_D(i w)}| at the Nyquist frequency below 1e-16 for the shortest
+    horizon (nothing is truncated).  psi_D is evaluated once; a horizon
+    enters only through e^{t psi_D}.  A regime that would need more than
+    2^18 lattice points raises ``UnresolvedKernel``.
 
     For sigma = 0 (pure gamma) the closed form is evaluated at every lattice
     point in one call.  Once alpha t < 1 that density is unbounded at the
@@ -270,8 +272,12 @@ class MarginalDensityD:
     on ``n`` points spanning its effective support (zero outside); it fixes
     the bounds and is what quadratures over D_t integrate.  For phase type
     the grid is one inverse FFT of the characteristic function
-    (``density_lattice``).  It is built on first use, so pointwise
-    evaluation of a closed-form kind costs no grid.
+    (``density_lattice``), with the Gaussian part widened to 1.5 grid steps
+    when it is narrower (short horizons at small sigma): the mean is kept,
+    the variance grows by at most (1.5 h)^2, and an escape mass whose
+    threshold lies within a few steps of mu t is off by O(rho0 h).  It is
+    built on first use, so pointwise evaluation of a closed-form kind costs
+    no grid.
     """
 
     model: ModelSpec
@@ -282,11 +288,16 @@ class MarginalDensityD:
     def f(self) -> GridFunction:
         lo, hi = _grid_bounds(self.model, self.t)
         xs = np.linspace(lo, hi, self.n)
+        h = xs[1] - xs[0]
         if self.model.kind == KIND_PH:
-            vals = density_lattice(self.model, self.t, lo, xs[1] - xs[0], self.n)[0]
+            # a Gaussian part narrower than 1.5 steps is widened to 1.5 steps:
+            # the trapezoid rule keeps a Gaussian's mass only to 2 e^{-2 pi^2 (sd/h)^2}
+            # (1e-19 at 1.5 steps), and the lattice could not resolve it at all
+            sigma = max(self.model.sigma, _GRID_MIN_SD * h / math.sqrt(self.t))
+            vals = density_lattice(replace(self.model, sigma=sigma), self.t, lo, h, self.n)[0]
         else:
             vals = _closed_form_density(self.model, self.t, xs)
-        return GridFunction(lo, xs[1] - xs[0], vals, extrapolate="zero")
+        return GridFunction(lo, h, vals, extrapolate="zero")
 
     def __call__(self, a):
         if self.model.kind == KIND_PH:

@@ -129,29 +129,26 @@ class PhaseType:
             object.__setattr__(self, "_chain_cache", cached)
         return cached
 
-    def front_action(self, x, rear: np.ndarray) -> np.ndarray:
-        """alpha @ expm(x T) @ rear, vectorized over x >= 0."""
-        shape = np.shape(x)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+    def _action(self, x: np.ndarray, front: np.ndarray, rear: np.ndarray) -> np.ndarray:
+        """front @ expm(x_i T) @ rear for every x_i of a 1-D x; the rows of a
+        2-D front or the columns of a 2-D rear (not both) add a last axis.
+        The one place the matrix-exponential method is chosen: the cached
+        eigensystem when it is well conditioned, else batched
+        scaling-and-squaring (defective T)."""
         ok, w, v, vinv = self._eig_action()
         if ok:
-            c = (self.alpha @ v) * (vinv @ rear)
-            out = np.real(np.exp(np.outer(x, w)) @ c)
-        else:  # defective T: batched scaling-and-squaring
-            mats = expm(x[:, None, None] * self.t_mat[None, :, :])
-            out = np.einsum("i,nij,j->n", self.alpha, mats, rear)
-        return out.reshape(shape)
+            coef = ((vinv @ rear).T * (front @ v)).T
+            return np.real(np.exp(np.outer(x, w)) @ coef)
+        return front @ expm(x[:, None, None] * self.t_mat[None, :, :]) @ rear
+
+    def front_action(self, x, rear: np.ndarray) -> np.ndarray:
+        """alpha @ expm(x T) @ rear, vectorized over x >= 0."""
+        return self._action(np.ravel(np.asarray(x, dtype=float)), self.alpha, rear).reshape(np.shape(x))
 
     def density(self, x) -> np.ndarray:
-        shape = np.shape(x)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        pos = x >= 0
-        if pos.all():  # every point in range: skip the gather and scatter
-            return np.maximum(self.front_action(x, self.exit_vector), 0.0).reshape(shape)
-        out = np.zeros_like(x)
-        if pos.any():
-            out[pos] = np.maximum(self.front_action(x[pos], self.exit_vector), 0.0)
-        return out.reshape(shape)
+        x = np.asarray(x, dtype=float)
+        inside = np.maximum(self.front_action(np.maximum(x, 0.0), self.exit_vector), 0.0)
+        return np.where(x >= 0, inside, 0.0)
 
     def density_outer(self, x, v) -> np.ndarray:
         """density(x_i + v_j) as an (x.size, v.size) table, from
@@ -160,30 +157,16 @@ class PhaseType:
         in place of N V."""
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
-        ok, w, vec, vinv = self._eig_action()
-        if ok:
-            rows = np.exp(np.outer(x, w)) * (self.alpha @ vec)
-            cols = np.exp(np.outer(w, v)) * (vinv @ self.exit_vector)[:, None]
-            out = np.real(rows @ cols)
-        else:
-            rows = self.alpha @ expm(x[:, None, None] * self.t_mat[None, :, :])
-            cols = expm(v[:, None, None] * self.t_mat[None, :, :]) @ self.exit_vector
-            out = rows @ cols.T
-        np.maximum(out, 0.0, out=out)
+        cols = self._action(v, np.eye(self.order), self.exit_vector)  # row j: e^{v_j T} t
+        out = np.maximum(self._action(x, self.alpha, cols.T), 0.0)
         if x.min(initial=0.0) + v.min(initial=0.0) < 0:
             out[np.add.outer(x, v) < 0] = 0.0
         return out
 
     def survival(self, x) -> np.ndarray:
-        shape = np.shape(x)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        pos = x > 0
-        if pos.all():
-            return np.clip(self.front_action(x, np.ones(self.order)), 0.0, None).reshape(shape)
-        out = np.full_like(x, self.alpha.sum())
-        if pos.any():
-            out[pos] = np.clip(self.front_action(x[pos], np.ones(self.order)), 0.0, None)
-        return out.reshape(shape)
+        x = np.asarray(x, dtype=float)
+        inside = np.clip(self.front_action(np.maximum(x, 0.0), np.ones(self.order)), 0.0, None)
+        return np.where(x > 0, inside, self.alpha.sum())
 
 
 def sample_phase_type(ph: PhaseType, rng: np.random.Generator, size: int) -> np.ndarray:

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from conftest import assert_within_se
-from levypassage.errors import NoJumpPart, TailNotDominated, UnresolvedKernel, WrongKind
+from levypassage.errors import NoJumpPart, TailNotDominated, WrongKind
 from levypassage.first_passage import inverse_gaussian_cdf, transform_from_scales
 from levypassage.last_passage import (
     bm_last_passage_cdf,
@@ -110,18 +110,31 @@ class TestDensityOfDt:
         assert mean == pytest.approx(model.mean_d1 * t, rel=1e-8)
         assert var == pytest.approx(model.var_d1 * t, rel=1e-8)
 
-    @pytest.mark.parametrize("t, sigma", [(1e-3, 0.05), (1e-6, 0.01)])
+    @pytest.mark.parametrize("t, sigma", [(1e-3, 0.05), (1e-6, 0.01), (1e-6, 0.001)])
     def test_ph_grid_short_horizon_small_sigma(self, ph_model, t, sigma):
-        # a finite grid that lost at most the jump mass 1 - e^{-lam t}, or a
-        # typed refusal; never NaN
+        # a finite grid that lost at most the jump mass 1 - e^{-lam t}; below
+        # 1.5 grid steps the Gaussian part is widened, so the narrowest laws
+        # (sigma sqrt(t) = 1e-5 and 1e-6, against h = 1.2e-4) keep their mass too
         model = ModelSpec(kind=KIND_PH, mu=0.1, sigma=sigma, lam=1.0, ph=ph_model.ph)
-        try:
-            f = density_of_dt(model, t).f
-        except UnresolvedKernel:
-            return
+        f = density_of_dt(model, t).f
         assert np.all(np.isfinite(f.values)) and np.all(f.values >= 0)
         mass = np.trapezoid(f.values, dx=f.h)
         assert -model.lam * t <= mass - 1.0 <= 1e-8
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP Fix first 5: the jump tail past the grid's upper end aliases to its low end",
+    )
+    def test_ph_grid_moments_short_horizon(self, ph2_model):
+        # at t = 0.3 the fold moves the mean 5.4e-4 and the variance 1.8e-3
+        # relative; on a support up to 30 both are below 1e-8
+        t = 0.3
+        f = density_of_dt(ph2_model, t).f
+        xs, vals = f.grid(), f.values
+        mean = np.trapezoid(xs * vals, dx=f.h)
+        var = np.trapezoid((xs - mean) ** 2 * vals, dx=f.h)
+        assert mean == pytest.approx(ph2_model.mean_d1 * t, rel=1e-6)
+        assert var == pytest.approx(ph2_model.var_d1 * t, rel=1e-6)
 
 
 class TestLastPassageFree:

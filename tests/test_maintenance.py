@@ -24,7 +24,7 @@ from levypassage.maintenance import (
     joint_law_idle,
     simulate_policy,
 )
-from levypassage.models import KIND_PERTURBED_GAMMA, KIND_PURE_GAMMA, ModelSpec
+from levypassage.models import KIND_PERTURBED_GAMMA, KIND_PH, KIND_PURE_GAMMA, ModelSpec, PhaseType
 
 KINDS = ["bm_model", "gamma_model", "pgamma_model_wide", "ph2_model"]
 
@@ -211,6 +211,20 @@ class TestIdleLaw:
         assert idle[0] == pytest.approx(p_fail[2], rel=1e-12)
         assert 0.0 < idle[1] < idle[0]
 
+
+    def test_full_cycle_idle_small_sigma_phase_type(self):
+        # z = m(y) leaves no time (the horizon is floored at 1e-6), where
+        # sigma sqrt(t) = 1e-5 lies far below the D_t grid step: the law is a
+        # near point mass at mu t, so C is below lam t = 1e-6 under b and the
+        # escape probability 1 - e^{-rho0 (y - b)} above it
+        model = ModelSpec(kind=KIND_PH, mu=0.1, sigma=0.01, lam=1.0, ph=PhaseType([1.0], [[-1.0]]))
+        policy = PolicySpec(b=2.0, m=InspectionSchedule("constant", 1.0), d=MaintenanceAction("affine", 0.5))
+        kernels = PolicyKernels(model, policy)
+        ys = np.array([0.0, 1.0, 1.9, 2.1, 2.5])
+        want = -np.expm1(-kernels.rho0 * np.maximum(ys - policy.b, 0.0))
+        np.testing.assert_allclose(kernels.kernel_cz(ys, 1.0), want, rtol=0.0, atol=1e-6)
+        assert 0.0 <= joint_law_idle(kernels, 1, 1.0) <= 1e-6
+        assert 0.0 <= joint_law_idle(kernels, 2, 1.0) <= 1e-6
 
 def _ph1_density(model, t, x):
     """f_{D_t}(x) for exponential jumps of rate 1, by adaptive quadrature of
