@@ -81,7 +81,6 @@ from .models import (
     PHMeasure,
     PhaseType,
     cp_approximation,
-    levy_measure,
     model_from_dict,
     model_from_json,
     model_to_dict,
@@ -89,13 +88,9 @@ from .models import (
 )
 from .numerics import (
     GridFunction,
-    InversionConfig,
     find_root_bracketed,
     grid_convolve,
     hyp2f2,
-    laplace_invert,
-    parabolic_cylinder_d,
-    parabolic_cylinder_d_batch,
     poly_roots_complex,
 )
 from .reflected import duality_check, reflected_passage_density

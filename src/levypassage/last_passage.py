@@ -32,7 +32,6 @@ from .lundberg import ScaleSet, escape_probability, escape_rate
 from .models import (
     KIND_BROWNIAN,
     KIND_PERTURBED_GAMMA,
-    KIND_PH,
     KIND_PURE_GAMMA,
     ModelSpec,
 )
@@ -44,19 +43,6 @@ _LATTICE_TAIL = 1e-16  # |characteristic function| at the Nyquist frequency of d
 _LATTICE_MAX = 1 << 18  # most lattice points per period density_lattice may use
 _LATTICE_BATCH = 1 << 16  # complex entries (1 MB) per batch of density_lattice rows
 _GRID_MIN_SD = 1.5  # least width, in grid steps, of the Gaussian part of a phase-type D_t grid
-
-
-def _grid_bounds(model: ModelSpec, t):
-    """Support [lo, hi] of the D_t density, for a horizon or an array of them."""
-    mean = model.mean_d1 * t
-    spread = np.sqrt(model.var_d1 * t)
-    lo = mean - 10.0 * spread - 1.0
-    hi = mean + 14.0 * spread + 1.0
-    if model.kind == KIND_PURE_GAMMA:
-        lo = model.mu * t
-    if model.kind in (KIND_PURE_GAMMA, KIND_PERTURBED_GAMMA):
-        hi = np.maximum(hi, model.mu * t + gamma_dist.isf(1e-13, model.alpha * t, scale=model.xi))
-    return lo, hi
 
 
 def perturbed_gamma_density(model: ModelSpec, t: float, a) -> np.ndarray:
@@ -95,27 +81,6 @@ def perturbed_gamma_density(model: ModelSpec, t: float, a) -> np.ndarray:
     return float(out[0]) if scalar else out
 
 
-def _closed_form_density(model: ModelSpec, t: float, a) -> np.ndarray:
-    """Exact density of D_t at a for the kinds that have one."""
-    if model.kind == KIND_BROWNIAN:
-        return norm.pdf(a, loc=model.mu * t, scale=model.sigma * math.sqrt(t))
-    if model.kind == KIND_PURE_GAMMA:
-        return gamma_dist.pdf(np.asarray(a) - model.mu * t, model.alpha * t, scale=model.xi)
-    return perturbed_gamma_density(model, t, a)
-
-
-def check_point_density(model: ModelSpec, t: float) -> None:
-    """Raise ``UnresolvedKernel`` where point values of the D_t density at
-    horizons >= t cannot stand for it: at sigma = 0 with alpha t < 1 the
-    gamma density is unbounded at the origin."""
-    if model.sigma == 0 and model.alpha * t < 1.0:
-        raise UnresolvedKernel(
-            f"the gamma density of D_t at t = {t:g} has shape alpha t < 1 and is "
-            "unbounded at the origin; its point values need a cell-mass chain "
-            "(ROADMAP direction 2)"
-        )
-
-
 def density_lattice(model: ModelSpec, t, x0, step: float, n: int) -> np.ndarray:
     """f_t(x0 + j step) for j = 0..n-1: one row per horizon t_i and start x0_i.
 
@@ -123,47 +88,22 @@ def density_lattice(model: ModelSpec, t, x0, step: float, n: int) -> np.ndarray:
     function, e^{t psi_D(i w) + i w x0} on the frequencies of a lattice of
     step step/K (the lattice technique of Carr & Madan, J. Comput. Finance
     2(4), 1999).  The inverse DFT samples the density periodised with period
-    P = N step/K, so N is sized for P to cover each row and the
-    ``_grid_bounds`` support of its horizon.  Mass past that support's upper
-    end (a compound-Poisson tail at short horizons) aliases onto the low end
-    of the period.  The integer oversampling K is the least that brings
+    P = N step/K, so N is sized for P to cover each row and the support of
+    the D_t law at its horizon.  Mass past that support's upper end (a
+    compound-Poisson tail at short horizons) aliases onto the low end of the
+    period.  The integer oversampling K is the least that brings
     |e^{t psi_D(i w)}| at the Nyquist frequency below 1e-16 for the shortest
     horizon (nothing is truncated).  psi_D is evaluated once; a horizon
     enters only through e^{t psi_D}.  A regime that would need more than
     2^18 lattice points raises ``UnresolvedKernel``.
 
-    For sigma = 0 (pure gamma) the closed form is evaluated at every lattice
-    point in one call.  Once alpha t < 1 that density is unbounded at the
-    origin and point values do not resolve it, which raises
-    ``UnresolvedKernel`` too.
+    For sigma = 0 (pure gamma) the law's closed form is evaluated at every
+    lattice point in one call; it raises ``UnresolvedKernel`` once alpha t < 1,
+    where that density is unbounded at the origin.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     x0 = np.broadcast_to(np.asarray(x0, dtype=float), t.shape)
-    if model.sigma == 0:
-        check_point_density(model, t.min())
-        return _closed_form_density(model, t[:, None], x0[:, None] + step * np.arange(n))
-    lo, hi = _grid_bounds(model, t)
-    period = max(n * step, float(np.max(np.maximum(hi - x0, x0 + (n - 1) * step - lo))))
-    cells = math.ceil(period / step)
-    ks = np.arange(1, _LATTICE_MAX // cells + 1)
-    decays = t.min() * np.real(model.phi_d(1j * np.pi * ks / step)) <= math.log(_LATTICE_TAIL)
-    if not decays.any():
-        raise UnresolvedKernel(
-            f"|E e^(i w D_t)| at t = {t.min():g} stays above {_LATTICE_TAIL:g} up to the "
-            f"Nyquist frequency of {_LATTICE_MAX} lattice points (sigma = {model.sigma:g})"
-        )
-    k = int(ks[np.argmax(decays)])
-    size = next_fast_len(k * cells, real=True)
-    dx = step / k
-    omega = 2.0 * np.pi / (size * dx) * np.arange(size // 2 + 1)
-    psi = model.phi_d(1j * omega)
-    out = np.empty((t.size, n))
-    batch = max(1, _LATTICE_BATCH // omega.size)
-    for s in range(0, t.size, batch):
-        rows = slice(s, s + batch)
-        spec = np.exp(t[rows, None] * psi + 1j * np.outer(x0[rows], omega))
-        out[rows] = irfft(spec, size, axis=1)[:, : k * n : k] / dx
-    return np.maximum(out, 0.0)
+    return density_of_dt(model, float(t.min()))._lattice(t, x0, step, n)
 
 
 def _gaussian_escape_mass(u, tau: float, rho0: float):
@@ -180,178 +120,276 @@ def _gaussian_escape_mass(u, tau: float, rho0: float):
     return np.clip(-ndtr(-z) * np.expm1(expo), 0.0, 1.0)
 
 
-def _perturbed_gamma_escape_mass(model: ModelSpec, t: float, c: np.ndarray, rho0: float) -> np.ndarray:
-    """int_c^inf esc(a - c) f_{D_t}(a) da = int_0^inf g(x) k(c - mu t - x) dx.
-
-    g is the gamma density of G_t (shape s = alpha t, scale xi) and k the
-    Gaussian escape mass of sigma B_t, so the Esscher tilt acts on the
-    Gaussian part only and the gamma scale stays xi.  k(u) is 1 to e^{-40}
-    for u < -(9 tau + 40/rho0) and falls like a normal tail for u > 0, where
-    g(x) k(c' - x) peaks tau^2/xi below c' = c - mu t with width tau.  So the
-    integral runs over panels within [c' - 9 tau - tau^2/xi, c' + above];
-    the gamma mass beyond counts with k = 1 through Q(s, .).  Panels are no
-    wider than 6 tau or 12 xi (8/rho0 beyond 9 tau above c').  Near the
-    origin, edges double from a first panel [0, a] that carries the x^{s-1}
-    weight through a Gauss-Jacobi rule, so every Gauss-Legendre panel lies at
-    least its own width away from the singularity.
-    """
-    s = model.alpha * t
-    xi = model.xi
-    tau = model.sigma * math.sqrt(t)
-    cp = c - model.mu * t
-    # P(G > y + x | G > y) <= e^{-42} or Q(s, x/xi): the tail beyond c' + above
-    above = min(9.0 * tau + 40.0 / rho0, xi * max(42.0, float(gammainccinv(s, 1e-18))))
-    below = 9.0 * tau + tau * tau / xi
-    near = min(6.0 * tau, 12.0 * xi)
-    mid = min(9.0 * tau, above)
-    far = min(12.0 * xi, 8.0 / rho0)
-
-    def spaced(lo, hi, step):
-        return np.linspace(lo, hi, max(1, math.ceil((hi - lo) / step)) + 1)[1:]
-
-    offsets = [np.array([-below]), spaced(-below, 0.0, near), spaced(0.0, mid, near)]
-    if above > mid:
-        offsets.append(spaced(mid, above, far))
-    widest = max(near, far) if above > mid else near
-    ladder = widest * 2.0 ** -np.arange(math.ceil(math.log2(widest / near)), -1, -1)
-    edges = np.maximum(cp[:, None] + np.concatenate(offsets)[None, :], 0.0)
-    edges = np.where(edges < ladder[0], 0.0, edges)
-    lowest = edges[:, :1]
-    ladder = np.where(lowest < widest, np.append(0.0, ladder)[None, :], lowest)
-    edges = np.sort(np.concatenate([edges, ladder], axis=1), axis=1)
-    width = np.diff(edges, axis=1)
-    row, col = np.nonzero(width > 0.0)
-    left, width = edges[row, col], width[row, col]
-    log_norm = -gammaln(s) - s * math.log(xi)
-    vals = np.empty(row.size)
-    at0 = left == 0.0
-    # Gauss-Jacobi: int_0^w x^{s-1} F(x) dx = (w/2)^s sum_j w_j F(w u_j)
-    uj, wj = _jacobi_rule(s)
-    x = width[at0, None] * uj[None, :]
-    f = np.exp(log_norm - x / xi) * _gaussian_escape_mass(cp[row[at0], None] - x, tau, rho0)
-    vals[at0] = np.exp(s * np.log(0.5 * width[at0])) * (f @ wj)
-    x = left[~at0, None] + width[~at0, None] * _GL32_NODES[None, :]
-    f = np.exp(log_norm + (s - 1.0) * np.log(x) - x / xi)
-    f *= _gaussian_escape_mass(cp[row[~at0], None] - x, tau, rho0)
-    vals[~at0] = width[~at0] * (f @ _GL32_WEIGHTS)
-    out = gammaincc(s, edges[:, -1] / xi) + np.bincount(row, weights=vals, minlength=cp.size)
-    return np.clip(out, 0.0, 1.0)
-
-
-def _grid_escape_mass(f: GridFunction, c: np.ndarray, rho0: float) -> np.ndarray:
-    """int_c^inf esc(a - c) f(a) da for a tabulated density (zero off the grid).
-
-    Reverse trapezoid sums give, at each node x_j, the mass above it and its
-    e^{-rho0 (a - x_j)}-weighted companion.  The weighted sum obeys
-    T_j = e^{-rho0 h} T_{j+1} + panel_j; it is accumulated in log space, since
-    the closed sum e^{rho0 x_j} sum_k e^{-rho0 x_k} panel_k overflows.
-    A state between nodes adds its partial panel up to the next node.
-    """
-    v, h = f.values, f.h
-    plain = 0.5 * h * (v[:-1] + v[1:])
-    tilted = 0.5 * h * (v[:-1] + math.exp(-rho0 * h) * v[1:])
-    mass = np.append(np.cumsum(plain[::-1])[::-1], 0.0)
-    shift = rho0 * h * np.arange(tilted.size)
-    with np.errstate(divide="ignore"):
-        log_t = np.logaddexp.accumulate((np.log(tilted) - shift)[::-1])[::-1] + shift
-    weighted = np.append(np.exp(log_t), 0.0)
-    j = np.clip(np.ceil((c - f.x0) / h), 0, v.size - 1).astype(int)
-    gap = np.maximum(f.x0 + h * j - c, 0.0)
-    partial = np.where(j > 0, 0.5 * gap * -np.expm1(-rho0 * gap) * v[j], 0.0)
-    out = mass[j] - np.exp(-rho0 * gap) * weighted[j] + partial
-    return np.where(c >= f.x_max, 0.0, np.clip(out, 0.0, 1.0))
-
-
 @dataclass(frozen=True)
 class MarginalDensityD:
-    """Density of D_t: exact where a closed form exists, plus its grid.
+    """Law of D_t = mu t + J_t + sigma B_t at horizon t, one subclass per model kind.
 
-    Calling the object evaluates the closed form for the Brownian, pure-gamma
-    and perturbed-gamma kinds, and interpolates the grid ``f`` for the
-    phase-type kind, which has no closed form.  ``f`` tabulates the density
-    on ``n`` points spanning its effective support (zero outside); it fixes
-    the bounds and is what quadratures over D_t integrate.  For phase type
-    the grid is one inverse FFT of the characteristic function
-    (``density_lattice``), with the Gaussian part widened to 1.5 grid steps
-    when it is narrower (short horizons at small sigma): the mean is kept,
-    the variance grows by at most (1.5 h)^2, and an escape mass whose
-    threshold lies within a few steps of mu t is off by O(rho0 h).  It is
-    built on first use, so pointwise evaluation of a closed-form kind costs
-    no grid.
+    Each subclass holds its kind's support, grid size, point density (called
+    as the object) and escape mass.  ``f`` tabulates the density on ``n``
+    points over the support (zero outside); quadratures over D_t integrate
+    it.  It is built on first use, so a closed-form kind's points cost no grid.
     """
 
     model: ModelSpec
     t: float
     n: int
+    _n_default = 4097  # grid points when the caller gives none
+
+    def _support(self, t):
+        """[lo, hi] of the density, for a horizon or an array of them."""
+        mean = self.model.mean_d1 * t
+        spread = np.sqrt(self.model.var_d1 * t)
+        return mean - 10.0 * spread - 1.0, mean + 14.0 * spread + 1.0
 
     @cached_property
     def f(self) -> GridFunction:
-        lo, hi = _grid_bounds(self.model, self.t)
+        lo, hi = self._support(self.t)
         xs = np.linspace(lo, hi, self.n)
-        h = xs[1] - xs[0]
-        if self.model.kind == KIND_PH:
-            # a Gaussian part narrower than 1.5 steps is widened to 1.5 steps:
-            # the trapezoid rule keeps a Gaussian's mass only to 2 e^{-2 pi^2 (sd/h)^2}
-            # (1e-19 at 1.5 steps), and the lattice could not resolve it at all
-            sigma = max(self.model.sigma, _GRID_MIN_SD * h / math.sqrt(self.t))
-            vals = density_lattice(replace(self.model, sigma=sigma), self.t, lo, h, self.n)[0]
-        else:
-            vals = _closed_form_density(self.model, self.t, xs)
-        return GridFunction(lo, h, vals, extrapolate="zero")
+        return GridFunction(lo, xs[1] - xs[0], self._grid_values(xs), extrapolate="zero")
+
+    def _grid_values(self, xs):
+        return self._pdf(xs)
 
     def __call__(self, a):
-        if self.model.kind == KIND_PH:
-            return self.f(a)
-        out = np.asarray(_closed_form_density(self.model, self.t, a), dtype=float)
+        out = np.asarray(self._pdf(a), dtype=float)
         return out if out.ndim else float(out)
 
     def mass(self) -> float:
         return float(np.trapezoid(self.f.values, dx=self.f.h))
+
+    def grid(self) -> np.ndarray:
+        return self.f.grid()
 
     def escape_mass(self, c, rho0: float):
         """int_c^inf esc(a - c) f_{D_t}(a) da for every c at once; P(L_c < t) for c > 0.
 
         Because phi_D(rho0) = 0, E[e^{-rho0 D_t}] = 1 and the value equals
         P(D_t > c) - e^{rho0 c} P~(D_t > c) under the Esscher tilt
-        dP~ = e^{-rho0 D_t} dP.  Brownian: the closed form (the
-        ``bm_last_passage_cdf`` formula); pure gamma (rho0 = inf): P(D_t > c)
-        by ``gammaincc``; perturbed gamma: the Gaussian part in closed form
-        under a panel quadrature over the gamma part; phase type: reverse
-        sums over the grid ``f``.  ``c`` may have any sign.
+        dP~ = e^{-rho0 D_t} dP.  ``c`` may have any sign.
         """
         c_in = np.asarray(c, dtype=float)
-        c = np.atleast_1d(c_in)
-        kind, t = self.model.kind, self.t
-        if kind == KIND_BROWNIAN:
-            out = _gaussian_escape_mass(c - self.model.mu * t, self.model.sigma * math.sqrt(t), rho0)
-        elif kind == KIND_PURE_GAMMA:
-            out = gammaincc(self.model.alpha * t, np.maximum(c - self.model.mu * t, 0.0) / self.model.xi)
-        elif kind == KIND_PERTURBED_GAMMA:
-            out = _perturbed_gamma_escape_mass(self.model, t, c, rho0)
-        else:
-            out = _grid_escape_mass(self.f, c, rho0)
+        out = self._escape(np.atleast_1d(c_in), rho0)
         return out.reshape(c_in.shape) if c_in.ndim else float(out[0])
 
-    def grid(self) -> np.ndarray:
-        return self.f.grid()
+    def check_point_density(self) -> None:
+        """Raise ``UnresolvedKernel`` where point values of the density at
+        horizons >= t cannot stand for it (only at sigma = 0)."""
+
+    def _joint_mass(self, b: float, rho0: float) -> float:
+        """P(L_b >= t): trapezoid sums of (1 - esc(a - b)) f(a) over the grid,
+        split at a = b."""
+        f = self.f
+        lo, hi = f.x0, f.x_max
+        total = 0.0
+        if lo < b:
+            xs = np.linspace(lo, min(b, hi), _N_QUAD)
+            total += float(np.trapezoid(f(xs), xs))
+        if hi > b:
+            xs = np.linspace(b, hi, _N_QUAD)
+            vals = (1.0 - escape_probability(xs - b, rho0)) * f(xs)
+            total += float(np.trapezoid(vals, xs))
+        return total
+
+    def _lattice(self, t, x0, step: float, n: int) -> np.ndarray:
+        """``density_lattice`` rows for horizons t >= self.t (sigma > 0)."""
+        lo, hi = self._support(t)
+        period = max(n * step, float(np.max(np.maximum(hi - x0, x0 + (n - 1) * step - lo))))
+        cells = math.ceil(period / step)
+        ks = np.arange(1, _LATTICE_MAX // cells + 1)
+        model = self.model
+        decays = self.t * np.real(model.phi_d(1j * np.pi * ks / step)) <= math.log(_LATTICE_TAIL)
+        if not decays.any():
+            raise UnresolvedKernel(
+                f"|E e^(i w D_t)| at t = {self.t:g} stays above {_LATTICE_TAIL:g} up to the "
+                f"Nyquist frequency of {_LATTICE_MAX} lattice points (sigma = {model.sigma:g})"
+            )
+        k = int(ks[np.argmax(decays)])
+        size = next_fast_len(k * cells, real=True)
+        dx = step / k
+        omega = 2.0 * np.pi / (size * dx) * np.arange(size // 2 + 1)
+        psi = model.phi_d(1j * omega)
+        out = np.empty((t.size, n))
+        batch = max(1, _LATTICE_BATCH // omega.size)
+        for s in range(0, t.size, batch):
+            rows = slice(s, s + batch)
+            spec = np.exp(t[rows, None] * psi + 1j * np.outer(x0[rows], omega))
+            out[rows] = irfft(spec, size, axis=1)[:, : k * n : k] / dx
+        return np.maximum(out, 0.0)
+
+
+class _BrownianD(MarginalDensityD):
+    """N(mu t, sigma^2 t); its escape mass is the ``bm_last_passage_cdf`` formula."""
+
+    def _pdf(self, a):
+        return norm.pdf(a, loc=self.model.mu * self.t, scale=self.model.sigma * math.sqrt(self.t))
+
+    def _escape(self, c, rho0):
+        return _gaussian_escape_mass(c - self.model.mu * self.t, self.model.sigma * math.sqrt(self.t), rho0)
+
+
+class _PerturbedGammaD(MarginalDensityD):
+    """Gaussian plus gamma: the closed-form density ``perturbed_gamma_density``."""
+
+    def _support(self, t):
+        lo, hi = super()._support(t)
+        top = self.model.mu * t + gamma_dist.isf(1e-13, self.model.alpha * t, scale=self.model.xi)
+        return lo, np.maximum(hi, top)
+
+    def _pdf(self, a):
+        return perturbed_gamma_density(self.model, self.t, a)
+
+    def _escape(self, c, rho0):
+        """int_c^inf esc(a - c) f_{D_t}(a) da = int_0^inf g(x) k(c - mu t - x) dx.
+
+        g is the gamma density of G_t (shape s = alpha t, scale xi) and k the
+        Gaussian escape mass of sigma B_t, so the Esscher tilt acts on the
+        Gaussian part only and the gamma scale stays xi.  k(u) is 1 to e^{-40}
+        for u < -(9 tau + 40/rho0) and falls like a normal tail for u > 0, where
+        g(x) k(c' - x) peaks tau^2/xi below c' = c - mu t with width tau.  So the
+        integral runs over panels within [c' - 9 tau - tau^2/xi, c' + above];
+        the gamma mass beyond counts with k = 1 through Q(s, .).  Panels are no
+        wider than 6 tau or 12 xi (8/rho0 beyond 9 tau above c').  Near the
+        origin, edges double from a first panel [0, a] that carries the x^{s-1}
+        weight through a Gauss-Jacobi rule, so every Gauss-Legendre panel lies at
+        least its own width away from the singularity.
+        """
+        model, t = self.model, self.t
+        s = model.alpha * t
+        xi = model.xi
+        tau = model.sigma * math.sqrt(t)
+        cp = c - model.mu * t
+        # P(G > y + x | G > y) <= e^{-42} or Q(s, x/xi): the tail beyond c' + above
+        above = min(9.0 * tau + 40.0 / rho0, xi * max(42.0, float(gammainccinv(s, 1e-18))))
+        below = 9.0 * tau + tau * tau / xi
+        near = min(6.0 * tau, 12.0 * xi)
+        mid = min(9.0 * tau, above)
+        far = min(12.0 * xi, 8.0 / rho0)
+
+        def spaced(lo, hi, step):
+            return np.linspace(lo, hi, max(1, math.ceil((hi - lo) / step)) + 1)[1:]
+
+        offsets = [np.array([-below]), spaced(-below, 0.0, near), spaced(0.0, mid, near)]
+        if above > mid:
+            offsets.append(spaced(mid, above, far))
+        widest = max(near, far) if above > mid else near
+        ladder = widest * 2.0 ** -np.arange(math.ceil(math.log2(widest / near)), -1, -1)
+        edges = np.maximum(cp[:, None] + np.concatenate(offsets)[None, :], 0.0)
+        edges = np.where(edges < ladder[0], 0.0, edges)
+        lowest = edges[:, :1]
+        ladder = np.where(lowest < widest, np.append(0.0, ladder)[None, :], lowest)
+        edges = np.sort(np.concatenate([edges, ladder], axis=1), axis=1)
+        width = np.diff(edges, axis=1)
+        row, col = np.nonzero(width > 0.0)
+        left, width = edges[row, col], width[row, col]
+        log_norm = -gammaln(s) - s * math.log(xi)
+        vals = np.empty(row.size)
+        at0 = left == 0.0
+        # Gauss-Jacobi: int_0^w x^{s-1} F(x) dx = (w/2)^s sum_j w_j F(w u_j)
+        uj, wj = _jacobi_rule(s)
+        x = width[at0, None] * uj[None, :]
+        f = np.exp(log_norm - x / xi) * _gaussian_escape_mass(cp[row[at0], None] - x, tau, rho0)
+        vals[at0] = np.exp(s * np.log(0.5 * width[at0])) * (f @ wj)
+        x = left[~at0, None] + width[~at0, None] * _GL32_NODES[None, :]
+        f = np.exp(log_norm + (s - 1.0) * np.log(x) - x / xi)
+        f *= _gaussian_escape_mass(cp[row[~at0], None] - x, tau, rho0)
+        vals[~at0] = width[~at0] * (f @ _GL32_WEIGHTS)
+        out = gammaincc(s, edges[:, -1] / xi) + np.bincount(row, weights=vals, minlength=cp.size)
+        return np.clip(out, 0.0, 1.0)
+
+
+class _PureGammaD(_PerturbedGammaD):
+    """The perturbed-gamma law at sigma = 0: D_t - mu t ~ Gamma(alpha t, xi),
+    rho0 = inf, the escape mass is P(D_t > c) and L_b is the first passage."""
+
+    _n_default = 16385  # steep (or singular) left endpoint
+
+    def _support(self, t):
+        return self.model.mu * t, super()._support(t)[1]
+
+    def _pdf(self, a, t=None):  # t: the law's horizon, or a column of them
+        t = self.t if t is None else t
+        return gamma_dist.pdf(np.asarray(a) - self.model.mu * t, self.model.alpha * t, scale=self.model.xi)
+
+    def _escape(self, c, rho0):
+        return gammaincc(self.model.alpha * self.t, np.maximum(c - self.model.mu * self.t, 0.0) / self.model.xi)
+
+    def check_point_density(self) -> None:
+        if self.model.alpha * self.t < 1.0:
+            raise UnresolvedKernel(
+                f"the gamma density of D_t at t = {self.t:g} has shape alpha t < 1 and is unbounded "
+                "at the origin; its point values need a cell-mass chain (ROADMAP direction 2)"
+            )
+
+    def _joint_mass(self, b, rho0):
+        # L_b is the first passage, so P(L_b >= t) = P(D_t <= b), exactly
+        return float(gamma_dist.cdf(b - self.model.mu * self.t, self.model.alpha * self.t, scale=self.model.xi))
+
+    def _lattice(self, t, x0, step, n):
+        self.check_point_density()
+        return self._pdf(x0[:, None] + step * np.arange(n), t[:, None])
+
+
+class _PhaseTypeD(MarginalDensityD):
+    """No closed form: the density is the grid ``f``, one inverse FFT of the
+    characteristic function.  A Gaussian part narrower than 1.5 grid steps
+    (short horizons at small sigma) is widened to 1.5 steps: the mean is
+    kept, the variance grows by at most (1.5 h)^2, and an escape mass whose
+    threshold lies within a few steps of mu t is off by O(rho0 h)."""
+
+    _n_default = 16385  # the trapezoid reverse sums of the escape mass are O(h^2)
+
+    def _grid_values(self, xs):
+        h = xs[1] - xs[0]
+        # the trapezoid rule keeps a Gaussian's mass only to 2 e^{-2 pi^2 (sd/h)^2}
+        # (1e-19 at 1.5 steps), and the lattice could not resolve it at all
+        sigma = max(self.model.sigma, _GRID_MIN_SD * h / math.sqrt(self.t))
+        widened = replace(self, model=replace(self.model, sigma=sigma))
+        return widened._lattice(np.array([self.t]), xs[:1], h, self.n)[0]
+
+    def _pdf(self, a):
+        return self.f(a)
+
+    def _escape(self, c, rho0):
+        """Reverse trapezoid sums give, at each node x_j, the mass above it and
+        its e^{-rho0 (a - x_j)}-weighted companion.  The weighted sum obeys
+        T_j = e^{-rho0 h} T_{j+1} + panel_j; it is accumulated in log space, since
+        the closed sum e^{rho0 x_j} sum_k e^{-rho0 x_k} panel_k overflows.
+        A state between nodes adds its partial panel up to the next node.
+        """
+        f = self.f
+        v, h = f.values, f.h
+        plain = 0.5 * h * (v[:-1] + v[1:])
+        tilted = 0.5 * h * (v[:-1] + math.exp(-rho0 * h) * v[1:])
+        mass = np.append(np.cumsum(plain[::-1])[::-1], 0.0)
+        shift = rho0 * h * np.arange(tilted.size)
+        with np.errstate(divide="ignore"):
+            log_t = np.logaddexp.accumulate((np.log(tilted) - shift)[::-1])[::-1] + shift
+        weighted = np.append(np.exp(log_t), 0.0)
+        j = np.clip(np.ceil((c - f.x0) / h), 0, v.size - 1).astype(int)
+        gap = np.maximum(f.x0 + h * j - c, 0.0)
+        partial = np.where(j > 0, 0.5 * gap * -np.expm1(-rho0 * gap) * v[j], 0.0)
+        out = mass[j] - np.exp(-rho0 * gap) * weighted[j] + partial
+        return np.where(c >= f.x_max, 0.0, np.clip(out, 0.0, 1.0))
 
 
 def density_of_dt(model: ModelSpec, t: float, n: int | None = None) -> MarginalDensityD:
-    """Marginal density of D_t.
-
-    Evaluation is exact for the Brownian, pure-gamma and perturbed-gamma
-    kinds.  Every kind also carries the density tabulated on an automatically
-    sized grid of ``n`` points, the bounds and quadrature helper; for the
-    phase-type kind the grid (one inverse FFT of e^{t psi_D(i w)}, by
-    ``density_lattice``) is the density itself.
-    """
-    if t <= 0:
-        raise ValueError("time must be positive")
-    if n is None:
-        # pure gamma: steep (or singular) left endpoint; phase type: the
-        # trapezoid reverse sums of _grid_escape_mass are O(h^2)
-        n = 16385 if model.kind in (KIND_PURE_GAMMA, KIND_PH) else 4097
-    return MarginalDensityD(model, t, n)
+    """The law of D_t for the model's kind (the one place that picks it); its
+    grid has ``n`` points, by default 4097, or 16385 for pure gamma and phase
+    type.  Raises ``ValueError`` unless 0 < t < inf and n >= 2."""
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"time must be positive and finite, got {t!r}")
+    if model.kind == KIND_BROWNIAN:
+        law = _BrownianD
+    elif model.kind == KIND_PURE_GAMMA:
+        law = _PureGammaD
+    elif model.kind == KIND_PERTURBED_GAMMA:
+        law = _PerturbedGammaD
+    else:
+        law = _PhaseTypeD
+    n = law._n_default if n is None else n
+    if n < 2:
+        raise ValueError(f"a D_t grid needs n >= 2 points, got {n}")
+    return law(model, t, n)
 
 
 # ---------------------------------------------------------------------------
@@ -397,20 +435,10 @@ def last_passage_joint_mass(
 ) -> float:
     """P(L_b >= t): the a-integral of the joint density, split at a = b where
     the escape factor may be discontinuous (sigma = 0 kinds)."""
+    if b <= 0:
+        raise ValueError("threshold must be positive")
     rho0 = escape_rate(model) if rho0 is None else rho0
-    if model.kind == KIND_PURE_GAMMA:
-        return float(gamma_dist.cdf(b - model.mu * t, model.alpha * t, scale=model.xi))
-    density = density or density_of_dt(model, t)
-    lo, hi = density.f.x0, density.f.x_max
-    total = 0.0
-    if lo < b:
-        xs = np.linspace(lo, min(b, hi), _N_QUAD)
-        total += float(np.trapezoid(density.f(xs), xs))
-    if hi > b:
-        xs = np.linspace(b, hi, _N_QUAD)
-        vals = (1.0 - escape_probability(xs - b, rho0)) * density.f(xs)
-        total += float(np.trapezoid(vals, xs))
-    return total
+    return (density or density_of_dt(model, t))._joint_mass(b, rho0)
 
 
 def bm_last_passage_density(model: ModelSpec, b: float, t) -> np.ndarray:

@@ -21,12 +21,12 @@ mu - rho(0) sigma^2, the same sigma, gamma shape alpha t and scale
 xi / (1 + rho(0) xi); for Brownian motion it is N(-mu t, sigma^2 t).  The
 jump part of this tilt, e^{-rho(0) x} Q(dx), is ``LevyMeasureView.tilt`` for
 both jump families (the last-passage Monte Carlo draws its conditioned
-returns from it).  C is evaluated for all states at once by
-``MarginalDensityD.escape_mass``, one call per distinct horizon: closed forms for the Brownian and pure-gamma kinds, the
-tilt of the Gaussian part in closed form under a panel quadrature over the
-gamma part for perturbed gamma (the tilted gamma scale shrinks with sigma^2,
-the untilted one does not), and reverse sums over the D_t grid for phase
-type.  Because failure is decided by the escape test
+returns from it).  C is evaluated for all states at once by the per-kind
+D_t law's ``escape_mass``, one call per distinct horizon: closed forms for
+the Brownian and pure-gamma kinds, the Gaussian part's tilt in closed form
+under a panel quadrature over the gamma part for perturbed gamma (the tilted
+gamma scale shrinks with sigma^2, the untilted one does not), and reverse
+sums over the D_t grid for phase type.  Because failure is decided by the escape test
 at the end-of-cycle value, the policy Monte Carlo samples cycle endpoints
 from their exact laws; its idle mode bridges only the cycle in which a path
 fails, for the within-cycle last-contact time of the idle-time statistics.
@@ -42,8 +42,8 @@ matrix A(y_i, y_j).  With affine d the end levels a_j = d^{-1}(y_j) are
 uniform as well, and row i needs f_{m(y_i)} on the lattice a_j - y_i.
 ``density_lattice`` builds every row from the characteristic function
 E[e^{-i w D_t}] = e^{t psi_D(i w)}: one inverse FFT per row when sigma > 0,
-with psi_D evaluated once for all rows, and the closed-form gamma density
-in one call when sigma = 0.  ``kernel_a`` stays the pointwise kernel (it
+with psi_D evaluated once for all rows, and the pure-gamma law's closed
+form in one call when sigma = 0.  ``kernel_a`` stays the pointwise kernel (it
 gives rho_1) and the tests' reference for the matrix.
 """
 
@@ -60,7 +60,7 @@ from .errors import (
     NonBijectiveMaintenance,
     SchemaError,
 )
-from .last_passage import check_point_density, density_lattice, density_of_dt
+from .last_passage import density_lattice, density_of_dt
 from .lundberg import escape_probability, escape_rate
 from .mc import SimResult, _mean_result, _substream, cycle_ends
 from .models import ModelSpec
@@ -220,8 +220,8 @@ class PolicyKernels:
 
     ``kernel_a`` evaluates A pointwise; the chain builds the whole matrix of
     A over its uniform state grid with ``_transition_matrix``, one lattice
-    of the D_t density per state.  ``kernel_c`` and ``kernel_cz`` take
-    arrays of states and make one ``escape_mass`` call per distinct horizon.
+    of the D_t density per state.  ``kernel_c`` and ``kernel_cz`` take arrays
+    of states and call the per-kind D_t law's ``escape_mass`` once per horizon.
     """
 
     def __init__(self, model: ModelSpec, policy: PolicySpec, rho0: float | None = None):
@@ -328,7 +328,7 @@ class PolicyKernels:
             c0, cd = self.kernel_c(np.array([0.0, d0]))
             return np.array([d0]), np.ones(1), np.array([1.0 - c0]), lambda: np.array([[1.0 - cd]])
         # rho_1 is point values of the D_t density at t = m(0)
-        check_point_density(self.model, float(self.policy.m(0.0)))
+        self._density(float(self.policy.m(0.0))).check_point_density()
         ys = self.default_state_grid(i_max) if state_grid is None else _uniform_grid(state_grid)
         wts = np.full(ys.size, (ys[-1] - ys[0]) / (ys.size - 1))
         wts[0] *= 0.5

@@ -348,10 +348,6 @@ class LevyMeasureView:
         """Qbar(x) = Q([x, inf))."""
         raise NotImplementedError
 
-    def partial_moment(self, x) -> np.ndarray:
-        """int_0^x y Q(dy)."""
-        raise NotImplementedError
-
     def exp_tail(self, rho: float, x) -> np.ndarray:
         """int_x^inf exp(-rho (u - x)) Q(du)."""
         raise NotImplementedError
@@ -423,10 +419,6 @@ class GammaMeasure(LevyMeasureView):
     def tail(self, x):
         x = np.asarray(x, dtype=float)
         return self.alpha * exp1(x / self.xi)
-
-    def partial_moment(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.alpha * self.xi * (-np.expm1(-x / self.xi))
 
     def exp_tail(self, rho, x):
         x = np.asarray(x, dtype=float)
@@ -535,14 +527,6 @@ class PHMeasure(LevyMeasureView):
     def tail(self, x):
         return self.lam * self.ph.survival(x)
 
-    def partial_moment(self, x):
-        x = np.asarray(x, dtype=float)
-        minus_t_inv_one = np.linalg.solve(-self.ph.t_mat, np.ones(self.ph.order))
-        m1 = float(self.ph.alpha @ minus_t_inv_one)
-        surv = self.ph.front_action(x, np.ones(self.ph.order))
-        rest = self.ph.front_action(x, minus_t_inv_one)
-        return self.lam * (m1 - x * surv - rest)
-
     def exp_tail(self, rho, x):
         m = self.ph.order
         rear = np.linalg.solve(rho * np.eye(m) - self.ph.t_mat, self.ph.exit_vector)
@@ -552,11 +536,6 @@ class PHMeasure(LevyMeasureView):
         m = self.ph.order
         rear = np.linalg.solve(rho * np.eye(m) - self.ph.t_mat, np.ones(m))
         return self.lam * self.ph.front_action(x, rear)
-
-
-def levy_measure(model: ModelSpec) -> LevyMeasureView:
-    """Jump-measure view of a model; NoJumpPart for Brownian drift."""
-    return model.levy_measure()
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Shared numerical kernels.
 
-Special functions (incomplete gamma, 2F2, parabolic cylinder), tabulated
-functions on uniform grids with trapezoid convolution, numerical Laplace
-inversion (Gaver-Stehfest and fixed Talbot), and root finding.  Everything
-here is a pure function of its inputs.
+Special functions (incomplete gamma, 2F2, the parabolic-cylinder core
+integral), tabulated functions on uniform grids with trapezoid convolution,
+Gaver-Stehfest weights for numerical Laplace inversion, and root finding.
+Everything here is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import gammainc, gammaincc
 
@@ -212,7 +211,7 @@ def hyp2f2(a: float, b: float, c: float, d: float, z: float, max_terms: int = 10
 
 
 # ---------------------------------------------------------------------------
-# Parabolic cylinder function D_p(z), p < 0
+# Parabolic-cylinder core integral: D_p(z) = e^{z^2/4} J(z) / Gamma(-p) for p < 0
 
 
 def _pcd_core_integral(s: float, z) -> np.ndarray:
@@ -266,72 +265,8 @@ def _jacobi_rule(s: float):
     return _jacobi_rule_cached(round(float(s), 14))
 
 
-def parabolic_cylinder_d(p: float, z: float) -> float:
-    """D_p(z) for p < 0 from the integral representation
-
-    D_p(z) = exp(-z^2/4)/Gamma(-p) * int_0^inf exp(-z x - x^2/2) x^(-p-1) dx,
-
-    evaluated by adaptive quadrature after extracting the Gaussian factor.
-    """
-    if p >= 0:
-        raise ValueError("p must be negative")
-    s = -p
-
-    def f1(v):
-        x = v ** (1.0 / s)
-        return math.exp(-0.5 * (x + z) ** 2) / s
-
-    def f2(x):
-        return math.exp(-0.5 * (x + z) ** 2 + (s - 1.0) * math.log(x))
-
-    j1, _ = quad(f1, 0.0, 1.0, epsabs=1e-14, epsrel=1e-12, limit=200)
-    peak = max(1.0, -z)
-    j2, _ = quad(f2, 1.0, peak + 40.0, epsabs=1e-300, epsrel=1e-12, limit=400,
-                 points=[peak] if peak > 1.0 else None)
-    j = j1 + j2
-    log_d = 0.25 * z * z + math.log(j) - math.lgamma(s)
-    return math.exp(log_d)
-
-
-def log_parabolic_cylinder_d(p: float, z) -> np.ndarray:
-    """log D_p(z), vectorized over z; stable for large |z|."""
-    if p >= 0:
-        raise ValueError("p must be negative")
-    s = -p
-    j = _pcd_core_integral(s, z)
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    return 0.25 * z * z + np.log(j) - math.lgamma(s)
-
-
-def parabolic_cylinder_d_batch(p: float, z) -> np.ndarray:
-    """Vectorized D_p(z) via fixed-panel quadrature (relative error ~1e-10)."""
-    return np.exp(log_parabolic_cylinder_d(p, z))
-
-
 # ---------------------------------------------------------------------------
-# Numerical Laplace inversion
-
-
-@dataclass(frozen=True)
-class InversionConfig:
-    """Inversion route: fixed Talbot by default (needs a complex-callable
-    transform); Gaver-Stehfest uses only real abscissae.  ``terms`` defaults
-    to 32 (Talbot) / 14 (Gaver-Stehfest; more are unstable in doubles)."""
-
-    method: str = "talbot"  # "gaver_stehfest" | "talbot"
-    terms: int | None = None
-
-    def __post_init__(self):
-        if self.terms is None:
-            object.__setattr__(self, "terms", 14 if self.method == "gaver_stehfest" else 32)
-        if self.method == "gaver_stehfest":
-            if self.terms % 2 != 0 or not 8 <= self.terms <= 20:
-                raise ValueError("Gaver-Stehfest terms must be even, in [8, 20]")
-        elif self.method == "talbot":
-            if self.terms < 16:
-                raise ValueError("fixed Talbot needs at least 16 terms")
-        else:
-            raise ValueError(f"unknown inversion method {self.method!r}")
+# Gaver-Stehfest weights
 
 
 @lru_cache(maxsize=8)
@@ -353,71 +288,6 @@ def stehfest_coefficients(n: int) -> np.ndarray:
             total += num // den if num % den == 0 else num / den
         v[k - 1] = (-1) ** (k + half) * total
     return v
-
-
-def _invert_stehfest(transform, t, terms: int):
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    v = stehfest_coefficients(terms)
-    k = np.arange(1, terms + 1)
-    s = np.log(2.0) * k[None, :] / t[:, None]
-    fv = transform(s)
-    return np.log(2.0) / t * np.einsum("k,tk->t", v, np.asarray(fv, dtype=float))
-
-
-def _invert_talbot(transform, t, terms: int):
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    m = terms
-    r = 2.0 * m / 5.0
-    theta = np.pi * np.arange(m) / m
-    cot = np.zeros(m)
-    cot[1:] = 1.0 / np.tan(theta[1:])
-    out = np.empty(t.size)
-    for i, ti in enumerate(t):
-        p = r / ti * theta * (cot + 1j)
-        p[0] = r / ti
-        fp = np.asarray(transform(p), dtype=complex)
-        gamma = np.empty(m, dtype=complex)
-        gamma[0] = 0.5 * np.exp(r)
-        gamma[1:] = np.exp(ti * p[1:]) * (
-            1.0 + 1j * theta[1:] * (1.0 + cot[1:] ** 2) - 1j * cot[1:]
-        )
-        out[i] = 2.0 / (5.0 * ti) * np.real(np.dot(gamma, fp))
-    return out
-
-
-def laplace_invert(
-    transform: Callable,
-    t,
-    cfg: InversionConfig | None = None,
-    cross_check: bool = False,
-):
-    """Numerically invert a Laplace transform at positive times.
-
-    ``transform`` must accept a numpy array of abscissae (complex ones for
-    the Talbot route).  With ``cross_check`` both methods run and a relative
-    disagreement above 1e-4 raises NoConvergence.
-    """
-    cfg = cfg or InversionConfig()
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t_arr <= 0):
-        raise ValueError("inversion times must be positive")
-    if cfg.method == "gaver_stehfest":
-        out = _invert_stehfest(transform, t_arr, cfg.terms)
-    else:
-        out = _invert_talbot(transform, t_arr, cfg.terms)
-    if cross_check:
-        other = (
-            _invert_talbot(transform, t_arr, max(32, cfg.terms))
-            if cfg.method == "gaver_stehfest"
-            else _invert_stehfest(transform, t_arr, 14)
-        )
-        scale = np.maximum(np.abs(out), np.maximum(np.abs(other), 1e-12))
-        rel = np.abs(out - other) / scale
-        if np.any(rel > 1e-4):
-            raise NoConvergence(
-                f"inversion methods disagree (max rel {rel.max():.3e} > 1e-4)"
-            )
-    return float(out[0]) if np.ndim(t) == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Design guard: the model kind is switched on only where the jump law is
-defined (models.py), where the D_t law is evaluated, and in a few named
-places; everything else reads the law from ``ModelSpec``."""
+defined (models.py), where the D_t law is picked (``density_of_dt``), and
+in a few named places; everything else reads the law from ``ModelSpec`` or
+from the D_t law.  The shared numerics carry no helper that only tests call."""
 
 import ast
 import dataclasses
@@ -14,11 +15,7 @@ SRC = Path(levypassage.__file__).parent
 
 # (module, top-level function or class) allowed to compare a model's kind
 ALLOWED = {
-    ("last_passage", "_grid_bounds"),
-    ("last_passage", "_closed_form_density"),
-    ("last_passage", "MarginalDensityD"),
     ("last_passage", "density_of_dt"),
-    ("last_passage", "last_passage_joint_mass"),
     ("lundberg", "solve_lundberg"),
     ("lundberg", "build_scale_set"),
     ("cli", "_closed_transform"),
@@ -70,6 +67,26 @@ def test_kind_branches_only_at_allowed_sites():
     outside_models = {key for key in sites if key[0] != "models"}
     assert outside_models == ALLOWED
     assert any(key[0] == "models" for key in sites)
+
+
+def test_numerics_names_have_library_callers():
+    # a re-export from the package __init__ is not a use
+    tree = ast.parse((SRC / "numerics.py").read_text())
+    public = {
+        n.name
+        for n in tree.body
+        if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and not n.name.startswith("_")
+    }
+    referenced = set()
+    for path in SRC.glob("*.py"):
+        if path.stem in ("numerics", "__init__"):
+            continue
+        for n in ast.walk(ast.parse(path.read_text())):
+            if isinstance(n, ast.ImportFrom):
+                referenced |= {alias.name for alias in n.names}
+            elif isinstance(n, ast.Attribute):
+                referenced.add(n.attr)
+    assert not public - referenced, sorted(public - referenced)
 
 
 def test_mc_reads_the_jump_law_from_the_model():

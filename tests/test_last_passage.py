@@ -98,7 +98,7 @@ class TestDensityOfDt:
     )
     def test_ph_grid_mass_mean_variance(self, alpha, t_mat):
         # the lattice grid is exact up to what its support leaves out; at
-        # t = 4 the _grid_bounds support holds the jump tail to below 1e-8
+        # t = 4 the phase-type law's support holds the jump tail to below 1e-8
         # (at t = 1.5 the order-2 law already puts 1e-6 of its variance above it)
         model = ModelSpec(kind=KIND_PH, mu=0.1, sigma=0.7, lam=0.8, ph=PhaseType(alpha, t_mat))
         t = 4.0
@@ -135,6 +135,13 @@ class TestDensityOfDt:
         var = np.trapezoid((xs - mean) ** 2 * vals, dx=f.h)
         assert mean == pytest.approx(ph2_model.mean_d1 * t, rel=1e-6)
         assert var == pytest.approx(ph2_model.var_d1 * t, rel=1e-6)
+
+    @pytest.mark.parametrize("t, n", [(math.nan, None), (math.inf, None), (1.0, 1)])
+    def test_out_of_domain_is_rejected(self, bm_model, ph_model, t, n):
+        # a NaN or infinite horizon would build a NaN law; one point is no grid
+        for model in (bm_model, ph_model):
+            with pytest.raises(ValueError):
+                density_of_dt(model, t, n)
 
 
 class TestLastPassageFree:
@@ -181,6 +188,11 @@ class TestLastPassageFree:
                 model, 1.0, t, density=dens
             )
             assert total == pytest.approx(1.0, abs=1e-5), model.kind
+
+    @pytest.mark.parametrize("b", [-1.0, 0.0])
+    def test_joint_mass_needs_a_positive_threshold(self, bm_model, b):
+        with pytest.raises(ValueError, match="threshold must be positive"):
+            last_passage_joint_mass(bm_model, b, 1.0)
 
     @pytest.mark.parametrize("model", ["pgamma_model", "pgamma_model_wide"])
     @pytest.mark.parametrize("b, t", [(1.0, 0.5), (1.0, 2.0), (3.0, 1.0)])

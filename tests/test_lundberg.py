@@ -167,18 +167,22 @@ class TestClosedFormPH:
         assert np.max(np.abs(vals - delta)) < 1e-8
 
     def test_against_inversion_oracle(self, ph_model):
-        from levypassage.numerics import InversionConfig, laplace_invert
+        # mpmath's Talbot inversion at 30 digits of 1/(phi_D(s + rho) - delta),
+        # with phi_D the order-1 exponent u^2/2 + 1/(1+u) - 1 written in mpmath
+        import mpmath as mp
 
         delta = 0.5
         _, w_fn = scale_closed_ph(ph_model, delta)
         rho = solve_lundberg(ph_model, delta).rho
 
         def tilted(s):
-            return 1.0 / (np.asarray(ph_model.phi_d(s + rho)) - delta)
+            u = s + rho
+            return 1 / (u * u / 2 + 1 / (1 + u) - 1 - delta)
 
-        for x in (0.5, 1.0, 2.0):
-            oracle = laplace_invert(tilted, x) * math.exp(rho * x)
-            assert float(w_fn(x)) == pytest.approx(oracle, rel=1e-5)
+        with mp.workdps(30):
+            for x in (0.5, 1.0, 2.0):
+                oracle = float(mp.invertlaplace(tilted, x, method="talbot") * mp.exp(rho * x))
+                assert float(w_fn(x)) == pytest.approx(oracle, rel=1e-5)
 
     def test_real_valued_on_grid(self, ph2_model):
         data, w_fn = scale_closed_ph(ph2_model, 1.0)

@@ -18,7 +18,6 @@ from levypassage.models import (
     PHMeasure,
     PhaseType,
     cp_approximation,
-    levy_measure,
     model_from_dict,
     model_from_json,
     model_to_dict,
@@ -95,11 +94,11 @@ class TestPhiD:
 
 class TestLevyMeasure:
     def test_gamma_density_value(self, pgamma_model):
-        view = levy_measure(pgamma_model)
+        view = pgamma_model.levy_measure()
         assert float(view.density(1.0)) == pytest.approx(math.exp(-1.0), rel=1e-14)
 
     def test_ph_exponential_density(self, ph_model):
-        view = levy_measure(ph_model)
+        view = ph_model.levy_measure()
         assert float(view.density(0.5)) == pytest.approx(math.exp(-0.5), rel=1e-12)
 
     def test_ph_values_do_not_depend_on_the_other_points(self, ph2_model):
@@ -114,7 +113,7 @@ class TestLevyMeasure:
     def test_tail_derivative_consistency(self):
         # -Qbar'(x) = q(x) by the fundamental theorem of calculus
         model = ModelSpec(kind=KIND_PERTURBED_GAMMA, sigma=1.0, alpha=2.0, xi=1.0)
-        view = levy_measure(model)
+        view = model.levy_measure()
         eps = 1e-5
         fd = -(float(view.tail(1.0 + eps)) - float(view.tail(1.0 - eps))) / (2 * eps)
         assert fd == pytest.approx(float(view.density(1.0)), abs=1e-8)
@@ -128,7 +127,7 @@ class TestLevyMeasure:
             assert np.all(np.diff(tail) <= 1e-14)
 
     def test_gamma_tail_is_e1(self, pgamma_model_wide):
-        view = levy_measure(pgamma_model_wide)
+        view = pgamma_model_wide.levy_measure()
         x = 0.63
         expect = pgamma_model_wide.alpha * exp1(x / pgamma_model_wide.xi)
         assert float(view.tail(x)) == pytest.approx(expect, rel=1e-13)
@@ -153,15 +152,9 @@ class TestLevyMeasure:
             )
             assert float(view.exp_tail_tail(rho, x)) == pytest.approx(oracle2, rel=1e-7)
 
-    def test_partial_moment(self, pgamma_model_wide, ph2_model):
-        for model in (pgamma_model_wide, ph2_model):
-            view = model.levy_measure()
-            oracle, _ = quad(lambda u: u * float(view.density(u)), 0.0, 2.0, limit=300)
-            assert float(view.partial_moment(2.0)) == pytest.approx(oracle, rel=1e-9)
-
     def test_no_jump_part(self, bm_model):
         with pytest.raises(NoJumpPart):
-            levy_measure(bm_model)
+            bm_model.levy_measure()
 
 
 class TestDensityOuter:
