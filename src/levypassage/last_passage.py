@@ -17,12 +17,13 @@ threshold and the last passage coincides with the first passage.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len
-from scipy.special import gammaincc, gammainccinv, gammaln, log_ndtr, ndtr
+from scipy.special import gammaincc, log_ndtr, ndtr
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import norm
 
@@ -35,14 +36,17 @@ from .models import (
     KIND_PURE_GAMMA,
     ModelSpec,
 )
-from .numerics import GridFunction, _gl_rule, _jacobi_rule, _pcd_core_integral
+from .numerics import GridFunction, _pcd_core_integral
 
-_GL32_NODES, _GL32_WEIGHTS = _gl_rule(32)
 _N_QUAD = 4097  # trapezoid nodes per a-integral of last_passage_joint_mass
 _LATTICE_TAIL = 1e-16  # |characteristic function| at the Nyquist frequency of density_lattice
 _LATTICE_MAX = 1 << 18  # most lattice points per period density_lattice may use
 _LATTICE_BATCH = 1 << 16  # complex entries (1 MB) per batch of density_lattice rows
 _GRID_MIN_SD = 1.5  # least width, in grid steps, of the Gaussian part of a phase-type D_t grid
+_ESCAPE_MAX_NODES = 1 << 21  # most frequencies (a 32 MB coefficient table) in one Fourier sum of escape_mass
+_ESCAPE_TOL = 1e-12  # absolute error escape_mass may leave
+_ESCAPE_ROUNDING = 3e-15  # measured rounding error of an escape sum per unit of its damping bound
+_DAMPINGS = 0.9 * 2.0 ** (-0.5 * np.arange(25))  # candidate |gamma|, as fractions of a strip
 
 
 def perturbed_gamma_density(model: ModelSpec, t: float, a) -> np.ndarray:
@@ -124,10 +128,10 @@ def _gaussian_escape_mass(u, tau: float, rho0: float):
 class MarginalDensityD:
     """Law of D_t = mu t + J_t + sigma B_t at horizon t, one subclass per model kind.
 
-    Each subclass holds its kind's support, grid size, point density (called
-    as the object) and escape mass.  ``f`` tabulates the density on ``n``
-    points over the support (zero outside); quadratures over D_t integrate
-    it.  It is built on first use, so a closed-form kind's points cost no grid.
+    Each subclass holds its kind's support, grid size and point density (called
+    as the object); closed forms replace the base's Fourier escape mass.  ``f``
+    tabulates the density on ``n`` points over the support (zero outside) for
+    quadratures over D_t, on first use, so a closed-form kind's points cost no grid.
     """
 
     model: ModelSpec
@@ -154,22 +158,91 @@ class MarginalDensityD:
         out = np.asarray(self._pdf(a), dtype=float)
         return out if out.ndim else float(out)
 
-    def mass(self) -> float:
-        return float(np.trapezoid(self.f.values, dx=self.f.h))
-
-    def grid(self) -> np.ndarray:
-        return self.f.grid()
-
     def escape_mass(self, c, rho0: float):
-        """int_c^inf esc(a - c) f_{D_t}(a) da for every c at once; P(L_c < t) for c > 0.
-
-        Because phi_D(rho0) = 0, E[e^{-rho0 D_t}] = 1 and the value equals
-        P(D_t > c) - e^{rho0 c} P~(D_t > c) under the Esscher tilt
-        dP~ = e^{-rho0 D_t} dP.  ``c`` may have any sign.
-        """
+        """int_c^inf esc(a - c) f_{D_t}(a) da for every c (any sign); P(L_c < t) for c > 0."""
         c_in = np.asarray(c, dtype=float)
         out = self._escape(np.atleast_1d(c_in), rho0)
         return out.reshape(c_in.shape) if c_in.ndim else float(out[0])
+
+    def _jumped(self, s, log_unit=0.0):
+        """E[e^{s D_t}; some jump by t] / e^{log_unit} for Re s < A: e^{t phi_D(-s)}
+        less the no-jump share e^{-rate t} E e^{s (mu t + sigma B_t)} at a finite rate."""
+        t, rate = self.t, self.model.jumps._rate
+        gauss, jump = t * s * (self.model.mu + 0.5 * self.model.sigma**2 * s), t * self.model.jumps.phi(-s)
+        if rate == math.inf:
+            return np.exp(gauss + jump - log_unit)
+        return np.exp(gauss - rate * t - log_unit) * np.expm1(jump + rate * t)
+
+    def _escape(self, c, rho0):
+        """C(c) = E[g(D_t - c)], g(x) = (1 - e^{-rho0 x}) 1{x > 0}: the no-jump
+        share e^{-rate t} in closed form, plus the rest by the damped Fourier sum
+        (Carr & Madan, J. Comput. Finance 2(4), 1999)
+
+            R(c) = (h/pi) Re sum'_k rho0 e^{-s_k c} J(s_k) / (s_k (s_k + rho0)) - p / expm1(gamma P),
+
+        J = ``_jumped``, p = J(0), s_k = gamma - i k h, h = 2 pi / P, k = 0
+        halved.  The fraction transforms g on 0 < gamma < A, the jump law's
+        exponential-moment abscissa, and g - 1 on -rho0 < gamma < 0 (the sum is
+        then of R - p).  The sum holds the images e^{gamma n P} of its function
+        at c + n P; the last term takes out their limits, p to the left and -p
+        to the right.  By |R - p|(x) <= e^{rho0 x} and R(x) <= e^{-beta x} J(beta),
+        0 <= beta < A, P and the last node leave each image sum and the tail
+        below 1e-18 of the bound |rho0 / (gamma (gamma + rho0))| e^{-gamma c} J(gamma).
+        A threshold may take a damping within a factor 10 of its least bound
+        (Lee, J. Comput. Finance 7(3), 2004), at most _ESCAPE_TOL over the
+        rounding error per unit of bound, in at most _ESCAPE_MAX_NODES nodes;
+        a run of thresholds shares the one with the fewest nodes.  With none, C
+        is 1 where 1 - C(c) <= e^{rho0 c} is below _ESCAPE_TOL, R is 0 where a
+        Chernoff bound puts it below _ESCAPE_TOL, and else this raises
+        ``UnresolvedKernel``.
+        """
+        model, t = self.model, self.t
+        tau, edge = model.sigma * math.sqrt(t), model.jumps._abscissa
+        gamma = np.concatenate([_DAMPINGS * edge, -_DAMPINGS * rho0])
+        beta = edge * (1.0 - 2.0 ** -np.array([0.0, 1.0, 2.0, 4.0, 7.0, 11.0]))
+        with np.errstate(over="ignore", divide="ignore"):  # J overflows near A or underflows: no bound
+            log_j = np.log(np.real(self._jumped(np.concatenate([gamma, beta]))))
+        log_jg, log_jb, jumped = log_j[: gamma.size], log_j[gamma.size :], math.exp(log_j[gamma.size])
+        scale = np.log(np.abs(rho0 / (gamma * (gamma + rho0)))) + math.log(1e-18)
+        floor = log_jg - np.outer(c, gamma) + scale  # 1e-18 times the bound, in logs
+        gap = beta - gamma[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):  # beta <= gamma, or no bound
+            right = np.logaddexp(0.0, log_jb - (log_jg + scale)[:, None] - gap * c[:, None, None]) / gap
+        right = np.min(np.where(gap > 0, right, np.inf), axis=2)
+        period = np.maximum(np.logaddexp(0.0, rho0 * c[:, None] - floor) / (rho0 + gamma), right)
+        w_max = np.sqrt(np.maximum(2.0 * math.log(rho0 * tau / math.pi) - 2.0 * scale, 1.0)) / tau
+        nodes = w_max * period / (2.0 * np.pi) + 1.0
+        bound = np.where(nodes <= _ESCAPE_MAX_NODES, floor - math.log(1e-18), np.inf)
+        rounded = math.log(_ESCAPE_TOL / _ESCAPE_ROUNDING)  # largest bound with rounding inside tolerance
+        near = bound <= np.minimum(bound.min(axis=1, keepdims=True) + math.log(10.0), rounded)
+        done, low = near.any(axis=1), rho0 * c <= math.log(_ESCAPE_TOL)  # low: 1 - C(c) <= e^{rho0 c}
+        if not np.all(done | low | (np.min(log_jb - np.outer(c, beta), axis=1) <= math.log(_ESCAPE_TOL))):
+            raise UnresolvedKernel(
+                f"no damping resolves the escape mass at t = {t:g} (sigma sqrt(t) = {tau:g}) to "
+                f"{_ESCAPE_TOL:g} in at most {_ESCAPE_MAX_NODES} Fourier nodes"
+            )
+        out = np.zeros(c.size)
+        order = np.flatnonzero(done)[np.argsort(c[done])]
+        while order.size:  # the longest run of thresholds (by c) with a damping near for all
+            shared = np.logical_and.accumulate(near[order], axis=0)
+            part, order = np.split(order, [np.argmin(np.append(shared.any(axis=1), False))])
+            p = period[part].max(axis=0)
+            j = np.argmin(np.where(shared[part.size - 1], w_max * p, np.inf))
+            h, n = 2.0 * np.pi / p[j], int(w_max[j] * p[j] / (2.0 * np.pi)) + 2
+            m = math.isqrt(n - 1) + 1  # node k = q m + r: e^{i k h c} = e^{i r h c} e^{i q m h c}
+            coef = np.zeros((m, m), dtype=complex)  # row q, column r
+            for k in range(0, n, _LATTICE_BATCH):
+                s = gamma[j] - 1j * h * np.arange(k, min(k + _LATTICE_BATCH, n))
+                coef.flat[k : k + s.size] = rho0 / (s * (s + rho0)) * self._jumped(s, log_j[j])
+            coef[0, 0] *= 0.5
+            for sub in np.array_split(part, -(-part.size * 2 * m // _LATTICE_BATCH)):
+                hc = h * c[sub, None]
+                total = (np.exp(1j * hc * np.arange(m)) @ coef.T) * np.exp(1j * hc * m * np.arange(m))
+                out[sub] = h / np.pi * np.exp(log_j[j] - gamma[j] * c[sub]) * np.real(total.sum(axis=1))
+            out[part] -= jumped / math.expm1(min(gamma[j] * p[j], 700.0))  # past e^700 they vanish
+        if jumped < 1.0:
+            out += (1.0 - jumped) * _gaussian_escape_mass(c - model.mu * t, tau, rho0)
+        return np.clip(np.where(low & ~done, 1.0, out), 0.0, 1.0)
 
     def check_point_density(self) -> None:
         """Raise ``UnresolvedKernel`` where point values of the density at
@@ -238,64 +311,6 @@ class _PerturbedGammaD(MarginalDensityD):
     def _pdf(self, a):
         return perturbed_gamma_density(self.model, self.t, a)
 
-    def _escape(self, c, rho0):
-        """int_c^inf esc(a - c) f_{D_t}(a) da = int_0^inf g(x) k(c - mu t - x) dx.
-
-        g is the gamma density of G_t (shape s = alpha t, scale xi) and k the
-        Gaussian escape mass of sigma B_t, so the Esscher tilt acts on the
-        Gaussian part only and the gamma scale stays xi.  k(u) is 1 to e^{-40}
-        for u < -(9 tau + 40/rho0) and falls like a normal tail for u > 0, where
-        g(x) k(c' - x) peaks tau^2/xi below c' = c - mu t with width tau.  So the
-        integral runs over panels within [c' - 9 tau - tau^2/xi, c' + above];
-        the gamma mass beyond counts with k = 1 through Q(s, .).  Panels are no
-        wider than 6 tau or 12 xi (8/rho0 beyond 9 tau above c').  Near the
-        origin, edges double from a first panel [0, a] that carries the x^{s-1}
-        weight through a Gauss-Jacobi rule, so every Gauss-Legendre panel lies at
-        least its own width away from the singularity.
-        """
-        model, t = self.model, self.t
-        s = model.alpha * t
-        xi = model.xi
-        tau = model.sigma * math.sqrt(t)
-        cp = c - model.mu * t
-        # P(G > y + x | G > y) <= e^{-42} or Q(s, x/xi): the tail beyond c' + above
-        above = min(9.0 * tau + 40.0 / rho0, xi * max(42.0, float(gammainccinv(s, 1e-18))))
-        below = 9.0 * tau + tau * tau / xi
-        near = min(6.0 * tau, 12.0 * xi)
-        mid = min(9.0 * tau, above)
-        far = min(12.0 * xi, 8.0 / rho0)
-
-        def spaced(lo, hi, step):
-            return np.linspace(lo, hi, max(1, math.ceil((hi - lo) / step)) + 1)[1:]
-
-        offsets = [np.array([-below]), spaced(-below, 0.0, near), spaced(0.0, mid, near)]
-        if above > mid:
-            offsets.append(spaced(mid, above, far))
-        widest = max(near, far) if above > mid else near
-        ladder = widest * 2.0 ** -np.arange(math.ceil(math.log2(widest / near)), -1, -1)
-        edges = np.maximum(cp[:, None] + np.concatenate(offsets)[None, :], 0.0)
-        edges = np.where(edges < ladder[0], 0.0, edges)
-        lowest = edges[:, :1]
-        ladder = np.where(lowest < widest, np.append(0.0, ladder)[None, :], lowest)
-        edges = np.sort(np.concatenate([edges, ladder], axis=1), axis=1)
-        width = np.diff(edges, axis=1)
-        row, col = np.nonzero(width > 0.0)
-        left, width = edges[row, col], width[row, col]
-        log_norm = -gammaln(s) - s * math.log(xi)
-        vals = np.empty(row.size)
-        at0 = left == 0.0
-        # Gauss-Jacobi: int_0^w x^{s-1} F(x) dx = (w/2)^s sum_j w_j F(w u_j)
-        uj, wj = _jacobi_rule(s)
-        x = width[at0, None] * uj[None, :]
-        f = np.exp(log_norm - x / xi) * _gaussian_escape_mass(cp[row[at0], None] - x, tau, rho0)
-        vals[at0] = np.exp(s * np.log(0.5 * width[at0])) * (f @ wj)
-        x = left[~at0, None] + width[~at0, None] * _GL32_NODES[None, :]
-        f = np.exp(log_norm + (s - 1.0) * np.log(x) - x / xi)
-        f *= _gaussian_escape_mass(cp[row[~at0], None] - x, tau, rho0)
-        vals[~at0] = width[~at0] * (f @ _GL32_WEIGHTS)
-        out = gammaincc(s, edges[:, -1] / xi) + np.bincount(row, weights=vals, minlength=cp.size)
-        return np.clip(out, 0.0, 1.0)
-
 
 class _PureGammaD(_PerturbedGammaD):
     """The perturbed-gamma law at sigma = 0: D_t - mu t ~ Gamma(alpha t, xi),
@@ -332,11 +347,11 @@ class _PureGammaD(_PerturbedGammaD):
 class _PhaseTypeD(MarginalDensityD):
     """No closed form: the density is the grid ``f``, one inverse FFT of the
     characteristic function.  A Gaussian part narrower than 1.5 grid steps
-    (short horizons at small sigma) is widened to 1.5 steps: the mean is
-    kept, the variance grows by at most (1.5 h)^2, and an escape mass whose
-    threshold lies within a few steps of mu t is off by O(rho0 h)."""
+    (short horizons at small sigma) is widened to 1.5 steps in ``f`` only: the
+    mean is kept, the variance grows by at most (1.5 h)^2, and a grid quadrature
+    whose threshold lies within a few steps of mu t is off by O(rho0 h)."""
 
-    _n_default = 16385  # the trapezoid reverse sums of the escape mass are O(h^2)
+    _n_default = 16385  # f: kernel_a's point values and the O(h^2) sums of _joint_mass
 
     def _grid_values(self, xs):
         h = xs[1] - xs[0]
@@ -349,33 +364,11 @@ class _PhaseTypeD(MarginalDensityD):
     def _pdf(self, a):
         return self.f(a)
 
-    def _escape(self, c, rho0):
-        """Reverse trapezoid sums give, at each node x_j, the mass above it and
-        its e^{-rho0 (a - x_j)}-weighted companion.  The weighted sum obeys
-        T_j = e^{-rho0 h} T_{j+1} + panel_j; it is accumulated in log space, since
-        the closed sum e^{rho0 x_j} sum_k e^{-rho0 x_k} panel_k overflows.
-        A state between nodes adds its partial panel up to the next node.
-        """
-        f = self.f
-        v, h = f.values, f.h
-        plain = 0.5 * h * (v[:-1] + v[1:])
-        tilted = 0.5 * h * (v[:-1] + math.exp(-rho0 * h) * v[1:])
-        mass = np.append(np.cumsum(plain[::-1])[::-1], 0.0)
-        shift = rho0 * h * np.arange(tilted.size)
-        with np.errstate(divide="ignore"):
-            log_t = np.logaddexp.accumulate((np.log(tilted) - shift)[::-1])[::-1] + shift
-        weighted = np.append(np.exp(log_t), 0.0)
-        j = np.clip(np.ceil((c - f.x0) / h), 0, v.size - 1).astype(int)
-        gap = np.maximum(f.x0 + h * j - c, 0.0)
-        partial = np.where(j > 0, 0.5 * gap * -np.expm1(-rho0 * gap) * v[j], 0.0)
-        out = mass[j] - np.exp(-rho0 * gap) * weighted[j] + partial
-        return np.where(c >= f.x_max, 0.0, np.clip(out, 0.0, 1.0))
-
 
 def density_of_dt(model: ModelSpec, t: float, n: int | None = None) -> MarginalDensityD:
     """The law of D_t for the model's kind (the one place that picks it); its
     grid has ``n`` points, by default 4097, or 16385 for pure gamma and phase
-    type.  Raises ``ValueError`` unless 0 < t < inf and n >= 2."""
+    type.  Raises ``ValueError`` unless 0 < t < inf and n is an integer >= 2."""
     if not 0.0 < t < math.inf:
         raise ValueError(f"time must be positive and finite, got {t!r}")
     if model.kind == KIND_BROWNIAN:
@@ -387,9 +380,9 @@ def density_of_dt(model: ModelSpec, t: float, n: int | None = None) -> MarginalD
     else:
         law = _PhaseTypeD
     n = law._n_default if n is None else n
-    if n < 2:
-        raise ValueError(f"a D_t grid needs n >= 2 points, got {n}")
-    return law(model, t, n)
+    if not isinstance(n, numbers.Integral) or n < 2:
+        raise ValueError(f"a D_t grid needs an integer n >= 2 points, got {n!r}")
+    return law(model, t, int(n))
 
 
 # ---------------------------------------------------------------------------

@@ -23,13 +23,14 @@ jump part of this tilt, e^{-rho(0) x} Q(dx), is ``LevyMeasureView.tilt`` for
 both jump families (the last-passage Monte Carlo draws its conditioned
 returns from it).  C is evaluated for all states at once by the per-kind
 D_t law's ``escape_mass``, one call per distinct horizon: closed forms for
-the Brownian and pure-gamma kinds, the Gaussian part's tilt in closed form
-under a panel quadrature over the gamma part for perturbed gamma (the tilted
-gamma scale shrinks with sigma^2, the untilted one does not), and reverse
-sums over the D_t grid for phase type.  Because failure is decided by the escape test
-at the end-of-cycle value, the policy Monte Carlo samples cycle endpoints
-from their exact laws; its idle mode bridges only the cycle in which a path
-fails, for the within-cycle last-contact time of the idle-time statistics.
+the Brownian and pure-gamma kinds, and for perturbed gamma and phase type
+one damped Fourier sum of the characteristic function e^{t phi_D}, which
+needs only the jump law's exponential-moment abscissa and jump rate (its
+no-jump share is closed) and reads no grid.
+Because failure is decided by the escape test at the end-of-cycle value,
+the policy Monte Carlo samples cycle endpoints from their exact laws; its
+idle mode bridges only the cycle in which a path fails, for the
+within-cycle last-contact time of the idle-time statistics.
 
 Every policy law runs one forward recursion over the post-maintenance
 states, rho_{k+1}(y') = int rho_k(y) A(y, y') dy from rho_1 = A(0, .), and
@@ -221,7 +222,8 @@ class PolicyKernels:
     ``kernel_a`` evaluates A pointwise; the chain builds the whole matrix of
     A over its uniform state grid with ``_transition_matrix``, one lattice
     of the D_t density per state.  ``kernel_c`` and ``kernel_cz`` take arrays
-    of states and call the per-kind D_t law's ``escape_mass`` once per horizon.
+    of states and call the D_t law's ``escape_mass`` once per horizon: a
+    closed form for Brownian motion and pure gamma, else the Fourier sum.
     """
 
     def __init__(self, model: ModelSpec, policy: PolicySpec, rho0: float | None = None):
@@ -345,6 +347,7 @@ class PolicyKernels:
         the point mass P[I > k] there.
         """
         ys, wts, rho, transition = self._first_cycle(i_max, state_grid)
+        rows = transition() if i_max > 1 else None  # first: it raises where the D_t lattice cannot resolve
         c_all = self.kernel_c(np.concatenate(([0.0], ys)))
         c0, c_vals = float(c_all[0]), c_all[1:]
         m_vals = np.asarray(self.policy.m(ys))
@@ -352,7 +355,6 @@ class PolicyKernels:
         p_fail = [c0]
         e_time = [m0 * c0]
         tau = m0 * rho  # E of accumulated time density
-        rows = transition() if i_max > 1 else None
         for _ in range(2, i_max + 1):
             p_fail.append(float(np.sum(rho * wts * c_vals)))
             e_time.append(float(np.sum((tau + m_vals * rho) * wts * c_vals)))

@@ -423,9 +423,6 @@ class LastPassageSample:
     def laplace_at(self, delta: float) -> SimResult:
         return self._mean(np.exp(-delta * self.l_last), f"E[e^(-{delta:g} {self.label})]")
 
-    def jump_crossing_prob(self) -> SimResult:
-        return self._mean((self.exit_kind == EXIT_JUMP).astype(float), "P(last crossing by jump)")
-
 
 def _last_passages(
     model: ModelSpec, cfg: SimConfig, b: float, rho0: float | None, reflect: bool

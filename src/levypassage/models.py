@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import expm
@@ -303,7 +304,11 @@ def _log1p_any(z):
 
 class LevyMeasureView:
     """The jump law of J through its Levy measure Q: density, tails, the
-    jump part of phi_D and its derivatives, moments, and exact sampling."""
+    jump part of phi_D and its derivatives, moments, and exact sampling.
+    ``_abscissa`` is Q's exponential-moment abscissa A: int e^{u x} Q(dx) is
+    finite for u < A, so phi(u) is analytic for Re u > -A.  ``_rate`` is
+    -phi(+inf), the rate of jumps: e^{-t rate} is the chance of none in a
+    time t (0 for infinite activity)."""
 
     def phi(self, u):
         """int_0^inf (e^{-u x} - 1) Q(dx), for real or complex u."""
@@ -375,6 +380,8 @@ class GammaMeasure(LevyMeasureView):
     def __init__(self, alpha: float, xi: float):
         self.alpha = alpha
         self.xi = xi
+        self._abscissa = 1.0 / xi
+        self._rate = math.inf
 
     def phi(self, u):
         return -self.alpha * _log1p_any(u * self.xi)
@@ -451,6 +458,11 @@ class PHMeasure(LevyMeasureView):
     def __init__(self, lam: float, ph: PhaseType):
         self.lam = lam
         self.ph = ph
+        self._rate = lam
+
+    @cached_property
+    def _abscissa(self) -> float:
+        return float(np.min(-self.ph._eig_action()[1].real))
 
     def _resolvent(self, u, power: int):
         """alpha (uI - T)^-power t, batched over u (real or complex)."""

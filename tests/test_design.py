@@ -89,6 +89,23 @@ def test_numerics_names_have_library_callers():
     assert not public - referenced, sorted(public - referenced)
 
 
+def test_escape_mass_overridden_only_by_closed_forms():
+    # every sigma > 0 jump law reads the base class's Fourier sum; only the
+    # Brownian and pure-gamma closed forms replace it
+    owners = {
+        (path.stem, node.name)
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(f, ast.FunctionDef) and f.name == "_escape" for f in node.body)
+    }
+    assert owners == {
+        ("last_passage", "MarginalDensityD"),
+        ("last_passage", "_BrownianD"),
+        ("last_passage", "_PureGammaD"),
+    }
+
+
 def test_mc_reads_the_jump_law_from_the_model():
     tree = ast.parse((SRC / "mc.py").read_text())
     imported = {

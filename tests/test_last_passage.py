@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import log_ndtr, ndtr
 from scipy.stats import norm
 
 from conftest import assert_within_se
@@ -22,12 +23,43 @@ from levypassage.last_passage import (
 )
 from levypassage.lundberg import build_scale_set, escape_rate, solve_lundberg
 from levypassage.mc import (
+    EXIT_JUMP,
     SimConfig,
     run_last_passage,
     run_reflected_at_exp_horizon,
     run_reflected_last_passage,
 )
 from levypassage.models import KIND_BROWNIAN, KIND_PH, ModelSpec, PhaseType
+
+
+def _exp_jump_escape_oracle(model, b, t):
+    """P(L_b < t) for Exp(theta) jumps as a Poisson mixture over the jump
+    count k: S_k ~ Gamma(k, 1/theta), each term an adaptive quadrature of its
+    density against the closed Gaussian escape mass, plus the k = 0 term."""
+    rho0 = escape_rate(model)
+    theta = -float(model.ph.t_mat[0, 0])
+    tau = model.sigma * math.sqrt(t)
+    lt, c = model.lam * t, b - model.mu * t
+    a = rho0 * tau
+
+    def gauss(u):  # E[1 - e^{-rho0 (tau Z - u)}; tau Z > u]
+        z = u / tau
+        return -ndtr(-z) * math.expm1(a * z + 0.5 * a * a + log_ndtr(-(z + a)) - log_ndtr(-z))
+
+    total = math.exp(-lt) * gauss(c)
+    for k in range(1, 1000):
+        weight = math.exp(-lt + k * math.log(lt) - math.lgamma(k + 1))
+        if k > lt and weight < 1e-20:
+            break
+        top = max(c, 0.0) + (k + 10.0 * math.sqrt(k) + 40.0) / theta
+
+        def integrand(x, k=k):
+            return theta * (theta * x) ** (k - 1) * math.exp(-theta * x - math.lgamma(k)) * gauss(c - x)
+
+        pts = [c + d for d in (-12 * tau, -4 * tau, -tau, 0.0, tau, 1 / rho0, 4 / rho0, 16 / rho0)]
+        pts = [p for p in pts if 0.0 < p < top]
+        total += weight * quad(integrand, 0.0, top, points=pts, limit=400, epsabs=0.0, epsrel=1e-13)[0]
+    return total
 
 
 class TestDensityOfDt:
@@ -77,7 +109,7 @@ class TestDensityOfDt:
     def test_masses(self, bm_model, pgamma_model, ph_model, gamma_model):
         for model in (bm_model, pgamma_model, ph_model, gamma_model):
             dens = density_of_dt(model, 1.0)
-            assert dens.mass() == pytest.approx(1.0, abs=1e-6)
+            assert np.trapezoid(dens.f.values, dx=dens.f.h) == pytest.approx(1.0, abs=1e-6)
             assert np.all(dens.f.values >= 0)
 
     def test_gamma_density_zero_below_drift(self, gamma_model):
@@ -86,7 +118,7 @@ class TestDensityOfDt:
 
     def test_ph2_mean(self, ph2_model):
         dens = density_of_dt(ph2_model, 1.5)
-        xs = dens.grid()
+        xs = dens.f.grid()
         mean = np.trapezoid(xs * dens.f.values, xs)
         assert mean == pytest.approx(ph2_model.mean_d1 * 1.5, abs=5e-4)
 
@@ -136,12 +168,19 @@ class TestDensityOfDt:
         assert mean == pytest.approx(ph2_model.mean_d1 * t, rel=1e-6)
         assert var == pytest.approx(ph2_model.var_d1 * t, rel=1e-6)
 
-    @pytest.mark.parametrize("t, n", [(math.nan, None), (math.inf, None), (1.0, 1)])
+    @pytest.mark.parametrize(
+        "t, n", [(math.nan, None), (math.inf, None), (1.0, 1), (1.0, 3.0), (1.0, 2.5)]
+    )
     def test_out_of_domain_is_rejected(self, bm_model, ph_model, t, n):
-        # a NaN or infinite horizon would build a NaN law; one point is no grid
+        # a NaN or infinite horizon would build a NaN law; one point is no
+        # grid, and a float size would fail only when the grid is first read
         for model in (bm_model, ph_model):
             with pytest.raises(ValueError):
                 density_of_dt(model, t, n)
+
+    def test_numpy_integer_grid_size(self, bm_model, ph_model):
+        for model in (bm_model, ph_model):
+            assert density_of_dt(model, 1.0, np.int64(513)).f.values.size == 513
 
 
 class TestLastPassageFree:
@@ -171,7 +210,7 @@ class TestLastPassageFree:
 
     def test_joint_density_nonnegative(self, bm_model):
         dens = density_of_dt(bm_model, 1.0)
-        xs = dens.grid()
+        xs = dens.f.grid()
         vals = np.asarray(
             last_passage_joint_density(bm_model, 1.0, 1.0, xs, density=dens)
         )
@@ -209,6 +248,24 @@ class TestLastPassageFree:
         pts = [b + k * sd for k in (0.01, 0.1, 0.5, 1.0, 2.0, 4.0, 8.0)]
         want = quad(integrand, b, top, points=pts, limit=500, epsabs=0.0, epsrel=1e-13)[0]
         assert last_passage_cdf(model, b, t) == pytest.approx(want, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "model, b, t, rel",
+        [("short", b, 1e-3, 1e-8) for b in (0.5, 1.0, 1.3, 2.0)]
+        + [("ph_model", b, t, 1e-10) for t in (0.3, 1.0, 4.0) for b in (0.5, 2.0)]
+        + [("floor", b, 1e-6, 1e-8) for b in (1.0, 2.5, 5.0)]
+        + [("floor", 10.0, 1e-6, 1e-6)],
+    )
+    def test_phase_type_cdf_vs_poisson_mixture(self, ph_model, model, b, t, rel):
+        # "short": sigma = 0.05 at t = 1e-3, where the jump tail runs far past
+        # the D_t grid's support and the Gaussian part is 1.6e-3 wide.  "floor":
+        # sigma sqrt(t) = 1e-5 at the horizon floor of the maintenance kernels,
+        # where C ~ lam t e^{-b} rests on the one-jump share alone
+        short = ModelSpec(kind=KIND_PH, mu=0.1, sigma=0.05, lam=1.0, ph=PhaseType([1.0], [[-2.0]]))
+        floor = ModelSpec(kind=KIND_PH, mu=0.1, sigma=0.01, lam=1.0, ph=PhaseType([1.0], [[-1.0]]))
+        model = {"short": short, "floor": floor}.get(model, ph_model)
+        want = _exp_jump_escape_oracle(model, b, t)
+        assert last_passage_cdf(model, b, t) == pytest.approx(want, rel=rel, abs=0.0)
 
     def test_cdf_dominated_by_first_passage(self, bm_model, gamma_model):
         # L_b >= T_b pathwise, so P(L_b < t) <= P(T_b <= t)
@@ -337,8 +394,10 @@ class TestOvershootTransform:
         ]
         total = np.trapezoid(inner, ys)
         cfg = SimConfig(dt=1e-3, t_max=6.0, n_paths=30_000, seed=17, max_blocks=10)
-        mc = run_last_passage(ph_model, cfg, b).jump_crossing_prob()
-        assert_within_se(mc.estimate, mc.std_error, total, 3.0, "jump-crossing mass")
+        sample = run_last_passage(ph_model, cfg, b)
+        by_jump = (sample.exit_kind == EXIT_JUMP)[np.isfinite(sample.l_last)]
+        se = float(np.std(by_jump, ddof=1) / math.sqrt(by_jump.size))
+        assert_within_se(float(np.mean(by_jump)), se, total, 3.0, "jump-crossing mass")
 
 
 class TestReflectedLastPassage:

@@ -37,8 +37,8 @@ def _affine_policy(value=1.0):
     )
 
 
-def _check_against_quadrature(model, t, cs):
-    """kernel_c against adaptive quadrature of esc(a - c) f_{D_t}(a), to 1e-9."""
+def _check_against_quadrature(model, t, cs, rel=1e-9, abs_tol=0.0):
+    """kernel_c against adaptive quadrature of esc(a - c) f_{D_t}(a), to rel or abs_tol."""
     rho0 = escape_rate(model)
     policy = _affine_policy()
     got = PolicyKernels(model, policy).kernel_c(policy.b - np.asarray(cs), horizon=t)
@@ -51,7 +51,7 @@ def _check_against_quadrature(model, t, cs):
 
         pts = [c + k * sd for k in (0.01, 0.1, 0.5, 1.0, 2.0, 4.0, 8.0)]
         want = quad(integrand, c, top, points=pts, limit=500, epsabs=0.0, epsrel=1e-13)[0]
-        assert value == pytest.approx(want, rel=1e-9, abs=0.0), f"c = {c}"
+        assert value == pytest.approx(want, rel=rel, abs=abs_tol), f"c = {c}"
 
 
 class TestKernelC:
@@ -97,10 +97,18 @@ class TestKernelC:
         model = ModelSpec(kind=KIND_PERTURBED_GAMMA, mu=0.0, sigma=sigma, alpha=alpha, xi=xi)
         _check_against_quadrature(model, t, cs)
 
+    def test_perturbed_gamma_short_horizon_far_thresholds(self):
+        # sigma sqrt(t) = 5e-5 at the horizon floor: C falls from 1.7e-7 to
+        # 6e-14 at c = 10; at c = 100 no sum fits, and a Chernoff bound puts C
+        # below the 1e-12 that escape_mass may leave
+        model = ModelSpec(kind=KIND_PERTURBED_GAMMA, mu=0.2, sigma=0.05, alpha=1.5, xi=0.7)
+        _check_against_quadrature(model, 1e-6, [1.0, 5.0, 10.0, 15.0], rel=1e-6, abs_tol=1e-15)
+        assert 0.0 <= last_passage_cdf(model, 100.0, 1e-6) <= 1e-12
+
     def test_phase_type_continuous_between_grid_nodes(self, ph2_model):
-        # the partial panel up to the next node keeps C continuous in the state
+        # C is continuous in the state across the nodes of the D_t grid f
         kernels = PolicyKernels(ph2_model, _affine_policy())
-        grid = kernels._density(1.0).grid()
+        grid = kernels._density(1.0).f.grid()
         node = grid[np.searchsorted(grid, 1.0)]
         vals = kernels.kernel_c(2.0 - node + np.array([-1e-12, 0.0, 1e-12]), horizon=1.0)
         assert vals == pytest.approx(vals[1], abs=1e-10)
@@ -225,6 +233,23 @@ class TestIdleLaw:
         np.testing.assert_allclose(kernels.kernel_cz(ys, 1.0), want, rtol=0.0, atol=1e-6)
         assert 0.0 <= joint_law_idle(kernels, 1, 1.0) <= 1e-6
         assert 0.0 <= joint_law_idle(kernels, 2, 1.0) <= 1e-6
+
+    def test_full_cycle_idle_small_sigma_phase_type_high_threshold(self):
+        # as above with b = 2.5: at the horizon floor C(b - y) is the one-jump
+        # share, about lam t e^{-(b - y)} < 1e-6, which the (0, A) strip cannot
+        # reach in its node cap and the no-jump atom would swamp on (-rho0, 0)
+        model = ModelSpec(kind=KIND_PH, mu=0.1, sigma=0.01, lam=1.0, ph=PhaseType([1.0], [[-1.0]]))
+        policy = PolicySpec(b=2.5, m=InspectionSchedule("constant", 1.0), d=MaintenanceAction("affine", 0.5))
+        kernels = PolicyKernels(model, policy)
+        ys = np.array([0.0, 1.0, 2.4, 2.6, 3.0])
+        got = kernels.kernel_cz(ys, 1.0)
+        want = -np.expm1(-kernels.rho0 * np.maximum(ys - policy.b, 0.0))
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-6)
+        below = policy.b - ys[:3] - model.mu * 1e-6
+        np.testing.assert_allclose(got[:3], 1e-6 * np.exp(-below), rtol=1e-3)
+        assert 0.0 <= joint_law_idle(kernels, 1, 1.0) <= 1e-6
+        assert 0.0 <= joint_law_idle(kernels, 2, 1.0) <= 1e-6
+
 
 def _ph1_density(model, t, x):
     """f_{D_t}(x) for exponential jumps of rate 1, by adaptive quadrature of
