@@ -43,7 +43,7 @@ _LATTICE_TAIL = 1e-16  # |characteristic function| at the Nyquist frequency of d
 _LATTICE_MAX = 1 << 18  # most lattice points per period density_lattice may use
 _LATTICE_BATCH = 1 << 16  # complex entries (1 MB) per batch of density_lattice rows
 _GRID_MIN_SD = 1.5  # least width, in grid steps, of the Gaussian part of a phase-type D_t grid
-_ESCAPE_MAX_NODES = 1 << 21  # most frequencies (a 32 MB coefficient table) in one Fourier sum of escape_mass
+_ESCAPE_MAX_NODES = 1 << 21  # most frequencies a pair's own Fourier sum may need (rounded up, a 64 MB table at most)
 _ESCAPE_TOL = 1e-12  # absolute error escape_mass may leave
 _ESCAPE_ROUNDING = 3e-15  # measured rounding error of an escape sum per unit of its damping bound
 _DAMPINGS = 0.9 * 2.0 ** (-0.5 * np.arange(25))  # candidate |gamma|, as fractions of a strip
@@ -88,12 +88,12 @@ def perturbed_gamma_density(model: ModelSpec, t: float, a) -> np.ndarray:
 def density_lattice(model: ModelSpec, t, x0, step: float, n: int) -> np.ndarray:
     """f_t(x0 + j step) for j = 0..n-1: one row per horizon t_i and start x0_i.
 
-    For sigma > 0 each row is one inverse real FFT of the characteristic
-    function, e^{t psi_D(i w) + i w x0} on the frequencies of a lattice of
-    step step/K (the lattice technique of Carr & Madan, J. Comput. Finance
-    2(4), 1999).  The inverse DFT samples the density periodised with period
-    P = N step/K, so N is sized for P to cover each row and the support of
-    the D_t law at its horizon.  Mass past that support's upper end (a
+    For perturbed gamma and phase type each row is one inverse real FFT of
+    the characteristic function, e^{t psi_D(i w) + i w x0} on the frequencies
+    of a lattice of step step/K (the lattice technique of Carr & Madan,
+    J. Comput. Finance 2(4), 1999).  The inverse DFT samples the density
+    periodised with period P = N step/K, so N is sized for P to cover each
+    row and the support of the D_t law at its horizon.  Mass past that support's upper end (a
     compound-Poisson tail at short horizons) aliases onto the low end of the
     period.  The integer oversampling K is the least that brings
     |e^{t psi_D(i w)}| at the Nyquist frequency below 1e-16 for the shortest
@@ -101,9 +101,10 @@ def density_lattice(model: ModelSpec, t, x0, step: float, n: int) -> np.ndarray:
     enters only through e^{t psi_D}.  A regime that would need more than
     2^18 lattice points raises ``UnresolvedKernel``.
 
-    For sigma = 0 (pure gamma) the law's closed form is evaluated at every
-    lattice point in one call; it raises ``UnresolvedKernel`` once alpha t < 1,
-    where that density is unbounded at the origin.
+    Brownian motion and pure gamma (sigma = 0) evaluate their closed forms
+    at every lattice point, in batches of rows; pure gamma raises
+    ``UnresolvedKernel`` once alpha t < 1, where its density is unbounded at
+    the origin.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     x0 = np.broadcast_to(np.asarray(x0, dtype=float), t.shape)
@@ -122,6 +123,11 @@ def _gaussian_escape_mass(u, tau: float, rho0: float):
     a = rho0 * tau
     expo = a * z + 0.5 * a * a + log_ndtr(-(z + a)) - log_ndtr(-z)
     return np.clip(-ndtr(-z) * np.expm1(expo), 0.0, 1.0)
+
+
+def _softplus(x):
+    """log(1 + e^x) without overflow: np.logaddexp(0, x), at a third of its cost."""
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
 @dataclass(frozen=True)
@@ -158,25 +164,34 @@ class MarginalDensityD:
         out = np.asarray(self._pdf(a), dtype=float)
         return out if out.ndim else float(out)
 
-    def escape_mass(self, c, rho0: float):
-        """int_c^inf esc(a - c) f_{D_t}(a) da for every c (any sign); P(L_c < t) for c > 0."""
-        c_in = np.asarray(c, dtype=float)
-        out = self._escape(np.atleast_1d(c_in), rho0)
+    def escape_mass(self, c, t, rho0: float):
+        """int_c^inf esc(a - c) f_{D_u}(a) da for every threshold/horizon pair
+        (c_i, u_i) of c and t broadcast together: c of any sign, each u_i
+        finite and at least the law's own horizon; P(L_c < u) for c > 0."""
+        c_in, t_in = np.broadcast_arrays(np.asarray(c, dtype=float), np.asarray(t, dtype=float))
+        if not np.all((t_in >= self.t) & (t_in < math.inf)):
+            raise ValueError(f"escape-mass horizons must be finite and at least the law's t = {self.t:g}")
+        out = self._escape(np.ravel(c_in), np.ravel(t_in), rho0)
         return out.reshape(c_in.shape) if c_in.ndim else float(out[0])
 
-    def _jumped(self, s, log_unit=0.0):
-        """E[e^{s D_t}; some jump by t] / e^{log_unit} for Re s < A: e^{t phi_D(-s)}
-        less the no-jump share e^{-rate t} E e^{s (mu t + sigma B_t)} at a finite rate."""
-        t, rate = self.t, self.model.jumps._rate
-        gauss, jump = t * s * (self.model.mu + 0.5 * self.model.sigma**2 * s), t * self.model.jumps.phi(-s)
-        if rate == math.inf:
-            return np.exp(gauss + jump - log_unit)
-        return np.exp(gauss - rate * t - log_unit) * np.expm1(jump + rate * t)
+    def _exponents(self, s):
+        """log E e^{s D_1} split into its Gaussian part s (mu + sigma^2 s / 2)
+        and its jump part phi_J(-s), for Re s < A."""
+        return s * (self.model.mu + 0.5 * self.model.sigma**2 * s), self.model.jumps.phi(-s)
 
-    def _escape(self, c, rho0):
-        """C(c) = E[g(D_t - c)], g(x) = (1 - e^{-rho0 x}) 1{x > 0}: the no-jump
-        share e^{-rate t} in closed form, plus the rest by the damped Fourier sum
-        (Carr & Madan, J. Comput. Finance 2(4), 1999)
+    def _jumped(self, gauss, jump, t, log_unit=0.0):
+        """E[e^{s D_t}; some jump by t] / e^{log_unit} from ``_exponents(s)``, at
+        horizons t broadcast against s: e^{t phi_D(-s)} less the no-jump share
+        e^{-rate t} E e^{s (mu t + sigma B_t)} at a finite rate."""
+        rate = self.model.jumps._rate
+        if rate == math.inf:
+            return np.exp(t * (gauss + jump) - log_unit)
+        return np.exp(t * gauss - rate * t - log_unit) * np.expm1(t * (jump + rate))
+
+    def _escape(self, c, t, rho0):
+        """C(c, t) = E[g(D_t - c)], g(x) = (1 - e^{-rho0 x}) 1{x > 0}, for 1-D
+        pairs (c_i, t_i): the no-jump share e^{-rate t} in closed form, plus the
+        rest by the damped Fourier sum (Carr & Madan, J. Comput. Finance 2(4), 1999)
 
             R(c) = (h/pi) Re sum'_k rho0 e^{-s_k c} J(s_k) / (s_k (s_k + rho0)) - p / expm1(gamma P),
 
@@ -188,61 +203,118 @@ class MarginalDensityD:
         to the right.  By |R - p|(x) <= e^{rho0 x} and R(x) <= e^{-beta x} J(beta),
         0 <= beta < A, P and the last node leave each image sum and the tail
         below 1e-18 of the bound |rho0 / (gamma (gamma + rho0))| e^{-gamma c} J(gamma).
-        A threshold may take a damping within a factor 10 of its least bound
-        (Lee, J. Comput. Finance 7(3), 2004), at most _ESCAPE_TOL over the
-        rounding error per unit of bound, in at most _ESCAPE_MAX_NODES nodes;
-        a run of thresholds shares the one with the fewest nodes.  With none, C
-        is 1 where 1 - C(c) <= e^{rho0 c} is below _ESCAPE_TOL, R is 0 where a
-        Chernoff bound puts it below _ESCAPE_TOL, and else this raises
-        ``UnresolvedKernel``.
+        A pair may take a damping within a factor 10 of its least bound (Lee,
+        J. Comput. Finance 7(3), 2004), at most _ESCAPE_TOL over the rounding
+        error per unit of bound, in at most _ESCAPE_MAX_NODES nodes; it takes
+        the one with the fewest nodes.  With none, C is 1 where
+        1 - C(c) <= e^{rho0 c} is below _ESCAPE_TOL, R is 0 where a Chernoff
+        bound puts it below _ESCAPE_TOL, and else this raises
+        ``UnresolvedKernel`` naming the first such pair.
+
+        psi_D is evaluated once at the candidate dampings for all pairs, and
+        periods only where a damping is near.  Each pair's period and top
+        frequency are rounded up to powers of sqrt(2), so no pair is summed on
+        more than twice its own node count, and its damping and nodes do not
+        depend on the other pairs.  Pairs that share all three are summed
+        together by ``_fourier_sum``.
         """
-        model, t = self.model, self.t
-        tau, edge = model.sigma * math.sqrt(t), model.jumps._abscissa
+        model = self.model
+        tau, edge = model.sigma * np.sqrt(t), model.jumps._abscissa
         gamma = np.concatenate([_DAMPINGS * edge, -_DAMPINGS * rho0])
         beta = edge * (1.0 - 2.0 ** -np.array([0.0, 1.0, 2.0, 4.0, 7.0, 11.0]))
+        horizons, at = np.unique(t, return_inverse=True)
         with np.errstate(over="ignore", divide="ignore"):  # J overflows near A or underflows: no bound
-            log_j = np.log(np.real(self._jumped(np.concatenate([gamma, beta]))))
-        log_jg, log_jb, jumped = log_j[: gamma.size], log_j[gamma.size :], math.exp(log_j[gamma.size])
+            log_j = np.log(np.real(self._jumped(*self._exponents(np.concatenate([gamma, beta])), horizons[:, None])))
+        log_jg, log_jb, jumped = log_j[:, : gamma.size], log_j[:, gamma.size :], np.exp(log_j[at, gamma.size])
         scale = np.log(np.abs(rho0 / (gamma * (gamma + rho0)))) + math.log(1e-18)
-        floor = log_jg - np.outer(c, gamma) + scale  # 1e-18 times the bound, in logs
+        floor = (log_jg + scale)[at] - np.outer(c, gamma)  # 1e-18 times the bound, in logs
+        tau_u = model.sigma * np.sqrt(horizons)[:, None]
+        w_max = (np.sqrt(np.maximum(2.0 * np.log(rho0 * tau_u / math.pi) - 2.0 * scale, 1.0)) / tau_u)[at]
         gap = beta - gamma[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):  # beta <= gamma, or no bound
-            right = np.logaddexp(0.0, log_jb - (log_jg + scale)[:, None] - gap * c[:, None, None]) / gap
-        right = np.min(np.where(gap > 0, right, np.inf), axis=2)
-        period = np.maximum(np.logaddexp(0.0, rho0 * c[:, None] - floor) / (rho0 + gamma), right)
-        w_max = np.sqrt(np.maximum(2.0 * math.log(rho0 * tau / math.pi) - 2.0 * scale, 1.0)) / tau
-        nodes = w_max * period / (2.0 * np.pi) + 1.0
-        bound = np.where(nodes <= _ESCAPE_MAX_NODES, floor - math.log(1e-18), np.inf)
+        bound, period = floor - math.log(1e-18), np.full(floor.shape, np.nan)
         rounded = math.log(_ESCAPE_TOL / _ESCAPE_ROUNDING)  # largest bound with rounding inside tolerance
-        near = bound <= np.minimum(bound.min(axis=1, keepdims=True) + math.log(10.0), rounded)
+        while True:  # periods only where a damping is near the least bound; drop those over the node cap
+            near = bound <= np.minimum(bound.min(axis=1, keepdims=True) + math.log(10.0), rounded)
+            i, j = np.nonzero(near & np.isnan(period))
+            with np.errstate(divide="ignore", invalid="ignore"):  # beta <= gamma, or no bound
+                right = _softplus(log_jb[at[i]] - (log_jg + scale)[at[i], j, None] - gap[j] * c[i, None]) / gap[j]
+            right = np.min(np.where(gap[j] > 0, right, np.inf), axis=1)
+            period[i, j] = np.maximum(_softplus(rho0 * c[i] - floor[i, j]) / (rho0 + gamma[j]), right)
+            capped = near & ~(w_max * period / (2.0 * np.pi) + 1.0 <= _ESCAPE_MAX_NODES)
+            if not capped.any():
+                break
+            bound[capped] = np.inf
         done, low = near.any(axis=1), rho0 * c <= math.log(_ESCAPE_TOL)  # low: 1 - C(c) <= e^{rho0 c}
-        if not np.all(done | low | (np.min(log_jb - np.outer(c, beta), axis=1) <= math.log(_ESCAPE_TOL))):
+        unresolved = ~(done | low | (np.min(log_jb[at] - np.outer(c, beta), axis=1) <= math.log(_ESCAPE_TOL)))
+        if unresolved.any():
+            i = int(np.argmax(unresolved))
             raise UnresolvedKernel(
-                f"no damping resolves the escape mass at t = {t:g} (sigma sqrt(t) = {tau:g}) to "
-                f"{_ESCAPE_TOL:g} in at most {_ESCAPE_MAX_NODES} Fourier nodes"
+                f"no damping resolves the escape mass at t = {t[i]:g}, c = {c[i]:g} (sigma sqrt(t) = "
+                f"{tau[i]:g}) to {_ESCAPE_TOL:g} in at most {_ESCAPE_MAX_NODES} Fourier nodes"
             )
+        # each near damping's nodes, in half octaves, once its period and top
+        # frequency are rounded up to powers of sqrt(2); a pair takes the
+        # damping with the fewest (the first one, on a tie)
+        size = np.full(near.shape, np.inf)
+        size[near] = np.ceil(2.0 * np.log2(period[near])) + np.ceil(2.0 * np.log2(w_max[near]))
+        pick = np.flatnonzero(done)
+        damping = np.argmin(size[pick], axis=1)
+        octaves = np.ceil(2.0 * np.log2([period[pick, damping], w_max[pick, damping]]))
+        keys = np.column_stack([damping, octaves.T]).astype(int)
+        order = np.lexsort((at[pick], *keys.T[::-1]))  # by damping, period, frequency, then horizon
+        pick, keys = pick[order], keys[order]
+        first = np.ones(pick.size, dtype=bool)
+        first[1:] = np.any(keys[1:] != keys[:-1], axis=1)
+        starts = np.flatnonzero(first)
         out = np.zeros(c.size)
-        order = np.flatnonzero(done)[np.argsort(c[done])]
-        while order.size:  # the longest run of thresholds (by c) with a damping near for all
-            shared = np.logical_and.accumulate(near[order], axis=0)
-            part, order = np.split(order, [np.argmin(np.append(shared.any(axis=1), False))])
-            p = period[part].max(axis=0)
-            j = np.argmin(np.where(shared[part.size - 1], w_max * p, np.inf))
-            h, n = 2.0 * np.pi / p[j], int(w_max[j] * p[j] / (2.0 * np.pi)) + 2
-            m = math.isqrt(n - 1) + 1  # node k = q m + r: e^{i k h c} = e^{i r h c} e^{i q m h c}
-            coef = np.zeros((m, m), dtype=complex)  # row q, column r
-            for k in range(0, n, _LATTICE_BATCH):
-                s = gamma[j] - 1j * h * np.arange(k, min(k + _LATTICE_BATCH, n))
-                coef.flat[k : k + s.size] = rho0 / (s * (s + rho0)) * self._jumped(s, log_j[j])
-            coef[0, 0] *= 0.5
-            for sub in np.array_split(part, -(-part.size * 2 * m // _LATTICE_BATCH)):
-                hc = h * c[sub, None]
-                total = (np.exp(1j * hc * np.arange(m)) @ coef.T) * np.exp(1j * hc * m * np.arange(m))
-                out[sub] = h / np.pi * np.exp(log_j[j] - gamma[j] * c[sub]) * np.real(total.sum(axis=1))
-            out[part] -= jumped / math.expm1(min(gamma[j] * p[j], 700.0))  # past e^700 they vanish
-        if jumped < 1.0:
-            out += (1.0 - jumped) * _gaussian_escape_mass(c - model.mu * t, tau, rho0)
+        for (j, p_exp, w_exp), members in zip(keys[starts], np.split(pick, starts[1:])):
+            p = 2.0 ** (0.5 * p_exp)
+            n = int(2.0 ** (0.5 * (p_exp + w_exp)) / (2.0 * np.pi)) + 2
+            new = np.diff(at[members], prepend=-1) != 0
+            rows = at[members][new]
+            out[members] = self._fourier_sum(
+                c[members], np.cumsum(new) - 1, horizons[rows], log_jg[rows, j], gamma[j], p, n, rho0
+            ) - jumped[members] / math.expm1(min(gamma[j] * p, 700.0))  # past e^700 they vanish
+        gaussian = jumped < 1.0
+        out[gaussian] += (1.0 - jumped[gaussian]) * _gaussian_escape_mass(
+            c[gaussian] - model.mu * t[gaussian], tau[gaussian], rho0
+        )
         return np.clip(np.where(low & ~done, 1.0, out), 0.0, 1.0)
+
+    def _fourier_sum(self, c, row, u, unit, gamma, p, n, rho0):
+        """(h/pi) Re sum'_{k<n} rho0 e^{-s_k c} J(s_k) / (s_k (s_k + rho0)),
+        s_k = gamma - i k h, h = 2 pi / p, k = 0 halved, for thresholds c at
+        horizons u[row] (row nondecreasing); unit = log J(gamma) at each u.
+
+        Each distinct horizon has one coefficient row, its terms over
+        e^{unit - gamma c}, built _LATTICE_BATCH entries at a time and as
+        an m x m table: node k = q m + r splits e^{i k h c} into
+        e^{i r h c} e^{i q m h c}, so a threshold costs 2 m exponentials and
+        a table product."""
+        h = 2.0 * np.pi / p
+        m = math.isqrt(n - 1) + 1
+        out = np.empty(c.size)
+        per = max(1, _LATTICE_BATCH // (m * m))  # coefficient rows per batch
+        for r0 in range(0, u.size, per):
+            coef = np.zeros((u[r0 : r0 + per].size, m * m), dtype=complex)  # row u, column q m + r
+            for k in range(0, n, _LATTICE_BATCH):
+                s = gamma - 1j * h * np.arange(k, min(k + _LATTICE_BATCH, n))
+                jumped = self._jumped(*self._exponents(s), u[r0 : r0 + per, None], unit[r0 : r0 + per, None])
+                coef[:, k : k + s.size] = rho0 / (s * (s + rho0)) * jumped
+            coef[:, 0] *= 0.5
+            coef = coef.reshape(-1, m, m)
+            lo, hi = np.searchsorted(row, [r0, r0 + per])
+            batch = max(1, _LATTICE_BATCH // (2 * m if coef.shape[0] == 1 else m * m))  # pairs
+            for s0 in range(lo, hi, batch):
+                sub = slice(s0, min(s0 + batch, hi))
+                hc = h * c[sub, None]
+                e_r, e_q = np.exp(1j * hc * np.arange(m)), np.exp(1j * hc * m * np.arange(m))
+                if coef.shape[0] == 1:
+                    part = e_r @ coef[0].T
+                else:  # each pair's own horizon row
+                    part = np.matmul(coef[row[sub] - r0], e_r[..., None])[..., 0]
+                out[sub] = h / np.pi * np.exp(unit[row[sub]] - gamma * c[sub]) * np.real((part * e_q).sum(axis=1))
+        return out
 
     def check_point_density(self) -> None:
         """Raise ``UnresolvedKernel`` where point values of the density at
@@ -263,8 +335,18 @@ class MarginalDensityD:
             total += float(np.trapezoid(vals, xs))
         return total
 
+    def _pdf_rows(self, t, x0, step: float, n: int) -> np.ndarray:
+        """``density_lattice`` rows from a closed form ``_pdf(a, t)`` taking a
+        column of horizons, _LATTICE_BATCH entries at a time."""
+        out = np.empty((t.size, n))
+        batch = max(1, _LATTICE_BATCH // n)
+        for s in range(0, t.size, batch):
+            rows = slice(s, s + batch)
+            out[rows] = self._pdf(x0[rows, None] + step * np.arange(n), t[rows, None])
+        return out
+
     def _lattice(self, t, x0, step: float, n: int) -> np.ndarray:
-        """``density_lattice`` rows for horizons t >= self.t (sigma > 0)."""
+        """``density_lattice`` rows for horizons t >= self.t, by inverse FFTs."""
         lo, hi = self._support(t)
         period = max(n * step, float(np.max(np.maximum(hi - x0, x0 + (n - 1) * step - lo))))
         cells = math.ceil(period / step)
@@ -293,11 +375,15 @@ class MarginalDensityD:
 class _BrownianD(MarginalDensityD):
     """N(mu t, sigma^2 t); its escape mass is the ``bm_last_passage_cdf`` formula."""
 
-    def _pdf(self, a):
-        return norm.pdf(a, loc=self.model.mu * self.t, scale=self.model.sigma * math.sqrt(self.t))
+    def _pdf(self, a, t=None):  # t: the law's horizon, or a column of them
+        t = self.t if t is None else t
+        return norm.pdf(a, loc=self.model.mu * t, scale=self.model.sigma * np.sqrt(t))
 
-    def _escape(self, c, rho0):
-        return _gaussian_escape_mass(c - self.model.mu * self.t, self.model.sigma * math.sqrt(self.t), rho0)
+    def _escape(self, c, t, rho0):
+        return _gaussian_escape_mass(c - self.model.mu * t, self.model.sigma * np.sqrt(t), rho0)
+
+    def _lattice(self, t, x0, step, n):
+        return self._pdf_rows(t, x0, step, n)
 
 
 class _PerturbedGammaD(MarginalDensityD):
@@ -325,8 +411,8 @@ class _PureGammaD(_PerturbedGammaD):
         t = self.t if t is None else t
         return gamma_dist.pdf(np.asarray(a) - self.model.mu * t, self.model.alpha * t, scale=self.model.xi)
 
-    def _escape(self, c, rho0):
-        return gammaincc(self.model.alpha * self.t, np.maximum(c - self.model.mu * self.t, 0.0) / self.model.xi)
+    def _escape(self, c, t, rho0):
+        return gammaincc(self.model.alpha * t, np.maximum(c - self.model.mu * t, 0.0) / self.model.xi)
 
     def check_point_density(self) -> None:
         if self.model.alpha * self.t < 1.0:
@@ -341,7 +427,7 @@ class _PureGammaD(_PerturbedGammaD):
 
     def _lattice(self, t, x0, step, n):
         self.check_point_density()
-        return self._pdf(x0[:, None] + step * np.arange(n), t[:, None])
+        return self._pdf_rows(t, x0, step, n)
 
 
 class _PhaseTypeD(MarginalDensityD):
@@ -400,7 +486,8 @@ def last_passage_cdf(
     if b <= 0:
         raise ValueError("threshold must be positive")
     rho0 = escape_rate(model) if rho0 is None else rho0
-    return (density or density_of_dt(model, t)).escape_mass(b, rho0)
+    density = density or density_of_dt(model, t)
+    return density.escape_mass(b, density.t, rho0)
 
 
 def last_passage_joint_density(

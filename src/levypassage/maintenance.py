@@ -21,12 +21,13 @@ mu - rho(0) sigma^2, the same sigma, gamma shape alpha t and scale
 xi / (1 + rho(0) xi); for Brownian motion it is N(-mu t, sigma^2 t).  The
 jump part of this tilt, e^{-rho(0) x} Q(dx), is ``LevyMeasureView.tilt`` for
 both jump families (the last-passage Monte Carlo draws its conditioned
-returns from it).  C is evaluated for all states at once by the per-kind
-D_t law's ``escape_mass``, one call per distinct horizon: closed forms for
-the Brownian and pure-gamma kinds, and for perturbed gamma and phase type
-one damped Fourier sum of the characteristic function e^{t phi_D}, which
-needs only the jump law's exponential-moment abscissa and jump rate (its
-no-jump share is closed) and reads no grid.
+returns from it).  C is evaluated for all states in one call of the per-kind
+D_t law's ``escape_mass``, on (threshold, horizon) pairs (b - y, m(y)):
+closed forms for the Brownian and pure-gamma kinds, and for perturbed gamma
+and phase type damped Fourier sums of the characteristic function
+e^{t phi_D}, which need only the jump law's exponential-moment abscissa and
+jump rate (its no-jump share is closed) and read no grid; psi_D is
+evaluated once for all states, and a horizon enters only through e^{t psi_D}.
 Because failure is decided by the escape test at the end-of-cycle value,
 the policy Monte Carlo samples cycle endpoints from their exact laws; its
 idle mode bridges only the cycle in which a path fails, for the
@@ -41,11 +42,12 @@ with rho_1 = 1 - C(0) and one-cycle survival 1 - C(d0).
 The recursion is a trapezoid sum over a uniform state grid y_j, so A is a
 matrix A(y_i, y_j).  With affine d the end levels a_j = d^{-1}(y_j) are
 uniform as well, and row i needs f_{m(y_i)} on the lattice a_j - y_i.
-``density_lattice`` builds every row from the characteristic function
-E[e^{-i w D_t}] = e^{t psi_D(i w)}: one inverse FFT per row when sigma > 0,
-with psi_D evaluated once for all rows, and the pure-gamma law's closed
-form in one call when sigma = 0.  ``kernel_a`` stays the pointwise kernel (it
-gives rho_1) and the tests' reference for the matrix.
+``density_lattice`` builds every row: for perturbed gamma and phase type
+one inverse FFT per row of the characteristic function
+E[e^{-i w D_t}] = e^{t psi_D(i w)}, with psi_D evaluated once for all rows,
+and for Brownian motion and pure gamma the closed form, a batch of rows at
+a time.  ``kernel_a`` stays the pointwise kernel (it gives rho_1) and the
+tests' reference for the matrix.
 """
 
 from __future__ import annotations
@@ -221,9 +223,10 @@ class PolicyKernels:
 
     ``kernel_a`` evaluates A pointwise; the chain builds the whole matrix of
     A over its uniform state grid with ``_transition_matrix``, one lattice
-    of the D_t density per state.  ``kernel_c`` and ``kernel_cz`` take arrays
-    of states and call the D_t law's ``escape_mass`` once per horizon: a
-    closed form for Brownian motion and pure gamma, else the Fourier sum.
+    row of the D_t density per state.  ``kernel_c`` and ``kernel_cz`` take
+    arrays of states and make one ``escape_mass`` call for all of them, on
+    (threshold, horizon) pairs: a closed form for Brownian motion and pure
+    gamma, else the Fourier sums.
     """
 
     def __init__(self, model: ModelSpec, policy: PolicySpec, rho0: float | None = None):
@@ -255,19 +258,18 @@ class PolicyKernels:
     def kernel_c(self, y, horizon=None):
         """Failure probability before the next inspection, for every state in y.
 
-        ``horizon`` (default m(y)) broadcasts against y.  States are grouped
-        by horizon, one D_t law per distinct horizon, and each group is one
-        ``escape_mass`` call.
+        ``horizon`` (default m(y)) broadcasts against y; it is floored at
+        1e-6 and rounded to 12 decimals, as the horizons of ``kernel_a`` are.
+        All states go to one ``escape_mass`` call, as threshold/horizon pairs
+        (b - y, horizon), on the D_t law of the shortest horizon.
         """
         y_in = np.asarray(y, dtype=float)
         ys = np.atleast_1d(y_in)
+        if not ys.size:
+            return np.empty(ys.shape)
         t = self.policy.m(ys) if horizon is None else horizon
-        keys = np.round(np.maximum(np.broadcast_to(t, ys.shape), _T_FLOOR), 12)
-        c = self.policy.b - ys
-        out = np.empty(ys.shape)
-        for key in np.unique(keys):
-            sel = keys == key
-            out[sel] = self._density(float(key)).escape_mass(c[sel], self.rho0)
+        t = np.round(np.maximum(np.broadcast_to(t, ys.shape), _T_FLOOR), 12)
+        out = self._density(float(t.min())).escape_mass(self.policy.b - ys, t, self.rho0)
         return out.reshape(y_in.shape) if y_in.ndim else float(out[0])
 
     def kernel_cz(self, y, z):

@@ -134,7 +134,7 @@ def _increment_parts(model: ModelSpec, rng: np.random.Generator, t):
         jumps, jump_bridge = model.jumps.sample_bridged(rng, t.size, t)
         out = out + jumps
     if model.sigma > 0:
-        gauss = rng.normal(0.0, model.sigma * np.sqrt(t))
+        gauss = model.sigma * np.sqrt(t) * rng.standard_normal(t.shape)
         out = out + gauss
     return out, gauss, jump_bridge
 
@@ -641,7 +641,7 @@ def _bridged_last_contact(law: _Law, rng, x, h, cont, jumps, b: float, steps: in
     dt_col = dt[:, None]
     if law.sigma > 0:
         # Gaussian steps given their sum: iid steps less their mean, plus the drawn mean
-        z = rng.normal(0.0, law.sigma * np.sqrt(dt_col), (n, steps))
+        z = law.sigma * np.sqrt(dt_col) * rng.standard_normal((n, steps))
         cont_steps = z + (cont / steps - z.mean(axis=1))[:, None]
         u = rng.random((n, steps))
     else:

@@ -464,20 +464,30 @@ class PHMeasure(LevyMeasureView):
     def _abscissa(self) -> float:
         return float(np.min(-self.ph._eig_action()[1].real))
 
-    def _resolvent(self, u, power: int):
-        """alpha (uI - T)^-power t, batched over u (real or complex)."""
+    def _resolvent(self, u, power: int, rear=None):
+        """alpha (uI - T)^-power r for r = ``rear`` (default the exit vector t),
+        batched over u (real or complex).  With T = V diag(w) V^-1 this is the
+        pole-residue sum sum_k (alpha V)_k (V^-1 r)_k / (u - w_k)^power, O(m)
+        per argument over the cached eigensystem; where V is ill-conditioned
+        (a defective T) it is one batched m x m solve per power, the rule
+        ``PhaseType._action`` follows."""
         shape = np.shape(u)
         u = np.atleast_1d(np.asarray(u))
+        rear = self.ph.exit_vector if rear is None else rear
+        ok, w, v, vinv = self.ph._eig_action()
+        if ok:
+            out = (1.0 / np.subtract.outer(u, w)) ** power @ ((self.ph.alpha @ v) * (vinv @ rear))
+            return (out if np.iscomplexobj(u) else out.real).reshape(shape)
         m = self.ph.order
         mats = u[:, None, None] * np.eye(m)[None, :, :] - self.ph.t_mat[None, :, :]
-        x = np.broadcast_to(self.ph.exit_vector, (u.size, m))
+        x = np.broadcast_to(rear, (u.size, m))
         for _ in range(power):
             x = np.linalg.solve(mats, x[..., None])[..., 0]
-        out = x @ self.ph.alpha
-        return out.reshape(shape)
+        return (x @ self.ph.alpha).reshape(shape)
 
     def phi(self, u):
-        return self.lam * (self._resolvent(u, power=1) - 1.0)
+        # alpha (uI - T)^-1 t - 1 = -u alpha (uI - T)^-1 1 (alpha 1 = 1, t = -T 1): 0 at u = 0 exactly
+        return -self.lam * u * self._resolvent(u, power=1, rear=np.ones(self.ph.order))
 
     def phi_prime(self, u):
         return -(self.lam * self._resolvent(u, power=2))

@@ -5,11 +5,13 @@ import pytest
 from conftest import assert_within_se
 from scipy.integrate import quad
 from scipy.special import ive
+from scipy.stats import norm
 
 from levypassage.errors import GridMismatch, UnresolvedKernel
 from levypassage.last_passage import (
     bm_last_passage_cdf,
     density_lattice,
+    density_of_dt,
     last_passage_cdf,
     last_passage_joint_mass,
     perturbed_gamma_density,
@@ -67,6 +69,61 @@ class TestKernelC:
         assert got == pytest.approx(want, abs=1e-4)
         one_by_one = [kernels.kernel_c(float(y)) for y in ys]
         assert got == pytest.approx(one_by_one, rel=1e-13, abs=1e-300)
+
+    @pytest.mark.parametrize("kind", ["pgamma_model", "ph2_model"])
+    def test_default_grid_vs_per_state_calls(self, kind, request):
+        # one escape_mass call over (state, horizon) pairs gives each state's
+        # own last-passage cdf at its (floored and rounded) horizon: through
+        # last_passage_cdf below b, through its route (the law of the state's
+        # own horizon) at and above b, where the threshold b - y is not positive
+        model = request.getfixturevalue(kind)
+        policy = _affine_policy()
+        kernels = PolicyKernels(model, policy)
+        ys = kernels.default_state_grid(4)
+        horizons = np.round(policy.m(ys), 12)
+        assert np.unique(horizons).size > 300 and np.sum(ys >= policy.b) > 10
+        want = [
+            last_passage_cdf(model, policy.b - y, t)
+            if y < policy.b
+            else density_of_dt(model, t).escape_mass(policy.b - y, t, kernels.rho0)
+            for y, t in zip(ys, horizons)
+        ]
+        np.testing.assert_allclose(kernels.kernel_c(ys), want, rtol=1e-13, atol=0.0)
+
+    def test_mixed_horizon_floor_vs_per_state_calls(self, pgamma_model_wide):
+        # z just under the least m(y): states on m's floor get the 1e-6 horizon
+        # floor (about 1e4 times the nodes of the others), the rest up to 0.8
+        kernels = PolicyKernels(pgamma_model_wide, _affine_policy())
+        ys = kernels.default_state_grid(4, n=129)
+        z = float(np.min(kernels.policy.m(ys))) - 5e-7
+        horizons = np.asarray(kernels.policy.m(ys)) - z
+        assert np.sum(horizons <= 1e-6) > 10 and np.max(horizons) > 0.5
+        got = kernels.kernel_cz(ys, z)
+        want = [kernels.kernel_cz(float(y), z) for y in ys]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-16)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_escape_call_for_all_horizons(self, kind, request, monkeypatch):
+        model = request.getfixturevalue(kind)
+        kernels = PolicyKernels(model, _affine_policy())
+        law = type(density_of_dt(model, 1.0))
+        owner = next(cls for cls in law.__mro__ if "_escape" in vars(cls))
+        escape, calls = vars(owner)["_escape"], []
+
+        def counted(self, c, t, rho0):
+            calls.append(np.unique(t).size)
+            return escape(self, c, t, rho0)
+
+        monkeypatch.setattr(owner, "_escape", counted)
+        kernels.kernel_c(kernels.default_state_grid(4))
+        assert len(calls) == 1 and calls[0] > 300
+
+    def test_unresolved_pair_is_named(self):
+        # Fix-first 7's band: at sigma sqrt(t) = 1e-5 no damping resolves c = 16.5
+        model = ModelSpec(kind=KIND_PH, mu=0.1, sigma=0.01, lam=1.0, ph=PhaseType([1.0], [[-1.0]]))
+        law = density_of_dt(model, 1e-6)
+        with pytest.raises(UnresolvedKernel, match=r"t = 1e-06, c = 16\.5 "):
+            law.escape_mass(np.array([1.0, 16.5, 17.0]), np.array([1.0, 1e-6, 1e-6]), escape_rate(model))
 
     def test_bm_closed_form(self, bm_model):
         policy = _affine_policy()
@@ -305,6 +362,13 @@ class TestTransitionMatrix:
             step = (ys[1] - ys[0]) / 0.5
             nyquist = np.exp(float(m(ys[-1])) * model.phi_d(1j * np.pi / step))
             assert abs(nyquist) > 1e-3
+
+    def test_brownian_rows_in_closed_form(self, bm_model):
+        ts, x0 = np.array([1e-6, 0.2, 1.0, 3.0]), np.array([-1e-3, -1.0, -2.5, -4.0])
+        got = density_lattice(bm_model, ts, x0, 0.05, 200)
+        xs = x0[:, None] + 0.05 * np.arange(200)
+        want = norm.pdf(xs, loc=bm_model.mu * ts[:, None], scale=bm_model.sigma * np.sqrt(ts)[:, None])
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
     def test_phase_type_vs_quadrature(self, ph_model):
         ts = np.array([0.2, 1.0, 3.0])

@@ -59,6 +59,42 @@ class TestPhiD:
         expect = 0.5 * u * u + (1.0 / (1.0 + u) - 1.0)
         assert ph_model.phi_d(u) == pytest.approx(expect, rel=1e-14)
 
+    @pytest.mark.parametrize(
+        "alpha, t_mat",
+        [
+            ([1.0], [[-1.3]]),
+            ([0.6, 0.4], [[-2.0, 0.5], [0.3, -1.0]]),
+            ([0.2, 0.5, 0.3], [[-3.0, 1.0, 0.5], [0.2, -1.5, 0.3], [0.1, 0.4, -0.9]]),
+            # a cycle through the phases: complex eigenvalues
+            ([0.3, 0.3, 0.4], [[-2.0, 2.0, 0.0], [0.0, -2.0, 2.0], [1.5, 0.0, -2.0]]),
+        ],
+    )
+    @pytest.mark.parametrize("power", [1, 2, 3])
+    def test_ph_resolvent_pole_residues_vs_solve(self, alpha, t_mat, power):
+        # alpha (uI - T)^-p t from the eigensystem against p batched m x m solves,
+        # at real u and along a Fourier line u = gamma - i w
+        ph = PhaseType(alpha, t_mat)
+        assert ph._eig_action()[0]
+        measure = PHMeasure(1.0, ph)
+        for u in (np.linspace(0.01, 5.0, 50), 0.3 - 1j * np.linspace(0.0, 200.0, 400)):
+            mats = u[:, None, None] * np.eye(ph.order) - ph.t_mat
+            x = np.broadcast_to(ph.exit_vector, (u.size, ph.order))
+            for _ in range(power):
+                x = np.linalg.solve(mats, x[..., None])[..., 0]
+            want = x @ ph.alpha
+            got = measure._resolvent(u, power)
+            assert np.iscomplexobj(got) == np.iscomplexobj(u)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    def test_ph_resolvent_of_defective_generator_takes_the_solve(self):
+        # Erlang(2, 1): T has no eigenbasis, and alpha (uI - T)^-p t = p (1 + u)^-(p + 1)
+        ph = PhaseType([1.0, 0.0], [[-1.0, 1.0], [0.0, -1.0]])
+        assert not ph._eig_action()[0]
+        u = np.array([0.0, 0.5, 2.0, 0.3 - 4.0j])
+        for power in (1, 2, 3):
+            want = power * (1.0 + u) ** -(power + 1)
+            np.testing.assert_allclose(PHMeasure(1.0, ph)._resolvent(u, power), want, rtol=1e-14)
+
     def test_derivatives_by_finite_differences(self, pgamma_model_wide, ph2_model, bm_model):
         eps = 1e-6
         for model in (bm_model, pgamma_model_wide, ph2_model):
