@@ -27,7 +27,7 @@ from scipy.special import gammaincc, log_ndtr, ndtr
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import norm
 
-from .errors import NoJumpPart, TailNotDominated, UnresolvedKernel, WrongKind
+from .errors import NoJumpPart, TailNotDominated, UnresolvedKernel, UsageError, WrongKind
 from .first_passage import PassageTransform
 from .lundberg import ScaleSet, escape_probability, escape_rate
 from .models import (
@@ -35,6 +35,7 @@ from .models import (
     KIND_PERTURBED_GAMMA,
     KIND_PURE_GAMMA,
     ModelSpec,
+    model_to_dict,
 )
 from .numerics import GridFunction, _pcd_core_integral
 
@@ -475,6 +476,18 @@ def density_of_dt(model: ModelSpec, t: float, n: int | None = None) -> MarginalD
 # Free-process last passage
 
 
+def _law_at(model: ModelSpec, t: float, density: MarginalDensityD | None) -> MarginalDensityD:
+    """The law of D_t: ``density`` if the caller passed one, which must be
+    this model's at this t, else a new one."""
+    if density is None:
+        return density_of_dt(model, t)
+    if density.t != t:
+        raise UsageError(f"the density passed is the law of D_t at t = {density.t:g}, not at t = {t:g}")
+    if density.model is not model and model_to_dict(density.model) != model_to_dict(model):
+        raise UsageError(f"the density passed is the law of D_t for {density.model}, not for {model}")
+    return density
+
+
 def last_passage_cdf(
     model: ModelSpec,
     b: float,
@@ -486,8 +499,7 @@ def last_passage_cdf(
     if b <= 0:
         raise ValueError("threshold must be positive")
     rho0 = escape_rate(model) if rho0 is None else rho0
-    density = density or density_of_dt(model, t)
-    return density.escape_mass(b, density.t, rho0)
+    return _law_at(model, t, density).escape_mass(b, t, rho0)
 
 
 def last_passage_joint_density(
@@ -500,7 +512,7 @@ def last_passage_joint_density(
 ):
     """Density of [L_b >= t, D_t in da]: (1 - esc(a-b)) f_{D_t}(a)."""
     rho0 = escape_rate(model) if rho0 is None else rho0
-    density = density or density_of_dt(model, t)
+    density = _law_at(model, t, density)
     a = np.asarray(a, dtype=float)
     out = (1.0 - escape_probability(a - b, rho0)) * density(a)
     return out if np.ndim(out) else float(out)
@@ -518,7 +530,7 @@ def last_passage_joint_mass(
     if b <= 0:
         raise ValueError("threshold must be positive")
     rho0 = escape_rate(model) if rho0 is None else rho0
-    return (density or density_of_dt(model, t))._joint_mass(b, rho0)
+    return _law_at(model, t, density)._joint_mass(b, rho0)
 
 
 def bm_last_passage_density(model: ModelSpec, b: float, t) -> np.ndarray:

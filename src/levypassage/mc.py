@@ -22,20 +22,43 @@ horizon.  A creeping last contact is drawn inside its step the same way, from
 the bridge run backwards; a jump exit's is its step end.  The O(dt) bias
 left comes from lumping each step's jumps at its end.
 
-Every estimator advances its paths with one block kernel, which draws a
-(paths x k) block of steps at once, k = max(1, 2**13 // live paths), so the
-few long paths at the end of a run cost few calls.  A block's compound-
-Poisson jumps are drawn for all its cells at once: one Poisson count for
-the block, each jump in a uniform cell (``PHMeasure.sample``).  Callers find
-their events by first/last-True searches along the block; last-passage
-paths carry their own step clocks, since a return takes a path off the
-common schedule.  Paths run in fixed groups of 100 000, each with an SFC64
-substream seeded by the SeedSequence of (seed, stream, group).  Each
-estimator has its own stream number: 1 ``run_first_passage``, 2
-``run_last_passage``, 3 ``estimate_reflected_exceedance``, 4
-``run_reflected_first_passage``, 5 ``run_reflected_last_passage`` and 6
-``run_reflected_at_exp_horizon``; ``maintenance.simulate_policy`` uses 7
-for its cycle ends and 8 for the bridges of its idle mode (``cycle_ends``).  So for a given model, threshold
+Every estimator advances its paths with one block kernel, ``_Block``,
+which draws a (paths x k) block of steps at once, k = max(1, 2**14 // live
+paths), so the few long paths at the end of a run cost few calls.  The
+block is drawn lazily.  Each row (one path's k steps) gets its Gaussian
+increments and one jump total J (``LevyMeasureView.sample_block``: one
+Gamma(alpha k dt) draw for gamma; for phase type one Poisson count for the
+whole block, each jump in a uniform cell, summed by row).  Jumps only raise
+the level, so the continuous path bounds every level of the row from below
+and that path plus J bounds it from above.  A row's k uniforms of a
+bridge extreme are drawn least first, as 1 - V^{1/k}.  A row is decided
+from the bounds and that least uniform when its event would be the same
+for any split of J and any values of its other uniforms: a crossing
+(first passage), a contact or an escape test (last passage), a hit of b
+(conditioned return), a new infimum (reflected process) or the level at
+a given step.  The other rows are refined: they draw the split of J over their cells (the
+gamma Dirichlet bridge, or the phase-type jumps' own cells) and their
+other uniforms given the least (iid uniform above it, the least in a
+uniform cell), and go through the per-cell logic.  A free last-passage
+row that is not tested and ends at or below b draws no bridge uniform at
+all: it touches b at its last step, and the next block's first step
+records a later contact.  Every decision reads only draws whose law does
+not depend on what is still undrawn, and each later draw comes from its
+exact law given the earlier ones: the gamma split is independent of its
+total, the phase-type split is drawn with it, and the other uniforms are
+drawn given their least.  So the estimates have the law of the per-cell
+scheme; only the random streams differ from drawing every cell.  Callers
+find their events by first/last-True searches along the refined rows;
+last-passage paths carry their own step clocks, since a return takes a
+path off the common schedule.
+
+Paths run in fixed groups of 100 000, each with an SFC64 substream seeded
+by the SeedSequence of (seed, stream, group).  Each estimator has its own
+stream number: 1 ``run_first_passage``, 2 ``run_last_passage``, 3
+``estimate_reflected_exceedance``, 4 ``run_reflected_first_passage``, 5
+``run_reflected_last_passage`` and 6 ``run_reflected_at_exp_horizon``;
+``maintenance.simulate_policy`` uses 7 for its cycle ends and 8 for the
+bridges of its idle mode (``cycle_ends``).  So for a given model, threshold
 and step settings a result depends only on (seed, n_paths); no batching
 option can change it.
 """
@@ -44,6 +67,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -57,7 +81,9 @@ EXIT_CREEP = 1
 EXIT_JUMP = 2
 
 _GROUP_PATHS = 100_000  # paths per substream
-_BLOCK_CELLS = 2**13  # path-steps per block draw
+_BLOCK_CELLS = 2**14  # path-steps per block of an estimator
+_BRIDGE_CELLS = 2**13  # path-steps per chunk of ``cycle_ends``' bridges
+_SHORT_ROWS = 12  # blocks of up to this many steps are scanned column by column
 # substream number of each estimator (see the module docstring)
 _STREAM_FIRST, _STREAM_LAST, _STREAM_EXCEEDANCE = 1, 2, 3
 _STREAM_REFLECTED_FIRST, _STREAM_REFLECTED_LAST, _STREAM_EXP_HORIZON = 4, 5, 6
@@ -174,49 +200,153 @@ def _block_len(live: int) -> int:
     return max(1, _BLOCK_CELLS // live)
 
 
-def _block(law: _Law, rng, v: np.ndarray, dt: float, k: int, minimum: bool = True):
-    """k steps of length dt from levels v.
+class _Block:
+    """k steps of length dt from levels v, drawn lazily.
 
-    Draws, in this order, the Gaussian increments, the uniforms of the
-    Brownian-bridge minima of the continuous part (only when ``minimum`` and
-    sigma > 0) and the jump increments lumped at each step end, each as a
-    (paths x k) block; levels are their cumulative sums.  Returns (start,
-    c_end, m_min, post): the level at each step start, the continuous level
-    at the step end, its minimum over the step (None without ``minimum``;
-    the smaller endpoint at sigma = 0) and the level after the jumps.
+    Draws the Gaussian increments ``cont`` and one jump total per row
+    (``LevyMeasureView.sample_block``).  ``low`` is the continuous level
+    path v + cumsum(cont); jumps only raise the level, so every level of a
+    row's block, at a step end or start, lies in [``bottom``, ``top``], and
+    ``end`` is its exact level after the block.  A row's k uniforms of a
+    bridge extreme are drawn minimum first (``mins``); ``clear`` certifies
+    from the minimum that no step's bridge reaches a level, and
+    ``uniforms`` draws the other k - 1 given it for a row that is refined.
+    ``levels`` draws the jump split of the rows that still need their cells.
     """
-    n = v.size
-    if law.sigma > 0:
-        cont = rng.normal(law.mu * dt, law.sigma * math.sqrt(dt), (n, k))
-    else:
-        cont = np.broadcast_to(law.mu * dt, (n, k))
-    u = rng.random((n, k)) if minimum and law.sigma > 0 else None
-    jumps = None if law.jumps is None else law.jumps.sample(rng, n * k, dt).reshape(n, k)
-    return _levels(law, v, cont, jumps, u, dt, minimum)
+
+    def __init__(self, law: _Law, rng, v: np.ndarray, dt: float, k: int):
+        self.law, self.rng, self.v, self.dt, self.k = law, rng, v, dt, k
+        n = v.size
+        if law.sigma > 0:
+            self.cont = rng.normal(law.mu * dt, law.sigma * math.sqrt(dt), (n, k))
+        else:
+            self.cont = np.broadcast_to(law.mu * dt, (n, k))
+        self.low = _accumulate_rows(np.add, self.cont)
+        self.low += v[:, None]
+        self.total = self._split = None
+        if law.jumps is not None:
+            self.total, self._split = law.jumps.sample_block(rng, n, k, dt)
+        self.end = self.low[:, -1].copy() if self.total is None else self.low[:, -1] + self.total
+
+    @cached_property
+    def top(self) -> np.ndarray:
+        high = np.maximum(self.v, _reduce_rows(np.maximum, self.low))
+        return high if self.total is None else high + self.total
+
+    @cached_property
+    def bottom(self) -> np.ndarray:
+        return np.minimum(self.v, _reduce_rows(np.minimum, self.low))
+
+    def mins(self, n: int | None = None):
+        """The least of k iid uniforms for each of n rows (default every
+        row), 1 - V^{1/k} for a uniform V (V itself when k = 1); None at
+        sigma = 0."""
+        if self.law.sigma == 0:
+            return None
+        u = self.rng.random(self.v.size if n is None else n)
+        return u if self.k == 1 else -np.expm1(np.log1p(-u) / self.k)
+
+    def uniforms(self, mins):
+        """(rows x k) uniforms given their row minima: the minimum sits in a
+        uniform cell and the other cells are iid uniform above it, the law
+        of k iid uniforms given their least.  None at sigma = 0."""
+        if mins is None or self.k == 1:
+            return None if mins is None else mins[:, None]
+        n = mins.size
+        u = self.rng.random((n, self.k))
+        u *= (1.0 - mins)[:, None]
+        u += mins[:, None]
+        u[np.arange(n), self.rng.integers(0, self.k, n)] = mins
+        return u
+
+    def clear(self, gap: np.ndarray, mins) -> np.ndarray:
+        """True for rows certain to keep every step's continuous bridge off a
+        level.  gap is how far all the row's step starts and ends stay from
+        the level, on one side (none is certain unless gap > 0), and mins
+        holds the least of the row's uniforms of the bridge draw.  A step's
+        bridge reaches a level g0 and g1 from its ends iff its uniform is
+        below exp(-2 g0 g1 / (sigma^2 dt)), which is at most
+        exp(-2 gap^2 / (sigma^2 dt)).  At sigma = 0 the path is linear
+        within a step."""
+        if mins is None:
+            return gap > 0
+        return (gap > 0) & (mins >= np.exp(-2.0 * gap * gap / (self.law.sigma**2 * self.dt)))
+
+    def levels(self, rows: np.ndarray, u, minimum: bool = True):
+        """``_levels``' (start, c_end, m_min, post) of the block's ``rows``,
+        with their bridge-minimum uniforms u, after drawing their jump split."""
+        sel = slice(None) if rows.size == self.v.size else rows  # a view, no copies
+        v, cont = self.v[sel], self.cont[sel]
+        if self.total is None:
+            return _step_levels(self.law, v, self.low[sel], cont, False, u, self.dt, minimum)
+        jumps = self.total[sel, None] if self.k == 1 else self._split(rows)
+        return _levels(self.law, v, cont, jumps, u, self.dt, minimum)
+
+
+def _take(x, rows):
+    """x's rows, or None for None."""
+    return None if x is None else x[rows]
 
 
 def _levels(law: _Law, v: np.ndarray, cont, jumps, u, dt_col, minimum: bool):
-    """``_block``'s (start, c_end, m_min, post) from levels v and the drawn
+    """(start, c_end, m_min, post) of steps from levels v with the drawn
     continuous increments, jump increments (None without jumps) and
-    bridge-minimum uniforms (None without ``minimum`` or at sigma = 0);
-    dt_col is the step length, scalar or one per path as a column.  A
-    one-step block skips the row-wise scans here and in the searches below,
-    which cost far more than an elementwise pass when there are many rows."""
-    inc = cont if jumps is None else cont + jumps
-    post = v[:, None] + (inc if inc.shape[1] == 1 else np.add.accumulate(inc, axis=1))
+    bridge-minimum uniforms (None without ``minimum`` or at sigma = 0): the
+    level at each step start, the continuous level at the step end, its
+    minimum over the step (None without ``minimum``; the smaller endpoint at
+    sigma = 0) and the level after the jumps.  dt_col is the step length,
+    scalar or one per path as a column."""
+    post = _accumulate_rows(np.add, cont if jumps is None else cont + jumps)
+    post += v[:, None]
+    return _step_levels(law, v, post, cont, jumps is not None, u, dt_col, minimum)
+
+
+def _step_levels(law: _Law, v, post, cont, jumped: bool, u, dt_col, minimum: bool):
+    """``_levels`` given the levels ``post`` after each step."""
     start = np.hstack((v[:, None], post[:, :-1]))
-    c_end = post if jumps is None else start + cont
+    c_end = start + cont if jumped else post
     m_min = None
     if u is not None:
-        var_dt = law.sigma**2 * dt_col
-        m_min = start + 0.5 * (cont - np.sqrt(cont**2 - 2.0 * var_dt * np.log(u)))
+        # start + (cont - sqrt(cont^2 - 2 sigma^2 dt log u)) / 2, built in place
+        m_min = np.log(u)
+        m_min *= 2.0 * law.sigma**2 * dt_col
+        np.subtract(cont**2, m_min, out=m_min)
+        np.sqrt(m_min, out=m_min)
+        np.subtract(cont, m_min, out=m_min)
+        m_min *= 0.5
+        m_min += start
     elif minimum:
         m_min = np.minimum(start, c_end)
     return start, c_end, m_min, post
 
 
+def _reduce_rows(ufunc, x: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce`` along each row.  numpy scans a row at a time, at a
+    cost per row far above an elementwise pass, so rows of up to
+    _SHORT_ROWS cells go column by column instead, with the same
+    arithmetic; so does ``_accumulate_rows``."""
+    if x.shape[1] > _SHORT_ROWS:
+        return ufunc.reduce(x, axis=1)
+    out = x[:, 0].copy()
+    for j in range(1, x.shape[1]):
+        ufunc(out, x[:, j], out=out)
+    return out
+
+
+def _accumulate_rows(ufunc, x: np.ndarray) -> np.ndarray:
+    """``ufunc.accumulate`` along each row (see ``_reduce_rows``)."""
+    if x.shape[1] > _SHORT_ROWS:
+        return ufunc.accumulate(x, axis=1)
+    out = np.empty(x.shape)
+    out[:, 0] = x[:, 0]
+    for j in range(1, x.shape[1]):
+        ufunc(out[:, j - 1], x[:, j], out=out[:, j])
+    return out
+
+
 def _first(mask: np.ndarray):
-    """(any, column of the first True) per row."""
+    """(any, column of the first True) per row; a one-step block skips the
+    row-wise scan."""
     if mask.shape[1] == 1:
         return mask[:, 0], np.zeros(mask.shape[0], dtype=np.intp)
     j = mask.argmax(axis=1)
@@ -239,20 +369,22 @@ def _at(x: np.ndarray, j: np.ndarray) -> np.ndarray:
 
 def _running_inf(m_min: np.ndarray, inf0: np.ndarray) -> np.ndarray:
     """inf(D ^ 0) after each step of the block, from inf0 before it."""
-    low = np.minimum(m_min, inf0[:, None])
-    return low if low.shape[1] == 1 else np.minimum.accumulate(low, axis=1)
+    return _accumulate_rows(np.minimum, np.minimum(m_min, inf0[:, None]))
 
 
-def _crossed_up(law: _Law, rng, start, c_end, post, level, dt):
+def _crossed_up(law: _Law, u, start, c_end, post, level, dt):
     """(creep, jump) masks of an up-crossing of ``level`` (scalar or per cell)
     in each step start -> c_end -> post: the continuous end value reaches the
-    level, else the bridge between start and c_end crosses it (one uniform
-    per cell), else the jump carries the path over."""
+    level, else the bridge between start and c_end crosses it (its uniform
+    in u, one per cell; None at sigma = 0), else the jump carries the path
+    over."""
     creep = c_end >= level
-    if law.sigma > 0:
-        gap0 = np.clip(level - start, 0.0, None)
-        gap1 = np.clip(level - c_end, 0.0, None)
-        creep |= rng.random(creep.shape) < np.exp(-2.0 * gap0 * gap1 / (law.sigma**2 * dt))
+    if u is not None:
+        # exp(-2 gap0 gap1 / (sigma^2 dt)), built in place
+        p = np.clip(level - start, 0.0, None)
+        p *= np.clip(level - c_end, 0.0, None)
+        p *= -2.0 / (law.sigma**2 * dt)
+        creep |= u < np.exp(p, out=p)
     return creep, ~creep & (post >= level)
 
 
@@ -365,24 +497,47 @@ def _first_passages(model: ModelSpec, cfg: SimConfig, b: float, reflect: bool) -
         clock = 0  # steps taken, the same for every live path
         while idx.size and clock < cfg.horizon_steps:
             k = min(_block_len(idx.size), cfg.horizon_steps - clock)
-            start, c_end, m_min, post = _block(law, rng, v, cfg.dt, k, minimum=reflect)
-            inf_after = _running_inf(m_min, inf_d) if reflect else np.zeros_like(post)
-            level = b + np.hstack((inf_d[:, None], inf_after[:, :-1]))
-            creep, jumpx = _crossed_up(law, rng, start, c_end, post, level, cfg.dt)
-            done, j = _first(creep | jumpx)
-            if done.any():
-                rows, j = np.flatnonzero(done), j[done]
-                gi = idx[rows]
-                by_creep = creep[rows, j]
-                lev = level[rows, j]
-                t_cross[gi] = (clock + j + 1) * cfg.dt
-                kind[gi] = np.where(by_creep, EXIT_CREEP, EXIT_JUMP)
-                und[gi] = np.where(by_creep, 0.0, lev - c_end[rows, j])
-                over[gi] = np.where(by_creep, 0.0, post[rows, j] - lev)
-            v, inf_d, idx = post[~done, -1], inf_after[~done, -1], idx[~done]
+            v, rows, j, by_creep, under, overshoot = _first_block(law, rng, v, inf_d, b, cfg.dt, k, reflect)
+            gi = idx[rows]
+            t_cross[gi] = (clock + j + 1) * cfg.dt
+            kind[gi] = np.where(by_creep, EXIT_CREEP, EXIT_JUMP)
+            und[gi], over[gi] = under, overshoot
+            live = np.ones(idx.size, dtype=bool)
+            live[rows] = False
+            v, inf_d, idx = v[live], inf_d[live], idx[live]
             clock += k
     label = "T*_b" if reflect else "T_b"
     return FirstPassageSample(b, t_cross, kind, und, over, cfg.t_max * cfg.max_blocks, label)
+
+
+def _first_block(law: _Law, rng, v, inf_d, b: float, dt: float, k: int, reflect: bool):
+    """One block of ``_first_passages`` from levels v and infima inf_d,
+    which it updates in place.  Returns (end, rows, j, creep, under, over):
+    the levels after the block, and for the rows that cross b + inf_d, the
+    step of the crossing, whether it creeps, and the under- and overshoot."""
+    blk = _Block(law, rng, v, dt, k)
+    low_min = blk.mins() if reflect else None  # of the bridge-minimum uniforms
+    up_min = blk.mins()  # of the crossing uniforms
+    # rows that surely neither cross b + inf_d nor set a new infimum
+    quiet = blk.clear(b + inf_d - blk.top, up_min)
+    if reflect:
+        quiet &= blk.clear(blk.bottom - inf_d, low_min)
+    rows = np.flatnonzero(~quiet)
+    start, c_end, m_min, post = blk.levels(rows, blk.uniforms(_take(low_min, rows)), minimum=reflect)
+    level = b
+    if reflect:
+        inf_after = _running_inf(m_min, inf_d[rows])
+        level = np.hstack((inf_d[rows, None], inf_after[:, :-1]))
+        level += b
+        inf_d[rows] = inf_after[:, -1]
+        del inf_after
+    del m_min  # not needed past here; freed before the crossing test's arrays
+    creep, jumpx = _crossed_up(law, blk.uniforms(_take(up_min, rows)), start, c_end, post, level, dt)
+    hit, j = _first(creep | jumpx)
+    by_creep, ce, po = (_at(x, j)[hit] for x in (creep, c_end, post))
+    lev = _at(level, j)[hit] if reflect else b
+    under, over = np.where(by_creep, 0.0, lev - ce), np.where(by_creep, 0.0, po - lev)
+    return blk.end, rows[hit], j[hit], by_creep, under, over
 
 
 def run_first_passage(model: ModelSpec, cfg: SimConfig, b: float) -> FirstPassageSample:
@@ -445,81 +600,122 @@ def _last_passages(
     censored = 0
     for rng, idx in _path_groups(cfg, _STREAM_REFLECTED_LAST if reflect else _STREAM_LAST):
         m = idx.size
-        v = np.zeros(m)
-        inf_d = np.zeros(m)
-        clock = np.zeros(m, dtype=np.int64)  # steps taken, per path
-        lag = np.zeros(m)  # time a path's returns ended before their step ends
-        # at the step of the last contact with (-inf, b]: its end time, the exit
-        # kind, under- and overshoot, and the continuous level above b at the
-        # step's end and start
-        last = np.zeros(m)
-        e_kind = np.zeros(m, dtype=np.int8)
-        e_y = np.zeros(m)
-        e_w = np.zeros(m)
-        e_end = np.zeros(m)
-        e_start = np.zeros(m)
-        returning = np.zeros(m, dtype=bool)
         escaped = np.zeros(m, dtype=bool)
-        live = np.arange(m)
-        while live.size:
+        # per path, at the step of its last contact with (-inf, b]: the step's
+        # end time, and the continuous levels at its end and start and the
+        # level after its jumps, less the contact level
+        last, e_end, e_start, e_post = (np.zeros(m) for _ in range(4))
+        # the live paths, compacted: their group index, level, infimum, time
+        # their returns ended before their step ends, steps taken, and
+        # whether they are returning
+        path = np.arange(m)
+        v, inf_d, lag = np.zeros(m), np.zeros(m), np.zeros(m)
+        clock = np.zeros(m, dtype=np.int64)
+        returning = np.zeros(m, dtype=bool)
+        while path.size:
             # every cell of the block lies within the censoring horizon
-            k = min(_block_len(live.size), horizon - int(clock[live].max()))
-            ret = returning[live]
-            back, fwd = live[ret], live[~ret]
+            k = min(_block_len(path.size), horizon - int(clock.max()))
+            back, fwd = np.flatnonzero(returning), np.flatnonzero(~returning)
+            retire = np.zeros(path.size, dtype=bool)
             if back.size:
                 # conditioned return: the tilted law until the bridge reaches b;
                 # the path resumes from b at the hitting time, so its next
                 # forward step records the contact
                 tilted = tilted or _Law.tilted(model, rho0)
-                start, c_end, m_min, post = _block(tilted, rng, v[back], dt, k)
-                level = (b + inf_d[back])[:, None]
-                hit, j = _first(m_min <= level)
-                level = level[hit, 0]
-                h0, h1 = _at(start, j)[hit] - level, _at(c_end, j)[hit] - level
-                r = back[hit]
-                clock[r] += j[hit] + 1
-                lag[r] += dt - _hit_time(tilted, rng, h0, h1, dt)
-                v[r] = level
-                returning[r] = False
-                r = back[~hit]
-                v[r] = post[~hit, -1]
-                clock[r] += k
+                to, steps, hit, rest = _return_block(tilted, rng, v[back], b + inf_d[back], dt, k)
+                v[back] = to
+                clock[back] += steps
+                lag[back[hit]] += rest
+                returning[back[hit]] = False
             if fwd.size:
-                start, c_end, m_min, post = _block(law, rng, v[fwd], dt, k)
-                inf_after = _running_inf(m_min, inf_d[fwd]) if reflect else np.zeros_like(post)
-                level = b + inf_after
-                tested, jt = _first(post - level > gap)
-                upto = np.where(tested, jt, k - 1)
-                contact = (m_min <= level) & (np.arange(k) <= upto[:, None])
-                touched, j = _last(contact)
-                lev, st, ce, po = (_at(x, j)[touched] for x in (level, start, c_end, post))
-                r, j = fwd[touched], j[touched]
-                by_creep = ce > lev
-                last[r] = (clock[r] + j + 1) * dt - lag[r]
-                e_kind[r] = np.where(by_creep, EXIT_CREEP, EXIT_JUMP)
-                e_y[r] = np.where(by_creep, 0.0, lev - ce)
-                e_w[r] = np.where(by_creep, 0.0, po - lev)
-                e_end[r], e_start[r] = ce - lev, st - lev
-                v[fwd] = _at(post, upto)
-                inf_d[fwd] = _at(inf_after, upto)
-                clock[fwd] += upto + 1
+                to, low, steps, tested, touched, j, at_j = _forward_block(
+                    law, rng, v[fwd], inf_d[fwd], b, gap, dt, k, reflect
+                )
+                r = fwd[touched]
+                g = path[r]
+                last[g] = (clock[r] + j + 1) * dt - lag[r]
+                e_end[g], e_start[g], e_post[g] = at_j
+                v[fwd], inf_d[fwd] = to, low
+                clock[fwd] += steps
                 r = fwd[tested]
                 esc = _escapes(rng, v[r] - inf_d[r], b, rho0)
-                escaped[r[esc]] = True
+                retire[r[esc]] = True
                 returning[r[~esc]] = True
-            live = live[~escaped[live] & (clock[live] < horizon)]
+            escaped[path[retire]] = True
+            keep = ~retire & (clock < horizon)
+            if not keep.all():
+                path, v, inf_d, lag, clock, returning = (x[keep] for x in (path, v, inf_d, lag, clock, returning))
         # a creeping exit leaves (-inf, b] inside its step, at the first hit of
         # b by the step's bridge run backwards from the step end
-        creep = escaped & (e_kind == EXIT_CREEP)
+        creep = escaped & (e_end > 0)
         last[creep] -= _hit_time(law, rng, e_end[creep], e_start[creep], dt)
         gi = idx[escaped]
         l_last[gi] = last[escaped]
-        kind[gi] = e_kind[escaped]
-        und[gi] = e_y[escaped]
-        over[gi] = e_w[escaped]
+        kind[gi] = np.where(creep, EXIT_CREEP, EXIT_JUMP)[escaped]
+        und[gi] = np.where(creep, 0.0, -e_end)[escaped]
+        over[gi] = np.where(creep, 0.0, e_post)[escaped]
         censored += m - int(escaped.sum())
     label = "L*_b" if reflect else "L_b"
     return LastPassageSample(b, l_last, kind, und, over, censored, label)
+
+
+def _return_block(law: _Law, rng, v, level, dt: float, k: int):
+    """One block of conditioned returns from levels v towards ``level`` (one
+    per row).  Returns (to, steps, hit, rest): the level after the block,
+    the level itself for a row that reaches it, the steps taken, and for
+    the rows that reach it, their indices and the time from the hit to the
+    end of its step."""
+    blk = _Block(law, rng, v, dt, k)
+    u_min = blk.mins()
+    rows = np.flatnonzero(~blk.clear(blk.bottom - level, u_min))
+    start, c_end, m_min, _ = blk.levels(rows, blk.uniforms(_take(u_min, rows)))
+    lev = level[rows]
+    hit, j = _first(m_min <= lev[:, None])
+    h0, h1 = _at(start, j)[hit] - lev[hit], _at(c_end, j)[hit] - lev[hit]
+    rows = rows[hit]
+    to, steps = blk.end, np.full(v.size, k)
+    to[rows], steps[rows] = level[rows], j[hit] + 1
+    return to, steps, rows, dt - _hit_time(law, rng, h0, h1, dt)
+
+
+def _forward_block(law: _Law, rng, v, floor, b: float, gap: float, dt: float, k: int, reflect: bool):
+    """One block of untilted steps of ``_last_passages`` from levels v and
+    infima ``floor``, each row up to its escape test.  Returns (to, floor,
+    steps, tested, touched, j, at_j): each row's level, infimum and steps
+    taken at the block's end or its test, and whether it is tested; for the
+    rows ``touched`` whose last contact with (-inf, b + inf] the block
+    records, its step j and at_j, the continuous levels at the step's end
+    and start and the level after its jumps, less the contact level."""
+    blk = _Block(law, rng, v, dt, k)
+    level = b + floor
+    untested = blk.top <= level + gap
+    # an untested row that ends at or below the level touches it at its last
+    # step, and its next block's first step records a later contact; the
+    # free process needs no more of it
+    below = untested & (blk.end <= level)
+    ask = np.arange(v.size) if reflect else np.flatnonzero(~below)
+    u_min = blk.mins(ask.size)
+    quiet = untested[ask] & blk.clear(blk.bottom[ask] - level[ask], u_min)  # no contact
+    if reflect:
+        quiet |= below & blk.clear(blk.bottom - floor, u_min)  # no new infimum
+    rows = ask[~quiet]
+    start, c_end, m_min, post = blk.levels(rows, blk.uniforms(_take(u_min, ~quiet)))
+    lev = b
+    if reflect:
+        inf_after = _running_inf(m_min, floor[rows])
+        lev = b + inf_after
+    hit, jt = _first(post - lev > gap)
+    upto = np.where(hit, jt, k - 1)
+    touched, j = _last((m_min <= lev) & (np.arange(k) <= upto[:, None]))
+    lev_j = _at(lev, j)[touched] if reflect else b
+    at_j = tuple(_at(x, j)[touched] - lev_j for x in (c_end, start, post))
+    to, low, steps = blk.end, floor.copy(), np.full(v.size, k)
+    to[rows], steps[rows] = _at(post, upto), upto + 1
+    if reflect:
+        low[rows] = _at(inf_after, upto)
+    tested = np.zeros(v.size, dtype=bool)
+    tested[rows] = hit
+    return to, low, steps, tested, rows[touched], j[touched], at_j
 
 
 def run_last_passage(
@@ -552,13 +748,23 @@ def _reflected_after(law: _Law, rng, dt: float, need: np.ndarray) -> np.ndarray:
     clock = 0
     while live.size:
         k = min(_block_len(live.size), int(need[live].max()) - clock)
-        _, _, m_min, post = _block(law, rng, v[live], dt, k)
-        inf_after = _running_inf(m_min, inf_d[live])
+        blk = _Block(law, rng, v[live], dt, k)
+        u_min = blk.mins()
+        floor = inf_d[live]
         j = need[live] - clock - 1
         fin = j < k
-        rows, j = np.flatnonzero(fin), j[fin]
-        out[live[fin]] = post[rows, j] - inf_after[rows, j]
-        v[live], inf_d[live] = post[:, -1], inf_after[:, -1]
+        # rows that set no new infimum and, if they finish here, finish at the end
+        quiet = blk.clear(blk.bottom - floor, u_min) & (j >= k - 1)
+        out[live[quiet & fin]] = blk.end[quiet & fin] - floor[quiet & fin]
+        rows = np.flatnonzero(~quiet)
+        if rows.size:
+            _, _, m_min, post = blk.levels(rows, blk.uniforms(_take(u_min, rows)))
+            inf_after = _running_inf(m_min, floor[rows])
+            f = fin[rows]
+            jf = j[rows][f]
+            out[live[rows[f]]] = post[f, jf] - inf_after[f, jf]
+            inf_d[live[rows]] = inf_after[:, -1]
+        v[live] = blk.end
         live = live[~fin]
         clock += k
     return out
@@ -614,14 +820,14 @@ def cycle_ends(model: ModelSpec, rng: np.random.Generator, x: np.ndarray, horizo
     its step, from the bridge run backwards; a jump exit's contact is its
     step end.  The skeleton draws from ``bridge_rng`` alone, so a caller
     that passes a substream of its own keeps the cycle ends of ``rng``
-    unchanged; rows go through in chunks of ``_BLOCK_CELLS`` cells.
+    unchanged; rows go through in chunks of ``_BRIDGE_CELLS`` cells.
     """
     inc, gauss, jump_bridge = _increment_parts(model, rng, horizons)
 
     def last_contacts(bridge_rng, rows, b: float, steps: int) -> np.ndarray:
         law = _Law.of(model)
         out = np.empty(rows.size)
-        chunk = max(1, _BLOCK_CELLS // steps)
+        chunk = max(1, _BRIDGE_CELLS // steps)
         for s in range(0, rows.size, chunk):
             r = rows[s : s + chunk]
             cont = model.mu * horizons[r] + (0.0 if gauss is None else gauss[r])

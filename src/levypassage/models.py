@@ -324,17 +324,19 @@ class LevyMeasureView:
         """int_0^inf x^k Q(dx), so E[J_1] for k = 1 and Var[J_1] for k = 2."""
         raise NotImplementedError
 
-    def sample(self, rng: np.random.Generator, m: int, dt) -> np.ndarray:
-        """m exact draws of J over a scalar or per-draw length dt.  They agree
-        with ``sample_bridged(rng, m, dt)[0]`` in law, not draw for draw."""
+    def sample_bridged(self, rng: np.random.Generator, m: int, dt):
+        """(draws, bridge): m exact draws of J over a scalar or per-draw
+        length dt, and bridge(bridge_rng, rows, steps), which splits the
+        draws ``rows`` over ``steps`` equal steps with the law of J's path
+        given its total: a (rows x steps) array of per-step increments,
+        jumps lumped at step ends, that sums to the draws along each row."""
         raise NotImplementedError
 
-    def sample_bridged(self, rng: np.random.Generator, m: int, dt):
-        """(draws, bridge): m draws with ``sample``'s law, and
-        bridge(bridge_rng, rows, steps), which splits the draws ``rows`` over
-        ``steps`` equal steps with the law of J's path given its total: a
-        (rows x steps) array of per-step increments, jumps lumped at step
-        ends, that sums to the draws along each row."""
+    def sample_block(self, rng: np.random.Generator, n: int, k: int, dt: float):
+        """(totals, split): the jump totals of n rows of k steps of length dt,
+        and split(rows), which spreads the totals of ``rows`` over their k
+        steps with the law of J's path given its total (a (rows x k) array,
+        jumps lumped at step ends, drawing from ``rng``)."""
         raise NotImplementedError
 
     def tilt(self, rho: float) -> "LevyMeasureView":
@@ -374,6 +376,16 @@ class LevyMeasureView:
         )
 
 
+def _dirichlet(rng: np.random.Generator, a, cells: tuple[int, int]) -> np.ndarray:
+    """Rows of Dirichlet(a, ..., a) weights, a scalar or a column.  The gamma
+    draws are taken in log space, Gamma(a) = Gamma(a + 1) U^{1/a}, and
+    normalised by a log-sum-exp, since for small a a direct Gamma(a) draw
+    underflows to 0."""
+    log_g = np.log(rng.gamma(a + 1.0, 1.0, cells)) + np.log1p(-rng.random(cells)) / a
+    w = np.exp(log_g - log_g.max(axis=1, keepdims=True))
+    return w / w.sum(axis=1, keepdims=True)
+
+
 class GammaMeasure(LevyMeasureView):
     """Q(dx) = alpha x^-1 exp(-x/xi) dx."""
 
@@ -395,24 +407,23 @@ class GammaMeasure(LevyMeasureView):
     def moment(self, k: int) -> float:
         return self.alpha * math.factorial(k - 1) * self.xi**k
 
-    def sample(self, rng, m, dt):
-        return rng.gamma(self.alpha * dt, self.xi, m)
-
     def sample_bridged(self, rng, m, dt):
         """The split of a gamma total over equal steps is Dirichlet with
-        parameters alpha dt / steps.  Its gamma draws are taken in log space,
-        Gamma(a) = Gamma(a + 1) U^{1/a}, and normalised by a log-sum-exp, since
-        for small a a direct Gamma(a) draw underflows to 0."""
-        total = self.sample(rng, m, dt)
+        parameters alpha dt / steps (``_dirichlet``)."""
+        total = rng.gamma(self.alpha * dt, self.xi, m)
 
         def bridge(bridge_rng, rows, steps):
             a = (self.alpha / steps * np.broadcast_to(dt, (m,))[rows])[:, None]
-            cells = (rows.size, steps)
-            log_g = np.log(bridge_rng.gamma(a + 1.0, 1.0, cells)) + np.log1p(-bridge_rng.random(cells)) / a
-            w = np.exp(log_g - log_g.max(axis=1, keepdims=True))
-            return total[rows, None] * (w / w.sum(axis=1, keepdims=True))
+            return total[rows, None] * _dirichlet(bridge_rng, a, (rows.size, steps))
 
         return total, bridge
+
+    def sample_block(self, rng, n, k, dt):
+        """``sample_bridged``'s law, with one scalar Dirichlet parameter
+        alpha dt for the whole block."""
+        a = self.alpha * dt
+        total = rng.gamma(a * k, self.xi, n)
+        return total, lambda rows: total[rows, None] * _dirichlet(rng, a, (rows.size, k))
 
     def tilt(self, rho):
         return GammaMeasure(self.alpha, self.xi / (1.0 + rho * self.xi))
@@ -498,15 +509,31 @@ class PHMeasure(LevyMeasureView):
     def moment(self, k: int) -> float:
         return self.lam * self.ph.moment(k)
 
-    def sample(self, rng, m, dt):
-        """At a scalar dt the m draws come at once: the m cells hold
-        Poisson(lam dt m) jumps in all, each in a uniform cell, which is the
-        joint law of one Poisson(lam dt) count per cell."""
-        if np.ndim(dt):
-            return self.sample_bridged(rng, m, dt)[0]
-        n_jumps = rng.poisson(self.lam * dt * m)
+    def sample_block(self, rng, n, k, dt):
+        """The n k cells hold Poisson(lam dt n k) jumps in all, each in a
+        uniform cell, which is the joint law of one Poisson(lam dt) count per
+        cell; a row's split is its cells' own jumps.  The cells are sorted
+        (the sizes are iid, so the law is the same) and each row's total is
+        summed cell by cell, so it equals the running sum of its split to
+        the last bit."""
+        n_jumps = rng.poisson(self.lam * dt * n * k)
         sizes = sample_phase_type(self.ph, rng, n_jumps)
-        return np.bincount(rng.integers(0, m, n_jumps), weights=sizes, minlength=m)
+        cell = np.sort(rng.integers(0, n * k, n_jumps))
+        new = np.ones(n_jumps, dtype=bool)
+        new[1:] = cell[1:] != cell[:-1]
+        mass = np.bincount(np.cumsum(new) - 1, weights=sizes)  # per occupied cell
+        cell = cell[new]
+        total = np.bincount(cell // k, weights=mass, minlength=n)
+
+        def split(rows):
+            at = np.full(n, -1)
+            at[rows] = np.arange(rows.size)
+            row = at[cell // k]
+            mine = row >= 0
+            out = np.bincount(row[mine] * k + cell[mine] % k, weights=mass[mine], minlength=rows.size * k)
+            return out.reshape(rows.size, k)
+
+        return total, split
 
     def sample_bridged(self, rng, m, dt):
         """Given its jumps, a compound-Poisson path puts each at an independent

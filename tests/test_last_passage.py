@@ -7,7 +7,7 @@ from scipy.special import log_ndtr, ndtr
 from scipy.stats import norm
 
 from conftest import assert_within_se
-from levypassage.errors import NoJumpPart, TailNotDominated, WrongKind
+from levypassage.errors import NoJumpPart, TailNotDominated, UsageError, WrongKind
 from levypassage.first_passage import inverse_gaussian_cdf, transform_from_scales
 from levypassage.last_passage import (
     bm_last_passage_cdf,
@@ -32,15 +32,28 @@ from levypassage.mc import (
 from levypassage.models import KIND_BROWNIAN, KIND_PH, ModelSpec, PhaseType
 
 
+_ORACLE_MAX_RHO_TAU = 2.0  # the oracle's validated range of rho0 sigma sqrt(t)
+
+
 def _exp_jump_escape_oracle(model, b, t):
     """P(L_b < t) for Exp(theta) jumps as a Poisson mixture over the jump
     count k: S_k ~ Gamma(k, 1/theta), each term an adaptive quadrature of its
-    density against the closed Gaussian escape mass, plus the k = 0 term."""
+    density against the closed Gaussian escape mass, plus the k = 0 term.
+
+    Validated for rho0 sigma sqrt(t) <= 2 only, and it raises beyond.  In
+    that range it meets the library's escape mass to 2e-14 relative for
+    sigma >= 0.03, and to 4.1e-10 for sigma down to 0.003.  Beyond it the
+    escape factor's edge, shifted by rho0 sigma^2 t, falls outside the
+    quadrature's break points.  The error then grows fast: 1e-7 at
+    rho0 sigma sqrt(t) = 4 (sigma = 0.01), and 5e-5 at 141 (sigma = 1e-3),
+    where a 200-panel Poisson mixture sides with the library."""
     rho0 = escape_rate(model)
     theta = -float(model.ph.t_mat[0, 0])
     tau = model.sigma * math.sqrt(t)
     lt, c = model.lam * t, b - model.mu * t
     a = rho0 * tau
+    if a > _ORACLE_MAX_RHO_TAU:
+        raise ValueError(f"rho0 sigma sqrt(t) = {a:.3g} is outside the oracle's validated range")
 
     def gauss(u):  # E[1 - e^{-rho0 (tau Z - u)}; tau Z > u]
         z = u / tau
@@ -228,6 +241,19 @@ class TestLastPassageFree:
             )
             assert total == pytest.approx(1.0, abs=1e-5), model.kind
 
+    @pytest.mark.parametrize("fn", [last_passage_cdf, last_passage_joint_mass, last_passage_joint_density])
+    def test_density_must_be_the_models_law_at_t(self, pgamma_model_wide, pgamma_model, fn):
+        # a D_1 density once answered for D_2: P(L_1 < 2) read 0.4225, not 0.7368
+        model = pgamma_model_wide
+        args = (model, 1.0, 2.0, 1.5) if fn is last_passage_joint_density else (model, 1.0, 2.0)
+        with pytest.raises(UsageError, match=r"at t = 1, not at t = 2"):
+            fn(*args, density=density_of_dt(model, 1.0))
+        with pytest.raises(UsageError, match="law of D_t for"):
+            fn(*args, density=density_of_dt(pgamma_model, 2.0))
+        twin = ModelSpec(kind=model.kind, mu=model.mu, sigma=model.sigma, alpha=model.alpha, xi=model.xi)
+        assert fn(*args, density=density_of_dt(twin, 2.0)) == fn(*args)
+        assert last_passage_cdf(model, 1.0, 2.0) == pytest.approx(0.7368, abs=1e-4)
+
     @pytest.mark.parametrize("b", [-1.0, 0.0])
     def test_joint_mass_needs_a_positive_threshold(self, bm_model, b):
         with pytest.raises(ValueError, match="threshold must be positive"):
@@ -266,6 +292,12 @@ class TestLastPassageFree:
         model = {"short": short, "floor": floor}.get(model, ph_model)
         want = _exp_jump_escape_oracle(model, b, t)
         assert last_passage_cdf(model, b, t) == pytest.approx(want, rel=rel, abs=0.0)
+
+    def test_oracle_refuses_rho_tau_beyond_its_range(self):
+        # sigma = 1e-3, t = 0.5: rho0 sigma sqrt(t) = 141, where it read 1.3e-5 high
+        model = ModelSpec(kind=KIND_PH, mu=0.1, sigma=1e-3, lam=1.0, ph=PhaseType([1.0], [[-1.0]]))
+        with pytest.raises(ValueError, match="validated range"):
+            _exp_jump_escape_oracle(model, 0.5, 0.5)
 
     def test_cdf_dominated_by_first_passage(self, bm_model, gamma_model):
         # L_b >= T_b pathwise, so P(L_b < t) <= P(T_b <= t)

@@ -10,9 +10,9 @@ import pytest
 
 from conftest import assert_within_se
 
-from levypassage.first_passage import inverse_gaussian_cdf
-from levypassage.last_passage import bm_last_passage_cdf, last_passage_cdf
-from levypassage.lundberg import build_scale_set
+from levypassage.first_passage import gamma_exact_cdf, inverse_gaussian_cdf, transform_from_scales
+from levypassage.last_passage import bm_last_passage_cdf, last_passage_cdf, reflected_last_passage_transform
+from levypassage.lundberg import build_scale_set, escape_rate
 from levypassage.mc import (
     SimConfig,
     _substream,
@@ -69,6 +69,15 @@ class TestLastPassageEscapeTest:
             target = last_passage_cdf(pgamma_model_wide, 1.0, t)
             assert_within_se(mc.estimate, mc.std_error, target, 3.0, f"P(L_b < {t})")
 
+    def test_pure_gamma_at_short_t_max(self, gamma_model):
+        # a nondecreasing path's last contact with (-inf, b] is its first
+        # passage, so L_b = T_b in law
+        sample = run_last_passage(gamma_model, self.SHORT, 1.0)
+        for t in (0.5, 1.0, 2.0, 3.0):
+            mc = sample.cdf_at(t)
+            target = gamma_exact_cdf(gamma_model, 1.0, t)
+            assert_within_se(mc.estimate, mc.std_error, target, 3.0, f"P(L_b < {t})")
+
     def test_bm_mean_at_coarse_dt(self, bm_model):
         # E[L_b] = b/mu + sigma^2/mu^2 = 2.  Contact times at step ends read
         # about dt/2 = 0.02 late (7 SE here), and a return that resumes at its
@@ -117,6 +126,23 @@ class TestReflectedMC:
         cfg = SimConfig(dt=1e-3, t_max=8.0, n_paths=20_000, seed=3, max_blocks=4)
         mc = run_reflected_first_passage(bm_model, cfg, b).laplace_at(delta)
         assert_within_se(mc.estimate, mc.std_error, target, 3.0, "reflected first passage")
+
+    def test_reflected_first_passage_laplace_pgamma(self, pgamma_model):
+        b, delta = 1.0, 0.5
+        scales = build_scale_set(pgamma_model, delta, 4.0)
+        target = float(scales.z(b)) - delta * float(scales.w(b)) ** 2 / float(scales.w_prime(b))
+        cfg = SimConfig(dt=1e-3, t_max=8.0, n_paths=20_000, seed=3, max_blocks=4)
+        mc = run_reflected_first_passage(pgamma_model, cfg, b).laplace_at(delta)
+        assert_within_se(mc.estimate, mc.std_error, target, 3.0, "reflected first passage")
+
+    def test_reflected_last_passage_laplace_pgamma(self, pgamma_model):
+        # E[e^{-delta L*_b}] from the scale functions (reflected_last_passage_transform)
+        b, delta = 1.0, 0.5
+        scales = build_scale_set(pgamma_model, delta, b + 24.0 / escape_rate(pgamma_model), n=4097)
+        target = reflected_last_passage_transform(pgamma_model, transform_from_scales(scales), b)
+        cfg = SimConfig(dt=2e-3, t_max=6.0, n_paths=30_000, seed=23, max_blocks=10)
+        mc = run_reflected_last_passage(pgamma_model, cfg, b).laplace_at(delta)
+        assert_within_se(mc.estimate, mc.std_error, target, 3.0, "reflected L* laplace")
 
     def test_reflected_jump_density_vs_mc_ph(self, ph_model):
         # the jump-crossing density integrated over y in [0, b] and z > b is

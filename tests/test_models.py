@@ -282,6 +282,28 @@ class TestBridge:
         assert np.count_nonzero(total[rows]) > 100
 
 
+class TestBlockSplit:
+    """``sample_block``'s split spreads each row's jump total over its steps."""
+
+    def test_gamma_rows_sum_to_their_totals(self):
+        total, split = GammaMeasure(1.5, 0.7).sample_block(np.random.default_rng(12), 3_000, 16, 2e-3)
+        rows = np.arange(1, 3_000, 3)
+        steps = split(rows)
+        assert steps.shape == (rows.size, 16) and np.all(steps >= 0.0)
+        assert steps.sum(axis=1) == pytest.approx(total[rows], rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_phase_type_rows_sum_to_their_totals_exactly(self, order):
+        # lam dt k = 2.56 jumps a row, so many rows and some cells hold several
+        measure = PHMeasure(0.8, PhaseType(*TestTilt.PH[order]))
+        total, split = measure.sample_block(np.random.default_rng(13), 500, 64, 0.05)
+        rows = np.arange(0, 500, 2)
+        steps = split(rows)
+        assert steps.shape == (rows.size, 64) and np.all(steps >= 0.0)
+        assert np.array_equal(np.cumsum(steps, axis=1)[:, -1], total[rows])
+        assert np.count_nonzero(np.count_nonzero(steps, axis=1) >= 3) > 50
+
+
 class TestSample:
     """Exact jump draws against the moments of their laws."""
 
@@ -296,8 +318,9 @@ class TestSample:
         # one Poisson(lam dt n) count spread over n uniform cells: each cell
         # is compound Poisson with mean lam dt E[J], variance lam dt E[J^2]
         # and no jump with probability e^{-lam dt}
-        dt, n = 0.25, 200_000
-        x = measure.sample(np.random.default_rng(4), n, dt)
+        dt, n, k = 0.25, 200_000, 4
+        _, split = measure.sample_block(np.random.default_rng(4), n // k, k, dt)
+        x = split(np.arange(n // k)).ravel()
         rate = measure.lam * dt
         mean, var = float(x.mean()), float(x.var(ddof=1))
         se_var = math.sqrt((float(np.mean((x - mean) ** 4)) - var**2) / n)
