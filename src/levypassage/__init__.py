@@ -9,15 +9,12 @@ from .errors import LevyPassageError, NumericalError, UsageError
 from .first_passage import (
     PassageTransform,
     PenaltySpec,
-    clt_passage_approx,
     gamma_exact_cdf,
     gamma_exact_pdf,
-    gamma_exact_sf,
     inverse_gaussian_cdf,
     inverse_gaussian_pdf,
     ph_transform,
     pk_series_transform,
-    scale_formula_transform,
     transform_from_scales,
 )
 from .last_passage import (
@@ -42,14 +39,9 @@ from .lundberg import (
     escape_rate,
     lundberg_truncated,
     ph_root_data,
-    scale_closed_bm,
-    scale_closed_ph,
-    scale_route_gap,
     scale_via_inversion,
     scale_via_ode_series,
     solve_lundberg,
-    u_delta_density,
-    u_hat_delta_density,
 )
 from .maintenance import (
     InspectionSchedule,
@@ -66,7 +58,6 @@ from .mc import (
     SimConfig,
     SimResult,
     estimate_reflected_exceedance,
-    increment_exact,
     run_first_passage,
     run_last_passage,
     run_reflected_at_exp_horizon,
@@ -74,13 +65,11 @@ from .mc import (
     run_reflected_last_passage,
 )
 from .models import (
-    CPApprox,
     GammaMeasure,
     LevyMeasureView,
     ModelSpec,
     PHMeasure,
     PhaseType,
-    cp_approximation,
     model_from_dict,
     model_from_json,
     model_to_dict,

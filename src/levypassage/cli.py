@@ -29,7 +29,6 @@ from .first_passage import (
     gamma_exact_cdf,
     ph_transform,
     pk_series_transform,
-    scale_formula_transform,
     transform_from_scales,
 )
 from .last_passage import (
@@ -202,9 +201,9 @@ def _cmd_first_passage(args) -> int:
             elif route == "scale":
                 if penalty.tag != "one":
                     continue  # the scale identity covers w = 1 only
-                scales = build_scale_set(model, delta, b_max)
+                phi = transform_from_scales(build_scale_set(model, delta, b_max))
                 for b in bs:
-                    rows.append((b, delta, scale_formula_transform(scales, b), "scale"))
+                    rows.append((b, delta, float(phi(b)), "scale"))
             elif route == "closed":
                 if penalty.tag != "one":
                     continue
@@ -414,7 +413,7 @@ def run_validation(quick: bool = True, seed: int = 20260810) -> list[tuple[str, 
     delta, b = 0.5, 1.0
     exact = math.exp(-(math.sqrt(2.0) - 1.0))
     pk = float(pk_series_transform(bm, delta, b_max=2.5)(b))
-    sc = scale_formula_transform(build_scale_set(bm, delta, 2.5), b)
+    sc = float(transform_from_scales(build_scale_set(bm, delta, 2.5))(b))
     add("bm_first_passage_pk_vs_exact", abs(pk - exact), 1e-3)
     add("bm_first_passage_scale_vs_exact", abs(sc - exact), 1e-3)
 

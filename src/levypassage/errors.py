@@ -30,10 +30,6 @@ class NoPerturbation(UsageError):
     """sigma = 0: the generalized Lundberg equation has no positive root."""
 
 
-class ZeroMeanDrift(UsageError):
-    """phi_D'(0) = 0: asymptotics undefined."""
-
-
 class OutOfGrid(UsageError):
     """Evaluation outside a tabulated grid without extrapolation."""
 

@@ -6,8 +6,7 @@ phi_w(delta, b) = E[exp(-delta T_b) w(b - D(T_b-), D(T_b) - b)]:
   * the Pollaczek-Khinchine series sum_k g*k * h built on the renewal kernels,
   * the scale-function identity E[e^{-delta T_b}] = Z(b) - delta/rho(delta) W(b),
   * exact closed forms for the pure-gamma (Park-Padgett), Brownian-drift
-    (inverse Gaussian) and phase-type special cases,
-  * the normal approximation for large thresholds.
+    (inverse Gaussian) and phase-type special cases.
 """
 
 from __future__ import annotations
@@ -17,10 +16,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import digamma, log_ndtr
+from scipy.special import digamma, gammainc, gammaincc, log_ndtr
 from scipy.stats import norm
 
-from .errors import SeriesNotConverged, WrongKind, ZeroMeanDrift
+from .errors import SeriesNotConverged, WrongKind
 from .lundberg import ScaleSet, ph_root_data, solve_lundberg
 from .models import (
     KIND_BROWNIAN,
@@ -28,14 +27,8 @@ from .models import (
     KIND_PURE_GAMMA,
     ModelSpec,
 )
-from .numerics import (
-    GridFunction,
-    grid_convolve,
-    hyp2f2,
-    reg_gamma_p,
-    reg_gamma_q,
-)
-from .renewal import SERIES_TERMS, build_renewal_kernels
+from .numerics import GridFunction, hyp2f2
+from .renewal import build_renewal_kernels, renewal_series
 
 ROUTE_PK_SERIES = "pk_series"
 ROUTE_SCALE = "scale_formula"
@@ -107,36 +100,10 @@ def pk_series_transform(
         creep_weight=penalty.creep_value(),
         indicator_eps=penalty.eps,
     )
-    term = kernels.h
-    total = term.values.copy()
-    converged = False
-    for _ in range(SERIES_TERMS):
-        if np.max(np.abs(term.values)) < 1e-10:
-            converged = True
-            break
-        term = grid_convolve(kernels.g, term)
-        total += term.values
-    if not converged and np.max(np.abs(term.values)) > 1e-8:
-        raise SeriesNotConverged(
-            f"renewal series sup-norm {np.max(np.abs(term.values)):.2e} after {SERIES_TERMS} terms"
-        )
+    total = renewal_series(kernels.g, kernels.h, raise_above=1e-8)
     return PassageTransform(
         delta, GridFunction(0.0, kernels.h.h, total), ROUTE_PK_SERIES
     )
-
-
-def scale_formula_transform(scales: ScaleSet, b: float) -> float:
-    """E[e^{-delta T_b}] = Z(b) - delta/rho(delta) * W(b).
-
-    Evaluated through the algebraically equal but numerically stable form
-    1 - (delta/rho) int_0^b (W' - rho W); the literal difference of Z and W
-    loses all significant digits once rho*b is large."""
-    if b < 0:
-        raise ValueError("threshold must be nonnegative")
-    if scales.delta == 0:
-        return 1.0
-    vals = scales.passage_transform_values()
-    return float(GridFunction(0.0, scales.h, vals)(b))
 
 
 def transform_from_scales(scales: ScaleSet) -> PassageTransform:
@@ -167,12 +134,7 @@ def gamma_exact_cdf(model: ModelSpec, b: float, t: float) -> float:
     x = b - model.mu * t
     if x <= 0:
         return 1.0
-    return reg_gamma_q(model.alpha * t, x / model.xi)
-
-
-def gamma_exact_sf(model: ModelSpec, b: float, t: float) -> float:
-    """P[T_b > t] = P[D_t < b] (monotone paths)."""
-    return 1.0 - gamma_exact_cdf(model, b, t)
+    return float(gammaincc(model.alpha * t, x / model.xi))
 
 
 def gamma_exact_pdf(model: ModelSpec, b: float, t: float) -> float:
@@ -195,7 +157,7 @@ def gamma_exact_pdf(model: ModelSpec, b: float, t: float) -> float:
         return 0.0
     s = model.alpha * t
     z = x / model.xi
-    first = model.alpha * (digamma(s) - math.log(z)) * reg_gamma_p(s, z)
+    first = model.alpha * (digamma(s) - math.log(z)) * float(gammainc(s, z))
     series = hyp2f2(s, s, s + 1.0, s + 1.0, -z)
     # (z^s / Gamma(s)) / s^2 in log space to survive large alpha*t
     log_pref = s * math.log(z) - math.lgamma(s) - 2.0 * math.log(s)
@@ -250,15 +212,3 @@ def ph_transform(model: ModelSpec, delta: float, b: float) -> float:
     if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
         raise SeriesNotConverged("phase-type transform has a large imaginary residue")
     return float(val.real)
-
-
-def clt_passage_approx(model: ModelSpec, b: float) -> tuple[float, float]:
-    """(mean, std) of the normal approximation of T_b for large b:
-
-        mean = b / E[D_1],  std = sqrt(b * phi_D''(0) / |phi_D'(0)|^3).
-    """
-    m = model.mean_d1
-    if m == 0:
-        raise ZeroMeanDrift("normal approximation needs E[D_1] != 0")
-    var_rate = float(model.phi_d_second(0.0))
-    return b / m, math.sqrt(b * var_rate / m**3)

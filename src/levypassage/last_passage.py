@@ -39,7 +39,7 @@ from .models import (
 )
 from .numerics import GridFunction, _pcd_core_integral
 
-_N_QUAD = 4097  # trapezoid nodes per a-integral of last_passage_joint_mass
+_N_QUAD = 4097  # least trapezoid nodes per a-integral of last_passage_joint_mass
 _LATTICE_TAIL = 1e-16  # |characteristic function| at the Nyquist frequency of density_lattice
 _LATTICE_MAX = 1 << 18  # most lattice points per period density_lattice may use
 _LATTICE_BATCH = 1 << 16  # complex entries (1 MB) per batch of density_lattice rows
@@ -323,15 +323,16 @@ class MarginalDensityD:
 
     def _joint_mass(self, b: float, rho0: float) -> float:
         """P(L_b >= t): trapezoid sums of (1 - esc(a - b)) f(a) over the grid,
-        split at a = b."""
+        split at a = b, each on as many nodes as the grid has (at least _N_QUAD)."""
         f = self.f
         lo, hi = f.x0, f.x_max
+        nodes = max(_N_QUAD, self.n)
         total = 0.0
         if lo < b:
-            xs = np.linspace(lo, min(b, hi), _N_QUAD)
+            xs = np.linspace(lo, min(b, hi), nodes)
             total += float(np.trapezoid(f(xs), xs))
         if hi > b:
-            xs = np.linspace(b, hi, _N_QUAD)
+            xs = np.linspace(b, hi, nodes)
             vals = (1.0 - escape_probability(xs - b, rho0)) * f(xs)
             total += float(np.trapezoid(vals, xs))
         return total
@@ -433,12 +434,23 @@ class _PureGammaD(_PerturbedGammaD):
 
 class _PhaseTypeD(MarginalDensityD):
     """No closed form: the density is the grid ``f``, one inverse FFT of the
-    characteristic function.  A Gaussian part narrower than 1.5 grid steps
-    (short horizons at small sigma) is widened to 1.5 steps in ``f`` only: the
-    mean is kept, the variance grows by at most (1.5 h)^2, and a grid quadrature
-    whose threshold lies within a few steps of mu t is off by O(rho0 h)."""
+    characteristic function.  Its support reaches past the jump tail: the upper
+    end is at least mu t plus the Chernoff bound of the 1e-13 quantile of J_t,
+    so at short horizons the tail is not folded onto the grid's low end.  A
+    Gaussian part narrower than 1.5 grid steps (short horizons at small sigma)
+    is widened to 1.5 steps in ``f`` only: the mean is kept, the variance grows
+    by at most (1.5 h)^2, and a grid quadrature whose threshold lies within a
+    few steps of mu t is off by O(rho0 h)."""
 
     _n_default = 16385  # f: kernel_a's point values and the O(h^2) sums of _joint_mass
+
+    def _support(self, t):
+        # P(J_t > x) <= e^{t phi_J(-s) - s x} for 0 < s < A, at the 1e-13 tail
+        # that _PerturbedGammaD takes from the gamma isf
+        lo, hi = super()._support(t)
+        s = self.model.jumps._abscissa * (1.0 - 2.0 ** -np.arange(1.0, 8.0))
+        tail = np.min((np.multiply.outer(t, self.model.jumps.phi(-s)) + math.log(1e13)) / s, axis=-1)
+        return lo, np.maximum(hi, self.model.mu * t + tail)
 
     def _grid_values(self, xs):
         h = xs[1] - xs[0]
@@ -511,6 +523,8 @@ def last_passage_joint_density(
     density: MarginalDensityD | None = None,
 ):
     """Density of [L_b >= t, D_t in da]: (1 - esc(a-b)) f_{D_t}(a)."""
+    if b <= 0:
+        raise ValueError("threshold must be positive")
     rho0 = escape_rate(model) if rho0 is None else rho0
     density = _law_at(model, t, density)
     a = np.asarray(a, dtype=float)

@@ -4,11 +4,12 @@ rho(delta) is the unique positive solution of phi_D(rho) = delta (requires
 sigma > 0).  The scale function W_delta is defined through its Laplace
 transform int_0^inf e^{-lambda x} W_delta(x) dx = 1/(phi_D(lambda) - delta)
 for lambda > rho(delta); it vanishes at 0, is nondecreasing, and grows like
-e^{rho x}/phi_D'(rho).  Three computation routes are provided (closed form
-for Brownian drift and phase-type jumps, tilted Laplace inversion, and the
-renewal ODE series) and cross-validated.  Every route tabulates only the
-bounded e^{-rho x} W(x) and U_delta density W' - rho W, and ``ScaleSet``
-reads every law it serves from them.
+e^{rho x}/phi_D'(rho).  ``build_scale_set`` tabulates it by one of four
+routes, which cross-validate each other: the closed forms for Brownian
+drift and for phase-type jumps, tilted Laplace inversion, and the renewal
+ODE series.  Every route tabulates only the bounded e^{-rho x} W(x) and
+U_delta density W' - rho W, and ``ScaleSet`` reads every law it serves from
+them.
 
 The escape probability P(process started at z > 0 never reaches 0) equals
 1 - e^{-rho(0) z}; it is the bounded companion of the delta = 0 scale
@@ -27,18 +28,16 @@ from .errors import (
     NoConvergence,
     NoPerturbation,
     RepeatedRoots,
-    SeriesNotConverged,
     WrongKind,
 )
 from .models import KIND_BROWNIAN, KIND_PH, ModelSpec
 from .numerics import (
     GridFunction,
     find_root_bracketed,
-    grid_convolve,
     poly_roots_complex,
     stehfest_coefficients,
 )
-from .renewal import SERIES_TERMS, build_renewal_kernels
+from .renewal import build_renewal_kernels, renewal_series
 
 ROUTE_CLOSED_BM = "closed_bm"
 ROUTE_CLOSED_PH = "closed_ph"
@@ -232,25 +231,12 @@ class ScaleSet:
         return 1.0 / (float(model.phi_d(beta)) - self.delta)
 
 
-def scale_closed_bm(model: ModelSpec, delta: float, x) -> np.ndarray:
-    """Brownian-drift scale function
-
-        W_delta(x) = (2/gamma) e^{mu x / sigma^2} sinh(x gamma / sigma^2),
-        gamma = sqrt(mu^2 + 2 delta sigma^2),
-
-    i.e. (e^{r+ x} - e^{r- x})/gamma with r+- = (mu +- gamma)/sigma^2 the two
-    real roots of phi_D(u) = delta; r+ = rho(delta)."""
+def _scale_set_bm(model: ModelSpec, delta: float, x_max: float, n: int) -> ScaleSet:
+    """Brownian drift: W = (e^{r+ x} - e^{r- x})/gamma, gamma = sqrt(mu^2 +
+    2 delta sigma^2), with r+- = (mu +- gamma)/sigma^2 the two real roots of
+    phi_D(u) = delta and r+ = rho(delta)."""
     if model.kind != KIND_BROWNIAN:
         raise WrongKind("closed-form Brownian scale function needs kind=brownian_drift")
-    x = np.asarray(x, dtype=float)
-    gam = math.sqrt(model.mu**2 + 2.0 * delta * model.sigma**2)
-    rp = (model.mu + gam) / model.sigma**2
-    rm = (model.mu - gam) / model.sigma**2
-    out = (np.exp(rp * x) - np.exp(rm * x)) / gam  # gam >= mu > 0; rm = 0 at delta = 0
-    return out if out.ndim else float(out)
-
-
-def _scale_set_bm(model: ModelSpec, delta: float, x_max: float, n: int) -> ScaleSet:
     root = solve_lundberg(model, delta)
     gam = math.sqrt(model.mu**2 + 2.0 * delta * model.sigma**2)
     rp = root.rho
@@ -357,27 +343,9 @@ def ph_root_data(model: ModelSpec, delta: float) -> PHRootData:
     return data
 
 
-def scale_closed_ph(model: ModelSpec, delta: float):
-    """(PHRootData, W) with
-
-        W_delta(x) = 2/(sigma^2 varrho) sum_i A_i xi_i/(rho+xi_i)
-                     [e^{rho x} - e^{-xi_i x}],
-
-    real part taken after summing conjugate pairs."""
-    data = ph_root_data(model, delta)
-    pref = 2.0 / (model.sigma**2 * data.varrho)
-    coef = data.a_coeffs * data.xi_roots / (data.rho + data.xi_roots)
-
-    def w_fn(x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        terms = np.exp(data.rho * x)[:, None] - np.exp(-np.outer(x, data.xi_roots))
-        out = pref * np.real(terms @ coef)
-        return out if out.size > 1 else float(out[0])
-
-    return data, w_fn
-
-
 def _scale_set_ph(model: ModelSpec, delta: float, x_max: float, n: int) -> ScaleSet:
+    """Phase-type jumps: W = 2/(sigma^2 varrho) sum_i A_i xi_i/(rho + xi_i)
+    [e^{rho x} - e^{-xi_i x}], real part taken after summing conjugate pairs."""
     data = ph_root_data(model, delta)
     xs = np.linspace(0.0, x_max, n)
     pref = 2.0 / (model.sigma**2 * data.varrho)
@@ -453,19 +421,8 @@ def scale_via_ode_series(
     root = solve_lundberg(model, delta)
     rho = root.rho
     kernels = build_renewal_kernels(model, delta, rho, x_max, n)
-    term = kernels.h_prime.with_values(kernels.h_prime.values + kernels.g.values)
-    series = term.values.copy()
-    converged = False
-    for _ in range(SERIES_TERMS):
-        if np.max(np.abs(term.values)) < 1e-10:
-            converged = True
-            break
-        term = grid_convolve(kernels.g, term)
-        series += term.values
-    if not converged and np.max(np.abs(term.values)) > 1e-6:
-        raise SeriesNotConverged(
-            f"ODE-series term sup-norm {np.max(np.abs(term.values)):.2e} after {SERIES_TERMS} terms"
-        )
+    first = kernels.h_prime.with_values(kernels.h_prime.values + kernels.g.values)
+    series = renewal_series(kernels.g, first, raise_above=1e-6)
     h_vals = -(rho / delta) * series
     xs = kernels.g.grid()
     h_step = kernels.g.h
@@ -508,29 +465,3 @@ def build_scale_set(
     if route == ROUTE_ODE_SERIES:
         return scale_via_ode_series(model, delta, x_max, n)
     raise ValueError(f"unknown scale route {route!r}")
-
-
-def scale_route_gap(a: ScaleSet, b: ScaleSet) -> float:
-    """Sup-norm gap between two routes measured on the tilted (bounded) scale
-    functions, which removes the common e^{rho x} growth factor."""
-    if not a.tilted.same_grid(b.tilted):
-        raise ValueError("route comparison requires matching grids")
-    return float(np.max(np.abs(a.tilted.values - b.tilted.values)))
-
-
-# ---------------------------------------------------------------------------
-# The measures U_delta and U-hat_delta
-
-
-def u_hat_delta_density(root: LundbergRoot, x) -> np.ndarray:
-    """Density e^{-rho(delta) x} of U-hat_delta; total mass 1/rho(delta)."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("x must be nonnegative")
-    out = np.exp(-root.rho * x)
-    return out if out.ndim else float(out)
-
-
-def u_delta_density(scales: ScaleSet, x) -> np.ndarray:
-    """Density of U_delta: W'(x) - rho(delta) W(x), from the stable tabulation."""
-    return scales.u_delta(x)

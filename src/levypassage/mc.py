@@ -144,27 +144,6 @@ def _discount(t: np.ndarray, delta: float, ok: np.ndarray) -> np.ndarray:
     return np.where(ok, np.exp(-delta * np.where(ok, t, 0.0)), 0.0)
 
 
-def increment_exact(model: ModelSpec, rng: np.random.Generator, t) -> np.ndarray:
-    """Exact sample of D_t - D_0 for an array of horizons t (one per path)."""
-    return _increment_parts(model, rng, t)[0]
-
-
-def _increment_parts(model: ModelSpec, rng: np.random.Generator, t):
-    """(D_t - D_0, sigma W_t or None at sigma = 0, the bridge of the jump part
-    or None without jumps): ``increment_exact``'s draws, with what a bridge
-    of each path needs."""
-    t = np.asarray(t, dtype=float)
-    out = model.mu * t
-    gauss = jump_bridge = None
-    if model.jumps is not None:
-        jumps, jump_bridge = model.jumps.sample_bridged(rng, t.size, t)
-        out = out + jumps
-    if model.sigma > 0:
-        gauss = model.sigma * np.sqrt(t) * rng.standard_normal(t.shape)
-        out = out + gauss
-    return out, gauss, jump_bridge
-
-
 # ---------------------------------------------------------------------------
 # Path engine: the one block kernel and the searches built on it
 
@@ -808,8 +787,9 @@ def run_reflected_at_exp_horizon(
 
 def cycle_ends(model: ModelSpec, rng: np.random.Generator, x: np.ndarray, horizons: np.ndarray):
     """(end, last_contacts): the levels x + D_h at the ends of cycles of
-    lengths h = ``horizons`` from levels x, drawn exactly as by
-    ``increment_exact``, and last_contacts(bridge_rng, rows, b, steps).
+    lengths h = ``horizons`` from levels x, drawn exactly (the jump part by
+    ``LevyMeasureView.sample_bridged``, then the Gaussian part), and
+    last_contacts(bridge_rng, rows, b, steps).
 
     last_contacts gives, for the cycles ``rows``, the last time in [0, h] at
     which the path touched (-inf, b] (0 if it never did), on a skeleton of
@@ -822,7 +802,15 @@ def cycle_ends(model: ModelSpec, rng: np.random.Generator, x: np.ndarray, horizo
     that passes a substream of its own keeps the cycle ends of ``rng``
     unchanged; rows go through in chunks of ``_BRIDGE_CELLS`` cells.
     """
-    inc, gauss, jump_bridge = _increment_parts(model, rng, horizons)
+    horizons = np.asarray(horizons, dtype=float)
+    inc = model.mu * horizons
+    gauss = jump_bridge = None
+    if model.jumps is not None:
+        jumps, jump_bridge = model.jumps.sample_bridged(rng, horizons.size, horizons)
+        inc = inc + jumps
+    if model.sigma > 0:
+        gauss = model.sigma * np.sqrt(horizons) * rng.standard_normal(horizons.shape)
+        inc = inc + gauss
 
     def last_contacts(bridge_rng, rows, b: float, steps: int) -> np.ndarray:
         law = _Law.of(model)

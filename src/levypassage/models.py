@@ -25,7 +25,7 @@ from scipy.linalg import expm
 from scipy.special import exp1
 
 from .errors import HorizonExceeded, NoJumpPart, SchemaError
-from .numerics import GridFunction, find_root_bracketed
+from .numerics import find_root_bracketed
 
 KIND_BROWNIAN = "brownian_drift"
 KIND_PURE_GAMMA = "pure_gamma"
@@ -585,49 +585,6 @@ class PHMeasure(LevyMeasureView):
         m = self.ph.order
         rear = np.linalg.solve(rho * np.eye(m) - self.ph.t_mat, np.ones(m))
         return self.lam * self.ph.front_action(x, rear)
-
-
-# ---------------------------------------------------------------------------
-# Compound-Poisson approximation (jumps below 1/n discarded)
-
-
-@dataclass(frozen=True)
-class CPApprox:
-    level: int
-    lambda_n: float
-    jump_cdf: GridFunction  # P_n on [1/n, x_max]
-
-    def phi(self, model: ModelSpec, u) -> np.ndarray:
-        """Laplace exponent of the truncated model (exact, not grid-based)."""
-        view = model.levy_measure()
-        eps = 1.0 / self.level
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        jump = np.exp(-u * eps) * np.array(
-            [float(view.exp_tail(ui, eps)) for ui in u]
-        ) - self.lambda_n
-        return -model.mu * u + 0.5 * (model.sigma * u) ** 2 + jump
-
-
-def cp_approximation(
-    model: ModelSpec, n: int, x_max: float | None = None, points: int = 2048
-) -> CPApprox:
-    """Level-n compound-Poisson approximation: intensity Qbar(1/n), jump cdf
-
-    P_n(x) = (Qbar(1/n) - Qbar(x)) / Qbar(1/n) for x >= 1/n, else 0.
-    """
-    if n < 1:
-        raise ValueError("approximation level must be >= 1")
-    view = model.levy_measure()
-    eps = 1.0 / n
-    lam_n = float(view.tail(eps))
-    if x_max is None:
-        x_max = float(view.default_x_max())
-    h = (x_max - eps) / (points - 1)
-    xs = eps + h * np.arange(points)
-    vals = (lam_n - view.tail(xs)) / lam_n
-    vals = np.clip(vals, 0.0, 1.0)
-    cdf = GridFunction(eps, h, vals, extrapolate="clip")
-    return CPApprox(level=n, lambda_n=lam_n, jump_cdf=cdf)
 
 
 # ---------------------------------------------------------------------------

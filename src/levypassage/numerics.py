@@ -1,8 +1,8 @@
 """Shared numerical kernels.
 
-Special functions (incomplete gamma, 2F2, the parabolic-cylinder core
-integral), tabulated functions on uniform grids with trapezoid convolution,
-Gaver-Stehfest weights for numerical Laplace inversion, and root finding.
+Special functions (2F2, the parabolic-cylinder core integral), tabulated
+functions on uniform grids with trapezoid convolution, Gaver-Stehfest
+weights for numerical Laplace inversion, and root finding.
 Everything here is a pure function of its inputs.
 """
 
@@ -15,7 +15,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import gammainc, gammaincc
 
 from .errors import (
     DegenerateLeadingCoefficient,
@@ -45,14 +44,13 @@ class GridFunction:
     """A real function tabulated on the uniform grid x0 + h*k, k = 0..n-1.
 
     Evaluation interpolates linearly; points outside the grid raise
-    OutOfGrid unless ``extrapolate`` is "clip" (hold endpoint values) or
-    "zero".
+    OutOfGrid unless ``extrapolate`` is "zero".
     """
 
     x0: float
     h: float
     values: np.ndarray
-    extrapolate: str = "error"  # "error" | "clip" | "zero"
+    extrapolate: str = "error"  # "error" | "zero"
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -61,7 +59,7 @@ class GridFunction:
             raise ValueError("grid step must be positive")
         if vals.ndim != 1 or vals.size < 2:
             raise ValueError("grid needs at least two values")
-        if self.extrapolate not in ("error", "clip", "zero"):
+        if self.extrapolate not in ("error", "zero"):
             raise ValueError(f"unknown extrapolation mode {self.extrapolate!r}")
 
     # -- basic geometry
@@ -111,11 +109,6 @@ class GridFunction:
         cum = np.concatenate(([0.0], np.cumsum(0.5 * self.h * (vals[1:] + vals[:-1]))))
         return GridFunction(self.x0, self.h, cum, extrapolate=self.extrapolate)
 
-    def derivative(self) -> "GridFunction":
-        """Centered differences, one-sided at the endpoints."""
-        d = np.gradient(self.values, self.h)
-        return GridFunction(self.x0, self.h, d, extrapolate=self.extrapolate)
-
     def with_values(self, values: np.ndarray) -> "GridFunction":
         return GridFunction(self.x0, self.h, values, extrapolate=self.extrapolate)
 
@@ -158,29 +151,6 @@ def cell_nodes(x0: float, h: float, n_cells: int):
 def cumulative_from_cells(cell_integrals: np.ndarray) -> np.ndarray:
     """Prefix sums of per-cell integrals, prepended with 0 (grid-aligned)."""
     return np.concatenate(([0.0], np.cumsum(cell_integrals)))
-
-
-# ---------------------------------------------------------------------------
-# Incomplete gamma
-
-
-def _check_gamma_args(s: float, x: float) -> None:
-    if s <= 0:
-        raise ValueError("s must be positive")
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-
-
-def reg_gamma_q(s: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(s, x) = Gamma(s,x)/Gamma(s)."""
-    _check_gamma_args(s, x)
-    return float(gammaincc(s, x))
-
-
-def reg_gamma_p(s: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(s, x) = gamma(s,x)/Gamma(s)."""
-    _check_gamma_args(s, x)
-    return float(gammainc(s, x))
 
 
 # ---------------------------------------------------------------------------

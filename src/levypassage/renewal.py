@@ -32,9 +32,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NoPerturbation
+from .errors import NoPerturbation, SeriesNotConverged
 from .models import LevyMeasureView, ModelSpec
-from .numerics import GridFunction, cell_nodes, cumulative_from_cells
+from .numerics import GridFunction, cell_nodes, cumulative_from_cells, grid_convolve
 
 SERIES_TERMS = 200  # terms of a renewal series sum_k g*k before it counts as not converged
 _GL_TAIL_NODES, _GL_TAIL_WEIGHTS = np.polynomial.legendre.leggauss(24)
@@ -170,3 +170,21 @@ def build_renewal_kernels(
         GridFunction(0.0, h_step, h_vals),
         GridFunction(0.0, h_step, hp_vals),
     )
+
+
+def renewal_series(g: GridFunction, first: GridFunction, raise_above: float) -> np.ndarray:
+    """sum_k g*k * first on the grid of ``first``, stopped at the first term
+    whose sup-norm is below 1e-10.  If SERIES_TERMS terms do not get there,
+    the sum stands unless the last term's sup-norm exceeds ``raise_above``,
+    in which case SeriesNotConverged is raised."""
+    term = first
+    total = term.values.copy()
+    for _ in range(SERIES_TERMS):
+        if np.max(np.abs(term.values)) < 1e-10:
+            return total
+        term = grid_convolve(g, term)
+        total += term.values
+    size = np.max(np.abs(term.values))
+    if size > raise_above:
+        raise SeriesNotConverged(f"renewal series term sup-norm {size:.2e} after {SERIES_TERMS} terms")
+    return total

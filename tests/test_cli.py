@@ -81,10 +81,22 @@ def test_simulate_honours_delta_zero(target, bm_model_file, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["last-passage", "--b", "-1"], ["first-passage", "--delta", "0", "--b", "1"]],
+    [
+        ["last-passage", "--b", "-1"],
+        ["last-passage", "--b", "0", "--what", "joint"],
+        ["first-passage", "--delta", "0", "--b", "1"],
+    ],
 )
 def test_out_of_domain_input_is_usage_error(argv, bm_model_file, capsys):
     assert dispatch([argv[0], "--model", bm_model_file, *argv[1:]]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_brownian_scale_route_of_another_kind_is_usage_error(tmp_path, capsys):
+    # the Brownian closed form once tabulated W(1) = 6.02 for this model, whose W(1) is 4.17
+    path = tmp_path / "pgamma.json"
+    path.write_text(json.dumps({"kind": "perturbed_gamma", "mu": 0.1, "sigma": 1.0, "alpha": 1.0, "xi": 1.0}))
+    assert dispatch(["scale", "--model", str(path), "--delta", "0.5", "--route", "closed_bm"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 

@@ -1,7 +1,9 @@
 """Design guard: the model kind is switched on only where the jump law is
 defined (models.py), where the D_t law is picked (``density_of_dt``), and
 in a few named places; everything else reads the law from ``ModelSpec`` or
-from the D_t law.  The shared numerics carry no helper that only tests call."""
+from the D_t law.  The shared numerics carry no helper that only tests call,
+and no library module has a public name without a caller outside tests,
+save the closed forms and MC oracles listed in ``TEST_ONLY``."""
 
 import ast
 import dataclasses
@@ -19,6 +21,16 @@ ALLOWED = {
     ("lundberg", "solve_lundberg"),
     ("lundberg", "build_scale_set"),
     ("cli", "_closed_transform"),
+}
+
+# (module, public name) that neither src/ nor the benchmark workloads call,
+# each a paper law or oracle that the tests read
+TEST_ONLY = {
+    ("first_passage", "inverse_gaussian_pdf"): "Brownian first-passage density, oracle of the transform routes",
+    ("last_passage", "bm_last_passage_cdf"): "Brownian last-passage law in closed form, oracle of last_passage_cdf",
+    ("last_passage", "bm_last_passage_density"): "its density, checked against the cdf and MC",
+    ("last_passage", "reflected_last_passage_exp_joint"): "paper law of [L*_b >= T, D*_T in da] at T ~ Exp(delta)",
+    ("mc", "run_reflected_at_exp_horizon"): "MC oracle of reflected_last_passage_exp_joint",
 }
 
 
@@ -87,6 +99,46 @@ def test_numerics_names_have_library_callers():
             elif isinstance(n, ast.Attribute):
                 referenced.add(n.attr)
     assert not public - referenced, sorted(public - referenced)
+
+
+def _referenced(tree) -> set[tuple[str, str]]:
+    """(name, enclosing top-level name) of every name, attribute or import in a module."""
+    out = set()
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for n in ast.walk(top):
+            if isinstance(n, ast.Name):
+                out.add((n.id, owner))
+            elif isinstance(n, ast.Attribute):
+                out.add((n.attr, owner))
+            elif isinstance(n, ast.ImportFrom):
+                out |= {(alias.name, owner) for alias in n.names}
+    return out
+
+
+def test_public_names_have_callers():
+    # a library module's public top-level name is referred to in src/ outside
+    # its own definition (a re-export from the package __init__ is not a use),
+    # or by the benchmark workloads, or is a listed test-only oracle
+    uses = {
+        (path.stem, name, owner)
+        for path in SRC.glob("*.py")
+        if path.stem != "__init__"
+        for name, owner in _referenced(ast.parse(path.read_text()))
+    }
+    workloads = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    bench = {name for name, _ in _referenced(ast.parse(workloads.read_text()))}
+    uncalled = set()
+    for path in SRC.glob("*.py"):
+        if path.stem in ("cli", "__init__", "__main__"):
+            continue
+        for top in ast.parse(path.read_text()).body:
+            if not isinstance(top, (ast.FunctionDef, ast.ClassDef)) or top.name.startswith("_"):
+                continue
+            called = any(n == top.name and (m, o) != (path.stem, top.name) for m, n, o in uses)
+            if not called and top.name not in bench:
+                uncalled.add((path.stem, top.name))
+    assert uncalled == set(TEST_ONLY), sorted(uncalled ^ set(TEST_ONLY))
 
 
 def test_escape_mass_overridden_only_by_closed_forms():

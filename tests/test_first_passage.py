@@ -9,15 +9,12 @@ from conftest import assert_within_se
 from levypassage.errors import WrongKind
 from levypassage.first_passage import (
     PenaltySpec,
-    clt_passage_approx,
     gamma_exact_cdf,
     gamma_exact_pdf,
-    gamma_exact_sf,
     inverse_gaussian_cdf,
     inverse_gaussian_pdf,
     ph_transform,
     pk_series_transform,
-    scale_formula_transform,
     transform_from_scales,
 )
 from levypassage.last_passage import last_passage_cdf
@@ -41,7 +38,7 @@ class TestPKSeries:
     def test_route_agreement_perturbed_gamma(self, pgamma_model):
         tr = pk_series_transform(pgamma_model, 1.0, b_max=2.0)
         scales = build_scale_set(pgamma_model, 1.0, 2.0)
-        assert tr(1.0) == pytest.approx(scale_formula_transform(scales, 1.0), abs=1e-3)
+        assert tr(1.0) == pytest.approx(transform_from_scales(scales)(1.0), abs=1e-3)
 
     def test_monotone_and_bounded(self, pgamma_model, ph_model):
         bs = np.linspace(0.0, 2.0, 41)
@@ -97,11 +94,11 @@ class TestPKSeries:
 class TestScaleFormula:
     def test_zero_threshold(self, bm_model):
         scales = build_scale_set(bm_model, 0.5, 2.0)
-        assert scale_formula_transform(scales, 0.0) == pytest.approx(1.0, abs=1e-14)
+        assert transform_from_scales(scales)(0.0) == pytest.approx(1.0, abs=1e-14)
 
     def test_bm_value(self, bm_model):
         scales = build_scale_set(bm_model, 0.5, 2.0)
-        assert scale_formula_transform(scales, 1.0) == pytest.approx(BM_EXACT, abs=5e-6)
+        assert transform_from_scales(scales)(1.0) == pytest.approx(BM_EXACT, abs=5e-6)
 
     def test_decreasing_in_threshold(self, ph_model):
         scales = build_scale_set(ph_model, 0.5, 3.0)
@@ -128,7 +125,6 @@ class TestGammaExact:
             ours = gamma_exact_cdf(model, b, float(t))
             oracle = float(gamma_dist.sf(b, 2.0 * t, scale=0.5))
             assert ours == pytest.approx(oracle, abs=1e-10)
-            assert gamma_exact_sf(model, b, float(t)) == pytest.approx(1 - oracle, abs=1e-10)
 
     def test_pdf_integrates_to_cdf(self, gamma_model):
         total, err = quad(lambda t: gamma_exact_pdf(gamma_model, 1.0, t), 1e-9, 5.0, limit=400)
@@ -221,32 +217,12 @@ class TestPHTransform:
     def test_against_scale_formula(self, ph_model):
         scales = build_scale_set(ph_model, 0.5, 2.0, route="closed_ph")
         got = ph_transform(ph_model, 0.5, 1.0)
-        assert got == pytest.approx(scale_formula_transform(scales, 1.0), abs=1e-6)
+        assert got == pytest.approx(transform_from_scales(scales)(1.0), abs=1e-6)
 
     def test_order_two_routes(self, ph2_model):
         tr = pk_series_transform(ph2_model, 0.8, b_max=2.0)
         got = ph_transform(ph2_model, 0.8, 1.0)
         assert got == pytest.approx(float(tr(1.0)), abs=1e-4)
-
-
-class TestCLT:
-    def test_perturbed_gamma_moments(self, pgamma_model):
-        mean, std = clt_passage_approx(pgamma_model, 100.0)
-        assert mean == pytest.approx(100.0, rel=1e-14)
-        assert std**2 == pytest.approx(200.0, rel=1e-12)
-
-    def test_bm_moments(self, bm_model):
-        mean, std = clt_passage_approx(bm_model, 100.0)
-        assert mean == pytest.approx(100.0)
-        assert std**2 == pytest.approx(100.0)  # b sigma^2 / mu^3
-
-    def test_scaling_structure(self, pgamma_model):
-        vals = [clt_passage_approx(pgamma_model, b) for b in (25.0, 100.0, 400.0)]
-        means = [v[0] for v in vals]
-        stds = [v[1] for v in vals]
-        assert means[1] / means[0] == pytest.approx(4.0)
-        assert stds[1] / stds[0] == pytest.approx(2.0)
-        assert stds[2] / stds[1] == pytest.approx(2.0)
 
 
 class TestMonteCarloAgreement:
@@ -263,7 +239,7 @@ class TestMonteCarloAgreement:
         cfg = SimConfig(n_paths=30_000, **self.CFG)
         mc = run_first_passage(pgamma_model, cfg, 1.0).laplace_at(0.5)
         scales = build_scale_set(pgamma_model, 0.5, 2.0)
-        target = scale_formula_transform(scales, 1.0)
+        target = transform_from_scales(scales)(1.0)
         assert_within_se(mc.estimate, mc.std_error, target, 3.0, "pgamma laplace")
 
     def test_phase_type(self, ph_model):

@@ -166,13 +166,10 @@ class TestDensityOfDt:
         mass = np.trapezoid(f.values, dx=f.h)
         assert -model.lam * t <= mass - 1.0 <= 1e-8
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP Fix first 5: the jump tail past the grid's upper end aliases to its low end",
-    )
     def test_ph_grid_moments_short_horizon(self, ph2_model):
-        # at t = 0.3 the fold moves the mean 5.4e-4 and the variance 1.8e-3
-        # relative; on a support up to 30 both are below 1e-8
+        # the support must reach past the jump tail: one cut at mean + 14 sd + 1
+        # folds it onto the grid's low end, 5.4e-4 off in the mean and 1.8e-3
+        # in the variance (relative) at t = 0.3
         t = 0.3
         f = density_of_dt(ph2_model, t).f
         xs, vals = f.grid(), f.values
@@ -256,8 +253,12 @@ class TestLastPassageFree:
 
     @pytest.mark.parametrize("b", [-1.0, 0.0])
     def test_joint_mass_needs_a_positive_threshold(self, bm_model, b):
-        with pytest.raises(ValueError, match="threshold must be positive"):
-            last_passage_joint_mass(bm_model, b, 1.0)
+        for call in (
+            lambda: last_passage_joint_mass(bm_model, b, 1.0),
+            lambda: last_passage_joint_density(bm_model, b, 1.0, 1.5),
+        ):
+            with pytest.raises(ValueError, match="threshold must be positive"):
+                call()
 
     @pytest.mark.parametrize("model", ["pgamma_model", "pgamma_model_wide"])
     @pytest.mark.parametrize("b, t", [(1.0, 0.5), (1.0, 2.0), (3.0, 1.0)])

@@ -17,14 +17,9 @@ from levypassage.lundberg import (
     escape_rate,
     lundberg_truncated,
     ph_root_data,
-    scale_closed_bm,
-    scale_closed_ph,
-    scale_route_gap,
     scale_via_inversion,
     scale_via_ode_series,
     solve_lundberg,
-    u_delta_density,
-    u_hat_delta_density,
 )
 from levypassage.models import KIND_PH, KIND_PURE_GAMMA, ModelSpec, PhaseType
 from levypassage.reflected import reflected_passage_density
@@ -111,40 +106,37 @@ class TestEscape:
 
 class TestClosedFormBM:
     def test_vanishes_at_zero(self, bm_model):
-        assert scale_closed_bm(bm_model, 0.7, 0.0) == 0.0
+        scales = build_scale_set(bm_model, 0.7, 1.0, 65, route=ROUTE_CLOSED_BM)
+        assert scales.w.values[0] == 0.0
 
     def test_laplace_transform_identity(self, bm_model):
-        # quadrature of the closed form against 1/(phi_D(lambda) - delta)
+        # trapezoid sum of the closed-form table against 1/(phi_D(lambda) - delta)
         delta = 0.5
         rho = solve_lundberg(bm_model, delta).rho
         lam = rho + 1.0
-        val, _ = quad(
-            lambda x: math.exp(-lam * x) * float(scale_closed_bm(bm_model, delta, x)),
-            0.0,
-            80.0,
-            limit=400,
-        )
+        scales = build_scale_set(bm_model, delta, 40.0, 2**16 + 1, route=ROUTE_CLOSED_BM)
         expect = 1.0 / (float(bm_model.phi_d(lam)) - delta)
-        assert val == pytest.approx(expect, rel=1e-6)
+        assert scales.laplace_numeric(lam) == pytest.approx(expect, rel=1e-6)
 
     def test_delta_zero_form(self, bm_model):
         # W_0(x) = (e^{rho0 x} - 1)/mu; its bounded companion
         # E[D_1] e^{-rho0 x} W_0(x) = 1 - e^{-rho0 x} is the escape probability
         x = 1.0
-        w0 = float(scale_closed_bm(bm_model, 0.0, x))
+        scales = build_scale_set(bm_model, 0.0, 2.0, 3, route=ROUTE_CLOSED_BM)
+        w0 = float(scales.w.values[1])
         assert w0 == pytest.approx((math.exp(2.0 * x) - 1.0), rel=1e-12)
         bounded = bm_model.mean_d1 * math.exp(-2.0 * x) * w0
         assert bounded == pytest.approx(float(escape_probability(x, 2.0)), rel=1e-12)
 
     def test_wrong_kind(self, pgamma_model):
         with pytest.raises(WrongKind):
-            scale_closed_bm(pgamma_model, 0.5, 1.0)
+            build_scale_set(pgamma_model, 0.5, 1.0, route=ROUTE_CLOSED_BM)
 
 
 class TestClosedFormPH:
     def test_vanishes_at_zero(self, ph_model):
-        _, w_fn = scale_closed_ph(ph_model, 0.5)
-        assert w_fn(0.0) == pytest.approx(0.0, abs=1e-12)
+        scales = build_scale_set(ph_model, 0.5, 1.0, 65, route=ROUTE_CLOSED_PH)
+        assert scales.w.values[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_root_cardinality(self, ph_model, ph2_model):
         for model, m in ((ph_model, 1), (ph2_model, 2)):
@@ -172,7 +164,7 @@ class TestClosedFormPH:
         import mpmath as mp
 
         delta = 0.5
-        _, w_fn = scale_closed_ph(ph_model, delta)
+        w = build_scale_set(ph_model, delta, 2.0, 2049, route=ROUTE_CLOSED_PH).w
         rho = solve_lundberg(ph_model, delta).rho
 
         def tilted(s):
@@ -182,16 +174,17 @@ class TestClosedFormPH:
         with mp.workdps(30):
             for x in (0.5, 1.0, 2.0):
                 oracle = float(mp.invertlaplace(tilted, x, method="talbot") * mp.exp(rho * x))
-                assert float(w_fn(x)) == pytest.approx(oracle, rel=1e-5)
+                assert w(x) == pytest.approx(oracle, rel=1e-5)
 
     def test_real_valued_on_grid(self, ph2_model):
-        data, w_fn = scale_closed_ph(ph2_model, 1.0)
+        data = ph_root_data(ph2_model, 1.0)
         xs = np.linspace(0.0, 4.0, 101)
+        w = build_scale_set(ph2_model, 1.0, 4.0, 101, route=ROUTE_CLOSED_PH).w.values
         pref = 2.0 / (ph2_model.sigma**2 * data.varrho)
         coef = data.a_coeffs * data.xi_roots / (data.rho + data.xi_roots)
         terms = np.exp(data.rho * xs)[:, None] - np.exp(-np.outer(xs, data.xi_roots))
         imag = np.max(np.abs(np.imag(pref * (terms @ coef))))
-        assert imag < 1e-10 * max(1.0, np.max(np.abs(w_fn(xs))))
+        assert imag < 1e-10 * max(1.0, np.max(np.abs(w)))
 
     def test_delta_zero_rejected(self, ph_model):
         with pytest.raises(ValueError):
@@ -258,7 +251,7 @@ class TestScaleSets:
                     sets.append(build_scale_set(model, delta, 4.0, 2049, route=closed_route))
                 for i in range(len(sets)):
                     for j in range(i + 1, len(sets)):
-                        gap = scale_route_gap(sets[i], sets[j])
+                        gap = np.max(np.abs(sets[i].tilted.values - sets[j].tilted.values))
                         assert gap < 1e-3, (
                             f"{model.kind} delta={delta}: routes "
                             f"{sets[i].route} vs {sets[j].route} gap {gap:.2e}"
@@ -284,7 +277,7 @@ class TestScaleSets:
         # spec pins 1e-6 sup agreement for the jump-free case on [0, 4]
         ode = scale_via_ode_series(bm_model, 0.5, 4.0, 4097)
         closed = build_scale_set(bm_model, 0.5, 4.0, 4097, route=ROUTE_CLOSED_BM)
-        assert scale_route_gap(ode, closed) < 1e-6
+        assert np.max(np.abs(ode.tilted.values - closed.tilted.values)) < 1e-6
 
     def test_ode_series_needs_positive_delta(self, pgamma_model):
         with pytest.raises(ValueError):
@@ -348,18 +341,9 @@ class TestReflectedKernel:
 
 
 class TestUMeasures:
-    def test_u_hat_values(self):
-        from levypassage.lundberg import LundbergRoot
-
-        root = LundbergRoot(0.5, 2.0)
-        assert u_hat_delta_density(root, 0.0) == 1.0
-        assert u_hat_delta_density(root, 1.0) == pytest.approx(math.exp(-2.0), rel=1e-14)
-        mass, _ = quad(lambda x: u_hat_delta_density(root, x), 0.0, 60.0)
-        assert mass == pytest.approx(1.0 / root.rho, rel=1e-9)
-
     def test_u_delta_density_boundary(self, bm_model):
         scales = build_scale_set(bm_model, 0.5, 4.0, 2049)
-        assert u_delta_density(scales, 0.0) == pytest.approx(
+        assert scales.u_delta(0.0) == pytest.approx(
             scales.w_prime.values[0], rel=1e-12
         )
 
@@ -383,4 +367,4 @@ class TestUMeasures:
     def test_u_delta_nonnegative_bm(self, bm_model):
         scales = build_scale_set(bm_model, 0.5, 4.0, 2049)
         xs = np.linspace(0.0, 4.0, 257)
-        assert np.all(np.asarray(u_delta_density(scales, xs)) >= -1e-12)
+        assert np.all(scales.u_delta(xs) >= -1e-12)

@@ -1,4 +1,4 @@
-"""The exact increment sampler, the last-passage escape test and the Monte
+"""The exact cycle-end sampler, the last-passage escape test and the Monte
 Carlo estimators of the reflected process against exact laws."""
 
 import dataclasses
@@ -16,7 +16,7 @@ from levypassage.lundberg import build_scale_set, escape_rate
 from levypassage.mc import (
     SimConfig,
     _substream,
-    increment_exact,
+    cycle_ends,
     run_last_passage,
     run_reflected_first_passage,
     run_reflected_last_passage,
@@ -27,10 +27,11 @@ from levypassage.reflected import duality_check, reflected_passage_density
 @pytest.mark.parametrize("name", ["bm_model", "gamma_model", "pgamma_model_wide", "ph2_model"])
 @pytest.mark.parametrize("t", [0.3, 2.0])
 def test_increment_exact_moments(request, name, t):
-    # D_t has mean E[D_1] t and variance Var[D_1] t for every kind
+    # D_t, drawn as cycle_ends draws a cycle end from 0, has mean E[D_1] t and
+    # variance Var[D_1] t for every kind
     model = request.getfixturevalue(name)
     rng = np.random.Generator(np.random.Philox(11))
-    x = increment_exact(model, rng, np.full(20_000, t))
+    x = cycle_ends(model, rng, np.zeros(20_000), np.full(20_000, t))[0]
     n = x.size
     centred = x - x.mean()
     var = float(np.mean(centred**2)) * n / (n - 1)

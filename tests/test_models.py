@@ -17,7 +17,6 @@ from levypassage.models import (
     ModelSpec,
     PHMeasure,
     PhaseType,
-    cp_approximation,
     model_from_dict,
     model_from_json,
     model_to_dict,
@@ -337,39 +336,6 @@ class TestSample:
         for k in (1, 2):
             xk = x**k
             assert_within_se(float(xk.mean()), float(xk.std(ddof=1)) / math.sqrt(n), ph.moment(k), 4.0, f"E[J^{k}]")
-
-
-class TestCPApproximation:
-    def test_lambda_n_is_exponential_integral(self, pgamma_model):
-        approx = cp_approximation(pgamma_model, 10)
-        assert approx.lambda_n == pytest.approx(float(exp1(0.1)), rel=1e-12)
-        # frozen oracle value for E1(0.1)
-        assert approx.lambda_n == pytest.approx(1.8229239584193906, rel=1e-12)
-
-    def test_cdf_endpoints(self, pgamma_model, ph_model):
-        for model in (pgamma_model, ph_model):
-            approx = cp_approximation(model, 16)
-            cdf = approx.jump_cdf
-            assert cdf(cdf.x0) == pytest.approx(0.0, abs=1e-12)
-            assert cdf(cdf.x_max) == pytest.approx(1.0, abs=1e-9)
-            assert np.all(np.diff(cdf.values) >= -1e-14)
-
-    def test_ph_intensity_converges_to_lambda(self, ph_model):
-        lam_256 = cp_approximation(ph_model, 256).lambda_n
-        lam_4096 = cp_approximation(ph_model, 4096).lambda_n
-        assert lam_256 < lam_4096 < ph_model.lam
-        assert lam_4096 == pytest.approx(ph_model.lam, abs=3e-4)
-
-    @pytest.mark.parametrize("u", [0.5, 1.0, 2.0])
-    def test_monotone_convergence_of_exponent(self, pgamma_model, u):
-        phis = [
-            float(cp_approximation(pgamma_model, n).phi(pgamma_model, u)[0])
-            for n in (4, 16, 64, 256)
-        ]
-        target = float(pgamma_model.phi_d(u))
-        assert all(a >= b - 1e-12 for a, b in zip(phis, phis[1:]))  # decreasing to phi
-        assert phis[-1] == pytest.approx(target, abs=2e-2)
-        assert all(p >= target for p in phis)
 
 
 class TestModelValidation:

@@ -14,6 +14,9 @@ from levypassage.errors import (
     NoConvergence,
     OutOfGrid,
 )
+from levypassage.first_passage import gamma_exact_cdf, gamma_exact_pdf
+from levypassage.last_passage import last_passage_joint_mass
+from levypassage.models import KIND_PURE_GAMMA, ModelSpec
 from levypassage.numerics import (
     GridFunction,
     _pcd_core_integral,
@@ -21,40 +24,55 @@ from levypassage.numerics import (
     grid_convolve,
     hyp2f2,
     poly_roots_complex,
-    reg_gamma_p,
-    reg_gamma_q,
 )
 
 
+def _park_padgett(s, x):
+    """(model, b, t) whose D_t - mu t ~ Gamma(s, xi) has (b - mu t)/xi = x:
+    the Park-Padgett cdf of T_b there is Q(s, x), and P(D_t <= b) is P(s, x)."""
+    model = ModelSpec(kind=KIND_PURE_GAMMA, mu=0.25, alpha=s / 2.0, xi=0.5)
+    return model, 0.5 + 0.5 * x, 2.0
+
+
+def _q(s, x):
+    return gamma_exact_cdf(*_park_padgett(s, x))
+
+
 class TestIncompleteGamma:
-    """The regularised incomplete gammas the Park-Padgett laws read."""
+    """The regularised incomplete gammas the Park-Padgett laws read: the
+    upper one is the first-passage cdf, the lower one P(L_b >= t) = P(D_t <= b)."""
 
     def test_gamma_1_0_is_one(self):
-        assert reg_gamma_q(1.0, 0.0) == pytest.approx(1.0, abs=1e-15)
+        assert _q(1.0, 0.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_gamma_1_x_is_exp(self):
-        assert reg_gamma_q(1.0, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-13)
+        assert _q(1.0, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-13)
 
     def test_against_quadrature(self):
         # brute-force quadrature oracle for Gamma(2.5, 1.3)
         oracle, _ = quad(lambda t: t**1.5 * math.exp(-t), 1.3, 80.0, epsrel=1e-13, limit=300)
-        assert reg_gamma_q(2.5, 1.3) * math.gamma(2.5) == pytest.approx(oracle, rel=1e-10)
+        assert _q(2.5, 1.3) * math.gamma(2.5) == pytest.approx(oracle, rel=1e-10)
 
     @pytest.mark.parametrize("s", [0.5, 1.0, 2.5, 7.0])
     @pytest.mark.parametrize("x", [0.1, 1.0, 10.0])
     def test_complement_identity(self, s, x):
-        assert reg_gamma_q(s, x) + reg_gamma_p(s, x) == pytest.approx(1.0, rel=1e-12)
+        lower = last_passage_joint_mass(*_park_padgett(s, x))
+        assert _q(s, x) + lower == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize("s", [0.3, 1.7, 4.2, 23.0])
     @pytest.mark.parametrize("x", [0.05, 2.0, 30.0])
     def test_against_scipy(self, s, x):
-        assert reg_gamma_q(s, x) == pytest.approx(gammaincc(s, x), rel=1e-12, abs=1e-300)
+        assert _q(s, x) == pytest.approx(gammaincc(s, x), rel=1e-12, abs=1e-300)
 
     def test_domain_error(self):
-        with pytest.raises(ValueError):
-            reg_gamma_q(0.0, 1.0)
-        with pytest.raises(ValueError):
-            reg_gamma_q(-1.0, 1.0)
+        model, b, t = _park_padgett(1.0, 1.0)
+        for call in (
+            lambda: gamma_exact_cdf(model, 0.0, t),
+            lambda: gamma_exact_cdf(model, b, -1.0),
+            lambda: gamma_exact_pdf(model, b, 0.0),
+        ):
+            with pytest.raises(ValueError):
+                call()
 
 
 class TestHyp2F2:
@@ -143,8 +161,6 @@ class TestGridFunction:
         assert f(0.25) == pytest.approx(0.5)
         with pytest.raises(OutOfGrid):
             f(1.5)
-        clip = GridFunction(0.0, 0.5, [0.0, 1.0, 4.0], extrapolate="clip")
-        assert clip(9.0) == 4.0
         zero = GridFunction(0.0, 0.5, [0.0, 1.0, 4.0], extrapolate="zero")
         assert zero(9.0) == 0.0
 
@@ -154,12 +170,6 @@ class TestGridFunction:
         f = GridFunction(0.0, h, np.exp(-xs))
         cum = f.cumulative()
         assert cum(2.0) == pytest.approx(1.0 - math.exp(-2.0), abs=1e-7)
-
-    def test_derivative(self):
-        h = 1e-3
-        xs = h * np.arange(2001)
-        f = GridFunction(0.0, h, xs**2)
-        assert f.derivative()(1.0) == pytest.approx(2.0, abs=1e-6)
 
 
 class TestGridConvolve:
