@@ -84,7 +84,10 @@ def pk_series_transform(
     """Penalty transform by the renewal series phi = sum_k g*k * h.
 
     The series terms decay geometrically for delta > 0 (the kernel g has mass
-    below 1); truncation when the term sup-norm falls below 1e-10.
+    below 1).  ``renewal_series`` sums them by doubling, stopping at the
+    first step that adds less than 1e-10 in sup-norm; the terms left then
+    are of the order of that step's square, so the sum is the full series
+    to rounding.  A step above 1e-8 after 2^8 terms raises SeriesNotConverged.
     """
     if delta <= 0:
         raise ValueError("the series route requires delta > 0")

@@ -409,6 +409,8 @@ def scale_via_ode_series(
         H(delta, x) = -(rho/delta) sum_k g*k * (h' + g)(x),
 
     hence W(x) = int_0^x e^{rho (x-y)} H(y) dy and W' = rho W + H exactly.
+    The series is ``renewal_series`` (summed by doubling, to rounding), and
+    a step above 1e-6 after 2^8 terms raises SeriesNotConverged.
 
     The extra g in the driver comes from differentiating the renewal
     equation phi = phi * g + h: since phi(0) = h(0) = 1 the derivative obeys

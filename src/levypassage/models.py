@@ -19,6 +19,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import expm
@@ -150,19 +151,6 @@ class PhaseType:
         x = np.asarray(x, dtype=float)
         inside = np.maximum(self.front_action(np.maximum(x, 0.0), self.exit_vector), 0.0)
         return np.where(x >= 0, inside, 0.0)
-
-    def density_outer(self, x, v) -> np.ndarray:
-        """density(x_i + v_j) as an (x.size, v.size) table, from
-        e^{(x+v)T} = e^{xT} e^{vT}: the rows alpha e^{xT} times the columns
-        e^{vT} t, so N + V exponentials (or expm calls, for a defective T)
-        in place of N V."""
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        cols = self._action(v, np.eye(self.order), self.exit_vector)  # row j: e^{v_j T} t
-        out = np.maximum(self._action(x, self.alpha, cols.T), 0.0)
-        if x.min(initial=0.0) + v.min(initial=0.0) < 0:
-            out[np.add.outer(x, v) < 0] = 0.0
-        return out
 
     def survival(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -347,9 +335,14 @@ class LevyMeasureView:
     def density(self, x) -> np.ndarray:
         raise NotImplementedError
 
-    def density_outer(self, x, v) -> np.ndarray:
-        """q(x_i + v_j) for 1-D x and v, as an (x.size, v.size) table."""
-        return self.density(np.add.outer(x, v))
+    def penalty_mass(self, w: Callable, x: np.ndarray, v: np.ndarray, wts: np.ndarray) -> np.ndarray:
+        """omega(x_i) = sum_j w(x_i, v_j) q(x_i + v_j) wts_j for 1-D x > 0:
+        the v-integral of a penalty w(u, v) against the jump density, on a
+        rule (v, wts) of (panels, nodes) arrays.  w is tabulated one panel
+        at a time, called with u a row of x and v a column of the panel's
+        nodes (x runs along the table's long axis), and q enters through
+        factors of the law, never as a table of its own."""
+        raise NotImplementedError
 
     def tail(self, x) -> np.ndarray:
         """Qbar(x) = Q([x, inf))."""
@@ -433,6 +426,14 @@ class GammaMeasure(LevyMeasureView):
         with np.errstate(divide="ignore", over="ignore"):
             out = np.where(x > 0, self.alpha / x * np.exp(-x / self.xi), 0.0)
         return out
+
+    def penalty_mass(self, w, x, v, wts):
+        """q(x + v) = alpha e^{-x/xi} e^{-v/xi} / (x + v): the exponential
+        splits off, so each panel is one table w / (x + v)."""
+        acc = np.zeros(x.size)
+        for v_row, c_row in zip(v, wts * np.exp(-v / self.xi)):
+            acc += c_row @ (w(x[None, :], v_row[:, None]) / np.add.outer(v_row, x))
+        return self.alpha * np.exp(-x / self.xi) * acc
 
     def tail(self, x):
         x = np.asarray(x, dtype=float)
@@ -570,8 +571,17 @@ class PHMeasure(LevyMeasureView):
     def density(self, x):
         return self.lam * self.ph.density(x)
 
-    def density_outer(self, x, v):
-        return self.lam * self.ph.density_outer(x, v)
+    def penalty_mass(self, w, x, v, wts):
+        """q(x + v) = lam sum_k R_k(x) C_k(v), with rows R(x) = alpha e^{xT}
+        and columns C(v) = e^{vT} t (e^{(x+v)T} = e^{xT} e^{vT}): each panel
+        adds (wts C)^T W to an (m, x.size) sum, and the rows multiply it once."""
+        m = self.ph.order
+        rows = self.ph._action(x, self.ph.alpha, np.eye(m))
+        cols = self.ph._action(v.ravel(), np.eye(m), self.ph.exit_vector).reshape(*v.shape, m)
+        acc = np.zeros((m, x.size))
+        for v_row, c_rows in zip(v, wts[..., None] * cols):
+            acc += c_rows.T @ w(x[None, :], v_row[:, None])
+        return self.lam * np.sum(rows.T * acc, axis=0)
 
     def tail(self, x):
         return self.lam * self.ph.survival(x)

@@ -22,6 +22,16 @@ integral at s = 0 for gamma jumps:
 with C(y) = int_0^y (e^{kappa x} - e^{-rho x}) omega(x) dx and R(s) the inner
 exponential tail.  C is accumulated with per-cell Gauss-Legendre nodes, so
 integrable endpoint singularities of omega never get evaluated.
+
+For a callable penalty, omega(x) = int_0^inf w(x, v) q(x + v) dv is one
+call to the jump law's ``penalty_mass``, which integrates a table of w
+against q through the law's own factors (phase type: alpha e^{xT} times
+e^{vT} t; gamma: e^{-x/xi} e^{-v/xi} over x + v), on v-panels graded
+towards v = 0.
+
+``renewal_series`` sums the solution phi = sum_k g*k * h, and the ODE-series
+scale route's sum with h' + g in place of h, by doubling: a handful of
+convolutions by g*(2^s) instead of one convolution per term.
 """
 
 from __future__ import annotations
@@ -33,13 +43,14 @@ from typing import Callable
 import numpy as np
 
 from .errors import NoPerturbation, SeriesNotConverged
-from .models import LevyMeasureView, ModelSpec
+from .models import ModelSpec
 from .numerics import GridFunction, cell_nodes, cumulative_from_cells, grid_convolve
 
-SERIES_TERMS = 200  # terms of a renewal series sum_k g*k before it counts as not converged
+SERIES_DOUBLINGS = 8  # doubling steps (2^8 terms) of a renewal series sum_k g*k before it counts as not converged
 _GL_TAIL_NODES, _GL_TAIL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 _GL_TAIL_NODES = 0.5 * (_GL_TAIL_NODES + 1.0)
 _GL_TAIL_WEIGHTS = 0.5 * _GL_TAIL_WEIGHTS
+_OMEGA_PANELS = 48  # uniform 24-node panels over the jump support, for omega's v-integral and tail seed
 
 
 @dataclass(frozen=True)
@@ -59,19 +70,21 @@ def _swap_convolution(y, kappa, rho, cum_c, r_vals):
     )
 
 
-def _omega_generic(
-    view: LevyMeasureView, w: Callable, x: np.ndarray, v_max: float, n_panels: int = 48
-) -> np.ndarray:
-    """omega(x) = int_0^inf w(x, v) q(x + v) dv for 1-D x, by panel
-    quadrature in v: one ``density_outer`` table per panel."""
-    edges = np.linspace(0.0, v_max, n_panels + 1)
-    out = np.zeros_like(x)
-    for a, b in zip(edges[:-1], edges[1:]):
-        v = a + (b - a) * _GL_TAIL_NODES
-        wts = (b - a) * _GL_TAIL_WEIGHTS
-        vals = w(x[:, None], v[None, :]) * view.density_outer(x, v)
-        out += vals @ wts
-    return out
+def _gl_panels(edges: np.ndarray):
+    """24-point Gauss-Legendre nodes and weights on each panel between
+    consecutive edges, as (panels, 24) arrays."""
+    span = np.diff(edges)[:, None]
+    return edges[:-1, None] + span * _GL_TAIL_NODES, span * _GL_TAIL_WEIGHTS
+
+
+def _penalty_rule(v_max: float, x_min: float):
+    """The v-rule of omega(x) = int_0^v_max w(x, v) q(x + v) dv: uniform
+    panels, the first split at ratios of 4 down to the smallest x.  The gamma
+    density alpha e^{-u/xi}/u at u = x + v falls by half within v = x, a
+    peak the uniform first panel misses for small x."""
+    uniform = np.linspace(0.0, v_max, _OMEGA_PANELS + 1)
+    grade = max(0, math.ceil(math.log(uniform[1] / x_min, 4)))
+    return _gl_panels(np.concatenate(([0.0], uniform[1] * 0.25 ** np.arange(grade, 0, -1), uniform[1:])))
 
 
 def build_renewal_kernels(
@@ -135,19 +148,18 @@ def build_renewal_kernels(
         r_omega = view.exp_tail_tail(rho, xs + indicator_eps)
     else:
         v_max = float(view.default_x_max())
-        omega_flat = _omega_generic(view, omega, nodes.ravel(), v_max)
-        omega_nodes = omega_flat.reshape(nodes.shape)
-        # backward recurrence R(s_i) = e^{-rho h} R(s_{i+1}) + cell integral,
-        # seeded at the grid end by a direct tail quadrature of
-        # int_{x_max}^{x_max+v_max} e^{-rho (x - x_max)} omega(x) dx
+        # omega at the cell nodes and at the nodes tx of a direct tail
+        # quadrature of int_{x_max}^{x_max+v_max} e^{-rho (x - x_max)} omega(x) dx,
+        # which seeds the backward recurrence R(s_i) = e^{-rho h} R(s_{i+1}) + cell integral
+        tx, tw = _gl_panels(xs[-1] + np.linspace(0.0, v_max, _OMEGA_PANELS + 1))
+        omega_all = view.penalty_mass(
+            omega, np.concatenate((nodes.ravel(), tx.ravel())), *_penalty_rule(v_max, nodes.min())
+        )
+        omega_nodes = omega_all[: nodes.size].reshape(nodes.shape)
         cell_r = np.sum(
             np.exp(-rho * (nodes - xs[:-1, None])) * omega_nodes * weights, axis=1
         )
-        tail_edges = xs[-1] + np.linspace(0.0, v_max, 49)
-        tx = tail_edges[:-1, None] + np.diff(tail_edges)[:, None] * _GL_TAIL_NODES
-        tw = np.diff(tail_edges)[:, None] * _GL_TAIL_WEIGHTS
-        omega_tail = _omega_generic(view, omega, tx.ravel(), v_max).reshape(tx.shape)
-        seed = np.sum(np.exp(-rho * (tx - xs[-1])) * omega_tail * tw)
+        seed = np.sum(np.exp(-rho * (tx - xs[-1])) * omega_all[nodes.size :].reshape(tx.shape) * tw)
         # R_i = sum_{k >= i} e^{-rho h (k - i)} r_k with r = (cell integrals, seed),
         # as a doubling scan: after the pass with stride s each entry sums its next
         # 2s terms, and the weights e^{-rho h s} <= 1 cannot overflow
@@ -173,18 +185,26 @@ def build_renewal_kernels(
 
 
 def renewal_series(g: GridFunction, first: GridFunction, raise_above: float) -> np.ndarray:
-    """sum_k g*k * first on the grid of ``first``, stopped at the first term
-    whose sup-norm is below 1e-10.  If SERIES_TERMS terms do not get there,
-    the sum stands unless the last term's sup-norm exceeds ``raise_above``,
-    in which case SeriesNotConverged is raised."""
-    term = first
-    total = term.values.copy()
-    for _ in range(SERIES_TERMS):
-        if np.max(np.abs(term.values)) < 1e-10:
-            return total
-        term = grid_convolve(g, term)
-        total += term.values
-    size = np.max(np.abs(term.values))
-    if size > raise_above:
-        raise SeriesNotConverged(f"renewal series term sup-norm {size:.2e} after {SERIES_TERMS} terms")
+    """sum_k g*k * first on the grid of ``first``, by doubling.  With
+    p = g*(2^s), the step y <- y + p * y takes the partial sum from the terms
+    k < 2^s to k < 2^(s+1), and p <- p * p; the trapezoid convolution of
+    kernels vanishing at 0, as g does, is associative, so this is the term
+    loop's sum.  It stops at the first step that adds less than 1e-10 in
+    sup-norm; the terms left then are of the order of that step's square.
+    If SERIES_DOUBLINGS steps do not get there, the sum stands unless the
+    last step added more than ``raise_above`` (or overflowed), in which case
+    SeriesNotConverged is raised."""
+    total, power = first.values, g
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow ends in the raise below
+        for _ in range(SERIES_DOUBLINGS):
+            added = grid_convolve(power, first.with_values(total)).values
+            total = total + added
+            size = np.max(np.abs(added))
+            if size < 1e-10:
+                return total
+            power = grid_convolve(power, power)
+    if not size <= raise_above:
+        raise SeriesNotConverged(
+            f"renewal series: the last of {SERIES_DOUBLINGS} doubling steps added {size:.2e} in sup-norm"
+        )
     return total

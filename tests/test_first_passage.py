@@ -83,12 +83,23 @@ class TestPKSeries:
 
     def test_callable_penalty_pinned(self, ph2_model):
         # pinned from the omega quadrature that evaluated q at each (x, v)
-        # point; the rank-m density_outer table must reproduce it to rounding
+        # point, and at b = 3.5 from the series summed until its terms fall
+        # below 1e-18 (a 1e-10 cut-off left -1.1e-12 there); the phase-type
+        # factors of penalty_mass must reproduce them to rounding
         pen = PenaltySpec(tag="custom", w=lambda u, v: np.exp(-1.3 * v) / (1.0 + 0.5 * u))
         got = pk_series_transform(ph2_model, 0.6, penalty=pen)(np.array([0.25, 0.5, 1.0, 2.0, 3.5]))
         want = [0.6919190573851788, 0.5089280833741213, 0.32007631511461715, 0.17663987602557113,
-                0.09260771491924366]
+                0.09260771491934734]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_callable_one_is_the_one_route(self, pgamma_model):
+        # w = 1 through the generic omega quadrature against omega = Qbar in
+        # closed form; the gamma density's peak at v = 0 must be resolved
+        pen = PenaltySpec(tag="custom", w=lambda u, v: np.ones(np.broadcast(u, v).shape))
+        for delta in (0.3, 1.0):
+            got = pk_series_transform(pgamma_model, delta, penalty=pen).b_grid.values
+            want = pk_series_transform(pgamma_model, delta).b_grid.values
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
 
 
 class TestScaleFormula:

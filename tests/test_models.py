@@ -192,11 +192,21 @@ class TestLevyMeasure:
             bm_model.levy_measure()
 
 
-class TestDensityOuter:
-    """density_outer(x, v) is density(x_i + v_j), whatever route builds it."""
+class TestPenaltyMass:
+    """penalty_mass(w, x, v, wts) is the generic table sum_j w(x_i, v_j)
+    q(x_i + v_j) wts_j, whatever factors of the law build it."""
 
-    X = np.linspace(-0.4, 4.0, 37)
-    V = np.linspace(0.0, 3.0, 24)
+    X = np.linspace(0.002, 4.0, 37)
+    V = np.linspace(0.01, 3.0, 24).reshape(2, 12)
+    WTS = np.linspace(0.05, 0.2, 24).reshape(2, 12)
+
+    @staticmethod
+    def _w(u, v):
+        return np.exp(-0.7 * v) / (1.0 + 0.5 * u)
+
+    def _table(self, view):
+        v, wts = self.V.ravel(), self.WTS.ravel()
+        return (self._w(self.X[:, None], v[None, :]) * view.density(np.add.outer(self.X, v))) @ wts
 
     @pytest.mark.parametrize(
         "case, alpha, t_mat",
@@ -213,16 +223,14 @@ class TestDensityOuter:
         ok, w, _, _ = view.ph._eig_action()
         assert ok == (case != "defective")
         assert np.iscomplexobj(w) == (case == "complex")
-        want = view.density(np.add.outer(self.X, self.V))
         # scipy's expm is itself good to about 2e-13 on the Erlang-2 block:
         # both routes sit that far from 4x e^{-2x}
         rtol = 1e-12 if case == "defective" else 1e-13
-        np.testing.assert_allclose(view.density_outer(self.X, self.V), want, rtol=rtol, atol=0.0)
+        np.testing.assert_allclose(view.penalty_mass(self._w, self.X, self.V, self.WTS), self._table(view), rtol=rtol, atol=0.0)
 
-    def test_gamma_default(self):
+    def test_gamma(self):
         view = GammaMeasure(1.4, 0.7)
-        want = view.density(np.add.outer(self.X, self.V))
-        np.testing.assert_array_equal(view.density_outer(self.X, self.V), want)
+        np.testing.assert_allclose(view.penalty_mass(self._w, self.X, self.V, self.WTS), self._table(view), rtol=1e-13, atol=0.0)
 
 
 class TestTilt:
