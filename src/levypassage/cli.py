@@ -562,7 +562,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--b", type=float, required=True)
     q.add_argument("--t", type=float, required=True)
     q.add_argument("--paths", type=int, default=20000)
-    q.add_argument("--dt", type=float, default=2e-3)
+    q.add_argument(
+        "--dt", type=float, default=2e-3, help="time step of the gamma kinds; brownian_drift and phase type ignore it"
+    )
     q.add_argument("--seed", type=int, default=0)
     q.set_defaults(func=_cmd_duality)
 
@@ -585,7 +587,10 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--t", type=float)
     q.add_argument("--delta", type=float)
     q.add_argument("--paths", type=int, default=20000)
-    q.add_argument("--dt", type=float, default=1e-3)
+    q.add_argument(
+        "--dt", type=float, default=1e-3,
+        help="time step of the gamma kinds; brownian_drift and phase type ignore it except in reflected-first",
+    )
     q.add_argument("--t-max", type=float, default=8.0)
     q.add_argument("--max-blocks", type=int, default=16)
     q.add_argument("--seed", type=int, default=0)

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import digamma, gammainc, gammaincc, log_ndtr
-from scipy.stats import norm
+from scipy.special import digamma, gammainc, gammaincc, log_ndtr, ndtr
 
 from .errors import SeriesNotConverged, WrongKind
 from .lundberg import ScaleSet, ph_root_data, solve_lundberg
@@ -202,7 +201,7 @@ def inverse_gaussian_cdf(model: ModelSpec, b: float, t) -> np.ndarray:
         # e^{2 mu b/sigma^2} Phi(.) as one exponential: the product is inf * 0
         # once 2 mu b/sigma^2 > 709
         reflected = np.exp(2.0 * mu * b / sig**2 + log_ndtr(-(b + mu * t) / st))
-        out = np.where(t > 0, norm.cdf((mu * t - b) / st) + reflected, 0.0)
+        out = np.where(t > 0, ndtr((mu * t - b) / st) + reflected, 0.0)
     return out if out.ndim else float(out)
 
 

@@ -23,9 +23,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len
-from scipy.special import gammaincc, log_ndtr, ndtr
-from scipy.stats import gamma as gamma_dist
-from scipy.stats import norm
+from scipy.special import gammainc, gammaincc, gammainccinv, gammaln, log_ndtr, ndtr, xlogy
 
 from .errors import NoJumpPart, TailNotDominated, UnresolvedKernel, UsageError, WrongKind
 from .first_passage import PassageTransform
@@ -379,7 +377,9 @@ class _BrownianD(MarginalDensityD):
 
     def _pdf(self, a, t=None):  # t: the law's horizon, or a column of them
         t = self.t if t is None else t
-        return norm.pdf(a, loc=self.model.mu * t, scale=self.model.sigma * np.sqrt(t))
+        scale = self.model.sigma * np.sqrt(t)
+        z = (a - self.model.mu * t) / scale
+        return np.exp(-0.5 * z**2) / (math.sqrt(2.0 * math.pi) * scale)
 
     def _escape(self, c, t, rho0):
         return _gaussian_escape_mass(c - self.model.mu * t, self.model.sigma * np.sqrt(t), rho0)
@@ -393,7 +393,7 @@ class _PerturbedGammaD(MarginalDensityD):
 
     def _support(self, t):
         lo, hi = super()._support(t)
-        top = self.model.mu * t + gamma_dist.isf(1e-13, self.model.alpha * t, scale=self.model.xi)
+        top = self.model.mu * t + self.model.xi * gammainccinv(self.model.alpha * t, 1e-13)
         return lo, np.maximum(hi, top)
 
     def _pdf(self, a):
@@ -411,7 +411,11 @@ class _PureGammaD(_PerturbedGammaD):
 
     def _pdf(self, a, t=None):  # t: the law's horizon, or a column of them
         t = self.t if t is None else t
-        return gamma_dist.pdf(np.asarray(a) - self.model.mu * t, self.model.alpha * t, scale=self.model.xi)
+        z = (np.asarray(a) - self.model.mu * t) / self.model.xi
+        shape = self.model.alpha * t
+        with np.errstate(divide="ignore", invalid="ignore"):  # z < 0 is outside the support
+            dens = np.exp(xlogy(shape - 1.0, z) - z - gammaln(shape)) / self.model.xi
+        return np.where(z >= 0, dens, 0.0)
 
     def _escape(self, c, t, rho0):
         return gammaincc(self.model.alpha * t, np.maximum(c - self.model.mu * t, 0.0) / self.model.xi)
@@ -425,7 +429,7 @@ class _PureGammaD(_PerturbedGammaD):
 
     def _joint_mass(self, b, rho0):
         # L_b is the first passage, so P(L_b >= t) = P(D_t <= b), exactly
-        return float(gamma_dist.cdf(b - self.model.mu * self.t, self.model.alpha * self.t, scale=self.model.xi))
+        return float(gammainc(self.model.alpha * self.t, max(b - self.model.mu * self.t, 0.0) / self.model.xi))
 
     def _lattice(self, t, x0, step, n):
         self.check_point_density()

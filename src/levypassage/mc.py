@@ -1,56 +1,62 @@
-"""Monte Carlo oracle: exact-increment path simulation for all model kinds.
+"""Monte Carlo oracle: exact path simulation for all model kinds.
 
-Increments are sampled from their exact laws per step (Gaussian, gamma,
-compound Poisson with phase-type sizes).  For sigma > 0 the within-step
-extremes and hitting times of the continuous part are always drawn from its
-Brownian bridge, so level crossings are detected without refining dt; at
-sigma = 0 (pure gamma with drift) the path creeps linearly within a step.
+Two engines draw the paths; the jump law picks one (``_Law.segmented``),
+never the model kind.
+
+*Segments*, for a finite jump rate (Brownian motion and phase-type jumps).
+A segment runs from a path's level to its next jump epoch, an Exp(rate)
+wait, cut at the censoring horizon t_max * max_blocks (for Brownian motion
+it is the whole horizon left) or at a target time.  Its continuous part is
+one Gaussian draw; its events come from the Brownian bridge between the
+two ends: an up-crossing by the bridge test and its time by ``_hit_time``,
+the minimum from one uniform (``_bridge_min``), and the times of that
+minimum and of a last contact from ``_split``.  One jump size is drawn at
+the segment's end (``LevyMeasureView.sample_jumps``).  Every law used is
+exact, so these estimates carry no time-step bias and do not read
+``SimConfig.dt``: free first passage, free and reflected last passage,
+and D* at a fixed or an exponential time.
+
+*Blocks*, for infinite activity (the gamma kinds) and for reflected first
+passage of every kind.  ``_Block`` draws a (paths x k) block of steps of
+length dt at once, k = max(1, 2**14 // live paths), so the few long paths
+at the end of a run cost few calls.  The block is drawn lazily.  Each row
+(one path's k steps) gets its Gaussian increments and one jump total J
+(``LevyMeasureView.sample_block``: one Gamma(alpha k dt) draw for gamma;
+for phase type one Poisson count for the whole block, each jump in a
+uniform cell, summed by row).  Jumps only raise the level, so the
+continuous path bounds every level of the row from below and that path
+plus J bounds it from above.  A row's k uniforms of a bridge extreme are
+drawn least first, as 1 - V^{1/k}.  A row is decided from the bounds and
+that least uniform when its event would be the same for any split of J
+and any values of its other uniforms; the other rows draw the split of J
+over their cells (the gamma Dirichlet bridge, or the phase-type jumps' own
+cells) and their other uniforms given the least, and go through the
+per-cell logic.  Every decision reads only draws whose law does not depend
+on what is still undrawn, so the estimates have the law of the per-cell
+scheme.  For sigma > 0 the within-step extremes and hitting times of the
+continuous part come from its Brownian bridge; at sigma = 0 (pure gamma
+with drift) the path creeps linearly within a step.  The O(dt) bias left
+comes from lumping each step's jumps at its end, and, in reflected first
+passage, from taking the level b + inf(D ^ 0) before each step: inside a
+segment the drawup of D has no closed law, so that estimator stays on
+blocks for every kind.
 
 Last-passage estimators use the escape test.  From a level x > b the path
 never returns to (-inf, b] with probability 1 - e^{-rho0 (x - b)}; given that
 it does return, it runs until the return under the Esscher-tilted law
 dP~ = e^{-rho0 D} dP (drift mu - rho0 sigma^2, jump measure e^{-rho0 x} Q(dx),
 see ``LevyMeasureView.tilt``), and with no downward jumps it returns to b
-continuously.  A path is tested at the first step end where it stands
-above b + 1/rho0 (above b when rho0 = inf, sigma = 0); a test just above b
-would mostly send the path straight back.  If it escapes, it retires with
-its last contact; otherwise it takes this conditioned return and resumes the
-untilted law from b at the hitting time, which is drawn inside the step from
-the Brownian bridge.  The test is exact at any stopping time, so the
-estimates do not depend on t_max: t_max * max_blocks only sets the censoring
-horizon.  A creeping last contact is drawn inside its step the same way, from
-the bridge run backwards; a jump exit's is its step end.  The O(dt) bias
-left comes from lumping each step's jumps at its end.
-
-Every estimator advances its paths with one block kernel, ``_Block``,
-which draws a (paths x k) block of steps at once, k = max(1, 2**14 // live
-paths), so the few long paths at the end of a run cost few calls.  The
-block is drawn lazily.  Each row (one path's k steps) gets its Gaussian
-increments and one jump total J (``LevyMeasureView.sample_block``: one
-Gamma(alpha k dt) draw for gamma; for phase type one Poisson count for the
-whole block, each jump in a uniform cell, summed by row).  Jumps only raise
-the level, so the continuous path bounds every level of the row from below
-and that path plus J bounds it from above.  A row's k uniforms of a
-bridge extreme are drawn least first, as 1 - V^{1/k}.  A row is decided
-from the bounds and that least uniform when its event would be the same
-for any split of J and any values of its other uniforms: a crossing
-(first passage), a contact or an escape test (last passage), a hit of b
-(conditioned return), a new infimum (reflected process) or the level at
-a given step.  The other rows are refined: they draw the split of J over their cells (the
-gamma Dirichlet bridge, or the phase-type jumps' own cells) and their
-other uniforms given the least (iid uniform above it, the least in a
-uniform cell), and go through the per-cell logic.  A free last-passage
-row that is not tested and ends at or below b draws no bridge uniform at
-all: it touches b at its last step, and the next block's first step
-records a later contact.  Every decision reads only draws whose law does
-not depend on what is still undrawn, and each later draw comes from its
-exact law given the earlier ones: the gamma split is independent of its
-total, the phase-type split is drawn with it, and the other uniforms are
-drawn given their least.  So the estimates have the law of the per-cell
-scheme; only the random streams differ from drawing every cell.  Callers
-find their events by first/last-True searches along the refined rows;
-last-passage paths carry their own step clocks, since a return takes a
-path off the common schedule.
+continuously.  A path is tested at the first segment or step end where it
+stands above b + 1/rho0 (above b when rho0 = inf, sigma = 0); a test just
+above b would mostly send the path straight back.  If it escapes, it
+retires with its last contact; otherwise it takes this conditioned return
+and resumes the untilted law from b at the hitting time, drawn from the
+Brownian bridge.  The test is exact at any stopping time, so the estimates
+do not depend on t_max: t_max * max_blocks only sets the censoring
+horizon.  A creeping last contact is drawn inside its segment or step from
+the bridge run backwards; a jump exit's is the segment or step end.  The
+reflected process D* = D - inf(D ^ 0) takes the same loop with the contact
+level b + inf(D ^ 0); the free process keeps that infimum at 0.
 
 Paths run in fixed groups of 100 000, each with an SFC64 substream seeded
 by the SeedSequence of (seed, stream, group).  Each estimator has its own
@@ -59,8 +65,8 @@ stream number: 1 ``run_first_passage``, 2 ``run_last_passage``, 3
 ``run_reflected_last_passage`` and 6 ``run_reflected_at_exp_horizon``;
 ``maintenance.simulate_policy`` uses 7 for its cycle ends and 8 for the
 bridges of its idle mode (``cycle_ends``).  So for a given model, threshold
-and step settings a result depends only on (seed, n_paths); no batching
-option can change it.
+and settings a result depends only on (seed, n_paths); no batching option
+can change it.
 """
 
 from __future__ import annotations
@@ -91,12 +97,15 @@ _STREAM_REFLECTED_FIRST, _STREAM_REFLECTED_LAST, _STREAM_EXP_HORIZON = 4, 5, 6
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Step settings of a Monte Carlo run.
+    """Settings of a Monte Carlo run.
 
     ``t_max * max_blocks`` is the censoring horizon: a path without its event
     by then is censored.  The split into t_max and max_blocks changes no
     estimate, since last-passage paths take the escape test at their own
-    stopping times (see the module docstring).
+    stopping times (see the module docstring).  ``dt`` is the step of the
+    block engine: the gamma kinds, and reflected first passage of every
+    kind.  Brownian motion and phase type go from jump to jump in every
+    other estimator and ignore it.
     """
 
     dt: float = 1e-3
@@ -165,6 +174,17 @@ class _Law(NamedTuple):
         """The law under dP~ = e^{-rho D} dP, for phi_D(rho) = 0."""
         jumps = None if model.jumps is None else model.jumps.tilt(rho)
         return cls(model.mu - rho * model.sigma**2, model.sigma, jumps)
+
+    @property
+    def jump_rate(self) -> float:
+        """Jumps per unit time: 0 without jumps, inf for infinite activity."""
+        return 0.0 if self.jumps is None else self.jumps._rate
+
+    @property
+    def segmented(self) -> bool:
+        """True where the segment engine serves: a finite jump rate, so the
+        path is a Brownian motion with drift between jump epochs."""
+        return self.jump_rate < math.inf
 
 
 def _path_groups(cfg: SimConfig, stream: int):
@@ -286,17 +306,24 @@ def _step_levels(law: _Law, v, post, cont, jumped: bool, u, dt_col, minimum: boo
     c_end = start + cont if jumped else post
     m_min = None
     if u is not None:
-        # start + (cont - sqrt(cont^2 - 2 sigma^2 dt log u)) / 2, built in place
-        m_min = np.log(u)
-        m_min *= 2.0 * law.sigma**2 * dt_col
-        np.subtract(cont**2, m_min, out=m_min)
-        np.sqrt(m_min, out=m_min)
-        np.subtract(cont, m_min, out=m_min)
-        m_min *= 0.5
-        m_min += start
+        m_min = _bridge_min(law, start, cont, u, dt_col)
     elif minimum:
         m_min = np.minimum(start, c_end)
     return start, c_end, m_min, post
+
+
+def _bridge_min(law: _Law, start, cont, u, dt):
+    """Minimum of the Brownian bridge that leaves ``start`` and moves by
+    ``cont`` in time dt, drawn from its uniform u:
+    start + (cont - sqrt(cont^2 - 2 sigma^2 dt log u)) / 2, built in place."""
+    m_min = np.log(u)
+    m_min *= 2.0 * law.sigma**2 * dt
+    np.subtract(cont**2, m_min, out=m_min)
+    np.sqrt(m_min, out=m_min)
+    np.subtract(cont, m_min, out=m_min)
+    m_min *= 0.5
+    m_min += start
+    return m_min
 
 
 def _reduce_rows(ufunc, x: np.ndarray) -> np.ndarray:
@@ -407,6 +434,49 @@ def _escape_rate(model: ModelSpec, rho0: float | None) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Segment engine: a finite jump rate, from one jump epoch to the next
+
+
+def _segment(law: _Law, rng, room: np.ndarray):
+    """One segment per path: to its next jump epoch, an Exp(rate) wait, or
+    to the end of its ``room``, whichever comes first.  Returns (tau, cont,
+    jump, jumped): the segment's length, the Gaussian move of the continuous
+    part over it, the jump at its end (0 where it ends at ``room``) and
+    whether it ends at a jump."""
+    tau = room.copy()
+    jumped = np.zeros(room.size, dtype=bool)
+    if law.jumps is not None:
+        wait = rng.exponential(1.0 / law.jump_rate, room.size)
+        jumped = wait < room
+        tau[jumped] = wait[jumped]
+    cont = rng.normal(law.mu * tau, law.sigma * np.sqrt(tau))
+    jump = np.zeros(room.size)
+    if jumped.any():
+        jump[jumped] = law.jumps.sample_jumps(rng, int(jumped.sum()))
+    return tau, cont, jump, jumped
+
+
+def _split(law: _Law, rng, a, c, span):
+    """Times s in (0, span) with density proportional to f_a(s) f_c(span - s),
+    f_x the density of the first passage of sigma B to a level x > 0 away.
+    The minimum of a Brownian bridge that lies a below its start and c
+    below its end falls at such a time (Beskos, Papaspiliopoulos & Roberts
+    2006, Prop. 2), and so does the first hit of a level a below the start
+    of a path that first reaches a level c lower still at time span.  In
+    V = (span - s) / s the density is a mixture: with probability a / (a + c)
+    V ~ IG(c / a, c^2 / (sigma^2 span)), else 1 / V ~ IG(a / c, a^2 / (sigma^2
+    span)); the two branches mirror each other, (a, c, s) against
+    (c, a, span - s).  The distances are floored at 1e-150 so that one
+    rounded to 0 keeps the inverse Gaussian parameters positive."""
+    a, c = np.maximum(a, 1e-150), np.maximum(c, 1e-150)
+    near = rng.random(a.size) * (a + c) < a
+    p, q = np.where(near, a, c), np.where(near, c, a)
+    x = rng.wald(q / p, q * q / (law.sigma**2 * np.maximum(span, 1e-300)))
+    short = span / (1.0 + x)
+    return np.where(near, short, span - short)
+
+
+# ---------------------------------------------------------------------------
 # First passage of D and of D*
 
 
@@ -459,9 +529,10 @@ class FirstPassageSample:
 
 def _first_passages(model: ModelSpec, cfg: SimConfig, b: float, reflect: bool) -> FirstPassageSample:
     """First up-crossings of b by D, or by D* = D - inf(D ^ 0) when
-    ``reflect``.  D* crosses b when D crosses b + inf(D ^ 0), taken before
-    each step (within-step ordering is O(dt)); the free process keeps that
-    infimum at 0."""
+    ``reflect``.  D goes by segments where its law has a finite jump rate;
+    D*, and D of infinite activity, by blocks of dt steps.  D* crosses b
+    when D crosses b + inf(D ^ 0), taken before each step (within-step
+    ordering is O(dt)); the free process keeps that infimum at 0."""
     if b <= 0:
         raise ValueError("threshold must be positive")
     law = _Law.of(model)
@@ -471,6 +542,10 @@ def _first_passages(model: ModelSpec, cfg: SimConfig, b: float, reflect: bool) -
     und = np.zeros(n)
     over = np.zeros(n)
     for rng, idx in _path_groups(cfg, _STREAM_REFLECTED_FIRST if reflect else _STREAM_FIRST):
+        if law.segmented and not reflect:
+            got = _segment_first(law, rng, idx.size, b, cfg.t_max * cfg.max_blocks)
+            t_cross[idx], kind[idx], und[idx], over[idx] = got
+            continue
         v = np.zeros(idx.size)
         inf_d = np.zeros(idx.size)
         clock = 0  # steps taken, the same for every live path
@@ -487,6 +562,32 @@ def _first_passages(model: ModelSpec, cfg: SimConfig, b: float, reflect: bool) -
             clock += k
     label = "T*_b" if reflect else "T_b"
     return FirstPassageSample(b, t_cross, kind, und, over, cfg.t_max * cfg.max_blocks, label)
+
+
+def _segment_first(law: _Law, rng, m: int, b: float, horizon: float):
+    """(t_cross, kind, under, over) of m paths' first up-crossings of b, by
+    segments.  A segment's bridge crosses b by the bridge test and at the
+    time ``_hit_time`` draws; else the jump at its end may carry it over."""
+    t_cross = np.full(m, np.inf)
+    kind = np.zeros(m, dtype=np.int8)
+    und, over = np.zeros(m), np.zeros(m)
+    live, v, t = np.arange(m), np.zeros(m), np.zeros(m)  # the live paths, compacted
+    while live.size:
+        tau, cont, jump, jumped = _segment(law, rng, horizon - t)
+        c_end = v + cont
+        post = c_end + jump
+        creep, by_jump = _crossed_up(law, rng.random(live.size), v, c_end, post, b, tau)
+        at = tau.copy()
+        at[creep] = _hit_time(law, rng, b - v[creep], b - c_end[creep], tau[creep])
+        hit = creep | by_jump
+        g = live[hit]
+        t_cross[g] = (t + at)[hit]
+        kind[g] = np.where(creep, EXIT_CREEP, EXIT_JUMP)[hit]
+        und[g] = np.where(creep, 0.0, b - c_end)[hit]
+        over[g] = np.where(creep, 0.0, post - b)[hit]
+        go = jumped & ~hit  # a segment that ends without a jump ends at the horizon
+        live, v, t = live[go], post[go], (t + tau)[go]
+    return t_cross, kind, und, over
 
 
 def _first_block(law: _Law, rng, v, inf_d, b: float, dt: float, k: int, reflect: bool):
@@ -563,14 +664,13 @@ def _last_passages(
 ) -> LastPassageSample:
     """Last contacts with (-inf, b] of D, or of D* = D - inf(D ^ 0) when
     ``reflect``, by the escape test with conditioned returns (see the module
-    docstring).  Above b > 0 the reflected process moves as D does, so one
-    loop serves both: the free process keeps its infimum at 0."""
+    docstring), by segments where the jump rate is finite and by blocks of
+    dt steps otherwise.  Above b > 0 the reflected process moves as D does,
+    so one loop serves both: the free process keeps its infimum at 0."""
     if b <= 0:
         raise ValueError("threshold must be positive")
     rho0 = _escape_rate(model, rho0)
-    law, tilted = _Law.of(model), None
-    gap = 1.0 / rho0  # a path is tested above b + gap (see the module docstring)
-    horizon, dt = cfg.horizon_steps, cfg.dt
+    group = _segment_last if _Law.of(model).segmented else _block_last
     n = cfg.n_paths
     l_last = np.full(n, np.nan)
     kind = np.zeros(n, dtype=np.int8)
@@ -578,64 +678,138 @@ def _last_passages(
     over = np.zeros(n)
     censored = 0
     for rng, idx in _path_groups(cfg, _STREAM_REFLECTED_LAST if reflect else _STREAM_LAST):
-        m = idx.size
-        escaped = np.zeros(m, dtype=bool)
-        # per path, at the step of its last contact with (-inf, b]: the step's
-        # end time, and the continuous levels at its end and start and the
-        # level after its jumps, less the contact level
-        last, e_end, e_start, e_post = (np.zeros(m) for _ in range(4))
-        # the live paths, compacted: their group index, level, infimum, time
-        # their returns ended before their step ends, steps taken, and
-        # whether they are returning
-        path = np.arange(m)
-        v, inf_d, lag = np.zeros(m), np.zeros(m), np.zeros(m)
-        clock = np.zeros(m, dtype=np.int64)
-        returning = np.zeros(m, dtype=bool)
-        while path.size:
-            # every cell of the block lies within the censoring horizon
-            k = min(_block_len(path.size), horizon - int(clock.max()))
-            back, fwd = np.flatnonzero(returning), np.flatnonzero(~returning)
-            retire = np.zeros(path.size, dtype=bool)
-            if back.size:
-                # conditioned return: the tilted law until the bridge reaches b;
-                # the path resumes from b at the hitting time, so its next
-                # forward step records the contact
-                tilted = tilted or _Law.tilted(model, rho0)
-                to, steps, hit, rest = _return_block(tilted, rng, v[back], b + inf_d[back], dt, k)
-                v[back] = to
-                clock[back] += steps
-                lag[back[hit]] += rest
-                returning[back[hit]] = False
-            if fwd.size:
-                to, low, steps, tested, touched, j, at_j = _forward_block(
-                    law, rng, v[fwd], inf_d[fwd], b, gap, dt, k, reflect
-                )
-                r = fwd[touched]
-                g = path[r]
-                last[g] = (clock[r] + j + 1) * dt - lag[r]
-                e_end[g], e_start[g], e_post[g] = at_j
-                v[fwd], inf_d[fwd] = to, low
-                clock[fwd] += steps
-                r = fwd[tested]
-                esc = _escapes(rng, v[r] - inf_d[r], b, rho0)
-                retire[r[esc]] = True
-                returning[r[~esc]] = True
-            escaped[path[retire]] = True
-            keep = ~retire & (clock < horizon)
-            if not keep.all():
-                path, v, inf_d, lag, clock, returning = (x[keep] for x in (path, v, inf_d, lag, clock, returning))
-        # a creeping exit leaves (-inf, b] inside its step, at the first hit of
-        # b by the step's bridge run backwards from the step end
-        creep = escaped & (e_end > 0)
-        last[creep] -= _hit_time(law, rng, e_end[creep], e_start[creep], dt)
+        escaped, *got = group(model, rng, idx.size, b, rho0, cfg, reflect)
         gi = idx[escaped]
-        l_last[gi] = last[escaped]
-        kind[gi] = np.where(creep, EXIT_CREEP, EXIT_JUMP)[escaped]
-        und[gi] = np.where(creep, 0.0, -e_end)[escaped]
-        over[gi] = np.where(creep, 0.0, e_post)[escaped]
-        censored += m - int(escaped.sum())
+        l_last[gi], kind[gi], und[gi], over[gi] = (x[escaped] for x in got)
+        censored += idx.size - int(escaped.sum())
     label = "L*_b" if reflect else "L_b"
     return LastPassageSample(b, l_last, kind, und, over, censored, label)
+
+
+def _segment_last(model: ModelSpec, rng, m: int, b: float, rho0: float, cfg: SimConfig, reflect: bool):
+    """(escaped, last, kind, under, over) of m paths, by segments.
+
+    A forward segment moves the infimum to inf' = min(inf, its bridge
+    minimum) and touches the level b + inf' iff that minimum is at or below
+    it; its last contact is then the segment's end if the continuous end c
+    is at or below the level (an exit by the jump there), else tau - r (an
+    exit by creeping), for r the first hit of the level by the bridge run
+    backwards from c.  That hit falls in the piece after the minimum's time
+    theta, a path from c that first reaches the minimum at tau - theta, so
+    theta and r both come from ``_split``.  A segment end above the
+    level + 1/rho0 takes the escape test; a path that fails it returns
+    under the tilted law until its bridge reaches the level, at the time
+    ``_hit_time`` draws.  A path still running at the horizon is censored."""
+    law, tilted = _Law.of(model), _Law.tilted(model, rho0)
+    gap = 1.0 / rho0  # a path is tested above b + inf + gap (see the module docstring)
+    horizon = cfg.t_max * cfg.max_blocks
+    escaped = np.zeros(m, dtype=bool)
+    last, und, over = np.zeros(m), np.zeros(m), np.zeros(m)
+    kind = np.zeros(m, dtype=np.int8)
+    # the live paths, compacted: their group index, level, infimum, time and
+    # whether they are returning
+    path, v, low, t = np.arange(m), np.zeros(m), np.zeros(m), np.zeros(m)
+    returning = np.zeros(m, dtype=bool)
+    while path.size:
+        keep = np.ones(path.size, dtype=bool)
+        back, fwd = np.flatnonzero(returning), np.flatnonzero(~returning)
+        if back.size:
+            x, lev = v[back], b + low[back]
+            tau, cont, jump, jumped = _segment(tilted, rng, horizon - t[back])
+            hit = _bridge_min(tilted, x, cont, rng.random(back.size), tau) <= lev
+            tau[hit] = _hit_time(tilted, rng, (x - lev)[hit], (x + cont - lev)[hit], tau[hit])
+            v[back] = np.where(hit, lev, x + cont + jump)
+            t[back] += tau
+            returning[back[hit]] = False
+            keep[back] = hit | jumped  # a return still running at the horizon is censored
+        if fwd.size:
+            x = v[fwd]
+            tau, cont, jump, jumped = _segment(law, rng, horizon - t[fwd])
+            c_end = x + cont
+            m_min = _bridge_min(law, x, cont, rng.random(fwd.size), tau)
+            if reflect:
+                low[fwd] = np.minimum(low[fwd], m_min)
+            lev = b + low[fwd]
+            touch = m_min <= lev
+            creep = touch & (c_end > lev)
+            back_off = np.zeros(fwd.size)
+            if creep.any():
+                theta = _split(law, rng, (x - m_min)[creep], (c_end - m_min)[creep], tau[creep])
+                back_off[creep] = _split(law, rng, (c_end - lev)[creep], (lev - m_min)[creep], tau[creep] - theta)
+            t[fwd] += tau
+            v[fwd] = post = c_end + jump
+            g = path[fwd[touch]]
+            last[g] = (t[fwd] - back_off)[touch]
+            kind[g] = np.where(creep, EXIT_CREEP, EXIT_JUMP)[touch]
+            und[g] = np.where(creep, 0.0, lev - c_end)[touch]
+            over[g] = np.where(creep, 0.0, post - lev)[touch]
+            keep[fwd] = jumped  # a segment that ends without a jump ends at the horizon
+            r = fwd[post - lev > gap]
+            esc = _escapes(rng, v[r] - low[r], b, rho0)
+            escaped[path[r[esc]]] = True
+            keep[r[esc]] = False
+            returning[r[~esc]] = True
+        if not keep.all():
+            path, v, low, t, returning = (x[keep] for x in (path, v, low, t, returning))
+    return escaped, last, kind, und, over
+
+
+def _block_last(model: ModelSpec, rng, m: int, b: float, rho0: float, cfg: SimConfig, reflect: bool):
+    """(escaped, last, kind, under, over) of m paths, by blocks of dt steps."""
+    law, tilted = _Law.of(model), None
+    gap = 1.0 / rho0  # a path is tested above b + gap (see the module docstring)
+    horizon, dt = cfg.horizon_steps, cfg.dt
+    escaped = np.zeros(m, dtype=bool)
+    # per path, at the step of its last contact with (-inf, b]: the step's
+    # end time, and the continuous levels at its end and start and the
+    # level after its jumps, less the contact level
+    last, e_end, e_start, e_post = (np.zeros(m) for _ in range(4))
+    # the live paths, compacted: their group index, level, infimum, time
+    # their returns ended before their step ends, steps taken, and
+    # whether they are returning
+    path = np.arange(m)
+    v, inf_d, lag = np.zeros(m), np.zeros(m), np.zeros(m)
+    clock = np.zeros(m, dtype=np.int64)
+    returning = np.zeros(m, dtype=bool)
+    while path.size:
+        # every cell of the block lies within the censoring horizon
+        k = min(_block_len(path.size), horizon - int(clock.max()))
+        back, fwd = np.flatnonzero(returning), np.flatnonzero(~returning)
+        retire = np.zeros(path.size, dtype=bool)
+        if back.size:
+            # conditioned return: the tilted law until the bridge reaches b;
+            # the path resumes from b at the hitting time, so its next
+            # forward step records the contact
+            tilted = tilted or _Law.tilted(model, rho0)
+            to, steps, hit, rest = _return_block(tilted, rng, v[back], b + inf_d[back], dt, k)
+            v[back] = to
+            clock[back] += steps
+            lag[back[hit]] += rest
+            returning[back[hit]] = False
+        if fwd.size:
+            to, low, steps, tested, touched, j, at_j = _forward_block(
+                law, rng, v[fwd], inf_d[fwd], b, gap, dt, k, reflect
+            )
+            r = fwd[touched]
+            g = path[r]
+            last[g] = (clock[r] + j + 1) * dt - lag[r]
+            e_end[g], e_start[g], e_post[g] = at_j
+            v[fwd], inf_d[fwd] = to, low
+            clock[fwd] += steps
+            r = fwd[tested]
+            esc = _escapes(rng, v[r] - inf_d[r], b, rho0)
+            retire[r[esc]] = True
+            returning[r[~esc]] = True
+        escaped[path[retire]] = True
+        keep = ~retire & (clock < horizon)
+        if not keep.all():
+            path, v, inf_d, lag, clock, returning = (x[keep] for x in (path, v, inf_d, lag, clock, returning))
+    # a creeping exit leaves (-inf, b] inside its step, at the first hit of
+    # b by the step's bridge run backwards from the step end
+    creep = escaped & (e_end > 0)
+    last[creep] -= _hit_time(law, rng, e_end[creep], e_start[creep], dt)
+    kind = np.where(creep, EXIT_CREEP, EXIT_JUMP).astype(np.int8)
+    return escaped, last, kind, np.where(creep, 0.0, -e_end), np.where(creep, 0.0, e_post)
 
 
 def _return_block(law: _Law, rng, v, level, dt: float, k: int):
@@ -718,6 +892,30 @@ def run_reflected_last_passage(
 # D* = D - inf(D ^ 0) at a given time
 
 
+def _reflected_at(law: _Law, rng, dt: float, when: np.ndarray, need: np.ndarray) -> np.ndarray:
+    """D* of path i at time when[i]: exact, by segments cut at that time,
+    where the jump rate is finite, else after need[i] steps of length dt."""
+    if law.segmented:
+        return _segment_reflected_at(law, rng, when)
+    return _reflected_after(law, rng, dt, need)
+
+
+def _segment_reflected_at(law: _Law, rng, when: np.ndarray) -> np.ndarray:
+    """D* at times ``when`` (D*_0 = 0): the level at a segment's end, less
+    the infimum moved to each segment's bridge minimum."""
+    out = np.zeros(when.size)
+    v, low, t = np.zeros(when.size), np.zeros(when.size), np.zeros(when.size)
+    live = np.flatnonzero(when > 0)
+    while live.size:
+        tau, cont, jump, jumped = _segment(law, rng, when[live] - t[live])
+        low[live] = np.minimum(low[live], _bridge_min(law, v[live], cont, rng.random(live.size), tau))
+        out[live] = v[live] + cont - low[live]  # final where the segment ends at the target time
+        v[live] += cont + jump
+        t[live] += tau
+        live = live[jumped]
+    return out
+
+
 def _reflected_after(law: _Law, rng, dt: float, need: np.ndarray) -> np.ndarray:
     """D* after need[i] steps of path i (D*_0 = 0 where need[i] is 0)."""
     out = np.zeros(need.size)
@@ -754,7 +952,7 @@ def estimate_reflected_exceedance(model: ModelSpec, cfg: SimConfig, b: float, t:
     law = _Law.of(model)
     steps = int(np.round(t / cfg.dt))
     vals = np.concatenate([
-        _reflected_after(law, rng, cfg.dt, np.full(idx.size, steps))
+        _reflected_at(law, rng, cfg.dt, np.full(idx.size, float(t)), np.full(idx.size, steps))
         for rng, idx in _path_groups(cfg, _STREAM_EXCEEDANCE)
     ])
     return _mean_result((vals > b).astype(float), f"P(D*_{t:g} > {b:g})")
@@ -776,7 +974,7 @@ def run_reflected_at_exp_horizon(
     for rng, idx in _path_groups(cfg, _STREAM_EXP_HORIZON):
         horizon = rng.exponential(1.0 / delta, idx.size)
         need = np.maximum(1, np.ceil(horizon / cfg.dt).astype(int))  # steps to T
-        vals = d_at_t[idx] = _reflected_after(law, rng, cfg.dt, need)
+        vals = d_at_t[idx] = _reflected_at(law, rng, cfg.dt, horizon, need)
         joint[idx] = (vals > b) & ~_escapes(rng, vals, b, rho0)
     return d_at_t, joint
 

@@ -159,9 +159,16 @@ class PhaseType:
 
 
 def sample_phase_type(ph: PhaseType, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Exact phase-type samples by simulating the absorbing phase chain."""
+    """Exact phase-type samples by simulating the absorbing phase chain.  An
+    order-1 law absorbs on leaving its one phase, so a draw is one
+    exponential hold (0 where it starts absorbed, when alpha < 1)."""
     m = ph.order
     hold, start_cum, move_cum = ph._chain()
+    if m == 1:
+        total = hold[0] * rng.standard_exponential(size)
+        if start_cum[0] < 1.0:
+            total[rng.random(size) >= start_cum[0]] = 0.0
+        return total
     state = np.searchsorted(start_cum, rng.random(size), side="right")
     total = np.zeros(size)
     active = state < m
@@ -325,6 +332,10 @@ class LevyMeasureView:
         and split(rows), which spreads the totals of ``rows`` over their k
         steps with the law of J's path given its total (a (rows x k) array,
         jumps lumped at step ends, drawing from ``rng``)."""
+        raise NotImplementedError
+
+    def sample_jumps(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n iid jump sizes, from Q / ``_rate``; a finite jump rate only."""
         raise NotImplementedError
 
     def tilt(self, rho: float) -> "LevyMeasureView":
@@ -518,7 +529,7 @@ class PHMeasure(LevyMeasureView):
         summed cell by cell, so it equals the running sum of its split to
         the last bit."""
         n_jumps = rng.poisson(self.lam * dt * n * k)
-        sizes = sample_phase_type(self.ph, rng, n_jumps)
+        sizes = self.sample_jumps(rng, n_jumps)
         cell = np.sort(rng.integers(0, n * k, n_jumps))
         new = np.ones(n_jumps, dtype=bool)
         new[1:] = cell[1:] != cell[:-1]
@@ -536,12 +547,15 @@ class PHMeasure(LevyMeasureView):
 
         return total, split
 
+    def sample_jumps(self, rng, n):
+        return sample_phase_type(self.ph, rng, n)
+
     def sample_bridged(self, rng, m, dt):
         """Given its jumps, a compound-Poisson path puts each at an independent
         uniform time, so the bridge gives each jump a uniform step."""
         counts = rng.poisson(self.lam * dt, m)
         n_jumps = int(counts.sum())
-        sizes = sample_phase_type(self.ph, rng, n_jumps) if n_jumps else np.zeros(0)
+        sizes = self.sample_jumps(rng, n_jumps) if n_jumps else np.zeros(0)
         owner = np.repeat(np.arange(m), counts)
         total = np.bincount(owner, weights=sizes, minlength=m) if n_jumps else np.zeros(m)
 

@@ -8,6 +8,9 @@ save the closed forms and MC oracles listed in ``TEST_ONLY``."""
 import ast
 import dataclasses
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import levypassage
@@ -190,3 +193,11 @@ def test_traced_names_resolve():
 
 def test_sim_config_fields():
     assert {f.name for f in dataclasses.fields(SimConfig)} == {"dt", "t_max", "n_paths", "seed", "max_blocks"}
+
+
+def test_import_leaves_scipy_stats_out():
+    # scipy.stats adds about half a second to every import; the library
+    # reads its few distributions from scipy.special instead
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    code = "import sys, levypassage; sys.exit('scipy.stats' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0

@@ -419,12 +419,10 @@ class TestOvershootTransform:
         rho0 = escape_rate(ph_model)
         ys = np.linspace(0.0, b + 30.0, 6201)
         ws = np.linspace(1e-6, 30.0, 801)
-        inner = [
-            np.trapezoid(
-                last_passage_overshoot_transform(ph_model, scales_ph0, b, y, ws, rho0), ws
-            )
-            for y in ys
-        ]
+        inner = np.concatenate([  # 16 row blocks of the (y, w) table, one call each
+            np.trapezoid(last_passage_overshoot_transform(ph_model, scales_ph0, b, y[:, None], ws, rho0), ws, axis=1)
+            for y in np.array_split(ys, 16)
+        ])
         total = np.trapezoid(inner, ys)
         cfg = SimConfig(dt=1e-3, t_max=6.0, n_paths=30_000, seed=17, max_blocks=10)
         sample = run_last_passage(ph_model, cfg, b)

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from conftest import assert_within_se
 
@@ -15,9 +17,14 @@ from levypassage.last_passage import bm_last_passage_cdf, last_passage_cdf, refl
 from levypassage.lundberg import build_scale_set, escape_rate
 from levypassage.mc import (
     SimConfig,
+    _Law,
+    _split,
     _substream,
     cycle_ends,
+    estimate_reflected_exceedance,
+    run_first_passage,
     run_last_passage,
+    run_reflected_at_exp_horizon,
     run_reflected_first_passage,
     run_reflected_last_passage,
 )
@@ -38,6 +45,20 @@ def test_increment_exact_moments(request, name, t):
     se_var = math.sqrt((float(np.mean(centred**4)) - var**2) / n)
     assert_within_se(float(x.mean()), math.sqrt(var / n), model.mean_d1 * t, 4.0, f"{name} mean")
     assert_within_se(var, se_var, model.var_d1 * t, 4.0, f"{name} variance")
+
+
+def _assert_same(a, b):
+    """Bit-identical samples or results: every field, arrays NaN for NaN."""
+    if isinstance(a, tuple) and not dataclasses.is_dataclass(a):
+        for x, y in zip(a, b):
+            assert np.array_equal(x, y, equal_nan=True)
+        return
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert np.array_equal(x, y, equal_nan=True), f.name
+        else:
+            assert x == y, f.name
 
 
 def test_substream_repeats_by_key_and_differs_across_keys():
@@ -80,23 +101,14 @@ class TestLastPassageEscapeTest:
             assert_within_se(mc.estimate, mc.std_error, target, 3.0, f"P(L_b < {t})")
 
     def test_bm_mean_at_coarse_dt(self, bm_model):
-        # E[L_b] = b/mu + sigma^2/mu^2 = 2.  Contact times at step ends read
-        # about dt/2 = 0.02 late (7 SE here), and a return that resumes at its
-        # step end adds to that; hitting times drawn inside the step do not.
+        # E[L_b] = b/mu + sigma^2/mu^2 = 2.  Brownian motion takes no time
+        # step: the last contact and a return's hit of b are drawn inside
+        # the segment from its bridge, so no dt enters the mean.
         cfg = SimConfig(dt=0.04, t_max=20.0, n_paths=400_000, seed=0, max_blocks=4)
         sample = run_last_passage(bm_model, cfg, 1.0)
         assert sample.censored == 0
         l = sample.l_last
         assert_within_se(l.mean(), l.std(ddof=1) / math.sqrt(l.size), 2.0, 3.0, "E[L_b]")
-
-    @staticmethod
-    def _assert_same(a, b):
-        for f in dataclasses.fields(a):
-            x, y = getattr(a, f.name), getattr(b, f.name)
-            if isinstance(x, np.ndarray):
-                assert np.array_equal(x, y, equal_nan=True), f.name
-            else:
-                assert x == y, f.name
 
     @pytest.mark.parametrize("run", [run_last_passage, run_reflected_last_passage])
     def test_t_max_only_sets_the_horizon(self, ph2_model, run):
@@ -104,8 +116,8 @@ class TestLastPassageEscapeTest:
         short = run(ph2_model, SimConfig(dt=2e-3, t_max=0.5, n_paths=2_000, seed=5, max_blocks=120), 1.0)
         cfg = SimConfig(dt=2e-3, t_max=6.0, n_paths=2_000, seed=5, max_blocks=10)
         long = run(ph2_model, cfg, 1.0)
-        self._assert_same(short, long)
-        self._assert_same(long, run(ph2_model, cfg, 1.0))
+        _assert_same(short, long)
+        _assert_same(long, run(ph2_model, cfg, 1.0))
 
     def test_paths_past_100_000_use_a_second_substream(self, bm_model):
         def cfg(n):
@@ -115,6 +127,49 @@ class TestLastPassageEscapeTest:
         first = run_last_passage(bm_model, cfg(100_000), 1.0).l_last
         assert np.array_equal(full[:100_000], first, equal_nan=True)
         assert not np.array_equal(full[100_000:], full[:10], equal_nan=True)
+
+
+class TestSegmentEngine:
+    """Brownian motion and phase type go from jump to jump: every estimator
+    but reflected first passage draws exact segment laws and reads no dt."""
+
+    ESTIMATORS = {
+        "first": lambda m, cfg: run_first_passage(m, cfg, 1.0),
+        "last": lambda m, cfg: run_last_passage(m, cfg, 1.0),
+        "reflected_last": lambda m, cfg: run_reflected_last_passage(m, cfg, 1.0),
+        "exceedance": lambda m, cfg: estimate_reflected_exceedance(m, cfg, 1.0, 1.3),
+        "exp_horizon": lambda m, cfg: run_reflected_at_exp_horizon(m, cfg, 0.5, 1.0),
+    }
+
+    @pytest.mark.parametrize("name", ["bm_model", "ph2_model"])
+    @pytest.mark.parametrize("estimator", list(ESTIMATORS))
+    def test_dt_free(self, request, name, estimator):
+        model = request.getfixturevalue(name)
+        run = self.ESTIMATORS[estimator]
+        fine, coarse = (
+            run(model, SimConfig(dt=dt, t_max=6.0, n_paths=2_000, seed=7, max_blocks=10)) for dt in (2e-3, 0.5)
+        )
+        _assert_same(fine, coarse)
+
+    @pytest.mark.parametrize(
+        "a, c, span, sigma", [(0.3, 1.2, 1.0, 1.0), (1.0, 0.2, 1.0, 0.7), (0.5, 0.5, 0.5, 1.5)]
+    )
+    def test_split_sampler_against_quadrature(self, a, c, span, sigma):
+        # density proportional to f_a(s) f_c(span - s), f_x(s) = x s^{-3/2} e^{-x^2 / (2 sigma^2 s)}
+        def dens(s):
+            r = span - s
+            return a * c * (s * r) ** -1.5 * math.exp(-(a * a / s + c * c / r) / (2.0 * sigma**2))
+
+        mass = quad(dens, 0.0, span, limit=200)[0]
+        mean = quad(lambda s: s * dens(s), 0.0, span, limit=200)[0] / mass
+        quartiles = [
+            brentq(lambda x: quad(dens, 0.0, x, limit=200)[0] / mass - p, 1e-9 * span, (1.0 - 1e-9) * span)
+            for p in (0.25, 0.5, 0.75)
+        ]
+        n = 2_000_000
+        s = _split(_Law(0.0, sigma, None), _substream(9, 0, 0), np.full(n, a), np.full(n, c), np.full(n, span))
+        assert abs(float(s.mean()) - mean) < 1e-3
+        assert np.max(np.abs(np.quantile(s, [0.25, 0.5, 0.75]) - quartiles)) < 1e-3
 
 
 class TestReflectedMC:
@@ -143,6 +198,14 @@ class TestReflectedMC:
         target = reflected_last_passage_transform(pgamma_model, transform_from_scales(scales), b)
         cfg = SimConfig(dt=2e-3, t_max=6.0, n_paths=30_000, seed=23, max_blocks=10)
         mc = run_reflected_last_passage(pgamma_model, cfg, b).laplace_at(delta)
+        assert_within_se(mc.estimate, mc.std_error, target, 3.0, "reflected L* laplace")
+
+    def test_reflected_last_passage_laplace_ph2(self, ph2_model):
+        b, delta = 1.0, 0.5
+        scales = build_scale_set(ph2_model, delta, b + 24.0 / escape_rate(ph2_model), n=4097)
+        target = reflected_last_passage_transform(ph2_model, transform_from_scales(scales), b)
+        cfg = SimConfig(dt=2e-3, t_max=6.0, n_paths=30_000, seed=23, max_blocks=10)
+        mc = run_reflected_last_passage(ph2_model, cfg, b).laplace_at(delta)
         assert_within_se(mc.estimate, mc.std_error, target, 3.0, "reflected L* laplace")
 
     def test_reflected_jump_density_vs_mc_ph(self, ph_model):
