@@ -229,36 +229,28 @@ def _cmd_last_passage(args) -> int:
     rows: list[tuple] = []
     if args.what == "cdf":
         header = ["t", "cdf"]
-        rho0 = escape_rate(model)
         for t in ts:
-            rows.append((t, last_passage_cdf(model, b, t, rho0=rho0)))
+            rows.append((t, last_passage_cdf(model, b, t)))
     elif args.what == "joint":
         header = ["t", "a", "density"]
-        rho0 = escape_rate(model)
         for t in ts:
-            dens = density_of_dt(model, t)
-            for a in np.linspace(max(dens.f.x0, b - 4), dens.f.x_max, args.grid_n):
-                rows.append(
-                    (t, a, float(last_passage_joint_density(model, b, t, a, rho0, dens)))
-                )
+            grid = density_of_dt(model, t).f
+            a = np.linspace(max(grid.x0, b - 4), grid.x_max, args.grid_n)
+            rows += zip(np.full(a.size, t), a, last_passage_joint_density(model, b, t, a))
     elif args.what == "overshoot":
         header = ["y", "w", "density"]
         scales = build_scale_set(model, args.delta, 2.0 * b)
-        rho0 = escape_rate(model)
         # undershoots y >= b (pre-jump level at or below 0) carry mass too
-        for y in np.linspace(0.0, b + 4.0, args.grid_n):
-            for w in np.linspace(0.05, 4.0, args.grid_n):
-                rows.append(
-                    (y, w, float(last_passage_overshoot_transform(model, scales, b, y, w, rho0)))
-                )
+        ys, ws = np.linspace(0.0, b + 4.0, args.grid_n), np.linspace(0.05, 4.0, args.grid_n)
+        y, w = np.meshgrid(ys, ws, indexing="ij")
+        rows += zip(y.ravel(), w.ravel(), last_passage_overshoot_transform(model, scales, b, y, w).ravel())
     elif args.what == "reflected":
         header = ["delta", "laplace"]
-        rho0 = escape_rate(model)
-        a_max = b + 24.0 / rho0
+        a_max = b + 24.0 / escape_rate(model)
         for delta in _float_list(args.delta_list or str(args.delta)):
             scales = build_scale_set(model, delta, a_max, n=4097)
             phi = transform_from_scales(scales)
-            rows.append((delta, reflected_last_passage_transform(model, phi, b, rho0)))
+            rows.append((delta, reflected_last_passage_transform(model, phi, b)))
     else:
         raise UsageError(f"unknown --what {args.what!r}")
     manifest = RunManifest(
@@ -274,11 +266,8 @@ def _cmd_reflected(args) -> int:
     scales = build_scale_set(model, args.delta, max(2.0 * b, b + 1.0))
     ys = np.linspace(0.0, b, args.grid_y)
     zs = np.linspace(b * (1.0 + 1e-9) + 1e-9, args.z_max, args.grid_z)
-    rows = []
-    for y in ys:
-        dens = reflected_passage_density(model, scales, b, np.full_like(zs, y), zs)
-        for z, val in zip(zs, dens):
-            rows.append((y, z, float(val)))
+    y, z = np.meshgrid(ys, zs, indexing="ij")
+    rows = zip(y.ravel(), z.ravel(), reflected_passage_density(model, scales, b, y, z).ravel())
     manifest = RunManifest(
         "reflected", _digest(model), {"delta": args.delta, "b": b, "z_max": args.z_max}
     )
@@ -478,9 +467,7 @@ def run_validation(quick: bool = True, seed: int = 20260810) -> list[tuple[str, 
     )
     ker = PolicyKernels(pg, pol)
     ys = np.array([0.0, 0.5, 1.0, 1.5])
-    grid_route = [
-        1.0 - last_passage_joint_mass(pg, pol.b - y, float(pol.m(y)), rho0=ker.rho0) for y in ys
-    ]
+    grid_route = [1.0 - last_passage_joint_mass(pg, pol.b - y, float(pol.m(y))) for y in ys]
     add("maintenance_kernel_c_route_gap", float(np.max(np.abs(ker.kernel_c(ys) - grid_route))), 1e-4)
 
     return rows

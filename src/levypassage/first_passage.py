@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.special import digamma, gammainc, gammaincc, log_ndtr, ndtr
@@ -27,38 +26,11 @@ from .models import (
     ModelSpec,
 )
 from .numerics import GridFunction, hyp2f2
-from .renewal import build_renewal_kernels, renewal_series
+from .renewal import PenaltySpec, build_renewal_kernels, renewal_series
 
 ROUTE_PK_SERIES = "pk_series"
 ROUTE_SCALE = "scale_formula"
 ROUTE_CLOSED = "closed_form"
-
-
-@dataclass(frozen=True)
-class PenaltySpec:
-    """Bounded penalty w(undershoot, overshoot) of the crossing data.
-
-    ``tag`` selects fast paths: "one" (w identically 1), or
-    "overshoot_indicator" with threshold ``eps`` (w = 1{overshoot > eps}).
-    A general broadcasting callable w(u, v) may be supplied instead.
-    """
-
-    tag: str = "one"
-    eps: float = 0.0
-    w: Callable | None = None
-
-    def creep_value(self) -> float:
-        """w(0, 0): the weight a continuous (creeping) crossing receives."""
-        if self.tag == "one":
-            return 1.0
-        if self.tag == "overshoot_indicator":
-            return 0.0
-        return float(self.w(np.zeros(1), np.zeros(1))[0])
-
-    def omega_selector(self):
-        if self.tag in ("one", "overshoot_indicator"):
-            return self.tag
-        return self.w
 
 
 @dataclass(frozen=True)
@@ -76,7 +48,7 @@ class PassageTransform:
 def pk_series_transform(
     model: ModelSpec,
     delta: float,
-    penalty: PenaltySpec | None = None,
+    penalty: PenaltySpec = PenaltySpec(),
     b_max: float = 4.0,
     n: int = 2049,
 ) -> PassageTransform:
@@ -90,18 +62,8 @@ def pk_series_transform(
     """
     if delta <= 0:
         raise ValueError("the series route requires delta > 0")
-    penalty = penalty or PenaltySpec()
     rho = solve_lundberg(model, delta).rho
-    kernels = build_renewal_kernels(
-        model,
-        delta,
-        rho,
-        b_max,
-        n,
-        omega=penalty.omega_selector(),
-        creep_weight=penalty.creep_value(),
-        indicator_eps=penalty.eps,
-    )
+    kernels = build_renewal_kernels(model, delta, rho, b_max, n, penalty)
     total = renewal_series(kernels.g, kernels.h, raise_above=1e-8)
     return PassageTransform(
         delta, GridFunction(0.0, kernels.h.h, total), ROUTE_PK_SERIES

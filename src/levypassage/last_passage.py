@@ -25,7 +25,7 @@ import numpy as np
 from scipy.fft import irfft, next_fast_len
 from scipy.special import gammainc, gammaincc, gammainccinv, gammaln, log_ndtr, ndtr, xlogy
 
-from .errors import NoJumpPart, TailNotDominated, UnresolvedKernel, UsageError, WrongKind
+from .errors import NoJumpPart, TailNotDominated, UnresolvedKernel, WrongKind
 from .first_passage import PassageTransform
 from .lundberg import ScaleSet, escape_probability, escape_rate
 from .models import (
@@ -33,7 +33,6 @@ from .models import (
     KIND_PERTURBED_GAMMA,
     KIND_PURE_GAMMA,
     ModelSpec,
-    model_to_dict,
 )
 from .numerics import GridFunction, _pcd_core_integral
 
@@ -163,14 +162,14 @@ class MarginalDensityD:
         out = np.asarray(self._pdf(a), dtype=float)
         return out if out.ndim else float(out)
 
-    def escape_mass(self, c, t, rho0: float):
+    def escape_mass(self, c, t):
         """int_c^inf esc(a - c) f_{D_u}(a) da for every threshold/horizon pair
         (c_i, u_i) of c and t broadcast together: c of any sign, each u_i
         finite and at least the law's own horizon; P(L_c < u) for c > 0."""
         c_in, t_in = np.broadcast_arrays(np.asarray(c, dtype=float), np.asarray(t, dtype=float))
         if not np.all((t_in >= self.t) & (t_in < math.inf)):
             raise ValueError(f"escape-mass horizons must be finite and at least the law's t = {self.t:g}")
-        out = self._escape(np.ravel(c_in), np.ravel(t_in), rho0)
+        out = self._escape(np.ravel(c_in), np.ravel(t_in), escape_rate(self.model))
         return out.reshape(c_in.shape) if c_in.ndim else float(out[0])
 
     def _exponents(self, s):
@@ -319,7 +318,7 @@ class MarginalDensityD:
         """Raise ``UnresolvedKernel`` where point values of the density at
         horizons >= t cannot stand for it (only at sigma = 0)."""
 
-    def _joint_mass(self, b: float, rho0: float) -> float:
+    def _joint_mass(self, b: float) -> float:
         """P(L_b >= t): trapezoid sums of (1 - esc(a - b)) f(a) over the grid,
         split at a = b, each on as many nodes as the grid has (at least _N_QUAD)."""
         f = self.f
@@ -331,7 +330,7 @@ class MarginalDensityD:
             total += float(np.trapezoid(f(xs), xs))
         if hi > b:
             xs = np.linspace(b, hi, nodes)
-            vals = (1.0 - escape_probability(xs - b, rho0)) * f(xs)
+            vals = (1.0 - escape_probability(xs - b, escape_rate(self.model))) * f(xs)
             total += float(np.trapezoid(vals, xs))
         return total
 
@@ -427,7 +426,7 @@ class _PureGammaD(_PerturbedGammaD):
                 "at the origin; its point values need a cell-mass chain (ROADMAP direction 2)"
             )
 
-    def _joint_mass(self, b, rho0):
+    def _joint_mass(self, b):
         # L_b is the first passage, so P(L_b >= t) = P(D_t <= b), exactly
         return float(gammainc(self.model.alpha * self.t, max(b - self.model.mu * self.t, 0.0) / self.model.xi))
 
@@ -492,63 +491,28 @@ def density_of_dt(model: ModelSpec, t: float, n: int | None = None) -> MarginalD
 # Free-process last passage
 
 
-def _law_at(model: ModelSpec, t: float, density: MarginalDensityD | None) -> MarginalDensityD:
-    """The law of D_t: ``density`` if the caller passed one, which must be
-    this model's at this t, else a new one."""
-    if density is None:
-        return density_of_dt(model, t)
-    if density.t != t:
-        raise UsageError(f"the density passed is the law of D_t at t = {density.t:g}, not at t = {t:g}")
-    if density.model is not model and model_to_dict(density.model) != model_to_dict(model):
-        raise UsageError(f"the density passed is the law of D_t for {density.model}, not for {model}")
-    return density
-
-
-def last_passage_cdf(
-    model: ModelSpec,
-    b: float,
-    t: float,
-    rho0: float | None = None,
-    density: MarginalDensityD | None = None,
-) -> float:
+def last_passage_cdf(model: ModelSpec, b: float, t: float) -> float:
     """P(L_b < t) = int_b^inf esc(a - b) f_{D_t}(a) da, by ``escape_mass``."""
     if b <= 0:
         raise ValueError("threshold must be positive")
-    rho0 = escape_rate(model) if rho0 is None else rho0
-    return _law_at(model, t, density).escape_mass(b, t, rho0)
+    return density_of_dt(model, t).escape_mass(b, t)
 
 
-def last_passage_joint_density(
-    model: ModelSpec,
-    b: float,
-    t: float,
-    a,
-    rho0: float | None = None,
-    density: MarginalDensityD | None = None,
-):
+def last_passage_joint_density(model: ModelSpec, b: float, t: float, a):
     """Density of [L_b >= t, D_t in da]: (1 - esc(a-b)) f_{D_t}(a)."""
     if b <= 0:
         raise ValueError("threshold must be positive")
-    rho0 = escape_rate(model) if rho0 is None else rho0
-    density = _law_at(model, t, density)
     a = np.asarray(a, dtype=float)
-    out = (1.0 - escape_probability(a - b, rho0)) * density(a)
+    out = (1.0 - escape_probability(a - b, escape_rate(model))) * density_of_dt(model, t)(a)
     return out if np.ndim(out) else float(out)
 
 
-def last_passage_joint_mass(
-    model: ModelSpec,
-    b: float,
-    t: float,
-    rho0: float | None = None,
-    density: MarginalDensityD | None = None,
-) -> float:
+def last_passage_joint_mass(model: ModelSpec, b: float, t: float) -> float:
     """P(L_b >= t): the a-integral of the joint density, split at a = b where
     the escape factor may be discontinuous (sigma = 0 kinds)."""
     if b <= 0:
         raise ValueError("threshold must be positive")
-    rho0 = escape_rate(model) if rho0 is None else rho0
-    return _law_at(model, t, density)._joint_mass(b, rho0)
+    return density_of_dt(model, t)._joint_mass(b)
 
 
 def bm_last_passage_density(model: ModelSpec, b: float, t) -> np.ndarray:
@@ -607,6 +571,7 @@ def last_passage_overshoot_transform(
     crossing starts at or below the origin, W_delta(b-y) = 0 and the bracket
     is e^{rho(b-y)} / phi_D'(rho); the two branches meet at y = b because
     W_delta(0) = 0 when sigma > 0.  The scale set must tabulate [0, b].
+    ``rho0``: ``escape_rate(model)`` by default; kept only because perfbench/workloads.py passes it.
     """
     if not model.has_jumps:
         raise NoJumpPart("the overshoot law requires a jump part")
@@ -645,6 +610,7 @@ def reflected_last_passage_transform(
 
     whose integrand always decays faster than e^{-rho(0)(a-b)} since
     phi <= 1 and is decreasing in a.
+    ``rho0``: ``escape_rate(model)`` by default; kept only because perfbench/workloads.py passes it.
     """
     rho0 = escape_rate(model) if rho0 is None else rho0
     a_max = phi.b_grid.x_max
@@ -666,18 +632,16 @@ def reflected_last_passage_exp_joint(
     scales: ScaleSet,
     b: float,
     a,
-    rho0: float | None = None,
 ):
     """Density of [L*_b >= T, D*_T in da] for an independent T ~ Exp(delta):
 
         (1 - esc(a-b)) * (-d phi(delta, a)/da),
         -d phi/da = (delta/rho) W'(a) - delta W(a) = (delta/rho) u_delta(a) >= 0.
     """
-    rho0 = escape_rate(model) if rho0 is None else rho0
     a = np.asarray(a, dtype=float)
     if np.any(a < b):
         raise ValueError("the joint density is supported on a >= b")
     delta, rho = scales.delta, scales.rho.rho
     minus_dphi = delta / rho * np.asarray(scales.u_delta(a))
-    out = (1.0 - escape_probability(a - b, rho0)) * minus_dphi
+    out = (1.0 - escape_probability(a - b, escape_rate(model))) * minus_dphi
     return out if np.ndim(out) else float(out)

@@ -57,7 +57,9 @@ def solve_lundberg(model: ModelSpec, delta: float) -> LundbergRoot:
     """Unique rho > 0 with phi_D(rho) = delta.
 
     Exists for sigma > 0 because phi_D is strictly convex with
-    phi_D'(0) = -E[D_1] < 0 and grows quadratically.
+    phi_D'(0) = -E[D_1] < 0 and grows quadratically.  The root belongs to
+    the model: each one solved is kept in the instance, so a model solves
+    each delta once (a ``dataclasses.replace`` copy starts with none).
     """
     if model.sigma <= 0:
         raise NoPerturbation(
@@ -65,11 +67,17 @@ def solve_lundberg(model: ModelSpec, delta: float) -> LundbergRoot:
         )
     if delta < 0:
         raise ValueError("discount rate delta must be nonnegative")
-    if model.kind == KIND_BROWNIAN:
-        gam = math.sqrt(model.mu**2 + 2.0 * delta * model.sigma**2)
-        return LundbergRoot(delta, (model.mu + gam) / model.sigma**2)
-    rho = _positive_root(lambda u: float(model.phi_d(u)), model, delta)
-    return LundbergRoot(delta, rho)
+    roots = model.__dict__.get("_roots")
+    if roots is None:
+        roots = {}
+        object.__setattr__(model, "_roots", roots)
+    if delta not in roots:
+        if model.kind == KIND_BROWNIAN:
+            gam = math.sqrt(model.mu**2 + 2.0 * delta * model.sigma**2)
+            roots[delta] = (model.mu + gam) / model.sigma**2
+        else:
+            roots[delta] = _positive_root(lambda u: float(model.phi_d(u)), model, delta)
+    return LundbergRoot(delta, roots[delta])
 
 
 def _positive_root(phi, model: ModelSpec, delta: float) -> float:
@@ -123,26 +131,27 @@ def lundberg_truncated(model: ModelSpec, delta: float, n: int) -> float:
 
 
 def escape_rate(model: ModelSpec) -> float:
-    """rho(0); +inf for nondecreasing paths (sigma = 0)."""
+    """rho(0), solved once per model; +inf for nondecreasing paths (sigma = 0)."""
     if model.sigma == 0:
         return math.inf
     return solve_lundberg(model, 0.0).rho
 
 
-def escape_probability(z, rho0: float):
-    """P(process started at z never returns to (-inf, 0]) = 1 - e^{-rho0 z}.
+def escape_probability(z, rate: float):
+    """P(process started at z never returns to (-inf, 0]) = 1 - e^{-rate z},
+    with rate = rho(0) (``escape_rate``).
 
-    rho0 = +inf encodes strictly increasing paths (sigma = 0): the escape is
+    rate = +inf encodes strictly increasing paths (sigma = 0): the escape is
     certain from any z >= 0 (the process leaves the level immediately and
     never decreases), impossible from z < 0.
     """
     z = np.asarray(z, dtype=float)
-    if math.isinf(rho0):
+    if math.isinf(rate):
         out = np.where(z >= 0, 1.0, 0.0)
     else:
         # z <= 0 (and NaN) is clamped to 0 before expm1, which then gives 0 with
         # no overflow; 0.0 - e makes that +0.0, where -e would give -0.0
-        out = 0.0 - np.expm1(-rho0 * np.fmax(z, 0.0))
+        out = 0.0 - np.expm1(-rate * np.fmax(z, 0.0))
     return out if out.ndim else float(out)
 
 

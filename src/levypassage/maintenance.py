@@ -66,7 +66,7 @@ from .errors import (
 from .last_passage import density_lattice, density_of_dt
 from .lundberg import escape_probability, escape_rate
 from .mc import SimResult, _mean_result, _substream, cycle_ends
-from .models import ModelSpec
+from .models import ModelSpec, _need
 
 _T_FLOOR = 1e-6  # degenerate-density floor for z -> m(y)
 # substream numbers of simulate_policy's cycles and of its idle-mode bridges
@@ -168,10 +168,7 @@ class PolicySpec:
 def policy_from_dict(doc: dict, where: str = "$") -> PolicySpec:
     if not isinstance(doc, dict):
         raise SchemaError(f"{where}: expected object")
-    try:
-        b = float(doc["b"])
-    except (KeyError, TypeError, ValueError):
-        raise SchemaError(f"{where}.b: missing or not a number") from None
+    b = _need(doc, "b", float, where)
     m_doc = doc.get("m")
     d_doc = doc.get("d")
     if not isinstance(m_doc, dict):
@@ -181,14 +178,14 @@ def policy_from_dict(doc: dict, where: str = "$") -> PolicySpec:
     try:
         m = InspectionSchedule(
             family=m_doc.get("family", "constant"),
-            value=float(m_doc.get("value", 1.0)),
-            slope=float(m_doc.get("slope", 0.0)),
-            floor=float(m_doc.get("floor", 0.05)),
+            value=_need(m_doc, "value", float, f"{where}.m", default=1.0),
+            slope=_need(m_doc, "slope", float, f"{where}.m", default=0.0),
+            floor=_need(m_doc, "floor", float, f"{where}.m", default=0.05),
         )
         d = MaintenanceAction(
             family=d_doc.get("family", "affine"),
-            theta=float(d_doc.get("theta", 1.0)),
-            d0=float(d_doc.get("d0", 0.0)),
+            theta=_need(d_doc, "theta", float, f"{where}.d", default=1.0),
+            d0=_need(d_doc, "d0", float, f"{where}.d", default=0.0),
         )
         return PolicySpec(b=b, m=m, d=d)
     except (ValueError, NonBijectiveMaintenance) as exc:
@@ -229,10 +226,10 @@ class PolicyKernels:
     gamma, else the Fourier sums.
     """
 
-    def __init__(self, model: ModelSpec, policy: PolicySpec, rho0: float | None = None):
+    def __init__(self, model: ModelSpec, policy: PolicySpec):
         self.model = model
         self.policy = policy
-        self.rho0 = escape_rate(model) if rho0 is None else rho0
+        self.rho0 = escape_rate(model)
         self._dens_cache: dict[float, object] = {}
 
     def _density(self, t: float):
@@ -269,7 +266,7 @@ class PolicyKernels:
             return np.empty(ys.shape)
         t = self.policy.m(ys) if horizon is None else horizon
         t = np.round(np.maximum(np.broadcast_to(t, ys.shape), _T_FLOOR), 12)
-        out = self._density(float(t.min())).escape_mass(self.policy.b - ys, t, self.rho0)
+        out = self._density(float(t.min())).escape_mass(self.policy.b - ys, t)
         return out.reshape(y_in.shape) if y_in.ndim else float(out[0])
 
     def kernel_cz(self, y, z):

@@ -424,7 +424,7 @@ def _escapes(rng: np.random.Generator, x: np.ndarray, b: float, rho0: float) -> 
     return rng.random(x.size) < p
 
 
-def _escape_rate(model: ModelSpec, rho0: float | None) -> float:
+def _escape_rate(model: ModelSpec, rho0: float | None = None) -> float:
     if rho0 is not None:
         return rho0
     try:
@@ -876,7 +876,8 @@ def run_last_passage(
 ) -> LastPassageSample:
     """Simulate each path until the escape test accepts it.  A path the test
     keeps first returns to b under the tilted law, so the estimate does not
-    depend on t_max beyond the censoring horizon (see the module docstring)."""
+    depend on t_max beyond the censoring horizon (see the module docstring).
+    ``rho0``: ``escape_rate(model)`` by default; kept only because perfbench/workloads.py passes it."""
     return _last_passages(model, cfg, b, rho0, False)
 
 
@@ -884,7 +885,8 @@ def run_reflected_last_passage(
     model: ModelSpec, cfg: SimConfig, b: float, rho0: float | None = None
 ) -> LastPassageSample:
     """L*_b = last time D* <= b; escape test and conditioned return apply
-    unchanged above b > 0."""
+    unchanged above b > 0.
+    ``rho0``: ``escape_rate(model)`` by default; kept only because perfbench/workloads.py passes it."""
     return _last_passages(model, cfg, b, rho0, True)
 
 
@@ -959,7 +961,7 @@ def estimate_reflected_exceedance(model: ModelSpec, cfg: SimConfig, b: float, t:
 
 
 def run_reflected_at_exp_horizon(
-    model: ModelSpec, cfg: SimConfig, delta: float, b: float, rho0: float | None = None
+    model: ModelSpec, cfg: SimConfig, delta: float, b: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """(D*_T, indicator[L*_b >= T, D*_T > b]) for independent T ~ Exp(delta).
 
@@ -967,7 +969,7 @@ def run_reflected_at_exp_horizon(
     T, whose probability is 1 - esc(D*_T - b) when D*_T > b (and 1 if <= b),
     so the joint indicator is resolved by one exact Bernoulli draw.
     """
-    rho0 = _escape_rate(model, rho0)
+    rho0 = _escape_rate(model)
     law = _Law.of(model)
     d_at_t = np.empty(cfg.n_paths)
     joint = np.zeros(cfg.n_paths)

@@ -615,8 +615,12 @@ class PHMeasure(LevyMeasureView):
 # JSON ingest
 
 
-def _need(doc: dict, key: str, typ, where: str):
+def _need(doc: dict, key: str, typ, where: str, default=None):
+    """doc[key], checked to be a ``typ`` (float: a JSON number, not a bool);
+    ``default`` stands in for a missing key when one is given."""
     if key not in doc:
+        if default is not None:
+            return default
         raise SchemaError(f"{where}.{key}: missing")
     val = doc[key]
     if typ is float:
@@ -647,8 +651,8 @@ def model_from_dict(doc: dict, where: str = "$") -> ModelSpec:
     kind = _need(doc, "kind", str, where)
     if kind not in ALL_KINDS:
         raise SchemaError(f"{where}.kind: unknown kind {kind!r}, expected one of {ALL_KINDS}")
-    mu = float(doc.get("mu", 0.0))
-    sigma = _need(doc, "sigma", float, where) if kind != KIND_PURE_GAMMA else float(doc.get("sigma", 0.0))
+    mu = _need(doc, "mu", float, where, default=0.0)
+    sigma = _need(doc, "sigma", float, where, default=0.0 if kind == KIND_PURE_GAMMA else None)
     try:
         if kind == KIND_BROWNIAN:
             return ModelSpec(kind=kind, mu=mu, sigma=sigma)

@@ -6,9 +6,10 @@ The jump-crossing part of the law of (T*_b, D*(T*-), D*(T*)) has density
 
 where r_b(y) = W(b) W'(y) / W'(b) - W(y) is the reflected resolvent kernel
 built from the delta-scale function, read in the bounded form ``ScaleSet.r_b``
-(the direct form cancels to 0, inf or NaN at large rho b).  The creeping
-(continuous-crossing) mass is not covered by this formula; it is reported as
-the complement against the Monte Carlo total.
+(the direct form cancels to 0, inf or NaN at large rho b).  Only this jump
+share is computed; the creeping (continuous-crossing) share has no formula
+here, and the tests compare the jump share with the Monte Carlo
+``FirstPassageSample.jump_laplace``.
 """
 
 from __future__ import annotations

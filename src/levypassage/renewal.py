@@ -54,6 +54,28 @@ _OMEGA_PANELS = 48  # uniform 24-node panels over the jump support, for omega's 
 
 
 @dataclass(frozen=True)
+class PenaltySpec:
+    """Bounded penalty w(undershoot, overshoot) of the crossing data.
+
+    ``tag`` selects fast paths: "one" (w identically 1), or
+    "overshoot_indicator" with threshold ``eps`` (w = 1{overshoot > eps}).
+    A general broadcasting callable w(u, v) may be supplied instead.
+    """
+
+    tag: str = "one"
+    eps: float = 0.0
+    w: Callable | None = None
+
+    def creep_value(self) -> float:
+        """w(0, 0): the weight a continuous (creeping) crossing receives."""
+        if self.tag == "one":
+            return 1.0
+        if self.tag == "overshoot_indicator":
+            return 0.0
+        return float(self.w(np.zeros(1), np.zeros(1))[0])
+
+
+@dataclass(frozen=True)
 class RenewalKernels:
     delta: float
     rho: float
@@ -93,15 +115,14 @@ def build_renewal_kernels(
     rho: float,
     x_max: float,
     n: int,
-    omega: str | Callable = "one",
-    creep_weight: float = 1.0,
-    indicator_eps: float = 0.0,
+    penalty: PenaltySpec = PenaltySpec(),
 ) -> RenewalKernels:
     """Tabulate g, h, h' on the grid [0, x_max] with n points.
 
-    ``omega`` selects the penalty: "one" (w identically 1, omega = Qbar),
-    "overshoot_indicator" (w = 1{v > eps}, omega(x) = Qbar(x + eps)), or a
-    broadcasting callable w(u, v) integrated numerically.
+    The penalty's tag picks omega: "one" (w identically 1, omega = Qbar),
+    "overshoot_indicator" (w = 1{v > eps}, omega(x) = Qbar(x + eps)), or
+    else its broadcasting callable w(u, v), integrated numerically; the
+    creeping term carries w(0, 0).
     """
     if model.sigma <= 0:
         raise NoPerturbation("renewal kernels require sigma > 0")
@@ -110,6 +131,7 @@ def build_renewal_kernels(
     h_step = x_max / (n - 1)
     xs = h_step * np.arange(n)
     two_over_s2 = 2.0 / model.sigma**2
+    creep_weight = penalty.creep_value()
 
     if not model.has_jumps:
         zero = GridFunction(0.0, h_step, np.zeros(n))
@@ -138,14 +160,14 @@ def build_renewal_kernels(
     g_vals[0] = 0.0
 
     # h: inner weight omega
-    if omega == "one":
+    if penalty.tag == "one":
         omega_nodes = view.tail(nodes)
         r_omega = view.exp_tail_tail(rho, xs)
-    elif omega == "overshoot_indicator":
+    elif penalty.tag == "overshoot_indicator":
         # omega(x) = Qbar(x + eps); the shifted tail obeys
         # int_s^inf e^{-rho(x-s)} Qbar(x+eps) dx = exp_tail_tail(rho, s+eps)
-        omega_nodes = view.tail(nodes + indicator_eps)
-        r_omega = view.exp_tail_tail(rho, xs + indicator_eps)
+        omega_nodes = view.tail(nodes + penalty.eps)
+        r_omega = view.exp_tail_tail(rho, xs + penalty.eps)
     else:
         v_max = float(view.default_x_max())
         # omega at the cell nodes and at the nodes tx of a direct tail
@@ -153,7 +175,7 @@ def build_renewal_kernels(
         # which seeds the backward recurrence R(s_i) = e^{-rho h} R(s_{i+1}) + cell integral
         tx, tw = _gl_panels(xs[-1] + np.linspace(0.0, v_max, _OMEGA_PANELS + 1))
         omega_all = view.penalty_mass(
-            omega, np.concatenate((nodes.ravel(), tx.ravel())), *_penalty_rule(v_max, nodes.min())
+            penalty.w, np.concatenate((nodes.ravel(), tx.ravel())), *_penalty_rule(v_max, nodes.min())
         )
         omega_nodes = omega_all[: nodes.size].reshape(nodes.shape)
         cell_r = np.sum(

@@ -9,12 +9,18 @@ import pytest
 
 import levypassage
 from levypassage.cli import dispatch, run_validation
+from levypassage.errors import SchemaError
+from levypassage.last_passage import last_passage_joint_density, last_passage_overshoot_transform
+from levypassage.lundberg import build_scale_set
 from levypassage.maintenance import PolicyKernels, policy_from_dict
 from levypassage.mc import SimConfig
 from levypassage.models import model_from_dict
+from levypassage.reflected import reflected_passage_density
 
 BM = {"kind": "brownian_drift", "mu": 1.0, "sigma": 1.0}
 POLICY = {"b": 2.0, "m": {"family": "constant", "value": 1.0}, "d": {"family": "affine", "theta": 0.5}}
+PG = {"kind": "perturbed_gamma", "mu": 0.2, "sigma": 0.8, "alpha": 1.5, "xi": 0.7}
+GAMMA = {"kind": "pure_gamma", "alpha": 1.0, "xi": 1.0}
 
 
 def _read_csv(path):
@@ -193,3 +199,62 @@ def test_policy_simulation_with_one_path_prints_json(bm_files, capsys):
     assert doc["n"] == 1
     assert doc["p_i"]["1"]["se"] is None and doc["mean_t_star"]["se"] is None
     assert doc["p_idle"]["1"]["se"] is None
+
+
+def _fill(doc: dict, value):
+    """doc with every None, at any depth, replaced by value."""
+    return {k: _fill(v, value) if isinstance(v, dict) else value if v is None else v for k, v in doc.items()}
+
+
+@pytest.mark.parametrize("bad", [[1], True, "1"], ids=["list", "bool", "string"])
+@pytest.mark.parametrize(
+    "model, policy, where",
+    [
+        ({**BM, "mu": None}, POLICY, r"\$\.mu"),
+        ({**GAMMA, "sigma": None}, POLICY, r"\$\.sigma"),
+        (BM, {**POLICY, "b": None}, r"\$\.b"),
+        (BM, {**POLICY, "m": {"family": "constant", "value": None}}, r"\$\.m\.value"),
+        (BM, {**POLICY, "m": {"family": "affine", "value": 1.0, "slope": None}}, r"\$\.m\.slope"),
+        (BM, {**POLICY, "m": {"family": "affine", "value": 1.0, "floor": None}}, r"\$\.m\.floor"),
+        (BM, {**POLICY, "d": {"family": "affine", "theta": None}}, r"\$\.d\.theta"),
+        (BM, {**POLICY, "d": {"family": "reset", "d0": None}}, r"\$\.d\.d0"),
+    ],
+    ids=["mu", "pure_gamma_sigma", "b", "m.value", "m.slope", "m.floor", "d.theta", "d.d0"],
+)
+def test_json_number_of_another_type_is_schema_error(model, policy, where, bad, tmp_path, capsys):
+    # a list once crashed the CLI with a TypeError (exit 1), and true read as 1.0
+    model, policy = _fill(model, bad), _fill(policy, bad)
+    with pytest.raises(SchemaError, match=where + ": expected number"):
+        model_from_dict(model)
+        policy_from_dict(policy)
+    paths = tmp_path / "model.json", tmp_path / "policy.json"
+    for path, doc in zip(paths, (model, policy)):
+        path.write_text(json.dumps(doc))
+    assert dispatch(["maintenance", "--model", str(paths[0]), "--policy", str(paths[1])]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("what", ["joint", "overshoot", "reflected"])
+def test_law_grids_are_the_library_values(what, tmp_path):
+    path, out, b = tmp_path / "pg.json", tmp_path / "out.csv", 1.5
+    path.write_text(json.dumps(PG))
+    model = model_from_dict(PG)
+    if what == "reflected":
+        argv = ["reflected", "--b", str(b), "--grid-y", "5", "--grid-z", "7"]
+    else:
+        argv = ["last-passage", "--b", str(b), "--what", what, "--t", "0.5,2", "--grid-n", "9"]
+    assert dispatch([argv[0], "--model", str(path), *argv[1:], "--out", str(out)]) == 0
+    _, rows = _read_csv(out)
+    x, y, got = rows.T
+    if what == "joint":
+        assert np.array_equal(x, np.repeat([0.5, 2.0], 9))
+        want = np.concatenate([last_passage_joint_density(model, b, t, y[x == t]) for t in (0.5, 2.0)])
+    elif what == "overshoot":
+        assert np.array_equal(x, np.repeat(np.linspace(0.0, b + 4.0, 9), 9))
+        assert np.array_equal(y, np.tile(np.linspace(0.05, 4.0, 9), 9))
+        want = last_passage_overshoot_transform(model, build_scale_set(model, 0.5, 2.0 * b), b, x, y)
+    else:
+        assert np.array_equal(x, np.repeat(np.linspace(0.0, b, 5), 7))
+        want = reflected_passage_density(model, build_scale_set(model, 0.5, 2.0 * b), b, x, y)
+    assert np.count_nonzero(want) > want.size // 2
+    assert got == pytest.approx(want, rel=1e-15, abs=0.0)

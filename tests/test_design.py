@@ -37,6 +37,17 @@ TEST_ONLY = {
 }
 
 
+# the public callables that still take a ``rho0``: the benchmark workloads
+# (perfbench/workloads.py, which stay as they are) pass it to these four;
+# everything else reads the root from the model through ``escape_rate``
+RHO0_KEPT = {
+    ("last_passage", "last_passage_overshoot_transform"),
+    ("last_passage", "reflected_last_passage_transform"),
+    ("mc", "run_last_passage"),
+    ("mc", "run_reflected_last_passage"),
+}
+
+
 def _is_kind(node) -> bool:
     return (isinstance(node, ast.Attribute) and node.attr == "kind") or (
         isinstance(node, ast.Name) and node.id == "kind"
@@ -142,6 +153,33 @@ def test_public_names_have_callers():
             if not called and top.name not in bench:
                 uncalled.add((path.stem, top.name))
     assert uncalled == set(TEST_ONLY), sorted(uncalled ^ set(TEST_ONLY))
+
+
+def public_parameters() -> dict[tuple[str, str], list[str]]:
+    """Parameter names of every public function of a library module, and of
+    the public methods, ``__init__`` and ``__call__`` of its public classes."""
+    out = {}
+    for path in SRC.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            if not isinstance(top, (ast.FunctionDef, ast.ClassDef)) or top.name.startswith("_"):
+                continue
+            defs = [(top.name, top)] if isinstance(top, ast.FunctionDef) else [
+                (f"{top.name}.{f.name}", f)
+                for f in top.body
+                if isinstance(f, ast.FunctionDef) and (not f.name.startswith("_") or f.name in ("__init__", "__call__"))
+            ]
+            for name, f in defs:
+                out[(path.stem, name)] = [a.arg for a in f.args.posonlyargs + f.args.args + f.args.kwonlyargs]
+    return out
+
+
+def test_no_caller_held_root_or_law():
+    # rho(0) belongs to the model (solve_lundberg keeps it) and the D_t law is
+    # built from (model, t), so no caller passes either in
+    params = public_parameters()
+    assert not {key for key, names in params.items() if "density" in names}
+    assert {key for key, names in params.items() if "rho0" in names} == RHO0_KEPT
+    assert params[("last_passage", "MarginalDensityD.escape_mass")] == ["self", "c", "t"]
 
 
 def test_escape_mass_overridden_only_by_closed_forms():

@@ -7,7 +7,7 @@ from scipy.special import log_ndtr, ndtr
 from scipy.stats import norm
 
 from conftest import assert_within_se
-from levypassage.errors import NoJumpPart, TailNotDominated, UsageError, WrongKind
+from levypassage.errors import NoJumpPart, TailNotDominated, WrongKind
 from levypassage.first_passage import inverse_gaussian_cdf, transform_from_scales
 from levypassage.last_passage import (
     bm_last_passage_cdf,
@@ -215,15 +215,13 @@ class TestLastPassageFree:
     def test_joint_density_below_threshold_is_marginal(self, bm_model):
         dens = density_of_dt(bm_model, 1.0)
         a = 0.3  # below b = 1
-        got = float(last_passage_joint_density(bm_model, 1.0, 1.0, a, density=dens))
+        got = float(last_passage_joint_density(bm_model, 1.0, 1.0, a))
         assert got == pytest.approx(float(dens(a)), rel=1e-12)
 
     def test_joint_density_nonnegative(self, bm_model):
         dens = density_of_dt(bm_model, 1.0)
         xs = dens.f.grid()
-        vals = np.asarray(
-            last_passage_joint_density(bm_model, 1.0, 1.0, xs, density=dens)
-        )
+        vals = np.asarray(last_passage_joint_density(bm_model, 1.0, 1.0, xs))
         assert np.all(vals >= 0)
         assert np.all(vals <= dens.f.values + 1e-15)
 
@@ -232,24 +230,8 @@ class TestLastPassageFree:
         self, bm_model, pgamma_model, ph_model, gamma_model, t
     ):
         for model in (bm_model, pgamma_model, ph_model, gamma_model):
-            dens = density_of_dt(model, t)
-            total = last_passage_cdf(model, 1.0, t, density=dens) + last_passage_joint_mass(
-                model, 1.0, t, density=dens
-            )
+            total = last_passage_cdf(model, 1.0, t) + last_passage_joint_mass(model, 1.0, t)
             assert total == pytest.approx(1.0, abs=1e-5), model.kind
-
-    @pytest.mark.parametrize("fn", [last_passage_cdf, last_passage_joint_mass, last_passage_joint_density])
-    def test_density_must_be_the_models_law_at_t(self, pgamma_model_wide, pgamma_model, fn):
-        # a D_1 density once answered for D_2: P(L_1 < 2) read 0.4225, not 0.7368
-        model = pgamma_model_wide
-        args = (model, 1.0, 2.0, 1.5) if fn is last_passage_joint_density else (model, 1.0, 2.0)
-        with pytest.raises(UsageError, match=r"at t = 1, not at t = 2"):
-            fn(*args, density=density_of_dt(model, 1.0))
-        with pytest.raises(UsageError, match="law of D_t for"):
-            fn(*args, density=density_of_dt(pgamma_model, 2.0))
-        twin = ModelSpec(kind=model.kind, mu=model.mu, sigma=model.sigma, alpha=model.alpha, xi=model.xi)
-        assert fn(*args, density=density_of_dt(twin, 2.0)) == fn(*args)
-        assert last_passage_cdf(model, 1.0, 2.0) == pytest.approx(0.7368, abs=1e-4)
 
     @pytest.mark.parametrize("b", [-1.0, 0.0])
     def test_joint_mass_needs_a_positive_threshold(self, bm_model, b):
@@ -264,7 +246,7 @@ class TestLastPassageFree:
     @pytest.mark.parametrize("b, t", [(1.0, 0.5), (1.0, 2.0), (3.0, 1.0)])
     def test_perturbed_gamma_cdf_vs_quadrature(self, model, b, t, request):
         # the escape-mass route is exact, not a grid approximation
-        model = request.getfixturevalue(model)
+        name, model = model, request.getfixturevalue(model)
         rho0 = escape_rate(model)
         sd = math.sqrt(model.var_d1 * t)
         top = model.mean_d1 * t + 60.0 * sd + 40.0
@@ -275,6 +257,9 @@ class TestLastPassageFree:
         pts = [b + k * sd for k in (0.01, 0.1, 0.5, 1.0, 2.0, 4.0, 8.0)]
         want = quad(integrand, b, top, points=pts, limit=500, epsabs=0.0, epsrel=1e-13)[0]
         assert last_passage_cdf(model, b, t) == pytest.approx(want, rel=1e-9, abs=0.0)
+        if (name, b, t) == ("pgamma_model_wide", 1.0, 2.0):
+            # a D_1 density once answered for D_2 here: P(L_1 < 2) read 0.4225
+            assert last_passage_cdf(model, b, t) == pytest.approx(0.7368, abs=1e-4)
 
     @pytest.mark.parametrize(
         "model, b, t, rel",

@@ -67,7 +67,29 @@ class TestSolveLundberg:
             lundberg, "find_root_bracketed", lambda f, lo, hi: exact(f, lo, hi) + 0.1
         )
         with pytest.raises(NoConvergence):
-            solve_lundberg(pgamma_model, 0.5)
+            solve_lundberg(dataclasses.replace(pgamma_model), 0.5)  # a copy holds no solved root
+
+    def test_root_solved_once_per_model(self, pgamma_model, monkeypatch):
+        model = dataclasses.replace(pgamma_model)
+        calls = []
+        phi_d = ModelSpec.phi_d
+        monkeypatch.setattr(ModelSpec, "phi_d", lambda self, u: calls.append(u) or phi_d(self, u))
+        first = solve_lundberg(model, 0.7).rho
+        assert calls
+        calls.clear()
+        assert solve_lundberg(model, 0.7).rho == first and not calls
+        # a copy with another sigma solves its own root, as a new model would
+        wider = dataclasses.replace(model, sigma=2.0)
+        fresh = ModelSpec(kind=model.kind, mu=model.mu, sigma=2.0, alpha=model.alpha, xi=model.xi)
+        assert solve_lundberg(wider, 0.7).rho == solve_lundberg(fresh, 0.7).rho != first
+        assert calls and solve_lundberg(model, 0.7).rho == first
+        # a failed solve is not kept
+        exact = lundberg.find_root_bracketed
+        with monkeypatch.context() as patch:
+            patch.setattr(lundberg, "find_root_bracketed", lambda f, lo, hi: exact(f, lo, hi) + 0.1)
+            with pytest.raises(NoConvergence):
+                solve_lundberg(model, 0.3)
+        assert float(phi_d(model, solve_lundberg(model, 0.3).rho)) == pytest.approx(0.3, abs=1e-9)
 
 
 class TestLundbergTruncated:

@@ -85,7 +85,7 @@ class TestKernelC:
         want = [
             last_passage_cdf(model, policy.b - y, t)
             if y < policy.b
-            else density_of_dt(model, t).escape_mass(policy.b - y, t, kernels.rho0)
+            else density_of_dt(model, t).escape_mass(policy.b - y, t)
             for y, t in zip(ys, horizons)
         ]
         np.testing.assert_allclose(kernels.kernel_c(ys), want, rtol=1e-13, atol=0.0)
@@ -123,7 +123,7 @@ class TestKernelC:
         model = ModelSpec(kind=KIND_PH, mu=0.1, sigma=0.01, lam=1.0, ph=PhaseType([1.0], [[-1.0]]))
         law = density_of_dt(model, 1e-6)
         with pytest.raises(UnresolvedKernel, match=r"t = 1e-06, c = 16\.5 "):
-            law.escape_mass(np.array([1.0, 16.5, 17.0]), np.array([1.0, 1e-6, 1e-6]), escape_rate(model))
+            law.escape_mass(np.array([1.0, 16.5, 17.0]), np.array([1.0, 1e-6, 1e-6]))
 
     def test_bm_closed_form(self, bm_model):
         policy = _affine_policy()
