@@ -307,7 +307,7 @@ def _cmd_maintenance(args) -> int:
         seed=args.seed,
     )
     if args.what == "kernels":
-        ys = kernels.default_state_grid(args.i)
+        ys = kernels.default_state_grid()
         every = slice(None, None, max(1, ys.size // 64))
         a0 = kernels.kernel_a(0.0, ys)[every]
         rows = list(zip(ys[every], a0, kernels.kernel_c(ys[every])))
@@ -452,7 +452,7 @@ def run_validation(quick: bool = True, seed: int = 20260810) -> list[tuple[str, 
         b=2.0, m=InspectionSchedule("constant", value=1.0), d=MaintenanceAction("affine", theta=0.5)
     )
     ker = PolicyKernels(models["bm"], pol)
-    ys = ker.default_state_grid(4)
+    ys = ker.default_state_grid()
     worst = 0.0
     for x in (0.0, 0.5, 1.0):
         mass = float(np.trapezoid(ker.kernel_a(x, ys), ys)) + ker.kernel_c(x)
@@ -559,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--model", required=True)
     q.add_argument("--policy", required=True)
     q.add_argument("--what", default="joint", choices=["kernels", "joint", "idle", "expected", "simulate"])
-    q.add_argument("--i", type=int, default=3)
+    q.add_argument("--i", type=int, default=3, help="cycle index; the kernels table's state grid spans 4 cycles")
     q.add_argument("--z", type=float, default=0.5)
     q.add_argument("--paths", type=int, default=20000)
     q.add_argument("--seed", type=int, default=0)

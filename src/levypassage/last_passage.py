@@ -17,7 +17,6 @@ threshold and the last passage coincides with the first passage.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -141,7 +140,7 @@ class MarginalDensityD:
     model: ModelSpec
     t: float
     n: int
-    _n_default = 4097  # grid points when the caller gives none
+    _n_default = 4097  # points of the grid f
 
     def _support(self, t):
         """[lo, hi] of the density, for a horizon or an array of them."""
@@ -445,7 +444,7 @@ class _PhaseTypeD(MarginalDensityD):
     by at most (1.5 h)^2, and a grid quadrature whose threshold lies within a
     few steps of mu t is off by O(rho0 h)."""
 
-    _n_default = 16385  # f: kernel_a's point values and the O(h^2) sums of _joint_mass
+    _n_default = 16385  # f: kernel_a's point values and the O(h^2) sums of _joint_mass, not the chain
 
     def _support(self, t):
         # P(J_t > x) <= e^{t phi_J(-s) - s x} for 0 < s < A, at the 1e-13 tail
@@ -467,10 +466,10 @@ class _PhaseTypeD(MarginalDensityD):
         return self.f(a)
 
 
-def density_of_dt(model: ModelSpec, t: float, n: int | None = None) -> MarginalDensityD:
+def density_of_dt(model: ModelSpec, t: float) -> MarginalDensityD:
     """The law of D_t for the model's kind (the one place that picks it); its
-    grid has ``n`` points, by default 4097, or 16385 for pure gamma and phase
-    type.  Raises ``ValueError`` unless 0 < t < inf and n is an integer >= 2."""
+    grid has 4097 points, or 16385 for pure gamma and phase type.  Raises
+    ``ValueError`` unless 0 < t < inf."""
     if not 0.0 < t < math.inf:
         raise ValueError(f"time must be positive and finite, got {t!r}")
     if model.kind == KIND_BROWNIAN:
@@ -481,10 +480,7 @@ def density_of_dt(model: ModelSpec, t: float, n: int | None = None) -> MarginalD
         law = _PerturbedGammaD
     else:
         law = _PhaseTypeD
-    n = law._n_default if n is None else n
-    if not isinstance(n, numbers.Integral) or n < 2:
-        raise ValueError(f"a D_t grid needs an integer n >= 2 points, got {n!r}")
-    return law(model, t, int(n))
+    return law(model, t, law._n_default)
 
 
 # ---------------------------------------------------------------------------

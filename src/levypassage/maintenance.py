@@ -39,30 +39,27 @@ ends with C (failure at cycle k + 1) or Cz (idle time).  Reset maintenance
 has no change of variables: it is the one-state case, all survivors at d0
 with rho_1 = 1 - C(0) and one-cycle survival 1 - C(d0).
 
-The recursion is a trapezoid sum over a uniform state grid y_j, so A is a
-matrix A(y_i, y_j).  With affine d the end levels a_j = d^{-1}(y_j) are
-uniform as well, and row i needs f_{m(y_i)} on the lattice a_j - y_i.
+The recursion is a trapezoid sum over one uniform state grid y_j per
+(model, policy), so A is a matrix A(y_i, y_j), and rho_1 is one more row,
+A(0, y_j).  With affine d the end levels a_j = d^{-1}(y_j) are uniform as
+well, and the row from x needs f_{m(x)} on the lattice a_j - x.
 ``density_lattice`` builds every row: for perturbed gamma and phase type
 one inverse FFT per row of the characteristic function
 E[e^{-i w D_t}] = e^{t psi_D(i w)}, with psi_D evaluated once for all rows,
 and for Brownian motion and pure gamma the closed form, a batch of rows at
-a time.  ``kernel_a`` stays the pointwise kernel (it gives rho_1) and the
-tests' reference for the matrix.
+a time.  The chain reads no point value of the density: the pointwise
+``kernel_a`` is the tests' reference for the rows.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    GridMismatch,
-    HorizonExceeded,
-    NonBijectiveMaintenance,
-    SchemaError,
-)
+from .errors import HorizonExceeded, NonBijectiveMaintenance, SchemaError
 from .last_passage import density_lattice, density_of_dt
 from .lundberg import escape_probability, escape_rate
 from .mc import SimResult, _mean_result, _substream, cycle_ends
@@ -74,6 +71,9 @@ _T_FLOOR = 1e-6  # degenerate-density floor for z -> m(y)
 _POLICY_STREAM, _BRIDGE_STREAM = 7, 8
 _STEPS_PER_CYCLE = 256  # skeleton steps of a failing cycle in idle mode
 _MAX_CYCLES = 10_000
+# the state grid spans the states reachable within _GRID_CYCLES cycles (the
+# cycle count of the benchmark's chains) on _GRID_POINTS points
+_GRID_CYCLES, _GRID_POINTS = 4, 512
 
 
 # ---------------------------------------------------------------------------
@@ -204,26 +204,19 @@ def policy_from_json(text: str) -> PolicySpec:
 # Cycle kernels
 
 
-def _uniform_grid(ys) -> np.ndarray:
-    """A caller's state grid, checked to be increasing and uniform to 1e-12
-    of its span: the trapezoid weights and the transition lattice assume it."""
-    ys = np.asarray(ys, dtype=float)
-    if ys.ndim != 1 or ys.size < 2 or not ys[-1] > ys[0]:
-        raise GridMismatch("a state grid needs at least two increasing points")
-    if np.max(np.abs(ys - np.linspace(ys[0], ys[-1], ys.size))) > 1e-12 * (ys[-1] - ys[0]):
-        raise GridMismatch("the state grid must be uniform (to 1e-12 of its span)")
-    return ys
-
-
 class PolicyKernels:
     """A, C and the idle-time survivor for one (model, policy) pair.
 
-    ``kernel_a`` evaluates A pointwise; the chain builds the whole matrix of
-    A over its uniform state grid with ``_transition_matrix``, one lattice
-    row of the D_t density per state.  ``kernel_c`` and ``kernel_cz`` take
-    arrays of states and make one ``escape_mass`` call for all of them, on
-    (threshold, horizon) pairs: a closed form for Brownian motion and pure
-    gamma, else the Fourier sums.
+    The chain's state grid, rho_1 and the one-cycle transition matrix are
+    built once per instance (``_cycle``) and shared by ``chain``,
+    ``joint_law_idle`` and ``expected_time_to_renewal``.  rho_1 = A(0, .) is
+    the x = 0 row of ``_transition_matrix``, which builds every row from
+    lattice rows of the D_t density.  ``kernel_a`` evaluates A pointwise: it
+    is the tests' reference for those rows, and feeds the CLI's kernel table
+    and the ``validate`` cycle-mass row.
+    ``kernel_c`` and ``kernel_cz`` take arrays of states and make one
+    ``escape_mass`` call for all of them, on (threshold, horizon) pairs: a
+    closed form for Brownian motion and pure gamma, else the Fourier sums.
     """
 
     def __init__(self, model: ModelSpec, policy: PolicySpec):
@@ -247,10 +240,10 @@ class PolicyKernels:
             )
         y = np.atleast_1d(np.asarray(y, dtype=float))
         a = d.inverse(y)  # end-of-cycle degradation level
-        t = float(self.policy.m(x))
+        law = self._density(float(self.policy.m(x)))
+        law.check_point_density()
         surv = 1.0 - escape_probability(a - self.policy.b, self.rho0)
-        dens = self._density(t)(a - x)
-        return surv * dens / d.derivative(y)
+        return surv * law(a - x) / d.derivative(y)
 
     def kernel_c(self, y, horizon=None):
         """Failure probability before the next inspection, for every state in y.
@@ -283,43 +276,48 @@ class PolicyKernels:
             out[live] = self.kernel_c(ys[live], horizon=(t - z)[live])
         return out.reshape(y_in.shape) if y_in.ndim else float(out[0])
 
-    def _transition_matrix(self, ys: np.ndarray) -> np.ndarray:
-        """kernel_a(y_i, y_j) for every pair of states of a uniform grid.
+    def _transition_matrix(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """kernel_a(x_i, y_j) for start states x_i and every state y_j of a
+        uniform grid.
 
         The end levels a_j = d^{-1}(y_j) are uniform too, so row i is the
-        density of D_{m(y_i)} on the lattice a_j - y_i: ``density_lattice``
+        density of D_{m(x_i)} on the lattice a_j - x_i: ``density_lattice``
         gives all rows at once, one inverse FFT each for sigma > 0.
         """
         d = self.policy.d
         a = d.inverse(ys)
-        t = np.maximum(self.policy.m(ys), _T_FLOOR)
+        t = np.maximum(self.policy.m(xs), _T_FLOOR)
         step = (ys[-1] - ys[0]) / (ys.size - 1) / d.theta
         surv = 1.0 - escape_probability(a - self.policy.b, self.rho0)
-        return density_lattice(self.model, t, a[0] - ys, step, ys.size) * (surv / d.derivative(ys))
+        return density_lattice(self.model, t, a[0] - xs, step, ys.size) * (surv / d.derivative(ys))
 
     # -- state grid and chain products
 
-    def default_state_grid(self, i_max: int = 8, n: int = 512) -> np.ndarray:
-        """Grid spanning the post-maintenance states that carry mass in i_max cycles.
+    def default_state_grid(self) -> np.ndarray:
+        """Grid of _GRID_POINTS states spanning those that carry mass within
+        _GRID_CYCLES cycles.
 
         A survivor's end level a has weight 1 - esc(a - b) = e^{-rho0 (a - b)}
         above b, so whatever its start state and horizon it ends below
         b + K/rho0 up to mass e^{-K}: the top is d(b + K/rho0) with K = 23
         (e^{-K} = 1e-10), or d(b) when rho0 = inf.  Jumps only push the level
         up, so the bottom iterates the Gaussian part's 1e-10 quantile over the
-        widest horizon, mu t - 6.4 sigma sqrt(t), through d for i_max cycles.
+        widest horizon, mu t - 6.4 sigma sqrt(t), through d for _GRID_CYCLES
+        cycles.
         """
         d, model = self.policy.d, self.model
         t = float(self.policy.m(min(0.0, -2.0 * self.policy.b)))
         inc_lo = model.mu * t - 6.4 * model.sigma * np.sqrt(t)
         lo = 0.0
-        for _ in range(i_max):
+        for _ in range(_GRID_CYCLES):
             lo = min(lo, float(d(lo + inc_lo)))
-        return np.linspace(lo, float(d(self.policy.b + 23.0 / self.rho0)), n)
+        return np.linspace(lo, float(d(self.policy.b + 23.0 / self.rho0)), _GRID_POINTS)
 
-    def _first_cycle(self, i_max: int, state_grid: np.ndarray | None):
-        """States y after a survived first cycle, their quadrature weights,
-        rho_1 on them, and a builder of the one-cycle transition matrix.
+    @cached_property
+    def _cycle(self):
+        """States y after a survived first cycle, their trapezoid weights,
+        rho_1 on them and the one-cycle transition matrix: one
+        ``_transition_matrix`` call, whose x = 0 row is rho_1.
 
         Reset maintenance is the one-state case: every survivor sits at d0,
         with mass 1 - C(0), and survives each later cycle with 1 - C(d0).
@@ -327,16 +325,36 @@ class PolicyKernels:
         if not self.policy.d.bijective:
             d0 = float(self.policy.d(0.0))
             c0, cd = self.kernel_c(np.array([0.0, d0]))
-            return np.array([d0]), np.ones(1), np.array([1.0 - c0]), lambda: np.array([[1.0 - cd]])
-        # rho_1 is point values of the D_t density at t = m(0)
-        self._density(float(self.policy.m(0.0))).check_point_density()
-        ys = self.default_state_grid(i_max) if state_grid is None else _uniform_grid(state_grid)
-        wts = np.full(ys.size, (ys[-1] - ys[0]) / (ys.size - 1))
-        wts[0] *= 0.5
-        wts[-1] *= 0.5
-        return ys, wts, self.kernel_a(0.0, ys), lambda: self._transition_matrix(ys)
+            cycle = np.array([d0]), np.ones(1), np.array([1.0 - c0]), np.array([[1.0 - cd]])
+        else:
+            ys = self.default_state_grid()
+            wts = np.full(ys.size, (ys[-1] - ys[0]) / (ys.size - 1))
+            wts[0] *= 0.5
+            wts[-1] *= 0.5
+            rows = self._transition_matrix(np.concatenate(([0.0], ys)), ys)
+            cycle = ys, wts, rows[0], rows[1:]
+        for arr in cycle:
+            arr.flags.writeable = False  # every chain law reads them, and chain returns ys (and rho_1)
+        return cycle
 
-    def chain(self, i_max: int, state_grid: np.ndarray | None = None):
+    def _forward(self, i_max: int, factor):
+        """The recursion rho_{k+1} = int rho_k(y) A(y, .) dy and its
+        time-weighted companion tau_k, each level i ended by the final factor
+        ``factor`` (C or Cz) of the states: the masses and time-weighted
+        masses for i = 1..i_max, the states and rho_{i_max} on them."""
+        ys, wts, rho, rows = self._cycle
+        fail = factor(np.concatenate(([0.0], ys)))  # state 0, then the states
+        m_vals = np.asarray(self.policy.m(ys))
+        m0 = float(self.policy.m(0.0))
+        total, timed = [float(fail[0])], [m0 * float(fail[0])]
+        tau = m0 * rho  # E of accumulated time density
+        for _ in range(2, i_max + 1):
+            total.append(float(np.sum(rho * wts * fail[1:])))
+            timed.append(float(np.sum((tau + m_vals * rho) * wts * fail[1:])))
+            rho, tau = (rho * wts) @ rows, ((tau + m_vals * rho) * wts) @ rows
+        return np.asarray(total), np.asarray(timed), ys, rho
+
+    def chain(self, i_max: int):
         """Forward state densities rho_k and time-weighted companions tau_k.
 
         rho_k(y) dy = P[I > k, X_{U_k} in dy] for k >= 1; returns the per-level
@@ -345,41 +363,23 @@ class PolicyKernels:
         For reset maintenance the states are the single point d0 and rho_k is
         the point mass P[I > k] there.
         """
-        ys, wts, rho, transition = self._first_cycle(i_max, state_grid)
-        rows = transition() if i_max > 1 else None  # first: it raises where the D_t lattice cannot resolve
-        c_all = self.kernel_c(np.concatenate(([0.0], ys)))
-        c0, c_vals = float(c_all[0]), c_all[1:]
-        m_vals = np.asarray(self.policy.m(ys))
-        m0 = float(self.policy.m(0.0))
-        p_fail = [c0]
-        e_time = [m0 * c0]
-        tau = m0 * rho  # E of accumulated time density
-        for _ in range(2, i_max + 1):
-            p_fail.append(float(np.sum(rho * wts * c_vals)))
-            e_time.append(float(np.sum((tau + m_vals * rho) * wts * c_vals)))
-            rho, tau = (rho * wts) @ rows, ((tau + m_vals * rho) * wts) @ rows
-        return np.asarray(p_fail), np.asarray(e_time), ys, rho
+        return self._forward(i_max, self.kernel_c)
 
 
-def joint_law_idle(kernels: PolicyKernels, i: int, z: float, state_grid=None) -> float:
+def joint_law_idle(kernels: PolicyKernels, i: int, z: float) -> float:
     """P[idle > z, I = i]: the chain with the final factor Cz(y, z)."""
     if i < 1:
         raise ValueError("cycle index starts at 1")
     if i == 1:
         return kernels.kernel_cz(0.0, z)
-    ys, wts, rho, transition = kernels._first_cycle(i, state_grid)
-    rows = transition() if i > 2 else None
-    for _ in range(i - 2):
-        rho = (rho * wts) @ rows
-    return float(np.sum(rho * wts * kernels.kernel_cz(ys, z)))
+    return float(kernels._forward(i, lambda y: kernels.kernel_cz(y, z))[0][-1])
 
 
-def expected_time_to_renewal(kernels: PolicyKernels, i: int, state_grid=None) -> float:
+def expected_time_to_renewal(kernels: PolicyKernels, i: int) -> float:
     """E[T* 1{I=i}] with T* = m(0) + m(y_1) + ... + m(y_{i-1})."""
     if i < 1:
         raise ValueError("cycle index starts at 1")
-    _, e_time, _, _ = kernels.chain(i, state_grid)
-    return float(e_time[i - 1])
+    return float(kernels.chain(i)[1][i - 1])
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,19 @@ def test_kernels_c_column_is_kernel_c(bm_files, tmp_path):
     assert rows[:, 2] == pytest.approx(kernels.kernel_c(rows[:, 0]), rel=1e-15)
 
 
+@pytest.mark.parametrize("what", ["kernels", "joint", "idle", "expected"])
+def test_singular_pure_gamma_policy_is_numerical_failure(what, tmp_path, capsys):
+    # alpha m = 0.5 < 1: the gamma density of a cycle is unbounded at the
+    # origin, so no table of its point values is right; the kernels table
+    # once printed inf and exited 0
+    model, policy = tmp_path / "model.json", tmp_path / "policy.json"
+    model.write_text(json.dumps(GAMMA))
+    policy.write_text(json.dumps({**POLICY, "m": {"family": "constant", "value": 0.5}}))
+    argv = ["maintenance", "--model", str(model), "--policy", str(policy), "--what", what]
+    assert dispatch([*argv, "--out", str(tmp_path / "out.csv")]) == 1
+    assert "direction 2" in capsys.readouterr().err
+
+
 @pytest.fixture
 def bm_model_file(tmp_path):
     path = tmp_path / "model.json"

@@ -182,6 +182,17 @@ def test_no_caller_held_root_or_law():
     assert params[("last_passage", "MarginalDensityD.escape_mass")] == ["self", "c", "t"]
 
 
+def test_policy_chain_takes_no_grid():
+    # one state grid per (model, policy), built by PolicyKernels itself, and
+    # one D_t grid size per kind, so no caller passes a grid or its size
+    params = public_parameters()
+    assert params[("maintenance", "PolicyKernels.chain")] == ["self", "i_max"]
+    assert params[("maintenance", "joint_law_idle")] == ["kernels", "i", "z"]
+    assert params[("maintenance", "expected_time_to_renewal")] == ["kernels", "i"]
+    assert params[("maintenance", "PolicyKernels.default_state_grid")] == ["self"]
+    assert params[("last_passage", "density_of_dt")] == ["model", "t"]
+
+
 def test_escape_mass_overridden_only_by_closed_forms():
     # every sigma > 0 jump law reads the base class's Fourier sum; only the
     # Brownian and pure-gamma closed forms replace it

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from scipy.special import ive
 from scipy.stats import norm
 
-from levypassage.errors import GridMismatch, UnresolvedKernel
+from levypassage.errors import UnresolvedKernel
 from levypassage.last_passage import (
     bm_last_passage_cdf,
     density_lattice,
@@ -16,7 +16,7 @@ from levypassage.last_passage import (
     last_passage_joint_mass,
     perturbed_gamma_density,
 )
-from levypassage.lundberg import escape_rate
+from levypassage.lundberg import escape_probability, escape_rate
 from levypassage.maintenance import (
     InspectionSchedule,
     MaintenanceAction,
@@ -79,7 +79,7 @@ class TestKernelC:
         model = request.getfixturevalue(kind)
         policy = _affine_policy()
         kernels = PolicyKernels(model, policy)
-        ys = kernels.default_state_grid(4)
+        ys = kernels.default_state_grid()
         horizons = np.round(policy.m(ys), 12)
         assert np.unique(horizons).size > 300 and np.sum(ys >= policy.b) > 10
         want = [
@@ -94,7 +94,7 @@ class TestKernelC:
         # z just under the least m(y): states on m's floor get the 1e-6 horizon
         # floor (about 1e4 times the nodes of the others), the rest up to 0.8
         kernels = PolicyKernels(pgamma_model_wide, _affine_policy())
-        ys = kernels.default_state_grid(4, n=129)
+        ys = kernels.default_state_grid()
         z = float(np.min(kernels.policy.m(ys))) - 5e-7
         horizons = np.asarray(kernels.policy.m(ys)) - z
         assert np.sum(horizons <= 1e-6) > 10 and np.max(horizons) > 0.5
@@ -115,7 +115,7 @@ class TestKernelC:
             return escape(self, c, t, rho0)
 
         monkeypatch.setattr(owner, "_escape", counted)
-        kernels.kernel_c(kernels.default_state_grid(4))
+        kernels.kernel_c(kernels.default_state_grid())
         assert len(calls) == 1 and calls[0] > 300
 
     def test_unresolved_pair_is_named(self):
@@ -185,9 +185,9 @@ class TestKernelC:
 class TestChain:
     def test_state_dependent_perturbed_gamma_vs_simulation(self, pgamma_model):
         policy = _affine_policy()
-        # the default 512-point state grid: on 129 points (step 0.14 over the
-        # span [-8.0, 9.9]) the state-grid quadrature of kernel_a alone leaves
-        # 2.3e-3 of the mass unbalanced
+        # the 512-point state grid: on 129 points (step 0.14 over the span
+        # [-8.0, 9.9]) the state-grid quadrature of A alone left 2.3e-3 of
+        # the mass unbalanced
         p_fail, e_time, ys, rho = PolicyKernels(pgamma_model, policy).chain(4)
         assert p_fail.sum() + np.trapezoid(rho, ys) == pytest.approx(1.0, abs=2e-3)
         sim = simulate_policy(pgamma_model, policy, 20_000, seed=3)
@@ -236,10 +236,9 @@ class TestIdleLaw:
             b=2.0, m=InspectionSchedule("constant", 1.0), d=MaintenanceAction("affine", 0.5)
         )
         kernels = PolicyKernels(model, policy)
-        grid = kernels.default_state_grid(2, n=129)
         sim = simulate_policy(model, policy, 20_000, seed=3, idle_mode=True)
         for i in (1, 2):
-            target = joint_law_idle(kernels, i, 0.3, state_grid=grid)
+            target = joint_law_idle(kernels, i, 0.3)
             mc = sim.p_idle_joint(i, 0.3)
             assert_within_se(mc.estimate, mc.std_error, target, 3.0, f"P(idle > 0.3, I = {i})")
 
@@ -264,14 +263,13 @@ class TestIdleLaw:
             d=MaintenanceAction("affine", 0.5),
         )
         kernels = PolicyKernels(pgamma_model, policy)
-        grid = kernels.default_state_grid(3, n=33)
-        y_short = float(grid[-1])
+        y_short = float(kernels.default_state_grid()[-1])
         assert policy.m(y_short) < 0.3
         assert kernels.kernel_cz(y_short, 0.3) == 0.0
         with pytest.raises(ValueError):
             kernels.kernel_cz(0.0, -0.1)
-        p_fail = kernels.chain(3, grid)[0]
-        idle = [joint_law_idle(kernels, 3, z, state_grid=grid) for z in (0.0, 0.3)]
+        p_fail = kernels.chain(3)[0]
+        idle = [joint_law_idle(kernels, 3, z) for z in (0.0, 0.3)]
         assert np.all(np.isfinite(idle))
         assert idle[0] == pytest.approx(p_fail[2], rel=1e-12)
         assert 0.0 < idle[1] < idle[0]
@@ -354,8 +352,8 @@ class TestTransitionMatrix:
             else InspectionSchedule("constant", 1.5)
         )
         kernels = PolicyKernels(model, PolicySpec(b=2.0, m=m, d=MaintenanceAction("affine", 0.5, 0.1)))
-        ys = kernels.default_state_grid(4, n)
-        got = kernels._transition_matrix(ys)
+        ys = np.linspace(*kernels.default_state_grid()[[0, -1]], n)
+        got = kernels._transition_matrix(ys, ys)
         want = np.stack([kernels.kernel_a(float(y), ys) for y in ys])
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(want)
         if sigma is not None and n == 33:
@@ -393,28 +391,50 @@ class TestTransitionMatrix:
         kernels = PolicyKernels(model, policy)
         with pytest.raises(UnresolvedKernel, match="direction 2"):
             kernels.chain(4)
-        # i = 2 builds no matrix but sums point values of rho_1 = A(0, .)
+        # i = 2 reads rho_1 = A(0, .), the x = 0 lattice row, and the
+        # pointwise kernel raises as well
         with pytest.raises(UnresolvedKernel, match="direction 2"):
             joint_law_idle(kernels, 2, 0.1)
+        with pytest.raises(UnresolvedKernel, match="direction 2"):
+            kernels.kernel_a(0.0, np.array([0.5, 1.0]))
 
 
-class TestStateGrid:
-    def test_non_uniform_grid_is_rejected(self, bm_model):
-        kernels = PolicyKernels(bm_model, _affine_policy())
-        grid = kernels.default_state_grid(3, n=33)
-        bent = grid.copy()
-        bent[10] += 1e-3 * (grid[1] - grid[0])
-        with pytest.raises(GridMismatch):
-            kernels.chain(3, bent)
-        with pytest.raises(GridMismatch):
-            joint_law_idle(kernels, 3, 0.1, state_grid=bent)
-        with pytest.raises(GridMismatch):
-            expected_time_to_renewal(kernels, 3, state_grid=bent)
-        with pytest.raises(GridMismatch):
-            kernels.chain(3, grid[::-1])
+class TestSharedCycle:
+    """One state grid, rho_1 and transition matrix per PolicyKernels, which
+    every chain law reads."""
 
-    def test_rounding_level_deviation_is_accepted(self, bm_model):
-        kernels = PolicyKernels(bm_model, _affine_policy())
-        grid = kernels.default_state_grid(3, n=33)
-        nudged = grid * (1.0 + 1e-15)
-        assert kernels.chain(3, nudged)[0] == pytest.approx(kernels.chain(3, grid)[0], rel=1e-12)
+    def test_laws_read_the_chain_bit_for_bit(self, pgamma_model):
+        kernels = PolicyKernels(pgamma_model, _affine_policy())
+        p_fail, e_time, _, _ = kernels.chain(4)
+        assert expected_time_to_renewal(kernels, 3) == e_time[2]
+        assert joint_law_idle(kernels, 2, 0.0) == p_fail[1]
+
+    def test_one_matrix_and_no_point_values(self, pgamma_model, monkeypatch):
+        build, calls = PolicyKernels._transition_matrix, []
+
+        def counted(self, xs, ys):
+            calls.append(xs.size)
+            return build(self, xs, ys)
+
+        def point_values(self, x, y):
+            raise AssertionError("the chain read a point value of A")
+
+        monkeypatch.setattr(PolicyKernels, "_transition_matrix", counted)
+        monkeypatch.setattr(PolicyKernels, "kernel_a", point_values)
+        kernels = PolicyKernels(pgamma_model, _affine_policy())
+        kernels.chain(4)
+        joint_law_idle(kernels, 3, 0.3)
+        expected_time_to_renewal(kernels, 3)
+        assert calls == [kernels.default_state_grid().size + 1]
+
+    def test_rho1_vs_quadrature(self, ph_model):
+        # rho_1(y) = [1 - esc(a - b)] f_{m(0)}(a) / theta at a = d^{-1}(y),
+        # on every 16th state of the grid
+        policy = _affine_policy()
+        kernels = PolicyKernels(ph_model, policy)
+        _, _, ys, rho1 = kernels.chain(1)
+        a = policy.d.inverse(ys[::16])
+        t = float(policy.m(0.0))
+        dens = np.array([_ph1_density(ph_model, t, x) for x in a])
+        want = (1.0 - escape_probability(a - policy.b, kernels.rho0)) * dens / policy.d.theta
+        assert np.max(np.abs(rho1[::16] - want)) <= 1e-12 * np.max(want)
