@@ -47,7 +47,6 @@ from .lundberg import (
 )
 from .maintenance import (
     PolicyKernels,
-    expected_time_to_renewal,
     joint_law_idle,
     policy_from_json,
     simulate_policy,
@@ -320,7 +319,7 @@ def _cmd_maintenance(args) -> int:
         rows = [(args.i, args.z, joint_law_idle(kernels, args.i, args.z))]
         _write_rows(args.out, manifest, ["i", "z", "P_idle_gt_z_and_I"], rows)
     elif args.what == "expected":
-        rows = [(i, expected_time_to_renewal(kernels, i)) for i in range(1, args.i + 1)]
+        rows = [(i, float(e)) for i, e in enumerate(kernels.chain(args.i)[1], start=1)]
         _write_rows(args.out, manifest, ["i", "E_Tstar_on_I"], rows)
     elif args.what == "simulate":
         sim = simulate_policy(model, policy, args.paths, seed=args.seed, idle_mode=args.idle)
@@ -550,7 +549,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--t", type=float, required=True)
     q.add_argument("--paths", type=int, default=20000)
     q.add_argument(
-        "--dt", type=float, default=2e-3, help="time step of the gamma kinds; brownian_drift and phase type ignore it"
+        "--dt", type=float, default=2e-3,
+        help="time step of reflected first passage, which this check does not run: both estimates go from jump to jump",
     )
     q.add_argument("--seed", type=int, default=0)
     q.set_defaults(func=_cmd_duality)
@@ -576,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--paths", type=int, default=20000)
     q.add_argument(
         "--dt", type=float, default=1e-3,
-        help="time step of the gamma kinds; brownian_drift and phase type ignore it except in reflected-first",
+        help="time step of reflected-first; every other target goes from jump to jump and ignores it",
     )
     q.add_argument("--t-max", type=float, default=8.0)
     q.add_argument("--max-blocks", type=int, default=16)

@@ -1,60 +1,70 @@
 """Monte Carlo oracle: exact path simulation for all model kinds.
 
-Two engines draw the paths; the jump law picks one (``_Law.segmented``),
-never the model kind.
+Every path is drawn with a finite jump rate (``_Law``): Brownian motion
+has no jumps, phase type is compound Poisson, and the gamma kinds take
+their compound-Poisson view (``LevyMeasureView.compound_poisson``).  That
+view keeps the gamma jumps of size at least eps = 1e-12 xi, at rate
+alpha E1(eps/xi), about 27.6 alpha per unit time, and adds the mean
+alpha xi (1 - e^{-eps/xi}) of the smaller ones to the drift.  What it
+leaves out is a martingale M, so the drawn path D' is off the true D by
+E[sup_{s<=t} |D - D'|^2] <= 4 E[M_t^2] <= 2 alpha eps^2 t (Doob): about
+1e-12 xi sqrt(alpha t) in rms, far below any standard error (Asmussen &
+Rosinski, J. Appl. Probab. 38(2) 2001).  Two engines draw the paths, and
+the estimator, never the model kind, picks one.
 
-*Segments*, for a finite jump rate (Brownian motion and phase-type jumps).
-A segment runs from a path's level to its next jump epoch, an Exp(rate)
-wait, cut at the censoring horizon t_max * max_blocks (for Brownian motion
-it is the whole horizon left) or at a target time.  Its continuous part is
-one Gaussian draw; its events come from the Brownian bridge between the
-two ends: an up-crossing by the bridge test and its time by ``_hit_time``,
-the minimum from one uniform (``_bridge_min``), and the times of that
-minimum and of a last contact from ``_split``.  One jump size is drawn at
-the segment's end (``LevyMeasureView.sample_jumps``).  Every law used is
-exact, so these estimates carry no time-step bias and do not read
-``SimConfig.dt``: free first passage, free and reflected last passage,
-and D* at a fixed or an exponential time.
+*Segments*, for every estimator but reflected first passage.  A segment
+runs from a path's level to its next jump epoch, an Exp(rate) wait, cut at
+the censoring horizon t_max * max_blocks (for Brownian motion it is the
+whole horizon left) or at a target time.  Its continuous part is one
+Gaussian draw; its events come from the Brownian bridge between the two
+ends: an up-crossing by the bridge test and its time by ``_hit_time``, the
+minimum from one uniform (``_bridge_min``), and the times of that minimum
+and of a last contact from ``_split``.  At sigma = 0 (pure gamma) the path
+is linear between jumps and these take no uniform.  One jump size is drawn
+at the segment's end (``_CompoundPoisson.sample_jumps``).  ``_segment``
+draws k segments per live path in one pass as (paths x k) arrays, k
+doubling each pass up to 2**13 cells in all, and the estimators read
+their events off the arrays column-wise (``_first``, ``_last``, ``_at``,
+``_running_inf``); the gamma kinds need about 27 segments per unit time.
+Every law used is exact, so these estimates carry no time-step bias and
+do not read ``SimConfig.dt``: free first passage, free and reflected last
+passage, and D* at a fixed or an exponential time.
 
-*Blocks*, for infinite activity (the gamma kinds) and for reflected first
-passage of every kind.  ``_Block`` draws a (paths x k) block of steps of
+*Blocks*, for reflected first passage: inside a segment the drawup of D
+has no closed law.  ``_Block`` draws a (paths x k) block of steps of
 length dt at once, k = max(1, 2**14 // live paths), so the few long paths
 at the end of a run cost few calls.  The block is drawn lazily.  Each row
 (one path's k steps) gets its Gaussian increments and one jump total J
-(``LevyMeasureView.sample_block``: one Gamma(alpha k dt) draw for gamma;
-for phase type one Poisson count for the whole block, each jump in a
-uniform cell, summed by row).  Jumps only raise the level, so the
-continuous path bounds every level of the row from below and that path
-plus J bounds it from above.  A row's k uniforms of a bridge extreme are
-drawn least first, as 1 - V^{1/k}.  A row is decided from the bounds and
-that least uniform when its event would be the same for any split of J
-and any values of its other uniforms; the other rows draw the split of J
-over their cells (the gamma Dirichlet bridge, or the phase-type jumps' own
-cells) and their other uniforms given the least, and go through the
-per-cell logic.  Every decision reads only draws whose law does not depend
-on what is still undrawn, so the estimates have the law of the per-cell
-scheme.  For sigma > 0 the within-step extremes and hitting times of the
-continuous part come from its Brownian bridge; at sigma = 0 (pure gamma
-with drift) the path creeps linearly within a step.  The O(dt) bias left
-comes from lumping each step's jumps at its end, and, in reflected first
-passage, from taking the level b + inf(D ^ 0) before each step: inside a
-segment the drawup of D has no closed law, so that estimator stays on
-blocks for every kind.
+(``_CompoundPoisson.sample_block``: one Poisson count for the whole block,
+each jump in a uniform cell, summed by row).  Jumps only raise the level,
+so the continuous path bounds every level of the row from below and that
+path plus J bounds it from above.  A row's k uniforms of a bridge extreme
+are drawn least first, as 1 - V^{1/k}.  A row is decided from the bounds
+and that least uniform when its event would be the same for any split of
+J and any values of its other uniforms; the other rows draw the split of
+J over their cells (its jumps' own cells) and their other uniforms given
+the least, and go through the per-cell logic.  Every decision reads only
+draws whose law does not depend on what is still undrawn, so the
+estimates have the law of the per-cell scheme.  For sigma > 0 the
+within-step extremes and hitting times of the continuous part come from
+its Brownian bridge; at sigma = 0 the path creeps linearly within a step.
+The O(dt) bias left comes from lumping each step's jumps at its end and
+from taking the level b + inf(D ^ 0) before each step.
 
 Last-passage estimators use the escape test.  From a level x > b the path
 never returns to (-inf, b] with probability 1 - e^{-rho0 (x - b)}; given that
 it does return, it runs until the return under the Esscher-tilted law
 dP~ = e^{-rho0 D} dP (drift mu - rho0 sigma^2, jump measure e^{-rho0 x} Q(dx),
 see ``LevyMeasureView.tilt``), and with no downward jumps it returns to b
-continuously.  A path is tested at the first segment or step end where it
-stands above b + 1/rho0 (above b when rho0 = inf, sigma = 0); a test just
-above b would mostly send the path straight back.  If it escapes, it
+continuously.  A path is tested at the first segment end where it stands
+above b + 1/rho0 (above b when rho0 = inf, sigma = 0, where no path
+returns); a test just above b would mostly send the path straight back.  If it escapes, it
 retires with its last contact; otherwise it takes this conditioned return
 and resumes the untilted law from b at the hitting time, drawn from the
 Brownian bridge.  The test is exact at any stopping time, so the estimates
 do not depend on t_max: t_max * max_blocks only sets the censoring
-horizon.  A creeping last contact is drawn inside its segment or step from
-the bridge run backwards; a jump exit's is the segment or step end.  The
+horizon.  A creeping last contact is drawn inside its segment from the
+bridge run backwards; a jump exit's is the segment end.  The
 reflected process D* = D - inf(D ^ 0) takes the same loop with the contact
 level b + inf(D ^ 0); the free process keeps that infimum at 0.
 
@@ -80,7 +90,7 @@ import numpy as np
 
 from .errors import EscapeTestUnavailable, HorizonExceeded, LevyPassageError
 from .lundberg import escape_probability, escape_rate
-from .models import LevyMeasureView, ModelSpec
+from .models import ModelSpec, _CompoundPoisson
 
 EXIT_NONE = 0
 EXIT_CREEP = 1
@@ -88,6 +98,9 @@ EXIT_JUMP = 2
 
 _GROUP_PATHS = 100_000  # paths per substream
 _BLOCK_CELLS = 2**14  # path-steps per block of an estimator
+# segments per pass of the segment engine, over all live paths: 64 KiB
+# arrays; at 2**14 the mc_oracle benchmark's peak RSS read 0.8 MB higher
+_SEGMENT_CELLS = 2**13
 _BRIDGE_CELLS = 2**13  # path-steps per chunk of ``cycle_ends``' bridges
 _SHORT_ROWS = 12  # blocks of up to this many steps are scanned column by column
 # substream number of each estimator (see the module docstring)
@@ -103,9 +116,8 @@ class SimConfig:
     by then is censored.  The split into t_max and max_blocks changes no
     estimate, since last-passage paths take the escape test at their own
     stopping times (see the module docstring).  ``dt`` is the step of the
-    block engine: the gamma kinds, and reflected first passage of every
-    kind.  Brownian motion and phase type go from jump to jump in every
-    other estimator and ignore it.
+    block engine, which serves reflected first passage alone; every other
+    estimator goes from jump to jump and ignores it.
     """
 
     dt: float = 1e-3
@@ -154,37 +166,38 @@ def _discount(t: np.ndarray, delta: float, ok: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Path engine: the one block kernel and the searches built on it
+# Path engine: the law, the block kernel and the searches built on them
 
 
 class _Law(NamedTuple):
-    """The law a block is drawn from: the model's, or its Esscher tilt for a
-    conditioned return, whose drift may be negative."""
+    """The law a path is drawn from: the model's, or its Esscher tilt for a
+    conditioned return, whose drift may be negative.  The jumps come as a
+    compound-Poisson view of finite rate (``LevyMeasureView.compound_poisson``),
+    and ``mu`` holds the drift that view takes for the jumps it leaves out."""
 
     mu: float
     sigma: float
-    jumps: LevyMeasureView | None
+    jumps: _CompoundPoisson | None
 
     @classmethod
     def of(cls, model: ModelSpec) -> "_Law":
-        return cls(model.mu, model.sigma, model.jumps)
+        jumps = None if model.jumps is None else model.jumps.compound_poisson()
+        return cls._with(model.mu, model.sigma, jumps)
 
     @classmethod
     def tilted(cls, model: ModelSpec, rho: float) -> "_Law":
         """The law under dP~ = e^{-rho D} dP, for phi_D(rho) = 0."""
-        jumps = None if model.jumps is None else model.jumps.tilt(rho)
-        return cls(model.mu - rho * model.sigma**2, model.sigma, jumps)
+        jumps = None if model.jumps is None else model.jumps.compound_poisson().tilt(rho)
+        return cls._with(model.mu - rho * model.sigma**2, model.sigma, jumps)
 
-    @property
-    def jump_rate(self) -> float:
-        """Jumps per unit time: 0 without jumps, inf for infinite activity."""
-        return 0.0 if self.jumps is None else self.jumps._rate
+    @classmethod
+    def _with(cls, mu: float, sigma: float, jumps) -> "_Law":
+        return cls(mu + (0.0 if jumps is None else jumps.drift), sigma, jumps)
 
-    @property
-    def segmented(self) -> bool:
-        """True where the segment engine serves: a finite jump rate, so the
-        path is a Brownian motion with drift between jump epochs."""
-        return self.jump_rate < math.inf
+    def uniforms(self, rng, shape):
+        """Uniforms of a bridge draw, one per cell; None at sigma = 0, where
+        the path between jumps is linear and needs none."""
+        return None if self.sigma == 0 else rng.random(shape)
 
 
 def _path_groups(cfg: SimConfig, stream: int):
@@ -203,7 +216,7 @@ class _Block:
     """k steps of length dt from levels v, drawn lazily.
 
     Draws the Gaussian increments ``cont`` and one jump total per row
-    (``LevyMeasureView.sample_block``).  ``low`` is the continuous level
+    (``_CompoundPoisson.sample_block``).  ``low`` is the continuous level
     path v + cumsum(cont); jumps only raise the level, so every level of a
     row's block, at a step end or start, lies in [``bottom``, ``top``], and
     ``end`` is its exact level after the block.  A row's k uniforms of a
@@ -236,13 +249,12 @@ class _Block:
     def bottom(self) -> np.ndarray:
         return np.minimum(self.v, _reduce_rows(np.minimum, self.low))
 
-    def mins(self, n: int | None = None):
-        """The least of k iid uniforms for each of n rows (default every
-        row), 1 - V^{1/k} for a uniform V (V itself when k = 1); None at
-        sigma = 0."""
+    def mins(self):
+        """The least of k iid uniforms for each row, 1 - V^{1/k} for a
+        uniform V (V itself when k = 1); None at sigma = 0."""
         if self.law.sigma == 0:
             return None
-        u = self.rng.random(self.v.size if n is None else n)
+        u = self.rng.random(self.v.size)
         return u if self.k == 1 else -np.expm1(np.log1p(-u) / self.k)
 
     def uniforms(self, mins):
@@ -271,15 +283,15 @@ class _Block:
             return gap > 0
         return (gap > 0) & (mins >= np.exp(-2.0 * gap * gap / (self.law.sigma**2 * self.dt)))
 
-    def levels(self, rows: np.ndarray, u, minimum: bool = True):
+    def levels(self, rows: np.ndarray, u):
         """``_levels``' (start, c_end, m_min, post) of the block's ``rows``,
         with their bridge-minimum uniforms u, after drawing their jump split."""
         sel = slice(None) if rows.size == self.v.size else rows  # a view, no copies
         v, cont = self.v[sel], self.cont[sel]
         if self.total is None:
-            return _step_levels(self.law, v, self.low[sel], cont, False, u, self.dt, minimum)
+            return _step_levels(self.law, v, self.low[sel], cont, False, u, self.dt, True)
         jumps = self.total[sel, None] if self.k == 1 else self._split(rows)
-        return _levels(self.law, v, cont, jumps, u, self.dt, minimum)
+        return _levels(self.law, v, cont, jumps, u, self.dt, True)
 
 
 def _take(x, rows):
@@ -293,8 +305,8 @@ def _levels(law: _Law, v: np.ndarray, cont, jumps, u, dt_col, minimum: bool):
     bridge-minimum uniforms (None without ``minimum`` or at sigma = 0): the
     level at each step start, the continuous level at the step end, its
     minimum over the step (None without ``minimum``; the smaller endpoint at
-    sigma = 0) and the level after the jumps.  dt_col is the step length,
-    scalar or one per path as a column."""
+    sigma = 0) and the level after the jumps.  dt_col is the step length:
+    scalar, one per path as a column, or one per step (segments)."""
     post = _accumulate_rows(np.add, cont if jumps is None else cont + jumps)
     post += v[:, None]
     return _step_levels(law, v, post, cont, jumps is not None, u, dt_col, minimum)
@@ -380,10 +392,10 @@ def _running_inf(m_min: np.ndarray, inf0: np.ndarray) -> np.ndarray:
 
 def _crossed_up(law: _Law, u, start, c_end, post, level, dt):
     """(creep, jump) masks of an up-crossing of ``level`` (scalar or per cell)
-    in each step start -> c_end -> post: the continuous end value reaches the
-    level, else the bridge between start and c_end crosses it (its uniform
-    in u, one per cell; None at sigma = 0), else the jump carries the path
-    over."""
+    in each step start -> c_end -> post of length dt (scalar or per cell):
+    the continuous end value reaches the level, else the bridge between
+    start and c_end crosses it (its uniform in u, one per cell; None at
+    sigma = 0), else the jump carries the path over."""
     creep = c_end >= level
     if u is not None:
         # exp(-2 gap0 gap1 / (sigma^2 dt)), built in place
@@ -434,26 +446,74 @@ def _escape_rate(model: ModelSpec, rho0: float | None = None) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Segment engine: a finite jump rate, from one jump epoch to the next
+# Segment engine: from one jump epoch to the next
 
 
-def _segment(law: _Law, rng, room: np.ndarray):
-    """One segment per path: to its next jump epoch, an Exp(rate) wait, or
-    to the end of its ``room``, whichever comes first.  Returns (tau, cont,
-    jump, jumped): the segment's length, the Gaussian move of the continuous
-    part over it, the jump at its end (0 where it ends at ``room``) and
-    whether it ends at a jump."""
-    tau = room.copy()
-    jumped = np.zeros(room.size, dtype=bool)
-    if law.jumps is not None:
-        wait = rng.exponential(1.0 / law.jump_rate, room.size)
-        jumped = wait < room
-        tau[jumped] = wait[jumped]
-    cont = rng.normal(law.mu * tau, law.sigma * np.sqrt(tau))
-    jump = np.zeros(room.size)
-    if jumped.any():
-        jump[jumped] = law.jumps.sample_jumps(rng, int(jumped.sum()))
-    return tau, cont, jump, jumped
+class _Segments(NamedTuple):
+    """Up to k segments per path as (paths x k) arrays: each runs to the
+    path's next jump epoch, an Exp(rate) wait, until the one that reaches
+    the end of the path's room, which ends there with no jump.  The cells
+    after that one (``valid`` False) are not part of the path; each holds a
+    wait of its own and no jump, so every cell is a well-formed segment."""
+
+    elapsed: np.ndarray  # the segment's start, in time from the path's
+    tau: np.ndarray  # its length
+    cont: np.ndarray  # the Gaussian move of the continuous part over it
+    jump: np.ndarray  # the jump at its end, 0 where it ends at the room's end
+    jumped: np.ndarray  # whether it ends at a jump (a prefix of each row)
+
+    @property
+    def valid(self) -> np.ndarray:
+        """The cells on the path: the first, and each after a jump."""
+        return np.hstack((np.ones((self.tau.shape[0], 1), dtype=bool), self.jumped[:, :-1]))
+
+    @property
+    def last(self) -> np.ndarray:
+        """Column of each row's last cell on the path."""
+        return np.minimum(self.jumped.sum(axis=1), self.tau.shape[1] - 1)
+
+    @property
+    def runs_on(self) -> np.ndarray:
+        """Rows whose k segments all end at a jump: the path goes on."""
+        return self.jumped[:, -1]
+
+    @property
+    def span(self) -> np.ndarray:
+        """Time from the path's start to the end of each cell."""
+        return self.elapsed + self.tau
+
+
+def _segment(law: _Law, rng, room: np.ndarray, k: int) -> _Segments:
+    """k segments per path (one, to the end of the room, without jumps)."""
+    n = room.size
+    if law.jumps is None:
+        tau = room[:, None].copy()
+        elapsed, jump, jumped = np.zeros((n, 1)), np.zeros((n, 1)), np.zeros((n, 1), dtype=bool)
+    else:
+        tau = rng.exponential(1.0 / law.jumps._rate, (n, k))
+        ends = _accumulate_rows(np.add, tau)
+        elapsed = np.hstack((np.zeros((n, 1)), ends[:, :-1]))
+        jumped = ends < room[:, None]
+        stop = ~jumped
+        stop[:, 1:] &= jumped[:, :-1]  # the cell that reaches the room's end
+        tau[stop] = (room[:, None] - elapsed)[stop]
+        jump = np.zeros((n, k))
+        jump[jumped] = law.jumps.sample_jumps(rng, int(np.count_nonzero(jumped)))
+    cont = law.mu * tau
+    if law.sigma > 0:
+        cont += law.sigma * np.sqrt(tau) * rng.standard_normal(tau.shape)
+    return _Segments(elapsed, tau, cont, jump, jumped)
+
+
+def _segment_levels(law: _Law, rng, v: np.ndarray, seg: _Segments):
+    """``_levels``' (start, c_end, m_min, post) of the segments from levels
+    v, each with its bridge minimum drawn."""
+    return _levels(law, v, seg.cont, seg.jump, law.uniforms(rng, seg.tau.shape), seg.tau, True)
+
+
+def _next_k(k: int, live: int) -> int:
+    """Segments per path in the next pass: doubled, capped at _SEGMENT_CELLS cells."""
+    return min(2 * k, max(1, _SEGMENT_CELLS // max(live, 1)))
 
 
 def _split(law: _Law, rng, a, c, span):
@@ -466,9 +526,12 @@ def _split(law: _Law, rng, a, c, span):
     V = (span - s) / s the density is a mixture: with probability a / (a + c)
     V ~ IG(c / a, c^2 / (sigma^2 span)), else 1 / V ~ IG(a / c, a^2 / (sigma^2
     span)); the two branches mirror each other, (a, c, s) against
-    (c, a, span - s).  The distances are floored at 1e-150 so that one
-    rounded to 0 keeps the inverse Gaussian parameters positive."""
+    (c, a, span - s).  At sigma = 0 the path is linear and s = span a / (a + c).
+    The distances are floored at 1e-150 so that one rounded to 0 keeps the
+    inverse Gaussian parameters positive."""
     a, c = np.maximum(a, 1e-150), np.maximum(c, 1e-150)
+    if law.sigma == 0:
+        return span * a / (a + c)
     near = rng.random(a.size) * (a + c) < a
     p, q = np.where(near, a, c), np.where(near, c, a)
     x = rng.wald(q / p, q * q / (law.sigma**2 * np.maximum(span, 1e-300)))
@@ -528,11 +591,8 @@ class FirstPassageSample:
 
 
 def _first_passages(model: ModelSpec, cfg: SimConfig, b: float, reflect: bool) -> FirstPassageSample:
-    """First up-crossings of b by D, or by D* = D - inf(D ^ 0) when
-    ``reflect``.  D goes by segments where its law has a finite jump rate;
-    D*, and D of infinite activity, by blocks of dt steps.  D* crosses b
-    when D crosses b + inf(D ^ 0), taken before each step (within-step
-    ordering is O(dt)); the free process keeps that infimum at 0."""
+    """First up-crossings of b by D, by segments, or by D* = D - inf(D ^ 0)
+    when ``reflect``, by blocks of dt steps."""
     if b <= 0:
         raise ValueError("threshold must be positive")
     law = _Law.of(model)
@@ -542,24 +602,11 @@ def _first_passages(model: ModelSpec, cfg: SimConfig, b: float, reflect: bool) -
     und = np.zeros(n)
     over = np.zeros(n)
     for rng, idx in _path_groups(cfg, _STREAM_REFLECTED_FIRST if reflect else _STREAM_FIRST):
-        if law.segmented and not reflect:
+        if reflect:
+            got = _block_reflected_first(law, rng, idx.size, b, cfg)
+        else:
             got = _segment_first(law, rng, idx.size, b, cfg.t_max * cfg.max_blocks)
-            t_cross[idx], kind[idx], und[idx], over[idx] = got
-            continue
-        v = np.zeros(idx.size)
-        inf_d = np.zeros(idx.size)
-        clock = 0  # steps taken, the same for every live path
-        while idx.size and clock < cfg.horizon_steps:
-            k = min(_block_len(idx.size), cfg.horizon_steps - clock)
-            v, rows, j, by_creep, under, overshoot = _first_block(law, rng, v, inf_d, b, cfg.dt, k, reflect)
-            gi = idx[rows]
-            t_cross[gi] = (clock + j + 1) * cfg.dt
-            kind[gi] = np.where(by_creep, EXIT_CREEP, EXIT_JUMP)
-            und[gi], over[gi] = under, overshoot
-            live = np.ones(idx.size, dtype=bool)
-            live[rows] = False
-            v, inf_d, idx = v[live], inf_d[live], idx[live]
-            clock += k
+        t_cross[idx], kind[idx], und[idx], over[idx] = got
     label = "T*_b" if reflect else "T_b"
     return FirstPassageSample(b, t_cross, kind, und, over, cfg.t_max * cfg.max_blocks, label)
 
@@ -572,50 +619,70 @@ def _segment_first(law: _Law, rng, m: int, b: float, horizon: float):
     kind = np.zeros(m, dtype=np.int8)
     und, over = np.zeros(m), np.zeros(m)
     live, v, t = np.arange(m), np.zeros(m), np.zeros(m)  # the live paths, compacted
+    k = 1
     while live.size:
-        tau, cont, jump, jumped = _segment(law, rng, horizon - t)
-        c_end = v + cont
-        post = c_end + jump
-        creep, by_jump = _crossed_up(law, rng.random(live.size), v, c_end, post, b, tau)
-        at = tau.copy()
-        at[creep] = _hit_time(law, rng, b - v[creep], b - c_end[creep], tau[creep])
-        hit = creep | by_jump
+        seg = _segment(law, rng, horizon - t, k)
+        start, c_end, _, post = _levels(law, v, seg.cont, seg.jump, None, None, False)
+        creep, by_jump = _crossed_up(law, law.uniforms(rng, start.shape), start, c_end, post, b, seg.tau)
+        hit, j = _first((creep | by_jump) & seg.valid)
+        by_creep, h0, ce, po, at, el = (_at(x, j)[hit] for x in (creep, start, c_end, post, seg.tau, seg.elapsed))
+        at[by_creep] = _hit_time(law, rng, b - h0[by_creep], b - ce[by_creep], at[by_creep])
         g = live[hit]
-        t_cross[g] = (t + at)[hit]
-        kind[g] = np.where(creep, EXIT_CREEP, EXIT_JUMP)[hit]
-        und[g] = np.where(creep, 0.0, b - c_end)[hit]
-        over[g] = np.where(creep, 0.0, post - b)[hit]
-        go = jumped & ~hit  # a segment that ends without a jump ends at the horizon
-        live, v, t = live[go], post[go], (t + tau)[go]
+        t_cross[g] = t[hit] + el + at
+        kind[g] = np.where(by_creep, EXIT_CREEP, EXIT_JUMP)
+        und[g] = np.where(by_creep, 0.0, b - ce)
+        over[g] = np.where(by_creep, 0.0, po - b)
+        go = seg.runs_on & ~hit  # a row that does not run on ends at the horizon
+        live, v, t = live[go], post[go, -1], (t + seg.span[:, -1])[go]
+        k = _next_k(k, live.size)
     return t_cross, kind, und, over
 
 
-def _first_block(law: _Law, rng, v, inf_d, b: float, dt: float, k: int, reflect: bool):
-    """One block of ``_first_passages`` from levels v and infima inf_d,
-    which it updates in place.  Returns (end, rows, j, creep, under, over):
-    the levels after the block, and for the rows that cross b + inf_d, the
-    step of the crossing, whether it creeps, and the under- and overshoot."""
+def _block_reflected_first(law: _Law, rng, m: int, b: float, cfg: SimConfig):
+    """(t_cross, kind, under, over) of m paths' first up-crossings of b by
+    D*, by blocks of dt steps: D crosses b + inf(D ^ 0), taken before each
+    step (within-step ordering is O(dt))."""
+    t_cross = np.full(m, np.inf)
+    kind = np.zeros(m, dtype=np.int8)
+    und, over = np.zeros(m), np.zeros(m)
+    idx, v, inf_d = np.arange(m), np.zeros(m), np.zeros(m)
+    clock = 0  # steps taken, the same for every live path
+    while idx.size and clock < cfg.horizon_steps:
+        k = min(_block_len(idx.size), cfg.horizon_steps - clock)
+        v, rows, j, by_creep, under, overshoot = _first_block(law, rng, v, inf_d, b, cfg.dt, k)
+        gi = idx[rows]
+        t_cross[gi] = (clock + j + 1) * cfg.dt
+        kind[gi] = np.where(by_creep, EXIT_CREEP, EXIT_JUMP)
+        und[gi], over[gi] = under, overshoot
+        live = np.ones(idx.size, dtype=bool)
+        live[rows] = False
+        v, inf_d, idx = v[live], inf_d[live], idx[live]
+        clock += k
+    return t_cross, kind, und, over
+
+
+def _first_block(law: _Law, rng, v, inf_d, b: float, dt: float, k: int):
+    """One block of ``_block_reflected_first`` from levels v and infima
+    inf_d, which it updates in place.  Returns (end, rows, j, creep, under,
+    over): the levels after the block, and for the rows that cross
+    b + inf_d, the step of the crossing, whether it creeps, and the under-
+    and overshoot."""
     blk = _Block(law, rng, v, dt, k)
-    low_min = blk.mins() if reflect else None  # of the bridge-minimum uniforms
+    low_min = blk.mins()  # of the bridge-minimum uniforms
     up_min = blk.mins()  # of the crossing uniforms
     # rows that surely neither cross b + inf_d nor set a new infimum
     quiet = blk.clear(b + inf_d - blk.top, up_min)
-    if reflect:
-        quiet &= blk.clear(blk.bottom - inf_d, low_min)
+    quiet &= blk.clear(blk.bottom - inf_d, low_min)
     rows = np.flatnonzero(~quiet)
-    start, c_end, m_min, post = blk.levels(rows, blk.uniforms(_take(low_min, rows)), minimum=reflect)
-    level = b
-    if reflect:
-        inf_after = _running_inf(m_min, inf_d[rows])
-        level = np.hstack((inf_d[rows, None], inf_after[:, :-1]))
-        level += b
-        inf_d[rows] = inf_after[:, -1]
-        del inf_after
-    del m_min  # not needed past here; freed before the crossing test's arrays
+    start, c_end, m_min, post = blk.levels(rows, blk.uniforms(_take(low_min, rows)))
+    inf_after = _running_inf(m_min, inf_d[rows])
+    level = np.hstack((inf_d[rows, None], inf_after[:, :-1]))
+    level += b
+    inf_d[rows] = inf_after[:, -1]
+    del inf_after, m_min  # not needed past here; freed before the crossing test's arrays
     creep, jumpx = _crossed_up(law, blk.uniforms(_take(up_min, rows)), start, c_end, post, level, dt)
     hit, j = _first(creep | jumpx)
-    by_creep, ce, po = (_at(x, j)[hit] for x in (creep, c_end, post))
-    lev = _at(level, j)[hit] if reflect else b
+    by_creep, ce, po, lev = (_at(x, j)[hit] for x in (creep, c_end, post, level))
     under, over = np.where(by_creep, 0.0, lev - ce), np.where(by_creep, 0.0, po - lev)
     return blk.end, rows[hit], j[hit], by_creep, under, over
 
@@ -664,13 +731,11 @@ def _last_passages(
 ) -> LastPassageSample:
     """Last contacts with (-inf, b] of D, or of D* = D - inf(D ^ 0) when
     ``reflect``, by the escape test with conditioned returns (see the module
-    docstring), by segments where the jump rate is finite and by blocks of
-    dt steps otherwise.  Above b > 0 the reflected process moves as D does,
+    docstring), by segments.  Above b > 0 the reflected process moves as D does,
     so one loop serves both: the free process keeps its infimum at 0."""
     if b <= 0:
         raise ValueError("threshold must be positive")
     rho0 = _escape_rate(model, rho0)
-    group = _segment_last if _Law.of(model).segmented else _block_last
     n = cfg.n_paths
     l_last = np.full(n, np.nan)
     kind = np.zeros(n, dtype=np.int8)
@@ -678,7 +743,7 @@ def _last_passages(
     over = np.zeros(n)
     censored = 0
     for rng, idx in _path_groups(cfg, _STREAM_REFLECTED_LAST if reflect else _STREAM_LAST):
-        escaped, *got = group(model, rng, idx.size, b, rho0, cfg, reflect)
+        escaped, *got = _segment_last(model, rng, idx.size, b, rho0, cfg, reflect)
         gi = idx[escaped]
         l_last[gi], kind[gi], und[gi], over[gi] = (x[escaped] for x in got)
         censored += idx.size - int(escaped.sum())
@@ -696,11 +761,11 @@ def _segment_last(model: ModelSpec, rng, m: int, b: float, rho0: float, cfg: Sim
     exit by creeping), for r the first hit of the level by the bridge run
     backwards from c.  That hit falls in the piece after the minimum's time
     theta, a path from c that first reaches the minimum at tau - theta, so
-    theta and r both come from ``_split``.  A segment end above the
+    theta and r both come from ``_split``.  The first segment end above the
     level + 1/rho0 takes the escape test; a path that fails it returns
     under the tilted law until its bridge reaches the level, at the time
     ``_hit_time`` draws.  A path still running at the horizon is censored."""
-    law, tilted = _Law.of(model), _Law.tilted(model, rho0)
+    law, tilted = _Law.of(model), None  # rho0 = inf at sigma = 0, where no path returns
     gap = 1.0 / rho0  # a path is tested above b + inf + gap (see the module docstring)
     horizon = cfg.t_max * cfg.max_blocks
     escaped = np.zeros(m, dtype=bool)
@@ -710,165 +775,71 @@ def _segment_last(model: ModelSpec, rng, m: int, b: float, rho0: float, cfg: Sim
     # whether they are returning
     path, v, low, t = np.arange(m), np.zeros(m), np.zeros(m), np.zeros(m)
     returning = np.zeros(m, dtype=bool)
+    k = 1
     while path.size:
         keep = np.ones(path.size, dtype=bool)
         back, fwd = np.flatnonzero(returning), np.flatnonzero(~returning)
         if back.size:
-            x, lev = v[back], b + low[back]
-            tau, cont, jump, jumped = _segment(tilted, rng, horizon - t[back])
-            hit = _bridge_min(tilted, x, cont, rng.random(back.size), tau) <= lev
-            tau[hit] = _hit_time(tilted, rng, (x - lev)[hit], (x + cont - lev)[hit], tau[hit])
-            v[back] = np.where(hit, lev, x + cont + jump)
-            t[back] += tau
+            tilted = tilted or _Law.tilted(model, rho0)
+            hit, runs_on = _segment_return(tilted, rng, back, v, t, b + low[back], horizon, k)
             returning[back[hit]] = False
-            keep[back] = hit | jumped  # a return still running at the horizon is censored
+            keep[back] = hit | runs_on  # a return still running at the horizon is censored
         if fwd.size:
-            x = v[fwd]
-            tau, cont, jump, jumped = _segment(law, rng, horizon - t[fwd])
-            c_end = x + cont
-            m_min = _bridge_min(law, x, cont, rng.random(fwd.size), tau)
+            t0 = t[fwd]
+            seg = _segment(law, rng, horizon - t0, k)
+            start, c_end, m_min, post = _segment_levels(law, rng, v[fwd], seg)
+            lev = b
             if reflect:
-                low[fwd] = np.minimum(low[fwd], m_min)
-            lev = b + low[fwd]
-            touch = m_min <= lev
-            creep = touch & (c_end > lev)
-            back_off = np.zeros(fwd.size)
+                inf_after = _running_inf(m_min, low[fwd])
+                lev = b + inf_after
+            tested, jt = _first((post - lev > gap) & seg.valid)
+            upto = np.where(tested, jt, seg.last)
+            touched, j = _last((m_min <= lev) & (np.arange(seg.tau.shape[1]) <= upto[:, None]))
+            lev_j = _at(lev, j)[touched] if reflect else b
+            x, ce, mm, po, tau = (_at(y, j)[touched] for y in (start, c_end, m_min, post, seg.tau))
+            creep = ce > lev_j
+            back_off = np.zeros(creep.size)
             if creep.any():
-                theta = _split(law, rng, (x - m_min)[creep], (c_end - m_min)[creep], tau[creep])
-                back_off[creep] = _split(law, rng, (c_end - lev)[creep], (lev - m_min)[creep], tau[creep] - theta)
-            t[fwd] += tau
-            v[fwd] = post = c_end + jump
-            g = path[fwd[touch]]
-            last[g] = (t[fwd] - back_off)[touch]
-            kind[g] = np.where(creep, EXIT_CREEP, EXIT_JUMP)[touch]
-            und[g] = np.where(creep, 0.0, lev - c_end)[touch]
-            over[g] = np.where(creep, 0.0, post - lev)[touch]
-            keep[fwd] = jumped  # a segment that ends without a jump ends at the horizon
-            r = fwd[post - lev > gap]
+                theta = _split(law, rng, (x - mm)[creep], (ce - mm)[creep], tau[creep])
+                back_off[creep] = _split(law, rng, (ce - lev_j)[creep], (lev_j - mm)[creep], tau[creep] - theta)
+            g = path[fwd[touched]]
+            last[g] = t0[touched] + _at(seg.span, j)[touched] - back_off
+            kind[g] = np.where(creep, EXIT_CREEP, EXIT_JUMP)
+            und[g] = np.where(creep, 0.0, lev_j - ce)
+            over[g] = np.where(creep, 0.0, po - lev_j)
+            v[fwd] = _at(post, upto)
+            t[fwd] = t0 + _at(seg.span, upto)
+            if reflect:
+                low[fwd] = _at(inf_after, upto)
+            keep[fwd] = _at(seg.jumped, upto)  # a segment that ends without a jump ends at the horizon
+            r = fwd[tested]
             esc = _escapes(rng, v[r] - low[r], b, rho0)
             escaped[path[r[esc]]] = True
             keep[r[esc]] = False
             returning[r[~esc]] = True
         if not keep.all():
             path, v, low, t, returning = (x[keep] for x in (path, v, low, t, returning))
+        k = _next_k(k, path.size)
     return escaped, last, kind, und, over
 
 
-def _block_last(model: ModelSpec, rng, m: int, b: float, rho0: float, cfg: SimConfig, reflect: bool):
-    """(escaped, last, kind, under, over) of m paths, by blocks of dt steps."""
-    law, tilted = _Law.of(model), None
-    gap = 1.0 / rho0  # a path is tested above b + gap (see the module docstring)
-    horizon, dt = cfg.horizon_steps, cfg.dt
-    escaped = np.zeros(m, dtype=bool)
-    # per path, at the step of its last contact with (-inf, b]: the step's
-    # end time, and the continuous levels at its end and start and the
-    # level after its jumps, less the contact level
-    last, e_end, e_start, e_post = (np.zeros(m) for _ in range(4))
-    # the live paths, compacted: their group index, level, infimum, time
-    # their returns ended before their step ends, steps taken, and
-    # whether they are returning
-    path = np.arange(m)
-    v, inf_d, lag = np.zeros(m), np.zeros(m), np.zeros(m)
-    clock = np.zeros(m, dtype=np.int64)
-    returning = np.zeros(m, dtype=bool)
-    while path.size:
-        # every cell of the block lies within the censoring horizon
-        k = min(_block_len(path.size), horizon - int(clock.max()))
-        back, fwd = np.flatnonzero(returning), np.flatnonzero(~returning)
-        retire = np.zeros(path.size, dtype=bool)
-        if back.size:
-            # conditioned return: the tilted law until the bridge reaches b;
-            # the path resumes from b at the hitting time, so its next
-            # forward step records the contact
-            tilted = tilted or _Law.tilted(model, rho0)
-            to, steps, hit, rest = _return_block(tilted, rng, v[back], b + inf_d[back], dt, k)
-            v[back] = to
-            clock[back] += steps
-            lag[back[hit]] += rest
-            returning[back[hit]] = False
-        if fwd.size:
-            to, low, steps, tested, touched, j, at_j = _forward_block(
-                law, rng, v[fwd], inf_d[fwd], b, gap, dt, k, reflect
-            )
-            r = fwd[touched]
-            g = path[r]
-            last[g] = (clock[r] + j + 1) * dt - lag[r]
-            e_end[g], e_start[g], e_post[g] = at_j
-            v[fwd], inf_d[fwd] = to, low
-            clock[fwd] += steps
-            r = fwd[tested]
-            esc = _escapes(rng, v[r] - inf_d[r], b, rho0)
-            retire[r[esc]] = True
-            returning[r[~esc]] = True
-        escaped[path[retire]] = True
-        keep = ~retire & (clock < horizon)
-        if not keep.all():
-            path, v, inf_d, lag, clock, returning = (x[keep] for x in (path, v, inf_d, lag, clock, returning))
-    # a creeping exit leaves (-inf, b] inside its step, at the first hit of
-    # b by the step's bridge run backwards from the step end
-    creep = escaped & (e_end > 0)
-    last[creep] -= _hit_time(law, rng, e_end[creep], e_start[creep], dt)
-    kind = np.where(creep, EXIT_CREEP, EXIT_JUMP).astype(np.int8)
-    return escaped, last, kind, np.where(creep, 0.0, -e_end), np.where(creep, 0.0, e_post)
-
-
-def _return_block(law: _Law, rng, v, level, dt: float, k: int):
-    """One block of conditioned returns from levels v towards ``level`` (one
-    per row).  Returns (to, steps, hit, rest): the level after the block,
-    the level itself for a row that reaches it, the steps taken, and for
-    the rows that reach it, their indices and the time from the hit to the
-    end of its step."""
-    blk = _Block(law, rng, v, dt, k)
-    u_min = blk.mins()
-    rows = np.flatnonzero(~blk.clear(blk.bottom - level, u_min))
-    start, c_end, m_min, _ = blk.levels(rows, blk.uniforms(_take(u_min, rows)))
-    lev = level[rows]
-    hit, j = _first(m_min <= lev[:, None])
-    h0, h1 = _at(start, j)[hit] - lev[hit], _at(c_end, j)[hit] - lev[hit]
-    rows = rows[hit]
-    to, steps = blk.end, np.full(v.size, k)
-    to[rows], steps[rows] = level[rows], j[hit] + 1
-    return to, steps, rows, dt - _hit_time(law, rng, h0, h1, dt)
-
-
-def _forward_block(law: _Law, rng, v, floor, b: float, gap: float, dt: float, k: int, reflect: bool):
-    """One block of untilted steps of ``_last_passages`` from levels v and
-    infima ``floor``, each row up to its escape test.  Returns (to, floor,
-    steps, tested, touched, j, at_j): each row's level, infimum and steps
-    taken at the block's end or its test, and whether it is tested; for the
-    rows ``touched`` whose last contact with (-inf, b + inf] the block
-    records, its step j and at_j, the continuous levels at the step's end
-    and start and the level after its jumps, less the contact level."""
-    blk = _Block(law, rng, v, dt, k)
-    level = b + floor
-    untested = blk.top <= level + gap
-    # an untested row that ends at or below the level touches it at its last
-    # step, and its next block's first step records a later contact; the
-    # free process needs no more of it
-    below = untested & (blk.end <= level)
-    ask = np.arange(v.size) if reflect else np.flatnonzero(~below)
-    u_min = blk.mins(ask.size)
-    quiet = untested[ask] & blk.clear(blk.bottom[ask] - level[ask], u_min)  # no contact
-    if reflect:
-        quiet |= below & blk.clear(blk.bottom - floor, u_min)  # no new infimum
-    rows = ask[~quiet]
-    start, c_end, m_min, post = blk.levels(rows, blk.uniforms(_take(u_min, ~quiet)))
-    lev = b
-    if reflect:
-        inf_after = _running_inf(m_min, floor[rows])
-        lev = b + inf_after
-    hit, jt = _first(post - lev > gap)
-    upto = np.where(hit, jt, k - 1)
-    touched, j = _last((m_min <= lev) & (np.arange(k) <= upto[:, None]))
-    lev_j = _at(lev, j)[touched] if reflect else b
-    at_j = tuple(_at(x, j)[touched] - lev_j for x in (c_end, start, post))
-    to, low, steps = blk.end, floor.copy(), np.full(v.size, k)
-    to[rows], steps[rows] = _at(post, upto), upto + 1
-    if reflect:
-        low[rows] = _at(inf_after, upto)
-    tested = np.zeros(v.size, dtype=bool)
-    tested[rows] = hit
-    return to, low, steps, tested, rows[touched], j[touched], at_j
+def _segment_return(law: _Law, rng, back, v, t, level, horizon: float, k: int) -> np.ndarray:
+    """Conditioned returns of the paths ``back`` from levels v[back] towards
+    ``level`` (one per path) under the tilted ``law``, k segments each: the
+    first segment whose bridge minimum reaches the level ends the return
+    there, at the time ``_hit_time`` draws.  Updates v and t in place (v to
+    the level itself on a hit) and returns (hit, runs_on): the paths whose
+    return ends, and those still returning after k segments that all end
+    at a jump."""
+    t0 = t[back]
+    seg = _segment(law, rng, horizon - t0, k)
+    start, c_end, m_min, post = _segment_levels(law, rng, v[back], seg)
+    hit, j = _first((m_min <= level[:, None]) & seg.valid)
+    h0, h1, tau, el = (_at(x, j)[hit] for x in (start, c_end, seg.tau, seg.elapsed))
+    v[back] = np.where(hit, level, post[:, -1])
+    t[back] = t0 + seg.span[:, -1]
+    t[back[hit]] = t0[hit] + el + _hit_time(law, rng, h0 - level[hit], h1 - level[hit], tau)
+    return hit, seg.runs_on
 
 
 def run_last_passage(
@@ -894,69 +865,32 @@ def run_reflected_last_passage(
 # D* = D - inf(D ^ 0) at a given time
 
 
-def _reflected_at(law: _Law, rng, dt: float, when: np.ndarray, need: np.ndarray) -> np.ndarray:
-    """D* of path i at time when[i]: exact, by segments cut at that time,
-    where the jump rate is finite, else after need[i] steps of length dt."""
-    if law.segmented:
-        return _segment_reflected_at(law, rng, when)
-    return _reflected_after(law, rng, dt, need)
-
-
 def _segment_reflected_at(law: _Law, rng, when: np.ndarray) -> np.ndarray:
-    """D* at times ``when`` (D*_0 = 0): the level at a segment's end, less
-    the infimum moved to each segment's bridge minimum."""
+    """D* at times ``when`` (D*_0 = 0), by segments cut at those times: the
+    continuous level at the end of the last segment, less the infimum moved
+    to each segment's bridge minimum."""
     out = np.zeros(when.size)
     v, low, t = np.zeros(when.size), np.zeros(when.size), np.zeros(when.size)
     live = np.flatnonzero(when > 0)
+    k = 1
     while live.size:
-        tau, cont, jump, jumped = _segment(law, rng, when[live] - t[live])
-        low[live] = np.minimum(low[live], _bridge_min(law, v[live], cont, rng.random(live.size), tau))
-        out[live] = v[live] + cont - low[live]  # final where the segment ends at the target time
-        v[live] += cont + jump
-        t[live] += tau
-        live = live[jumped]
-    return out
-
-
-def _reflected_after(law: _Law, rng, dt: float, need: np.ndarray) -> np.ndarray:
-    """D* after need[i] steps of path i (D*_0 = 0 where need[i] is 0)."""
-    out = np.zeros(need.size)
-    v = np.zeros(need.size)
-    inf_d = np.zeros(need.size)
-    live = np.flatnonzero(need > 0)
-    clock = 0
-    while live.size:
-        k = min(_block_len(live.size), int(need[live].max()) - clock)
-        blk = _Block(law, rng, v[live], dt, k)
-        u_min = blk.mins()
-        floor = inf_d[live]
-        j = need[live] - clock - 1
-        fin = j < k
-        # rows that set no new infimum and, if they finish here, finish at the end
-        quiet = blk.clear(blk.bottom - floor, u_min) & (j >= k - 1)
-        out[live[quiet & fin]] = blk.end[quiet & fin] - floor[quiet & fin]
-        rows = np.flatnonzero(~quiet)
-        if rows.size:
-            _, _, m_min, post = blk.levels(rows, blk.uniforms(_take(u_min, rows)))
-            inf_after = _running_inf(m_min, floor[rows])
-            f = fin[rows]
-            jf = j[rows][f]
-            out[live[rows[f]]] = post[f, jf] - inf_after[f, jf]
-            inf_d[live[rows]] = inf_after[:, -1]
-        v[live] = blk.end
-        live = live[~fin]
-        clock += k
+        seg = _segment(law, rng, when[live] - t[live], k)
+        _, c_end, m_min, post = _segment_levels(law, rng, v[live], seg)
+        inf_after = _running_inf(m_min, low[live])
+        end, go = seg.last, seg.runs_on
+        out[live] = _at(c_end, end) - _at(inf_after, end)  # final where a segment ends at the target time
+        v[live], low[live] = post[:, -1], inf_after[:, -1]
+        t[live] += seg.span[:, -1]
+        live = live[go]
+        k = _next_k(k, live.size)
     return out
 
 
 def estimate_reflected_exceedance(model: ModelSpec, cfg: SimConfig, b: float, t: float) -> SimResult:
     """P(D*_t > b) by simulation."""
     law = _Law.of(model)
-    steps = int(np.round(t / cfg.dt))
-    vals = np.concatenate([
-        _reflected_at(law, rng, cfg.dt, np.full(idx.size, float(t)), np.full(idx.size, steps))
-        for rng, idx in _path_groups(cfg, _STREAM_EXCEEDANCE)
-    ])
+    groups = _path_groups(cfg, _STREAM_EXCEEDANCE)
+    vals = np.concatenate([_segment_reflected_at(law, rng, np.full(idx.size, float(t))) for rng, idx in groups])
     return _mean_result((vals > b).astype(float), f"P(D*_{t:g} > {b:g})")
 
 
@@ -975,8 +909,7 @@ def run_reflected_at_exp_horizon(
     joint = np.zeros(cfg.n_paths)
     for rng, idx in _path_groups(cfg, _STREAM_EXP_HORIZON):
         horizon = rng.exponential(1.0 / delta, idx.size)
-        need = np.maximum(1, np.ceil(horizon / cfg.dt).astype(int))  # steps to T
-        vals = d_at_t[idx] = _reflected_at(law, rng, cfg.dt, horizon, need)
+        vals = d_at_t[idx] = _segment_reflected_at(law, rng, horizon)
         joint[idx] = (vals > b) & ~_escapes(rng, vals, b, rho0)
     return d_at_t, joint
 

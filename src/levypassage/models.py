@@ -36,6 +36,10 @@ KIND_PH = "perturbed_cp_ph"
 _GAMMA_KINDS = (KIND_PURE_GAMMA, KIND_PERTURBED_GAMMA)
 ALL_KINDS = (KIND_BROWNIAN, KIND_PURE_GAMMA, KIND_PERTURBED_GAMMA, KIND_PH)
 
+# the gamma jumps below this share of xi ride in the drift of the law's
+# compound-Poisson view (``GammaMeasure.compound_poisson``)
+_GAMMA_CUT = 1e-12
+
 
 def _e1_scaled(z: np.ndarray) -> np.ndarray:
     """exp(z) * E1(z) for z > 0, overflow-free."""
@@ -327,15 +331,10 @@ class LevyMeasureView:
         jumps lumped at step ends, that sums to the draws along each row."""
         raise NotImplementedError
 
-    def sample_block(self, rng: np.random.Generator, n: int, k: int, dt: float):
-        """(totals, split): the jump totals of n rows of k steps of length dt,
-        and split(rows), which spreads the totals of ``rows`` over their k
-        steps with the law of J's path given its total (a (rows x k) array,
-        jumps lumped at step ends, drawing from ``rng``)."""
-        raise NotImplementedError
-
-    def sample_jumps(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n iid jump sizes, from Q / ``_rate``; a finite jump rate only."""
+    def compound_poisson(self) -> "_CompoundPoisson":
+        """This law with a finite jump rate: a compound-Poisson view of its
+        jumps, whose ``drift`` is the mean per unit time of the jumps it
+        leaves out."""
         raise NotImplementedError
 
     def tilt(self, rho: float) -> "LevyMeasureView":
@@ -390,6 +389,98 @@ def _dirichlet(rng: np.random.Generator, a, cells: tuple[int, int]) -> np.ndarra
     return w / w.sum(axis=1, keepdims=True)
 
 
+class _CompoundPoisson:
+    """A jump law of finite rate ``_rate``: exact jump sizes and blocks of
+    them.  ``drift`` is the mean per unit time of the jumps the view leaves
+    out of its law, which a path takes as drift (0 when it leaves none out)."""
+
+    _rate: float
+    drift = 0.0
+
+    def sample_jumps(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n iid jump sizes, from the view's jump measure / ``_rate``."""
+        raise NotImplementedError
+
+    def tilt(self, rho: float) -> "_CompoundPoisson":
+        """The view of the Esscher-tilted measure e^{-rho x} Q(dx)."""
+        raise NotImplementedError
+
+    def sample_block(self, rng: np.random.Generator, n: int, k: int, dt: float):
+        """(totals, split): the jump totals of n rows of k steps of length dt,
+        and split(rows), which spreads the totals of ``rows`` over their k
+        steps with the law of J's path given its total (a (rows x k) array,
+        jumps lumped at step ends, drawing from ``rng``).
+
+        The n k cells hold Poisson(rate dt n k) jumps in all, each in a
+        uniform cell, which is the joint law of one Poisson(rate dt) count per
+        cell; a row's split is its cells' own jumps.  The cells are sorted
+        (the sizes are iid, so the law is the same) and each row's total is
+        summed cell by cell, so it equals the running sum of its split to
+        the last bit."""
+        n_jumps = rng.poisson(self._rate * dt * n * k)
+        sizes = self.sample_jumps(rng, n_jumps)
+        cell = np.sort(rng.integers(0, n * k, n_jumps))
+        new = np.ones(n_jumps, dtype=bool)
+        new[1:] = cell[1:] != cell[:-1]
+        mass = np.bincount(np.cumsum(new) - 1, weights=sizes)  # per occupied cell
+        cell = cell[new]
+        total = np.bincount(cell // k, weights=mass, minlength=n)
+
+        def split(rows):
+            at = np.full(n, -1)
+            at[rows] = np.arange(rows.size)
+            row = at[cell // k]
+            mine = row >= 0
+            out = np.bincount(row[mine] * k + cell[mine] % k, weights=mass[mine], minlength=rows.size * k)
+            return out.reshape(rows.size, k)
+
+        return total, split
+
+
+class _CutGamma(_CompoundPoisson):
+    """The gamma jumps of at least eps, alpha x^-1 e^{-x/xi} dx on
+    [eps, inf), at rate alpha E1(eps/xi).  The jumps below eps have mean
+    ``drift`` = alpha xi (1 - e^{-eps/xi}) per unit time; what is left of
+    them is a martingale M with E[M_t^2] = t int_0^eps x^2 Q(dx) <=
+    alpha eps^2 t / 2, so a path D' that takes the drift for them is off the
+    true D by E[sup_{s<=t} |D - D'|^2] <= 2 alpha eps^2 t (Doob; Asmussen &
+    Rosinski, J. Appl. Probab. 38(2) 2001)."""
+
+    def __init__(self, alpha: float, xi: float, eps: float):
+        self.alpha, self.xi, self.eps = alpha, xi, eps
+        self._rate = alpha * float(exp1(eps / xi))
+        self.drift = -alpha * xi * math.expm1(-eps / xi)
+        # the rejection envelope: x^-1 on [eps, c] and c^-1 e^{-x/xi} above c
+        self._c = max(eps, xi)
+        self._mass_low = math.log(self._c / eps)
+        self._mass_high = xi / self._c * math.exp(-self._c / xi)
+
+    def sample_jumps(self, rng, n):
+        """Exact draws by rejection from the envelope: a uniform on its total
+        mass picks the branch by the envelope's masses log(c/eps) : (xi/c)
+        e^{-c/xi} and the point within it, log-uniform on [eps, c] or c plus
+        an Exp(xi) draw, kept with probability e^{-x/xi} or c/x (an Exp(1)
+        draw above x/xi or log(x/c))."""
+        out = np.empty(n)
+        todo = np.arange(n)
+        c, xi = self._c, self.xi
+        while todo.size:
+            u = rng.random(todo.size) * (self._mass_low + self._mass_high)
+            x = self.eps * np.exp(u)
+            bar = x / xi  # -log of the acceptance probability
+            high = np.flatnonzero(u >= self._mass_low)
+            x[high] = c - xi * np.log1p((self._mass_low - u[high]) / self._mass_high)
+            bar[high] = np.log(x[high] / c)
+            keep = rng.standard_exponential(todo.size) > bar
+            out[todo[keep]] = x[keep]
+            todo = todo[~keep]
+        return out
+
+    def tilt(self, rho):
+        """The tilted gamma law alpha x^-1 e^{-x (1/xi + rho)} dx, cut at the same eps."""
+        return _CutGamma(self.alpha, self.xi / (1.0 + rho * self.xi), self.eps)
+
+
 class GammaMeasure(LevyMeasureView):
     """Q(dx) = alpha x^-1 exp(-x/xi) dx."""
 
@@ -422,12 +513,10 @@ class GammaMeasure(LevyMeasureView):
 
         return total, bridge
 
-    def sample_block(self, rng, n, k, dt):
-        """``sample_bridged``'s law, with one scalar Dirichlet parameter
-        alpha dt for the whole block."""
-        a = self.alpha * dt
-        total = rng.gamma(a * k, self.xi, n)
-        return total, lambda rows: total[rows, None] * _dirichlet(rng, a, (rows.size, k))
+    def compound_poisson(self):
+        """The jumps of at least eps = _GAMMA_CUT xi, the mean of the rest
+        as drift (``_CutGamma``)."""
+        return _CutGamma(self.alpha, self.xi, _GAMMA_CUT * self.xi)
 
     def tilt(self, rho):
         return GammaMeasure(self.alpha, self.xi / (1.0 + rho * self.xi))
@@ -475,7 +564,7 @@ class GammaMeasure(LevyMeasureView):
         return out
 
 
-class PHMeasure(LevyMeasureView):
+class PHMeasure(LevyMeasureView, _CompoundPoisson):
     """Q(dx) = lam * alpha exp(x T) t dx (finite activity)."""
 
     def __init__(self, lam: float, ph: PhaseType):
@@ -521,31 +610,8 @@ class PHMeasure(LevyMeasureView):
     def moment(self, k: int) -> float:
         return self.lam * self.ph.moment(k)
 
-    def sample_block(self, rng, n, k, dt):
-        """The n k cells hold Poisson(lam dt n k) jumps in all, each in a
-        uniform cell, which is the joint law of one Poisson(lam dt) count per
-        cell; a row's split is its cells' own jumps.  The cells are sorted
-        (the sizes are iid, so the law is the same) and each row's total is
-        summed cell by cell, so it equals the running sum of its split to
-        the last bit."""
-        n_jumps = rng.poisson(self.lam * dt * n * k)
-        sizes = self.sample_jumps(rng, n_jumps)
-        cell = np.sort(rng.integers(0, n * k, n_jumps))
-        new = np.ones(n_jumps, dtype=bool)
-        new[1:] = cell[1:] != cell[:-1]
-        mass = np.bincount(np.cumsum(new) - 1, weights=sizes)  # per occupied cell
-        cell = cell[new]
-        total = np.bincount(cell // k, weights=mass, minlength=n)
-
-        def split(rows):
-            at = np.full(n, -1)
-            at[rows] = np.arange(rows.size)
-            row = at[cell // k]
-            mine = row >= 0
-            out = np.bincount(row[mine] * k + cell[mine] % k, weights=mass[mine], minlength=rows.size * k)
-            return out.reshape(rows.size, k)
-
-        return total, split
+    def compound_poisson(self):
+        return self
 
     def sample_jumps(self, rng, n):
         return sample_phase_type(self.ph, rng, n)

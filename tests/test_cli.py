@@ -12,7 +12,7 @@ from levypassage.cli import dispatch, run_validation
 from levypassage.errors import SchemaError
 from levypassage.last_passage import last_passage_joint_density, last_passage_overshoot_transform
 from levypassage.lundberg import build_scale_set
-from levypassage.maintenance import PolicyKernels, policy_from_dict
+from levypassage.maintenance import PolicyKernels, expected_time_to_renewal, policy_from_dict
 from levypassage.mc import SimConfig
 from levypassage.models import model_from_dict
 from levypassage.reflected import reflected_passage_density
@@ -51,6 +51,25 @@ def test_maintenance_runs(what, bm_files, tmp_path):
     assert dispatch(["maintenance", *bm_files, "--what", what, "--i", "2", "--out", str(out)]) == 0
     _, rows = _read_csv(out)
     assert rows.size and np.all(np.isfinite(rows))
+
+
+def test_expected_table_is_one_chain(tmp_path, monkeypatch):
+    # the table reads E[T* 1{I = i}] for every i off one chain, so C is
+    # computed once, and each row is expected_time_to_renewal(k, i) to the bit
+    model, policy, out = tmp_path / "model.json", tmp_path / "policy.json", tmp_path / "expected.csv"
+    model.write_text(json.dumps(PG))
+    policy.write_text(json.dumps(POLICY))
+    calls = []
+    kernel_c = PolicyKernels.kernel_c
+    monkeypatch.setattr(PolicyKernels, "kernel_c", lambda self, y: calls.append(y) or kernel_c(self, y))
+    argv = ["maintenance", "--model", str(model), "--policy", str(policy), "--what", "expected", "--i", "5"]
+    assert dispatch([*argv, "--out", str(out)]) == 0
+    assert len(calls) == 1
+    header, rows = _read_csv(out)
+    assert header == ["i", "E_Tstar_on_I"]
+    kernels = PolicyKernels(model_from_dict(PG), policy_from_dict(POLICY))
+    assert rows[:, 0].tolist() == [1, 2, 3, 4, 5]
+    assert rows[:, 1].tolist() == [expected_time_to_renewal(kernels, i) for i in range(1, 6)]
 
 
 def test_kernels_c_column_is_kernel_c(bm_files, tmp_path):
@@ -145,7 +164,7 @@ def test_simulate_with_one_uncensored_path_prints_json(tmp_path, capsys):
     # 199 of 200 paths are censored: one value has no standard error
     model = tmp_path / "pg.json"
     model.write_text(json.dumps({"kind": "perturbed_gamma", "mu": 0.2, "sigma": 0.8, "alpha": 1.5, "xi": 0.7}))
-    argv = ["--target", "last", "--b", "3", "--delta", "0.5", "--t-max", "0.5", "--max-blocks", "1", "--seed", "9"]
+    argv = ["--target", "last", "--b", "3", "--delta", "0.5", "--t-max", "0.5", "--max-blocks", "1", "--seed", "2"]
     assert _simulate(str(model), *argv) == 0
 
     def not_json(name):

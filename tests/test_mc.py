@@ -4,6 +4,7 @@ Carlo estimators of the reflected process against exact laws."""
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -130,8 +131,9 @@ class TestLastPassageEscapeTest:
 
 
 class TestSegmentEngine:
-    """Brownian motion and phase type go from jump to jump: every estimator
-    but reflected first passage draws exact segment laws and reads no dt."""
+    """Every kind goes from jump to jump (the gamma kinds through their
+    compound-Poisson view): every estimator but reflected first passage
+    draws exact segment laws and reads no dt."""
 
     ESTIMATORS = {
         "first": lambda m, cfg: run_first_passage(m, cfg, 1.0),
@@ -141,7 +143,7 @@ class TestSegmentEngine:
         "exp_horizon": lambda m, cfg: run_reflected_at_exp_horizon(m, cfg, 0.5, 1.0),
     }
 
-    @pytest.mark.parametrize("name", ["bm_model", "ph2_model"])
+    @pytest.mark.parametrize("name", ["bm_model", "ph2_model", "pgamma_model", "gamma_model"])
     @pytest.mark.parametrize("estimator", list(ESTIMATORS))
     def test_dt_free(self, request, name, estimator):
         model = request.getfixturevalue(name)
@@ -170,6 +172,30 @@ class TestSegmentEngine:
         s = _split(_Law(0.0, sigma, None), _substream(9, 0, 0), np.full(n, a), np.full(n, c), np.full(n, span))
         assert abs(float(s.mean()) - mean) < 1e-3
         assert np.max(np.abs(np.quantile(s, [0.25, 0.5, 0.75]) - quartiles)) < 1e-3
+
+    def test_split_at_sigma_zero_is_linear(self):
+        # a linear path's minimum and hitting times are fixed by its ends
+        rng = _substream(9, 0, 0)
+        a, c, span = rng.random(1_000), rng.random(1_000), rng.random(1_000)
+        s = _split(_Law(0.5, 0.0, None), rng, a, c, span)
+        assert np.array_equal(s, span * a / (a + c))
+
+    @pytest.mark.parametrize("estimator", [*ESTIMATORS, "reflected_first"])
+    def test_pure_gamma_without_runtime_warnings(self, gamma_model, estimator):
+        run = self.ESTIMATORS.get(estimator, lambda m, cfg: run_reflected_first_passage(m, cfg, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            run(gamma_model, SimConfig(dt=2e-3, t_max=6.0, n_paths=2_000, seed=7, max_blocks=10))
+
+    def test_perturbed_gamma_last_passage_at_coarse_dt(self, pgamma_model_wide):
+        # the gamma kinds' last passage reads no dt, so a step of 0.08 leaves
+        # no O(dt) bias (a block engine at that step reads many SE low)
+        cfg = SimConfig(dt=0.08, t_max=6.0, n_paths=100_000, seed=3, max_blocks=10)
+        sample = run_last_passage(pgamma_model_wide, cfg, 1.0)
+        for t in (0.5, 1.0, 1.5, 2.0):
+            mc = sample.cdf_at(t)
+            target = last_passage_cdf(pgamma_model_wide, 1.0, t)
+            assert_within_se(mc.estimate, mc.std_error, target, 3.0, f"P(L_b < {t})")
 
 
 class TestReflectedMC:

@@ -17,6 +17,7 @@ from levypassage.models import (
     ModelSpec,
     PHMeasure,
     PhaseType,
+    _GAMMA_CUT,
     model_from_dict,
     model_from_json,
     model_to_dict,
@@ -293,7 +294,8 @@ class TestBlockSplit:
     """``sample_block``'s split spreads each row's jump total over its steps."""
 
     def test_gamma_rows_sum_to_their_totals(self):
-        total, split = GammaMeasure(1.5, 0.7).sample_block(np.random.default_rng(12), 3_000, 16, 2e-3)
+        measure = GammaMeasure(1.5, 0.7).compound_poisson()
+        total, split = measure.sample_block(np.random.default_rng(12), 3_000, 16, 2e-3)
         rows = np.arange(1, 3_000, 3)
         steps = split(rows)
         assert steps.shape == (rows.size, 16) and np.all(steps >= 0.0)
@@ -309,6 +311,45 @@ class TestBlockSplit:
         assert steps.shape == (rows.size, 64) and np.all(steps >= 0.0)
         assert np.array_equal(np.cumsum(steps, axis=1)[:, -1], total[rows])
         assert np.count_nonzero(np.count_nonzero(steps, axis=1) >= 3) > 50
+
+
+class TestGammaCut:
+    """The gamma law's compound-Poisson view: the jumps of at least
+    eps = _GAMMA_CUT xi, the mean of the rest as drift."""
+
+    MEASURE = GammaMeasure(1.3, 0.8)
+
+    @pytest.mark.parametrize("x_over_xi", [1e-9, 1e-4, 0.1, 1.0, 4.0])
+    def test_sampler_tail(self, x_over_xi):
+        # P(J >= x) = Qbar(x) / rate for x >= eps
+        view = self.MEASURE.compound_poisson()
+        n = 2_000_000
+        draws = view.sample_jumps(np.random.default_rng(17), n)
+        assert draws.min() >= view.eps
+        x = x_over_xi * self.MEASURE.xi
+        p = float(self.MEASURE.tail(x)) / view._rate
+        assert_within_se(float(np.mean(draws >= x)), math.sqrt(p * (1.0 - p) / n), p, 4.0, f"tail at {x:g}")
+
+    def test_rate_and_drift_share(self):
+        view = self.MEASURE.compound_poisson()
+        alpha, xi = self.MEASURE.alpha, self.MEASURE.xi
+        assert view.eps == _GAMMA_CUT * xi
+        assert view._rate == pytest.approx(alpha * exp1(_GAMMA_CUT), rel=1e-14)
+        # int_0^eps x Q(dx) = alpha xi (1 - e^{-eps/xi}) = alpha eps (1 - eps / (2 xi) + ...)
+        share = quad(lambda x: x * float(self.MEASURE.density(x)), 0.0, view.eps)[0]
+        assert view.drift == pytest.approx(share, rel=1e-12)
+        assert view.drift == pytest.approx(alpha * view.eps * (1.0 - view.eps / (2.0 * xi)), rel=1e-15)
+
+    @pytest.mark.parametrize("rho", [0.4, 2.0])
+    def test_cut_commutes_with_the_tilt(self, rho):
+        # cutting, then tilting keeps eps: it is the tilted measure cut at eps
+        view = self.MEASURE.compound_poisson()
+        tilted = view.tilt(rho)
+        full = self.MEASURE.tilt(rho)
+        assert tilted.eps == view.eps
+        assert tilted._rate == pytest.approx(float(full.tail(view.eps)), rel=1e-14)
+        share = quad(lambda x: x * float(full.density(x)), 0.0, view.eps)[0]
+        assert tilted.drift == pytest.approx(share, rel=1e-12)
 
 
 class TestSample:
