@@ -276,13 +276,8 @@ def _cmd_reflected(args) -> int:
 
 def _cmd_duality(args) -> int:
     model = _load_model(args.model)
-    cfg = SimConfig(
-        dt=args.dt,
-        t_max=max(args.t, args.dt),
-        n_paths=args.paths,
-        seed=args.seed,
-        max_blocks=1,
-    )
+    # both estimates go from jump to jump and read no time step
+    cfg = SimConfig(dt=args.t, t_max=args.t, n_paths=args.paths, seed=args.seed, max_blocks=1)
     refl, fp = duality_check(model, args.b, args.t, cfg)
     doc = {
         "p_reflected_exceeds": {"estimate": refl.estimate, "se": refl.std_error, "n": refl.n},
@@ -548,10 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--b", type=float, required=True)
     q.add_argument("--t", type=float, required=True)
     q.add_argument("--paths", type=int, default=20000)
-    q.add_argument(
-        "--dt", type=float, default=2e-3,
-        help="time step of reflected first passage, which this check does not run: both estimates go from jump to jump",
-    )
     q.add_argument("--seed", type=int, default=0)
     q.set_defaults(func=_cmd_duality)
 

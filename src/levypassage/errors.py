@@ -55,7 +55,7 @@ class NoConvergence(NumericalError):
 
 
 class SeriesNotConverged(NumericalError):
-    """Neumann/convolution series terms did not fall below tolerance."""
+    """A renewal equation's grid does not resolve it (see ``renewal_series``)."""
 
 
 class RepeatedRoots(NumericalError):

@@ -54,17 +54,16 @@ def pk_series_transform(
 ) -> PassageTransform:
     """Penalty transform by the renewal series phi = sum_k g*k * h.
 
-    The series terms decay geometrically for delta > 0 (the kernel g has mass
-    below 1).  ``renewal_series`` sums them by doubling, stopping at the
-    first step that adds less than 1e-10 in sup-norm; the terms left then
-    are of the order of that step's square, so the sum is the full series
-    to rounding.  A step above 1e-8 after 2^8 terms raises SeriesNotConverged.
+    The series converges for delta > 0 (the kernel g has mass below 1).
+    ``renewal_series`` solves the renewal equation on the grid in one
+    power-series division, and raises SeriesNotConverged when the grid does
+    not resolve it.
     """
     if delta <= 0:
         raise ValueError("the series route requires delta > 0")
     rho = solve_lundberg(model, delta).rho
     kernels = build_renewal_kernels(model, delta, rho, b_max, n, penalty)
-    total = renewal_series(kernels.g, kernels.h, raise_above=1e-8)
+    total = renewal_series(kernels.g, kernels.h)
     return PassageTransform(
         delta, GridFunction(0.0, kernels.h.h, total), ROUTE_PK_SERIES
     )

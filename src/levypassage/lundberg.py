@@ -418,8 +418,8 @@ def scale_via_ode_series(
         H(delta, x) = -(rho/delta) sum_k g*k * (h' + g)(x),
 
     hence W(x) = int_0^x e^{rho (x-y)} H(y) dy and W' = rho W + H exactly.
-    The series is ``renewal_series`` (summed by doubling, to rounding), and
-    a step above 1e-6 after 2^8 terms raises SeriesNotConverged.
+    The series is ``renewal_series``, the exact solution on the grid, which
+    raises SeriesNotConverged when the grid does not resolve it.
 
     The extra g in the driver comes from differentiating the renewal
     equation phi = phi * g + h: since phi(0) = h(0) = 1 the derivative obeys
@@ -433,7 +433,7 @@ def scale_via_ode_series(
     rho = root.rho
     kernels = build_renewal_kernels(model, delta, rho, x_max, n)
     first = kernels.h_prime.with_values(kernels.h_prime.values + kernels.g.values)
-    series = renewal_series(kernels.g, first, raise_above=1e-6)
+    series = renewal_series(kernels.g, first)
     h_vals = -(rho / delta) * series
     xs = kernels.g.grid()
     h_step = kernels.g.h

@@ -1,8 +1,8 @@
 """Shared numerical kernels.
 
-Special functions (2F2, the parabolic-cylinder core integral), tabulated
-functions on uniform grids with trapezoid convolution, Gaver-Stehfest
-weights for numerical Laplace inversion, and root finding.
+Special functions (2F2, the parabolic-cylinder core integral), grid
+functions with trapezoid convolution, power-series products and reciprocals
+by FFT, Gaver-Stehfest weights for Laplace inversion, and root finding.
 Everything here is a pure function of its inputs.
 """
 
@@ -113,24 +113,36 @@ class GridFunction:
         return GridFunction(self.x0, self.h, values, extrapolate=self.extrapolate)
 
 
-def grid_convolve(f: GridFunction, g: GridFunction) -> GridFunction:
-    """Causal convolution (f*g)(x_k) = int_0^{x_k} f(y) g(x_k - y) dy.
+def series_product(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """The first n coefficients of the power-series product a(z) b(z), by FFT
+    at a power-of-two length long enough that nothing wraps below z^n."""
+    a, b = a[:n], b[:n]
+    m = 1 << (max(n, a.size + b.size - 1) - 1).bit_length()
+    return np.fft.irfft(np.fft.rfft(a, m) * np.fft.rfft(b, m), m)[:n]
 
-    Trapezoid end-weights; the FFT path for long grids gives identical weights.
-    Both inputs must share the grid and have x0 = 0.
-    """
+
+def series_reciprocal(a: np.ndarray, n: int) -> np.ndarray:
+    """The first n coefficients of 1/a(z), a[0] != 0, by Newton's iteration:
+    if a inv = 1 + z^k e(z), then inv - z^k inv e is right to 2k terms.  The
+    steps end on the sizes ceil(n / 2^j), so the last one lands on n."""
+    inv = np.array([1.0 / a[0]])
+    for j in reversed(range((n - 1).bit_length())):
+        m = -(-n >> j)  # ceil(n / 2^j)
+        e = series_product(a, inv, m)[inv.size :]
+        inv = np.concatenate((inv, -series_product(inv, e, m - inv.size)))
+    return inv
+
+
+def grid_convolve(f: GridFunction, g: GridFunction) -> GridFunction:
+    """Causal convolution (f*g)(x_k) = int_0^{x_k} f(y) g(x_k - y) dy: the
+    series product of the samples with trapezoid end-weights.  Both inputs
+    must share the grid and have x0 = 0."""
     if not f.same_grid(g):
         raise GridMismatch("convolution requires identical grids")
     if abs(f.x0) > 1e-12:
         raise GridMismatch("convolution grids must start at 0")
     a, b = f.values, g.values
-    n = a.size
-    if n > 1024:
-        m = 1 << int(np.ceil(np.log2(2 * n)))
-        full = np.fft.irfft(np.fft.rfft(a, m) * np.fft.rfft(b, m), m)[:n]
-    else:
-        full = np.convolve(a, b)[:n]
-    out = f.h * (full - 0.5 * a[0] * b - 0.5 * b[0] * a)
+    out = f.h * (series_product(a, b, a.size) - 0.5 * a[0] * b - 0.5 * b[0] * a)
     out[0] = 0.0
     return GridFunction(f.x0, f.h, out, extrapolate=f.extrapolate)
 

@@ -29,9 +29,9 @@ against q through the law's own factors (phase type: alpha e^{xT} times
 e^{vT} t; gamma: e^{-x/xi} e^{-v/xi} over x + v), on v-panels graded
 towards v = 0.
 
-``renewal_series`` sums the solution phi = sum_k g*k * h, and the ODE-series
-scale route's sum with h' + g in place of h, by doubling: a handful of
-convolutions by g*(2^s) instead of one convolution per term.
+``renewal_series`` solves phi = g * phi + h on the grid, and the ODE-series
+scale route's equation with h' + g in place of h, as one power-series
+division, and checks the solution against its own on every other node.
 """
 
 from __future__ import annotations
@@ -44,9 +44,8 @@ import numpy as np
 
 from .errors import NoPerturbation, SeriesNotConverged
 from .models import ModelSpec
-from .numerics import GridFunction, cell_nodes, cumulative_from_cells, grid_convolve
+from .numerics import GridFunction, cell_nodes, cumulative_from_cells, series_product, series_reciprocal
 
-SERIES_DOUBLINGS = 8  # doubling steps (2^8 terms) of a renewal series sum_k g*k before it counts as not converged
 _GL_TAIL_NODES, _GL_TAIL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 _GL_TAIL_NODES = 0.5 * (_GL_TAIL_NODES + 1.0)
 _GL_TAIL_WEIGHTS = 0.5 * _GL_TAIL_WEIGHTS
@@ -206,27 +205,26 @@ def build_renewal_kernels(
     )
 
 
-def renewal_series(g: GridFunction, first: GridFunction, raise_above: float) -> np.ndarray:
-    """sum_k g*k * first on the grid of ``first``, by doubling.  With
-    p = g*(2^s), the step y <- y + p * y takes the partial sum from the terms
-    k < 2^s to k < 2^(s+1), and p <- p * p; the trapezoid convolution of
-    kernels vanishing at 0, as g does, is associative, so this is the term
-    loop's sum.  It stops at the first step that adds less than 1e-10 in
-    sup-norm; the terms left then are of the order of that step's square.
-    If SERIES_DOUBLINGS steps do not get there, the sum stands unless the
-    last step added more than ``raise_above`` (or overflowed), in which case
-    SeriesNotConverged is raised."""
-    total, power = first.values, g
+def _solve(g: np.ndarray, first: np.ndarray, h: float) -> np.ndarray:
+    """phi = g * phi + first for samples on a grid of step h, g[0] = 0."""
+    a = np.concatenate(([1.0], -h * g[1:]))
+    return series_product(first - 0.5 * h * first[0] * g, series_reciprocal(a, g.size), g.size)
+
+
+def renewal_series(g: GridFunction, first: GridFunction) -> np.ndarray:
+    """phi = g * phi + first, i.e. sum_k g*k * first, exactly on the grid.
+
+    With g(0) = 0, as renewal kernels have, the trapezoid convolution of
+    ``grid_convolve`` reads phi = r + h (g . phi), with (.) the plain causal
+    convolution of the samples and r = first - h/2 first(0) g, so phi(z) =
+    r(z) / (1 - h g(z)) mod z^n.  The samples are point values, so solving
+    again on every other node needs no new kernel; if that moves phi by
+    more than 1e-2 of max|phi|, or either solve is not finite, the grid does
+    not resolve the equation and SeriesNotConverged is raised."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow ends in the raise below
-        for _ in range(SERIES_DOUBLINGS):
-            added = grid_convolve(power, first.with_values(total)).values
-            total = total + added
-            size = np.max(np.abs(added))
-            if size < 1e-10:
-                return total
-            power = grid_convolve(power, power)
-    if not size <= raise_above:
-        raise SeriesNotConverged(
-            f"renewal series: the last of {SERIES_DOUBLINGS} doubling steps added {size:.2e} in sup-norm"
-        )
-    return total
+        fine = _solve(g.values, first.values, g.h)
+        gap = np.max(np.abs(fine[::2] - _solve(g.values[::2], first.values[::2], 2.0 * g.h)))
+        size = np.max(np.abs(fine))
+    if not gap <= 1e-2 * size < np.inf:  # a NaN or inf in either solve fails one of the two
+        raise SeriesNotConverged(f"renewal solve unresolved: every other node moves phi by {gap:.2e} of {size:.2e}")
+    return fine

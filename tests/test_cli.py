@@ -138,6 +138,25 @@ def test_brownian_scale_route_of_another_kind_is_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_unresolved_scale_grid_is_numerical_failure(tmp_path, capsys):
+    # the kernels vary on the scale 1/rho(0.5) < sigma^2 / (2 mu) = 0.01, under
+    # the step 20/1024: the renewal solve's two-grid check refuses the table
+    path = tmp_path / "pgamma.json"
+    path.write_text(json.dumps({**PG, "mu": 0.5, "sigma": 0.1, "alpha": 1.0, "xi": 1.0}))
+    argv = ["scale", "--model", str(path), "--delta", "0.5", "--x-max", "20", "--n", "1025"]
+    assert dispatch(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: ")
+
+
+def test_duality_takes_no_time_step(bm_model_file):
+    # both of its estimates go from jump to jump, so there is no dt to set
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["duality", "--model", bm_model_file, "--b", "1", "--t", "1", "--dt", "0.01"])
+    assert exc.value.code == 2
+
+
 def _simulate(model_file, *argv):
     return dispatch(["simulate", "--model", model_file, "--paths", "200", "--dt", "0.01", *argv])
 

@@ -3,7 +3,7 @@ defined (models.py), where the D_t law is picked (``density_of_dt``), and
 in a few named places; everything else reads the law from ``ModelSpec`` or
 from the D_t law.  The shared numerics carry no helper that only tests call,
 and no library module has a public name without a caller outside tests,
-save the closed forms and MC oracles listed in ``TEST_ONLY``."""
+save the closed forms, MC oracles and references listed in ``TEST_ONLY``."""
 
 import ast
 import dataclasses
@@ -34,6 +34,8 @@ TEST_ONLY = {
     ("last_passage", "bm_last_passage_density"): "its density, checked against the cdf and MC",
     ("last_passage", "reflected_last_passage_exp_joint"): "paper law of [L*_b >= T, D*_T in da] at T ~ Exp(delta)",
     ("mc", "run_reflected_at_exp_horizon"): "MC oracle of reflected_last_passage_exp_joint",
+    ("numerics", "grid_convolve"): "trapezoid convolution, the term-loop reference of tests/test_renewal.py;"
+    " perfbench/tracing.py spans it, so it stays",
 }
 
 
@@ -101,7 +103,9 @@ def test_numerics_names_have_library_callers():
     public = {
         n.name
         for n in tree.body
-        if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and not n.name.startswith("_")
+        if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+        and not n.name.startswith("_")
+        and ("numerics", n.name) not in TEST_ONLY
     }
     referenced = set()
     for path in SRC.glob("*.py"):
@@ -191,6 +195,13 @@ def test_policy_chain_takes_no_grid():
     assert params[("maintenance", "expected_time_to_renewal")] == ["kernels", "i"]
     assert params[("maintenance", "PolicyKernels.default_state_grid")] == ["self"]
     assert params[("last_passage", "density_of_dt")] == ["model", "t"]
+
+
+def test_renewal_solve_has_no_term_budget():
+    # the renewal equation is solved in one power-series division and checked
+    # on every other node, so no caller sets a stop rule and no budget exists
+    assert public_parameters()[("renewal", "renewal_series")] == ["g", "first"]
+    assert not hasattr(levypassage.renewal, "SERIES_DOUBLINGS")
 
 
 def test_escape_mass_overridden_only_by_closed_forms():

@@ -205,7 +205,7 @@ class TestGridConvolve:
         rng = np.random.default_rng(0)
         vals_a = rng.random(1500)
         vals_b = rng.random(1500)
-        big = grid_convolve(_gf(vals_a), _gf(vals_b))  # FFT path (n > 1024)
+        big = grid_convolve(_gf(vals_a), _gf(vals_b))
         direct = np.convolve(vals_a, vals_b)[:1500] * 1e-3
         direct -= 0.5e-3 * (vals_a[0] * vals_b + vals_b[0] * vals_a)
         direct[0] = 0.0
