@@ -20,14 +20,30 @@ integral at s = 0 for gamma jumps:
         = [e^{-kappa y} C(y) + (1 - e^{-(kappa+rho) y}) R(y)] / (kappa + rho),
 
 with C(y) = int_0^y (e^{kappa x} - e^{-rho x}) omega(x) dx and R(s) the inner
-exponential tail.  C is accumulated with per-cell Gauss-Legendre nodes, so
-integrable endpoint singularities of omega never get evaluated.
+exponential tail.  For g, C is accumulated with five Gauss-Legendre nodes a
+cell: (e^{kappa x} - e^{-rho x}) q(x) is smooth at 0 even for gamma jumps,
+and five nodes hold its e^{-rho x} to rounding at rho h = 0.8.
+
+The tagged penalties have omega(x) = Qbar(x + eps), eps = 0 for w = 1.  For
+gamma jumps Qbar has a log singularity at 0, which a node rule resolves only
+slowly, so C is taken by parts, with G the primitive of the factor, G(0) = 0:
+
+    G(x) = expm1(kappa x) / kappa + expm1(-rho x) / rho   (first term x at kappa = 0)
+    C(y) = G(y) Qbar(y + eps) + int_0^y G(x) q(x + eps) dx,
+
+whose integrand is smooth at 0 and, at eps = 0, is g's table of q times G.
+Qbar on the grid comes from the identity Qbar(s) = rho R(s) + R_q(s), R and
+R_q the exponential tails of Qbar and of Q, which the kernels need anyway;
+so Qbar itself, an exponential integral per point for gamma jumps, is never
+evaluated.
 
 For a callable penalty, omega(x) = int_0^inf w(x, v) q(x + v) dv is one
 call to the jump law's ``penalty_mass``, which integrates a table of w
 against q through the law's own factors (phase type: alpha e^{xT} times
 e^{vT} t; gamma: e^{-x/xi} e^{-v/xi} over x + v), on v-panels graded
-towards v = 0.
+towards v = 0.  Its C and R take the cell rule of g, save the first cell,
+which keeps the log singularity: there 24-node panels are graded by 4^-j
+towards 0.
 
 ``renewal_series`` solves phi = g * phi + h on the grid, and the ODE-series
 scale route's equation with h' + g in place of h, as one power-series
@@ -42,7 +58,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NoPerturbation, SeriesNotConverged
+from .errors import NoPerturbation, SeriesNotConverged, UsageError
 from .models import ModelSpec
 from .numerics import GridFunction, cell_nodes, cumulative_from_cells, series_product, series_reciprocal
 
@@ -50,6 +66,9 @@ _GL_TAIL_NODES, _GL_TAIL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 _GL_TAIL_NODES = 0.5 * (_GL_TAIL_NODES + 1.0)
 _GL_TAIL_WEIGHTS = 0.5 * _GL_TAIL_WEIGHTS
 _OMEGA_PANELS = 48  # uniform 24-node panels over the jump support, for omega's v-integral and tail seed
+# a callable penalty's first cell: 24-node panels [0, h 4^-12], ..., [h/4, h];
+# with fewer, the log singularity of a gamma omega at 0 shows in h'(0)
+_FIRST_CELL_GRADES = 12
 
 
 @dataclass(frozen=True)
@@ -58,12 +77,19 @@ class PenaltySpec:
 
     ``tag`` selects fast paths: "one" (w identically 1), or
     "overshoot_indicator" with threshold ``eps`` (w = 1{overshoot > eps}).
-    A general broadcasting callable w(u, v) may be supplied instead.
+    Any other tag must come with a broadcasting callable w(u, v).  A
+    negative or non-finite eps, or another tag without w, raises UsageError.
     """
 
     tag: str = "one"
     eps: float = 0.0
     w: Callable | None = None
+
+    def __post_init__(self):
+        if not 0.0 <= self.eps < math.inf:
+            raise UsageError(f"penalty threshold eps must be finite and >= 0, got {self.eps}")
+        if self.tag not in ("one", "overshoot_indicator") and not callable(self.w):
+            raise UsageError(f"penalty tag {self.tag!r} needs a callable w(u, v)")
 
     def creep_value(self) -> float:
         """w(0, 0): the weight a continuous (creeping) crossing receives."""
@@ -89,6 +115,12 @@ def _swap_convolution(y, kappa, rho, cum_c, r_vals):
     return (np.exp(-kappa * y) * cum_c + (-np.expm1(-(kappa + rho) * y)) * r_vals) / (
         kappa + rho
     )
+
+
+def _factor(x, kappa, rho):
+    """e^{kappa x} - e^{-rho x} and its primitive G(x) from G(0) = 0."""
+    grow, decay = np.expm1(kappa * x), np.expm1(-rho * x)
+    return grow - decay, (grow / kappa if kappa > 0 else x) + decay / rho
 
 
 def _gl_panels(edges: np.ndarray):
@@ -119,9 +151,11 @@ def build_renewal_kernels(
     """Tabulate g, h, h' on the grid [0, x_max] with n points.
 
     The penalty's tag picks omega: "one" (w identically 1, omega = Qbar),
-    "overshoot_indicator" (w = 1{v > eps}, omega(x) = Qbar(x + eps)), or
-    else its broadcasting callable w(u, v), integrated numerically; the
-    creeping term carries w(0, 0).
+    "overshoot_indicator" (w = 1{v > eps}, omega(x) = Qbar(x + eps)), both
+    exact to rounding by the by-parts form of the module doc, or else its
+    broadcasting callable w(u, v), integrated numerically on the cell nodes
+    (the first cell on panels graded towards 0); the creeping term carries
+    w(0, 0).
     """
     if model.sigma <= 0:
         raise NoPerturbation("renewal kernels require sigma > 0")
@@ -147,40 +181,44 @@ def build_renewal_kernels(
 
     view = model.levy_measure()
     nodes, weights = cell_nodes(0.0, h_step, n - 1)
-    factor_nodes = np.exp(kappa * nodes) - np.exp(-rho * nodes)
+    q_nodes = view.density(nodes)
 
     # g: inner measure Q(dx)
-    cq = cumulative_from_cells(
-        np.sum(factor_nodes * view.density(nodes) * weights, axis=1)
-    )
+    factor_nodes, primitive_nodes = _factor(nodes, kappa, rho)
+    cq = cumulative_from_cells(np.sum(factor_nodes * q_nodes * weights, axis=1))
     rq = np.asarray(view.exp_tail(rho, xs), dtype=float)
     rq[0] = 0.0  # multiplied by an exactly-zero factor at y = 0; kill inf*0
     g_vals = two_over_s2 * _swap_convolution(xs, kappa, rho, cq, rq)
     g_vals[0] = 0.0
 
     # h: inner weight omega
-    if penalty.tag == "one":
-        omega_nodes = view.tail(nodes)
-        r_omega = view.exp_tail_tail(rho, xs)
-    elif penalty.tag == "overshoot_indicator":
-        # omega(x) = Qbar(x + eps); the shifted tail obeys
-        # int_s^inf e^{-rho(x-s)} Qbar(x+eps) dx = exp_tail_tail(rho, s+eps)
-        omega_nodes = view.tail(nodes + penalty.eps)
-        r_omega = view.exp_tail_tail(rho, xs + penalty.eps)
+    if penalty.tag in ("one", "overshoot_indicator"):
+        # omega(x) = Qbar(x + eps), eps = 0 for "one"; its exponential tail is
+        # int_s^inf e^{-rho(x-s)} Qbar(x+eps) dx = exp_tail_tail(rho, s+eps),
+        # and C is taken by parts (module doc), Qbar read off the two tails
+        eps = penalty.eps if penalty.tag == "overshoot_indicator" else 0.0
+        r_omega = view.exp_tail_tail(rho, xs + eps)
+        tail = rho * r_omega + (view.exp_tail(rho, xs + eps) if eps > 0 else rq)  # at 0 times G(0) = 0
+        q_omega = view.density(nodes + eps) if eps > 0 else q_nodes
+        c_omega = _factor(xs, kappa, rho)[1] * tail + cumulative_from_cells(
+            np.sum(primitive_nodes * q_omega * weights, axis=1)
+        )
     else:
         v_max = float(view.default_x_max())
-        # omega at the cell nodes and at the nodes tx of a direct tail
-        # quadrature of int_{x_max}^{x_max+v_max} e^{-rho (x - x_max)} omega(x) dx,
-        # which seeds the backward recurrence R(s_i) = e^{-rho h} R(s_{i+1}) + cell integral
+        # omega at the points px of each cell's rule (cell 0 on panels graded
+        # towards the log singularity of a gamma omega at 0, the others on
+        # their nodes) and at the nodes tx of a direct tail quadrature of
+        # int_{x_max}^{x_max+v_max} e^{-rho (x - x_max)} omega(x) dx, which seeds
+        # the backward recurrence R(s_i) = e^{-rho h} R(s_{i+1}) + cell integral
+        fx, fw = _gl_panels(h_step * np.concatenate(([0.0], 0.25 ** np.arange(_FIRST_CELL_GRADES, -1, -1))))
+        px = np.concatenate((fx.ravel(), nodes[1:].ravel()))
+        pw = np.concatenate((fw.ravel(), weights[1:].ravel()))
+        cell = np.concatenate((np.zeros(fx.size, dtype=int), np.repeat(np.arange(1, n - 1), nodes.shape[1])))
         tx, tw = _gl_panels(xs[-1] + np.linspace(0.0, v_max, _OMEGA_PANELS + 1))
-        omega_all = view.penalty_mass(
-            penalty.w, np.concatenate((nodes.ravel(), tx.ravel())), *_penalty_rule(v_max, nodes.min())
-        )
-        omega_nodes = omega_all[: nodes.size].reshape(nodes.shape)
-        cell_r = np.sum(
-            np.exp(-rho * (nodes - xs[:-1, None])) * omega_nodes * weights, axis=1
-        )
-        seed = np.sum(np.exp(-rho * (tx - xs[-1])) * omega_all[nodes.size :].reshape(tx.shape) * tw)
+        omega = view.penalty_mass(penalty.w, np.concatenate((px, tx.ravel())), *_penalty_rule(v_max, fx.min()))
+        omega_px, omega_tx = omega[: px.size], omega[px.size :].reshape(tx.shape)
+        cell_r = np.bincount(cell, np.exp(-rho * (px - xs[cell])) * omega_px * pw, n - 1)
+        seed = np.sum(np.exp(-rho * (tx - xs[-1])) * omega_tx * tw)
         # R_i = sum_{k >= i} e^{-rho h (k - i)} r_k with r = (cell integrals, seed),
         # as a doubling scan: after the pass with stride s each entry sums its next
         # 2s terms, and the weights e^{-rho h s} <= 1 cannot overflow
@@ -189,7 +227,7 @@ def build_renewal_kernels(
         while stride < n:
             r_omega[:-stride] += math.exp(-rho * h_step * stride) * r_omega[stride:]
             stride *= 2
-    c_omega = cumulative_from_cells(np.sum(factor_nodes * omega_nodes * weights, axis=1))
+        c_omega = cumulative_from_cells(np.bincount(cell, _factor(px, kappa, rho)[0] * omega_px * pw, n - 1))
     conv = _swap_convolution(xs, kappa, rho, c_omega, r_omega)
     creep = creep_weight * np.exp(-kappa * xs)
     h_vals = creep + two_over_s2 * conv

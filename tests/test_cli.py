@@ -21,6 +21,7 @@ BM = {"kind": "brownian_drift", "mu": 1.0, "sigma": 1.0}
 POLICY = {"b": 2.0, "m": {"family": "constant", "value": 1.0}, "d": {"family": "affine", "theta": 0.5}}
 PG = {"kind": "perturbed_gamma", "mu": 0.2, "sigma": 0.8, "alpha": 1.5, "xi": 0.7}
 GAMMA = {"kind": "pure_gamma", "alpha": 1.0, "xi": 1.0}
+PH1 = {"kind": "perturbed_cp_ph", "mu": 0.0, "sigma": 1.0, "lambda": 1.0, "ph": {"alpha": [1.0], "T": [[-1.0]]}}
 
 
 def _read_csv(path):
@@ -127,6 +128,18 @@ def test_simulate_honours_delta_zero(target, bm_model_file, capsys):
 )
 def test_out_of_domain_input_is_usage_error(argv, bm_model_file, capsys):
     assert dispatch([argv[0], "--model", bm_model_file, *argv[1:]]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("penalty", ["overshoot-indicator:-0.5", "overshoot-indicator:nan", "overshoot-indicator:inf"])
+@pytest.mark.parametrize("model", [PG, PH1], ids=["pg", "ph1"])
+def test_bad_overshoot_threshold_is_usage_error(penalty, model, tmp_path, capsys):
+    # a negative eps once returned twice the eps = 0 transform on phase type,
+    # and "nan of nan" on perturbed gamma
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    argv = ["first-passage", "--model", str(path), "--delta", "0.5", "--b", "1", "--route", "pk", "--penalty", penalty]
+    assert dispatch(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 

@@ -14,7 +14,10 @@ import sys
 from pathlib import Path
 
 import levypassage
+from levypassage.lundberg import solve_lundberg
 from levypassage.mc import SimConfig
+from levypassage.models import GammaMeasure
+from levypassage.renewal import PenaltySpec, build_renewal_kernels
 
 SRC = Path(levypassage.__file__).parent
 
@@ -202,6 +205,18 @@ def test_renewal_solve_has_no_term_budget():
     # on every other node, so no caller sets a stop rule and no budget exists
     assert public_parameters()[("renewal", "renewal_series")] == ["g", "first"]
     assert not hasattr(levypassage.renewal, "SERIES_DOUBLINGS")
+
+
+def test_renewal_kernels_read_no_gamma_tail(pgamma_model_wide, monkeypatch):
+    # h's tail term is taken by parts and Qbar on the grid is read off the
+    # two exponential tails, so the exponential integral of Qbar is never
+    # evaluated at the cell nodes
+    def tail(self, x):
+        raise AssertionError("GammaMeasure.tail called")
+
+    monkeypatch.setattr(GammaMeasure, "tail", tail)
+    for penalty in (PenaltySpec(), PenaltySpec("overshoot_indicator", 0.3)):
+        build_renewal_kernels(pgamma_model_wide, 0.5, solve_lundberg(pgamma_model_wide, 0.5).rho, 4.0, 2049, penalty)
 
 
 def test_escape_mass_overridden_only_by_closed_forms():

@@ -18,6 +18,7 @@ from levypassage.models import (
     PHMeasure,
     PhaseType,
     _GAMMA_CUT,
+    _e1_scaled,
     model_from_dict,
     model_from_json,
     model_to_dict,
@@ -191,6 +192,33 @@ class TestLevyMeasure:
     def test_no_jump_part(self, bm_model):
         with pytest.raises(NoJumpPart):
             bm_model.levy_measure()
+
+    @pytest.mark.parametrize(
+        "view",
+        [
+            GammaMeasure(1.5, 0.7),
+            GammaMeasure(1.5, 0.7).tilt(0.8),
+            PHMeasure(1.0, PhaseType([1.0], [[-1.0]])),
+            PHMeasure(0.8, PhaseType([0.6, 0.4], [[-2.0, 0.5], [0.3, -1.0]])),
+            PHMeasure(0.8, PhaseType([1.0, 0.0, 0.0], [[-2.0, 1.5, 0.0], [0.0, -2.0, 1.5], [1.5, 0.0, -2.0]])),
+        ],
+        ids=["gamma", "gamma_tilted", "ph1", "ph2", "ph3"],
+    )
+    def test_tail_from_the_exp_tails(self, view):
+        # Qbar(x) = rho exp_tail_tail(rho, x) + exp_tail(rho, x), by parts in
+        # exp_tail_tail; the renewal kernels read Qbar on their grid this way
+        x = np.array([1e-6, 0.01, 1.0, 5.0, 40.0])
+        for rho in (0.05, 1.0, 50.0):
+            got = rho * view.exp_tail_tail(rho, x) + view.exp_tail(rho, x)
+            np.testing.assert_allclose(got, view.tail(x), rtol=1e-13, atol=0.0)
+
+    def test_e1_scaled_against_mpmath(self):
+        # e^z E1(z) on both sides of the switch to the asymptotic series at z = 40
+        mp = pytest.importorskip("mpmath")
+        z = np.concatenate((np.geomspace(1e-8, 1e6, 400), np.linspace(30.0, 50.0, 81)))
+        with mp.workdps(40):
+            want = [float(mp.exp(mp.mpf(v)) * mp.e1(mp.mpf(v))) for v in z]
+        np.testing.assert_allclose(_e1_scaled(z), want, rtol=1e-14, atol=0.0)
 
 
 class TestPenaltyMass:

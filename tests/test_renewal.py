@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from scipy.special import exp1
 
-from levypassage.errors import SeriesNotConverged
+from levypassage.errors import SeriesNotConverged, UsageError
 from levypassage.first_passage import pk_series_transform
 from levypassage.lundberg import build_scale_set, solve_lundberg
 from levypassage.models import KIND_PERTURBED_GAMMA, GammaMeasure, ModelSpec, PhaseType, PHMeasure
 from levypassage.numerics import GridFunction, cell_nodes, grid_convolve
-from levypassage.renewal import _penalty_rule, build_renewal_kernels, renewal_series
+from levypassage.renewal import PenaltySpec, _penalty_rule, build_renewal_kernels, renewal_series
 
 
 def _term_loop(g, first, tol=1e-18):
@@ -90,3 +90,78 @@ class TestOmega:
         rear = np.linalg.solve(self.C * np.eye(view.ph.order) - view.ph.t_mat, view.ph.exit_vector)
         want = view.lam * view.ph.front_action(self.NODES, rear)
         np.testing.assert_allclose(self._omega(view), want, rtol=1e-12, atol=0.0)
+
+
+def _kernels_mpmath(model, rho, y, eps, creep):
+    """g, h and h' at y for a gamma model and omega(x) = Qbar(x + eps), each
+    outer integral int_0^y e^{-kappa (y-s)} R(s) ds by mpmath quadrature of
+    the closed inner tails R, at 30 digits."""
+    import mpmath as mp
+
+    with mp.workdps(30):
+        alpha, xi, rho, y = mp.mpf(model.alpha), mp.mpf(model.xi), mp.mpf(rho), mp.mpf(y)
+        two_over_s2 = 2 / mp.mpf(model.sigma) ** 2
+        kappa = max(rho - two_over_s2 * mp.mpf(model.mu), 0)
+
+        def exp_tail(s):
+            return alpha * mp.exp(rho * s) * mp.e1(s * (rho + 1 / xi))
+
+        def exp_tail_tail(s):
+            return alpha / rho * (mp.e1(s / xi) - mp.exp(rho * s) * mp.e1(s * (rho + 1 / xi)))
+
+        # the inner tails change over s ~ 1/rho
+        edges = sorted({mp.mpf(0), y, *(p for p in (1 / rho, 10 / rho) if p < y)})
+
+        def outer(f):
+            return mp.quad(lambda s: mp.exp(-kappa * (y - s)) * f(s), edges)
+
+        conv = outer(lambda s: exp_tail_tail(s + eps))
+        creep_y = creep * mp.exp(-kappa * y)
+        return (
+            float(two_over_s2 * outer(exp_tail)),
+            float(creep_y + two_over_s2 * conv),
+            float(-kappa * creep_y + two_over_s2 * (exp_tail_tail(y + eps) - kappa * conv)),
+        )
+
+
+class TestKernels:
+    @pytest.mark.parametrize("penalty", [PenaltySpec(), PenaltySpec("overshoot_indicator", 0.3)], ids=["one", "eps"])
+    @pytest.mark.parametrize("sigma", [None, 0.05])
+    def test_against_mpmath(self, pgamma_model_wide, sigma, penalty):
+        # the tail term of h by parts, Qbar never at a node: at sigma = 0.05
+        # the node quadrature of Qbar once left h 2e-6 off near 0
+        pytest.importorskip("mpmath")
+        model = (
+            pgamma_model_wide
+            if sigma is None
+            else ModelSpec(kind=KIND_PERTURBED_GAMMA, mu=0.5, sigma=sigma, alpha=1.0, xi=1.0)
+        )
+        rho = solve_lundberg(model, 0.5).rho
+        kernels = build_renewal_kernels(model, 0.5, rho, 4.0, 2049, penalty)
+        for i in (1, 2, 8, 64, 512, 2048):
+            want = _kernels_mpmath(model, rho, kernels.g.h * i, penalty.eps, penalty.creep_value())
+            got = [kernels.g.values[i], kernels.h.values[i], kernels.h_prime.values[i]]
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=f"node {i}")
+
+    @pytest.mark.parametrize("eps", [0.3, 1.0])
+    def test_overshoot_of_exponential_jumps(self, ph_model, eps):
+        # Exp(theta) jumps are memoryless: given a jump crossing, the
+        # overshoot is Exp(theta), so the transform scales by e^{-theta eps};
+        # at b = 0 both are 0 up to the FFT product's rounding
+        theta = -ph_model.ph.t_mat[0, 0]
+        at_zero = pk_series_transform(ph_model, 0.5, PenaltySpec("overshoot_indicator", 0.0)).b_grid.values
+        got = pk_series_transform(ph_model, 0.5, PenaltySpec("overshoot_indicator", eps)).b_grid.values
+        np.testing.assert_allclose(got, np.exp(-theta * eps) * at_zero, rtol=1e-12, atol=1e-16)
+
+
+class TestPenaltySpec:
+    @pytest.mark.parametrize("eps", [-0.5, float("nan"), float("inf")])
+    def test_bad_threshold_raises(self, eps):
+        with pytest.raises(UsageError):
+            PenaltySpec("overshoot_indicator", eps)
+
+    @pytest.mark.parametrize("w", [None, 1.0])
+    def test_unknown_tag_without_callable_raises(self, w):
+        # a misspelt tag once fell through to the callable branch and died in a TypeError
+        with pytest.raises(UsageError):
+            PenaltySpec("overshoot-indicator", 0.5, w)
