@@ -119,7 +119,7 @@ def lundberg_truncated(model: ModelSpec, delta: float, n: int) -> float:
     lam_n = float(view.tail(eps))
 
     def phi_n(u: float) -> float:
-        jump = math.exp(-u * eps) * float(view.exp_tail(u, eps)) - lam_n
+        jump = math.exp(-u * eps) * float(view.exp_tails(u, eps)[0]) - lam_n
         return -model.mu * u + 0.5 * (model.sigma * u) ** 2 + jump
 
     # the truncated exponent dominates phi_D, so its root lies left of rho(delta)

@@ -62,14 +62,14 @@ import numpy as np
 from .errors import HorizonExceeded, NonBijectiveMaintenance, SchemaError
 from .last_passage import density_lattice, density_of_dt
 from .lundberg import escape_probability, escape_rate
-from .mc import SimResult, _mean_result, _substream, cycle_ends
+from .mc import SimResult, _mean_result, _substream, cycle_ends, last_contacts
 from .models import ModelSpec, _need
 
 _T_FLOOR = 1e-6  # degenerate-density floor for z -> m(y)
 # substream numbers of simulate_policy's cycles and of its idle-mode bridges
 # (see the mc module docstring)
 _POLICY_STREAM, _BRIDGE_STREAM = 7, 8
-_STEPS_PER_CYCLE = 256  # skeleton steps of a failing cycle in idle mode
+_IDLE_CELLS = 2**16  # idle mode searches its failing cycles once they hold this many jumps and cycles
 _MAX_CYCLES = 10_000
 # the state grid spans the states reachable within _GRID_CYCLES cycles (the
 # cycle count of the benchmark's chains) on _GRID_POINTS points
@@ -421,12 +421,12 @@ def simulate_policy(
 
     Failure within a cycle is decided by the exact escape Bernoulli test at
     the end-of-cycle value, so both modes sample cycle endpoints from their
-    exact laws.  ``idle_mode`` then bridges the cycle in which a path fails,
-    a skeleton of _STEPS_PER_CYCLE steps pinned at the drawn end, to record
-    the last time at or below the threshold (idle time = cycle length - last
-    contact): _STEPS_PER_CYCLE steps per failing path.  The bridges draw
-    from their own substream, so both modes give the same failing cycles
-    and regeneration times.
+    exact laws.  ``idle_mode`` then bridges the cycle in which a path fails
+    to its drawn end, exactly (``cycle_ends``: the cycle's jumps as points,
+    the Brownian bridge between them), and records the last time at or
+    below the threshold (idle time = cycle length - last contact).  The
+    bridges draw from their own substream, so both modes give the same
+    failing cycles and regeneration times.
     """
     if n_paths < 1:
         raise ValueError("need at least one path")
@@ -438,13 +438,14 @@ def simulate_policy(
     t_star = np.zeros(n_paths)
     i_of_path = np.zeros(n_paths, dtype=np.int64)
     idle = np.full(n_paths, np.nan) if idle_mode else None
+    failed, bridged, cells = [], [], 0  # failing paths, their bridged cycles and cells, not yet searched
     idx = np.arange(n_paths)
     for cycle in range(1, _MAX_CYCLES + 1):
         m = idx.size
         if m == 0:
             break
         horizons = np.asarray(policy.m(x), dtype=float)
-        v, last_contacts = cycle_ends(model, rng, x, horizons)
+        v, bridge = cycle_ends(model, rng, x, horizons)
         t_star[idx] += horizons
         esc_p = escape_probability(v - b, rho0)
         fail = rng.random(m) < esc_p
@@ -452,11 +453,16 @@ def simulate_policy(
             gi = idx[fail]
             i_of_path[gi] = cycle
             if idle_mode:
-                rows = np.flatnonzero(fail)
-                idle[gi] = horizons[rows] - last_contacts(bridge_rng, rows, b, _STEPS_PER_CYCLE)
+                failed.append(gi)
+                bridged.append(bridge(bridge_rng, np.flatnonzero(fail)))
+                cells += bridged[-1][4].size + gi.size
         keep = ~fail
         x = np.asarray(policy.d(v[keep]))
         idx = idx[keep]
+        if bridged and (not idx.size or cells >= _IDLE_CELLS):
+            last = last_contacts(model, bridge_rng, bridged, b)
+            idle[np.concatenate(failed)] = np.concatenate([c[1] for c in bridged]) - last
+            failed, bridged, cells = [], [], 0
     if idx.size:
         raise HorizonExceeded(f"{idx.size} paths exceeded {_MAX_CYCLES} cycles")
     return PolicySimResult(n_paths, i_of_path, t_star, idle)

@@ -64,9 +64,10 @@ and resumes the untilted law from b at the hitting time, drawn from the
 Brownian bridge.  The test is exact at any stopping time, so the estimates
 do not depend on t_max: t_max * max_blocks only sets the censoring
 horizon.  A creeping last contact is drawn inside its segment from the
-bridge run backwards; a jump exit's is the segment end.  The
-reflected process D* = D - inf(D ^ 0) takes the same loop with the contact
-level b + inf(D ^ 0); the free process keeps that infimum at 0.
+bridge run backwards; a jump exit's is the segment end (``_last_contact``,
+which the policy's idle mode shares).  The reflected process
+D* = D - inf(D ^ 0) takes the same loop with the contact level
+b + inf(D ^ 0); the free process keeps that infimum at 0.
 
 Paths run in fixed groups of 100 000, each with an SFC64 substream seeded
 by the SeedSequence of (seed, stream, group).  Each estimator has its own
@@ -74,9 +75,9 @@ stream number: 1 ``run_first_passage``, 2 ``run_last_passage``, 3
 ``estimate_reflected_exceedance``, 4 ``run_reflected_first_passage``, 5
 ``run_reflected_last_passage`` and 6 ``run_reflected_at_exp_horizon``;
 ``maintenance.simulate_policy`` uses 7 for its cycle ends and 8 for the
-bridges of its idle mode (``cycle_ends``).  So for a given model, threshold
-and settings a result depends only on (seed, n_paths); no batching option
-can change it.
+bridges of its idle mode (``last_contacts``).  So for a given model,
+threshold and settings a result depends only on (seed, n_paths); no
+batching option can change it.
 """
 
 from __future__ import annotations
@@ -101,7 +102,6 @@ _BLOCK_CELLS = 2**14  # path-steps per block of an estimator
 # segments per pass of the segment engine, over all live paths: 64 KiB
 # arrays; at 2**14 the mc_oracle benchmark's peak RSS read 0.8 MB higher
 _SEGMENT_CELLS = 2**13
-_BRIDGE_CELLS = 2**13  # path-steps per chunk of ``cycle_ends``' bridges
 _SHORT_ROWS = 12  # blocks of up to this many steps are scanned column by column
 # substream number of each estimator (see the module docstring)
 _STREAM_FIRST, _STREAM_LAST, _STREAM_EXCEEDANCE = 1, 2, 3
@@ -306,7 +306,7 @@ def _levels(law: _Law, v: np.ndarray, cont, jumps, u, dt_col, minimum: bool):
     level at each step start, the continuous level at the step end, its
     minimum over the step (None without ``minimum``; the smaller endpoint at
     sigma = 0) and the level after the jumps.  dt_col is the step length:
-    scalar, one per path as a column, or one per step (segments)."""
+    scalar (blocks) or one per step (segments and idle-mode cells)."""
     post = _accumulate_rows(np.add, cont if jumps is None else cont + jumps)
     post += v[:, None]
     return _step_levels(law, v, post, cont, jumps is not None, u, dt_col, minimum)
@@ -756,15 +756,10 @@ def _segment_last(model: ModelSpec, rng, m: int, b: float, rho0: float, cfg: Sim
 
     A forward segment moves the infimum to inf' = min(inf, its bridge
     minimum) and touches the level b + inf' iff that minimum is at or below
-    it; its last contact is then the segment's end if the continuous end c
-    is at or below the level (an exit by the jump there), else tau - r (an
-    exit by creeping), for r the first hit of the level by the bridge run
-    backwards from c.  That hit falls in the piece after the minimum's time
-    theta, a path from c that first reaches the minimum at tau - theta, so
-    theta and r both come from ``_split``.  The first segment end above the
-    level + 1/rho0 takes the escape test; a path that fails it returns
-    under the tilted law until its bridge reaches the level, at the time
-    ``_hit_time`` draws.  A path still running at the horizon is censored."""
+    it (``_last_contact``).  The first segment end above the level + 1/rho0
+    takes the escape test; a path that fails it returns under the tilted law
+    until its bridge reaches the level, at the time ``_hit_time`` draws.  A
+    path still running at the horizon is censored."""
     law, tilted = _Law.of(model), None  # rho0 = inf at sigma = 0, where no path returns
     gap = 1.0 / rho0  # a path is tested above b + inf + gap (see the module docstring)
     horizon = cfg.t_max * cfg.max_blocks
@@ -794,19 +789,10 @@ def _segment_last(model: ModelSpec, rng, m: int, b: float, rho0: float, cfg: Sim
                 lev = b + inf_after
             tested, jt = _first((post - lev > gap) & seg.valid)
             upto = np.where(tested, jt, seg.last)
-            touched, j = _last((m_min <= lev) & (np.arange(seg.tau.shape[1]) <= upto[:, None]))
-            lev_j = _at(lev, j)[touched] if reflect else b
-            x, ce, mm, po, tau = (_at(y, j)[touched] for y in (start, c_end, m_min, post, seg.tau))
-            creep = ce > lev_j
-            back_off = np.zeros(creep.size)
-            if creep.any():
-                theta = _split(law, rng, (x - mm)[creep], (ce - mm)[creep], tau[creep])
-                back_off[creep] = _split(law, rng, (ce - lev_j)[creep], (lev_j - mm)[creep], tau[creep] - theta)
+            before = np.arange(seg.tau.shape[1]) <= upto[:, None]
+            touched, *got = _last_contact(law, rng, before, lev, (start, c_end, m_min, post), seg.tau, seg.span, t0)
             g = path[fwd[touched]]
-            last[g] = t0[touched] + _at(seg.span, j)[touched] - back_off
-            kind[g] = np.where(creep, EXIT_CREEP, EXIT_JUMP)
-            und[g] = np.where(creep, 0.0, lev_j - ce)
-            over[g] = np.where(creep, 0.0, po - lev_j)
+            last[g], kind[g], und[g], over[g] = got
             v[fwd] = _at(post, upto)
             t[fwd] = t0 + _at(seg.span, upto)
             if reflect:
@@ -821,6 +807,31 @@ def _segment_last(model: ModelSpec, rng, m: int, b: float, rho0: float, cfg: Sim
             path, v, low, t, returning = (x[keep] for x in (path, v, low, t, returning))
         k = _next_k(k, path.size)
     return escaped, last, kind, und, over
+
+
+def _last_contact(law: _Law, rng, allowed, lev, levels, tau, ends, t0):
+    """(touched, last, kind, under, over): the rows with a contact with
+    (-inf, lev] (lev scalar or per cell) in their cells ``allowed``, and for
+    those the time, exit kind, under- and overshoot of the last one, from the
+    cells' ``_levels``, lengths tau and end times from each row's t0.  It is
+    in the last cell whose bridge minimum reaches the level: at its end if
+    the continuous end c is at or below the level (an exit by the jump
+    there), else at tau - r (by creeping), r the first hit of the level by
+    the bridge run backwards from c.  That hit falls after the minimum's
+    time theta, on a path from c that first reaches the minimum at
+    tau - theta: both from ``_split``."""
+    start, c_end, m_min, post = levels
+    touched, j = _last((m_min <= lev) & allowed)
+    lev_j = lev if np.ndim(lev) == 0 else _at(lev, j)[touched]
+    x, ce, mm, po, tau = (_at(y, j)[touched] for y in (start, c_end, m_min, post, tau))
+    creep = ce > lev_j
+    back_off = np.zeros(creep.size)
+    if creep.any():
+        theta = _split(law, rng, (x - mm)[creep], (ce - mm)[creep], tau[creep])
+        back_off[creep] = _split(law, rng, (ce - lev_j)[creep], (lev_j - mm)[creep], tau[creep] - theta)
+    last = t0[touched] + _at(ends, j)[touched] - back_off
+    kind = np.where(creep, EXIT_CREEP, EXIT_JUMP)
+    return touched, last, kind, np.where(creep, 0.0, lev_j - ce), np.where(creep, 0.0, po - lev_j)
 
 
 def _segment_return(law: _Law, rng, back, v, t, level, horizon: float, k: int) -> np.ndarray:
@@ -919,22 +930,14 @@ def run_reflected_at_exp_horizon(
 
 
 def cycle_ends(model: ModelSpec, rng: np.random.Generator, x: np.ndarray, horizons: np.ndarray):
-    """(end, last_contacts): the levels x + D_h at the ends of cycles of
-    lengths h = ``horizons`` from levels x, drawn exactly (the jump part by
+    """(end, bridge): the levels x + D_h at the ends of cycles of lengths
+    h = ``horizons`` from levels x, drawn exactly (the jump part by
     ``LevyMeasureView.sample_bridged``, then the Gaussian part), and
-    last_contacts(bridge_rng, rows, b, steps).
-
-    last_contacts gives, for the cycles ``rows``, the last time in [0, h] at
-    which the path touched (-inf, b] (0 if it never did), on a skeleton of
-    ``steps`` steps bridged to the drawn end: the continuous part is the
-    Brownian bridge to its drawn value, the jumps are the jump law's bridge
-    (``LevyMeasureView.sample_bridged``), lumped at step ends, and each step
-    takes its bridge minimum.  A creeping exit from (-inf, b] is drawn inside
-    its step, from the bridge run backwards; a jump exit's contact is its
-    step end.  The skeleton draws from ``bridge_rng`` alone, so a caller
-    that passes a substream of its own keeps the cycle ends of ``rng``
-    unchanged; rows go through in chunks of ``_BRIDGE_CELLS`` cells.
-    """
+    bridge(bridge_rng, rows) -> (x, h, cont, counts, sizes) of the cycles
+    ``rows`` for ``last_contacts``: start level, length, continuous move
+    (with the jumps' rest, which moves linearly) and the jumps of the jump
+    law's bridge.  It draws from ``bridge_rng`` alone, so it leaves the cycle
+    ends drawn from ``rng`` as they are."""
     horizons = np.asarray(horizons, dtype=float)
     inc = model.mu * horizons
     gauss = jump_bridge = None
@@ -945,38 +948,38 @@ def cycle_ends(model: ModelSpec, rng: np.random.Generator, x: np.ndarray, horizo
         gauss = model.sigma * np.sqrt(horizons) * rng.standard_normal(horizons.shape)
         inc = inc + gauss
 
-    def last_contacts(bridge_rng, rows, b: float, steps: int) -> np.ndarray:
-        law = _Law.of(model)
-        out = np.empty(rows.size)
-        chunk = max(1, _BRIDGE_CELLS // steps)
-        for s in range(0, rows.size, chunk):
-            r = rows[s : s + chunk]
-            cont = model.mu * horizons[r] + (0.0 if gauss is None else gauss[r])
-            jumps = None if jump_bridge is None else jump_bridge(bridge_rng, r, steps)
-            out[s : s + chunk] = _bridged_last_contact(law, bridge_rng, x[r], horizons[r], cont, jumps, b, steps)
-        return out
+    def bridge(bridge_rng, rows):
+        h = horizons[rows]
+        counts, sizes, rest = jump_bridge(bridge_rng, rows) if jump_bridge else (np.zeros(rows.size, int), np.zeros(0), 0.0)
+        return x[rows], h, model.mu * h + (0.0 if gauss is None else gauss[rows]) + rest, counts, sizes
 
-    return x + inc, last_contacts
+    return x + inc, bridge
 
 
-def _bridged_last_contact(law: _Law, rng, x, h, cont, jumps, b: float, steps: int) -> np.ndarray:
-    """Last time at or below b of paths from x over [0, h] whose continuous
-    part moves by ``cont`` and whose per-step jumps are ``jumps`` (paths x
-    steps, or None); 0 for a path that never touched (-inf, b]."""
-    n = x.size
-    dt = h / steps
-    dt_col = dt[:, None]
-    if law.sigma > 0:
-        # Gaussian steps given their sum: iid steps less their mean, plus the drawn mean
-        z = law.sigma * np.sqrt(dt_col) * rng.standard_normal((n, steps))
-        cont_steps = z + (cont / steps - z.mean(axis=1))[:, None]
-        u = rng.random((n, steps))
-    else:
-        cont_steps, u = np.broadcast_to((cont / steps)[:, None], (n, steps)), None
-    start, c_end, m_min, _ = _levels(law, x, cont_steps, jumps, u, dt_col, True)
-    touched, j = _last(m_min <= b)
-    last = np.where(touched, (j + 1) * dt, 0.0)
-    above_end, above_start = _at(c_end, j) - b, _at(start, j) - b
-    creep = touched & (above_end > 0)
-    last[creep] -= _hit_time(law, rng, above_end[creep], above_start[creep], dt[creep])
-    return last
+def last_contacts(model: ModelSpec, rng: np.random.Generator, bridged: list, b: float) -> np.ndarray:
+    """The last time in [0, h] at which each cycle of the ``bridged`` lists
+    (``cycle_ends``), in order, touched (-inf, b] (0 if none), exactly, in
+    one pass.  The jumps go to iid uniform epochs, sorted (the sizes come in
+    an exchangeable order), and the path runs in cells from jump to jump and
+    on to the cycle's end; zero-length cells at the end pad the rows.  The
+    continuous part moves iid N(0, sigma^2 tau) over each cell's length tau,
+    shifted by tau / h times what the moves miss of its drawn move: the
+    Brownian bridge.  ``_last_contact`` finds the contact, as the
+    last-passage estimators do."""
+    law = _Law.of(model)
+    x, h, cont, counts = (np.concatenate(f) for f in list(zip(*bridged))[:4])
+    mine = np.arange(1 + counts.max()) < counts[:, None]
+    jumps = np.zeros(mine.shape)
+    jumps[mine] = np.concatenate([c[4] for c in bridged])
+    ends = np.sort(np.where(mine, rng.random(mine.shape), 1.0), axis=1) * h[:, None]  # jump epochs, then h
+    tau = np.diff(ends, axis=1, prepend=0.0)
+    moves = np.zeros(tau.shape)
+    if law.sigma > 0:  # a Gaussian move for each jump's cell and the last; the pads have length 0
+        real = np.arange(tau.shape[1]) <= counts[:, None]
+        moves[real] = rng.standard_normal(np.count_nonzero(real)) * (law.sigma * np.sqrt(tau[real]))
+    moves += tau * ((cont - moves.sum(axis=1)) / h)[:, None]
+    levels = _levels(law, x, moves, jumps, law.uniforms(rng, tau.shape), tau, True)
+    touched, last, *_ = _last_contact(law, rng, True, b, levels, tau, ends, np.zeros(h.size))
+    out = np.zeros(h.size)
+    out[touched] = last
+    return out

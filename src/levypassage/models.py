@@ -329,10 +329,11 @@ class LevyMeasureView:
 
     def sample_bridged(self, rng: np.random.Generator, m: int, dt):
         """(draws, bridge): m exact draws of J over a scalar or per-draw
-        length dt, and bridge(bridge_rng, rows, steps), which splits the
-        draws ``rows`` over ``steps`` equal steps with the law of J's path
-        given its total: a (rows x steps) array of per-step increments,
-        jumps lumped at step ends, that sums to the draws along each row."""
+        length dt, and bridge(bridge_rng, rows) -> (counts, sizes, rest), the
+        jumps of J's path given the draws ``rows``: how many each row has,
+        their sizes row after row in one array, each row's in an exchangeable
+        order, and the rest of each draw (0 if none), which the path takes
+        linearly.  Given the sizes, the jumps sit at iid uniform epochs."""
         raise NotImplementedError
 
     def compound_poisson(self) -> "_CompoundPoisson":
@@ -362,12 +363,9 @@ class LevyMeasureView:
         """Qbar(x) = Q([x, inf))."""
         raise NotImplementedError
 
-    def exp_tail(self, rho: float, x) -> np.ndarray:
-        """int_x^inf exp(-rho (u - x)) Q(du)."""
-        raise NotImplementedError
-
-    def exp_tail_tail(self, rho: float, x) -> np.ndarray:
-        """int_x^inf exp(-rho (u - x)) Qbar(u) du."""
+    def exp_tails(self, rho: float, x) -> tuple[np.ndarray, np.ndarray]:
+        """(int_x^inf exp(-rho (u - x)) Q(du), int_x^inf exp(-rho (u - x)) Qbar(u) du),
+        the exponential tails of Q and Qbar, which share special-function values."""
         raise NotImplementedError
 
     def default_x_max(self) -> float:
@@ -381,16 +379,6 @@ class LevyMeasureView:
         return find_root_bracketed(
             lambda x: float(self.tail(x)) - target, 1e-3, hi, tol=abs(target)
         )
-
-
-def _dirichlet(rng: np.random.Generator, a, cells: tuple[int, int]) -> np.ndarray:
-    """Rows of Dirichlet(a, ..., a) weights, a scalar or a column.  The gamma
-    draws are taken in log space, Gamma(a) = Gamma(a + 1) U^{1/a}, and
-    normalised by a log-sum-exp, since for small a a direct Gamma(a) draw
-    underflows to 0."""
-    log_g = np.log(rng.gamma(a + 1.0, 1.0, cells)) + np.log1p(-rng.random(cells)) / a
-    w = np.exp(log_g - log_g.max(axis=1, keepdims=True))
-    return w / w.sum(axis=1, keepdims=True)
 
 
 class _CompoundPoisson:
@@ -507,13 +495,32 @@ class GammaMeasure(LevyMeasureView):
         return self.alpha * math.factorial(k - 1) * self.xi**k
 
     def sample_bridged(self, rng, m, dt):
-        """The split of a gamma total over equal steps is Dirichlet with
-        parameters alpha dt / steps (``_dirichlet``)."""
+        """Given its total G over [0, dt], the path is G times a Dirichlet
+        process with base alpha Leb[0, dt] (Ferguson 1973): atoms at iid
+        uniform epochs, weights V_i prod_{j<i} (1 - V_j) with V_i ~ Beta(1,
+        alpha dt) (Sethuraman 1994), 1 - V = U^{1/(alpha dt)} in log space.
+        A row draws sticks, k a pass with k doubling from 16, until the stick
+        left times G is below eps = _GAMMA_CUT xi; that rest moves linearly,
+        as the compound-Poisson view's drift takes the jumps below eps.  The
+        sticks come in size-biased order, so each row's are shuffled."""
         total = rng.gamma(self.alpha * dt, self.xi, m)
+        span = np.broadcast_to(dt, (m,))
 
-        def bridge(bridge_rng, rows, steps):
-            a = (self.alpha / steps * np.broadcast_to(dt, (m,))[rows])[:, None]
-            return total[rows, None] * _dirichlet(bridge_rng, a, (rows.size, steps))
+        def bridge(bridge_rng, rows):
+            shape, floor = self.alpha * span[rows], math.log(_GAMMA_CUT * self.xi)
+            left = np.log(total[rows], out=np.full(rows.size, -np.inf), where=total[rows] > 0)  # log of G x stick left
+            sizes, live, k = [np.zeros((rows.size, 0))], np.flatnonzero(left >= floor), 16
+            while live.size:
+                shrink = np.log1p(-bridge_rng.random((live.size, k))) / shape[live, None]  # log(1 - V)
+                levels = left[live, None] + np.hstack((np.zeros((live.size, 1)), np.cumsum(shrink, axis=1)))
+                drawn = levels[:, :-1] >= floor  # a prefix of each row
+                sizes.append(np.zeros((rows.size, k)))
+                sizes[-1][live] = np.where(drawn, np.exp(levels[:, :-1]) * -np.expm1(shrink), 0.0)
+                left[live] = levels[np.arange(live.size), drawn.sum(axis=1)]
+                live, k = live[levels[:, -1] >= floor], 2 * k
+            sizes = np.hstack(sizes)
+            sizes = np.take_along_axis(sizes, np.argsort(bridge_rng.random(sizes.shape), axis=1), 1)
+            return np.count_nonzero(sizes, axis=1), sizes[sizes > 0], np.exp(left)
 
         return total, bridge
 
@@ -543,29 +550,21 @@ class GammaMeasure(LevyMeasureView):
         x = np.asarray(x, dtype=float)
         return self.alpha * exp1(x / self.xi)
 
-    def exp_tail(self, rho, x):
+    def exp_tails(self, rho, x):
+        """alpha e^{-x/xi} e^{z} E1(z) and (alpha/rho) [E1(x/xi) - e^{rho x} E1(z)]
+        for z = x (rho + 1/xi), both from one scaled E1(z); the second is
+        alpha/rho log(1 + rho xi) at x = 0."""
         x = np.asarray(x, dtype=float)
-        z = x * (rho + 1.0 / self.xi)
-        return self.alpha * np.exp(-x / self.xi) * _e1_scaled(z)
-
-    def exp_tail_tail(self, rho, x):
-        x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
+        z1 = x / self.xi
+        e1_z = _e1_scaled(x * (rho + 1.0 / self.xi))
+        tail = self.alpha * np.exp(-z1) * e1_z
+        tail_tail = np.empty_like(x)
         zero = x <= 0
-        # int_0^inf e^{-rho u} Qbar(u) du = alpha/rho * log(1 + rho*xi)
-        out[zero] = self.alpha / rho * math.log1p(rho * self.xi)
+        tail_tail[zero] = self.alpha / rho * math.log1p(rho * self.xi)
         if (~zero).any():
-            xs = x[~zero]
-            z1 = xs / self.xi
-            z2 = xs * (rho + 1.0 / self.xi)
-            # (alpha/rho) [E1(x/xi) - e^{rho x} E1(x (rho + 1/xi))], scaled form
-            out[~zero] = (
-                self.alpha
-                / rho
-                * np.exp(-z1)
-                * (_e1_scaled(z1) - _e1_scaled(z2))
-            )
-        return out
+            z1 = z1[~zero]
+            tail_tail[~zero] = self.alpha / rho * np.exp(-z1) * (_e1_scaled(z1) - e1_z[~zero])
+        return tail, tail_tail
 
 
 class PHMeasure(LevyMeasureView, _CompoundPoisson):
@@ -621,22 +620,18 @@ class PHMeasure(LevyMeasureView, _CompoundPoisson):
         return sample_phase_type(self.ph, rng, n)
 
     def sample_bridged(self, rng, m, dt):
-        """Given its jumps, a compound-Poisson path puts each at an independent
-        uniform time, so the bridge gives each jump a uniform step."""
+        """The bridge takes each row's drawn jumps, iid, in their drawn order,
+        which sums to the total exactly."""
         counts = rng.poisson(self.lam * dt, m)
         n_jumps = int(counts.sum())
         sizes = self.sample_jumps(rng, n_jumps) if n_jumps else np.zeros(0)
         owner = np.repeat(np.arange(m), counts)
         total = np.bincount(owner, weights=sizes, minlength=m) if n_jumps else np.zeros(m)
 
-        def bridge(bridge_rng, rows, steps):
+        def bridge(bridge_rng, rows):
             k = counts[rows]
             first = (np.cumsum(counts) - counts)[rows]  # each row's first jump in sizes
-            pick = np.repeat(first - (np.cumsum(k) - k), k) + np.arange(k.sum())
-            cell = np.repeat(np.arange(rows.size) * steps, k) + bridge_rng.integers(0, steps, pick.size)
-            out = np.zeros(rows.size * steps)
-            np.add.at(out, cell, sizes[pick])
-            return out.reshape(rows.size, steps)
+            return k, sizes[np.repeat(first - (np.cumsum(k) - k), k) + np.arange(k.sum())], 0.0
 
         return total, bridge
 
@@ -670,15 +665,11 @@ class PHMeasure(LevyMeasureView, _CompoundPoisson):
     def tail(self, x):
         return self.lam * self.ph.survival(x)
 
-    def exp_tail(self, rho, x):
+    def exp_tails(self, rho, x):
+        """lam alpha e^{xT} (rho I - T)^{-1} r for r = t and for r = 1."""
         m = self.ph.order
-        rear = np.linalg.solve(rho * np.eye(m) - self.ph.t_mat, self.ph.exit_vector)
-        return self.lam * self.ph.front_action(x, rear)
-
-    def exp_tail_tail(self, rho, x):
-        m = self.ph.order
-        rear = np.linalg.solve(rho * np.eye(m) - self.ph.t_mat, np.ones(m))
-        return self.lam * self.ph.front_action(x, rear)
+        shifted, rears = rho * np.eye(m) - self.ph.t_mat, (self.ph.exit_vector, np.ones(m))
+        return tuple(self.lam * self.ph.front_action(x, np.linalg.solve(shifted, rear)) for rear in rears)
 
 
 # ---------------------------------------------------------------------------

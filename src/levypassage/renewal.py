@@ -186,7 +186,7 @@ def build_renewal_kernels(
     # g: inner measure Q(dx)
     factor_nodes, primitive_nodes = _factor(nodes, kappa, rho)
     cq = cumulative_from_cells(np.sum(factor_nodes * q_nodes * weights, axis=1))
-    rq = np.asarray(view.exp_tail(rho, xs), dtype=float)
+    rq, rq_tail = view.exp_tails(rho, xs)
     rq[0] = 0.0  # multiplied by an exactly-zero factor at y = 0; kill inf*0
     g_vals = two_over_s2 * _swap_convolution(xs, kappa, rho, cq, rq)
     g_vals[0] = 0.0
@@ -194,11 +194,11 @@ def build_renewal_kernels(
     # h: inner weight omega
     if penalty.tag in ("one", "overshoot_indicator"):
         # omega(x) = Qbar(x + eps), eps = 0 for "one"; its exponential tail is
-        # int_s^inf e^{-rho(x-s)} Qbar(x+eps) dx = exp_tail_tail(rho, s+eps),
+        # int_s^inf e^{-rho(x-s)} Qbar(x+eps) dx, the second of exp_tails(rho, s+eps),
         # and C is taken by parts (module doc), Qbar read off the two tails
         eps = penalty.eps if penalty.tag == "overshoot_indicator" else 0.0
-        r_omega = view.exp_tail_tail(rho, xs + eps)
-        tail = rho * r_omega + (view.exp_tail(rho, xs + eps) if eps > 0 else rq)  # at 0 times G(0) = 0
+        r_eps, r_omega = view.exp_tails(rho, xs + eps) if eps > 0 else (rq, rq_tail)
+        tail = rho * r_omega + r_eps  # at 0 times G(0) = 0
         q_omega = view.density(nodes + eps) if eps > 0 else q_nodes
         c_omega = _factor(xs, kappa, rho)[1] * tail + cumulative_from_cells(
             np.sum(primitive_nodes * q_omega * weights, axis=1)

@@ -8,15 +8,18 @@ save the closed forms, MC oracles and references listed in ``TEST_ONLY``."""
 import ast
 import dataclasses
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import levypassage
 from levypassage.lundberg import solve_lundberg
 from levypassage.mc import SimConfig
-from levypassage.models import GammaMeasure
+from levypassage.models import GammaMeasure, LevyMeasureView, ModelSpec, PHMeasure, PhaseType
 from levypassage.renewal import PenaltySpec, build_renewal_kernels
 
 SRC = Path(levypassage.__file__).parent
@@ -217,6 +220,38 @@ def test_renewal_kernels_read_no_gamma_tail(pgamma_model_wide, monkeypatch):
     monkeypatch.setattr(GammaMeasure, "tail", tail)
     for penalty in (PenaltySpec(), PenaltySpec("overshoot_indicator", 0.3)):
         build_renewal_kernels(pgamma_model_wide, 0.5, solve_lundberg(pgamma_model_wide, 0.5).rho, 4.0, 2049, penalty)
+
+
+def test_idle_mode_is_exact_on_jump_points():
+    # the idle mode bridges a failing cycle at its jump epochs, with no step
+    # skeleton, and finds its last contact by the segment engine's one rule
+    gone = {
+        "mc": ["_bridged_last_contact", "_BRIDGE_CELLS"],
+        "models": ["_dirichlet"],
+        "maintenance": ["_STEPS_PER_CYCLE"],
+    }
+    for module, names in gone.items():
+        for name in names:
+            assert not hasattr(getattr(levypassage, module), name), f"{module}.{name}"
+    for cls in (LevyMeasureView, GammaMeasure, PHMeasure):
+        assert not {"exp_tail", "exp_tail_tail"} & set(vars(cls)), cls.__name__
+    assert list(inspect.signature(levypassage.mc.last_contacts).parameters) == ["model", "rng", "bridged", "b"]
+    rng, h = np.random.default_rng(1), np.ones(3)
+    bridges = [
+        GammaMeasure(1.0, 1.0).sample_bridged(rng, 3, h)[1],
+        PHMeasure(1.0, PhaseType([1.0], [[-1.0]])).sample_bridged(rng, 3, h)[1],
+        levypassage.mc.cycle_ends(ModelSpec(kind="brownian_drift", mu=1.0, sigma=1.0), rng, np.zeros(3), h)[1],
+    ]
+    for bridge in bridges:
+        assert list(inspect.signature(bridge).parameters) == ["bridge_rng", "rows"]
+    tree = ast.parse((SRC / "mc.py").read_text())
+    callers = {
+        top.name
+        for top in tree.body
+        for n in ast.walk(top)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "_split"
+    }
+    assert callers == {"_last_contact"}
 
 
 def test_escape_mass_overridden_only_by_closed_forms():

@@ -229,11 +229,13 @@ class TestChain:
 
 
 class TestIdleLaw:
-    @pytest.mark.parametrize("kind", ["bm_model", "pgamma_model", "ph_model"])
+    @pytest.mark.parametrize("kind", ["bm_model", "pgamma_model", "ph_model", "gamma_model"])
     def test_idle_joint_vs_idle_mode_mc(self, kind, request):
         model = request.getfixturevalue(kind)
+        # pure gamma takes alpha m = 1.5, where its D_t density stays finite at 0
+        m, d0 = (1.5, 0.1) if kind == "gamma_model" else (1.0, 0.0)
         policy = PolicySpec(
-            b=2.0, m=InspectionSchedule("constant", 1.0), d=MaintenanceAction("affine", 0.5)
+            b=2.0, m=InspectionSchedule("constant", m), d=MaintenanceAction("affine", 0.5, d0)
         )
         kernels = PolicyKernels(model, policy)
         sim = simulate_policy(model, policy, 20_000, seed=3, idle_mode=True)

@@ -180,14 +180,15 @@ class TestLevyMeasure:
                 x + 200.0,
                 limit=500,
             )
-            assert float(view.exp_tail(rho, x)) == pytest.approx(oracle, rel=1e-8)
+            tail, tail_tail = view.exp_tails(rho, x)
+            assert float(tail) == pytest.approx(oracle, rel=1e-8)
             oracle2, _ = quad(
                 lambda u: math.exp(-rho * (u - x)) * float(view.tail(u)),
                 x,
                 x + 200.0,
                 limit=500,
             )
-            assert float(view.exp_tail_tail(rho, x)) == pytest.approx(oracle2, rel=1e-7)
+            assert float(tail_tail) == pytest.approx(oracle2, rel=1e-7)
 
     def test_no_jump_part(self, bm_model):
         with pytest.raises(NoJumpPart):
@@ -205,11 +206,12 @@ class TestLevyMeasure:
         ids=["gamma", "gamma_tilted", "ph1", "ph2", "ph3"],
     )
     def test_tail_from_the_exp_tails(self, view):
-        # Qbar(x) = rho exp_tail_tail(rho, x) + exp_tail(rho, x), by parts in
-        # exp_tail_tail; the renewal kernels read Qbar on their grid this way
+        # Qbar(x) = rho tail_tail + tail for (tail, tail_tail) = exp_tails(rho, x),
+        # by parts in tail_tail; the renewal kernels read Qbar on their grid this way
         x = np.array([1e-6, 0.01, 1.0, 5.0, 40.0])
         for rho in (0.05, 1.0, 50.0):
-            got = rho * view.exp_tail_tail(rho, x) + view.exp_tail(rho, x)
+            tail, tail_tail = view.exp_tails(rho, x)
+            got = rho * tail_tail + tail
             np.testing.assert_allclose(got, view.tail(x), rtol=1e-13, atol=0.0)
 
     def test_e1_scaled_against_mpmath(self):
@@ -293,28 +295,56 @@ class TestTilt:
 
 
 class TestBridge:
-    """``sample_bridged`` splits each drawn total over equal steps."""
+    """``sample_bridged``'s bridge gives each total's jumps, which sit at iid
+    uniform epochs, and the rest that moves linearly."""
 
-    def test_gamma_split_survives_underflowing_steps(self):
-        # per-step shape alpha h / 256 = 1e-9: a direct Gamma(1e-9) draw falls
-        # below the smallest double with probability 1 - 7e-7, so normalising
-        # direct draws would give 0/0
+    @staticmethod
+    def _rows(counts, sizes):
+        """Each row's jump sizes as a (rows x K) array padded with zeros."""
+        mine = np.arange(counts.max(initial=0)) < counts[:, None]
+        out = np.zeros(mine.shape)
+        out[mine] = sizes
+        return out
+
+    def test_gamma_points_survive_underflowing_shapes(self):
+        # alpha h = 2.56e-7: a direct Gamma(alpha h / K) draw underflows to 0,
+        # so a stick has to be taken in log space to stay finite
         rng = np.random.default_rng(7)
-        total, bridge = GammaMeasure(1.0, 0.7).sample_bridged(rng, 200_000, 256e-9)
+        total, bridge = GammaMeasure(1.0, 0.7).sample_bridged(rng, 200_000, 2.56e-7)
         rows = np.concatenate((np.flatnonzero(total > 0.0), np.arange(4)))
         assert rows.size > 20
-        steps = bridge(np.random.default_rng(8), rows, 256)
-        assert np.all(np.isfinite(steps)) and np.all(steps >= 0.0)
-        assert steps.sum(axis=1) == pytest.approx(total[rows], rel=1e-12, abs=0.0)
-        assert np.all(rng.gamma(1e-9, 0.7, steps.shape) == 0.0)
+        counts, sizes, rest = bridge(np.random.default_rng(8), rows)
+        assert np.all(np.isfinite(sizes)) and np.all(sizes >= 0.0) and np.all(rest >= 0.0)
+        assert self._rows(counts, sizes).sum(axis=1) + rest == pytest.approx(total[rows], rel=1e-12, abs=0.0)
 
-    def test_phase_type_split_keeps_each_total(self):
+    @pytest.mark.parametrize("alpha_h", [0.3, 2.0])
+    def test_gamma_share_before_half_is_beta(self, alpha_h):
+        # G's share on [0, h/2] is Beta(alpha h / 2, alpha h / 2): mean 1/2 and
+        # variance 1 / (4 (alpha h + 1)); the rest below eps moves linearly
+        h, n = 1.5, 40_000
+        total, bridge = GammaMeasure(alpha_h / h, 0.7).sample_bridged(np.random.default_rng(11), n, h)
+        counts, sizes, rest = bridge(np.random.default_rng(12), np.arange(n))
+        sizes = self._rows(counts, sizes)
+        # sorted iid uniform epochs, paired with the sizes in their order, as
+        # mc.last_contacts pairs them: right only if that order is exchangeable
+        mine = np.arange(sizes.shape[1]) < counts[:, None]
+        early = np.sort(np.where(mine, np.random.default_rng(13).random(sizes.shape), 1.0), axis=1) < 0.5
+        share = (np.sum(sizes * early, axis=1) + rest / 2) / total
+        a = alpha_h / 2
+        var = 0.25 / (alpha_h + 1.0)
+        m4 = 3.0 / (16.0 * (2.0 * a + 1.0) * (2.0 * a + 3.0))  # Beta(a, a)'s fourth central moment
+        assert abs(share.mean() - 0.5) < 4.0 * math.sqrt(var / n)
+        assert abs(share.var(ddof=1) - var) < 4.0 * math.sqrt((m4 - var**2) / n)
+
+    def test_phase_type_points_keep_each_total(self):
         measure = PHMeasure(0.8, PhaseType([0.6, 0.4], [[-2.0, 0.5], [0.3, -1.0]]))
-        total, bridge = measure.sample_bridged(np.random.default_rng(9), 500, np.linspace(0.1, 3.0, 500))
+        h = np.linspace(0.1, 3.0, 500)
+        total, bridge = measure.sample_bridged(np.random.default_rng(9), 500, h)
         rows = np.arange(3, 500, 2)
-        steps = bridge(np.random.default_rng(10), rows, 64)
-        assert steps.shape == (rows.size, 64) and np.all(steps >= 0.0)
-        assert steps.sum(axis=1) == pytest.approx(total[rows], rel=1e-12, abs=0.0)
+        counts, sizes, rest = bridge(np.random.default_rng(10), rows)
+        assert sizes.size == counts.sum() and np.all(sizes > 0.0) and rest == 0.0
+        # the drawn jumps in their drawn order, so they sum as the total did
+        assert np.array_equal(np.bincount(np.repeat(np.arange(rows.size), counts), sizes, rows.size), total[rows])
         assert np.count_nonzero(total[rows]) > 100
 
 
