@@ -277,7 +277,7 @@ def _cmd_reflected(args) -> int:
 def _cmd_duality(args) -> int:
     model = _load_model(args.model)
     # both estimates go from jump to jump and read no time step
-    cfg = SimConfig(dt=args.t, t_max=args.t, n_paths=args.paths, seed=args.seed, max_blocks=1)
+    cfg = SimConfig(t_max=args.t, n_paths=args.paths, seed=args.seed, max_blocks=1)
     refl, fp = duality_check(model, args.b, args.t, cfg)
     doc = {
         "p_reflected_exceeds": {"estimate": refl.estimate, "se": refl.std_error, "n": refl.n},
@@ -336,13 +336,7 @@ def _cmd_simulate(args) -> int:
     if args.target in ("first", "last") and args.t is None and args.delta is None:
         raise UsageError(f"--target {args.target} needs --t or --delta")
     model = _load_model(args.model)
-    cfg = SimConfig(
-        dt=args.dt,
-        t_max=args.t_max,
-        n_paths=args.paths,
-        seed=args.seed,
-        max_blocks=args.max_blocks,
-    )
+    cfg = SimConfig(t_max=args.t_max, n_paths=args.paths, seed=args.seed, max_blocks=args.max_blocks)
     delta = 0.5 if args.delta is None else args.delta
     if args.target == "first":
         sample = run_first_passage(model, cfg, args.b)
@@ -429,13 +423,13 @@ def run_validation(quick: bool = True, seed: int = 20260810) -> list[tuple[str, 
 
     # duality (Monte Carlo)
     n_paths = 20_000 if quick else 100_000
-    cfg = SimConfig(dt=2e-3, t_max=1.0, n_paths=n_paths, seed=seed, max_blocks=1)
+    cfg = SimConfig(t_max=1.0, n_paths=n_paths, seed=seed, max_blocks=1)
     refl, fp = duality_check(models["bm"], 1.0, 1.0, cfg)
     gap = abs(refl.estimate - fp.estimate)
     add("duality_bm_gap_in_3se", gap / (3.0 * math.hypot(refl.std_error, fp.std_error)), 1.0)
 
     # MC vs analytic first passage (Brownian)
-    cfg2 = SimConfig(dt=2e-3, t_max=8.0, n_paths=n_paths, seed=seed + 1, max_blocks=4)
+    cfg2 = SimConfig(t_max=8.0, n_paths=n_paths, seed=seed + 1, max_blocks=4)
     mc = run_first_passage(models["bm"], cfg2, 1.0).laplace_at(0.5)
     add("bm_laplace_mc_gap_in_3se", abs(mc.estimate - exact) / (3.0 * mc.std_error), 1.0)
 
@@ -565,10 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--t", type=float)
     q.add_argument("--delta", type=float)
     q.add_argument("--paths", type=int, default=20000)
-    q.add_argument(
-        "--dt", type=float, default=1e-3,
-        help="time step of reflected-first; every other target goes from jump to jump and ignores it",
-    )
     q.add_argument("--t-max", type=float, default=8.0)
     q.add_argument("--max-blocks", type=int, default=16)
     q.add_argument("--seed", type=int, default=0)

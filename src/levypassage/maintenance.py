@@ -69,7 +69,9 @@ _T_FLOOR = 1e-6  # degenerate-density floor for z -> m(y)
 # substream numbers of simulate_policy's cycles and of its idle-mode bridges
 # (see the mc module docstring)
 _POLICY_STREAM, _BRIDGE_STREAM = 7, 8
-_IDLE_CELLS = 2**16  # idle mode searches its failing cycles once they hold this many jumps and cycles
+# idle mode bridges a failing cycle's rows in groups of this many expected
+# cells (jumps and cycles), and searches its bridged rows once they hold this many
+_IDLE_CELLS = 2**16
 _MAX_CYCLES = 10_000
 # the state grid spans the states reachable within _GRID_CYCLES cycles (the
 # cycle count of the benchmark's chains) on _GRID_POINTS points
@@ -424,9 +426,12 @@ def simulate_policy(
     exact laws.  ``idle_mode`` then bridges the cycle in which a path fails
     to its drawn end, exactly (``cycle_ends``: the cycle's jumps as points,
     the Brownian bridge between them), and records the last time at or
-    below the threshold (idle time = cycle length - last contact).  The
-    bridges draw from their own substream, so both modes give the same
-    failing cycles and regeneration times.
+    below the threshold (idle time = cycle length - last contact).  A
+    cycle's failing rows are bridged in groups of at most _IDLE_CELLS
+    expected cells, each row counted at one plus its expected jump count, so
+    memory stays bounded however many paths fail in one cycle.  The bridges
+    draw from their own substream, so both modes give the same failing
+    cycles and regeneration times.
     """
     if n_paths < 1:
         raise ValueError("need at least one path")
@@ -439,6 +444,7 @@ def simulate_policy(
     i_of_path = np.zeros(n_paths, dtype=np.int64)
     idle = np.full(n_paths, np.nan) if idle_mode else None
     failed, bridged, cells = [], [], 0  # failing paths, their bridged cycles and cells, not yet searched
+    jump_rate = 0.0 if model.jumps is None else model.jumps.compound_poisson()._rate
     idx = np.arange(n_paths)
     for cycle in range(1, _MAX_CYCLES + 1):
         m = idx.size
@@ -453,16 +459,20 @@ def simulate_policy(
             gi = idx[fail]
             i_of_path[gi] = cycle
             if idle_mode:
-                failed.append(gi)
-                bridged.append(bridge(bridge_rng, np.flatnonzero(fail)))
-                cells += bridged[-1][4].size + gi.size
+                rows = np.flatnonzero(fail)
+                size = max(1, int(_IDLE_CELLS // (1.0 + jump_rate * horizons[rows].max())))
+                groups = np.split(rows, np.arange(size, rows.size, size))
+                for n_group, group in enumerate(groups, 1):
+                    failed.append(idx[group])
+                    bridged.append(bridge(bridge_rng, group))
+                    cells += bridged[-1][4].size + group.size
+                    if cells >= _IDLE_CELLS or (n_group == len(groups) and fail.all()):
+                        last = last_contacts(model, bridge_rng, bridged, b)
+                        idle[np.concatenate(failed)] = np.concatenate([c[1] for c in bridged]) - last
+                        failed, bridged, cells = [], [], 0
         keep = ~fail
         x = np.asarray(policy.d(v[keep]))
         idx = idx[keep]
-        if bridged and (not idx.size or cells >= _IDLE_CELLS):
-            last = last_contacts(model, bridge_rng, bridged, b)
-            idle[np.concatenate(failed)] = np.concatenate([c[1] for c in bridged]) - last
-            failed, bridged, cells = [], [], 0
     if idx.size:
         raise HorizonExceeded(f"{idx.size} paths exceeded {_MAX_CYCLES} cycles")
     return PolicySimResult(n_paths, i_of_path, t_star, idle)

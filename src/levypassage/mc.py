@@ -9,47 +9,44 @@ alpha xi (1 - e^{-eps/xi}) of the smaller ones to the drift.  What it
 leaves out is a martingale M, so the drawn path D' is off the true D by
 E[sup_{s<=t} |D - D'|^2] <= 4 E[M_t^2] <= 2 alpha eps^2 t (Doob): about
 1e-12 xi sqrt(alpha t) in rms, far below any standard error (Asmussen &
-Rosinski, J. Appl. Probab. 38(2) 2001).  Two engines draw the paths, and
-the estimator, never the model kind, picks one.
+Rosinski, J. Appl. Probab. 38(2) 2001).  One engine draws every path.
 
-*Segments*, for every estimator but reflected first passage.  A segment
-runs from a path's level to its next jump epoch, an Exp(rate) wait, cut at
-the censoring horizon t_max * max_blocks (for Brownian motion it is the
-whole horizon left) or at a target time.  Its continuous part is one
-Gaussian draw; its events come from the Brownian bridge between the two
-ends: an up-crossing by the bridge test and its time by ``_hit_time``, the
-minimum from one uniform (``_bridge_min``), and the times of that minimum
-and of a last contact from ``_split``.  At sigma = 0 (pure gamma) the path
-is linear between jumps and these take no uniform.  One jump size is drawn
-at the segment's end (``_CompoundPoisson.sample_jumps``).  ``_segment``
-draws k segments per live path in one pass as (paths x k) arrays, k
-doubling each pass up to 2**13 cells in all, and the estimators read
-their events off the arrays column-wise (``_first``, ``_last``, ``_at``,
-``_running_inf``); the gamma kinds need about 27 segments per unit time.
-Every law used is exact, so these estimates carry no time-step bias and
-do not read ``SimConfig.dt``: free first passage, free and reflected last
-passage, and D* at a fixed or an exponential time.
+*Segments.*  A segment runs from a path's level to its next jump epoch, an
+Exp(rate) wait, cut at the censoring horizon t_max * max_blocks (for
+Brownian motion it is the whole horizon left) or at a target time.  Its
+continuous part is one Gaussian draw; its events come from the Brownian
+bridge between the two ends: an up-crossing by the bridge test and its time
+by ``_hit_time``, the minimum from one uniform (``_bridge_min``), and the
+times of that minimum and of a last contact from ``_split``.  At sigma = 0
+(pure gamma) the path is linear between jumps and these take no uniform.
+One jump size is drawn at the segment's end
+(``_CompoundPoisson.sample_jumps``).  ``_segment`` draws k segments per live
+path in one pass as (paths x k) arrays, k doubling each pass up to 2**13
+cells in all, and the estimators read their events off the arrays
+column-wise (``_first``, ``_last``, ``_at``, ``_running_inf``); the gamma
+kinds need about 27 segments per unit time.  Every law used is exact, so no
+estimate carries a time-step bias or reads ``SimConfig.dt``.
 
-*Blocks*, for reflected first passage: inside a segment the drawup of D
-has no closed law.  ``_Block`` draws a (paths x k) block of steps of
-length dt at once, k = max(1, 2**14 // live paths), so the few long paths
-at the end of a run cost few calls.  The block is drawn lazily.  Each row
-(one path's k steps) gets its Gaussian increments and one jump total J
-(``_CompoundPoisson.sample_block``: one Poisson count for the whole block,
-each jump in a uniform cell, summed by row).  Jumps only raise the level,
-so the continuous path bounds every level of the row from below and that
-path plus J bounds it from above.  A row's k uniforms of a bridge extreme
-are drawn least first, as 1 - V^{1/k}.  A row is decided from the bounds
-and that least uniform when its event would be the same for any split of
-J and any values of its other uniforms; the other rows draw the split of
-J over their cells (its jumps' own cells) and their other uniforms given
-the least, and go through the per-cell logic.  Every decision reads only
-draws whose law does not depend on what is still undrawn, so the
-estimates have the law of the per-cell scheme.  For sigma > 0 the
-within-step extremes and hitting times of the continuous part come from
-its Brownian bridge; at sigma = 0 the path creeps linearly within a step.
-The O(dt) bias left comes from lumping each step's jumps at its end and
-from taking the level b + inf(D ^ 0) before each step.
+*Cells*, for reflected first passage.  D* = D - I, I = inf(D ^ 0), crosses b
+where D crosses I + b, and inside a segment the infimum and the crossing
+interact.  So its segments are cut into cells of length at most
+l = min(b^2 / (160 sigma^2), b / (8 |mu|)) (``_cell_length``): a jump wait
+longer than l ends the cell with no jump, and the rest of the wait is drawn
+again, which is exact since the wait is memoryless.  A cell from x0 that
+moves by c over tau is decidable (``_decidable``) when its bridge cannot span
+b, b (b/2 - |c|) >= 40 sigma^2 tau, or cannot reach I, 2 (x0 - I)(x0 + c - I)
+>= 40 sigma^2 tau: either way a move of the infimum and a crossing both
+happen in it with probability at most 2 e^{-40}, about 8e-18.  It creeps
+over if its bridge reaches I + b, at the time ``_hit_time`` draws; else I
+moves to the bridge minimum, and the jump at its end crosses if it carries
+the path to I + b.  The minimum and the crossing take independent uniforms,
+whose joint law differs from the bridge's only on that same event.  A cell
+that is not decidable is split at its bridge midpoint, N(x0 + c/2,
+sigma^2 tau / 4), and its halves are decided left first, split again until
+each piece is decidable (``_cells``); the cells drawn after it in the same
+pass are dropped, which keeps the law, since they are independent of all
+that is decided.  At sigma = 0, D is nondecreasing, I stays at 0 and
+T*_b = T_b.
 
 Last-passage estimators use the escape test.  From a level x > b the path
 never returns to (-inf, b] with probability 1 - e^{-rho0 (x - b)}; given that
@@ -75,21 +72,22 @@ stream number: 1 ``run_first_passage``, 2 ``run_last_passage``, 3
 ``estimate_reflected_exceedance``, 4 ``run_reflected_first_passage``, 5
 ``run_reflected_last_passage`` and 6 ``run_reflected_at_exp_horizon``;
 ``maintenance.simulate_policy`` uses 7 for its cycle ends and 8 for the
-bridges of its idle mode (``last_contacts``).  So for a given model,
-threshold and settings a result depends only on (seed, n_paths); no
-batching option can change it.
+bridges of its idle mode (``last_contacts``).  Stream 4 draws, each pass,
+the cells (waits, jumps, Gaussian moves), one crossing and one minimum
+uniform per cell, then what ``_cells`` and ``_hit_time`` need.  So for a
+given model, threshold and settings a result depends only on (seed,
+n_paths); no batching option can change it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EscapeTestUnavailable, HorizonExceeded, LevyPassageError
+from .errors import EscapeTestUnavailable, HorizonExceeded, LevyPassageError, NoConvergence
 from .lundberg import escape_probability, escape_rate
 from .models import ModelSpec, _CompoundPoisson
 
@@ -98,11 +96,14 @@ EXIT_CREEP = 1
 EXIT_JUMP = 2
 
 _GROUP_PATHS = 100_000  # paths per substream
-_BLOCK_CELLS = 2**14  # path-steps per block of an estimator
 # segments per pass of the segment engine, over all live paths: 64 KiB
 # arrays; at 2**14 the mc_oracle benchmark's peak RSS read 0.8 MB higher
 _SEGMENT_CELLS = 2**13
-_SHORT_ROWS = 12  # blocks of up to this many steps are scanned column by column
+_SHORT_ROWS = 12  # rows of up to this many cells are accumulated column by column
+# a cell is decidable when its bridge's event of both moving the infimum and
+# crossing has probability at most 2 e^-_CELL_EXPONENT (see the module docstring)
+_CELL_EXPONENT = 40.0
+_MAX_SPLITS = 40  # halvings of one cell before ``_cells`` gives up
 # substream number of each estimator (see the module docstring)
 _STREAM_FIRST, _STREAM_LAST, _STREAM_EXCEEDANCE = 1, 2, 3
 _STREAM_REFLECTED_FIRST, _STREAM_REFLECTED_LAST, _STREAM_EXP_HORIZON = 4, 5, 6
@@ -115,9 +116,9 @@ class SimConfig:
     ``t_max * max_blocks`` is the censoring horizon: a path without its event
     by then is censored.  The split into t_max and max_blocks changes no
     estimate, since last-passage paths take the escape test at their own
-    stopping times (see the module docstring).  ``dt`` is the step of the
-    block engine, which serves reflected first passage alone; every other
-    estimator goes from jump to jump and ignores it.
+    stopping times (see the module docstring).  No estimator reads ``dt``:
+    every path goes from jump to jump.  It is kept, and checked, because the
+    benchmark workloads pass it.
     """
 
     dt: float = 1e-3
@@ -127,14 +128,10 @@ class SimConfig:
     max_blocks: int = 64
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_max < self.dt or self.n_paths < 1:
-            raise ValueError("need dt > 0, t_max >= dt, n_paths >= 1")
+        if not (self.t_max > 0 and self.dt > 0) or self.n_paths < 1:
+            raise ValueError("need t_max > 0, dt > 0, n_paths >= 1")
         if self.max_blocks < 1:
             raise ValueError(f"need max_blocks >= 1, got {self.max_blocks}")
-
-    @property
-    def horizon_steps(self) -> int:
-        return int(round(self.t_max * self.max_blocks / self.dt))
 
 
 @dataclass(frozen=True)
@@ -166,7 +163,7 @@ def _discount(t: np.ndarray, delta: float, ok: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Path engine: the law, the block kernel and the searches built on them
+# Path engine: the law, a pass's levels and the searches built on them
 
 
 class _Law(NamedTuple):
@@ -208,114 +205,17 @@ def _path_groups(cfg: SimConfig, stream: int):
         )
 
 
-def _block_len(live: int) -> int:
-    return max(1, _BLOCK_CELLS // live)
-
-
-class _Block:
-    """k steps of length dt from levels v, drawn lazily.
-
-    Draws the Gaussian increments ``cont`` and one jump total per row
-    (``_CompoundPoisson.sample_block``).  ``low`` is the continuous level
-    path v + cumsum(cont); jumps only raise the level, so every level of a
-    row's block, at a step end or start, lies in [``bottom``, ``top``], and
-    ``end`` is its exact level after the block.  A row's k uniforms of a
-    bridge extreme are drawn minimum first (``mins``); ``clear`` certifies
-    from the minimum that no step's bridge reaches a level, and
-    ``uniforms`` draws the other k - 1 given it for a row that is refined.
-    ``levels`` draws the jump split of the rows that still need their cells.
-    """
-
-    def __init__(self, law: _Law, rng, v: np.ndarray, dt: float, k: int):
-        self.law, self.rng, self.v, self.dt, self.k = law, rng, v, dt, k
-        n = v.size
-        if law.sigma > 0:
-            self.cont = rng.normal(law.mu * dt, law.sigma * math.sqrt(dt), (n, k))
-        else:
-            self.cont = np.broadcast_to(law.mu * dt, (n, k))
-        self.low = _accumulate_rows(np.add, self.cont)
-        self.low += v[:, None]
-        self.total = self._split = None
-        if law.jumps is not None:
-            self.total, self._split = law.jumps.sample_block(rng, n, k, dt)
-        self.end = self.low[:, -1].copy() if self.total is None else self.low[:, -1] + self.total
-
-    @cached_property
-    def top(self) -> np.ndarray:
-        high = np.maximum(self.v, _reduce_rows(np.maximum, self.low))
-        return high if self.total is None else high + self.total
-
-    @cached_property
-    def bottom(self) -> np.ndarray:
-        return np.minimum(self.v, _reduce_rows(np.minimum, self.low))
-
-    def mins(self):
-        """The least of k iid uniforms for each row, 1 - V^{1/k} for a
-        uniform V (V itself when k = 1); None at sigma = 0."""
-        if self.law.sigma == 0:
-            return None
-        u = self.rng.random(self.v.size)
-        return u if self.k == 1 else -np.expm1(np.log1p(-u) / self.k)
-
-    def uniforms(self, mins):
-        """(rows x k) uniforms given their row minima: the minimum sits in a
-        uniform cell and the other cells are iid uniform above it, the law
-        of k iid uniforms given their least.  None at sigma = 0."""
-        if mins is None or self.k == 1:
-            return None if mins is None else mins[:, None]
-        n = mins.size
-        u = self.rng.random((n, self.k))
-        u *= (1.0 - mins)[:, None]
-        u += mins[:, None]
-        u[np.arange(n), self.rng.integers(0, self.k, n)] = mins
-        return u
-
-    def clear(self, gap: np.ndarray, mins) -> np.ndarray:
-        """True for rows certain to keep every step's continuous bridge off a
-        level.  gap is how far all the row's step starts and ends stay from
-        the level, on one side (none is certain unless gap > 0), and mins
-        holds the least of the row's uniforms of the bridge draw.  A step's
-        bridge reaches a level g0 and g1 from its ends iff its uniform is
-        below exp(-2 g0 g1 / (sigma^2 dt)), which is at most
-        exp(-2 gap^2 / (sigma^2 dt)).  At sigma = 0 the path is linear
-        within a step."""
-        if mins is None:
-            return gap > 0
-        return (gap > 0) & (mins >= np.exp(-2.0 * gap * gap / (self.law.sigma**2 * self.dt)))
-
-    def levels(self, rows: np.ndarray, u):
-        """``_levels``' (start, c_end, m_min, post) of the block's ``rows``,
-        with their bridge-minimum uniforms u, after drawing their jump split."""
-        sel = slice(None) if rows.size == self.v.size else rows  # a view, no copies
-        v, cont = self.v[sel], self.cont[sel]
-        if self.total is None:
-            return _step_levels(self.law, v, self.low[sel], cont, False, u, self.dt, True)
-        jumps = self.total[sel, None] if self.k == 1 else self._split(rows)
-        return _levels(self.law, v, cont, jumps, u, self.dt, True)
-
-
-def _take(x, rows):
-    """x's rows, or None for None."""
-    return None if x is None else x[rows]
-
-
 def _levels(law: _Law, v: np.ndarray, cont, jumps, u, dt_col, minimum: bool):
-    """(start, c_end, m_min, post) of steps from levels v with the drawn
-    continuous increments, jump increments (None without jumps) and
-    bridge-minimum uniforms (None without ``minimum`` or at sigma = 0): the
-    level at each step start, the continuous level at the step end, its
-    minimum over the step (None without ``minimum``; the smaller endpoint at
-    sigma = 0) and the level after the jumps.  dt_col is the step length:
-    scalar (blocks) or one per step (segments and idle-mode cells)."""
-    post = _accumulate_rows(np.add, cont if jumps is None else cont + jumps)
+    """(start, c_end, m_min, post) of cells from levels v with the drawn
+    continuous increments, jump increments and bridge-minimum uniforms (None
+    without ``minimum`` or at sigma = 0): the level at each cell start, the
+    continuous level at the cell end, its minimum over the cell (None
+    without ``minimum``; the smaller endpoint at sigma = 0) and the level
+    after the jump.  dt_col holds the cell lengths."""
+    post = _accumulate_rows(np.add, cont + jumps)
     post += v[:, None]
-    return _step_levels(law, v, post, cont, jumps is not None, u, dt_col, minimum)
-
-
-def _step_levels(law: _Law, v, post, cont, jumped: bool, u, dt_col, minimum: bool):
-    """``_levels`` given the levels ``post`` after each step."""
     start = np.hstack((v[:, None], post[:, :-1]))
-    c_end = start + cont if jumped else post
+    c_end = start + cont
     m_min = None
     if u is not None:
         m_min = _bridge_min(law, start, cont, u, dt_col)
@@ -338,21 +238,11 @@ def _bridge_min(law: _Law, start, cont, u, dt):
     return m_min
 
 
-def _reduce_rows(ufunc, x: np.ndarray) -> np.ndarray:
-    """``ufunc.reduce`` along each row.  numpy scans a row at a time, at a
-    cost per row far above an elementwise pass, so rows of up to
-    _SHORT_ROWS cells go column by column instead, with the same
-    arithmetic; so does ``_accumulate_rows``."""
-    if x.shape[1] > _SHORT_ROWS:
-        return ufunc.reduce(x, axis=1)
-    out = x[:, 0].copy()
-    for j in range(1, x.shape[1]):
-        ufunc(out, x[:, j], out=out)
-    return out
-
-
 def _accumulate_rows(ufunc, x: np.ndarray) -> np.ndarray:
-    """``ufunc.accumulate`` along each row (see ``_reduce_rows``)."""
+    """``ufunc.accumulate`` along each row.  numpy scans a row at a time, at
+    a cost per row far above an elementwise pass, so rows of up to
+    _SHORT_ROWS cells go column by column instead, with the same
+    arithmetic."""
     if x.shape[1] > _SHORT_ROWS:
         return ufunc.accumulate(x, axis=1)
     out = np.empty(x.shape)
@@ -363,7 +253,7 @@ def _accumulate_rows(ufunc, x: np.ndarray) -> np.ndarray:
 
 
 def _first(mask: np.ndarray):
-    """(any, column of the first True) per row; a one-step block skips the
+    """(any, column of the first True) per row; a one-column pass skips the
     row-wise scan."""
     if mask.shape[1] == 1:
         return mask[:, 0], np.zeros(mask.shape[0], dtype=np.intp)
@@ -386,16 +276,15 @@ def _at(x: np.ndarray, j: np.ndarray) -> np.ndarray:
 
 
 def _running_inf(m_min: np.ndarray, inf0: np.ndarray) -> np.ndarray:
-    """inf(D ^ 0) after each step of the block, from inf0 before it."""
+    """inf(D ^ 0) after each cell of a row, from inf0 before it."""
     return _accumulate_rows(np.minimum, np.minimum(m_min, inf0[:, None]))
 
 
-def _crossed_up(law: _Law, u, start, c_end, post, level, dt):
-    """(creep, jump) masks of an up-crossing of ``level`` (scalar or per cell)
-    in each step start -> c_end -> post of length dt (scalar or per cell):
-    the continuous end value reaches the level, else the bridge between
-    start and c_end crosses it (its uniform in u, one per cell; None at
-    sigma = 0), else the jump carries the path over."""
+def _crossed_up(law: _Law, u, start, c_end, level, dt):
+    """Mask of the cells start -> c_end of length dt whose continuous part
+    reaches ``level`` (scalar or per cell): its end value does, else the
+    bridge between the two crosses it (its uniform in u, one per cell; None
+    at sigma = 0)."""
     creep = c_end >= level
     if u is not None:
         # exp(-2 gap0 gap1 / (sigma^2 dt)), built in place
@@ -403,18 +292,18 @@ def _crossed_up(law: _Law, u, start, c_end, post, level, dt):
         p *= np.clip(level - c_end, 0.0, None)
         p *= -2.0 / (law.sigma**2 * dt)
         creep |= u < np.exp(p, out=p)
-    return creep, ~creep & (post >= level)
+    return creep
 
 
 def _hit_time(law: _Law, rng, h0: np.ndarray, h1: np.ndarray, dt) -> np.ndarray:
-    """Time into a step at which its continuous part, h0 > 0 above a level at
-    the start and h1 at the end, first reaches the level, given that it does;
-    dt is the step length, scalar or per path.
+    """Time into a cell at which its continuous part, h0 > 0 away from a level
+    at the start and h1 at the end, first reaches the level, given that it does;
+    dt is the cell length, scalar or per path.
     Under s = dt u/(1+u) the Brownian bridge is a Brownian motion in u with
     drift |h1| / (sigma sqrt(dt)) towards or away from the level, so u given
     the hit is inverse Gaussian; it is drawn by Michael, Schucany & Haas
     (1976), in a form that stays finite as that drift goes to 0.  At sigma = 0
-    the continuous part is linear within the step."""
+    the continuous part is linear within the cell."""
     if law.sigma == 0:
         return dt * h0 / (h0 - h1)
     scale = law.sigma * np.sqrt(dt)
@@ -451,31 +340,32 @@ def _escape_rate(model: ModelSpec, rho0: float | None = None) -> float:
 
 class _Segments(NamedTuple):
     """Up to k segments per path as (paths x k) arrays: each runs to the
-    path's next jump epoch, an Exp(rate) wait, until the one that reaches
-    the end of the path's room, which ends there with no jump.  The cells
-    after that one (``valid`` False) are not part of the path; each holds a
-    wait of its own and no jump, so every cell is a well-formed segment."""
+    path's next jump epoch, an Exp(rate) wait, or ends with no jump after
+    the cell length when the wait is longer, until the one that reaches the
+    end of the path's room, which ends there with no jump.  The cells after
+    that one (``valid`` False) are not part of the path; each holds a wait
+    of its own and no jump, so every cell is a well-formed segment."""
 
     elapsed: np.ndarray  # the segment's start, in time from the path's
     tau: np.ndarray  # its length
     cont: np.ndarray  # the Gaussian move of the continuous part over it
-    jump: np.ndarray  # the jump at its end, 0 where it ends at the room's end
-    jumped: np.ndarray  # whether it ends at a jump (a prefix of each row)
+    jump: np.ndarray  # the jump at its end, 0 where it ends with no jump
+    goes_on: np.ndarray  # whether it ends before the room's end (a prefix of each row)
 
     @property
     def valid(self) -> np.ndarray:
-        """The cells on the path: the first, and each after a jump."""
-        return np.hstack((np.ones((self.tau.shape[0], 1), dtype=bool), self.jumped[:, :-1]))
+        """The cells on the path: the first, and each after one that goes on."""
+        return np.hstack((np.ones((self.tau.shape[0], 1), dtype=bool), self.goes_on[:, :-1]))
 
     @property
     def last(self) -> np.ndarray:
         """Column of each row's last cell on the path."""
-        return np.minimum(self.jumped.sum(axis=1), self.tau.shape[1] - 1)
+        return np.minimum(self.goes_on.sum(axis=1), self.tau.shape[1] - 1)
 
     @property
     def runs_on(self) -> np.ndarray:
-        """Rows whose k segments all end at a jump: the path goes on."""
-        return self.jumped[:, -1]
+        """Rows whose k segments all end before the room's end: the path goes on."""
+        return self.goes_on[:, -1]
 
     @property
     def span(self) -> np.ndarray:
@@ -483,26 +373,30 @@ class _Segments(NamedTuple):
         return self.elapsed + self.tau
 
 
-def _segment(law: _Law, rng, room: np.ndarray, k: int) -> _Segments:
-    """k segments per path (one, to the end of the room, without jumps)."""
+def _segment(law: _Law, rng, room: np.ndarray, k: int, cap: float = math.inf) -> _Segments:
+    """k segments per path, each cut at length ``cap`` (one, to the end of
+    the room, for a path with neither jumps nor a cap)."""
     n = room.size
-    if law.jumps is None:
+    if law.jumps is None and cap == math.inf:
         tau = room[:, None].copy()
-        elapsed, jump, jumped = np.zeros((n, 1)), np.zeros((n, 1)), np.zeros((n, 1), dtype=bool)
+        elapsed, jump, goes_on = np.zeros((n, 1)), np.zeros((n, 1)), np.zeros((n, 1), dtype=bool)
     else:
-        tau = rng.exponential(1.0 / law.jumps._rate, (n, k))
+        wait = np.full((n, k), cap) if law.jumps is None else rng.exponential(1.0 / law.jumps._rate, (n, k))
+        tau = np.minimum(wait, cap)
         ends = _accumulate_rows(np.add, tau)
         elapsed = np.hstack((np.zeros((n, 1)), ends[:, :-1]))
-        jumped = ends < room[:, None]
-        stop = ~jumped
-        stop[:, 1:] &= jumped[:, :-1]  # the cell that reaches the room's end
+        goes_on = ends < room[:, None]
+        stop = ~goes_on
+        stop[:, 1:] &= goes_on[:, :-1]  # the cell that reaches the room's end
         tau[stop] = (room[:, None] - elapsed)[stop]
         jump = np.zeros((n, k))
-        jump[jumped] = law.jumps.sample_jumps(rng, int(np.count_nonzero(jumped)))
+        if law.jumps is not None:
+            jumped = goes_on & (wait < cap)
+            jump[jumped] = law.jumps.sample_jumps(rng, int(np.count_nonzero(jumped)))
     cont = law.mu * tau
     if law.sigma > 0:
         cont += law.sigma * np.sqrt(tau) * rng.standard_normal(tau.shape)
-    return _Segments(elapsed, tau, cont, jump, jumped)
+    return _Segments(elapsed, tau, cont, jump, goes_on)
 
 
 def _segment_levels(law: _Law, rng, v: np.ndarray, seg: _Segments):
@@ -591,8 +485,8 @@ class FirstPassageSample:
 
 
 def _first_passages(model: ModelSpec, cfg: SimConfig, b: float, reflect: bool) -> FirstPassageSample:
-    """First up-crossings of b by D, by segments, or by D* = D - inf(D ^ 0)
-    when ``reflect``, by blocks of dt steps."""
+    """First up-crossings of b by D, or by D* = D - inf(D ^ 0) when
+    ``reflect``, by segments."""
     if b <= 0:
         raise ValueError("threshold must be positive")
     law = _Law.of(model)
@@ -602,89 +496,128 @@ def _first_passages(model: ModelSpec, cfg: SimConfig, b: float, reflect: bool) -
     und = np.zeros(n)
     over = np.zeros(n)
     for rng, idx in _path_groups(cfg, _STREAM_REFLECTED_FIRST if reflect else _STREAM_FIRST):
-        if reflect:
-            got = _block_reflected_first(law, rng, idx.size, b, cfg)
-        else:
-            got = _segment_first(law, rng, idx.size, b, cfg.t_max * cfg.max_blocks)
+        got = _segment_first(law, rng, idx.size, b, cfg.t_max * cfg.max_blocks, reflect)
         t_cross[idx], kind[idx], und[idx], over[idx] = got
     label = "T*_b" if reflect else "T_b"
     return FirstPassageSample(b, t_cross, kind, und, over, cfg.t_max * cfg.max_blocks, label)
 
 
-def _segment_first(law: _Law, rng, m: int, b: float, horizon: float):
-    """(t_cross, kind, under, over) of m paths' first up-crossings of b, by
-    segments.  A segment's bridge crosses b by the bridge test and at the
-    time ``_hit_time`` draws; else the jump at its end may carry it over."""
+def _segment_first(law: _Law, rng, m: int, b: float, horizon: float, reflect: bool):
+    """(t_cross, kind, under, over) of m paths' first up-crossings of b by D,
+    or by D* when ``reflect``, where D crosses b + I, I = inf(D ^ 0).  A
+    segment's bridge crosses the level by the bridge test and at the time
+    ``_hit_time`` draws; else the jump at its end may carry it over.  For D*
+    at sigma > 0 the segments are cells (see the module docstring): a row
+    stops at its first crossing or at its first cell that is not decidable,
+    which ``_cells`` decides; its later cells are dropped."""
+    cells = reflect and law.sigma > 0  # at sigma = 0 D is nondecreasing and I stays at 0
+    cap = _cell_length(law, b) if cells else math.inf
     t_cross = np.full(m, np.inf)
     kind = np.zeros(m, dtype=np.int8)
     und, over = np.zeros(m), np.zeros(m)
-    live, v, t = np.arange(m), np.zeros(m), np.zeros(m)  # the live paths, compacted
+    live, v, low, t = np.arange(m), np.zeros(m), np.zeros(m), np.zeros(m)  # the live paths, compacted
     k = 1
     while live.size:
-        seg = _segment(law, rng, horizon - t, k)
+        seg = _segment(law, rng, horizon - t, k, cap)
         start, c_end, _, post = _levels(law, v, seg.cont, seg.jump, None, None, False)
-        creep, by_jump = _crossed_up(law, law.uniforms(rng, start.shape), start, c_end, post, b, seg.tau)
-        hit, j = _first((creep | by_jump) & seg.valid)
-        by_creep, h0, ce, po, at, el = (_at(x, j)[hit] for x in (creep, start, c_end, post, seg.tau, seg.elapsed))
-        at[by_creep] = _hit_time(law, rng, b - h0[by_creep], b - ce[by_creep], at[by_creep])
-        g = live[hit]
-        t_cross[g] = t[hit] + el + at
-        kind[g] = np.where(by_creep, EXIT_CREEP, EXIT_JUMP)
-        und[g] = np.where(by_creep, 0.0, b - ce)
-        over[g] = np.where(by_creep, 0.0, po - b)
-        go = seg.runs_on & ~hit  # a row that does not run on ends at the horizon
-        live, v, t = live[go], post[go, -1], (t + seg.span[:, -1])[go]
+        u = law.uniforms(rng, start.shape)
+        before = after = 0.0  # I before and after each cell
+        split = False  # the cells that are not decidable
+        if cells:
+            after = _running_inf(_bridge_min(law, start, seg.cont, rng.random(start.shape), seg.tau), low)
+            before = np.hstack((low[:, None], after[:, :-1]))
+            split = ~_decidable(law, b, start, seg.cont, before, seg.tau)
+        creep = _crossed_up(law, u, start, c_end, b + before, seg.tau)
+        hit, j = _first((creep | (post >= b + after) | split) & seg.valid)
+        rows = np.flatnonzero(hit)
+
+        def pick(x):
+            return _at(x, j)[rows] if np.ndim(x) else x
+
+        by_creep, h0, ce, po, at, el = map(pick, (creep, start, c_end, post, seg.tau, seg.elapsed))
+        i0, i1 = pick(before), pick(after)  # I before and after the row's cell
+        decided = by_creep
+        if cells:
+            s = pick(split)
+            by_creep[s], at_s, i1[s] = _cells(law, rng, b, h0[s], ce[s], at[s], i0[s])
+            at[s] = np.where(by_creep[s], at_s, at[s])  # else the jump at the cell's end is tested
+            decided = by_creep & ~s
+        at[decided] = _hit_time(law, rng, (b + i0 - h0)[decided], (b + i0 - ce)[decided], at[decided])
+        lev = b + i1  # where the jump at the cell's end is tested
+        crossed = by_creep | (po >= lev)
+        c = rows[crossed]
+        g = live[c]
+        t_cross[g] = t[c] + el[crossed] + at[crossed]
+        kind[g] = np.where(by_creep[crossed], EXIT_CREEP, EXIT_JUMP)
+        und[g] = np.where(by_creep, 0.0, lev - ce)[crossed]
+        over[g] = np.where(by_creep, 0.0, po - lev)[crossed]
+        col = np.where(hit, j, seg.tau.shape[1] - 1)  # each row's last cell in the pass
+        go = _at(seg.goes_on, col)  # a row whose last cell does not go on ends at the horizon
+        go[c] = False
+        if cells:
+            low = _at(after, col)
+            low[rows] = i1
+        live, v, low, t = live[go], _at(post, col)[go], low[go], (t + _at(seg.span, col))[go]
         k = _next_k(k, live.size)
     return t_cross, kind, und, over
 
 
-def _block_reflected_first(law: _Law, rng, m: int, b: float, cfg: SimConfig):
-    """(t_cross, kind, under, over) of m paths' first up-crossings of b by
-    D*, by blocks of dt steps: D crosses b + inf(D ^ 0), taken before each
-    step (within-step ordering is O(dt))."""
-    t_cross = np.full(m, np.inf)
-    kind = np.zeros(m, dtype=np.int8)
-    und, over = np.zeros(m), np.zeros(m)
-    idx, v, inf_d = np.arange(m), np.zeros(m), np.zeros(m)
-    clock = 0  # steps taken, the same for every live path
-    while idx.size and clock < cfg.horizon_steps:
-        k = min(_block_len(idx.size), cfg.horizon_steps - clock)
-        v, rows, j, by_creep, under, overshoot = _first_block(law, rng, v, inf_d, b, cfg.dt, k)
-        gi = idx[rows]
-        t_cross[gi] = (clock + j + 1) * cfg.dt
-        kind[gi] = np.where(by_creep, EXIT_CREEP, EXIT_JUMP)
-        und[gi], over[gi] = under, overshoot
-        live = np.ones(idx.size, dtype=bool)
-        live[rows] = False
-        v, inf_d, idx = v[live], inf_d[live], idx[live]
-        clock += k
-    return t_cross, kind, und, over
+def _cell_length(law: _Law, b: float) -> float:
+    """The longest cell of D*'s first passage: b^2 / (160 sigma^2), at which
+    a cell that moves by at most b/4 cannot span b, and b / (8 |mu|), at
+    which the drift takes half of that."""
+    cap = b * b / (4.0 * _CELL_EXPONENT * law.sigma**2)
+    return cap if law.mu == 0 else min(cap, b / (8.0 * abs(law.mu)))
 
 
-def _first_block(law: _Law, rng, v, inf_d, b: float, dt: float, k: int):
-    """One block of ``_block_reflected_first`` from levels v and infima
-    inf_d, which it updates in place.  Returns (end, rows, j, creep, under,
-    over): the levels after the block, and for the rows that cross
-    b + inf_d, the step of the crossing, whether it creeps, and the under-
-    and overshoot."""
-    blk = _Block(law, rng, v, dt, k)
-    low_min = blk.mins()  # of the bridge-minimum uniforms
-    up_min = blk.mins()  # of the crossing uniforms
-    # rows that surely neither cross b + inf_d nor set a new infimum
-    quiet = blk.clear(b + inf_d - blk.top, up_min)
-    quiet &= blk.clear(blk.bottom - inf_d, low_min)
-    rows = np.flatnonzero(~quiet)
-    start, c_end, m_min, post = blk.levels(rows, blk.uniforms(_take(low_min, rows)))
-    inf_after = _running_inf(m_min, inf_d[rows])
-    level = np.hstack((inf_d[rows, None], inf_after[:, :-1]))
-    level += b
-    inf_d[rows] = inf_after[:, -1]
-    del inf_after, m_min  # not needed past here; freed before the crossing test's arrays
-    creep, jumpx = _crossed_up(law, blk.uniforms(_take(up_min, rows)), start, c_end, post, level, dt)
-    hit, j = _first(creep | jumpx)
-    by_creep, ce, po, lev = (_at(x, j)[hit] for x in (creep, c_end, post, level))
-    under, over = np.where(by_creep, 0.0, lev - ce), np.where(by_creep, 0.0, po - lev)
-    return blk.end, rows[hit], j[hit], by_creep, under, over
+def _decidable(law: _Law, b: float, x0, c, low, tau) -> np.ndarray:
+    """The cells from x0 that move by c over tau, at infimum low, whose
+    bridge cannot span b, b (b/2 - |c|) >= 40 sigma^2 tau, or cannot reach
+    low, 2 (x0 - low)(x0 + c - low) >= 40 sigma^2 tau: but with probability
+    2 e^-40 or less (see the module docstring)."""
+    room = (_CELL_EXPONENT * law.sigma**2) * tau
+    return (b * (0.5 * b - np.abs(c)) >= room) | (2.0 * (x0 - low) * (x0 + c - low) >= room)
+
+
+def _cells(law: _Law, rng, b: float, x0, x1, tau, low):
+    """(creep, at, low) of cells whose continuous part goes from x0 to x1
+    over tau, at infimum low before them: whether it creeps over low + b and
+    when, from the cell's start, and the infimum after the cell.  A piece
+    that is not decidable is split at its bridge midpoint, drawn from
+    N((x0 + x1) / 2, sigma^2 tau / 4), and its halves are decided left first:
+    each row keeps its current piece and a stack of the right halves still to
+    come, at most _MAX_SPLITS deep."""
+    n = x0.size
+    x0, x1, tau, low = (np.array(y, dtype=float) for y in (x0, x1, tau, low))
+    creep, at, el = np.zeros(n, dtype=bool), np.zeros(n), np.zeros(n)
+    ends, spans = np.empty((n, _MAX_SPLITS)), np.empty((n, _MAX_SPLITS))  # the stacks
+    depth = np.zeros(n, dtype=np.intp)
+    todo = np.arange(n)
+    while todo.size:
+        ok = _decidable(law, b, x0[todo], x1[todo] - x0[todo], low[todo], tau[todo])
+        r = todo[ok]
+        lev = low[r] + b
+        up = _crossed_up(law, rng.random(r.size), x0[r], x1[r], lev, tau[r])
+        h = r[up]
+        creep[h] = True
+        at[h] = el[h] + _hit_time(law, rng, lev[up] - x0[h], lev[up] - x1[h], tau[h])
+        r = r[~up]
+        mins = _bridge_min(law, x0[r], x1[r] - x0[r], rng.random(r.size), tau[r])
+        low[r] = np.minimum(low[r], mins)
+        r = r[depth[r] > 0]  # on to the next right half
+        depth[r] -= 1
+        el[r] += tau[r]
+        x0[r], x1[r], tau[r] = x1[r], ends[r, depth[r]], spans[r, depth[r]]
+        q = todo[~ok]
+        if np.any(depth[q] >= _MAX_SPLITS):
+            raise NoConvergence(f"a reflected first-passage cell is not decidable after {_MAX_SPLITS} splits")
+        half = 0.5 * tau[q]
+        ends[q, depth[q]], spans[q, depth[q]] = x1[q], half
+        depth[q] += 1
+        x1[q] = rng.normal(0.5 * (x0[q] + x1[q]), law.sigma * np.sqrt(half / 2.0))
+        tau[q] = half
+        todo = np.concatenate((r, q))
+    return creep, at, low
 
 
 def run_first_passage(model: ModelSpec, cfg: SimConfig, b: float) -> FirstPassageSample:
@@ -692,6 +625,9 @@ def run_first_passage(model: ModelSpec, cfg: SimConfig, b: float) -> FirstPassag
 
 
 def run_reflected_first_passage(model: ModelSpec, cfg: SimConfig, b: float) -> FirstPassageSample:
+    """T*_b, the first time D* = D - inf(D ^ 0) reaches b, drawn exactly on
+    cells of the segment engine (see the module docstring), on stream 4; at
+    sigma = 0 it is T_b."""
     return _first_passages(model, cfg, b, True)
 
 
@@ -797,7 +733,7 @@ def _segment_last(model: ModelSpec, rng, m: int, b: float, rho0: float, cfg: Sim
             t[fwd] = t0 + _at(seg.span, upto)
             if reflect:
                 low[fwd] = _at(inf_after, upto)
-            keep[fwd] = _at(seg.jumped, upto)  # a segment that ends without a jump ends at the horizon
+            keep[fwd] = _at(seg.goes_on, upto)  # a segment that does not go on ends at the horizon
             r = fwd[tested]
             esc = _escapes(rng, v[r] - low[r], b, rho0)
             escaped[path[r[esc]]] = True

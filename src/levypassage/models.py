@@ -382,9 +382,9 @@ class LevyMeasureView:
 
 
 class _CompoundPoisson:
-    """A jump law of finite rate ``_rate``: exact jump sizes and blocks of
-    them.  ``drift`` is the mean per unit time of the jumps the view leaves
-    out of its law, which a path takes as drift (0 when it leaves none out)."""
+    """A jump law of finite rate ``_rate`` and its exact jump sizes.
+    ``drift`` is the mean per unit time of the jumps the view leaves out of
+    its law, which a path takes as drift (0 when it leaves none out)."""
 
     _rate: float
     drift = 0.0
@@ -396,37 +396,6 @@ class _CompoundPoisson:
     def tilt(self, rho: float) -> "_CompoundPoisson":
         """The view of the Esscher-tilted measure e^{-rho x} Q(dx)."""
         raise NotImplementedError
-
-    def sample_block(self, rng: np.random.Generator, n: int, k: int, dt: float):
-        """(totals, split): the jump totals of n rows of k steps of length dt,
-        and split(rows), which spreads the totals of ``rows`` over their k
-        steps with the law of J's path given its total (a (rows x k) array,
-        jumps lumped at step ends, drawing from ``rng``).
-
-        The n k cells hold Poisson(rate dt n k) jumps in all, each in a
-        uniform cell, which is the joint law of one Poisson(rate dt) count per
-        cell; a row's split is its cells' own jumps.  The cells are sorted
-        (the sizes are iid, so the law is the same) and each row's total is
-        summed cell by cell, so it equals the running sum of its split to
-        the last bit."""
-        n_jumps = rng.poisson(self._rate * dt * n * k)
-        sizes = self.sample_jumps(rng, n_jumps)
-        cell = np.sort(rng.integers(0, n * k, n_jumps))
-        new = np.ones(n_jumps, dtype=bool)
-        new[1:] = cell[1:] != cell[:-1]
-        mass = np.bincount(np.cumsum(new) - 1, weights=sizes)  # per occupied cell
-        cell = cell[new]
-        total = np.bincount(cell // k, weights=mass, minlength=n)
-
-        def split(rows):
-            at = np.full(n, -1)
-            at[rows] = np.arange(rows.size)
-            row = at[cell // k]
-            mine = row >= 0
-            out = np.bincount(row[mine] * k + cell[mine] % k, weights=mass[mine], minlength=rows.size * k)
-            return out.reshape(rows.size, k)
-
-        return total, split
 
 
 class _CutGamma(_CompoundPoisson):

@@ -48,13 +48,7 @@ def duality_check(
     model: ModelSpec, b: float, t: float, cfg: SimConfig
 ) -> tuple[SimResult, SimResult]:
     """Monte Carlo pair (P(D*_t > b), P(T_b <= t)); equal in law."""
-    cfg_fp = cfg if cfg.t_max >= t else SimConfig(
-        dt=cfg.dt,
-        t_max=t,
-        n_paths=cfg.n_paths,
-        seed=cfg.seed,
-        max_blocks=1,
-    )
+    cfg_fp = cfg if cfg.t_max >= t else SimConfig(t_max=t, n_paths=cfg.n_paths, seed=cfg.seed, max_blocks=1)
     p_reflected = estimate_reflected_exceedance(model, cfg, b, t)
     sample = run_first_passage(model, cfg_fp, b)
     p_passage = sample.cdf_at(t)

@@ -112,7 +112,7 @@ def test_simulate_without_t_or_delta_is_usage_error(target, bm_model_file, capsy
 @pytest.mark.parametrize("target", ["reflected-first", "reflected-last"])
 def test_simulate_honours_delta_zero(target, bm_model_file, capsys):
     argv = ["simulate", "--model", bm_model_file, "--target", target, "--b", "1", "--delta", "0"]
-    assert dispatch([*argv, "--paths", "200", "--dt", "0.01"]) == 0
+    assert dispatch([*argv, "--paths", "200"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["meta"].startswith("E[e^(-0 ")
     assert doc["estimate"] == 1.0
@@ -170,8 +170,16 @@ def test_duality_takes_no_time_step(bm_model_file):
     assert exc.value.code == 2
 
 
+def test_simulate_takes_no_time_step(bm_model_file):
+    # every target, reflected first passage too, goes from jump to jump, so
+    # there is no dt to set
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["simulate", "--model", bm_model_file, "--target", "reflected-first", "--b", "1", "--dt", "0.01"])
+    assert exc.value.code == 2
+
+
 def _simulate(model_file, *argv):
-    return dispatch(["simulate", "--model", model_file, "--paths", "200", "--dt", "0.01", *argv])
+    return dispatch(["simulate", "--model", model_file, "--paths", "200", *argv])
 
 
 def test_simulate_reports_the_censored_count(bm_model_file, capsys):

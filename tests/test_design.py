@@ -19,7 +19,7 @@ import numpy as np
 import levypassage
 from levypassage.lundberg import solve_lundberg
 from levypassage.mc import SimConfig
-from levypassage.models import GammaMeasure, LevyMeasureView, ModelSpec, PHMeasure, PhaseType
+from levypassage.models import GammaMeasure, LevyMeasureView, ModelSpec, PHMeasure, PhaseType, _CompoundPoisson
 from levypassage.renewal import PenaltySpec, build_renewal_kernels
 
 SRC = Path(levypassage.__file__).parent
@@ -54,6 +54,10 @@ RHO0_KEPT = {
     ("mc", "run_last_passage"),
     ("mc", "run_reflected_last_passage"),
 }
+
+# the SimConfig fields that no estimator reads: the benchmark workloads pass
+# them (as they pass rho0), so they stay, checked by SimConfig alone
+SIM_CONFIG_BENCHMARK_ONLY = {"dt"}
 
 
 def _is_kind(node) -> bool:
@@ -303,6 +307,44 @@ def test_traced_names_resolve():
 
 def test_sim_config_fields():
     assert {f.name for f in dataclasses.fields(SimConfig)} == {"dt", "t_max", "n_paths", "seed", "max_blocks"}
+
+
+def test_benchmark_only_sim_config_fields_are_not_read():
+    # no module reads them off a SimConfig outside its own validation, and
+    # the workloads still pass them
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+
+    def reads(node):
+        return [n for n in ast.walk(node) if isinstance(n, ast.Attribute) and n.attr in SIM_CONFIG_BENCHMARK_ONLY]
+
+    sim_config = next(n for n in trees["mc"].body if isinstance(n, ast.ClassDef) and n.name == "SimConfig")
+    check = next(f for f in sim_config.body if isinstance(f, ast.FunctionDef) and f.name == "__post_init__")
+    assert {n.attr for n in reads(check)} == SIM_CONFIG_BENCHMARK_ONLY
+    allowed = {id(n) for n in reads(check)}
+    stray = [(module, n.lineno) for module, tree in trees.items() for n in reads(tree) if id(n) not in allowed]
+    assert not stray
+    workloads = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py").read_text())
+    passed = {
+        kw.arg
+        for n in ast.walk(workloads)
+        if isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "SimConfig"
+        for kw in n.keywords
+    }
+    assert SIM_CONFIG_BENCHMARK_ONLY <= passed
+
+
+def test_one_monte_carlo_engine():
+    # reflected first passage runs on the segment engine's cells, in the
+    # loop that serves T_b, so the dt block engine and its helpers are gone
+    mc = levypassage.mc
+    gone = [
+        "_Block", "_block_len", "_take", "_reduce_rows", "_block_reflected_first", "_first_block", "_BLOCK_CELLS",
+        "_step_levels",
+    ]
+    assert not [name for name in gone if hasattr(mc, name)]
+    assert not hasattr(SimConfig, "horizon_steps")
+    assert not hasattr(_CompoundPoisson, "sample_block")
+    assert list(inspect.signature(mc._segment_first).parameters)[-1] == "reflect"
 
 
 def test_import_leaves_scipy_stats_out():

@@ -13,12 +13,19 @@ from scipy.optimize import brentq
 
 from conftest import assert_within_se
 
+import levypassage.mc
+from levypassage.errors import NoConvergence
 from levypassage.first_passage import gamma_exact_cdf, inverse_gaussian_cdf, transform_from_scales
 from levypassage.last_passage import bm_last_passage_cdf, last_passage_cdf, reflected_last_passage_transform
 from levypassage.lundberg import build_scale_set, escape_rate
 from levypassage.mc import (
+    EXIT_CREEP,
+    EXIT_JUMP,
     SimConfig,
+    _cells,
+    _decidable,
     _Law,
+    _Segments,
     _split,
     _substream,
     cycle_ends,
@@ -29,6 +36,7 @@ from levypassage.mc import (
     run_reflected_first_passage,
     run_reflected_last_passage,
 )
+from levypassage.models import ModelSpec, PhaseType
 from levypassage.reflected import duality_check, reflected_passage_density
 
 
@@ -130,13 +138,22 @@ class TestLastPassageEscapeTest:
         assert not np.array_equal(full[100_000:], full[:10], equal_nan=True)
 
 
+def test_sim_config_checks_only_what_is_read():
+    # no estimator reads dt, so a horizon shorter than the default dt is fine
+    assert SimConfig(t_max=5e-4).t_max == 5e-4
+    for bad in (dict(t_max=0.0), dict(t_max=math.nan), dict(dt=0.0), dict(n_paths=0)):
+        with pytest.raises(ValueError):
+            SimConfig(**bad)
+
+
 class TestSegmentEngine:
     """Every kind goes from jump to jump (the gamma kinds through their
-    compound-Poisson view): every estimator but reflected first passage
-    draws exact segment laws and reads no dt."""
+    compound-Poisson view): every estimator draws exact segment laws and
+    reads no dt."""
 
     ESTIMATORS = {
         "first": lambda m, cfg: run_first_passage(m, cfg, 1.0),
+        "reflected_first": lambda m, cfg: run_reflected_first_passage(m, cfg, 1.0),
         "last": lambda m, cfg: run_last_passage(m, cfg, 1.0),
         "reflected_last": lambda m, cfg: run_reflected_last_passage(m, cfg, 1.0),
         "exceedance": lambda m, cfg: estimate_reflected_exceedance(m, cfg, 1.0, 1.3),
@@ -180,9 +197,9 @@ class TestSegmentEngine:
         s = _split(_Law(0.5, 0.0, None), rng, a, c, span)
         assert np.array_equal(s, span * a / (a + c))
 
-    @pytest.mark.parametrize("estimator", [*ESTIMATORS, "reflected_first"])
+    @pytest.mark.parametrize("estimator", list(ESTIMATORS))
     def test_pure_gamma_without_runtime_warnings(self, gamma_model, estimator):
-        run = self.ESTIMATORS.get(estimator, lambda m, cfg: run_reflected_first_passage(m, cfg, 1.0))
+        run = self.ESTIMATORS[estimator]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             run(gamma_model, SimConfig(dt=2e-3, t_max=6.0, n_paths=2_000, seed=7, max_blocks=10))
@@ -198,7 +215,75 @@ class TestSegmentEngine:
             assert_within_se(mc.estimate, mc.std_error, target, 3.0, f"P(L_b < {t})")
 
 
+class TestReflectedCells:
+    """D*'s first passage on cells: a decidable cell is decided from its
+    bridge, and any other is split at its bridge midpoint until it is."""
+
+    def test_hit_fraction_over_an_exponential_time(self, bm_model):
+        # Brownian motion with drift -mu, the X = -D of the scale functions,
+        # reflected at its infimum from y reaches b before an independent
+        # Exp(q) time with probability Z(y) / Z(b) (Pistorius, J. Theor.
+        # Probab. 17(1) 2004).  Each Exp(q) time is one cell from y at I = 0.
+        b, y, q, n = 1.0, 0.6, 10.0, 100_000
+        law = _Law(-bm_model.mu, bm_model.sigma, None)
+        rng = _substream(5, 0, 0)
+        tau = rng.exponential(1.0 / q, n)
+        x0, x1 = np.full(n, y), y + law.mu * tau + law.sigma * np.sqrt(tau) * rng.standard_normal(n)
+        decided = _decidable(law, b, x0, x1 - x0, np.zeros(n), tau)
+        assert 0.05 < decided.mean() < 0.5  # both decided and split cells
+        creep, at, low = _cells(law, rng, b, x0, x1, tau, np.zeros(n))
+        scales = build_scale_set(bm_model, q, 2.0 * b)
+        p = float(scales.z(y)) / float(scales.z(b))
+        assert_within_se(float(creep.mean()), math.sqrt(p * (1.0 - p) / n), p, 3.0, "P(tau*_b < e_q)")
+        assert np.all((at[creep] > 0.0) & (at[creep] <= tau[creep]))
+        assert np.all(low[~creep] <= np.minimum(0.0, x1[~creep]))
+
+    def test_one_pass_decides_its_cells(self, monkeypatch):
+        # at sigma = 1e-6 a bridge is its chord, so each outcome is known.
+        # From D = I = 0 with b = 1, over one cell of length 1:
+        # - a drop to -0.4 (decidable), which moves I there, and a jump of 1.2:
+        #   D* = 1.2 >= b, a jump crossing at t = 1 with undershoot 1 and
+        #   overshoot 0.2, though D = 0.8 < b;
+        # - a rise to 1.5 (not decidable, so split): creeps over at t = 2/3;
+        # - the drop and a jump of 0.9: D* = 0.9 < b, censored at the next cell.
+        model = ModelSpec(kind="perturbed_cp_ph", mu=0.0, sigma=1e-6, lam=1.0, ph=PhaseType([1.0], [[-1.0]]))
+        passes = []
+
+        def cells(law, rng, room, k, cap):  # the cells above, then one to the horizon
+            passes.append(k)
+            one, zero = np.ones((room.size, 1)), np.zeros((room.size, 1))
+            if len(passes) == 1:
+                cont, jump = np.array([[-0.4], [1.5], [-0.4]]), np.array([[1.2], [0.0], [0.9]])
+                return _Segments(zero, one, cont, jump, one > 0)
+            return _Segments(zero, room[:, None].copy(), zero, zero, one < 0)
+
+        monkeypatch.setattr(levypassage.mc, "_segment", cells)
+        sample = run_reflected_first_passage(model, SimConfig(n_paths=3, seed=1, max_blocks=1), 1.0)
+        assert np.allclose(sample.t_cross[:2], [1.0, 2.0 / 3.0], atol=1e-5) and np.isinf(sample.t_cross[2])
+        assert list(sample.exit_kind[:2]) == [EXIT_JUMP, EXIT_CREEP]
+        assert np.allclose(sample.undershoot[:2], [1.0, 0.0], atol=1e-5)
+        assert np.allclose(sample.overshoot[:2], [0.2, 0.0], atol=1e-5)
+
+    def test_split_depth_is_bounded(self, monkeypatch):
+        # a cell that needs more halvings than allowed raises, so the split
+        # cannot loop: pieces of length 1/4 from 0.5 are never decidable at b = 1
+        monkeypatch.setattr(levypassage.mc, "_MAX_SPLITS", 2)
+        one = np.ones(1)
+        with pytest.raises(NoConvergence):
+            _cells(_Law(1.0, 1.0, None), _substream(5, 0, 0), 1.0, 0.5 * one, 0.6 * one, one, 0.0 * one)
+
+
 class TestReflectedMC:
+    def test_reflected_first_passage_at_coarse_dt(self, bm_model):
+        # reflected first passage reads no dt: at a step of 0.02 a block
+        # engine stamped each crossing at its step's end and read about 9 SE low
+        b, delta = 1.0, 0.5
+        scales = build_scale_set(bm_model, delta, 4.0)
+        target = float(scales.z(b)) - delta * float(scales.w(b)) ** 2 / float(scales.w_prime(b))
+        cfg = SimConfig(dt=0.02, t_max=8.0, n_paths=100_000, seed=3, max_blocks=4)
+        mc = run_reflected_first_passage(bm_model, cfg, b).laplace_at(delta)
+        assert_within_se(mc.estimate, mc.std_error, target, 3.0, "reflected first passage")
+
     def test_reflected_first_passage_laplace_bm(self, bm_model):
         # D* = D - inf(D ^ 0) is the spectrally negative X = -D reflected at
         # its supremum: E[e^{-delta T*_b}] = Z(b) - delta W(b)^2 / W'(b)
@@ -208,6 +293,13 @@ class TestReflectedMC:
         cfg = SimConfig(dt=1e-3, t_max=8.0, n_paths=20_000, seed=3, max_blocks=4)
         mc = run_reflected_first_passage(bm_model, cfg, b).laplace_at(delta)
         assert_within_se(mc.estimate, mc.std_error, target, 3.0, "reflected first passage")
+
+    def test_reflected_first_passage_pure_gamma(self, gamma_model):
+        # at sigma = 0 D is nondecreasing, its infimum stays at 0 and T*_b = T_b
+        sample = run_reflected_first_passage(gamma_model, SimConfig(t_max=8.0, n_paths=20_000, seed=3, max_blocks=4), 1.0)
+        for t in (0.5, 1.0, 2.0):
+            mc = sample.cdf_at(t)
+            assert_within_se(mc.estimate, mc.std_error, gamma_exact_cdf(gamma_model, 1.0, t), 3.0, f"P(T*_b <= {t})")
 
     def test_reflected_first_passage_laplace_pgamma(self, pgamma_model):
         b, delta = 1.0, 0.5
