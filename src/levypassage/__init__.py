@@ -39,8 +39,6 @@ from .lundberg import (
     escape_rate,
     lundberg_truncated,
     ph_root_data,
-    scale_via_inversion,
-    scale_via_ode_series,
     solve_lundberg,
 )
 from .maintenance import (

@@ -40,6 +40,7 @@ from .last_passage import (
     reflected_last_passage_transform,
 )
 from .lundberg import (
+    ROUTE_INVERSION,
     build_scale_set,
     escape_rate,
     lundberg_truncated,
@@ -402,6 +403,12 @@ def run_validation(quick: bool = True, seed: int = 20260810) -> list[tuple[str, 
         num = scales.laplace_numeric(beta)
         ex = scales.laplace_exact(model, beta)
         add(f"scale_laplace_{name}", abs(num / ex - 1.0), 1e-4)
+
+    # small sigma: a boundary layer of width 1/rho narrower than a cell
+    small = ModelSpec(kind="perturbed_gamma", mu=0.5, sigma=0.05, alpha=1.0, xi=1.0)
+    ode = build_scale_set(small, delta, 4.0).tilted.values
+    inv = build_scale_set(small, delta, 4.0, route=ROUTE_INVERSION).tilted.values
+    add("scale_routes_small_sigma_pgamma", float(np.max(np.abs(ode - inv)) / np.max(inv)), 1e-3)
 
     # truncated Lundberg roots increase
     pg = models["pgamma"]

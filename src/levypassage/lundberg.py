@@ -6,8 +6,9 @@ transform int_0^inf e^{-lambda x} W_delta(x) dx = 1/(phi_D(lambda) - delta)
 for lambda > rho(delta); it vanishes at 0, is nondecreasing, and grows like
 e^{rho x}/phi_D'(rho).  ``build_scale_set`` tabulates it by one of four
 routes, which cross-validate each other: the closed forms for Brownian
-drift and for phase-type jumps, tilted Laplace inversion, and the renewal
-ODE series.  Every route tabulates only the bounded e^{-rho x} W(x) and
+drift and for phase-type jumps, tilted Laplace inversion by Euler summation
+(``numerics.euler_inversion``, about 1e-8), and the renewal ODE series.
+Every route tabulates only the bounded e^{-rho x} W(x) and
 U_delta density W' - rho W, and ``ScaleSet`` reads every law it serves from
 them.
 
@@ -33,18 +34,17 @@ from .errors import (
 from .models import KIND_BROWNIAN, KIND_PH, ModelSpec
 from .numerics import (
     GridFunction,
+    cumulative_from_cells,
+    euler_inversion,
     find_root_bracketed,
     poly_roots_complex,
-    stehfest_coefficients,
 )
-from .renewal import build_renewal_kernels, renewal_series
+from .renewal import build_renewal_kernels, renewal_series_extrapolated
 
 ROUTE_CLOSED_BM = "closed_bm"
 ROUTE_CLOSED_PH = "closed_ph"
 ROUTE_INVERSION = "laplace_inversion"
 ROUTE_ODE_SERIES = "ode_series"
-
-_STEHFEST_TERMS = 14  # Gaver-Stehfest terms; more are unstable in doubles
 
 
 @dataclass(frozen=True)
@@ -367,59 +367,53 @@ def _scale_set_ph(model: ModelSpec, delta: float, x_max: float, n: int) -> Scale
     return ScaleSet(delta, root, tilt, u, ROUTE_CLOSED_PH, phip)
 
 
-def scale_via_inversion(
-    model: ModelSpec,
-    delta: float,
-    x_max: float,
-    n: int = 2049,
-) -> ScaleSet:
+def _scale_set_inversion(model: ModelSpec, delta: float, x_max: float, n: int) -> ScaleSet:
     """W from numerical inversion of 1/(phi_D(lambda) - delta).
 
     The tilted function e^{-rho x} W(x), whose transform is
-    1/(phi_D(s + rho) - delta), is inverted instead so the target is bounded,
-    by Gaver-Stehfest on real abscissae; the U-density W' - rho W, bounded
-    too, is inverted from its own transform (s - rho)/(phi_D(s) - delta),
-    whose singularity at s = rho is removable."""
+    1/(phi_D(s + rho) - delta), is inverted instead so the target is bounded;
+    the U-density W' - rho W, bounded too, is inverted from its own transform
+    (s - rho)/(phi_D(s) - delta), whose singularity at s = rho is removable.
+    Both go through ``euler_inversion`` (about 1e-8 of their maximum) on every
+    grid point but 0, where the limits are T(0) = 0 and u(0+) = W'(0) =
+    2/sigma^2 (the transform is ~ 2/(sigma^2 s) as s -> inf)."""
     if model.sigma <= 0:
         raise NoPerturbation("scale functions require sigma > 0")
     root = solve_lundberg(model, delta)
     rho = root.rho
     xs = np.linspace(0.0, x_max, n)
-    h = xs[1] - xs[0]
-
-    def tilted_transform(s):
-        s = np.asarray(s)
-        return 1.0 / (np.asarray(model.phi_d((s + rho).ravel())).reshape(s.shape) - delta)
-
-    def u_transform(s):
-        s = np.asarray(s)
-        return (s - rho) / (np.asarray(model.phi_d(s.ravel())).reshape(s.shape) - delta)
-
-    positive = xs[1:]
-    coeffs = stehfest_coefficients(_STEHFEST_TERMS)
-    s_nodes = np.log(2.0) * np.arange(1, _STEHFEST_TERMS + 1)[None, :] / positive[:, None]
-    tilt_pos = np.log(2.0) / positive * (tilted_transform(s_nodes) @ coeffs)
-    u_pos = np.log(2.0) / positive * (u_transform(s_nodes) @ coeffs)
-    tilt = np.maximum(np.concatenate(([0.0], tilt_pos)), 0.0)
-    # u(0+) = W'(0) = 2/sigma^2 (transform ~ 2/(sigma^2 s) as s -> inf)
-    u = np.maximum(np.concatenate(([2.0 / model.sigma**2], u_pos)), 0.0)
-    tilt, u = GridFunction(0.0, h, tilt), GridFunction(0.0, h, u)
+    tilt = euler_inversion(lambda s: 1.0 / (model.phi_d(s + rho) - delta), xs[1:])
+    u = euler_inversion(lambda s: (s - rho) / (model.phi_d(s) - delta), xs[1:])
+    tilt = GridFunction(0.0, xs[1], np.concatenate(([0.0], tilt)))
+    u = GridFunction(0.0, xs[1], np.concatenate(([2.0 / model.sigma**2], u)))
     return ScaleSet(delta, root, tilt, u, ROUTE_INVERSION, float(model.phi_d_prime(rho)))
 
 
-def scale_via_ode_series(
-    model: ModelSpec,
-    delta: float,
-    x_max: float,
-    n: int = 2049,
-) -> ScaleSet:
+def _linear_cell_weights(z: float) -> tuple[float, float]:
+    """(int_0^1 e^{-z v} (1 - v) dv, int_0^1 e^{-z v} v dv) for z > 0: the
+    weights of a cell's two end values when a linear function is integrated
+    against e^{-z v} exactly.  The first is (e^{-z} - 1 + z)/z^2, whose
+    closed form cancels as z -> 0, so below 1/2 it is summed as
+    sum_k (-z)^k/(k+2)! instead; the second is (1 - e^{-z})/z less the first."""
+    if z < 0.5:
+        first = sum((-z) ** k / math.factorial(k + 2) for k in range(16))
+    else:
+        first = (z + math.expm1(-z)) / z**2
+    return first, -math.expm1(-z) / z - first
+
+
+def _scale_set_ode_series(model: ModelSpec, delta: float, x_max: float, n: int) -> ScaleSet:
     """W from the renewal route: W' - rho W = H with
 
         H(delta, x) = -(rho/delta) sum_k g*k * (h' + g)(x),
 
     hence W(x) = int_0^x e^{rho (x-y)} H(y) dy and W' = rho W + H exactly.
-    The series is ``renewal_series``, the exact solution on the grid, which
-    raises SeriesNotConverged when the grid does not resolve it.
+    The series is ``renewal_series_extrapolated``, the grid solution less its
+    O(h^2) error, which raises SeriesNotConverged when the grid does not
+    resolve it.  The tilted
+    T(x) = int_0^x e^{-rho y} H(y) dy takes H linear on each cell and
+    integrates e^{-rho y} against it exactly, so T stays right where the
+    boundary layer of width 1/rho is narrower than a cell.
 
     The extra g in the driver comes from differentiating the renewal
     equation phi = phi * g + h: since phi(0) = h(0) = 1 the derivative obeys
@@ -433,14 +427,11 @@ def scale_via_ode_series(
     rho = root.rho
     kernels = build_renewal_kernels(model, delta, rho, x_max, n)
     first = kernels.h_prime.with_values(kernels.h_prime.values + kernels.g.values)
-    series = renewal_series(kernels.g, first)
-    h_vals = -(rho / delta) * series
-    xs = kernels.g.grid()
+    h_vals = -(rho / delta) * renewal_series_extrapolated(kernels.g, first)
     h_step = kernels.g.h
-    integrand = np.exp(-rho * xs) * h_vals
-    tilt = np.concatenate(
-        ([0.0], np.cumsum(0.5 * h_step * (integrand[1:] + integrand[:-1])))
-    )
+    left, right = _linear_cell_weights(rho * h_step)
+    decay = np.exp(-rho * kernels.g.grid()[:-1])
+    tilt = cumulative_from_cells(h_step * decay * (left * h_vals[:-1] + right * h_vals[1:]))
     tilt, u = GridFunction(0.0, h_step, tilt), GridFunction(0.0, h_step, h_vals)
     return ScaleSet(delta, root, tilt, u, ROUTE_ODE_SERIES, float(model.phi_d_prime(rho)))
 
@@ -472,7 +463,7 @@ def build_scale_set(
     if route == ROUTE_CLOSED_PH:
         return _scale_set_ph(model, delta, x_max, n)
     if route == ROUTE_INVERSION:
-        return scale_via_inversion(model, delta, x_max, n)
+        return _scale_set_inversion(model, delta, x_max, n)
     if route == ROUTE_ODE_SERIES:
-        return scale_via_ode_series(model, delta, x_max, n)
+        return _scale_set_ode_series(model, delta, x_max, n)
     raise ValueError(f"unknown scale route {route!r}")

@@ -281,13 +281,6 @@ class ModelSpec:
             out = out + self.jumps.phi_prime(u)
         return out if out.ndim else out[()]
 
-    def phi_d_second(self, u):
-        u = np.asarray(u)
-        out = np.full(np.shape(u) or (), self.sigma**2, dtype=float)
-        if self.jumps is not None:
-            out = out + self.jumps.phi_second(u)
-        return out if out.ndim else out[()]
-
     def levy_measure(self) -> "LevyMeasureView":
         if self.jumps is None:
             raise NoJumpPart("Brownian-with-drift model has no jump part")
@@ -318,9 +311,6 @@ class LevyMeasureView:
         raise NotImplementedError
 
     def phi_prime(self, u):
-        raise NotImplementedError
-
-    def phi_second(self, u):
         raise NotImplementedError
 
     def moment(self, k: int) -> float:
@@ -457,9 +447,6 @@ class GammaMeasure(LevyMeasureView):
     def phi_prime(self, u):
         return -(self.alpha * self.xi / (1.0 + u * self.xi))
 
-    def phi_second(self, u):
-        return self.alpha * self.xi**2 / (1.0 + u * self.xi) ** 2
-
     def moment(self, k: int) -> float:
         return self.alpha * math.factorial(k - 1) * self.xi**k
 
@@ -550,13 +537,13 @@ class PHMeasure(LevyMeasureView, _CompoundPoisson):
 
     def _resolvent(self, u, power: int, rear=None):
         """alpha (uI - T)^-power r for r = ``rear`` (default the exit vector t),
-        batched over u (real or complex).  With T = V diag(w) V^-1 this is the
-        pole-residue sum sum_k (alpha V)_k (V^-1 r)_k / (u - w_k)^power, O(m)
-        per argument over the cached eigensystem; where V is ill-conditioned
-        (a defective T) it is one batched m x m solve per power, the rule
-        ``PhaseType._action`` follows."""
+        batched over u (real or complex, of any shape).  With T = V diag(w)
+        V^-1 this is the pole-residue sum sum_k (alpha V)_k (V^-1 r)_k /
+        (u - w_k)^power, O(m) per argument over the cached eigensystem; where
+        V is ill-conditioned (a defective T) it is one batched m x m solve per
+        power, the rule ``PhaseType._action`` follows."""
         shape = np.shape(u)
-        u = np.atleast_1d(np.asarray(u))
+        u = np.asarray(u).ravel()
         rear = self.ph.exit_vector if rear is None else rear
         ok, w, v, vinv = self.ph._eig_action()
         if ok:
@@ -575,9 +562,6 @@ class PHMeasure(LevyMeasureView, _CompoundPoisson):
 
     def phi_prime(self, u):
         return -(self.lam * self._resolvent(u, power=2))
-
-    def phi_second(self, u):
-        return 2.0 * self.lam * self._resolvent(u, power=3)
 
     def moment(self, k: int) -> float:
         return self.lam * self.ph.moment(k)

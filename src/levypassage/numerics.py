@@ -2,7 +2,7 @@
 
 Special functions (2F2, the parabolic-cylinder core integral), grid
 functions with trapezoid convolution, power-series products and reciprocals
-by FFT, Gaver-Stehfest weights for Laplace inversion, and root finding.
+by FFT, Laplace inversion by Euler summation, and root finding.
 Everything here is a pure function of its inputs.
 """
 
@@ -245,28 +245,32 @@ def _jacobi_rule(s: float):
 
 
 # ---------------------------------------------------------------------------
-# Gaver-Stehfest weights
+# Laplace inversion
+
+# Euler summation (Abate & Whitt, ORSA J. Comput. 7, 1995): the Bromwich
+# integral on Re s = A/(2t) by the trapezoid rule, whose alternating series
+# is summed to N terms and then binomially averaged over M more.  The
+# discretization error is about e^{-A} sup|f| (1e-8); the e^{A/2} prefactor
+# multiplies rounding, so a larger A buys nothing in doubles.
+_EULER_A, _EULER_N, _EULER_M = 18.4, 15, 11
+_EULER_NODES = 0.5 * (_EULER_A + 2j * math.pi * np.arange(_EULER_N + _EULER_M + 1))
+# term N + i enters the partial sums s_{N+j}, j >= i, each weighted C(M, j) 2^-M
+_EULER_TAIL = np.cumsum([math.comb(_EULER_M, j) for j in range(_EULER_M, 0, -1)])[::-1] / 2.0**_EULER_M
+_EULER_WEIGHTS = (-1.0) ** np.arange(_EULER_N + _EULER_M + 1) * np.concatenate(([0.5], np.ones(_EULER_N), _EULER_TAIL))
 
 
-@lru_cache(maxsize=8)
-def stehfest_coefficients(n: int) -> np.ndarray:
-    """Gaver-Stehfest weights V_k, k = 1..n (n even), computed exactly."""
-    half = n // 2
-    v = np.empty(n)
-    for k in range(1, n + 1):
-        total = 0
-        for j in range((k + 1) // 2, min(k, half) + 1):
-            num = j**half * math.factorial(2 * j)
-            den = (
-                math.factorial(half - j)
-                * math.factorial(j)
-                * math.factorial(j - 1)
-                * math.factorial(k - j)
-                * math.factorial(2 * j - k)
-            )
-            total += num // den if num % den == 0 else num / den
-        v[k - 1] = (-1) ** (k + half) * total
-    return v
+def euler_inversion(transform: Callable[[np.ndarray], np.ndarray], t):
+    """f(t) from its Laplace transform F by Euler summation, for t > 0.
+
+    ``transform`` takes an array of complex abscissae and returns F there,
+    elementwise; it is called once, on the (points x 27) node array, and
+    must be analytic on Re s > 0 with f continuous at every t."""
+    t = np.asarray(t, dtype=float)
+    ts = t.ravel()
+    if np.any(ts <= 0):
+        raise ValueError("Laplace inversion needs t > 0")
+    f = math.exp(0.5 * _EULER_A) / ts * (np.real(transform(_EULER_NODES[None, :] / ts[:, None])) @ _EULER_WEIGHTS)
+    return f.reshape(t.shape) if t.ndim else float(f[0])
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ def bm_files(tmp_path):
 
 def test_validate_quick_passes():
     rows = run_validation(quick=True)
-    assert "maintenance_kernel_c_route_gap" in [name for name, *_ in rows]
+    assert {"maintenance_kernel_c_route_gap", "scale_routes_small_sigma_pgamma"} <= {name for name, *_ in rows}
     assert [name for name, _, _, ok in rows if not ok] == []
 
 
@@ -224,7 +224,7 @@ def test_module_entry_point_runs_validate(module):
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    assert "15/15 checks passed" in done.stdout
+    assert "16/16 checks passed" in done.stdout
 
 
 def test_simulate_with_every_path_censored_is_numerical_failure(bm_model_file, capsys):

@@ -353,3 +353,26 @@ def test_import_leaves_scipy_stats_out():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
     code = "import sys, levypassage; sys.exit('scipy.stats' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+
+
+def test_one_laplace_inverter():
+    # Euler summation is the one inversion rule, with no method to pick: the
+    # Gaver-Stehfest weights, the second derivative of phi_D that nothing
+    # read and the public twins of build_scale_set are gone
+    numerics, lundberg = levypassage.numerics, levypassage.lundberg
+    assert not hasattr(numerics, "stehfest_coefficients")
+    assert not hasattr(lundberg, "_STEHFEST_TERMS")
+    assert not hasattr(ModelSpec, "phi_d_second")
+    for cls in (LevyMeasureView, GammaMeasure, PHMeasure):
+        assert "phi_second" not in vars(cls), cls.__name__
+    assert not [name for name in dir(lundberg) if name.startswith("scale_via")]
+    assert not [name for name in dir(levypassage) if name.startswith("scale_via")]
+    tree = ast.parse((SRC / "numerics.py").read_text())
+    inverters = {
+        n.name
+        for n in tree.body
+        if isinstance(n, ast.FunctionDef) and any(w in n.name for w in ("invers", "invert", "stehfest", "talbot"))
+    }
+    assert inverters == {"euler_inversion"}
+    assert list(inspect.signature(numerics.euler_inversion).parameters) == ["transform", "t"]
+    assert numerics.euler_inversion is lundberg.euler_inversion

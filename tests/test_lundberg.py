@@ -17,11 +17,9 @@ from levypassage.lundberg import (
     escape_rate,
     lundberg_truncated,
     ph_root_data,
-    scale_via_inversion,
-    scale_via_ode_series,
     solve_lundberg,
 )
-from levypassage.models import KIND_PH, KIND_PURE_GAMMA, ModelSpec, PhaseType
+from levypassage.models import KIND_PERTURBED_GAMMA, KIND_PH, KIND_PURE_GAMMA, ModelSpec, PhaseType
 from levypassage.reflected import reflected_passage_density
 
 
@@ -266,8 +264,8 @@ class TestScaleSets:
         ):
             for delta in (0.25, 1.0, 4.0):
                 sets = [
-                    scale_via_inversion(model, delta, 4.0, 2049),
-                    scale_via_ode_series(model, delta, 4.0, 2049),
+                    build_scale_set(model, delta, 4.0, 2049, route=ROUTE_INVERSION),
+                    build_scale_set(model, delta, 4.0, 2049, route=ROUTE_ODE_SERIES),
                 ]
                 if closed_route:
                     sets.append(build_scale_set(model, delta, 4.0, 2049, route=closed_route))
@@ -279,38 +277,98 @@ class TestScaleSets:
                             f"{sets[i].route} vs {sets[j].route} gap {gap:.2e}"
                         )
 
-    def test_inversion_u_density_matches_closed_forms(self, bm_model, ph_model):
-        # u is inverted from its own transform; read as e^{rho x} times the
-        # inverted e^{-rho x} u it was off by 140% at rho = 2.7 and 1e69 at rho = 100
+    @staticmethod
+    def _erlang2():
+        # Erlang(2, 2) jumps: the generator has no eigenbasis, so phi_D takes
+        # the batched solve of PHMeasure._resolvent
+        ph = PhaseType([1.0, 0.0], [[-2.0, 2.0], [0.0, -2.0]])
+        return ModelSpec(kind=KIND_PH, mu=1.0, sigma=0.5, lam=0.8, ph=ph)
+
+    def test_inversion_matches_closed_forms(self, bm_model, ph_model, ph2_model):
+        # both tables to 1e-7 of their maximum (Euler summation reads 1e-8;
+        # 14-term Gaver-Stehfest read 1.6e-5 to 1.2e-4).  u is inverted from
+        # its own transform; read as e^{rho x} times the inverted e^{-rho x} u
+        # it was off by 140% at rho = 2.7 and 1e69 at rho = 100
         small_sigma = dataclasses.replace(ph_model, mu=0.5, sigma=0.1)
         for model, route in (
             (bm_model, ROUTE_CLOSED_BM),
             (ph_model, ROUTE_CLOSED_PH),
+            (ph2_model, ROUTE_CLOSED_PH),
             (small_sigma, ROUTE_CLOSED_PH),
+            (self._erlang2(), ROUTE_CLOSED_PH),
         ):
             for delta in (0.25, 1.0, 4.0):
-                inv = scale_via_inversion(model, delta, 4.0, 2049).u_delta.values
-                closed = build_scale_set(model, delta, 4.0, 2049, route=route).u_delta.values
-                assert np.max(np.abs(inv - closed)) < 1e-4 * np.max(closed), (
-                    f"{model.kind} sigma={model.sigma} delta={delta}"
-                )
+                inv = build_scale_set(model, delta, 4.0, 2049, route=ROUTE_INVERSION)
+                closed = build_scale_set(model, delta, 4.0, 2049, route=route)
+                for table in ("tilted", "u_delta"):
+                    got, want = getattr(inv, table).values, getattr(closed, table).values
+                    assert np.max(np.abs(got - want)) < 1e-7 * np.max(want), (
+                        f"{model.kind} sigma={model.sigma} delta={delta} {table}"
+                    )
+
+    @pytest.mark.parametrize("sigma", [0.3, 0.1, 0.05, 0.02])
+    def test_ode_series_tilted_matches_inversion_at_small_sigma(self, sigma):
+        # the boundary layer of width 1/rho is narrower than a cell once
+        # rho h > 0.1; the trapezoid rule across it read 5.7e-2 at sigma = 0.05
+        # and 1.5 at 0.02, the exact cell integral reads 3.1e-4 at most
+        model = ModelSpec(kind=KIND_PERTURBED_GAMMA, mu=0.5, sigma=sigma, alpha=1.0, xi=1.0)
+        ode = build_scale_set(model, 0.5, 4.0, 2049, route=ROUTE_ODE_SERIES).tilted.values
+        inv = build_scale_set(model, 0.5, 4.0, 2049, route=ROUTE_INVERSION).tilted.values
+        assert np.max(np.abs(ode - inv)) < 1e-3 * np.max(inv)
+
+    @pytest.mark.parametrize(
+        "mu, sigma, alpha, xi, delta",
+        [(0.15, 0.9, 1.4, 0.8, 0.6), (0.1, 0.7, 0.6, 0.7, 0.4), (0.25, 1.0, 1.7, 1.0, 0.9)],
+    )
+    def test_ode_series_matches_inversion(self, mu, sigma, alpha, xi, delta):
+        # perturbed gamma at passage_laws' sigma: the renewal solve's O(h^2)
+        # error put both tables 4e-6 to 7e-6 of their maximum off; after the
+        # Richardson step u reads 1.3e-6 to 1.8e-6 and the tilted table 9e-7
+        model = ModelSpec(kind=KIND_PERTURBED_GAMMA, mu=mu, sigma=sigma, alpha=alpha, xi=xi)
+        ode = build_scale_set(model, delta, 4.0, 2049, route=ROUTE_ODE_SERIES)
+        inv = build_scale_set(model, delta, 4.0, 2049, route=ROUTE_INVERSION)
+        for table, bound in (("tilted", 1.5e-6), ("u_delta", 3e-6)):
+            got, want = getattr(ode, table).values, getattr(inv, table).values
+            assert np.max(np.abs(got - want)) < bound * np.max(want), table
+
+    def test_linear_cell_weights_keep_their_digits(self):
+        # both branches of the cell weights against quadrature, down to
+        # rho h = 1e-9 where the closed form would cancel to nothing
+        for z in (1e-9, 1e-4, 0.1, 0.4999, 0.5, 3.0, 60.0):
+            left, right = lundberg._linear_cell_weights(z)
+            want_left = quad(lambda v: math.exp(-z * v) * (1.0 - v), 0.0, 1.0, epsabs=0.0, epsrel=2e-14)[0]
+            want_right = quad(lambda v: math.exp(-z * v) * v, 0.0, 1.0, epsabs=0.0, epsrel=2e-14)[0]
+            assert left == pytest.approx(want_left, rel=1e-13), z
+            assert right == pytest.approx(want_right, rel=1e-13), z
 
     def test_ode_series_matches_closed_bm(self, bm_model):
         # spec pins 1e-6 sup agreement for the jump-free case on [0, 4]
-        ode = scale_via_ode_series(bm_model, 0.5, 4.0, 4097)
+        ode = build_scale_set(bm_model, 0.5, 4.0, 4097, route=ROUTE_ODE_SERIES)
         closed = build_scale_set(bm_model, 0.5, 4.0, 4097, route=ROUTE_CLOSED_BM)
         assert np.max(np.abs(ode.tilted.values - closed.tilted.values)) < 1e-6
 
     def test_ode_series_needs_positive_delta(self, pgamma_model):
         with pytest.raises(ValueError):
-            scale_via_ode_series(pgamma_model, 0.0, 4.0)
+            build_scale_set(pgamma_model, 0.0, 4.0, route=ROUTE_ODE_SERIES)
 
     def test_inversion_handles_delta_zero(self, pgamma_model):
-        scales = scale_via_inversion(pgamma_model, 0.0, 4.0, 1025)
+        scales = build_scale_set(pgamma_model, 0.0, 4.0, 1025, route=ROUTE_INVERSION)
         assert scales.w.values[0] == 0.0
         assert np.all(np.diff(scales.w.values) >= -1e-10)
         # Z = 1 identically at delta = 0
         assert np.max(np.abs(scales.z.values - 1.0)) < 1e-12
+
+    def test_inversion_at_delta_zero_on_a_defective_generator(self):
+        # phase type at delta = 0 goes to the inversion route by itself; W_delta
+        # is continuous in delta, and the closed form at 1e-10 reads 6e-9 off
+        model = self._erlang2()
+        closed = build_scale_set(model, 1e-10, 4.0, 2049, route=ROUTE_CLOSED_PH)
+        for route in ("auto", ROUTE_INVERSION):
+            scales = build_scale_set(model, 0.0, 4.0, 2049, route=route)
+            assert scales.route == ROUTE_INVERSION
+            for table in ("w", "u_delta"):
+                got, want = getattr(scales, table).values, getattr(closed, table).values
+                assert np.max(np.abs(got - want)) < 1e-7 * np.max(want), (route, table)
 
 
 class TestReflectedKernel:

@@ -20,6 +20,7 @@ from levypassage.models import KIND_PURE_GAMMA, ModelSpec
 from levypassage.numerics import (
     GridFunction,
     _pcd_core_integral,
+    euler_inversion,
     find_root_bracketed,
     grid_convolve,
     hyp2f2,
@@ -238,6 +239,42 @@ class TestGridConvolve:
         left = grid_convolve(grid_convolve(a, b), c)
         right = grid_convolve(a, grid_convolve(b, c))
         assert np.max(np.abs(left.values - right.values)) < 1e-10
+
+
+class TestEulerInversion:
+    def test_constant(self):
+        assert euler_inversion(lambda s: 1.0 / s, 3.0) == pytest.approx(1.0, abs=1e-8)
+
+    def test_ramp(self):
+        assert euler_inversion(lambda s: 1.0 / s**2, 2.0) == pytest.approx(2.0, abs=1e-7)
+
+    def test_exponential(self):
+        got = euler_inversion(lambda s: 1.0 / (s + 1.0), 1.0)
+        assert got == pytest.approx(math.exp(-1.0), abs=1e-8)
+
+    def test_random_rational_round_trip(self):
+        # 14-term Gaver-Stehfest reads 2.4e-3 here
+        rng = np.random.default_rng(7)
+        ts = np.array([0.3, 1.0, 2.7])
+        for _ in range(10):
+            poles = rng.uniform(0.2, 3.0, size=3)
+            resid = rng.uniform(-1.0, 1.0, size=3)
+
+            def transform(s):
+                return sum(r / (s + p) for r, p in zip(resid, poles))
+
+            exact = sum(r * np.exp(-p * ts) for r, p in zip(resid, poles))
+            got = euler_inversion(transform, ts)
+            scale = np.maximum(np.abs(exact), 1e-3)
+            assert np.max(np.abs(got - exact) / scale) < 1e-6
+
+    def test_shape_and_domain(self):
+        ts = np.array([[0.5, 1.0], [2.0, 4.0]])
+        got = euler_inversion(lambda s: 1.0 / (s + 2.0), ts)
+        assert got.shape == ts.shape
+        np.testing.assert_allclose(got, np.exp(-2.0 * ts), rtol=0.0, atol=1e-8)
+        with pytest.raises(ValueError):
+            euler_inversion(lambda s: 1.0 / s, np.array([1.0, 0.0]))
 
 
 class TestRootFinding:

@@ -7,7 +7,13 @@ from levypassage.first_passage import pk_series_transform
 from levypassage.lundberg import build_scale_set, solve_lundberg
 from levypassage.models import KIND_PERTURBED_GAMMA, GammaMeasure, ModelSpec, PhaseType, PHMeasure
 from levypassage.numerics import GridFunction, cell_nodes, grid_convolve
-from levypassage.renewal import PenaltySpec, _penalty_rule, build_renewal_kernels, renewal_series
+from levypassage.renewal import (
+    PenaltySpec,
+    _penalty_rule,
+    build_renewal_kernels,
+    renewal_series,
+    renewal_series_extrapolated,
+)
 
 
 def _term_loop(g, first, tol=1e-18):
@@ -34,6 +40,16 @@ class TestRenewalSeries:
             want = _term_loop(kernels.g, first)
             got = renewal_series(kernels.g, first)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_extrapolated_solve_on_a_smooth_kernel(self):
+        # g = x e^{-2x}, first = 1: phi = 4/3 - e^{-x}/2 + e^{-3x}/6.  The grid
+        # solve is O(h^2) off (5.6e-7); one Richardson step leaves 7e-12
+        xs = np.linspace(0.0, 4.0, 2049)
+        g = GridFunction(0.0, xs[1], xs * np.exp(-2.0 * xs))
+        want = 4.0 / 3.0 - np.exp(-xs) / 2.0 + np.exp(-3.0 * xs) / 6.0
+        first = g.with_values(np.ones(xs.size))
+        assert np.max(np.abs(renewal_series(g, first) - want)) > 1e-7
+        assert np.max(np.abs(renewal_series_extrapolated(g, first) - want)) < 1e-10
 
     @pytest.mark.parametrize("mass", [3.0, 1e4])
     def test_kernel_of_mass_above_one_raises(self, mass):
