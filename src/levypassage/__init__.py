@@ -32,13 +32,12 @@ from .last_passage import (
 )
 from .lundberg import (
     LundbergRoot,
-    PHRootData,
     ScaleSet,
     build_scale_set,
     escape_probability,
     escape_rate,
     lundberg_truncated,
-    ph_root_data,
+    residue_roots,
     solve_lundberg,
 )
 from .maintenance import (
@@ -77,7 +76,6 @@ from .numerics import (
     GridFunction,
     find_root_bracketed,
     grid_convolve,
-    hyp2f2,
     poly_roots_complex,
 )
 from .reflected import duality_check, reflected_passage_density

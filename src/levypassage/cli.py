@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .errors import NumericalError, UsageError
+from .errors import NumericalError, UsageError, WrongKind
 from .first_passage import (
     PenaltySpec,
     gamma_exact_cdf,
@@ -175,15 +175,6 @@ def _parse_penalty(text: str) -> PenaltySpec:
     raise UsageError(f"unknown penalty {text!r}")
 
 
-def _closed_transform(model: ModelSpec, delta: float, b: float) -> float | None:
-    if model.kind == KIND_BROWNIAN:
-        gam = math.sqrt(model.mu**2 + 2.0 * delta * model.sigma**2)
-        return math.exp(-(gam - model.mu) * b / model.sigma**2)
-    if model.kind == KIND_PH:
-        return ph_transform(model, delta, b)
-    return None
-
-
 def _cmd_first_passage(args) -> int:
     model = _load_model(args.model)
     deltas = _float_list(args.delta)
@@ -207,10 +198,11 @@ def _cmd_first_passage(args) -> int:
             elif route == "closed":
                 if penalty.tag != "one":
                     continue
-                for b in bs:
-                    val = _closed_transform(model, delta, b)
-                    if val is not None:
-                        rows.append((b, delta, val, "closed"))
+                try:
+                    rows += [(b, delta, ph_transform(model, delta, b), "closed") for b in bs]
+                except WrongKind:
+                    if args.route == "closed":
+                        raise  # asked for by name on a kind with no residue sum
             else:
                 raise UsageError(f"unknown route {route!r}")
     manifest = RunManifest(
@@ -410,6 +402,15 @@ def run_validation(quick: bool = True, seed: int = 20260810) -> list[tuple[str, 
     inv = build_scale_set(small, delta, 4.0, route=ROUTE_INVERSION).tilted.values
     add("scale_routes_small_sigma_pgamma", float(np.max(np.abs(ode - inv)) / np.max(inv)), 1e-3)
 
+    # delta = 0 phase type: the closed residue sums against the Euler route
+    closed = build_scale_set(models["ph"], 0.0, 4.0)
+    euler = build_scale_set(models["ph"], 0.0, 4.0, route=ROUTE_INVERSION)
+    gap = max(
+        float(np.max(np.abs(getattr(euler, t).values - getattr(closed, t).values)) / np.max(getattr(closed, t).values))
+        for t in ("tilted", "u_delta")
+    )
+    add("scale_closed_vs_inversion_ph_delta0", gap, 1e-7)
+
     # truncated Lundberg roots increase
     pg = models["pgamma"]
     rho_seq = [lundberg_truncated(pg, 1.0, n) for n in (4, 64, 1024)]
@@ -427,6 +428,11 @@ def run_validation(quick: bool = True, seed: int = 20260810) -> list[tuple[str, 
     for name, model in models.items():
         split = last_passage_cdf(model, 1.0, 1.0) + last_passage_joint_mass(model, 1.0, 1.0)
         add(f"last_passage_mass_split_{name}", abs(split - 1.0), 1e-5)
+
+    # small jumps, sigma sqrt(t)/xi = 40: the D_t density's core integral in log space
+    small_jumps = ModelSpec(kind="perturbed_gamma", mu=0.1, sigma=1.0, alpha=2.0, xi=0.05)
+    split = last_passage_cdf(small_jumps, 0.8, 4.0) + last_passage_joint_mass(small_jumps, 0.8, 4.0)
+    add("last_passage_mass_split_pgamma_small_jumps", abs(split - 1.0), 1e-5)
 
     # duality (Monte Carlo)
     n_paths = 20_000 if quick else 100_000
@@ -505,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--delta", type=float, required=True)
     q.add_argument("--x-max", type=float, default=4.0)
     q.add_argument("--n", type=int, default=2049)
-    q.add_argument("--route", default="auto")
+    q.add_argument("--route", default="auto", help="auto | closed | laplace_inversion | ode_series")
     q.add_argument("--out")
     q.set_defaults(func=_cmd_scale)
 

@@ -5,8 +5,9 @@ phi_w(delta, b) = E[exp(-delta T_b) w(b - D(T_b-), D(T_b) - b)]:
 
   * the Pollaczek-Khinchine series sum_k g*k * h built on the renewal kernels,
   * the scale-function identity E[e^{-delta T_b}] = Z(b) - delta/rho(delta) W(b),
-  * exact closed forms for the pure-gamma (Park-Padgett), Brownian-drift
-    (inverse Gaussian) and phase-type special cases.
+  * exact closed forms for the pure-gamma (Park-Padgett) and Brownian-drift
+    (inverse Gaussian) laws, and for Brownian drift and phase-type jumps the
+    residue sum over the roots of phi_D(r) = delta (``ph_transform``).
 """
 
 from __future__ import annotations
@@ -15,22 +16,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma, gammainc, gammaincc, log_ndtr, ndtr
+from scipy.special import digamma, gammaincc, log_ndtr, ndtr
 
-from .errors import SeriesNotConverged, WrongKind
-from .lundberg import ScaleSet, ph_root_data, solve_lundberg
-from .models import (
-    KIND_BROWNIAN,
-    KIND_PH,
-    KIND_PURE_GAMMA,
-    ModelSpec,
-)
-from .numerics import GridFunction, hyp2f2
+from .errors import WrongKind
+from .lundberg import ScaleSet, residue_roots, solve_lundberg
+from .models import KIND_BROWNIAN, KIND_PURE_GAMMA, ModelSpec
+from .numerics import GridFunction
 from .renewal import PenaltySpec, build_renewal_kernels, renewal_series
 
 ROUTE_PK_SERIES = "pk_series"
 ROUTE_SCALE = "scale_formula"
-ROUTE_CLOSED = "closed_form"
 
 
 @dataclass(frozen=True)
@@ -101,15 +96,16 @@ def gamma_exact_cdf(model: ModelSpec, b: float, t: float) -> float:
 
 
 def gamma_exact_pdf(model: ModelSpec, b: float, t: float) -> float:
-    """Park-Padgett density of T_b, with z = (b - mu t)/xi:
+    """Park-Padgett density of T_b, the t-derivative of P[D_t >= b] =
+    Q(alpha t, z) with z = (b - mu t)/xi:
 
-        f(t) = alpha (psi(alpha t) - log z) gamma(alpha t, z)/Gamma(alpha t)
-               + alpha/((alpha t)^2 Gamma(alpha t)) z^{alpha t}
-                 2F2(alpha t, alpha t; alpha t+1, alpha t+1; -z)
-               + mu g_t(b - mu t),
+        f(t) = alpha dQ(s, z)/ds + mu g_t(b - mu t),  s = alpha t,
 
-    g_t the Gamma(alpha t, xi) density: the last term is the drift moving the
-    threshold of P[D_t >= b].  It is 0 once mu t >= b.
+    g_t the Gamma(s, xi) density: the last term is the drift moving the
+    threshold.  With X ~ Gamma(s, 1), dQ/ds = E[(ln X - psi(s)); X > z] =
+    -E[(ln X - psi(s)); X <= z] since E[ln X] = psi(s); the side where
+    ln X - psi(s) keeps one sign is integrated (``_gamma_shape_derivative``),
+    so no term cancels.  It is 0 once mu t >= b.
     """
     if model.kind != KIND_PURE_GAMMA:
         raise WrongKind("exact gamma passage law needs kind=pure_gamma")
@@ -120,13 +116,27 @@ def gamma_exact_pdf(model: ModelSpec, b: float, t: float) -> float:
         return 0.0
     s = model.alpha * t
     z = x / model.xi
-    first = model.alpha * (digamma(s) - math.log(z)) * float(gammainc(s, z))
-    series = hyp2f2(s, s, s + 1.0, s + 1.0, -z)
-    # (z^s / Gamma(s)) / s^2 in log space to survive large alpha*t
-    log_pref = s * math.log(z) - math.lgamma(s) - 2.0 * math.log(s)
-    second = model.alpha * math.exp(log_pref) * series
     drift = model.mu / model.xi * math.exp((s - 1.0) * math.log(z) - z - math.lgamma(s))
-    return first + second + drift
+    return model.alpha * _gamma_shape_derivative(s, z) + drift
+
+
+def _gamma_shape_derivative(s: float, z: float) -> float:
+    """dQ(s, z)/ds for the regularised upper incomplete gamma Q, by quadrature
+    of a one-signed integrand scaled by the Gamma(s) density g at z.  Above
+    psi(s) it is g(z) int_0^inf (ln(z + y) - psi) (1 + y/z)^{s-1} e^{-y} dy;
+    below, x = z w^{1/c} with c = min(s, 1) gives -z g(z)/c int_0^1 (ln z +
+    ln(w)/c - psi) w^{s/c-1} e^{z (1 - w^{1/c})} dw, free of the endpoint
+    singularity x^{s-1} at s < 1."""
+    from scipy.integrate import quad  # only this law reads it: the import costs 30 ms
+
+    psi, log_z = float(digamma(s)), math.log(z)
+    g_z = math.exp((s - 1.0) * log_z - z - math.lgamma(s))
+    if log_z >= psi:
+        inner = lambda y: (math.log1p(y / z) + log_z - psi) * math.exp((s - 1.0) * math.log1p(y / z) - y)
+        return g_z * quad(inner, 0.0, math.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    c = min(s, 1.0)
+    inner = lambda w: (log_z + math.log(w) / c - psi) * math.exp((s / c - 1.0) * math.log(w) + z * (1.0 - w ** (1.0 / c)))
+    return -z * g_z / c * quad(inner, 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)[0]
 
 
 def inverse_gaussian_pdf(model: ModelSpec, b: float, t) -> np.ndarray:
@@ -167,11 +177,16 @@ def inverse_gaussian_cdf(model: ModelSpec, b: float, t) -> np.ndarray:
 
 
 def ph_transform(model: ModelSpec, delta: float, b: float) -> float:
-    """E[e^{-delta T_b}] = sum_i A_i e^{-xi_i b} for phase-type jumps."""
-    if model.kind != KIND_PH:
-        raise WrongKind("phase-type transform needs kind=perturbed_cp_ph")
-    data = ph_root_data(model, delta)
-    val = np.sum(data.a_coeffs * np.exp(-data.xi_roots * b))
-    if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
-        raise SeriesNotConverged("phase-type transform has a large imaginary residue")
-    return float(val.real)
+    """E[e^{-delta T_b}] for Brownian drift and phase-type jumps, the residue
+    sum over the roots r != rho of phi_D(r) = delta (``residue_roots``):
+
+        sum_r (delta/rho) (rho - r)/r e^{r b}/phi_D'(r),
+
+    which is 1 - (delta/rho) int_0^b u of the closed scale set.  At delta = 0
+    it is 1 (T_b < inf almost surely), where the root r = 0 makes the factor
+    0/0."""
+    root, r, res = residue_roots(model, delta)
+    if delta == 0:
+        return 1.0
+    rho = root.rho
+    return float(np.real(np.sum(delta / rho * (rho - r) / r * np.exp(r * b) * res)))

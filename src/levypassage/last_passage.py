@@ -66,9 +66,7 @@ def perturbed_gamma_density(model: ModelSpec, t: float, a) -> np.ndarray:
     st = model.sigma * math.sqrt(t)
     atil = a - model.mu * t
     z = st / model.xi - atil / st
-    core = _pcd_core_integral(s, z)  # int_0^inf e^{-(x+z)^2/2} x^{s-1} dx
-    with np.errstate(divide="ignore"):  # far left tail: core underflows, f = 0
-        log_core = np.log(core)
+    log_core = _pcd_core_integral(s, z)  # log int_0^inf e^{-(x+z)^2/2} x^{s-1} dx
     log_f = (
         0.5 * (st / model.xi) ** 2
         - atil / model.xi

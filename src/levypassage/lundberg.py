@@ -4,9 +4,10 @@ rho(delta) is the unique positive solution of phi_D(rho) = delta (requires
 sigma > 0).  The scale function W_delta is defined through its Laplace
 transform int_0^inf e^{-lambda x} W_delta(x) dx = 1/(phi_D(lambda) - delta)
 for lambda > rho(delta); it vanishes at 0, is nondecreasing, and grows like
-e^{rho x}/phi_D'(rho).  ``build_scale_set`` tabulates it by one of four
-routes, which cross-validate each other: the closed forms for Brownian
-drift and for phase-type jumps, tilted Laplace inversion by Euler summation
+e^{rho x}/phi_D'(rho).  ``build_scale_set`` tabulates it by one of three
+routes, which cross-validate each other: the closed residue sums over the
+roots of phi_D(r) = delta for Brownian drift and phase-type jumps
+(``residue_roots``), tilted Laplace inversion by Euler summation
 (``numerics.euler_inversion``, about 1e-8), and the renewal ODE series.
 Every route tabulates only the bounded e^{-rho x} W(x) and
 U_delta density W' - rho W, and ``ScaleSet`` reads every law it serves from
@@ -41,8 +42,7 @@ from .numerics import (
 )
 from .renewal import build_renewal_kernels, renewal_series_extrapolated
 
-ROUTE_CLOSED_BM = "closed_bm"
-ROUTE_CLOSED_PH = "closed_ph"
+ROUTE_CLOSED = "closed"
 ROUTE_INVERSION = "laplace_inversion"
 ROUTE_ODE_SERIES = "ode_series"
 
@@ -67,10 +67,7 @@ def solve_lundberg(model: ModelSpec, delta: float) -> LundbergRoot:
         )
     if delta < 0:
         raise ValueError("discount rate delta must be nonnegative")
-    roots = model.__dict__.get("_roots")
-    if roots is None:
-        roots = {}
-        object.__setattr__(model, "_roots", roots)
+    roots = _kept(model, "_roots")
     if delta not in roots:
         if model.kind == KIND_BROWNIAN:
             gam = math.sqrt(model.mu**2 + 2.0 * delta * model.sigma**2)
@@ -78,6 +75,15 @@ def solve_lundberg(model: ModelSpec, delta: float) -> LundbergRoot:
         else:
             roots[delta] = _positive_root(lambda u: float(model.phi_d(u)), model, delta)
     return LundbergRoot(delta, roots[delta])
+
+
+def _kept(model: ModelSpec, name: str) -> dict:
+    """The dict of results by delta that ``model`` keeps under ``name``."""
+    kept = model.__dict__.get(name)
+    if kept is None:
+        kept = {}
+        object.__setattr__(model, name, kept)
+    return kept
 
 
 def _positive_root(phi, model: ModelSpec, delta: float) -> float:
@@ -240,131 +246,90 @@ class ScaleSet:
         return 1.0 / (float(model.phi_d(beta)) - self.delta)
 
 
-def _scale_set_bm(model: ModelSpec, delta: float, x_max: float, n: int) -> ScaleSet:
-    """Brownian drift: W = (e^{r+ x} - e^{r- x})/gamma, gamma = sqrt(mu^2 +
-    2 delta sigma^2), with r+- = (mu +- gamma)/sigma^2 the two real roots of
-    phi_D(u) = delta and r+ = rho(delta)."""
-    if model.kind != KIND_BROWNIAN:
-        raise WrongKind("closed-form Brownian scale function needs kind=brownian_drift")
+def residue_roots(model: ModelSpec, delta: float) -> tuple[LundbergRoot, np.ndarray, np.ndarray]:
+    """rho(delta), the other roots r of phi_D(r) = delta and the residues
+    1/phi_D'(r) there, for the kinds whose 1/(phi_D(s) - delta) is rational:
+    Brownian drift and phase-type jumps.  Their scale function is the
+    residue sum over all roots
+
+        W_delta(x) = sum_r e^{r x}/phi_D'(r)
+
+    (Kuznetsov, Kyprianou & Rivero, Levy Matters II, LNM 2061, 2012, sec. 5).
+    Clearing det(uI - T) from phi_D(u) - delta leaves a polynomial of degree
+    m + 2 (m = 0 for Brownian drift: the quadratic), its coefficients from the
+    Faddeev-LeVerrier recursion.  Besides rho its roots have Re r < 0, save
+    r = 0 at delta = 0, which is set exactly.  They must be distinct, and the
+    residues must meet sum 1/phi_D'(r) = W(0) = 0 and sum r/phi_D'(r) =
+    W'(0+) = 2/sigma^2 (1e-8 of their terms).  Like rho, they are kept in
+    the model, so each delta is solved once."""
+    kept = _kept(model, "_residue_roots")
+    if delta not in kept:
+        kept[delta] = _residue_roots(model, delta)
+    return kept[delta]
+
+
+def _residue_roots(model: ModelSpec, delta: float) -> tuple[LundbergRoot, np.ndarray, np.ndarray]:
+    if model.kind not in (KIND_BROWNIAN, KIND_PH):
+        raise WrongKind("residue sums need kind=brownian_drift or perturbed_cp_ph")
     root = solve_lundberg(model, delta)
-    gam = math.sqrt(model.mu**2 + 2.0 * delta * model.sigma**2)
-    rp = root.rho
-    rm = (model.mu - gam) / model.sigma**2
-    xs = np.linspace(0.0, x_max, n)
-    tilt = GridFunction(0.0, xs[1], (1.0 - np.exp((rm - rp) * xs)) / gam)
-    u = GridFunction(0.0, xs[1], 2.0 / model.sigma**2 * np.exp(rm * xs))
-    return ScaleSet(delta, root, tilt, u, ROUTE_CLOSED_BM, float(model.phi_d_prime(rp)))
-
-
-@dataclass(frozen=True)
-class PHRootData:
-    """Roots and partial-fraction coefficients of the phase-type scale form."""
-
-    delta: float
-    rho: float
-    xi_roots: np.ndarray  # set I_delta: phi_D(-xi) = delta, Re xi > 0
-    eta_roots: np.ndarray  # set J_delta: poles of phi_D(-eta), Re eta > 0
-    a_coeffs: np.ndarray
-    varrho: float
-
-    def phi_minus(self, u) -> np.ndarray:
-        """prod_j (u+eta_j)/eta_j * prod_i xi_i/(u+xi_i)."""
-        u = np.atleast_1d(np.asarray(u, dtype=complex))
-        num = np.ones_like(u)
-        for e in self.eta_roots:
-            num *= (u + e) / e
-        den = np.ones_like(u)
-        for x in self.xi_roots:
-            den *= x / (u + x)
-        return num * den
-
-    def phi_minus_partial(self, u) -> np.ndarray:
-        u = np.atleast_1d(np.asarray(u, dtype=complex))
-        return np.sum(
-            self.a_coeffs[None, :]
-            * self.xi_roots[None, :]
-            / (self.xi_roots[None, :] + u[:, None]),
-            axis=1,
-        )
-
-
-def ph_root_data(model: ModelSpec, delta: float) -> PHRootData:
-    """Solve the cleared polynomial of phi_D(u) = delta for a phase-type model.
-
-    Multiplying by det(uI - T) turns the rational Lundberg equation into a
-    degree m+2 polynomial; the m+1 roots with negative real part give the set
-    I_delta (as xi = -root), the positive real one is rho(delta)."""
-    if model.kind != KIND_PH:
-        raise WrongKind("phase-type root data needs kind=perturbed_cp_ph")
-    if delta <= 0:
-        raise ValueError("phase-type closed form requires delta > 0")
-    t_mat = model.ph.t_mat
-    m = model.ph.order
-    # Faddeev-LeVerrier: charpoly coefficients and adjugate of (uI - T)
-    char = [1.0]
-    b_mats = []
-    mk = np.zeros((m, m))
-    ck = 1.0
+    rho, ph = root.rho, model.ph
+    m = 0 if ph is None else ph.order
+    # Faddeev-LeVerrier: det(uI - T) = sum_k c_k u^{m-k}, adj(uI - T) = sum_k B_k u^{m-1-k}
+    char, adj, mk, ck = [1.0], [], np.zeros((m, m)), 1.0
     for k in range(m):
         b = mk + ck * np.eye(m)
-        b_mats.append(b)
-        mk = t_mat @ b
+        adj.append(ph.alpha @ b @ ph.exit_vector)
+        mk = ph.t_mat @ b
         ck = -np.trace(mk) / (k + 1)
         char.append(ck)
-    char = np.asarray(char)  # det(uI - T) coefficients, degree m
-    adj_vec = np.array([model.ph.alpha @ b @ model.ph.exit_vector for b in b_mats])
-    # p(u) = (sigma^2 u^2/2 - mu u - lam - delta) det(uI-T) + lam * alpha adj(uI-T) t
-    quad = np.array([0.5 * model.sigma**2, -model.mu, -(model.lam + delta)])
-    p = np.convolve(quad, char)
-    p[-m:] += model.lam * adj_vec
+    # p(u) = (sigma^2 u^2/2 - mu u - lam - delta) det(uI - T) + lam alpha adj(uI - T) t
+    lam = 0.0 if ph is None else model.lam
+    p = np.convolve([0.5 * model.sigma**2, -model.mu, -(lam + delta)], char)
+    p[3:] += lam * np.asarray(adj)
     roots = poly_roots_complex(p)
-    scale = np.max(np.abs(roots))
-    neg = roots[roots.real < -1e-12 * scale]
-    xi = -neg
-    eta = np.linalg.eigvals(-t_mat)
-    if np.any(eta.real <= 0):
-        raise CardinalityMismatch("sub-generator eigenvalues must have Re(-T) > 0")
-    if xi.size != eta.size + 1:
+    scale = max(1.0, float(np.max(np.abs(roots))))
+    gaps = np.abs(np.subtract.outer(roots, roots))[np.triu_indices(roots.size, 1)]
+    if np.min(gaps) < 1e-7 * scale:
+        raise RepeatedRoots("the roots of phi_D(r) = delta are numerically repeated")
+    others = np.delete(roots, np.argmin(np.abs(roots - rho)))
+    # one Newton step on phi_D(r) = delta: the root near -delta/E[D_1] comes
+    # out of the polynomial to about 1e-16 absolute, so at delta < 1e-12 it
+    # needs the step for its sign and its relative digits
+    others = others - (model.phi_d(others) - delta) / model.phi_d_prime(others)
+    right = others.real >= (-1e-12 * scale if delta == 0 else 0.0)
+    if np.count_nonzero(right) != (delta == 0):
         raise CardinalityMismatch(
-            f"card(I_delta)={xi.size} but card(J_delta)+1={eta.size + 1}"
+            f"{np.count_nonzero(right)} roots besides rho with Re r >= 0 at delta = {delta:g}"
         )
-    # distinct-root requirement
-    for i in range(xi.size):
-        for j in range(i + 1, xi.size):
-            if abs(xi[i] - xi[j]) < 1e-7 * max(1.0, scale):
-                raise RepeatedRoots("phase-type roots are numerically repeated")
-    # partial fractions: A_i = residue of phi_minus at u = -xi_i, over xi_i
-    a = np.empty(xi.size, dtype=complex)
-    for i, x in enumerate(xi):
-        others = np.delete(xi, i)
-        num = np.prod((eta - x) / eta)
-        a[i] = num * np.prod(others) / np.prod(others - x)
-    varrho = np.sum(a * xi)
-    if abs(varrho.imag) > 1e-8 * max(1.0, abs(varrho.real)):
-        raise RepeatedRoots("varrho has a large imaginary residue")
-    rho = solve_lundberg(model, delta).rho
-    data = PHRootData(delta, rho, xi, eta, a, float(varrho.real))
-    # internal consistency: partial fractions reproduce the product form
-    probe = np.linspace(0.3, 3.7, 5)
-    err = np.max(np.abs(data.phi_minus(probe) - data.phi_minus_partial(probe)))
-    if err > 1e-8:
-        raise RepeatedRoots(f"partial-fraction residual {err:.2e} above 1e-8")
-    return data
+    others[right] = 0.0  # phi_D(0) = 0 exactly
+    residues = 1.0 / model.phi_d_prime(others)
+    at_rho = 1.0 / float(model.phi_d_prime(rho))
+    for power, want in ((0, 0.0), (1, 2.0 / model.sigma**2)):
+        terms = np.append(others**power * residues, rho**power * at_rho)
+        if abs(np.sum(terms) - want) > 1e-8 * np.sum(np.abs(terms)):
+            raise RepeatedRoots(f"residue identity off by {abs(np.sum(terms) - want):.2e}")
+    others.flags.writeable = residues.flags.writeable = False  # every caller shares them
+    return root, others, residues
 
 
-def _scale_set_ph(model: ModelSpec, delta: float, x_max: float, n: int) -> ScaleSet:
-    """Phase-type jumps: W = 2/(sigma^2 varrho) sum_i A_i xi_i/(rho + xi_i)
-    [e^{rho x} - e^{-xi_i x}], real part taken after summing conjugate pairs."""
-    data = ph_root_data(model, delta)
+def _scale_set_closed(model: ModelSpec, delta: float, x_max: float, n: int) -> ScaleSet:
+    """The residue sum over the roots of phi_D(r) = delta (``residue_roots``):
+
+        T(x) = sum_r e^{(r - rho) x}/phi_D'(r),
+        u(x) = sum_{r != rho} (r - rho) e^{r x}/phi_D'(r),
+
+    no term growing, real parts taken after the conjugate pairs are summed.
+    The residue identities give T(0) = 0 and u(0) = 2/sigma^2, set exactly."""
+    root, r, res = residue_roots(model, delta)
+    rho = root.rho
     xs = np.linspace(0.0, x_max, n)
-    pref = 2.0 / (model.sigma**2 * data.varrho)
-    coef = data.a_coeffs * data.xi_roots / (data.rho + data.xi_roots)
-    edecay = np.exp(-np.outer(xs, data.xi_roots))
-    tilt = pref * np.real((1.0 - edecay * np.exp(-data.rho * xs)[:, None]) @ coef)
-    u = pref * np.real(edecay @ (coef * (data.rho + data.xi_roots)))
+    decay = np.exp(np.outer(xs, r))
+    phip = float(model.phi_d_prime(rho))
+    tilt = 1.0 / phip + np.exp(-rho * xs) * np.real(decay @ res)
+    u = np.real(decay @ ((r - rho) * res))
+    tilt[0], u[0] = 0.0, 2.0 / model.sigma**2
     tilt, u = GridFunction(0.0, xs[1], tilt), GridFunction(0.0, xs[1], u)
-    root, phip = LundbergRoot(delta, data.rho), float(model.phi_d_prime(data.rho))
-    return ScaleSet(delta, root, tilt, u, ROUTE_CLOSED_PH, phip)
+    return ScaleSet(delta, root, tilt, u, ROUTE_CLOSED, phip)
 
 
 def _scale_set_inversion(model: ModelSpec, delta: float, x_max: float, n: int) -> ScaleSet:
@@ -445,23 +410,19 @@ def build_scale_set(
 ) -> ScaleSet:
     """ScaleSet by the preferred route per model kind.
 
-    auto: closed form for Brownian drift always and for phase-type jumps when
-    delta > 0; the ODE-series route for other jump models with delta > 0 (its
-    U-density comes out bounded and stable on long grids); tilted Laplace
-    inversion for delta = 0."""
+    auto: the closed residue sums for Brownian drift and phase-type jumps at
+    every delta >= 0; for the gamma kinds the ODE-series route when delta > 0
+    (its U-density comes out bounded and stable on long grids), tilted
+    Laplace inversion at delta = 0."""
     if route == "auto":
-        if model.kind == KIND_BROWNIAN:
-            route = ROUTE_CLOSED_BM
-        elif model.kind == KIND_PH and delta > 0:
-            route = ROUTE_CLOSED_PH
+        if model.kind in (KIND_BROWNIAN, KIND_PH):
+            route = ROUTE_CLOSED
         elif delta > 0:
             route = ROUTE_ODE_SERIES
         else:
             route = ROUTE_INVERSION
-    if route == ROUTE_CLOSED_BM:
-        return _scale_set_bm(model, delta, x_max, n)
-    if route == ROUTE_CLOSED_PH:
-        return _scale_set_ph(model, delta, x_max, n)
+    if route == ROUTE_CLOSED:
+        return _scale_set_closed(model, delta, x_max, n)
     if route == ROUTE_INVERSION:
         return _scale_set_inversion(model, delta, x_max, n)
     if route == ROUTE_ODE_SERIES:

@@ -1,7 +1,7 @@
 """Shared numerical kernels.
 
-Special functions (2F2, the parabolic-cylinder core integral), grid
-functions with trapezoid convolution, power-series products and reciprocals
+A special function (the parabolic-cylinder core integral, in log space),
+grid functions with trapezoid convolution, power-series products and reciprocals
 by FFT, Laplace inversion by Euler summation, and root finding.
 Everything here is a pure function of its inputs.
 """
@@ -163,49 +163,26 @@ def cumulative_from_cells(cell_integrals: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Generalized hypergeometric 2F2
-
-
-def hyp2f2(a: float, b: float, c: float, d: float, z: float, max_terms: int = 10000) -> float:
-    """2F2(a, b; c, d; z) by direct series with term recurrence.
-
-    Stops once |term| < 1e-15 |partial sum| for three consecutive terms.
-    """
-    for p, name in ((c, "c"), (d, "d")):
-        if p <= 0 and p == int(p):
-            raise ValueError(f"{name} must not be a nonpositive integer")
-    total = 1.0
-    term = 1.0
-    quiet = 0
-    for k in range(max_terms):
-        term *= (a + k) * (b + k) / ((c + k) * (d + k)) * z / (k + 1.0)
-        total += term
-        if abs(term) < 1e-15 * max(abs(total), 1e-300):
-            quiet += 1
-            if quiet >= 3:
-                return total
-        else:
-            quiet = 0
-    raise NoConvergence(f"2F2 series not converged after {max_terms} terms")
-
-
-# ---------------------------------------------------------------------------
 # Parabolic-cylinder core integral: D_p(z) = e^{z^2/4} J(z) / Gamma(-p) for p < 0
 
 
 def _pcd_core_integral(s: float, z) -> np.ndarray:
-    """J(z) = int_0^inf exp(-(x+z)^2/2) x^(s-1) dx, vectorized over z.
+    """log J(z), J(z) = int_0^inf exp(-(x+z)^2/2) x^(s-1) dx, vectorized over z.
 
-    The x^(s-1) endpoint singularity (s < 1) is removed with the substitution
-    v = x^s on [0, 1]; beyond 1 three Gauss-Legendre panels track the peak of
-    the Gaussian factor at x = max(1, -z).
+    The factor e^{-max(z, 0)^2/2} is taken out into the log: at z > 0 the
+    integrand is e^{-x^2/2 - x z} x^(s-1) times it, which would underflow
+    past z = 37.6 while J itself is about Gamma(s)/z^s.  The x^(s-1)
+    endpoint singularity (s < 1) is removed with the substitution v = x^s on
+    [0, 1]; beyond 1 three Gauss-Legendre panels track the peak of the
+    Gaussian factor at x = max(1, -z).
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
+    lift = 0.5 * np.maximum(z, 0.0) ** 2
     # piece 1: x in [0, 1] with a Gauss-Jacobi rule carrying the exact
     # x^(s-1) weight, so the endpoint singularity/steepness never appears
     xj, wj = _jacobi_rule(s)
     p1 = 2.0 ** (-s) * np.sum(
-        np.exp(-0.5 * (xj[None, :] + z[:, None]) ** 2) * wj[None, :], axis=1
+        np.exp(lift[:, None] - 0.5 * (xj[None, :] + z[:, None]) ** 2) * wj[None, :], axis=1
     )
     # piece 2: panels [1, c1], [c1, c2], [c2, up] hugging the peak; the tail
     # width also grows with sqrt(s) since x^(s-1) pushes mass right
@@ -219,9 +196,10 @@ def _pcd_core_integral(s: float, z) -> np.ndarray:
         span = hi - lo
         xs = lo[:, None] + span[:, None] * _GL64_NODES[None, :]
         with np.errstate(over="ignore"):
-            integ = np.exp(-0.5 * (xs + z[:, None]) ** 2 + (s - 1.0) * np.log(xs))
+            integ = np.exp(lift[:, None] - 0.5 * (xs + z[:, None]) ** 2 + (s - 1.0) * np.log(xs))
         total = total + span * np.sum(integ * _GL64_WEIGHTS[None, :], axis=1)
-    return total
+    with np.errstate(divide="ignore"):  # far tails: J underflows, log J = -inf
+        return np.log(total) - lift
 
 
 def _gl_rule(n: int):

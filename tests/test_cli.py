@@ -42,7 +42,12 @@ def bm_files(tmp_path):
 
 def test_validate_quick_passes():
     rows = run_validation(quick=True)
-    assert {"maintenance_kernel_c_route_gap", "scale_routes_small_sigma_pgamma"} <= {name for name, *_ in rows}
+    assert {
+        "maintenance_kernel_c_route_gap",
+        "scale_routes_small_sigma_pgamma",
+        "scale_closed_vs_inversion_ph_delta0",
+        "last_passage_mass_split_pgamma_small_jumps",
+    } <= {name for name, *_ in rows}
     assert [name for name, _, _, ok in rows if not ok] == []
 
 
@@ -147,7 +152,7 @@ def test_brownian_scale_route_of_another_kind_is_usage_error(tmp_path, capsys):
     # the Brownian closed form once tabulated W(1) = 6.02 for this model, whose W(1) is 4.17
     path = tmp_path / "pgamma.json"
     path.write_text(json.dumps({"kind": "perturbed_gamma", "mu": 0.1, "sigma": 1.0, "alpha": 1.0, "xi": 1.0}))
-    assert dispatch(["scale", "--model", str(path), "--delta", "0.5", "--route", "closed_bm"]) == 2
+    assert dispatch(["scale", "--model", str(path), "--delta", "0.5", "--route", "closed"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 
@@ -224,7 +229,7 @@ def test_module_entry_point_runs_validate(module):
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    assert "16/16 checks passed" in done.stdout
+    assert "18/18 checks passed" in done.stdout
 
 
 def test_simulate_with_every_path_censored_is_numerical_failure(bm_model_file, capsys):

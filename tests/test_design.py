@@ -29,7 +29,6 @@ ALLOWED = {
     ("last_passage", "density_of_dt"),
     ("lundberg", "solve_lundberg"),
     ("lundberg", "build_scale_set"),
-    ("cli", "_closed_transform"),
 }
 
 # (module, public name) that neither src/ nor the benchmark workloads call,
@@ -376,3 +375,26 @@ def test_one_laplace_inverter():
     assert inverters == {"euler_inversion"}
     assert list(inspect.signature(numerics.euler_inversion).parameters) == ["transform", "t"]
     assert numerics.euler_inversion is lundberg.euler_inversion
+
+
+def test_one_closed_route():
+    # Brownian drift and phase type share one residue route over the roots of
+    # phi_D(r) = delta, at every delta >= 0: the per-kind closed forms, the
+    # partial-fraction root data and the CLI's own Brownian transform are gone
+    lundberg, first_passage, cli = levypassage.lundberg, levypassage.first_passage, levypassage.cli
+    gone = {
+        lundberg: ["_scale_set_bm", "_scale_set_ph", "ph_root_data", "PHRootData", "ROUTE_CLOSED_BM", "ROUTE_CLOSED_PH"],
+        first_passage: ["ROUTE_CLOSED"],
+        cli: ["_closed_transform"],
+        levypassage: ["ph_root_data", "PHRootData", "hyp2f2"],
+        levypassage.numerics: ["hyp2f2"],
+    }
+    for module, names in gone.items():
+        assert not [name for name in names if hasattr(module, name)], module.__name__
+    assert lundberg.ROUTE_CLOSED == "closed"
+    bm = ModelSpec(kind="brownian_drift", mu=1.0, sigma=1.0)
+    ph = ModelSpec(kind="perturbed_cp_ph", mu=0.0, sigma=1.0, lam=1.0, ph=PhaseType([1.0], [[-1.0]]))
+    for model in (bm, ph):
+        assert lundberg.build_scale_set(model, 0.0, 2.0, 65).route == lundberg.ROUTE_CLOSED
+    assert list(inspect.signature(lundberg.build_scale_set).parameters) == ["model", "delta", "x_max", "n", "route"]
+    assert sum(len(_kind_compares(ast.parse(path.read_text()))) for path in SRC.glob("*.py")) <= 23

@@ -158,6 +158,17 @@ class TestGammaExact:
         val = gamma_exact_pdf(model, 20.0, 3.0)  # alpha*t = 90 exercises log space
         assert np.isfinite(val) and val >= 0
 
+    @pytest.mark.parametrize("b, t", [(5.0, 20.0), (10.0, 40.0), (24.5, 98.0)])
+    def test_pdf_at_large_threshold(self, b, t):
+        # z = b/xi = 20, 40 and 98: the 2F2 series the density once summed
+        # alternates with terms growing like e^z, and read +3.0% at z = 20,
+        # -8e14 at 40 and 1e65 at 98; oracle: mpmath's t-derivative of Q
+        mp = pytest.importorskip("mpmath")
+        model = ModelSpec(kind=KIND_PURE_GAMMA, alpha=1.0, xi=0.25)
+        with mp.workdps(40):
+            oracle = float(mp.diff(lambda u: mp.gammainc(u, b / 0.25, mp.inf, regularized=True), t))
+        assert gamma_exact_pdf(model, b, t) == pytest.approx(oracle, rel=1e-12)
+
     def test_wrong_kind(self, bm_model):
         with pytest.raises(WrongKind):
             gamma_exact_cdf(bm_model, 1.0, 1.0)
@@ -226,9 +237,23 @@ class TestPHTransform:
         assert ph_transform(ph_model, 0.5, b) == pytest.approx(float(tr(b)), abs=1e-4)
 
     def test_against_scale_formula(self, ph_model):
-        scales = build_scale_set(ph_model, 0.5, 2.0, route="closed_ph")
+        scales = build_scale_set(ph_model, 0.5, 2.0, route="closed")
         got = ph_transform(ph_model, 0.5, 1.0)
         assert got == pytest.approx(transform_from_scales(scales)(1.0), abs=1e-6)
+
+    def test_brownian_drift(self, bm_model):
+        # the residue sum over the one root left of the axis is e^{(mu - gamma) b/sigma^2}
+        for b in (0.5, 1.0, 3.0):
+            assert ph_transform(bm_model, 0.5, b) == pytest.approx(BM_EXACT**b, rel=1e-14)
+
+    def test_delta_zero_is_one(self, bm_model, ph_model, ph2_model):
+        # T_b is finite almost surely; a negative delta and a gamma kind are refused
+        for model in (bm_model, ph_model, ph2_model):
+            assert ph_transform(model, 0.0, 2.0) == 1.0
+        with pytest.raises(ValueError):
+            ph_transform(ph_model, -0.5, 1.0)
+        with pytest.raises(WrongKind):
+            ph_transform(ModelSpec(kind=KIND_PURE_GAMMA, alpha=1.0, xi=1.0), 0.5, 1.0)
 
     def test_order_two_routes(self, ph2_model):
         tr = pk_series_transform(ph2_model, 0.8, b_max=2.0)

@@ -119,6 +119,34 @@ class TestDensityOfDt:
         ours = float(perturbed_gamma_density(m, t, a))
         assert ours == pytest.approx(oracle, rel=1e-8)
 
+    @pytest.mark.parametrize(
+        "mu, sigma, alpha, xi, t",
+        [(0.1, 1.0, 2.0, 0.05, 4.0), (0.0, 2.0, 1.0, 0.1, 3.0), (0.1, 1.0, 2.0, 0.05, 3.0)],
+    )
+    def test_perturbed_gamma_small_jumps(self, mu, sigma, alpha, xi, t):
+        # sigma sqrt(t)/xi = 40, 34.6 and 34.6: the core integral's factor
+        # e^{-(x+z)^2/2} underflowed past z = 37.6, and the density read 0 at
+        # the mean of the first case (0.199) and four standard deviations
+        # below the mean of the second (3.85e-5); oracle by quadrature
+        m = ModelSpec(kind="perturbed_gamma", mu=mu, sigma=sigma, alpha=alpha, xi=xi)
+        s, st = alpha * t, sigma * math.sqrt(t)
+        mean, sd = mu * t + s * xi, math.sqrt(st**2 + s * xi**2)
+
+        def integrand(u, a):
+            log_gam = (s - 1.0) * math.log(u) - u / xi - math.lgamma(s) - s * math.log(xi)
+            return math.exp(log_gam) * norm.pdf(a - mu * t - u, scale=st)
+
+        for a in mean + sd * np.array([-4.0, -1.0, 0.0, 2.0]):
+            oracle, _ = quad(integrand, 0.0, s * xi + 60.0 * math.sqrt(s) * xi, args=(a,), points=[s * xi],
+                             epsabs=0.0, epsrel=1e-13, limit=400)
+            assert float(perturbed_gamma_density(m, t, a)) == pytest.approx(oracle, rel=1e-10), a
+
+    def test_mass_split_with_small_jumps(self):
+        # at sigma sqrt(t)/xi = 40 the split read 0.216 once the density was 0
+        m = ModelSpec(kind="perturbed_gamma", mu=0.1, sigma=1.0, alpha=2.0, xi=0.05)
+        b = 0.8  # the mean of D_4
+        assert last_passage_cdf(m, b, 4.0) + last_passage_joint_mass(m, b, 4.0) == pytest.approx(1.0, abs=1e-5)
+
     def test_masses(self, bm_model, pgamma_model, ph_model, gamma_model):
         for model in (bm_model, pgamma_model, ph_model, gamma_model):
             dens = density_of_dt(model, 1.0)

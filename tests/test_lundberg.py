@@ -8,15 +8,14 @@ from scipy.integrate import quad
 import levypassage.lundberg as lundberg
 from levypassage.errors import NoConvergence, NoPerturbation, RepeatedRoots, WrongKind
 from levypassage.lundberg import (
-    ROUTE_CLOSED_BM,
-    ROUTE_CLOSED_PH,
+    ROUTE_CLOSED,
     ROUTE_INVERSION,
     ROUTE_ODE_SERIES,
     build_scale_set,
     escape_probability,
     escape_rate,
     lundberg_truncated,
-    ph_root_data,
+    residue_roots,
     solve_lundberg,
 )
 from levypassage.models import KIND_PERTURBED_GAMMA, KIND_PH, KIND_PURE_GAMMA, ModelSpec, PhaseType
@@ -126,7 +125,7 @@ class TestEscape:
 
 class TestClosedFormBM:
     def test_vanishes_at_zero(self, bm_model):
-        scales = build_scale_set(bm_model, 0.7, 1.0, 65, route=ROUTE_CLOSED_BM)
+        scales = build_scale_set(bm_model, 0.7, 1.0, 65, route=ROUTE_CLOSED)
         assert scales.w.values[0] == 0.0
 
     def test_laplace_transform_identity(self, bm_model):
@@ -134,7 +133,7 @@ class TestClosedFormBM:
         delta = 0.5
         rho = solve_lundberg(bm_model, delta).rho
         lam = rho + 1.0
-        scales = build_scale_set(bm_model, delta, 40.0, 2**16 + 1, route=ROUTE_CLOSED_BM)
+        scales = build_scale_set(bm_model, delta, 40.0, 2**16 + 1, route=ROUTE_CLOSED)
         expect = 1.0 / (float(bm_model.phi_d(lam)) - delta)
         assert scales.laplace_numeric(lam) == pytest.approx(expect, rel=1e-6)
 
@@ -142,7 +141,7 @@ class TestClosedFormBM:
         # W_0(x) = (e^{rho0 x} - 1)/mu; its bounded companion
         # E[D_1] e^{-rho0 x} W_0(x) = 1 - e^{-rho0 x} is the escape probability
         x = 1.0
-        scales = build_scale_set(bm_model, 0.0, 2.0, 3, route=ROUTE_CLOSED_BM)
+        scales = build_scale_set(bm_model, 0.0, 2.0, 3, route=ROUTE_CLOSED)
         w0 = float(scales.w.values[1])
         assert w0 == pytest.approx((math.exp(2.0 * x) - 1.0), rel=1e-12)
         bounded = bm_model.mean_d1 * math.exp(-2.0 * x) * w0
@@ -150,33 +149,43 @@ class TestClosedFormBM:
 
     def test_wrong_kind(self, pgamma_model):
         with pytest.raises(WrongKind):
-            build_scale_set(pgamma_model, 0.5, 1.0, route=ROUTE_CLOSED_BM)
+            build_scale_set(pgamma_model, 0.5, 1.0, route=ROUTE_CLOSED)
 
 
 class TestClosedFormPH:
     def test_vanishes_at_zero(self, ph_model):
-        scales = build_scale_set(ph_model, 0.5, 1.0, 65, route=ROUTE_CLOSED_PH)
+        scales = build_scale_set(ph_model, 0.5, 1.0, 65, route=ROUTE_CLOSED)
         assert scales.w.values[0] == pytest.approx(0.0, abs=1e-12)
 
-    def test_root_cardinality(self, ph_model, ph2_model):
-        for model, m in ((ph_model, 1), (ph2_model, 2)):
-            data = ph_root_data(model, 0.5)
-            assert data.xi_roots.size == m + 1
-            assert data.eta_roots.size == m
-            assert np.all(data.xi_roots.real > 0)
+    def test_root_cardinality(self, bm_model, ph_model, ph2_model):
+        # besides rho, m + 1 roots with Re r < 0; at delta = 0 one is r = 0 exactly
+        for model, m in ((bm_model, 0), (ph_model, 1), (ph2_model, 2)):
+            root, others, _ = residue_roots(model, 0.5)
+            assert root.rho == solve_lundberg(model, 0.5).rho
+            assert others.size == m + 1
+            assert np.all(others.real < 0)
+            _, others, _ = residue_roots(model, 0.0)
+            assert others.size == m + 1
+            assert np.count_nonzero(others == 0.0) == 1
+            assert np.all(others[others != 0.0].real < 0)
 
-    def test_partial_fraction_reproduces_product(self, ph2_model):
-        data = ph_root_data(ph2_model, 1.0)
-        us = np.linspace(0.1, 5.0, 7)
-        gap = np.max(np.abs(data.phi_minus(us) - data.phi_minus_partial(us)))
-        assert gap < 1e-8
+    def test_tiny_delta(self, bm_model, ph_model):
+        # the root near -delta/E[D_1] comes out of the polynomial to 1e-16
+        # absolute; a Newton step gives it its sign and digits, where at
+        # delta = 1e-13 it counted as r = 0 and raised CardinalityMismatch
+        for model in (bm_model, ph_model):
+            _, others, _ = residue_roots(model, 1e-13)
+            assert np.max(others.real) == pytest.approx(-1e-13 / model.mean_d1, rel=1e-9)
 
     def test_roots_solve_lundberg_reflection(self, ph2_model):
-        # every xi satisfies phi_D(-xi) = delta
-        delta = 0.8
-        data = ph_root_data(ph2_model, delta)
-        vals = np.asarray(ph2_model.phi_d(-data.xi_roots))
-        assert np.max(np.abs(vals - delta)) < 1e-8
+        # every root satisfies phi_D(r) = delta, rho and the roots left of the
+        # axis (the reflected set, once kept as xi = -r) alike, and the
+        # residues are 1/phi_D'(r)
+        for delta in (0.0, 0.8):
+            root, others, res = residue_roots(ph2_model, delta)
+            roots = np.append(others, root.rho)
+            assert np.max(np.abs(np.asarray(ph2_model.phi_d(roots)) - delta)) < 1e-8
+            assert np.max(np.abs(res * ph2_model.phi_d_prime(others) - 1.0)) < 1e-12
 
     def test_against_inversion_oracle(self, ph_model):
         # mpmath's Talbot inversion at 30 digits of 1/(phi_D(s + rho) - delta),
@@ -184,7 +193,7 @@ class TestClosedFormPH:
         import mpmath as mp
 
         delta = 0.5
-        w = build_scale_set(ph_model, delta, 2.0, 2049, route=ROUTE_CLOSED_PH).w
+        w = build_scale_set(ph_model, delta, 2.0, 2049, route=ROUTE_CLOSED).w
         rho = solve_lundberg(ph_model, delta).rho
 
         def tilted(s):
@@ -197,18 +206,20 @@ class TestClosedFormPH:
                 assert w(x) == pytest.approx(oracle, rel=1e-5)
 
     def test_real_valued_on_grid(self, ph2_model):
-        data = ph_root_data(ph2_model, 1.0)
+        # conjugate pairs cancel: the residue sum for W is real on the grid
+        _, others, res = residue_roots(ph2_model, 1.0)
         xs = np.linspace(0.0, 4.0, 101)
-        w = build_scale_set(ph2_model, 1.0, 4.0, 101, route=ROUTE_CLOSED_PH).w.values
-        pref = 2.0 / (ph2_model.sigma**2 * data.varrho)
-        coef = data.a_coeffs * data.xi_roots / (data.rho + data.xi_roots)
-        terms = np.exp(data.rho * xs)[:, None] - np.exp(-np.outer(xs, data.xi_roots))
-        imag = np.max(np.abs(np.imag(pref * (terms @ coef))))
-        assert imag < 1e-10 * max(1.0, np.max(np.abs(w)))
+        w = build_scale_set(ph2_model, 1.0, 4.0, 101, route=ROUTE_CLOSED).w.values
+        terms = np.exp(np.outer(xs, others)) @ res
+        assert np.max(np.abs(terms.imag)) < 1e-10 * max(1.0, np.max(np.abs(w)))
 
-    def test_delta_zero_rejected(self, ph_model):
+    def test_delta_zero_accepted(self, ph_model):
+        # the residue sums hold at delta = 0 too; a negative delta is refused
+        scales = build_scale_set(ph_model, 0.0, 4.0, 65, route=ROUTE_CLOSED)
+        assert scales.w.values[0] == 0.0
+        assert np.all(np.diff(scales.w.values) > 0)
         with pytest.raises(ValueError):
-            ph_root_data(ph_model, 0.0)
+            residue_roots(ph_model, -0.1)
 
 
 class TestScaleSets:
@@ -258,9 +269,9 @@ class TestScaleSets:
 
     def test_route_agreement(self, bm_model, pgamma_model, ph_model):
         for model, closed_route in (
-            (bm_model, ROUTE_CLOSED_BM),
+            (bm_model, ROUTE_CLOSED),
             (pgamma_model, None),
-            (ph_model, ROUTE_CLOSED_PH),
+            (ph_model, ROUTE_CLOSED),
         ):
             for delta in (0.25, 1.0, 4.0):
                 sets = [
@@ -291,11 +302,11 @@ class TestScaleSets:
         # it was off by 140% at rho = 2.7 and 1e69 at rho = 100
         small_sigma = dataclasses.replace(ph_model, mu=0.5, sigma=0.1)
         for model, route in (
-            (bm_model, ROUTE_CLOSED_BM),
-            (ph_model, ROUTE_CLOSED_PH),
-            (ph2_model, ROUTE_CLOSED_PH),
-            (small_sigma, ROUTE_CLOSED_PH),
-            (self._erlang2(), ROUTE_CLOSED_PH),
+            (bm_model, ROUTE_CLOSED),
+            (ph_model, ROUTE_CLOSED),
+            (ph2_model, ROUTE_CLOSED),
+            (small_sigma, ROUTE_CLOSED),
+            (self._erlang2(), ROUTE_CLOSED),
         ):
             for delta in (0.25, 1.0, 4.0):
                 inv = build_scale_set(model, delta, 4.0, 2049, route=ROUTE_INVERSION)
@@ -344,7 +355,7 @@ class TestScaleSets:
     def test_ode_series_matches_closed_bm(self, bm_model):
         # spec pins 1e-6 sup agreement for the jump-free case on [0, 4]
         ode = build_scale_set(bm_model, 0.5, 4.0, 4097, route=ROUTE_ODE_SERIES)
-        closed = build_scale_set(bm_model, 0.5, 4.0, 4097, route=ROUTE_CLOSED_BM)
+        closed = build_scale_set(bm_model, 0.5, 4.0, 4097, route=ROUTE_CLOSED)
         assert np.max(np.abs(ode.tilted.values - closed.tilted.values)) < 1e-6
 
     def test_ode_series_needs_positive_delta(self, pgamma_model):
@@ -359,16 +370,32 @@ class TestScaleSets:
         assert np.max(np.abs(scales.z.values - 1.0)) < 1e-12
 
     def test_inversion_at_delta_zero_on_a_defective_generator(self):
-        # phase type at delta = 0 goes to the inversion route by itself; W_delta
-        # is continuous in delta, and the closed form at 1e-10 reads 6e-9 off
+        # phase type at delta = 0 takes the closed route by itself; the Euler
+        # route on a generator with no eigenbasis reads 1e-8 off it
         model = self._erlang2()
-        closed = build_scale_set(model, 1e-10, 4.0, 2049, route=ROUTE_CLOSED_PH)
-        for route in ("auto", ROUTE_INVERSION):
-            scales = build_scale_set(model, 0.0, 4.0, 2049, route=route)
-            assert scales.route == ROUTE_INVERSION
-            for table in ("w", "u_delta"):
-                got, want = getattr(scales, table).values, getattr(closed, table).values
-                assert np.max(np.abs(got - want)) < 1e-7 * np.max(want), (route, table)
+        closed = build_scale_set(model, 0.0, 4.0, 2049)
+        assert closed.route == ROUTE_CLOSED
+        scales = build_scale_set(model, 0.0, 4.0, 2049, route=ROUTE_INVERSION)
+        for table in ("w", "u_delta"):
+            got, want = getattr(scales, table).values, getattr(closed, table).values
+            assert np.max(np.abs(got - want)) < 1e-7 * np.max(want), table
+
+    def test_closed_route_at_delta_zero(self, bm_model, ph_model, ph2_model):
+        # the auto route is closed at delta = 0 for both kinds, within 1e-7 of
+        # the Euler route (which reads 6e-9 to 1e-8), and continuous in delta
+        order3 = ModelSpec(
+            kind=KIND_PH, mu=0.1, sigma=0.8, lam=1.2,
+            ph=PhaseType([0.5, 0.3, 0.2], [[-3.0, 1.0, 0.5], [0.2, -2.0, 0.3], [0.1, 0.4, -1.5]]),
+        )
+        for model in (bm_model, ph_model, ph2_model, order3, self._erlang2()):
+            closed = build_scale_set(model, 0.0, 4.0, 2049)
+            assert closed.route == ROUTE_CLOSED
+            near = build_scale_set(model, 1e-10, 4.0, 2049)
+            inv = build_scale_set(model, 0.0, 4.0, 2049, route=ROUTE_INVERSION)
+            for table in ("tilted", "u_delta"):
+                want = getattr(closed, table).values
+                assert np.max(np.abs(getattr(inv, table).values - want)) < 1e-7 * np.max(want), table
+                assert np.max(np.abs(getattr(near, table).values - want)) < 1e-8 * np.max(want), table
 
 
 class TestReflectedKernel:

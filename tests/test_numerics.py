@@ -11,7 +11,6 @@ from levypassage.errors import (
     DegenerateLeadingCoefficient,
     GridMismatch,
     NoBracket,
-    NoConvergence,
     OutOfGrid,
 )
 from levypassage.first_passage import gamma_exact_cdf, gamma_exact_pdf
@@ -23,7 +22,6 @@ from levypassage.numerics import (
     euler_inversion,
     find_root_bracketed,
     grid_convolve,
-    hyp2f2,
     poly_roots_complex,
 )
 
@@ -76,51 +74,10 @@ class TestIncompleteGamma:
                 call()
 
 
-class TestHyp2F2:
-    def test_z_zero(self):
-        assert hyp2f2(0.7, 1.3, 2.1, 3.3, 0.0) == 1.0
-
-    def test_alternating_series_value(self):
-        # direct partial-sum oracle: sum_k (-1)^k / ((k+1)^2 k!)
-        oracle = sum((-1.0) ** k / ((k + 1) ** 2 * math.factorial(k)) for k in range(50))
-        assert hyp2f2(1.0, 1.0, 2.0, 2.0, -1.0) == pytest.approx(oracle, rel=1e-13)
-
-    def test_partial_sums_bracket_limit(self):
-        # alternating series with decreasing terms for small |z|
-        z = -0.4
-        a = b = 1.0
-        c = d = 2.0
-        limit = hyp2f2(a, b, c, d, z)
-        total = 1.0
-        term = 1.0
-        partials = [total]
-        for k in range(8):
-            term *= (a + k) * (b + k) / ((c + k) * (d + k)) * z / (k + 1.0)
-            total += term
-            partials.append(total)
-        lows = partials[1::2]
-        highs = partials[0::2]
-        assert max(lows) <= limit <= min(highs)
-
-    def test_against_mpmath(self):
-        mp = pytest.importorskip("mpmath")
-        for s, z in [(0.8, -0.9), (3.0, -2.5), (12.0, -1.0)]:
-            oracle = float(mp.hyper([s, s], [s + 1, s + 1], -z))
-            assert hyp2f2(s, s, s + 1, s + 1, -z) == pytest.approx(oracle, rel=1e-11)
-
-    def test_no_convergence(self):
-        with pytest.raises(NoConvergence):
-            hyp2f2(1.0, 1.0, 2.0, 2.0, -5.0, max_terms=3)
-
-    def test_pole_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            hyp2f2(1.0, 1.0, 0.0, 2.0, -1.0)
-
-
 def _pcd(p, z):
-    """D_p(z) = e^{z^2/4} J(z) / Gamma(-p) for p < 0, J the core integral."""
+    """D_p(z) = e^{z^2/4} J(z) / Gamma(-p) for p < 0, log J the core integral."""
     z = np.asarray(z, dtype=float)
-    return np.exp(0.25 * z * z) * _pcd_core_integral(-p, z) / math.gamma(-p)
+    return np.exp(0.25 * z * z + _pcd_core_integral(-p, z)) / math.gamma(-p)
 
 
 class TestParabolicCylinder:
