@@ -31,7 +31,6 @@ from .last_passage import (
     reflected_last_passage_transform,
 )
 from .lundberg import (
-    LundbergRoot,
     ScaleSet,
     build_scale_set,
     escape_probability,

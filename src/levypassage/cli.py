@@ -67,6 +67,7 @@ from .models import (
     model_from_json,
     model_to_dict,
 )
+from .numerics import euler_inversion
 from .reflected import duality_check, reflected_passage_density
 
 
@@ -390,8 +391,8 @@ def run_validation(quick: bool = True, seed: int = 20260810) -> list[tuple[str, 
     # scale Laplace identity per perturbed kind
     for name in ("bm", "pgamma", "ph"):
         model = models[name]
-        scales = build_scale_set(model, delta, x_max=24.0 / solve_lundberg(model, delta).rho, n=4097)
-        beta = 2.0 * scales.rho.rho
+        scales = build_scale_set(model, delta, x_max=24.0 / solve_lundberg(model, delta), n=4097)
+        beta = 2.0 * scales.rho
         num = scales.laplace_numeric(beta)
         ex = scales.laplace_exact(model, beta)
         add(f"scale_laplace_{name}", abs(num / ex - 1.0), 1e-4)
@@ -401,6 +402,14 @@ def run_validation(quick: bool = True, seed: int = 20260810) -> list[tuple[str, 
     ode = build_scale_set(small, delta, 4.0).tilted.values
     inv = build_scale_set(small, delta, 4.0, route=ROUTE_INVERSION).tilted.values
     add("scale_routes_small_sigma_pgamma", float(np.max(np.abs(ode - inv)) / np.max(inv)), 1e-3)
+
+    # perturbed-gamma PK on its default grid against an Euler inversion in b of
+    # int_0^inf e^{-beta b} phi(delta, b) db = 1/beta - (delta/rho)(beta - rho)/(beta (phi_D(beta) - delta))
+    pgm = ModelSpec(kind="perturbed_gamma", mu=0.5, sigma=0.3, alpha=1.0, xi=1.0)
+    rho = solve_lundberg(pgm, delta)
+    bs = np.array([1.0, 2.0, 3.5])
+    want = euler_inversion(lambda s: 1.0 / s - (delta / rho) * (s - rho) / (s * (pgm.phi_d(s) - delta)), bs)
+    add("first_passage_pk_vs_euler_pgamma", float(np.max(np.abs(pk_series_transform(pgm, delta)(bs) - want))), 3e-5)
 
     # delta = 0 phase type: the closed residue sums against the Euler route
     closed = build_scale_set(models["ph"], 0.0, 4.0)

@@ -50,13 +50,14 @@ def pk_series_transform(
     """Penalty transform by the renewal series phi = sum_k g*k * h.
 
     The series converges for delta > 0 (the kernel g has mass below 1).
-    ``renewal_series`` solves the renewal equation on the grid in one
-    power-series division, and raises SeriesNotConverged when the grid does
-    not resolve it.
+    ``renewal_series`` solves the renewal equation on the grid and on every
+    other node, each in one power-series division, returns the Richardson
+    step of the two (the solve the ODE-series scale route reads too), and
+    raises SeriesNotConverged when the grid does not resolve it.
     """
     if delta <= 0:
         raise ValueError("the series route requires delta > 0")
-    rho = solve_lundberg(model, delta).rho
+    rho = solve_lundberg(model, delta)
     kernels = build_renewal_kernels(model, delta, rho, b_max, n, penalty)
     total = renewal_series(kernels.g, kernels.h)
     return PassageTransform(
@@ -185,8 +186,7 @@ def ph_transform(model: ModelSpec, delta: float, b: float) -> float:
     which is 1 - (delta/rho) int_0^b u of the closed scale set.  At delta = 0
     it is 1 (T_b < inf almost surely), where the root r = 0 makes the factor
     0/0."""
-    root, r, res = residue_roots(model, delta)
+    rho, r, res = residue_roots(model, delta)
     if delta == 0:
         return 1.0
-    rho = root.rho
     return float(np.real(np.sum(delta / rho * (rho - r) / r * np.exp(r * b) * res)))

@@ -137,8 +137,7 @@ class MarginalDensityD:
 
     model: ModelSpec
     t: float
-    n: int
-    _n_default = 4097  # points of the grid f
+    n = 4097  # points of the grid f, a class constant per kind
 
     def _support(self, t):
         """[lo, hi] of the density, for a horizon or an array of them."""
@@ -400,7 +399,7 @@ class _PureGammaD(_PerturbedGammaD):
     """The perturbed-gamma law at sigma = 0: D_t - mu t ~ Gamma(alpha t, xi),
     rho0 = inf, the escape mass is P(D_t > c) and L_b is the first passage."""
 
-    _n_default = 16385  # steep (or singular) left endpoint
+    n = 16385  # steep (or singular) left endpoint
 
     def _support(self, t):
         return self.model.mu * t, super()._support(t)[1]
@@ -442,7 +441,7 @@ class _PhaseTypeD(MarginalDensityD):
     by at most (1.5 h)^2, and a grid quadrature whose threshold lies within a
     few steps of mu t is off by O(rho0 h)."""
 
-    _n_default = 16385  # f: kernel_a's point values and the O(h^2) sums of _joint_mass, not the chain
+    n = 16385  # f: kernel_a's point values and the O(h^2) sums of _joint_mass, not the chain
 
     def _support(self, t):
         # P(J_t > x) <= e^{t phi_J(-s) - s x} for 0 < s < A, at the 1e-13 tail
@@ -478,7 +477,7 @@ def density_of_dt(model: ModelSpec, t: float) -> MarginalDensityD:
         law = _PerturbedGammaD
     else:
         law = _PhaseTypeD
-    return law(model, t, law._n_default)
+    return law(model, t)
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +579,7 @@ def last_passage_overshoot_transform(
     above = level > 0
     tilted = np.zeros(level.shape)
     tilted[above] = scales.tilted(level[above])
-    bracket = np.exp(scales.rho.rho * level) * (1.0 / scales.phi_prime_at_rho - tilted)
+    bracket = np.exp(scales.rho * level) * (1.0 / scales.phi_prime_at_rho - tilted)
     view = model.levy_measure()
     out = bracket * (-np.expm1(-rho0 * w)) * view.density(w + y)
     return out if out.ndim else float(out)
@@ -635,7 +634,7 @@ def reflected_last_passage_exp_joint(
     a = np.asarray(a, dtype=float)
     if np.any(a < b):
         raise ValueError("the joint density is supported on a >= b")
-    delta, rho = scales.delta, scales.rho.rho
+    delta, rho = scales.delta, scales.rho
     minus_dphi = delta / rho * np.asarray(scales.u_delta(a))
     out = (1.0 - escape_probability(a - b, escape_rate(model))) * minus_dphi
     return out if np.ndim(out) else float(out)

@@ -40,24 +40,19 @@ from .numerics import (
     find_root_bracketed,
     poly_roots_complex,
 )
-from .renewal import build_renewal_kernels, renewal_series_extrapolated
+from .renewal import build_renewal_kernels, renewal_series
 
 ROUTE_CLOSED = "closed"
 ROUTE_INVERSION = "laplace_inversion"
 ROUTE_ODE_SERIES = "ode_series"
 
 
-@dataclass(frozen=True)
-class LundbergRoot:
-    delta: float
-    rho: float
-
-
-def solve_lundberg(model: ModelSpec, delta: float) -> LundbergRoot:
+def solve_lundberg(model: ModelSpec, delta: float) -> float:
     """Unique rho > 0 with phi_D(rho) = delta.
 
     Exists for sigma > 0 because phi_D is strictly convex with
-    phi_D'(0) = -E[D_1] < 0 and grows quadratically.  The root belongs to
+    phi_D'(0) = -E[D_1] < 0 and grows quadratically.  Every kind, Brownian
+    drift too, takes the one bracketed solve.  The root belongs to
     the model: each one solved is kept in the instance, so a model solves
     each delta once (a ``dataclasses.replace`` copy starts with none).
     """
@@ -69,12 +64,8 @@ def solve_lundberg(model: ModelSpec, delta: float) -> LundbergRoot:
         raise ValueError("discount rate delta must be nonnegative")
     roots = _kept(model, "_roots")
     if delta not in roots:
-        if model.kind == KIND_BROWNIAN:
-            gam = math.sqrt(model.mu**2 + 2.0 * delta * model.sigma**2)
-            roots[delta] = (model.mu + gam) / model.sigma**2
-        else:
-            roots[delta] = _positive_root(lambda u: float(model.phi_d(u)), model, delta)
-    return LundbergRoot(delta, roots[delta])
+        roots[delta] = _positive_root(lambda u: float(model.phi_d(u)), model, delta)
+    return roots[delta]
 
 
 def _kept(model: ModelSpec, name: str) -> dict:
@@ -105,8 +96,10 @@ def _positive_root(phi, model: ModelSpec, delta: float) -> float:
         if hi > 1e12:
             raise NoPerturbation("failed to bracket the Lundberg root")
     root = find_root_bracketed(lambda u: phi(u) - delta, lo, hi)
+    # phi_D(rho) sums terms as large as (sigma rho)^2/2 and the residual
+    # carries their rounding: 3.1e-9 at rho = 1e7, sigma = 1e-3
     resid = abs(phi(root) - delta)
-    if not resid <= 1e-9 * max(1.0, delta):
+    if not resid <= 1e-9 * max(1.0, delta, (model.sigma * root) ** 2):
         raise NoConvergence(f"Lundberg residual {resid:g} at rho = {root:g}")
     return root
 
@@ -140,7 +133,7 @@ def escape_rate(model: ModelSpec) -> float:
     """rho(0), solved once per model; +inf for nondecreasing paths (sigma = 0)."""
     if model.sigma == 0:
         return math.inf
-    return solve_lundberg(model, 0.0).rho
+    return solve_lundberg(model, 0.0)
 
 
 def escape_probability(z, rate: float):
@@ -178,7 +171,7 @@ class ScaleSet:
     rho x would lose all digits."""
 
     delta: float
-    rho: LundbergRoot
+    rho: float
     tilted: GridFunction
     u_delta: GridFunction
     route: str
@@ -194,12 +187,12 @@ class ScaleSet:
 
     @property
     def w(self) -> GridFunction:
-        growth = np.exp(self.rho.rho * self.tilted.grid())
+        growth = np.exp(self.rho * self.tilted.grid())
         return self.tilted.with_values(growth * self.tilted.values)
 
     @property
     def w_prime(self) -> GridFunction:
-        return self.u_delta.with_values(self.rho.rho * self.w.values + self.u_delta.values)
+        return self.u_delta.with_values(self.rho * self.w.values + self.u_delta.values)
 
     @property
     def z(self) -> GridFunction:
@@ -213,7 +206,7 @@ class ScaleSet:
 
         No factor grows with rho b: nothing overflows, and the two terms cancel
         only as y -> b, where r_b vanishes."""
-        rho = self.rho.rho
+        rho = self.rho
         t_b, u_b = float(self.tilted(b)), float(self.u_delta(b))
         y = np.asarray(y, dtype=float)
         num = t_b * self.u_delta(y) - np.exp(-rho * (b - y)) * self.tilted(y) * u_b
@@ -228,14 +221,14 @@ class ScaleSet:
         cancellation that kills the direct form at large thresholds."""
         if self.delta == 0:
             return np.ones(self.tilted.n)
-        vals = 1.0 - (self.delta / self.rho.rho) * self.u_delta.cumulative().values
+        vals = 1.0 - (self.delta / self.rho) * self.u_delta.cumulative().values
         return np.maximum(vals, 0.0)
 
     def laplace_numeric(self, beta: float) -> float:
         """int_0^inf e^{-beta x} W(x) dx = int_0^inf e^{-(beta-rho) x} T(x) dx:
         grid trapezoid plus the analytic tail
         e^{-(beta-rho) x_max} * T(x_max) / (beta - rho)."""
-        gap = beta - self.rho.rho
+        gap = beta - self.rho
         if gap <= 0:
             raise ValueError("transform abscissa must exceed rho(delta)")
         core = np.trapezoid(np.exp(-gap * self.tilted.grid()) * self.tilted.values, dx=self.h)
@@ -246,7 +239,7 @@ class ScaleSet:
         return 1.0 / (float(model.phi_d(beta)) - self.delta)
 
 
-def residue_roots(model: ModelSpec, delta: float) -> tuple[LundbergRoot, np.ndarray, np.ndarray]:
+def residue_roots(model: ModelSpec, delta: float) -> tuple[float, np.ndarray, np.ndarray]:
     """rho(delta), the other roots r of phi_D(r) = delta and the residues
     1/phi_D'(r) there, for the kinds whose 1/(phi_D(s) - delta) is rational:
     Brownian drift and phase-type jumps.  Their scale function is the
@@ -268,11 +261,10 @@ def residue_roots(model: ModelSpec, delta: float) -> tuple[LundbergRoot, np.ndar
     return kept[delta]
 
 
-def _residue_roots(model: ModelSpec, delta: float) -> tuple[LundbergRoot, np.ndarray, np.ndarray]:
+def _residue_roots(model: ModelSpec, delta: float) -> tuple[float, np.ndarray, np.ndarray]:
     if model.kind not in (KIND_BROWNIAN, KIND_PH):
         raise WrongKind("residue sums need kind=brownian_drift or perturbed_cp_ph")
-    root = solve_lundberg(model, delta)
-    rho, ph = root.rho, model.ph
+    rho, ph = solve_lundberg(model, delta), model.ph
     m = 0 if ph is None else ph.order
     # Faddeev-LeVerrier: det(uI - T) = sum_k c_k u^{m-k}, adj(uI - T) = sum_k B_k u^{m-1-k}
     char, adj, mk, ck = [1.0], [], np.zeros((m, m)), 1.0
@@ -309,7 +301,7 @@ def _residue_roots(model: ModelSpec, delta: float) -> tuple[LundbergRoot, np.nda
         if abs(np.sum(terms) - want) > 1e-8 * np.sum(np.abs(terms)):
             raise RepeatedRoots(f"residue identity off by {abs(np.sum(terms) - want):.2e}")
     others.flags.writeable = residues.flags.writeable = False  # every caller shares them
-    return root, others, residues
+    return rho, others, residues
 
 
 def _scale_set_closed(model: ModelSpec, delta: float, x_max: float, n: int) -> ScaleSet:
@@ -320,8 +312,7 @@ def _scale_set_closed(model: ModelSpec, delta: float, x_max: float, n: int) -> S
 
     no term growing, real parts taken after the conjugate pairs are summed.
     The residue identities give T(0) = 0 and u(0) = 2/sigma^2, set exactly."""
-    root, r, res = residue_roots(model, delta)
-    rho = root.rho
+    rho, r, res = residue_roots(model, delta)
     xs = np.linspace(0.0, x_max, n)
     decay = np.exp(np.outer(xs, r))
     phip = float(model.phi_d_prime(rho))
@@ -329,7 +320,7 @@ def _scale_set_closed(model: ModelSpec, delta: float, x_max: float, n: int) -> S
     u = np.real(decay @ ((r - rho) * res))
     tilt[0], u[0] = 0.0, 2.0 / model.sigma**2
     tilt, u = GridFunction(0.0, xs[1], tilt), GridFunction(0.0, xs[1], u)
-    return ScaleSet(delta, root, tilt, u, ROUTE_CLOSED, phip)
+    return ScaleSet(delta, rho, tilt, u, ROUTE_CLOSED, phip)
 
 
 def _scale_set_inversion(model: ModelSpec, delta: float, x_max: float, n: int) -> ScaleSet:
@@ -344,14 +335,13 @@ def _scale_set_inversion(model: ModelSpec, delta: float, x_max: float, n: int) -
     2/sigma^2 (the transform is ~ 2/(sigma^2 s) as s -> inf)."""
     if model.sigma <= 0:
         raise NoPerturbation("scale functions require sigma > 0")
-    root = solve_lundberg(model, delta)
-    rho = root.rho
+    rho = solve_lundberg(model, delta)
     xs = np.linspace(0.0, x_max, n)
     tilt = euler_inversion(lambda s: 1.0 / (model.phi_d(s + rho) - delta), xs[1:])
     u = euler_inversion(lambda s: (s - rho) / (model.phi_d(s) - delta), xs[1:])
     tilt = GridFunction(0.0, xs[1], np.concatenate(([0.0], tilt)))
     u = GridFunction(0.0, xs[1], np.concatenate(([2.0 / model.sigma**2], u)))
-    return ScaleSet(delta, root, tilt, u, ROUTE_INVERSION, float(model.phi_d_prime(rho)))
+    return ScaleSet(delta, rho, tilt, u, ROUTE_INVERSION, float(model.phi_d_prime(rho)))
 
 
 def _linear_cell_weights(z: float) -> tuple[float, float]:
@@ -373,9 +363,9 @@ def _scale_set_ode_series(model: ModelSpec, delta: float, x_max: float, n: int) 
         H(delta, x) = -(rho/delta) sum_k g*k * (h' + g)(x),
 
     hence W(x) = int_0^x e^{rho (x-y)} H(y) dy and W' = rho W + H exactly.
-    The series is ``renewal_series_extrapolated``, the grid solution less its
-    O(h^2) error, which raises SeriesNotConverged when the grid does not
-    resolve it.  The tilted
+    The series is ``renewal_series``, the grid solution less its O(h^2)
+    error, which raises SeriesNotConverged when the grid does not resolve
+    it.  The tilted
     T(x) = int_0^x e^{-rho y} H(y) dy takes H linear on each cell and
     integrates e^{-rho y} against it exactly, so T stays right where the
     boundary layer of width 1/rho is narrower than a cell.
@@ -388,17 +378,16 @@ def _scale_set_ode_series(model: ModelSpec, delta: float, x_max: float, n: int) 
         raise NoPerturbation("scale functions require sigma > 0")
     if delta <= 0:
         raise ValueError("the ODE-series route requires delta > 0")
-    root = solve_lundberg(model, delta)
-    rho = root.rho
+    rho = solve_lundberg(model, delta)
     kernels = build_renewal_kernels(model, delta, rho, x_max, n)
     first = kernels.h_prime.with_values(kernels.h_prime.values + kernels.g.values)
-    h_vals = -(rho / delta) * renewal_series_extrapolated(kernels.g, first)
+    h_vals = -(rho / delta) * renewal_series(kernels.g, first)
     h_step = kernels.g.h
     left, right = _linear_cell_weights(rho * h_step)
     decay = np.exp(-rho * kernels.g.grid()[:-1])
     tilt = cumulative_from_cells(h_step * decay * (left * h_vals[:-1] + right * h_vals[1:]))
     tilt, u = GridFunction(0.0, h_step, tilt), GridFunction(0.0, h_step, h_vals)
-    return ScaleSet(delta, root, tilt, u, ROUTE_ODE_SERIES, float(model.phi_d_prime(rho)))
+    return ScaleSet(delta, rho, tilt, u, ROUTE_ODE_SERIES, float(model.phi_d_prime(rho)))
 
 
 def build_scale_set(

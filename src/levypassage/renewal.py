@@ -45,9 +45,10 @@ towards v = 0.  Its C and R take the cell rule of g, save the first cell,
 which keeps the log singularity: there 24-node panels are graded by 4^-j
 towards 0.
 
-``renewal_series`` solves phi = g * phi + h on the grid as one power-series
-division, checked against its own solve on every other node, from which
-``renewal_series_extrapolated`` takes a Richardson step for the scale route.
+``renewal_series`` solves phi = g * phi + first on the grid as one
+power-series division, checked against its own solve on every other node,
+and takes one Richardson step on the two solves.  The PK series (first = h)
+and the ODE-series scale route (first = h' + g) both read it.
 """
 
 from __future__ import annotations
@@ -249,8 +250,20 @@ def _solve(g: np.ndarray, first: np.ndarray, h: float) -> np.ndarray:
     return series_product(first - 0.5 * h * first[0] * g, series_reciprocal(a, g.size), g.size)
 
 
-def _two_solves(g: GridFunction, first: GridFunction) -> tuple[np.ndarray, np.ndarray]:
-    """The solves on the grid and on every other node, checked as ``renewal_series`` says."""
+def renewal_series(g: GridFunction, first: GridFunction) -> np.ndarray:
+    """phi = g * phi + first, i.e. sum_k g*k * first, on the grid less its
+    leading O(h^2) error.
+
+    With g(0) = 0, as renewal kernels have, the trapezoid convolution of
+    ``grid_convolve`` reads phi = r + h (g . phi), with (.) the plain causal
+    convolution of the samples and r = first - h/2 first(0) g, so phi(z) =
+    r(z) / (1 - h g(z)) mod z^n (``_solve``).  The samples are point values,
+    so solving again on every other node needs no new kernel; if that moves
+    phi by more than 1e-2 of max|phi|, or either solve is not finite, the
+    grid does not resolve the equation and SeriesNotConverged is raised.
+    Otherwise the two solves give one Richardson step, (4 fine - coarse)/3 on
+    the shared nodes, its correction interpolated linearly to the nodes
+    between."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow ends in the raise below
         fine = _solve(g.values, first.values, g.h)
         coarse = _solve(g.values[::2], first.values[::2], 2.0 * g.h)
@@ -258,26 +271,5 @@ def _two_solves(g: GridFunction, first: GridFunction) -> tuple[np.ndarray, np.nd
         size = np.max(np.abs(fine))
     if not gap <= 1e-2 * size < np.inf:  # a NaN or inf in either solve fails one of the two
         raise SeriesNotConverged(f"renewal solve unresolved: every other node moves phi by {gap:.2e} of {size:.2e}")
-    return fine, coarse
-
-
-def renewal_series(g: GridFunction, first: GridFunction) -> np.ndarray:
-    """phi = g * phi + first, i.e. sum_k g*k * first, exactly on the grid.
-
-    With g(0) = 0, as renewal kernels have, the trapezoid convolution of
-    ``grid_convolve`` reads phi = r + h (g . phi), with (.) the plain causal
-    convolution of the samples and r = first - h/2 first(0) g, so phi(z) =
-    r(z) / (1 - h g(z)) mod z^n.  The samples are point values, so solving
-    again on every other node needs no new kernel; if that moves phi by
-    more than 1e-2 of max|phi|, or either solve is not finite, the grid does
-    not resolve the equation and SeriesNotConverged is raised."""
-    return _two_solves(g, first)[0]
-
-
-def renewal_series_extrapolated(g: GridFunction, first: GridFunction) -> np.ndarray:
-    """``renewal_series`` less its leading O(h^2) error: one Richardson step,
-    (4 fine - coarse)/3, on the every-other-node solve it makes anyway, with
-    the correction interpolated linearly to the nodes between."""
-    fine, coarse = _two_solves(g, first)
     nodes = np.arange(fine.size)
     return fine + np.interp(nodes, nodes[::2], (fine[::2] - coarse) / 3.0)

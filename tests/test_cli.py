@@ -45,6 +45,7 @@ def test_validate_quick_passes():
     assert {
         "maintenance_kernel_c_route_gap",
         "scale_routes_small_sigma_pgamma",
+        "first_passage_pk_vs_euler_pgamma",
         "scale_closed_vs_inversion_ph_delta0",
         "last_passage_mass_split_pgamma_small_jumps",
     } <= {name for name, *_ in rows}
@@ -229,7 +230,7 @@ def test_module_entry_point_runs_validate(module):
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    assert "18/18 checks passed" in done.stdout
+    assert "19/19 checks passed" in done.stdout
 
 
 def test_simulate_with_every_path_censored_is_numerical_failure(bm_model_file, capsys):

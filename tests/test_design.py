@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 import levypassage
+import levypassage.cli  # test_one_closed_route reads it; the package does not import it
 from levypassage.lundberg import solve_lundberg
 from levypassage.mc import SimConfig
 from levypassage.models import GammaMeasure, LevyMeasureView, ModelSpec, PHMeasure, PhaseType, _CompoundPoisson
@@ -27,7 +28,6 @@ SRC = Path(levypassage.__file__).parent
 # (module, top-level function or class) allowed to compare a model's kind
 ALLOWED = {
     ("last_passage", "density_of_dt"),
-    ("lundberg", "solve_lundberg"),
     ("lundberg", "build_scale_set"),
 }
 
@@ -204,6 +204,7 @@ def test_policy_chain_takes_no_grid():
     assert params[("maintenance", "expected_time_to_renewal")] == ["kernels", "i"]
     assert params[("maintenance", "PolicyKernels.default_state_grid")] == ["self"]
     assert params[("last_passage", "density_of_dt")] == ["model", "t"]
+    assert [f.name for f in dataclasses.fields(levypassage.last_passage.MarginalDensityD)] == ["model", "t"]
 
 
 def test_renewal_solve_has_no_term_budget():
@@ -211,6 +212,15 @@ def test_renewal_solve_has_no_term_budget():
     # on every other node, so no caller sets a stop rule and no budget exists
     assert public_parameters()[("renewal", "renewal_series")] == ["g", "first"]
     assert not hasattr(levypassage.renewal, "SERIES_DOUBLINGS")
+
+
+def test_one_renewal_solve():
+    # the PK series and the ODE-series scale route read the same extrapolated
+    # solve: no second version, no option picks one, and the root is a float
+    renewal, lundberg = levypassage.renewal, levypassage.lundberg
+    assert not hasattr(renewal, "renewal_series_extrapolated") and not hasattr(renewal, "_two_solves")
+    assert levypassage.first_passage.renewal_series is lundberg.renewal_series is renewal.renewal_series
+    assert not hasattr(lundberg, "LundbergRoot") and not hasattr(levypassage, "LundbergRoot")
 
 
 def test_renewal_kernels_read_no_gamma_tail(pgamma_model_wide, monkeypatch):
@@ -222,7 +232,7 @@ def test_renewal_kernels_read_no_gamma_tail(pgamma_model_wide, monkeypatch):
 
     monkeypatch.setattr(GammaMeasure, "tail", tail)
     for penalty in (PenaltySpec(), PenaltySpec("overshoot_indicator", 0.3)):
-        build_renewal_kernels(pgamma_model_wide, 0.5, solve_lundberg(pgamma_model_wide, 0.5).rho, 4.0, 2049, penalty)
+        build_renewal_kernels(pgamma_model_wide, 0.5, solve_lundberg(pgamma_model_wide, 0.5), 4.0, 2049, penalty)
 
 
 def test_idle_mode_is_exact_on_jump_points():
@@ -397,4 +407,4 @@ def test_one_closed_route():
     for model in (bm, ph):
         assert lundberg.build_scale_set(model, 0.0, 2.0, 65).route == lundberg.ROUTE_CLOSED
     assert list(inspect.signature(lundberg.build_scale_set).parameters) == ["model", "delta", "x_max", "n", "route"]
-    assert sum(len(_kind_compares(ast.parse(path.read_text()))) for path in SRC.glob("*.py")) <= 23
+    assert sum(len(_kind_compares(ast.parse(path.read_text()))) for path in SRC.glob("*.py")) <= 22

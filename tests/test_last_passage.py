@@ -391,7 +391,7 @@ class TestOvershootTransform:
             for delta in (0.0, 0.5):
                 scales = build_scale_set(model, delta, 2.0, n=2049)
                 ys = np.linspace(0.0, 1.0, 257, endpoint=False)
-                bracket = np.exp(scales.rho.rho * (1.0 - ys)) * (
+                bracket = np.exp(scales.rho * (1.0 - ys)) * (
                     1.0 / scales.phi_prime_at_rho - np.asarray(scales.tilted(1.0 - ys))
                 )
                 assert np.all(bracket >= 0)
@@ -479,7 +479,7 @@ class TestReflectedLastPassage:
         vals = np.asarray(reflected_last_passage_exp_joint(bm_model, scales, b, a_grid))
         assert np.all(vals >= -1e-12)
         # boundary a = b: (1 - esc(0)) * (-dphi/da)(b) with esc(0) = 0
-        rho = scales.rho.rho
+        rho = scales.rho
         minus_dphi = delta / rho * float(scales.w_prime(b)) - delta * float(scales.w(b))
         assert vals[0] == pytest.approx(minus_dphi, rel=1e-10)
 

@@ -34,24 +34,38 @@ def bisect(fn, lo, hi, iters=200):
 
 class TestSolveLundberg:
     def test_bm_delta_zero(self, bm_model):
-        assert solve_lundberg(bm_model, 0.0).rho == pytest.approx(2.0, rel=1e-14)
+        assert solve_lundberg(bm_model, 0.0) == pytest.approx(2.0, rel=1e-14)
 
     def test_bm_quadratic(self, bm_model):
-        root = solve_lundberg(bm_model, 0.5)
-        assert root.rho == pytest.approx(1.0 + math.sqrt(2.0), rel=1e-14)
+        assert solve_lundberg(bm_model, 0.5) == pytest.approx(1.0 + math.sqrt(2.0), rel=1e-14)
 
     def test_perturbed_gamma_vs_bisection(self, pgamma_model):
         # independent bisection oracle on rho^2/2 - log(1+rho) = 1
         oracle = bisect(lambda r: 0.5 * r * r - math.log1p(r) - 1.0, 1.0, 4.0)
-        root = solve_lundberg(pgamma_model, 1.0)
-        assert root.rho == pytest.approx(oracle, abs=1e-12)
+        assert solve_lundberg(pgamma_model, 1.0) == pytest.approx(oracle, abs=1e-12)
 
     def test_residual_invariant(self, pgamma_model_wide, ph2_model):
         for model in (pgamma_model_wide, ph2_model):
             for delta in (0.0, 0.25, 1.0, 4.0):
-                rho = solve_lundberg(model, delta).rho
+                rho = solve_lundberg(model, delta)
                 assert rho > 0
                 assert abs(float(model.phi_d(rho)) - delta) <= 1e-10 * max(1.0, delta)
+
+    def test_small_sigma_residual_is_relative(self):
+        # rho = 1e7: phi_D(rho) sums terms near 5e7 whose rounding leaves a
+        # residual of 3.1e-9, which an absolute 1e-9 test took for no root
+        model = ModelSpec(kind=KIND_PH, mu=5.0, sigma=1e-3, lam=1.0, ph=PhaseType([1.0], [[-1.0]]))
+        rho = solve_lundberg(model, 0.0)
+        assert rho == pytest.approx(1e7, rel=1e-6)
+        assert abs(float(model.phi_d(rho))) <= 1e-9 * (model.sigma * rho) ** 2
+
+    @pytest.mark.parametrize("mu, sigma", [(0.5, 1e-3), (5.0, 0.1), (0.01, 3.0), (50.0, 1e-2)])
+    def test_bm_generic_root_is_the_quadratic(self, mu, sigma):
+        # Brownian drift takes the same bracketed solve as every kind
+        model = ModelSpec(kind="brownian_drift", mu=mu, sigma=sigma)
+        for delta in (0.0, 1e-6, 0.5, 100.0):
+            exact = (mu + math.sqrt(mu * mu + 2.0 * delta * sigma**2)) / sigma**2
+            assert solve_lundberg(model, delta) == pytest.approx(exact, rel=1e-13)
 
     def test_sigma_zero_rejected(self, gamma_model):
         with pytest.raises(NoPerturbation):
@@ -71,27 +85,27 @@ class TestSolveLundberg:
         calls = []
         phi_d = ModelSpec.phi_d
         monkeypatch.setattr(ModelSpec, "phi_d", lambda self, u: calls.append(u) or phi_d(self, u))
-        first = solve_lundberg(model, 0.7).rho
+        first = solve_lundberg(model, 0.7)
         assert calls
         calls.clear()
-        assert solve_lundberg(model, 0.7).rho == first and not calls
+        assert solve_lundberg(model, 0.7) == first and not calls
         # a copy with another sigma solves its own root, as a new model would
         wider = dataclasses.replace(model, sigma=2.0)
         fresh = ModelSpec(kind=model.kind, mu=model.mu, sigma=2.0, alpha=model.alpha, xi=model.xi)
-        assert solve_lundberg(wider, 0.7).rho == solve_lundberg(fresh, 0.7).rho != first
-        assert calls and solve_lundberg(model, 0.7).rho == first
+        assert solve_lundberg(wider, 0.7) == solve_lundberg(fresh, 0.7) != first
+        assert calls and solve_lundberg(model, 0.7) == first
         # a failed solve is not kept
         exact = lundberg.find_root_bracketed
         with monkeypatch.context() as patch:
             patch.setattr(lundberg, "find_root_bracketed", lambda f, lo, hi: exact(f, lo, hi) + 0.1)
             with pytest.raises(NoConvergence):
                 solve_lundberg(model, 0.3)
-        assert float(phi_d(model, solve_lundberg(model, 0.3).rho)) == pytest.approx(0.3, abs=1e-9)
+        assert float(phi_d(model, solve_lundberg(model, 0.3))) == pytest.approx(0.3, abs=1e-9)
 
 
 class TestLundbergTruncated:
     def test_monotone_in_level(self, pgamma_model):
-        rho = solve_lundberg(pgamma_model, 1.0).rho
+        rho = solve_lundberg(pgamma_model, 1.0)
         seq = [lundberg_truncated(pgamma_model, 1.0, n) for n in (10, 100, 1000)]
         assert seq[0] <= seq[1] <= seq[2] <= rho
         assert rho - seq[-1] < 2e-3
@@ -104,7 +118,7 @@ class TestLundbergTruncated:
 
     def test_ph_converges(self, ph_model):
         # finite activity: truncation only removes the tiny-jump mass
-        rho = solve_lundberg(ph_model, 1.0).rho
+        rho = solve_lundberg(ph_model, 1.0)
         assert abs(lundberg_truncated(ph_model, 1.0, 2048) - rho) < 5e-4
 
 
@@ -131,7 +145,7 @@ class TestClosedFormBM:
     def test_laplace_transform_identity(self, bm_model):
         # trapezoid sum of the closed-form table against 1/(phi_D(lambda) - delta)
         delta = 0.5
-        rho = solve_lundberg(bm_model, delta).rho
+        rho = solve_lundberg(bm_model, delta)
         lam = rho + 1.0
         scales = build_scale_set(bm_model, delta, 40.0, 2**16 + 1, route=ROUTE_CLOSED)
         expect = 1.0 / (float(bm_model.phi_d(lam)) - delta)
@@ -160,8 +174,8 @@ class TestClosedFormPH:
     def test_root_cardinality(self, bm_model, ph_model, ph2_model):
         # besides rho, m + 1 roots with Re r < 0; at delta = 0 one is r = 0 exactly
         for model, m in ((bm_model, 0), (ph_model, 1), (ph2_model, 2)):
-            root, others, _ = residue_roots(model, 0.5)
-            assert root.rho == solve_lundberg(model, 0.5).rho
+            rho, others, _ = residue_roots(model, 0.5)
+            assert rho == solve_lundberg(model, 0.5)
             assert others.size == m + 1
             assert np.all(others.real < 0)
             _, others, _ = residue_roots(model, 0.0)
@@ -182,8 +196,8 @@ class TestClosedFormPH:
         # axis (the reflected set, once kept as xi = -r) alike, and the
         # residues are 1/phi_D'(r)
         for delta in (0.0, 0.8):
-            root, others, res = residue_roots(ph2_model, delta)
-            roots = np.append(others, root.rho)
+            rho, others, res = residue_roots(ph2_model, delta)
+            roots = np.append(others, rho)
             assert np.max(np.abs(np.asarray(ph2_model.phi_d(roots)) - delta)) < 1e-8
             assert np.max(np.abs(res * ph2_model.phi_d_prime(others) - 1.0)) < 1e-12
 
@@ -194,7 +208,7 @@ class TestClosedFormPH:
 
         delta = 0.5
         w = build_scale_set(ph_model, delta, 2.0, 2049, route=ROUTE_CLOSED).w
-        rho = solve_lundberg(ph_model, delta).rho
+        rho = solve_lundberg(ph_model, delta)
 
         def tilted(s):
             u = s + rho
@@ -257,7 +271,7 @@ class TestScaleSets:
     def test_laplace_identity(self, bm_model, pgamma_model, ph_model):
         for model in (bm_model, pgamma_model, ph_model):
             for delta in (0.25, 1.0, 4.0):
-                rho = solve_lundberg(model, delta).rho
+                rho = solve_lundberg(model, delta)
                 scales = build_scale_set(model, delta, x_max=max(4.0, 28.0 / rho), n=4097)
                 for mult in (1.5, 2.0, 3.0):
                     beta = mult * rho
@@ -457,7 +471,7 @@ class TestUMeasures:
     def test_u_delta_laplace_transform(self, bm_model):
         # int e^{-beta x} (W' - rho W) dx = (rho - beta)/(delta - phi_D(beta))
         delta = 0.5
-        rho = solve_lundberg(bm_model, delta).rho
+        rho = solve_lundberg(bm_model, delta)
         beta = rho + 1.0
         gam = math.sqrt(1.0 + 2.0 * delta)
         rp, rm = (1.0 + gam), (1.0 - gam)

@@ -10,9 +10,9 @@ from levypassage.numerics import GridFunction, cell_nodes, grid_convolve
 from levypassage.renewal import (
     PenaltySpec,
     _penalty_rule,
+    _solve,
     build_renewal_kernels,
     renewal_series,
-    renewal_series_extrapolated,
 )
 
 
@@ -32,24 +32,25 @@ class TestRenewalSeries:
     @pytest.mark.parametrize("delta", [0.05, 0.3, 1.0])
     @pytest.mark.parametrize("fixture", ["pgamma_model", "ph2_model"])
     def test_solve_is_the_term_sum(self, fixture, delta, request):
-        # the PK series (first = h) and the ODE-series scale route (first = h' + g)
+        # the grid solve under renewal_series, for the PK series (first = h)
+        # and the ODE-series scale route (first = h' + g)
         model = request.getfixturevalue(fixture)
-        kernels = build_renewal_kernels(model, delta, solve_lundberg(model, delta).rho, 4.0, 2049)
+        kernels = build_renewal_kernels(model, delta, solve_lundberg(model, delta), 4.0, 2049)
         ode_first = kernels.h_prime.with_values(kernels.h_prime.values + kernels.g.values)
         for first in (kernels.h, ode_first):
             want = _term_loop(kernels.g, first)
-            got = renewal_series(kernels.g, first)
+            got = _solve(kernels.g.values, first.values, kernels.g.h)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_extrapolated_solve_on_a_smooth_kernel(self):
         # g = x e^{-2x}, first = 1: phi = 4/3 - e^{-x}/2 + e^{-3x}/6.  The grid
-        # solve is O(h^2) off (5.6e-7); one Richardson step leaves 7e-12
+        # solve is O(h^2) off (5.6e-7); renewal_series's Richardson step leaves 7e-12
         xs = np.linspace(0.0, 4.0, 2049)
         g = GridFunction(0.0, xs[1], xs * np.exp(-2.0 * xs))
         want = 4.0 / 3.0 - np.exp(-xs) / 2.0 + np.exp(-3.0 * xs) / 6.0
         first = g.with_values(np.ones(xs.size))
-        assert np.max(np.abs(renewal_series(g, first) - want)) > 1e-7
-        assert np.max(np.abs(renewal_series_extrapolated(g, first) - want)) < 1e-10
+        assert np.max(np.abs(_solve(g.values, first.values, g.h) - want)) > 1e-7
+        assert np.max(np.abs(renewal_series(g, first) - want)) < 1e-10
 
     @pytest.mark.parametrize("mass", [3.0, 1e4])
     def test_kernel_of_mass_above_one_raises(self, mass):
@@ -152,7 +153,7 @@ class TestKernels:
             if sigma is None
             else ModelSpec(kind=KIND_PERTURBED_GAMMA, mu=0.5, sigma=sigma, alpha=1.0, xi=1.0)
         )
-        rho = solve_lundberg(model, 0.5).rho
+        rho = solve_lundberg(model, 0.5)
         kernels = build_renewal_kernels(model, 0.5, rho, 4.0, 2049, penalty)
         for i in (1, 2, 8, 64, 512, 2048):
             want = _kernels_mpmath(model, rho, kernels.g.h * i, penalty.eps, penalty.creep_value())
