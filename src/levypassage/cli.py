@@ -32,6 +32,7 @@ from .first_passage import (
     transform_from_scales,
 )
 from .last_passage import (
+    bm_last_passage_cdf,
     density_of_dt,
     last_passage_cdf,
     last_passage_joint_density,
@@ -329,8 +330,10 @@ def _cmd_maintenance(args) -> int:
 def _cmd_simulate(args) -> int:
     if args.target in ("first", "last") and args.t is None and args.delta is None:
         raise UsageError(f"--target {args.target} needs --t or --delta")
+    if not args.horizon > 0:
+        raise UsageError(f"--horizon must be positive, got {args.horizon:g}")
     model = _load_model(args.model)
-    cfg = SimConfig(t_max=args.t_max, n_paths=args.paths, seed=args.seed, max_blocks=args.max_blocks)
+    cfg = SimConfig(t_max=args.horizon, n_paths=args.paths, seed=args.seed, max_blocks=1)
     delta = 0.5 if args.delta is None else args.delta
     if args.target == "first":
         sample = run_first_passage(model, cfg, args.b)
@@ -480,6 +483,11 @@ def run_validation(quick: bool = True, seed: int = 20260810) -> list[tuple[str, 
     grid_route = [1.0 - last_passage_joint_mass(pg, pol.b - y, float(pol.m(y))) for y in ys]
     add("maintenance_kernel_c_route_gap", float(np.max(np.abs(ker.kernel_c(ys) - grid_route))), 1e-4)
 
+    # Brownian C at the horizon m = 1/3 as given: the closed form, to rounding
+    pol = PolicySpec(b=2.0, m=InspectionSchedule("constant", value=1.0 / 3.0), d=MaintenanceAction("affine", theta=0.5))
+    gap = PolicyKernels(bm, pol).kernel_c(ys) / bm_last_passage_cdf(bm, pol.b - ys, 1.0 / 3.0) - 1.0
+    add("maintenance_kernel_c_exact_bm", float(np.max(np.abs(gap))), 1e-13)
+
     return rows
 
 
@@ -581,8 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--t", type=float)
     q.add_argument("--delta", type=float)
     q.add_argument("--paths", type=int, default=20000)
-    q.add_argument("--t-max", type=float, default=8.0)
-    q.add_argument("--max-blocks", type=int, default=16)
+    q.add_argument("--horizon", type=float, default=128.0, help="censoring horizon of every path")
     q.add_argument("--seed", type=int, default=0)
     q.set_defaults(func=_cmd_simulate)
 

@@ -58,7 +58,7 @@ def pk_series_transform(
     if delta <= 0:
         raise ValueError("the series route requires delta > 0")
     rho = solve_lundberg(model, delta)
-    kernels = build_renewal_kernels(model, delta, rho, b_max, n, penalty)
+    kernels = build_renewal_kernels(model, rho, b_max, n, penalty)
     total = renewal_series(kernels.g, kernels.h)
     return PassageTransform(
         delta, GridFunction(0.0, kernels.h.h, total), ROUTE_PK_SERIES

@@ -35,7 +35,6 @@ from .models import (
 )
 from .numerics import GridFunction, _pcd_core_integral
 
-_N_QUAD = 4097  # least trapezoid nodes per a-integral of last_passage_joint_mass
 _LATTICE_TAIL = 1e-16  # |characteristic function| at the Nyquist frequency of density_lattice
 _LATTICE_MAX = 1 << 18  # most lattice points per period density_lattice may use
 _LATTICE_BATCH = 1 << 16  # complex entries (1 MB) per batch of density_lattice rows
@@ -316,16 +315,15 @@ class MarginalDensityD:
 
     def _joint_mass(self, b: float) -> float:
         """P(L_b >= t): trapezoid sums of (1 - esc(a - b)) f(a) over the grid,
-        split at a = b, each on as many nodes as the grid has (at least _N_QUAD)."""
+        split at a = b, each on as many nodes as the grid has."""
         f = self.f
         lo, hi = f.x0, f.x_max
-        nodes = max(_N_QUAD, self.n)
         total = 0.0
         if lo < b:
-            xs = np.linspace(lo, min(b, hi), nodes)
+            xs = np.linspace(lo, min(b, hi), self.n)
             total += float(np.trapezoid(f(xs), xs))
         if hi > b:
-            xs = np.linspace(b, hi, nodes)
+            xs = np.linspace(b, hi, self.n)
             vals = (1.0 - escape_probability(xs - b, escape_rate(self.model))) * f(xs)
             total += float(np.trapezoid(vals, xs))
         return total

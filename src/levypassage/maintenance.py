@@ -28,6 +28,7 @@ and phase type damped Fourier sums of the characteristic function
 e^{t phi_D}, which need only the jump law's exponential-moment abscissa and
 jump rate (its no-jump share is closed) and read no grid; psi_D is
 evaluated once for all states, and a horizon enters only through e^{t psi_D}.
+At horizon 0 (Cz(y, m(y))) D_0 = 0, and C is the state's own escape esc(y - b).
 Because failure is decided by the escape test at the end-of-cycle value,
 the policy Monte Carlo samples cycle endpoints from their exact laws; its
 idle mode bridges only the cycle in which a path fails, for the
@@ -65,7 +66,6 @@ from .lundberg import escape_probability, escape_rate
 from .mc import SimResult, _mean_result, _substream, cycle_ends, last_contacts
 from .models import ModelSpec, _need
 
-_T_FLOOR = 1e-6  # degenerate-density floor for z -> m(y)
 # substream numbers of simulate_policy's cycles and of its idle-mode bridges
 # (see the mc module docstring)
 _POLICY_STREAM, _BRIDGE_STREAM = 7, 8
@@ -217,8 +217,9 @@ class PolicyKernels:
     is the tests' reference for those rows, and feeds the CLI's kernel table
     and the ``validate`` cycle-mass row.
     ``kernel_c`` and ``kernel_cz`` take arrays of states and make one
-    ``escape_mass`` call for all of them, on (threshold, horizon) pairs: a
-    closed form for Brownian motion and pure gamma, else the Fourier sums.
+    ``escape_mass`` call for those at a positive horizon, on (threshold,
+    horizon) pairs: a closed form for Brownian motion and pure gamma, else
+    the Fourier sums.
     """
 
     def __init__(self, model: ModelSpec, policy: PolicySpec):
@@ -228,10 +229,9 @@ class PolicyKernels:
         self._dens_cache: dict[float, object] = {}
 
     def _density(self, t: float):
-        key = round(max(t, _T_FLOOR), 12)
-        if key not in self._dens_cache:
-            self._dens_cache[key] = density_of_dt(self.model, key)
-        return self._dens_cache[key]
+        if t not in self._dens_cache:
+            self._dens_cache[t] = density_of_dt(self.model, t)
+        return self._dens_cache[t]
 
     def kernel_a(self, x: float, y) -> np.ndarray:
         """Density of [no failure this cycle, next state in dy] from state x."""
@@ -250,18 +250,20 @@ class PolicyKernels:
     def kernel_c(self, y, horizon=None):
         """Failure probability before the next inspection, for every state in y.
 
-        ``horizon`` (default m(y)) broadcasts against y; it is floored at
-        1e-6 and rounded to 12 decimals, as the horizons of ``kernel_a`` are.
-        All states go to one ``escape_mass`` call, as threshold/horizon pairs
-        (b - y, horizon), on the D_t law of the shortest horizon.
+        ``horizon`` (default m(y)) broadcasts against y and is nonnegative.
+        States at a positive horizon go to one ``escape_mass`` call, as pairs
+        (b - y, horizon), on the D_t law of the shortest such horizon; at
+        horizon 0, D_0 = 0 and C(y) = esc(y - b): the state escapes or not.
         """
         y_in = np.asarray(y, dtype=float)
         ys = np.atleast_1d(y_in)
-        if not ys.size:
-            return np.empty(ys.shape)
-        t = self.policy.m(ys) if horizon is None else horizon
-        t = np.round(np.maximum(np.broadcast_to(t, ys.shape), _T_FLOOR), 12)
-        out = self._density(float(t.min())).escape_mass(self.policy.b - ys, t)
+        t = np.broadcast_to(self.policy.m(ys) if horizon is None else horizon, ys.shape)
+        if not np.all(t >= 0):
+            raise ValueError("failure-kernel horizons must be nonnegative")
+        out = np.array(escape_probability(ys - self.policy.b, self.rho0), ndmin=1)
+        live = t > 0
+        if live.any():
+            out[live] = self._density(float(t[live].min())).escape_mass(self.policy.b - ys[live], t[live])
         return out.reshape(y_in.shape) if y_in.ndim else float(out[0])
 
     def kernel_cz(self, y, z):
@@ -288,7 +290,7 @@ class PolicyKernels:
         """
         d = self.policy.d
         a = d.inverse(ys)
-        t = np.maximum(self.policy.m(xs), _T_FLOOR)
+        t = self.policy.m(xs)
         step = (ys[-1] - ys[0]) / (ys.size - 1) / d.theta
         surv = 1.0 - escape_probability(a - self.policy.b, self.rho0)
         return density_lattice(self.model, t, a[0] - xs, step, ys.size) * (surv / d.derivative(ys))

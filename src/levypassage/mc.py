@@ -151,7 +151,7 @@ def _substream(seed: int, stream: int, group: int) -> np.random.Generator:
 def _mean_result(values: np.ndarray, meta: str, censored: int = 0) -> SimResult:
     n = values.size
     if n == 0:
-        raise HorizonExceeded(f"{meta}: all {censored} paths censored; raise t_max * max_blocks")
+        raise HorizonExceeded(f"{meta}: all {censored} paths censored; raise the censoring horizon")
     est = float(np.mean(values))
     se = float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else math.inf
     return SimResult(est, se, n, meta, censored)
@@ -463,7 +463,7 @@ class FirstPassageSample:
         if t > self.horizon and self.censored:
             raise HorizonExceeded(
                 f"P({self.label}<= {t:g}): {self.censored} paths censored at the horizon "
-                f"{self.horizon:g} < t; raise t_max * max_blocks"
+                f"{self.horizon:g} < t; raise the censoring horizon"
             )
         return _mean_result((self.t_cross <= t).astype(float), f"P({self.label}<= {t:g})", self.censored)
 

@@ -103,9 +103,6 @@ class PenaltySpec:
 
 @dataclass(frozen=True)
 class RenewalKernels:
-    delta: float
-    rho: float
-    kappa: float
     g: GridFunction
     h: GridFunction
     h_prime: GridFunction
@@ -143,7 +140,6 @@ def _penalty_rule(v_max: float, x_min: float):
 
 def build_renewal_kernels(
     model: ModelSpec,
-    delta: float,
     rho: float,
     x_max: float,
     n: int,
@@ -172,9 +168,6 @@ def build_renewal_kernels(
         h_vals = creep_weight * np.exp(-kappa * xs)
         hp_vals = -kappa * h_vals
         return RenewalKernels(
-            delta,
-            rho,
-            kappa,
             zero,
             GridFunction(0.0, h_step, h_vals),
             GridFunction(0.0, h_step, hp_vals),
@@ -235,9 +228,6 @@ def build_renewal_kernels(
     hp_vals = -kappa * creep + two_over_s2 * (r_omega - kappa * conv)
 
     return RenewalKernels(
-        delta,
-        rho,
-        kappa,
         GridFunction(0.0, h_step, g_vals),
         GridFunction(0.0, h_step, h_vals),
         GridFunction(0.0, h_step, hp_vals),

@@ -191,7 +191,7 @@ def _simulate(model_file, *argv):
 def test_simulate_reports_the_censored_count(bm_model_file, capsys):
     # a horizon of 0.05 is far too short for b = 1: every path is censored,
     # and none has crossed by t = 0.05
-    argv = ["--target", "first", "--b", "1", "--t", "0.05", "--t-max", "0.05", "--max-blocks", "1"]
+    argv = ["--target", "first", "--b", "1", "--t", "0.05", "--horizon", "0.05"]
     assert _simulate(bm_model_file, *argv) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["censored"] == 200 and doc["n"] == 200
@@ -199,7 +199,7 @@ def test_simulate_reports_the_censored_count(bm_model_file, capsys):
 
 def test_simulate_cdf_beyond_the_horizon_is_numerical_failure(bm_model_file, capsys):
     # P(T_1 <= 5) is about 0.98, but the paths censored at 0.05 cannot tell
-    argv = ["--target", "first", "--b", "1", "--t", "5", "--t-max", "0.05", "--max-blocks", "1"]
+    argv = ["--target", "first", "--b", "1", "--t", "5", "--horizon", "0.05"]
     assert _simulate(bm_model_file, *argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -210,7 +210,7 @@ def test_simulate_with_one_uncensored_path_prints_json(tmp_path, capsys):
     # 199 of 200 paths are censored: one value has no standard error
     model = tmp_path / "pg.json"
     model.write_text(json.dumps({"kind": "perturbed_gamma", "mu": 0.2, "sigma": 0.8, "alpha": 1.5, "xi": 0.7}))
-    argv = ["--target", "last", "--b", "3", "--delta", "0.5", "--t-max", "0.5", "--max-blocks", "1", "--seed", "2"]
+    argv = ["--target", "last", "--b", "3", "--delta", "0.5", "--horizon", "0.5", "--seed", "2"]
     assert _simulate(str(model), *argv) == 0
 
     def not_json(name):
@@ -230,26 +230,27 @@ def test_module_entry_point_runs_validate(module):
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    assert "19/19 checks passed" in done.stdout
+    assert "20/20 checks passed" in done.stdout
 
 
 def test_simulate_with_every_path_censored_is_numerical_failure(bm_model_file, capsys):
     # the last-passage estimates drop censored paths; none is left here
-    argv = ["--target", "last", "--b", "3", "--delta", "0.5", "--t-max", "0.5", "--max-blocks", "1"]
+    argv = ["--target", "last", "--b", "3", "--delta", "0.5", "--horizon", "0.5"]
     assert _simulate(bm_model_file, *argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("numerical failure: ") and "censored" in captured.err
 
 
-@pytest.mark.parametrize("max_blocks", [0, -3])
-def test_max_blocks_below_one_is_rejected(max_blocks, bm_model_file, capsys):
+@pytest.mark.parametrize("value", [0, -3])
+def test_max_blocks_below_one_is_rejected(value, bm_model_file, capsys):
+    # and, on the command line, a horizon that is not positive
     with pytest.raises(ValueError, match="max_blocks"):
-        SimConfig(max_blocks=max_blocks)
-    argv = ["--target", "first", "--b", "1", "--t", "1", "--max-blocks", str(max_blocks)]
+        SimConfig(max_blocks=value)
+    argv = ["--target", "first", "--b", "1", "--t", "1", "--horizon", str(value)]
     assert _simulate(bm_model_file, *argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "max_blocks" in err
+    assert err.startswith("error: ") and "--horizon" in err
 
 
 @pytest.mark.parametrize("idle", [False, True])

@@ -35,7 +35,6 @@ ALLOWED = {
 # each a paper law or oracle that the tests read
 TEST_ONLY = {
     ("first_passage", "inverse_gaussian_pdf"): "Brownian first-passage density, oracle of the transform routes",
-    ("last_passage", "bm_last_passage_cdf"): "Brownian last-passage law in closed form, oracle of last_passage_cdf",
     ("last_passage", "bm_last_passage_density"): "its density, checked against the cdf and MC",
     ("last_passage", "reflected_last_passage_exp_joint"): "paper law of [L*_b >= T, D*_T in da] at T ~ Exp(delta)",
     ("mc", "run_reflected_at_exp_horizon"): "MC oracle of reflected_last_passage_exp_joint",
@@ -232,7 +231,7 @@ def test_renewal_kernels_read_no_gamma_tail(pgamma_model_wide, monkeypatch):
 
     monkeypatch.setattr(GammaMeasure, "tail", tail)
     for penalty in (PenaltySpec(), PenaltySpec("overshoot_indicator", 0.3)):
-        build_renewal_kernels(pgamma_model_wide, 0.5, solve_lundberg(pgamma_model_wide, 0.5), 4.0, 2049, penalty)
+        build_renewal_kernels(pgamma_model_wide, solve_lundberg(pgamma_model_wide, 0.5), 4.0, 2049, penalty)
 
 
 def test_idle_mode_is_exact_on_jump_points():

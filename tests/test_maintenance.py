@@ -73,14 +73,14 @@ class TestKernelC:
     @pytest.mark.parametrize("kind", ["pgamma_model", "ph2_model"])
     def test_default_grid_vs_per_state_calls(self, kind, request):
         # one escape_mass call over (state, horizon) pairs gives each state's
-        # own last-passage cdf at its (floored and rounded) horizon: through
+        # own last-passage cdf at its horizon m(y): through
         # last_passage_cdf below b, through its route (the law of the state's
         # own horizon) at and above b, where the threshold b - y is not positive
         model = request.getfixturevalue(kind)
         policy = _affine_policy()
         kernels = PolicyKernels(model, policy)
         ys = kernels.default_state_grid()
-        horizons = np.round(policy.m(ys), 12)
+        horizons = policy.m(ys)
         assert np.unique(horizons).size > 300 and np.sum(ys >= policy.b) > 10
         want = [
             last_passage_cdf(model, policy.b - y, t)
@@ -91,8 +91,8 @@ class TestKernelC:
         np.testing.assert_allclose(kernels.kernel_c(ys), want, rtol=1e-13, atol=0.0)
 
     def test_mixed_horizon_floor_vs_per_state_calls(self, pgamma_model_wide):
-        # z just under the least m(y): states on m's floor get the 1e-6 horizon
-        # floor (about 1e4 times the nodes of the others), the rest up to 0.8
+        # z just under the least m(y): states on m's floor get the horizon
+        # 5e-7 (about 1e4 times the nodes of the others), the rest up to 0.8
         kernels = PolicyKernels(pgamma_model_wide, _affine_policy())
         ys = kernels.default_state_grid()
         z = float(np.min(kernels.policy.m(ys))) - 5e-7
@@ -126,12 +126,15 @@ class TestKernelC:
             law.escape_mass(np.array([1.0, 16.5, 17.0]), np.array([1.0, 1e-6, 1e-6]))
 
     def test_bm_closed_form(self, bm_model):
-        policy = _affine_policy()
-        kernels = PolicyKernels(bm_model, policy)
-        ys = np.linspace(-3.0, 1.99, 41)
-        got = kernels.kernel_c(ys)
-        want = [bm_last_passage_cdf(bm_model, policy.b - y, float(policy.m(y))) for y in ys]
-        assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+        # each state at its own horizon m(y), to rounding: at m = 1/3 and on
+        # the affine policy's state grid
+        constant = PolicySpec(b=2.0, m=InspectionSchedule("constant", 1.0 / 3.0), d=MaintenanceAction("affine", 0.5))
+        for policy, ys in ((constant, np.linspace(-3.0, 1.99, 41)), (_affine_policy(), None)):
+            kernels = PolicyKernels(bm_model, policy)
+            ys = kernels.default_state_grid() if ys is None else ys
+            got = kernels.kernel_c(ys)
+            want = [bm_last_passage_cdf(bm_model, policy.b - y, float(policy.m(y))) for y in ys]
+            assert got == pytest.approx(want, rel=1e-13, abs=1e-300)
 
     @pytest.mark.parametrize("sigma", [0.05, 0.3, 0.9])
     @pytest.mark.parametrize("t", [0.2, 2.0])
@@ -270,6 +273,8 @@ class TestIdleLaw:
         assert kernels.kernel_cz(y_short, 0.3) == 0.0
         with pytest.raises(ValueError):
             kernels.kernel_cz(0.0, -0.1)
+        with pytest.raises(ValueError):
+            kernels.kernel_c(0.0, horizon=-0.1)
         p_fail = kernels.chain(3)[0]
         idle = [joint_law_idle(kernels, 3, z) for z in (0.0, 0.3)]
         assert np.all(np.isfinite(idle))
@@ -277,10 +282,17 @@ class TestIdleLaw:
         assert 0.0 < idle[1] < idle[0]
 
 
+    @pytest.mark.parametrize("kind", ["pgamma_model_wide", "ph2_model"])
+    def test_full_cycle_idle_is_the_escape_probability(self, kind, request):
+        # z = m(y) leaves horizon 0, where D_0 = 0 and the state escapes or not
+        kernels = PolicyKernels(request.getfixturevalue(kind), _affine_policy())
+        b = kernels.policy.b
+        ys = np.array([1.0, b - 1e-3, b - 1e-4, b, b + 1e-3, 2.5])
+        got = kernels.kernel_cz(ys, kernels.policy.m(ys))
+        np.testing.assert_array_equal(got, escape_probability(ys - b, kernels.rho0))
+
     def test_full_cycle_idle_small_sigma_phase_type(self):
-        # z = m(y) leaves no time (the horizon is floored at 1e-6), where
-        # sigma sqrt(t) = 1e-5 lies far below the D_t grid step: the law is a
-        # near point mass at mu t, so C is below lam t = 1e-6 under b and the
+        # z = m(y) leaves no time: D_0 = 0, so C is 0 under b and the
         # escape probability 1 - e^{-rho0 (y - b)} above it
         model = ModelSpec(kind=KIND_PH, mu=0.1, sigma=0.01, lam=1.0, ph=PhaseType([1.0], [[-1.0]]))
         policy = PolicySpec(b=2.0, m=InspectionSchedule("constant", 1.0), d=MaintenanceAction("affine", 0.5))
@@ -292,9 +304,7 @@ class TestIdleLaw:
         assert 0.0 <= joint_law_idle(kernels, 2, 1.0) <= 1e-6
 
     def test_full_cycle_idle_small_sigma_phase_type_high_threshold(self):
-        # as above with b = 2.5: at the horizon floor C(b - y) is the one-jump
-        # share, about lam t e^{-(b - y)} < 1e-6, which the (0, A) strip cannot
-        # reach in its node cap and the no-jump atom would swamp on (-rho0, 0)
+        # as above with b = 2.5: C is 0 under b, exactly
         model = ModelSpec(kind=KIND_PH, mu=0.1, sigma=0.01, lam=1.0, ph=PhaseType([1.0], [[-1.0]]))
         policy = PolicySpec(b=2.5, m=InspectionSchedule("constant", 1.0), d=MaintenanceAction("affine", 0.5))
         kernels = PolicyKernels(model, policy)
@@ -302,8 +312,7 @@ class TestIdleLaw:
         got = kernels.kernel_cz(ys, 1.0)
         want = -np.expm1(-kernels.rho0 * np.maximum(ys - policy.b, 0.0))
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-6)
-        below = policy.b - ys[:3] - model.mu * 1e-6
-        np.testing.assert_allclose(got[:3], 1e-6 * np.exp(-below), rtol=1e-3)
+        assert np.all(got[:3] == 0.0)
         assert 0.0 <= joint_law_idle(kernels, 1, 1.0) <= 1e-6
         assert 0.0 <= joint_law_idle(kernels, 2, 1.0) <= 1e-6
 

@@ -35,7 +35,7 @@ class TestRenewalSeries:
         # the grid solve under renewal_series, for the PK series (first = h)
         # and the ODE-series scale route (first = h' + g)
         model = request.getfixturevalue(fixture)
-        kernels = build_renewal_kernels(model, delta, solve_lundberg(model, delta), 4.0, 2049)
+        kernels = build_renewal_kernels(model, solve_lundberg(model, delta), 4.0, 2049)
         ode_first = kernels.h_prime.with_values(kernels.h_prime.values + kernels.g.values)
         for first in (kernels.h, ode_first):
             want = _term_loop(kernels.g, first)
@@ -154,7 +154,7 @@ class TestKernels:
             else ModelSpec(kind=KIND_PERTURBED_GAMMA, mu=0.5, sigma=sigma, alpha=1.0, xi=1.0)
         )
         rho = solve_lundberg(model, 0.5)
-        kernels = build_renewal_kernels(model, 0.5, rho, 4.0, 2049, penalty)
+        kernels = build_renewal_kernels(model, rho, 4.0, 2049, penalty)
         for i in (1, 2, 8, 64, 512, 2048):
             want = _kernels_mpmath(model, rho, kernels.g.h * i, penalty.eps, penalty.creep_value())
             got = [kernels.g.values[i], kernels.h.values[i], kernels.h_prime.values[i]]
