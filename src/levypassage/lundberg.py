@@ -227,7 +227,15 @@ class ScaleSet:
     def laplace_numeric(self, beta: float) -> float:
         """int_0^inf e^{-beta x} W(x) dx = int_0^inf e^{-(beta-rho) x} T(x) dx:
         grid trapezoid plus the analytic tail
-        e^{-(beta-rho) x_max} * T(x_max) / (beta - rho)."""
+        e^{-(beta-rho) x_max} * T(x_max) / (beta - rho).
+
+        Its own error is T's linear interpolation across the boundary layer
+        of width 1/rho at the origin, not the trapezoid weights: against
+        1/(phi_D(beta) - delta) it reads -6.7e-4 at sigma = 0.05 (perturbed
+        gamma mu = 0.5, alpha = xi = 1, delta = 0.5, beta = rho + 5; rho h =
+        0.81 on 2049 nodes over [0, 4]) on the inversion route's table,
+        which is right to 1e-8.  So the identity checks a scale table only
+        where rho h is small."""
         gap = beta - self.rho
         if gap <= 0:
             raise ValueError("transform abscissa must exceed rho(delta)")

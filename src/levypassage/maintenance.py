@@ -31,8 +31,9 @@ evaluated once for all states, and a horizon enters only through e^{t psi_D}.
 At horizon 0 (Cz(y, m(y))) D_0 = 0, and C is the state's own escape esc(y - b).
 Because failure is decided by the escape test at the end-of-cycle value,
 the policy Monte Carlo samples cycle endpoints from their exact laws; its
-idle mode bridges only the cycle in which a path fails, for the
-within-cycle last-contact time of the idle-time statistics.
+idle mode bridges only the cycle in which a path fails, within that cycle,
+for the within-cycle last-contact time of the idle-time statistics.  It
+runs on demand: a statistic of failure cycle i runs the cycles up to i.
 
 Every policy law runs one forward recursion over the post-maintenance
 states, rho_{k+1}(y') = int rho_k(y) A(y, y') dy from rho_1 = A(0, .), and
@@ -55,6 +56,7 @@ a time.  The chain reads no point value of the density: the pointwise
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -69,8 +71,8 @@ from .models import ModelSpec, _need
 # substream numbers of simulate_policy's cycles and of its idle-mode bridges
 # (see the mc module docstring)
 _POLICY_STREAM, _BRIDGE_STREAM = 7, 8
-# idle mode bridges a failing cycle's rows in groups of this many expected
-# cells (jumps and cycles), and searches its bridged rows once they hold this many
+# idle mode bridges and searches a failing cycle's rows, within that cycle, in
+# groups of at most this many expected cells (jumps and cycles)
 _IDLE_CELLS = 2**16
 _MAX_CYCLES = 10_000
 # the state grid spans the states reachable within _GRID_CYCLES cycles (the
@@ -390,27 +392,81 @@ def expected_time_to_renewal(kernels: PolicyKernels, i: int) -> float:
 # Policy Monte Carlo
 
 
-@dataclass(frozen=True)
 class PolicySimResult:
-    n: int
-    i_of_path: np.ndarray  # failing cycle index per path
-    t_star: np.ndarray  # regeneration time per path
-    idle: np.ndarray | None  # idle time per path (idle mode only)
+    """The policy Monte Carlo of ``simulate_policy``, run on demand.
+
+    It owns the cycle loop, a generator that stops after each cycle.  A
+    statistic of failure cycle i (``p_i``, ``e_t_star_on_i``,
+    ``p_idle_joint``) runs the loop through cycle i, since a path's I, T*
+    and idle time are final once it fails; ``mean_t_star`` and the
+    ``i_of_path``, ``t_star`` and ``idle`` attributes run every path until
+    it fails.  The loop draws cycle by cycle from its own streams, so no
+    value depends on which statistics were read before it.  An exception
+    raised in the loop (``HorizonExceeded`` after _MAX_CYCLES cycles) is
+    raised again by every later read that needs the cycles it stopped.
+    """
+
+    def __init__(self, n: int, cycles, i_of_path: np.ndarray, t_star: np.ndarray, idle: np.ndarray | None):
+        self.n = n
+        self._cycles = cycles  # the loop: it fills the arrays and yields after each cycle
+        self._i, self._t, self._idle = i_of_path, t_star, idle
+        self._run = 0  # cycles run
+        self._done = False  # every path has failed
+        self._error: BaseException | None = None
+
+    def _through(self, cycle: float) -> None:
+        """Run the loop until every path failing by ``cycle`` has failed."""
+        while self._run < cycle and not self._done:
+            if self._error is not None:
+                raise self._error
+            try:
+                next(self._cycles)
+            except StopIteration:
+                self._done = True
+            except BaseException as exc:
+                self._error = exc
+                raise
+            else:
+                self._run += 1
+
+    def _level(self, i: int) -> np.ndarray:
+        """Per path, whether it fails in cycle i."""
+        if i < 1:
+            raise ValueError("cycle index starts at 1")
+        self._through(i)
+        return self._i == i
+
+    @property
+    def i_of_path(self) -> np.ndarray:  # failing cycle index per path
+        self._through(math.inf)
+        return self._i
+
+    @property
+    def t_star(self) -> np.ndarray:  # regeneration time per path
+        self._through(math.inf)
+        return self._t
+
+    @property
+    def idle(self) -> np.ndarray | None:  # idle time per path (idle mode only)
+        self._through(math.inf)
+        return self._idle
 
     def p_i(self, i: int) -> SimResult:
-        return _mean_result((self.i_of_path == i).astype(float), f"P(I={i})")
+        return _mean_result(self._level(i).astype(float), f"P(I={i})")
 
     def mean_t_star(self) -> SimResult:
         return _mean_result(self.t_star, "E[T*]")
 
     def e_t_star_on_i(self, i: int) -> SimResult:
-        vals = np.where(self.i_of_path == i, self.t_star, 0.0)
+        vals = np.where(self._level(i), self._t, 0.0)
         return _mean_result(vals, f"E[T*; I={i}]")
 
     def p_idle_joint(self, i: int, z: float) -> SimResult:
-        if self.idle is None:
+        if self._idle is None:
             raise ValueError("idle statistics need idle mode")
-        vals = ((self.i_of_path == i) & (self.idle > z)).astype(float)
+        if z < 0:
+            raise ValueError("idle time must be nonnegative")
+        vals = (self._level(i) & (self._idle > z)).astype(float)
         return _mean_result(vals, f"P(idle>{z:g}, I={i})")
 
 
@@ -421,61 +477,54 @@ def simulate_policy(
     seed: int = 0,
     idle_mode: bool = False,
 ) -> PolicySimResult:
-    """Simulate renewal cycles of the maintained component.
+    """Simulate renewal cycles of the maintained component, on demand.
 
-    Failure within a cycle is decided by the exact escape Bernoulli test at
-    the end-of-cycle value, so both modes sample cycle endpoints from their
-    exact laws.  ``idle_mode`` then bridges the cycle in which a path fails
-    to its drawn end, exactly (``cycle_ends``: the cycle's jumps as points,
-    the Brownian bridge between them), and records the last time at or
-    below the threshold (idle time = cycle length - last contact).  A
-    cycle's failing rows are bridged in groups of at most _IDLE_CELLS
-    expected cells, each row counted at one plus its expected jump count, so
-    memory stays bounded however many paths fail in one cycle.  The bridges
-    draw from their own substream, so both modes give the same failing
-    cycles and regeneration times.
+    The inputs are checked, and the streams and result arrays set up, at the
+    call; the returned ``PolicySimResult`` runs the cycles its statistics
+    read.  Failure within a cycle is decided by the exact escape Bernoulli
+    test at the end-of-cycle value, so both modes sample cycle endpoints
+    from their exact laws.  ``idle_mode`` then bridges the cycle in which a
+    path fails to its drawn end, exactly (``cycle_ends``: the cycle's jumps
+    as points, the Brownian bridge between them), and records the last time
+    at or below the threshold (idle time = cycle length - last contact).  A
+    cycle's failing rows are bridged and searched within that cycle, in
+    groups of at most _IDLE_CELLS expected cells, each row counted at one
+    plus its expected jump count, so memory stays bounded however many paths
+    fail in one cycle.  The bridges draw from their own substream, in cycle
+    order, so both modes give the same failing cycles and regeneration times.
     """
     if n_paths < 1:
         raise ValueError("need at least one path")
     rho0 = escape_rate(model)
     rng = _substream(seed, _POLICY_STREAM, 0)
     bridge_rng = _substream(seed, _BRIDGE_STREAM, 0) if idle_mode else None
-    b = policy.b
-    x = np.zeros(n_paths)
     t_star = np.zeros(n_paths)
     i_of_path = np.zeros(n_paths, dtype=np.int64)
     idle = np.full(n_paths, np.nan) if idle_mode else None
-    failed, bridged, cells = [], [], 0  # failing paths, their bridged cycles and cells, not yet searched
     jump_rate = 0.0 if model.jumps is None else model.jumps.compound_poisson()._rate
-    idx = np.arange(n_paths)
-    for cycle in range(1, _MAX_CYCLES + 1):
-        m = idx.size
-        if m == 0:
-            break
-        horizons = np.asarray(policy.m(x), dtype=float)
-        v, bridge = cycle_ends(model, rng, x, horizons)
-        t_star[idx] += horizons
-        esc_p = escape_probability(v - b, rho0)
-        fail = rng.random(m) < esc_p
-        if fail.any():
-            gi = idx[fail]
-            i_of_path[gi] = cycle
-            if idle_mode:
+
+    def cycles():
+        b = policy.b
+        x = np.zeros(n_paths)
+        idx = np.arange(n_paths)
+        for cycle in range(1, _MAX_CYCLES + 1):
+            horizons = np.asarray(policy.m(x), dtype=float)
+            v, bridge = cycle_ends(model, rng, x, horizons)
+            t_star[idx] += horizons
+            fail = rng.random(idx.size) < escape_probability(v - b, rho0)
+            i_of_path[idx[fail]] = cycle
+            if idle_mode and fail.any():
                 rows = np.flatnonzero(fail)
                 size = max(1, int(_IDLE_CELLS // (1.0 + jump_rate * horizons[rows].max())))
-                groups = np.split(rows, np.arange(size, rows.size, size))
-                for n_group, group in enumerate(groups, 1):
-                    failed.append(idx[group])
-                    bridged.append(bridge(bridge_rng, group))
-                    cells += bridged[-1][4].size + group.size
-                    if cells >= _IDLE_CELLS or (n_group == len(groups) and fail.all()):
-                        last = last_contacts(model, bridge_rng, bridged, b)
-                        idle[np.concatenate(failed)] = np.concatenate([c[1] for c in bridged]) - last
-                        failed, bridged, cells = [], [], 0
-        keep = ~fail
-        x = np.asarray(policy.d(v[keep]))
-        idx = idx[keep]
-    if idx.size:
+                for group in np.split(rows, np.arange(size, rows.size, size)):
+                    bridged = bridge(bridge_rng, group)
+                    idle[idx[group]] = bridged[1] - last_contacts(model, bridge_rng, bridged, b)
+            keep = ~fail
+            x = np.asarray(policy.d(v[keep]))
+            idx = idx[keep]
+            if idx.size == 0:
+                return
+            yield
         raise HorizonExceeded(f"{idx.size} paths exceeded {_MAX_CYCLES} cycles")
-    return PolicySimResult(n_paths, i_of_path, t_star, idle)
 
+    return PolicySimResult(n_paths, cycles(), i_of_path, t_star, idle)

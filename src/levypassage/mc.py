@@ -72,9 +72,11 @@ stream number: 1 ``run_first_passage``, 2 ``run_last_passage``, 3
 ``estimate_reflected_exceedance``, 4 ``run_reflected_first_passage``, 5
 ``run_reflected_last_passage`` and 6 ``run_reflected_at_exp_horizon``;
 ``maintenance.simulate_policy`` uses 7 for its cycle ends and 8 for the
-bridges of its idle mode (``last_contacts``).  Stream 4 draws, each pass,
-the cells (waits, jumps, Gaussian moves), one crossing and one minimum
-uniform per cell, then what ``_cells`` and ``_hit_time`` need.  So for a
+bridges of its idle mode (``last_contacts``), which bridges and searches
+each cycle's failing paths within that cycle, in cycle order.  Stream 4
+draws, each pass, the cells (waits, jumps, Gaussian moves), one crossing
+and one minimum uniform per cell, then what ``_cells`` and ``_hit_time``
+need.  So for a
 given model, threshold and settings a result depends only on (seed,
 n_paths); no batching option can change it.
 """
@@ -892,21 +894,21 @@ def cycle_ends(model: ModelSpec, rng: np.random.Generator, x: np.ndarray, horizo
     return x + inc, bridge
 
 
-def last_contacts(model: ModelSpec, rng: np.random.Generator, bridged: list, b: float) -> np.ndarray:
-    """The last time in [0, h] at which each cycle of the ``bridged`` lists
-    (``cycle_ends``), in order, touched (-inf, b] (0 if none), exactly, in
-    one pass.  The jumps go to iid uniform epochs, sorted (the sizes come in
-    an exchangeable order), and the path runs in cells from jump to jump and
-    on to the cycle's end; zero-length cells at the end pad the rows.  The
-    continuous part moves iid N(0, sigma^2 tau) over each cell's length tau,
-    shifted by tau / h times what the moves miss of its drawn move: the
-    Brownian bridge.  ``_last_contact`` finds the contact, as the
+def last_contacts(model: ModelSpec, rng: np.random.Generator, bridged: tuple, b: float) -> np.ndarray:
+    """The last time in [0, h] at which each cycle of ``bridged`` (one call
+    of ``cycle_ends``' bridge), in order, touched (-inf, b] (0 if none),
+    exactly, in one pass.  The jumps go to iid uniform epochs, sorted (the
+    sizes come in an exchangeable order), and the path runs in cells from
+    jump to jump and on to the cycle's end; zero-length cells at the end pad
+    the rows.  The continuous part moves iid N(0, sigma^2 tau) over each
+    cell's length tau, shifted by tau / h times what the moves miss of its
+    drawn move: the Brownian bridge.  ``_last_contact`` finds the contact, as the
     last-passage estimators do."""
     law = _Law.of(model)
-    x, h, cont, counts = (np.concatenate(f) for f in list(zip(*bridged))[:4])
+    x, h, cont, counts, sizes = bridged
     mine = np.arange(1 + counts.max()) < counts[:, None]
     jumps = np.zeros(mine.shape)
-    jumps[mine] = np.concatenate([c[4] for c in bridged])
+    jumps[mine] = sizes
     ends = np.sort(np.where(mine, rng.random(mine.shape), 1.0), axis=1) * h[:, None]  # jump epochs, then h
     tau = np.diff(ends, axis=1, prepend=0.0)
     moves = np.zeros(tau.shape)

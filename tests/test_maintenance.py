@@ -7,7 +7,8 @@ from scipy.integrate import quad
 from scipy.special import ive
 from scipy.stats import norm
 
-from levypassage.errors import UnresolvedKernel
+from levypassage import maintenance
+from levypassage.errors import HorizonExceeded, UnresolvedKernel
 from levypassage.last_passage import (
     bm_last_passage_cdf,
     density_lattice,
@@ -26,6 +27,7 @@ from levypassage.maintenance import (
     joint_law_idle,
     simulate_policy,
 )
+from levypassage.mc import cycle_ends
 from levypassage.models import KIND_PERTURBED_GAMMA, KIND_PH, KIND_PURE_GAMMA, ModelSpec, PhaseType
 
 KINDS = ["bm_model", "gamma_model", "pgamma_model_wide", "ph2_model"]
@@ -315,6 +317,88 @@ class TestIdleLaw:
         assert np.all(got[:3] == 0.0)
         assert 0.0 <= joint_law_idle(kernels, 1, 1.0) <= 1e-6
         assert 0.0 <= joint_law_idle(kernels, 2, 1.0) <= 1e-6
+
+
+# i_of_path.sum() and t_star.sum() of simulate_policy(model, _affine_policy(),
+# 3_000, seed=5) when every path ran until it failed, before the cycles ran
+# on demand
+PLAIN_PINS = {
+    "bm_model": (18956, 17175.408759267753),
+    "gamma_model": (16228, 14985.169611768692),
+    "pgamma_model_wide": (13064, 11954.86490668365),
+    "ph2_model": (22406, 21025.355028755373),
+}
+
+
+class TestPolicySimulation:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_statistics_do_not_depend_on_the_run_length(self, kind, request):
+        # a statistic of level i runs cycles 1..i; the full run draws the
+        # same cycles first, so both read the same paths bit for bit
+        model = request.getfixturevalue(kind)
+        lazy = simulate_policy(model, _affine_policy(), 3_000, seed=5)
+        full = simulate_policy(model, _affine_policy(), 3_000, seed=5)
+        full.mean_t_star()
+        for i in range(1, 5):
+            assert lazy.p_i(i) == full.p_i(i)
+            assert lazy.e_t_star_on_i(i) == full.e_t_star_on_i(i)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_plain_mode_pin(self, kind, request):
+        sim = simulate_policy(request.getfixturevalue(kind), _affine_policy(), 3_000, seed=5)
+        assert (int(sim.i_of_path.sum()), float(sim.t_star.sum())) == PLAIN_PINS[kind]
+
+    def test_idle_statistic_does_not_depend_on_the_run_length(self, ph2_model):
+        first = simulate_policy(ph2_model, _affine_policy(), 3_000, seed=5, idle_mode=True)
+        late = simulate_policy(ph2_model, _affine_policy(), 3_000, seed=5, idle_mode=True)
+        late.mean_t_star()
+        assert first.p_idle_joint(2, 0.3) == late.p_idle_joint(2, 0.3)
+
+    def test_runs_only_the_cycles_read(self, pgamma_model_wide, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return cycle_ends(*args)
+
+        monkeypatch.setattr(maintenance, "cycle_ends", counted)
+        sim = simulate_policy(pgamma_model_wide, _affine_policy(), 3_000, seed=5)
+        assert not calls
+        sim.p_i(4)
+        assert len(calls) <= 4
+        n = len(calls)
+        sim.p_i(4)
+        assert len(calls) == n
+
+    def test_horizon_exceeded_is_raised_on_every_full_read(self, bm_model, monkeypatch):
+        monkeypatch.setattr(maintenance, "_MAX_CYCLES", 3)
+        sim = simulate_policy(bm_model, _affine_policy(), 3_000, seed=5)
+        assert 0.0 < sim.p_i(2).estimate < 1.0
+        for _ in range(2):
+            with pytest.raises(HorizonExceeded):
+                sim.mean_t_star()
+        for _ in range(2):
+            with pytest.raises(HorizonExceeded):
+                sim.i_of_path
+        assert sim.p_i(3) == simulate_policy(bm_model, _affine_policy(), 3_000, seed=5).p_i(3)
+
+    def test_inputs_are_checked(self, bm_model):
+        # the path count at the call; a level below 1 would read the share
+        # of paths not yet run as failing there
+        with pytest.raises(ValueError):
+            simulate_policy(bm_model, _affine_policy(), 0)
+        plain = simulate_policy(bm_model, _affine_policy(), 100)
+        idle = simulate_policy(bm_model, _affine_policy(), 100, idle_mode=True)
+        bad_reads = [
+            lambda: plain.p_i(0),
+            lambda: plain.e_t_star_on_i(0),
+            lambda: plain.p_idle_joint(1, 0.3),
+            lambda: idle.p_idle_joint(0, 0.3),
+            lambda: idle.p_idle_joint(1, -0.1),
+        ]
+        for read in bad_reads:
+            with pytest.raises(ValueError):
+                read()
 
 
 def _ph1_density(model, t, x):
