@@ -219,6 +219,7 @@ def _cmd_first_passage(args) -> int:
 def _cmd_last_passage(args) -> int:
     model = _load_model(args.model)
     ts = _float_list(args.t) if args.t else [1.0]
+    deltas = _float_list(args.delta)
     b = args.b
     rows: list[tuple] = []
     if args.what == "cdf":
@@ -232,8 +233,10 @@ def _cmd_last_passage(args) -> int:
             a = np.linspace(max(grid.x0, b - 4), grid.x_max, args.grid_n)
             rows += zip(np.full(a.size, t), a, last_passage_joint_density(model, b, t, a))
     elif args.what == "overshoot":
+        if len(deltas) != 1:
+            raise UsageError(f"--what overshoot takes one --delta, got {len(deltas)}")
         header = ["y", "w", "density"]
-        scales = build_scale_set(model, args.delta, 2.0 * b)
+        scales = build_scale_set(model, deltas[0], 2.0 * b)
         # undershoots y >= b (pre-jump level at or below 0) carry mass too
         ys, ws = np.linspace(0.0, b + 4.0, args.grid_n), np.linspace(0.05, 4.0, args.grid_n)
         y, w = np.meshgrid(ys, ws, indexing="ij")
@@ -241,14 +244,14 @@ def _cmd_last_passage(args) -> int:
     elif args.what == "reflected":
         header = ["delta", "laplace"]
         a_max = b + 24.0 / escape_rate(model)
-        for delta in _float_list(args.delta_list or str(args.delta)):
+        for delta in deltas:
             scales = build_scale_set(model, delta, a_max, n=4097)
             phi = transform_from_scales(scales)
             rows.append((delta, reflected_last_passage_transform(model, phi, b)))
     else:
         raise UsageError(f"unknown --what {args.what!r}")
     manifest = RunManifest(
-        "last-passage", _digest(model), {"b": b, "t": ts, "what": args.what}
+        "last-passage", _digest(model), {"b": b, "t": ts, "delta": deltas, "what": args.what}
     )
     _write_rows(args.out, manifest, header, rows)
     return 0
@@ -545,8 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--model", required=True)
     q.add_argument("--b", type=float, required=True)
     q.add_argument("--t", help="comma-separated times")
-    q.add_argument("--delta", type=float, default=0.5)
-    q.add_argument("--delta-list")
+    q.add_argument("--delta", default="0.5", help="comma-separated discount rates (one for --what overshoot)")
     q.add_argument("--what", default="cdf", choices=["cdf", "joint", "overshoot", "reflected"])
     q.add_argument("--grid-n", type=int, default=64)
     q.add_argument("--out")

@@ -120,8 +120,11 @@ def _gaussian_escape_mass(u, tau: float, rho0: float):
 
 
 def _softplus(x):
-    """log(1 + e^x) without overflow: np.logaddexp(0, x), at a third of its cost."""
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+    """log(1 + e^x) without overflow: np.logaddexp(0, x), at a third of its cost.
+    e^{-|x|} is floored at e^{-700}, which moves no value above 1e-304 and
+    keeps exp off its slow underflow path (the escape bounds at betas near
+    the abscissa run to |x| in the thousands)."""
+    return np.maximum(x, 0.0) + np.log1p(np.exp(np.maximum(-np.abs(x), -700.0)))
 
 
 @dataclass(frozen=True)
@@ -130,8 +133,8 @@ class MarginalDensityD:
 
     Each subclass holds its kind's support, grid size and point density (called
     as the object); closed forms replace the base's Fourier escape mass.  ``f``
-    tabulates the density on ``n`` points over the support (zero outside) for
-    quadratures over D_t, on first use, so a closed-form kind's points cost no grid.
+    tabulates the density on ``n`` points over the support for quadratures
+    over D_t, on first use, so a closed-form kind's points cost no grid.
     """
 
     model: ModelSpec
@@ -148,7 +151,7 @@ class MarginalDensityD:
     def f(self) -> GridFunction:
         lo, hi = self._support(self.t)
         xs = np.linspace(lo, hi, self.n)
-        return GridFunction(lo, xs[1] - xs[0], self._grid_values(xs), extrapolate="zero")
+        return GridFunction(lo, xs[1] - xs[0], self._grid_values(xs))
 
     def _grid_values(self, xs):
         return self._pdf(xs)
@@ -167,19 +170,22 @@ class MarginalDensityD:
         out = self._escape(np.ravel(c_in), np.ravel(t_in), escape_rate(self.model))
         return out.reshape(c_in.shape) if c_in.ndim else float(out[0])
 
-    def _exponents(self, s):
-        """log E e^{s D_1} split into its Gaussian part s (mu + sigma^2 s / 2)
-        and its jump part phi_J(-s), for Re s < A."""
-        return s * (self.model.mu + 0.5 * self.model.sigma**2 * s), self.model.jumps.phi(-s)
-
-    def _jumped(self, gauss, jump, t, log_unit=0.0):
-        """E[e^{s D_t}; some jump by t] / e^{log_unit} from ``_exponents(s)``, at
-        horizons t broadcast against s: e^{t phi_D(-s)} less the no-jump share
-        e^{-rate t} E e^{s (mu t + sigma B_t)} at a finite rate."""
-        rate = self.model.jumps._rate
+    def _jumped(self, s, t):
+        """E[e^{s D_t}; some jump by t] = e^{expo} share for Re s < A, at
+        horizons t broadcast against s: expo = t phi_D(-s), and share =
+        1 - e^{-t (phi_J(-s) + rate)} takes out the no-jump part (1 at an
+        infinite rate); neither grows with t.  Where Re t (phi_J(-s) + rate)
+        < -700 (only off the real axis) the product is below e^{-700} J(Re s),
+        and the exponent of share is capped there so share stays finite."""
+        model = self.model
+        jump, rate = model.jumps.phi(-s), model.jumps._rate
+        expo = t * (s * (model.mu + 0.5 * model.sigma**2 * s) + jump)
         if rate == math.inf:
-            return np.exp(t * (gauss + jump) - log_unit)
-        return np.exp(t * gauss - rate * t - log_unit) * np.expm1(t * (jump + rate))
+            return expo, 1.0
+        share = t * (-rate - jump)
+        np.minimum(share.real, 700.0, out=share.real)
+        np.expm1(share, out=share)
+        return expo, np.negative(share, out=share)
 
     def _escape(self, c, t, rho0):
         """C(c, t) = E[g(D_t - c)], g(x) = (1 - e^{-rho0 x}) 1{x > 0}, for 1-D
@@ -188,8 +194,9 @@ class MarginalDensityD:
 
             R(c) = (h/pi) Re sum'_k rho0 e^{-s_k c} J(s_k) / (s_k (s_k + rho0)) - p / expm1(gamma P),
 
-        J = ``_jumped``, p = J(0), s_k = gamma - i k h, h = 2 pi / P, k = 0
-        halved.  The fraction transforms g on 0 < gamma < A, the jump law's
+        J(s) = E[e^{s D_t}; some jump by t], read from ``_jumped`` as an
+        exponent and a jump share, p = J(0), s_k = gamma - i k h, h = 2 pi / P,
+        k = 0 halved.  The fraction transforms g on 0 < gamma < A, the jump law's
         exponential-moment abscissa, and g - 1 on -rho0 < gamma < 0 (the sum is
         then of R - p).  The sum holds the images e^{gamma n P} of its function
         at c + n P; the last term takes out their limits, p to the left and -p
@@ -216,8 +223,8 @@ class MarginalDensityD:
         gamma = np.concatenate([_DAMPINGS * edge, -_DAMPINGS * rho0])
         beta = edge * (1.0 - 2.0 ** -np.array([0.0, 1.0, 2.0, 4.0, 7.0, 11.0]))
         horizons, at = np.unique(t, return_inverse=True)
-        with np.errstate(over="ignore", divide="ignore"):  # J overflows near A or underflows: no bound
-            log_j = np.log(np.real(self._jumped(*self._exponents(np.concatenate([gamma, beta])), horizons[:, None])))
+        expo, share = self._jumped(np.concatenate([gamma, beta]), horizons[:, None])
+        log_j = np.real(expo) + np.log(np.real(share))  # log J, never formed from J
         log_jg, log_jb, jumped = log_j[:, : gamma.size], log_j[:, gamma.size :], np.exp(log_j[at, gamma.size])
         scale = np.log(np.abs(rho0 / (gamma * (gamma + rho0)))) + math.log(1e-18)
         floor = (log_jg + scale)[at] - np.outer(c, gamma)  # 1e-18 times the bound, in logs
@@ -292,8 +299,9 @@ class MarginalDensityD:
             coef = np.zeros((u[r0 : r0 + per].size, m * m), dtype=complex)  # row u, column q m + r
             for k in range(0, n, _LATTICE_BATCH):
                 s = gamma - 1j * h * np.arange(k, min(k + _LATTICE_BATCH, n))
-                jumped = self._jumped(*self._exponents(s), u[r0 : r0 + per, None], unit[r0 : r0 + per, None])
-                coef[:, k : k + s.size] = rho0 / (s * (s + rho0)) * jumped
+                expo, share = self._jumped(s, u[r0 : r0 + per, None])
+                expo -= unit[r0 : r0 + per, None]  # J(s) / e^{unit} = e^{expo - unit} share
+                np.multiply(rho0 / (s * (s + rho0)) * np.exp(expo, out=expo), share, out=coef[:, k : k + s.size])
             coef[:, 0] *= 0.5
             coef = coef.reshape(-1, m, m)
             lo, hi = np.searchsorted(row, [r0, r0 + per])
@@ -457,8 +465,8 @@ class _PhaseTypeD(MarginalDensityD):
         widened = replace(self, model=replace(self.model, sigma=sigma))
         return widened._lattice(np.array([self.t]), xs[:1], h, self.n)[0]
 
-    def _pdf(self, a):
-        return self.f(a)
+    def _pdf(self, a):  # the grid f on the support, 0 outside it
+        return np.interp(a, self.f.grid(), self.f.values, left=0.0, right=0.0)
 
 
 def density_of_dt(model: ModelSpec, t: float) -> MarginalDensityD:

@@ -93,7 +93,6 @@ from .errors import EscapeTestUnavailable, HorizonExceeded, LevyPassageError, No
 from .lundberg import escape_probability, escape_rate
 from .models import ModelSpec, _CompoundPoisson
 
-EXIT_NONE = 0
 EXIT_CREEP = 1
 EXIT_JUMP = 2
 
@@ -445,7 +444,7 @@ class FirstPassageSample:
 
     b: float
     t_cross: np.ndarray  # +inf when censored
-    exit_kind: np.ndarray
+    exit_kind: np.ndarray  # EXIT_CREEP or EXIT_JUMP, 0 when censored
     undershoot: np.ndarray  # b - D(T-) (D*(T-) for T*_b), 0 for creeping
     overshoot: np.ndarray  # D(T) - b (D*(T) for T*_b), 0 for creeping
     horizon: float
@@ -643,7 +642,7 @@ class LastPassageSample:
 
     b: float
     l_last: np.ndarray  # last time at or below b; NaN if censored
-    exit_kind: np.ndarray
+    exit_kind: np.ndarray  # EXIT_CREEP or EXIT_JUMP, 0 when censored
     undershoot: np.ndarray  # b - D(L-) for jump exits
     overshoot: np.ndarray  # D(L) - b for jump exits
     censored: int

@@ -41,13 +41,12 @@ class GridFunction:
     """A real function tabulated on the uniform grid x0 + h*k, k = 0..n-1.
 
     Evaluation interpolates linearly; points outside the grid raise
-    OutOfGrid unless ``extrapolate`` is "zero".
+    OutOfGrid.
     """
 
     x0: float
     h: float
     values: np.ndarray
-    extrapolate: str = "error"  # "error" | "zero"
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -56,8 +55,6 @@ class GridFunction:
             raise ValueError("grid step must be positive")
         if vals.ndim != 1 or vals.size < 2:
             raise ValueError("grid needs at least two values")
-        if self.extrapolate not in ("error", "zero"):
-            raise ValueError(f"unknown extrapolation mode {self.extrapolate!r}")
 
     # -- basic geometry
 
@@ -88,14 +85,10 @@ class GridFunction:
         lo, hi = self.x0, self.x_max
         tol = 1e-9 * max(self.h, 1.0)
         inside = (x >= lo - tol) & (x <= hi + tol)
-        if self.extrapolate == "error" and not inside.all():
+        if not inside.all():
             bad = x[~inside][0]
             raise OutOfGrid(f"x={bad:g} outside grid [{lo:g}, {hi:g}]")
-        if self.extrapolate == "zero":
-            out = np.zeros_like(x)
-            out[inside] = np.interp(np.clip(x[inside], lo, hi), self.grid(), self.values)
-        else:
-            out = np.interp(np.clip(x, lo, hi), self.grid(), self.values)
+        out = np.interp(np.clip(x, lo, hi), self.grid(), self.values)
         return float(out[0]) if scalar else out
 
     # -- calculus on the grid
@@ -104,10 +97,10 @@ class GridFunction:
         """Trapezoid antiderivative on the same grid, starting at 0."""
         vals = self.values
         cum = np.concatenate(([0.0], np.cumsum(0.5 * self.h * (vals[1:] + vals[:-1]))))
-        return GridFunction(self.x0, self.h, cum, extrapolate=self.extrapolate)
+        return GridFunction(self.x0, self.h, cum)
 
     def with_values(self, values: np.ndarray) -> "GridFunction":
-        return GridFunction(self.x0, self.h, values, extrapolate=self.extrapolate)
+        return GridFunction(self.x0, self.h, values)
 
 
 def series_product(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -141,7 +134,7 @@ def grid_convolve(f: GridFunction, g: GridFunction) -> GridFunction:
     a, b = f.values, g.values
     out = f.h * (series_product(a, b, a.size) - 0.5 * a[0] * b - 0.5 * b[0] * a)
     out[0] = 0.0
-    return GridFunction(f.x0, f.h, out, extrapolate=f.extrapolate)
+    return GridFunction(f.x0, f.h, out)
 
 
 def cell_nodes(x0: float, h: float, n_cells: int):

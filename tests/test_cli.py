@@ -10,12 +10,18 @@ import pytest
 import levypassage
 from levypassage.cli import dispatch, run_validation
 from levypassage.errors import SchemaError
-from levypassage.last_passage import last_passage_joint_density, last_passage_overshoot_transform
-from levypassage.lundberg import build_scale_set
+from levypassage.first_passage import PenaltySpec, ph_transform, pk_series_transform, transform_from_scales
+from levypassage.last_passage import (
+    last_passage_cdf,
+    last_passage_joint_density,
+    last_passage_overshoot_transform,
+    reflected_last_passage_transform,
+)
+from levypassage.lundberg import build_scale_set, escape_rate
 from levypassage.maintenance import PolicyKernels, expected_time_to_renewal, policy_from_dict
 from levypassage.mc import SimConfig
 from levypassage.models import model_from_dict
-from levypassage.reflected import reflected_passage_density
+from levypassage.reflected import duality_check, reflected_passage_density
 
 BM = {"kind": "brownian_drift", "mu": 1.0, "sigma": 1.0}
 POLICY = {"b": 2.0, "m": {"family": "constant", "value": 1.0}, "d": {"family": "affine", "theta": 0.5}}
@@ -30,6 +36,19 @@ def _read_csv(path):
     header = lines[1].split(",")
     rows = np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
     return header, rows
+
+
+def _printed_csv(text):
+    """(manifest parameters, header, rows of cells) of a CSV printed to stdout."""
+    lines = text.splitlines()
+    assert lines[0].startswith("# ")
+    return json.loads(lines[0][2:])["parameters"], lines[1].split(","), [line.split(",") for line in lines[2:]]
+
+
+def _model_file(tmp_path, doc):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
 
 
 @pytest.fixture
@@ -337,3 +356,105 @@ def test_law_grids_are_the_library_values(what, tmp_path):
         want = reflected_passage_density(model, build_scale_set(model, 0.5, 2.0 * b), b, x, y)
     assert np.count_nonzero(want) > want.size // 2
     assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+def test_model_prints_the_library_values(tmp_path, capsys):
+    assert dispatch(["model", "--model", _model_file(tmp_path, PH1), "--u", "0.5,2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    model = model_from_dict(PH1)
+    assert doc["phi_d"] == {"0.5": float(model.phi_d(0.5)), "2": float(model.phi_d(2.0))}
+    assert [doc["mean_d1"], doc["var_d1"], doc["rho0"]] == [model.mean_d1, model.var_d1, escape_rate(model)]
+
+
+def test_scale_table_is_the_scale_set(tmp_path):
+    out = tmp_path / "scale.csv"
+    argv = ["scale", "--model", _model_file(tmp_path, PG), "--delta", "0.5", "--x-max", "2", "--n", "257"]
+    assert dispatch([*argv, "--out", str(out)]) == 0
+    header, rows = _read_csv(out)
+    scales = build_scale_set(model_from_dict(PG), 0.5, 2.0, 257)
+    assert header == ["x", "W", "Wp", "Z"]
+    assert np.array_equal(rows[:, 0], scales.w.grid())
+    for col, table in zip(rows.T[1:], (scales.w, scales.w_prime, scales.z)):
+        assert col == pytest.approx(table.values, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "doc, penalty, routes",
+    [(PG, "one", ["pk", "scale"]), (PH1, "one", ["pk", "scale", "closed"]), (PH1, "overshoot-indicator:0.5", ["pk"])],
+    ids=["pg", "ph1", "ph1-penalty"],
+)
+def test_first_passage_routes_are_the_library_values(doc, penalty, routes, tmp_path, capsys):
+    # --route all skips the closed route on perturbed gamma, which has no
+    # residue sum, and every route but the PK series under a penalty
+    argv = ["first-passage", "--model", _model_file(tmp_path, doc), "--delta", "0.5,1", "--b", "0.5,1.5"]
+    assert dispatch([*argv, "--penalty", penalty]) == 0
+    params, header, rows = _printed_csv(capsys.readouterr().out)
+    assert params == {"delta": [0.5, 1.0], "b": [0.5, 1.5], "route": "all", "penalty": penalty}
+    assert header == ["b", "delta", "phi", "route"]
+    model, b_max = model_from_dict(doc), 1.5 * 2.0 + 1.0
+    pen = PenaltySpec() if penalty == "one" else PenaltySpec(tag="overshoot_indicator", eps=0.5)
+    want = []
+    for delta in (0.5, 1.0):
+        laws = {
+            "pk": lambda b: pk_series_transform(model, delta, pen, b_max=b_max)(b),
+            "scale": lambda b: transform_from_scales(build_scale_set(model, delta, b_max))(b),
+            "closed": lambda b: ph_transform(model, delta, b),
+        }
+        want += [(b, delta, float(laws[route](b)), route) for route in routes for b in (0.5, 1.5)]
+    assert [row[3] for row in rows] == [w[3] for w in want]
+    assert [(float(row[0]), float(row[1])) for row in rows] == [w[:2] for w in want]
+    assert [float(row[2]) for row in rows] == pytest.approx([w[2] for w in want], rel=1e-15, abs=0.0)
+
+
+def test_closed_route_by_name_on_a_kind_without_it_is_usage_error(tmp_path, capsys):
+    argv = ["first-passage", "--model", _model_file(tmp_path, PG), "--delta", "0.5", "--b", "1", "--route", "closed"]
+    assert dispatch(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_last_passage_cdf_prints_to_stdout(tmp_path, capsys):
+    # no --out: the rows go to stdout, under the same manifest line
+    argv = ["last-passage", "--model", _model_file(tmp_path, PH1), "--b", "1.5", "--t", "0.5,2"]
+    assert dispatch(argv) == 0
+    params, header, rows = _printed_csv(capsys.readouterr().out)
+    assert params == {"b": 1.5, "t": [0.5, 2.0], "delta": [0.5], "what": "cdf"}
+    assert header == ["t", "cdf"]
+    model = model_from_dict(PH1)
+    assert [float(t) for t, _ in rows] == [0.5, 2.0]
+    assert [float(c) for _, c in rows] == pytest.approx([last_passage_cdf(model, 1.5, t) for t in (0.5, 2.0)], rel=1e-15)
+
+
+def test_reflected_last_passage_takes_a_delta_list(tmp_path, capsys):
+    argv = ["last-passage", "--model", _model_file(tmp_path, PG), "--b", "1.5", "--what", "reflected"]
+    assert dispatch([*argv, "--delta", "0.5,1"]) == 0
+    params, header, rows = _printed_csv(capsys.readouterr().out)
+    assert params["delta"] == [0.5, 1.0] and header == ["delta", "laplace"]
+    model = model_from_dict(PG)
+    a_max = 1.5 + 24.0 / escape_rate(model)
+    want = [
+        reflected_last_passage_transform(model, transform_from_scales(build_scale_set(model, d, a_max, n=4097)), 1.5)
+        for d in (0.5, 1.0)
+    ]
+    assert [float(d) for d, _ in rows] == [0.5, 1.0]
+    assert [float(v) for _, v in rows] == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+def test_overshoot_takes_one_delta(tmp_path, capsys):
+    argv = ["last-passage", "--model", _model_file(tmp_path, PG), "--b", "1.5", "--what", "overshoot"]
+    assert dispatch([*argv, "--delta", "0.5,1"]) == 2
+    assert "one --delta" in capsys.readouterr().err
+    assert dispatch([*argv, "--delta", "1", "--grid-n", "3"]) == 0
+    params, _, rows = _printed_csv(capsys.readouterr().out)
+    assert params["delta"] == [1.0] and len(rows) == 9
+
+
+def test_duality_prints_the_library_estimates(bm_model_file, capsys):
+    argv = ["duality", "--model", bm_model_file, "--b", "1", "--t", "1", "--paths", "500", "--seed", "4"]
+    assert dispatch(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    refl, fp = duality_check(model_from_dict(BM), 1.0, 1.0, SimConfig(t_max=1.0, n_paths=500, seed=4, max_blocks=1))
+    for key, res in (("p_reflected_exceeds", refl), ("p_passage_by_t", fp)):
+        assert doc[key] == {"estimate": res.estimate, "se": res.std_error, "n": res.n}
+    assert doc["gap_in_se"] == pytest.approx(
+        abs(refl.estimate - fp.estimate) / np.hypot(refl.std_error, fp.std_error), rel=1e-15
+    )

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import log_ndtr, ndtr
-from scipy.stats import norm
+from scipy.special import ive, log_ndtr, ndtr
+from scipy.stats import gamma as gamma_law
+from scipy.stats import norm, poisson
 
 from conftest import assert_within_se
 from levypassage.errors import NoJumpPart, TailNotDominated, WrongKind
 from levypassage.first_passage import inverse_gaussian_cdf, transform_from_scales
 from levypassage.last_passage import (
+    _gaussian_escape_mass,
     bm_last_passage_cdf,
     bm_last_passage_density,
     density_of_dt,
@@ -29,7 +31,7 @@ from levypassage.mc import (
     run_reflected_at_exp_horizon,
     run_reflected_last_passage,
 )
-from levypassage.models import KIND_BROWNIAN, KIND_PH, ModelSpec, PhaseType
+from levypassage.models import KIND_BROWNIAN, KIND_PERTURBED_GAMMA, KIND_PH, ModelSpec, PhaseType
 
 
 _ORACLE_MAX_RHO_TAU = 2.0  # the oracle's validated range of rho0 sigma sqrt(t)
@@ -156,6 +158,14 @@ class TestDensityOfDt:
     def test_gamma_density_zero_below_drift(self, gamma_model):
         dens = density_of_dt(gamma_model, 1.0)
         assert float(dens(-0.5)) == 0.0
+
+    def test_ph_density_zero_outside_its_support(self, ph2_model):
+        # the density is its grid on the support and 0 on both sides of it
+        dens = density_of_dt(ph2_model, 1.0)
+        lo, hi = dens.f.x0, dens.f.x_max
+        assert dens(np.array([lo - 1.0, lo - 1e-6, hi + 1e-6, hi + 1.0])).tolist() == [0.0] * 4
+        assert dens(lo - 1.0) == 0.0 and dens(hi + 1.0) == 0.0
+        assert dens(ph2_model.mean_d1) > 0.1
 
     def test_ph2_mean(self, ph2_model):
         dens = density_of_dt(ph2_model, 1.5)
@@ -317,6 +327,85 @@ class TestLastPassageFree:
             assert last_passage_cdf(gamma_model, 1.0, t) <= gamma_exact_cdf(
                 gamma_model, 1.0, t
             ) + 1e-12
+
+
+def _escape_against(model, t, c, density, lo, hi):
+    """int esc_G(c - mu t - y) density(y) dy over [lo, hi], esc_G the Gaussian
+    part's closed escape mass, by adaptive quadrature on 40 panels."""
+    tau, rho0, u = model.sigma * math.sqrt(t), escape_rate(model), c - model.mu * t
+
+    def integrand(y):
+        return float(_gaussian_escape_mass(u - y, tau, rho0)) * density(y)
+
+    edges = np.linspace(lo, hi, 41)
+    return sum(quad(integrand, a, b, epsabs=1e-15, epsrel=1e-13, limit=200)[0] for a, b in zip(edges[:-1], edges[1:]))
+
+
+def _exp1_escape(model, t, c):
+    """Exp(1) jumps at rate lam: the no-jump atom e^{-lam t} esc_G(c - mu t),
+    plus esc_G against the Bessel density e^{-lam t - y} sqrt(lam t / y)
+    I_1(2 sqrt(lam t y)) of J_t, over 40 sd of J_t about its mean."""
+    lt = model.lam * t
+
+    def density(y):
+        z = 2.0 * math.sqrt(lt * y)
+        return math.exp(-lt - y + z) * math.sqrt(lt / y) * ive(1, z)
+
+    atom = math.exp(-lt) * float(_gaussian_escape_mass(c - model.mu * t, model.sigma * math.sqrt(t), escape_rate(model)))
+    sd = math.sqrt(2.0 * lt)
+    return atom + _escape_against(model, t, c, density, max(1e-300, lt - 40.0 * sd), lt + 40.0 * sd)
+
+
+def _gamma_escape(model, t, c):
+    """Gamma jumps: esc_G against the Gamma(alpha t, xi) density of J_t."""
+    law = gamma_law(model.alpha * t, scale=model.xi)
+    return _escape_against(model, t, c, law.pdf, max(0.0, law.mean() - 40.0 * law.std()), law.mean() + 40.0 * law.std())
+
+
+def _erlang2_escape(model, t, c):
+    """Erlang(2, 2) jumps: esc_G against the Poisson mixture of the
+    Gamma(2n, 1/2) laws of J_t given n jumps, n within 12 sd of lam t (the
+    atom at no jump is below e^{-lam t})."""
+    lt = model.lam * t
+    n = np.arange(max(1, int(lt - 12.0 * math.sqrt(lt))), int(lt + 12.0 * math.sqrt(lt)))
+    weights = poisson.pmf(n, lt)
+    sd = math.sqrt(1.5 * lt)
+    return _escape_against(
+        model, t, c, lambda y: float(weights @ gamma_law.pdf(y, 2 * n, scale=0.5)), lt - 40.0 * sd, lt + 40.0 * sd
+    )
+
+
+_LONG = {
+    "ph_sigma_0.5": (ModelSpec(kind=KIND_PH, mu=0.2, sigma=0.5, lam=1.0, ph=PhaseType([1.0], [[-1.0]])), _exp1_escape),
+    "ph_sigma_0.01": (ModelSpec(kind=KIND_PH, mu=0.1, sigma=0.01, lam=1.0, ph=PhaseType([1.0], [[-1.0]])), _exp1_escape),
+    "pgamma": (ModelSpec(kind=KIND_PERTURBED_GAMMA, mu=0.2, sigma=0.05, alpha=1.5, xi=0.7), _gamma_escape),
+}
+
+
+class TestLongHorizons:
+    """Hundreds to thousands of expected jumps by t: J = E[e^{s D_t}; a jump]
+    is e^{t kappa} large, and the escape mass must not form it."""
+
+    @pytest.mark.parametrize("name", sorted(_LONG))
+    def test_escape_mass_against_quadrature(self, name):
+        # at c = E[D_t]; the bounds once read log J as the log of an
+        # overflowed J, and raised from t = 500 (ph_sigma_0.01), t = 1000
+        # (ph_sigma_0.5) and t = 5000 (pgamma)
+        model, reference = _LONG[name]
+        ts = np.array([700.0, 2000.0, 1e4])
+        cs = model.mean_d1 * ts
+        want = [reference(model, t, c) for t, c in zip(ts, cs)]
+        assert density_of_dt(model, ts[0]).escape_mass(cs, ts) == pytest.approx(want, rel=0.0, abs=1e-10)
+        for t, c, w in zip(ts, cs, want):
+            assert last_passage_cdf(model, c, t) == pytest.approx(w, rel=0.0, abs=1e-10)
+
+    def test_share_stays_finite_off_the_real_axis(self):
+        # Erlang jumps: Re E e^{s Y} < 0 at some frequencies, so the no-jump
+        # factor e^{-t (phi_J(-s) + lam)} of a Fourier node passes e^{700} at t = 1e4
+        model = ModelSpec(kind=KIND_PH, mu=0.1, sigma=0.01, lam=1.0, ph=PhaseType([1.0, 0.0], [[-2.0, 2.0], [0.0, -2.0]]))
+        t = 1e4
+        c = model.mean_d1 * t
+        assert last_passage_cdf(model, c, t) == pytest.approx(_erlang2_escape(model, t, c), rel=0.0, abs=1e-10)
 
 
 class TestBMClosedForms:

@@ -119,8 +119,6 @@ class TestGridFunction:
         assert f(0.25) == pytest.approx(0.5)
         with pytest.raises(OutOfGrid):
             f(1.5)
-        zero = GridFunction(0.0, 0.5, [0.0, 1.0, 4.0], extrapolate="zero")
-        assert zero(9.0) == 0.0
 
     def test_cumulative_matches_integral(self):
         h = 1e-3
