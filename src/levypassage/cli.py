@@ -38,6 +38,7 @@ from .last_passage import (
     last_passage_joint_density,
     last_passage_joint_mass,
     last_passage_overshoot_transform,
+    perturbed_gamma_density,
     reflected_last_passage_transform,
 )
 from .lundberg import (
@@ -448,6 +449,25 @@ def run_validation(quick: bool = True, seed: int = 20260810) -> list[tuple[str, 
     small_jumps = ModelSpec(kind="perturbed_gamma", mu=0.1, sigma=1.0, alpha=2.0, xi=0.05)
     split = last_passage_cdf(small_jumps, 0.8, 4.0) + last_passage_joint_mass(small_jumps, 0.8, 4.0)
     add("last_passage_mass_split_pgamma_small_jumps", abs(split - 1.0), 1e-5)
+
+    # alpha t = 400: the closed D_t density at mean + sd (-4, -1, 0, 2) against
+    # the quadrature of the Gamma(alpha t, xi) and Gaussian densities' convolution
+    from scipy.integrate import quad
+
+    long, t = ModelSpec(kind="perturbed_gamma", mu=0.1, sigma=0.2, alpha=2.0, xi=0.3), 200.0
+    s, st = long.alpha * t, long.sigma * math.sqrt(t)
+    mean, sd = long.mu * t + s * long.xi, math.sqrt(st**2 + s * long.xi**2)
+
+    def convolution(u, a):
+        log_gam = (s - 1.0) * math.log(u) - u / long.xi - math.lgamma(s) - s * math.log(long.xi)
+        return math.exp(log_gam - 0.5 * ((a - long.mu * t - u) / st) ** 2) / (st * math.sqrt(2.0 * math.pi))
+
+    worst = 0.0
+    for a in mean + sd * np.array([-4.0, -1.0, 0.0, 2.0]):
+        want = quad(convolution, 0.0, s * long.xi + 60.0 * math.sqrt(s) * long.xi, args=(a,),
+                    points=[s * long.xi], epsabs=0.0, epsrel=1e-13, limit=400)[0]
+        worst = max(worst, abs(float(perturbed_gamma_density(long, t, a)) / want - 1.0))
+    add("perturbed_gamma_density_long_horizon", worst, 1e-10)
 
     # duality (Monte Carlo)
     n_paths = 20_000 if quick else 100_000

@@ -82,5 +82,9 @@ class UnresolvedKernel(NumericalError):
     """A density cannot be resolved by point values on the requested lattice."""
 
 
+class Overflow(NumericalError):
+    """A requested table would pass the largest double."""
+
+
 class HorizonExceeded(NumericalError):
     """Simulation exceeded its cycle/step budget."""

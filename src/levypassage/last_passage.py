@@ -52,7 +52,9 @@ def perturbed_gamma_density(model: ModelSpec, t: float, a) -> np.ndarray:
                e^{-atil^2/(2 sigma^2 t) + z^2/4} D_{-alpha t}(z),
 
     with atil = a - mu t and z = sigma sqrt(t)/xi - atil/(sigma sqrt(t)),
-    evaluated in log space through the parabolic-cylinder core integral.
+    evaluated in log space through the parabolic-cylinder core integral
+    (``numerics._pcd_core_integral``), whose log stays finite at any alpha t
+    and z: the density underflows to 0 far in its tails but is never inf.
     The prefactor power is alpha t - 1 (fixed against the direct convolution
     of the gamma and Gaussian densities, which also fixes the exponent sign).
     """

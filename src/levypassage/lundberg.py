@@ -29,6 +29,7 @@ from .errors import (
     CardinalityMismatch,
     NoConvergence,
     NoPerturbation,
+    Overflow,
     RepeatedRoots,
     WrongKind,
 )
@@ -187,6 +188,13 @@ class ScaleSet:
 
     @property
     def w(self) -> GridFunction:
+        """W on the grid, which ``w_prime`` and ``z`` read; refused with
+        Overflow when a value of W, W' or Z could pass the largest double."""
+        t_top = float(np.max(self.tilted.values))
+        factor = max(t_top, self.rho * t_top + float(np.max(self.u_delta.values)), self.delta * self.x_max * t_top)
+        x_top = (math.log(np.finfo(float).max) - math.log(factor)) / self.rho
+        if self.x_max > x_top:
+            raise Overflow(f"W, W' and Z = 1 + delta int W stay finite only up to x = {x_top:.4g}, below x_max = {self.x_max:g}")
         growth = np.exp(self.rho * self.tilted.grid())
         return self.tilted.with_values(growth * self.tilted.values)
 

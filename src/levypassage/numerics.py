@@ -1,8 +1,9 @@
 """Shared numerical kernels.
 
-A special function (the parabolic-cylinder core integral, in log space),
-grid functions with trapezoid convolution, power-series products and reciprocals
-by FFT, Laplace inversion by Euler summation, and root finding.
+A special function (the parabolic-cylinder core integral, by one quadrature
+rule summed in log space around its integrand's peak), grid functions with
+trapezoid convolution, power-series products and reciprocals by FFT, Laplace
+inversion by Euler summation, and root finding.
 Everything here is a pure function of its inputs.
 """
 
@@ -14,6 +15,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
 from .errors import (
@@ -162,57 +164,48 @@ def cumulative_from_cells(cell_integrals: np.ndarray) -> np.ndarray:
 def _pcd_core_integral(s: float, z) -> np.ndarray:
     """log J(z), J(z) = int_0^inf exp(-(x+z)^2/2) x^(s-1) dx, vectorized over z.
 
-    The factor e^{-max(z, 0)^2/2} is taken out into the log: at z > 0 the
-    integrand is e^{-x^2/2 - x z} x^(s-1) times it, which would underflow
-    past z = 37.6 while J itself is about Gamma(s)/z^s.  The x^(s-1)
-    endpoint singularity (s < 1) is removed with the substitution v = x^s on
-    [0, 1]; beyond 1 three Gauss-Legendre panels track the peak of the
-    Gaussian factor at x = max(1, -z).
+    Each node's term w x^(s-1) e^{-(x+z)^2/2} is kept as a log and summed
+    relative to the largest, so log J stays finite where J leaves the doubles.
+    Three 64-point Gauss-Legendre panels span 8 curvature widths below the
+    peak x*, x*(x* + z) = s - 1, to 16 above.  A peak within 8 widths of 0 is
+    read as at least e = min(1, 40/z), and a Gauss-Jacobi rule carrying
+    x^fmod(s - 1, 1) spans [0, e], over which e^{-x z} falls by at most e^{-40}.
     """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    lift = 0.5 * np.maximum(z, 0.0) ** 2
-    # piece 1: x in [0, 1] with a Gauss-Jacobi rule carrying the exact
-    # x^(s-1) weight, so the endpoint singularity/steepness never appears
-    xj, wj = _jacobi_rule(s)
-    p1 = 2.0 ** (-s) * np.sum(
-        np.exp(lift[:, None] - 0.5 * (xj[None, :] + z[:, None]) ** 2) * wj[None, :], axis=1
-    )
-    # piece 2: panels [1, c1], [c1, c2], [c2, up] hugging the peak; the tail
-    # width also grows with sqrt(s) since x^(s-1) pushes mass right
-    peak = np.maximum(1.0, -z)
-    width = 1.0 + math.sqrt(max(s, 1.0)) * 0.5
-    c1 = np.maximum(1.0 + 1e-12, peak - 4.0 * width)
-    c2 = np.maximum(c1 + 0.5, peak + 4.0 * width)
-    up = np.maximum(c2 + 1.0, peak + 12.0 * width)
-    total = p1
-    for lo, hi in ((np.full_like(z, 1.0), c1), (c1, c2), (c2, up)):
-        span = hi - lo
-        xs = lo[:, None] + span[:, None] * _GL64_NODES[None, :]
-        with np.errstate(over="ignore"):
-            integ = np.exp(lift[:, None] - 0.5 * (xs + z[:, None]) ** 2 + (s - 1.0) * np.log(xs))
-        total = total + span * np.sum(integ * _GL64_WEIGHTS[None, :], axis=1)
-    with np.errstate(divide="ignore"):  # far tails: J underflows, log J = -inf
-        return np.log(total) - lift
-
-
-def _gl_rule(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
-_GL64_NODES, _GL64_WEIGHTS = _gl_rule(64)
+    z = np.atleast_1d(np.asarray(z, dtype=float))[:, None]
+    root = 0.5 * (np.sqrt(np.maximum(z * z + 4.0 * (s - 1.0), 0.0)) - z)
+    power = max(s - 1.0, 0.0)  # below s = 1 the widths are the Gaussian factor's
+    far = root**2 + power > 64.0  # root > 8 root / sqrt(root^2 + power): the peak is over 8 widths clear of 0
+    edge = 40.0 / np.maximum(z, 40.0)
+    peak = np.where(far, root, np.maximum(root, edge))
+    width = peak / np.sqrt(peak**2 + power)
+    lo = np.where(far, peak - 8.0 * width, edge)
+    edges = np.concatenate((lo, peak + width * np.array([1.0, 4.0, 16.0])), axis=1)
+    starts = np.concatenate((0.0 * lo, edges[:, :-1]), axis=1)[:, :, None]
+    spans = np.concatenate((np.minimum(lo, edge), np.diff(edges, axis=1)), axis=1)[:, :, None]
+    rule_nodes, rule_log_w = _rules(math.fmod(s - 1.0, 1.0))
+    out = np.empty(len(z))
+    for i in range(0, len(z), 64):  # blocks of 64 rows keep the 64 x 256 terms in cache
+        b = slice(i, i + 64)
+        nodes = starts[b] + spans[b] * rule_nodes
+        terms = np.log(spans[b]) + rule_log_w + (s - 1.0) * np.log(nodes) - 0.5 * (nodes + z[b, :, None]) ** 2
+        top = terms.max(axis=(1, 2))
+        out[b] = top + np.log(np.exp(terms - top[:, None, None]).sum(axis=(1, 2)))
+    return out
 
 
 @lru_cache(maxsize=256)
-def _jacobi_rule_cached(s_key: float):
-    from scipy.special import roots_jacobi
-
-    u, w = roots_jacobi(48, 0.0, s_key - 1.0)
-    return 0.5 * (1.0 + u), w
-
-
-def _jacobi_rule(s: float):
-    return _jacobi_rule_cached(round(float(s), 14))
+def _rules(beta: float):
+    """Nodes and log weights on [0, 1], one row per piece: first the 64-point
+    Gauss-Jacobi rule for int_0^1 f(y) dy, exact when f(y)/y^beta is a polynomial
+    of degree < 128, by Golub-Welsch (scipy's roots_jacobi loses 1e-11 as beta
+    nears -1); then 64-point Gauss-Legendre for each of the three panels."""
+    k = np.arange(1.0, 64.0)
+    c = 2.0 * k + beta
+    diag = np.concatenate(([beta / (beta + 2.0)], beta**2 / (c * (c + 2.0))))
+    u, v = eigh_tridiagonal(diag, 2.0 * k * (k + beta) / (c * np.sqrt(c * c - 1.0)))
+    y, (x, w) = 0.5 * (1.0 + u), np.polynomial.legendre.leggauss(64)
+    log_w = 2.0 * np.log(np.abs(v[0])) - math.log(beta + 1.0) - beta * np.log(y)
+    return np.vstack([y] + 3 * [0.5 * (1.0 + x)]), np.vstack([log_w] + 3 * [np.log(0.5 * w)])
 
 
 # ---------------------------------------------------------------------------

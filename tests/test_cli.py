@@ -67,6 +67,7 @@ def test_validate_quick_passes():
         "first_passage_pk_vs_euler_pgamma",
         "scale_closed_vs_inversion_ph_delta0",
         "last_passage_mass_split_pgamma_small_jumps",
+        "perturbed_gamma_density_long_horizon",
     } <= {name for name, *_ in rows}
     assert [name for name, _, _, ok in rows if not ok] == []
 
@@ -188,6 +189,14 @@ def test_unresolved_scale_grid_is_numerical_failure(tmp_path, capsys):
     assert captured.err.startswith("numerical failure: ")
 
 
+def test_scale_table_past_the_largest_double_is_numerical_failure(bm_model_file, capsys):
+    # rho(0.5) = 2.414: the row at x = 300 once read inf in W, W' and Z, exit 0
+    assert dispatch(["scale", "--model", bm_model_file, "--delta", "0.5", "--x-max", "300", "--n", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: ") and "292.1" in captured.err
+
+
 def test_duality_takes_no_time_step(bm_model_file):
     # both of its estimates go from jump to jump, so there is no dt to set
     with pytest.raises(SystemExit) as exc:
@@ -249,7 +258,7 @@ def test_module_entry_point_runs_validate(module):
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    assert "20/20 checks passed" in done.stdout
+    assert "21/21 checks passed" in done.stdout
 
 
 def test_simulate_with_every_path_censored_is_numerical_failure(bm_model_file, capsys):

@@ -110,6 +110,13 @@ class TestScaleFormula:
         scales = build_scale_set(bm_model, 0.5, 2.0)
         assert transform_from_scales(scales)(1.0) == pytest.approx(BM_EXACT, abs=5e-6)
 
+    def test_delta_zero_is_one(self, bm_model, ph_model):
+        # T_b is finite almost surely, so E[e^{-0 T_b}] = 1 at every threshold
+        for model in (bm_model, ph_model):
+            vals = transform_from_scales(build_scale_set(model, 0.0, 2.0)).b_grid.values
+            assert np.array_equal(vals, np.ones(vals.size))
+        assert ph_transform(ph_model, 0.0, 2.0) == 1.0
+
     def test_decreasing_in_threshold(self, ph_model):
         scales = build_scale_set(ph_model, 0.5, 3.0)
         tr = transform_from_scales(scales)

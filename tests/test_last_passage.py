@@ -77,6 +77,22 @@ def _exp_jump_escape_oracle(model, b, t):
     return total
 
 
+def _check_density_at_four_points(m, t):
+    """perturbed_gamma_density at the mean + sd * (-4, -1, 0, 2) of D_t against
+    the quadrature of the Gamma(alpha t, xi) density times the Gaussian's, to 1e-10."""
+    s, st = m.alpha * t, m.sigma * math.sqrt(t)
+    mean, sd = m.mu * t + s * m.xi, math.sqrt(st**2 + s * m.xi**2)
+
+    def integrand(u, a):
+        log_gam = (s - 1.0) * math.log(u) - u / m.xi - math.lgamma(s) - s * math.log(m.xi)
+        return math.exp(log_gam) * norm.pdf(a - m.mu * t - u, scale=st)
+
+    for a in mean + sd * np.array([-4.0, -1.0, 0.0, 2.0]):
+        oracle, _ = quad(integrand, 0.0, s * m.xi + 60.0 * math.sqrt(s) * m.xi, args=(a,), points=[s * m.xi],
+                         epsabs=0.0, epsrel=1e-13, limit=400)
+        assert float(perturbed_gamma_density(m, t, a)) == pytest.approx(oracle, rel=1e-10), a
+
+
 class TestDensityOfDt:
     def test_bm_peak(self, bm_model):
         dens = density_of_dt(bm_model, 1.0)
@@ -123,31 +139,44 @@ class TestDensityOfDt:
 
     @pytest.mark.parametrize(
         "mu, sigma, alpha, xi, t",
-        [(0.1, 1.0, 2.0, 0.05, 4.0), (0.0, 2.0, 1.0, 0.1, 3.0), (0.1, 1.0, 2.0, 0.05, 3.0)],
+        [
+            (0.1, 1.0, 2.0, 0.05, 4.0),
+            (0.0, 2.0, 1.0, 0.1, 3.0),
+            (0.1, 1.0, 2.0, 0.05, 3.0),
+            (0.1, 1.0, 8.0, 0.004, 4.0),
+            (0.1, 1.0, 16.0, 0.004, 4.0),
+        ],
     )
     def test_perturbed_gamma_small_jumps(self, mu, sigma, alpha, xi, t):
         # sigma sqrt(t)/xi = 40, 34.6 and 34.6: the core integral's factor
         # e^{-(x+z)^2/2} underflowed past z = 37.6, and the density read 0 at
         # the mean of the first case (0.199) and four standard deviations
-        # below the mean of the second (3.85e-5); oracle by quadrature
-        m = ModelSpec(kind="perturbed_gamma", mu=mu, sigma=sigma, alpha=alpha, xi=xi)
-        s, st = alpha * t, sigma * math.sqrt(t)
-        mean, sd = mu * t + s * xi, math.sqrt(st**2 + s * xi**2)
+        # below the mean of the second (3.85e-5); oracle by quadrature.
+        # sigma sqrt(t)/xi = 500 at alpha t = 32 and 64: a Jacobi piece on all
+        # of [0, 1] read e^{-x z} there, and the density 6.3e-8 and 1.3e-8 off
+        _check_density_at_four_points(ModelSpec(kind="perturbed_gamma", mu=mu, sigma=sigma, alpha=alpha, xi=xi), t)
 
-        def integrand(u, a):
-            log_gam = (s - 1.0) * math.log(u) - u / xi - math.lgamma(s) - s * math.log(xi)
-            return math.exp(log_gam) * norm.pdf(a - mu * t - u, scale=st)
-
-        for a in mean + sd * np.array([-4.0, -1.0, 0.0, 2.0]):
-            oracle, _ = quad(integrand, 0.0, s * xi + 60.0 * math.sqrt(s) * xi, args=(a,), points=[s * xi],
-                             epsabs=0.0, epsrel=1e-13, limit=400)
-            assert float(perturbed_gamma_density(m, t, a)) == pytest.approx(oracle, rel=1e-10), a
+    @pytest.mark.parametrize(
+        "mu, sigma, alpha, xi, t",
+        [(0.1, 0.2, 2.0, 0.3, 50.0), (0.2, 0.5, 1.5, 0.7, 100.0), (0.1, 0.2, 2.0, 0.3, 200.0), (0.1, 0.2, 2.0, 0.3, 1000.0)],
+    )
+    def test_perturbed_gamma_long_horizons(self, mu, sigma, alpha, xi, t):
+        # alpha t = 100, 150, 400 and 2000: panels placed by guess missed the
+        # integrand's peak, reading 3.4e-7 and 1.2e-6 off at the first two and
+        # inf at the last two
+        _check_density_at_four_points(ModelSpec(kind="perturbed_gamma", mu=mu, sigma=sigma, alpha=alpha, xi=xi), t)
 
     def test_mass_split_with_small_jumps(self):
         # at sigma sqrt(t)/xi = 40 the split read 0.216 once the density was 0
         m = ModelSpec(kind="perturbed_gamma", mu=0.1, sigma=1.0, alpha=2.0, xi=0.05)
         b = 0.8  # the mean of D_4
         assert last_passage_cdf(m, b, 4.0) + last_passage_joint_mass(m, b, 4.0) == pytest.approx(1.0, abs=1e-5)
+
+    def test_mass_split_at_a_long_horizon(self):
+        # alpha t = 400: the D_t table read inf at every node and the split NaN
+        m = ModelSpec(kind="perturbed_gamma", mu=0.1, sigma=0.2, alpha=2.0, xi=0.3)
+        b = 140.0  # the mean of D_200
+        assert last_passage_cdf(m, b, 200.0) + last_passage_joint_mass(m, b, 200.0) == pytest.approx(1.0, abs=1e-4)
 
     def test_masses(self, bm_model, pgamma_model, ph_model, gamma_model):
         for model in (bm_model, pgamma_model, ph_model, gamma_model):
@@ -500,6 +529,14 @@ class TestOvershootTransform:
             last_passage_overshoot_transform(ph_model, scales_ph0, 1.0, -0.1, 1.0)
         with pytest.raises(ValueError):
             last_passage_overshoot_transform(ph_model, scales_ph0, 1.0, 0.5, 0.0)
+
+    def test_given_escape_rate_is_the_default(self, ph_model, scales_ph0):
+        y, w = np.array([0.0, 0.4, 1.3]), np.array([[0.2], [1.1]])
+        given = last_passage_overshoot_transform(ph_model, scales_ph0, 1.0, y, w, escape_rate(ph_model))
+        assert np.array_equal(last_passage_overshoot_transform(ph_model, scales_ph0, 1.0, y, w), given)
+        phi = transform_from_scales(build_scale_set(ph_model, 0.5, 1.0 + 16.0 / escape_rate(ph_model), n=4097))
+        given = reflected_last_passage_transform(ph_model, phi, 1.0, escape_rate(ph_model))
+        assert reflected_last_passage_transform(ph_model, phi, 1.0) == given
 
     def test_no_jump_part(self, bm_model):
         scales = build_scale_set(bm_model, 0.0, 2.0)

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 import levypassage.lundberg as lundberg
-from levypassage.errors import NoConvergence, NoPerturbation, RepeatedRoots, WrongKind
+from levypassage.errors import NoConvergence, NoPerturbation, Overflow, RepeatedRoots, WrongKind
 from levypassage.lundberg import (
     ROUTE_CLOSED,
     ROUTE_INVERSION,
@@ -259,6 +259,17 @@ class TestScaleSets:
         for scales in scale_sets.values():
             again = 1.0 + scales.delta * scales.w.cumulative().values
             assert np.max(np.abs(scales.z.values - again)) < 1e-12
+
+    def test_tables_past_the_largest_double_are_refused(self, bm_model):
+        # rho(0.5) = 2.414: e^{rho x} passes the largest double at x = 709.8/rho
+        # = 294.0 and W' (2.4 W) before it; these tables once read inf at x = 300
+        for x_max in (300.0, 294.0):
+            scales = build_scale_set(bm_model, 0.5, x_max, 5)
+            for table in ("w", "w_prime", "z"):
+                with pytest.raises(Overflow, match="up to x = 292.1"):
+                    getattr(scales, table)
+        scales = build_scale_set(bm_model, 0.5, 292.0, 5)
+        assert all(np.all(np.isfinite(getattr(scales, t).values)) for t in ("w", "w_prime", "z"))
 
     def test_tilted_limit(self, bm_model, pgamma_model, ph_model):
         # e^{-rho x} W(x) at the far grid end within 5% of 1/phi_D'(rho)

@@ -28,7 +28,7 @@ from levypassage.maintenance import (
     simulate_policy,
 )
 from levypassage.mc import cycle_ends
-from levypassage.models import KIND_PERTURBED_GAMMA, KIND_PH, KIND_PURE_GAMMA, ModelSpec, PhaseType
+from levypassage.models import KIND_BROWNIAN, KIND_PERTURBED_GAMMA, KIND_PH, KIND_PURE_GAMMA, ModelSpec, PhaseType
 
 KINDS = ["bm_model", "gamma_model", "pgamma_model_wide", "ph2_model"]
 
@@ -196,6 +196,29 @@ class TestChain:
         p_fail, e_time, ys, rho = PolicyKernels(pgamma_model, policy).chain(4)
         assert p_fail.sum() + np.trapezoid(rho, ys) == pytest.approx(1.0, abs=2e-3)
         sim = simulate_policy(pgamma_model, policy, 20_000, seed=3)
+        for i in range(1, 5):
+            mc = sim.p_i(i)
+            assert_within_se(mc.estimate, mc.std_error, p_fail[i - 1], 3.0, f"P(I = {i})")
+            mc = sim.e_t_star_on_i(i)
+            assert_within_se(mc.estimate, mc.std_error, e_time[i - 1], 3.0, f"E[T*; I = {i}]")
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            ModelSpec(kind=KIND_BROWNIAN, mu=0.8, sigma=0.9),
+            ModelSpec(kind=KIND_PERTURBED_GAMMA, mu=0.1, sigma=0.9, alpha=1.2, xi=0.8),
+        ],
+        ids=["bm", "pgamma"],
+    )
+    def test_exponential_schedule_vs_simulation(self, model):
+        # m(x) = 0.75 e^{-0.4 x} + 0.2: the exponential schedule, which no other test runs
+        policy = PolicySpec(
+            b=2.0,
+            m=InspectionSchedule("exponential", value=0.75, slope=0.4, floor=0.2),
+            d=MaintenanceAction("affine", theta=0.5, d0=0.1),
+        )
+        p_fail, e_time, _, _ = PolicyKernels(model, policy).chain(4)
+        sim = simulate_policy(model, policy, 20_000, seed=11)
         for i in range(1, 5):
             mc = sim.p_i(i)
             assert_within_se(mc.estimate, mc.std_error, p_fail[i - 1], 3.0, f"P(I = {i})")

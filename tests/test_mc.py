@@ -128,6 +128,11 @@ class TestLastPassageEscapeTest:
         _assert_same(short, long)
         _assert_same(long, run(ph2_model, cfg, 1.0))
 
+    @pytest.mark.parametrize("run", [run_last_passage, run_reflected_last_passage])
+    def test_given_escape_rate_is_the_default(self, ph2_model, run):
+        cfg = SimConfig(dt=2e-3, t_max=6.0, n_paths=2_000, seed=5, max_blocks=10)
+        _assert_same(run(ph2_model, cfg, 1.0), run(ph2_model, cfg, 1.0, rho0=escape_rate(ph2_model)))
+
     def test_paths_past_100_000_use_a_second_substream(self, bm_model):
         def cfg(n):
             return SimConfig(dt=0.05, t_max=6.0, n_paths=n, seed=5, max_blocks=10)

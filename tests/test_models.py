@@ -410,6 +410,13 @@ class TestSample:
         assert_within_se(mean, math.sqrt(var / n), m1, 4.0, "mean")
         assert_within_se(var, se_var, m2 - m1**2, 4.0, "variance")
 
+    def test_order_one_atom_at_zero(self):
+        # alpha = 0.6: a draw starts absorbed, and is 0, with probability 0.4
+        n = 200_000
+        x = sample_phase_type(PhaseType([0.6], [[-1.0]]), np.random.default_rng(7), n)
+        share = float(np.mean(x == 0.0))
+        assert_within_se(share, math.sqrt(share * (1.0 - share) / n), 0.4, 3.0, "P(J = 0)")
+
     def test_phase_chain_moments(self):
         ph = PhaseType(*TestTilt.PH[3])  # moves between all three phases
         n = 200_000

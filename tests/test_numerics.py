@@ -77,7 +77,7 @@ class TestIncompleteGamma:
 def _pcd(p, z):
     """D_p(z) = e^{z^2/4} J(z) / Gamma(-p) for p < 0, log J the core integral."""
     z = np.asarray(z, dtype=float)
-    return np.exp(0.25 * z * z + _pcd_core_integral(-p, z)) / math.gamma(-p)
+    return np.exp(0.25 * z * z + _pcd_core_integral(-p, z) - math.lgamma(-p))
 
 
 class TestParabolicCylinder:
@@ -96,11 +96,27 @@ class TestParabolicCylinder:
     def test_large_z_decay(self):
         assert float(_pcd(-1.0, 10.0)[0]) < 0.1 * float(_pcd(-1.0, 0.0)[0])
 
-    @pytest.mark.parametrize("p", [-0.5, -1.0, -2.3, -7.0])
-    @pytest.mark.parametrize("z", [-3.0, -0.5, 0.0, 2.0, 10.0])
-    def test_against_scipy(self, p, z):
+    @pytest.mark.parametrize(
+        "z, p",
+        [(z, p) for z in (-3.0, -0.5, 0.0, 2.0, 10.0) for p in (-0.5, -1.0, -2.3, -7.0)]
+        # s = 60 and 150, where the panels once missed the peak (log error 2.4e-7 at s = 150, z = -40)
+        + [(z, p) for z in (-40.0, -5.0, 0.0, 5.0) for p in (-60.0, -150.0)],
+    )
+    def test_against_scipy(self, z, p):
         oracle = pbdv(p, z)[0]
         assert float(_pcd(p, z)[0]) == pytest.approx(oracle, rel=1e-11)
+
+    @pytest.mark.parametrize("s", [0.3, 2.0, 20.0, 64.0])
+    @pytest.mark.parametrize("z", [2000.0, 1e4])
+    def test_far_right_against_mpmath(self, s, z):
+        # log J = lgamma(s) - z^2/4 + log D_{-s}(z), to the rounding of z^2/2;
+        # a Jacobi piece on all of [0, 1] read e^{-x z} here and was 2.1e-4 to
+        # 2.5e-2 off at z = 2000, so the density at sigma sqrt(t)/xi = 2000
+        # (alpha t = 2) was 1.7% off
+        import mpmath
+
+        oracle = mpmath.loggamma(s) - mpmath.mpf(z) ** 2 / 4 + mpmath.log(mpmath.pcfd(-s, z))
+        assert float(_pcd_core_integral(s, z)[0]) == pytest.approx(float(oracle), abs=2e-16 * z * z)
 
     def test_batch_matches_scalar(self):
         zs = np.array([-6.0, -1.0, 0.0, 3.0])
