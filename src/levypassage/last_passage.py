@@ -38,6 +38,7 @@ from .numerics import GridFunction, _pcd_core_integral
 _LATTICE_TAIL = 1e-16  # |characteristic function| at the Nyquist frequency of density_lattice
 _LATTICE_MAX = 1 << 18  # most lattice points per period density_lattice may use
 _LATTICE_BATCH = 1 << 16  # complex entries (1 MB) per batch of density_lattice rows
+_AFFINE_ULPS = 8  # rounding, in ulps of the largest |t| or |x0|, that _affine_runs allows an affine run
 _GRID_MIN_SD = 1.5  # least width, in grid steps, of the Gaussian part of a phase-type D_t grid
 _ESCAPE_MAX_NODES = 1 << 21  # most frequencies a pair's own Fourier sum may need (rounded up, a 64 MB table at most)
 _ESCAPE_TOL = 1e-12  # absolute error escape_mass may leave
@@ -97,6 +98,17 @@ def density_lattice(model: ModelSpec, t, x0, step: float, n: int) -> np.ndarray:
     enters only through e^{t psi_D}.  A regime that would need more than
     2^18 lattice points raises ``UnresolvedKernel``.
 
+    The spectra come from two small exponential tables per run of rows on
+    which t and x0 are affine in the row index (a uniform state grid under
+    a constant or affine schedule): with B = isqrt(run length), a base row
+    e^{t_b psi + i x0_b w} every B rows and the B step rows
+    e^{r (dt psi + i dx w)}, so each row is one complex multiply per entry
+    and each entry keeps the rounding of two exponentials and a product.
+    Every block of B rows is based on its smallest horizon, so dt >= 0 and,
+    as Re psi_D(i w) <= 0, no factor has modulus above 1.  Rows that are on
+    no affine run (an exponential schedule, a single row) are each their own
+    base, one exponential per entry.
+
     Brownian motion and pure gamma (sigma = 0) evaluate their closed forms
     at every lattice point, in batches of rows; pure gamma raises
     ``UnresolvedKernel`` once alpha t < 1, where its density is unbounded at
@@ -127,6 +139,34 @@ def _softplus(x):
     keeps exp off its slow underflow path (the escape bounds at betas near
     the abscissa run to |x| in the thousands)."""
     return np.maximum(x, 0.0) + np.log1p(np.exp(np.maximum(-np.abs(x), -700.0)))
+
+
+def _affine_runs(t, x0):
+    """The rows of ``_lattice`` as runs (first row, last row, block width B).
+
+    On a run t and x0 are affine in the row index: a run ends where a second
+    difference of t or x0 passes _AFFINE_ULPS ulps of the largest |t| or
+    |x0|.  A run of L rows has B = isqrt(L); one with a row off its chord by
+    more than that has B = 1, and consecutive runs with B = 1 (every row its
+    own base) go as one, so a row set with no affine run is one run.
+    """
+    size, ulps = t.size, _AFFINE_ULPS * np.finfo(float).eps
+    cut = np.zeros(size, dtype=bool)
+    cut[0] = True
+    for v in (t, x0):
+        cut[2:] |= np.abs(v[:-2] - 2.0 * v[1:-1] + v[2:]) > ulps * np.max(np.abs(v))
+    first = np.flatnonzero(cut)
+    last = np.append(first[1:], size) - 1
+    run = np.repeat(np.arange(first.size), last - first + 1)
+    pos, span = np.arange(size) - first[run], np.maximum(last - first, 1)
+    off = np.zeros(first.size, dtype=bool)
+    for v in (t, x0):
+        chord = v[first][run] + pos * ((v[last] - v[first]) / span)[run]
+        off[run[np.abs(v - chord) > ulps * np.max(np.abs(v))]] = True
+    width = np.where(off, 1, np.sqrt(span + 1).astype(int))
+    keep = np.ones(first.size, dtype=bool)
+    keep[1:] = (width[1:] > 1) | (width[:-1] > 1)
+    return first[keep], np.append(first[keep][1:], size) - 1, width[keep]
 
 
 @dataclass(frozen=True)
@@ -325,7 +365,9 @@ class MarginalDensityD:
 
     def _joint_mass(self, b: float) -> float:
         """P(L_b >= t): trapezoid sums of (1 - esc(a - b)) f(a) over the grid,
-        split at a = b, each on as many nodes as the grid has."""
+        split at a = b, each on as many nodes as the grid has.  Above b the
+        weight e^{-rho0 (a - b)} is below e^{-40} past b + 40/rho0, so that
+        piece ends there, and its step does not grow with the D_t support."""
         f = self.f
         lo, hi = f.x0, f.x_max
         total = 0.0
@@ -333,8 +375,9 @@ class MarginalDensityD:
             xs = np.linspace(lo, min(b, hi), self.n)
             total += float(np.trapezoid(f(xs), xs))
         if hi > b:
-            xs = np.linspace(b, hi, self.n)
-            vals = (1.0 - escape_probability(xs - b, escape_rate(self.model))) * f(xs)
+            rho0 = escape_rate(self.model)
+            xs = np.linspace(b, min(hi, b + 40.0 / rho0), self.n)
+            vals = (1.0 - escape_probability(xs - b, rho0)) * f(xs)
             total += float(np.trapezoid(vals, xs))
         return total
 
@@ -349,7 +392,16 @@ class MarginalDensityD:
         return out
 
     def _lattice(self, t, x0, step: float, n: int) -> np.ndarray:
-        """``density_lattice`` rows for horizons t >= self.t, by inverse FFTs."""
+        """``density_lattice`` rows for horizons t >= self.t, by inverse FFTs.
+
+        Each run of ``_affine_runs`` takes blocks of B rows from its smallest
+        horizon on.  A block's spectra are its base row e^{t_b psi + i x0_b w}
+        times the run's step rows e^{r (dt psi + i dx w)}, r < B, with dt >= 0
+        the run's per-row step: Re psi <= 0, so no factor has modulus above 1,
+        nothing overflows and no inf * 0 arises.  Whole blocks of at most
+        _LATTICE_BATCH entries in all are built and transformed at a time; a
+        block of width 1 is its base row times exactly 1.
+        """
         lo, hi = self._support(t)
         period = max(n * step, float(np.max(np.maximum(hi - x0, x0 + (n - 1) * step - lo))))
         cells = math.ceil(period / step)
@@ -367,11 +419,21 @@ class MarginalDensityD:
         omega = 2.0 * np.pi / (size * dx) * np.arange(size // 2 + 1)
         psi = model.phi_d(1j * omega)
         out = np.empty((t.size, n))
-        batch = max(1, _LATTICE_BATCH // omega.size)
-        for s in range(0, t.size, batch):
-            rows = slice(s, s + batch)
-            spec = np.exp(t[rows, None] * psi + 1j * np.outer(x0[rows], omega))
-            out[rows] = irfft(spec, size, axis=1)[:, : k * n : k] / dx
+        batch = max(1, _LATTICE_BATCH // omega.size)  # rows per batch
+        spec = np.empty((batch, omega.size), dtype=complex)
+        for first, last, width in zip(*_affine_runs(t, x0)):
+            width = min(width, batch)
+            rows = last - np.arange(last - first + 1) if t[last] < t[first] else np.arange(first, last + 1)
+            r = np.arange(width) / max(rows.size - 1, 1)  # steps, as shares of the run
+            dt, dx0 = t[rows[-1]] - t[rows[0]], x0[rows[-1]] - x0[rows[0]]
+            factors = np.exp(np.outer(r * dt, psi) + 1j * np.outer(r * dx0, omega))  # row 0 is 1
+            per = batch // width * width  # rows of whole blocks per batch
+            for j in range(0, rows.size, per):
+                part = rows[j : j + per]
+                bases = part[::width]
+                block = spec[: bases.size * width].reshape(bases.size, width, -1)
+                np.multiply(np.exp(t[bases, None] * psi + 1j * np.outer(x0[bases], omega))[:, None], factors, out=block)
+                out[part] = irfft(spec[: part.size], size, axis=1)[:, : k * n : k] / dx
         return np.maximum(out, 0.0)
 
 

@@ -49,8 +49,15 @@ well, and the row from x needs f_{m(x)} on the lattice a_j - x.
 one inverse FFT per row of the characteristic function
 E[e^{-i w D_t}] = e^{t psi_D(i w)}, with psi_D evaluated once for all rows,
 and for Brownian motion and pure gamma the closed form, a batch of rows at
-a time.  The chain reads no point value of the density: the pointwise
-``kernel_a`` is the tests' reference for the rows.
+a time.  Under a constant or affine m the horizons m(x_i) and the lattice
+starts a_0 - x_i are affine in i on runs of the grid (one for constant m,
+two for affine m split where m reaches its floor, apart from a row or two
+at x = 0 and at the split), so each run's spectra come from two
+small exponential tables: a base row every B = isqrt(run length) rows and
+B step rows, each block based on its shortest horizon so no factor exceeds
+modulus 1, and one complex multiply per entry.  The chain reads no point
+value of the density: the pointwise ``kernel_a`` is the tests' reference
+for the rows.
 """
 
 from __future__ import annotations
@@ -401,9 +408,11 @@ class PolicySimResult:
     and idle time are final once it fails; ``mean_t_star`` and the
     ``i_of_path``, ``t_star`` and ``idle`` attributes run every path until
     it fails.  The loop draws cycle by cycle from its own streams, so no
-    value depends on which statistics were read before it.  An exception
-    raised in the loop (``HorizonExceeded`` after _MAX_CYCLES cycles) is
-    raised again by every later read that needs the cycles it stopped.
+    value depends on which statistics were read before it.  Each statistic
+    is computed once, on its first read, and kept: its paths are final once
+    its cycles have run.  An exception raised in the loop
+    (``HorizonExceeded`` after _MAX_CYCLES cycles) is raised again by every
+    later read that needs the cycles it stopped, and keeps nothing.
     """
 
     def __init__(self, n: int, cycles, i_of_path: np.ndarray, t_star: np.ndarray, idle: np.ndarray | None):
@@ -413,6 +422,7 @@ class PolicySimResult:
         self._run = 0  # cycles run
         self._done = False  # every path has failed
         self._error: BaseException | None = None
+        self._kept: dict[tuple, SimResult] = {}  # by (statistic, i[, z])
 
     def _through(self, cycle: float) -> None:
         """Run the loop until every path failing by ``cycle`` has failed."""
@@ -451,23 +461,32 @@ class PolicySimResult:
         self._through(math.inf)
         return self._idle
 
+    def _kept_or(self, key: tuple, compute) -> SimResult:
+        """The statistic ``key``, from ``compute()`` on its first read."""
+        if key not in self._kept:
+            self._kept[key] = compute()  # runs the cycles first, so a raise keeps nothing
+        return self._kept[key]
+
     def p_i(self, i: int) -> SimResult:
-        return _mean_result(self._level(i).astype(float), f"P(I={i})")
+        return self._kept_or(("p_i", i), lambda: _mean_result(self._level(i).astype(float), f"P(I={i})"))
 
     def mean_t_star(self) -> SimResult:
-        return _mean_result(self.t_star, "E[T*]")
+        return self._kept_or(("mean_t_star",), lambda: _mean_result(self.t_star, "E[T*]"))
 
     def e_t_star_on_i(self, i: int) -> SimResult:
-        vals = np.where(self._level(i), self._t, 0.0)
-        return _mean_result(vals, f"E[T*; I={i}]")
+        return self._kept_or(
+            ("e_t_star_on_i", i), lambda: _mean_result(np.where(self._level(i), self._t, 0.0), f"E[T*; I={i}]")
+        )
 
     def p_idle_joint(self, i: int, z: float) -> SimResult:
         if self._idle is None:
             raise ValueError("idle statistics need idle mode")
         if z < 0:
             raise ValueError("idle time must be nonnegative")
-        vals = (self._level(i) & (self._idle > z)).astype(float)
-        return _mean_result(vals, f"P(idle>{z:g}, I={i})")
+        return self._kept_or(
+            ("p_idle_joint", i, z),
+            lambda: _mean_result((self._level(i) & (self._idle > z)).astype(float), f"P(idle>{z:g}, I={i})"),
+        )
 
 
 def simulate_policy(

@@ -428,6 +428,23 @@ class TestLongHorizons:
         for t, c, w in zip(ts, cs, want):
             assert last_passage_cdf(model, c, t) == pytest.approx(w, rel=0.0, abs=1e-10)
 
+    @pytest.mark.parametrize(
+        "model",
+        [
+            ModelSpec(kind=KIND_BROWNIAN, mu=1.0, sigma=1.0),
+            ModelSpec(kind=KIND_PH, mu=0.2, sigma=0.5, lam=1.0, ph=PhaseType([1.0], [[-1.0]])),
+            ModelSpec(kind=KIND_PERTURBED_GAMMA, mu=0.2, sigma=0.5, alpha=1.5, xi=0.7),
+        ],
+        ids=["bm", "ph", "pgamma"],
+    )
+    def test_mass_split_at_the_mean(self, model):
+        # the joint mass's piece above b spanned the whole D_t support, whose
+        # width grows like sqrt(t), on a fixed node count: the gap read up to
+        # 3.5e-5 (bm), 2.7e-5 (ph) and 8.8e-5 (pgamma) at t = 2000
+        for t in (50.0, 200.0, 2000.0):
+            b = model.mean_d1 * t
+            assert last_passage_cdf(model, b, t) + last_passage_joint_mass(model, b, t) == pytest.approx(1.0, abs=2e-7)
+
     def test_share_stays_finite_off_the_real_axis(self):
         # Erlang jumps: Re E e^{s Y} < 0 at some frequencies, so the no-jump
         # factor e^{-t (phi_J(-s) + lam)} of a Fourier node passes e^{700} at t = 1e4

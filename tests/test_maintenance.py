@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 from conftest import assert_within_se
+from scipy.fft import irfft
 from scipy.integrate import quad
 from scipy.special import ive
 from scipy.stats import norm
 
-from levypassage import maintenance
+from levypassage import last_passage, maintenance
 from levypassage.errors import HorizonExceeded, UnresolvedKernel
 from levypassage.last_passage import (
     bm_last_passage_cdf,
@@ -403,7 +404,26 @@ class TestPolicySimulation:
         for _ in range(2):
             with pytest.raises(HorizonExceeded):
                 sim.i_of_path
+        for _ in range(2):  # a statistic whose read raised keeps nothing
+            with pytest.raises(HorizonExceeded):
+                sim.p_i(4)
         assert sim.p_i(3) == simulate_policy(bm_model, _affine_policy(), 3_000, seed=5).p_i(3)
+
+    def test_each_statistic_is_computed_once(self, ph2_model, monkeypatch):
+        made = []
+        mean_result = maintenance._mean_result
+
+        def counted(values, meta):
+            made.append(meta)
+            return mean_result(values, meta)
+
+        monkeypatch.setattr(maintenance, "_mean_result", counted)
+        sim = simulate_policy(ph2_model, _affine_policy(), 3_000, seed=5, idle_mode=True)
+        for _ in range(2):
+            sim.p_i(3), sim.e_t_star_on_i(3), sim.p_idle_joint(2, 0.3), sim.mean_t_star()
+        assert made == ["P(I=3)", "E[T*; I=3]", "P(idle>0.3, I=2)", "E[T*]"]
+        fresh = simulate_policy(ph2_model, _affine_policy(), 3_000, seed=5, idle_mode=True)
+        assert (sim.p_i(3), sim.p_idle_joint(2, 0.3)) == (fresh.p_i(3), fresh.p_idle_joint(2, 0.3))
 
     def test_inputs_are_checked(self, bm_model):
         # the path count at the call; a level below 1 would read the share
@@ -478,6 +498,58 @@ class TestTransitionMatrix:
             step = (ys[1] - ys[0]) / 0.5
             nyquist = np.exp(float(m(ys[-1])) * model.phi_d(1j * np.pi / step))
             assert abs(nyquist) > 1e-3
+
+    @pytest.mark.parametrize("schedule", ["constant", "affine", "exponential"])
+    @pytest.mark.parametrize(
+        "kind, sigma, n",
+        [
+            ("pgamma_model", None, 512),
+            ("ph_model", None, 512),
+            ("ph2_model", None, 512),
+            # oversampled: on 33 states the lattice step is split k > 1 ways
+            ("pgamma_model_wide", 0.05, 33),
+        ],
+    )
+    def test_two_table_rows_match_per_entry_spectra(self, kind, sigma, n, schedule, request, monkeypatch):
+        model = request.getfixturevalue(kind)
+        if sigma is not None:
+            model = ModelSpec(kind=model.kind, mu=model.mu, sigma=sigma, alpha=model.alpha, xi=model.xi)
+        m = {
+            "constant": InspectionSchedule("constant", 1.5),
+            "affine": InspectionSchedule("affine", 1.0, slope=1.0, floor=0.4),
+            "exponential": InspectionSchedule("exponential", 0.8, slope=0.4, floor=0.2),
+        }[schedule]
+        kernels = PolicyKernels(model, PolicySpec(b=2.0, m=m, d=MaintenanceAction("affine", 0.5, 0.1)))
+        ys = np.linspace(*kernels.default_state_grid()[[0, -1]], n)
+        xs = np.concatenate(([0.0], ys))  # the rows of _cycle's _transition_matrix call
+        if schedule == "affine":  # a run of falling horizons, then one at the floor
+            assert np.sum(m(xs) > 0.4) > 3 and np.sum(m(xs) == 0.4) > 3
+        seen = {}
+
+        def spy(module, name, keep):
+            fn = getattr(module, name)
+
+            def wrapped(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                seen[name] = keep(args, out)
+                return out
+
+            monkeypatch.setattr(module, name, wrapped)
+
+        spy(ModelSpec, "phi_d", lambda args, out: (np.asarray(args[1]).imag, out))  # last: the lattice's
+        spy(last_passage, "irfft", lambda args, out: args[1])
+        spy(maintenance, "density_lattice", lambda args, out: (args, out))
+        kernels._transition_matrix(xs, ys)
+        monkeypatch.undo()
+        (_, t, x0, step, n_pts), got = seen["density_lattice"]
+        (omega, psi), size = seen["phi_d"], seen["irfft"]
+        k = round(step * omega[1] * size / (2.0 * np.pi))
+        dx = step / k
+        spec = np.exp(t[:, None] * psi + 1j * np.outer(x0, omega))  # one exponential per entry
+        want = np.maximum(irfft(spec, size, axis=1)[:, : k * n_pts : k] / dx, 0.0)
+        assert got.shape == (n + 1, n) and np.all(np.isfinite(got))
+        assert np.all(np.abs(got - want) <= 1e-14 * want.max(axis=1, keepdims=True))
+        assert (k > 1) == (sigma is not None)
 
     def test_brownian_rows_in_closed_form(self, bm_model):
         ts, x0 = np.array([1e-6, 0.2, 1.0, 3.0]), np.array([-1e-3, -1.0, -2.5, -4.0])
