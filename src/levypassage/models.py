@@ -298,6 +298,12 @@ def _log1p_any(z):
 # Levy measure views
 
 
+def _penalty_table(w: Callable, u, v) -> np.ndarray:
+    """w(u, v) broadcast to the shape of u and v together, so that a
+    penalty returning a scalar (a constant w) reads as a full table."""
+    return np.broadcast_to(w(u, v), np.broadcast_shapes(np.shape(u), np.shape(v)))
+
+
 class LevyMeasureView:
     """The jump law of J through its Levy measure Q: density, tails, the
     jump part of phi_D and its derivatives, moments, and exact sampling.
@@ -499,7 +505,7 @@ class GammaMeasure(LevyMeasureView):
         splits off, so each panel is one table w / (x + v)."""
         acc = np.zeros(x.size)
         for v_row, c_row in zip(v, wts * np.exp(-v / self.xi)):
-            acc += c_row @ (w(x[None, :], v_row[:, None]) / np.add.outer(v_row, x))
+            acc += c_row @ (_penalty_table(w, x[None, :], v_row[:, None]) / np.add.outer(v_row, x))
         return self.alpha * np.exp(-x / self.xi) * acc
 
     def tail(self, x):
@@ -612,7 +618,7 @@ class PHMeasure(LevyMeasureView, _CompoundPoisson):
         cols = self.ph._action(v.ravel(), np.eye(m), self.ph.exit_vector).reshape(*v.shape, m)
         acc = np.zeros((m, x.size))
         for v_row, c_rows in zip(v, wts[..., None] * cols):
-            acc += c_rows.T @ w(x[None, :], v_row[:, None])
+            acc += c_rows.T @ _penalty_table(w, x[None, :], v_row[:, None])
         return self.lam * np.sum(rows.T * acc, axis=0)
 
     def tail(self, x):

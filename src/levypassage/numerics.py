@@ -2,8 +2,9 @@
 
 A special function (the parabolic-cylinder core integral, by one quadrature
 rule summed in log space around its integrand's peak), grid functions with
-trapezoid convolution, power-series products and reciprocals by FFT, Laplace
-inversion by Euler summation, and root finding.
+trapezoid convolution, power-series products and Newton reciprocals by FFT
+at power-of-two lengths no longer than twice the series (short ones by direct
+convolution), Laplace inversion by Euler summation, and root finding.
 Everything here is a pure function of its inputs.
 """
 
@@ -27,6 +28,9 @@ from .errors import (
 )
 
 _EPS = np.finfo(float).eps
+# below about this many coefficients a power-series product is cheaper by
+# np.convolve than by FFT, whose cost there is mostly call overhead
+_DIRECT_TERMS = 256
 
 # 5-point Gauss-Legendre rule on [0, 1]
 _GL_CELL_NODES, _GL_CELL_WEIGHTS = np.polynomial.legendre.leggauss(5)
@@ -106,22 +110,53 @@ class GridFunction:
 
 
 def series_product(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """The first n coefficients of the power-series product a(z) b(z), by FFT
-    at a power-of-two length long enough that nothing wraps below z^n."""
+    """The first n coefficients of the power-series product a(z) b(z).
+
+    Up to _DIRECT_TERMS coefficients it is ``np.convolve``.  Beyond, with
+    p = 2^floor(log2(n - 1)), so that p < n <= 2p, the first p coefficients
+    of each factor go through one FFT of length 2p, which holds their whole
+    product, and the n - p coefficients past p of each factor enter by a
+    product of their own, truncated to n - p terms; the two past p never
+    meet below z^2p.  On the library's 2^k + 1 node grids those two are one
+    term each, where padding past n would double the FFT."""
     a, b = a[:n], b[:n]
-    m = 1 << (max(n, a.size + b.size - 1) - 1).bit_length()
-    return np.fft.irfft(np.fft.rfft(a, m) * np.fft.rfft(b, m), m)[:n]
+    if n <= _DIRECT_TERMS:
+        out = np.convolve(a, b)[:n]
+        return np.concatenate((out, np.zeros(n - out.size)))
+    p = 1 << (n - 2).bit_length()
+    out = np.fft.irfft(np.fft.rfft(a[:p], 2 * p) * np.fft.rfft(b[:p], 2 * p), 2 * p)[:n]
+    for high, low in ((a, b), (b, a)):
+        if high.size > p:
+            out[p:] += series_product(high[p:], low, n - p)
+    return out
 
 
 def series_reciprocal(a: np.ndarray, n: int) -> np.ndarray:
-    """The first n coefficients of 1/a(z), a[0] != 0, by Newton's iteration:
-    if a inv = 1 + z^k e(z), then inv - z^k inv e is right to 2k terms.  The
-    steps end on the sizes ceil(n / 2^j), so the last one lands on n."""
+    """The first n coefficients of 1/a(z), a[0] != 0, by Newton's iteration
+    (Brent & Kung, J. ACM 25, 1978): if a inv = 1 + z^k e(z) with inv of k
+    terms, then inv - z^k inv e is right to 2k terms.  The steps double k
+    through the powers of two and end with one step to n.
+
+    A step from k to m terms reads e from the coefficients k..m-1 of
+    a[:m] inv, the middle product (Hanrot, Quercia & Zimmermann, AAECC 14,
+    2004): at a cyclic FFT length L >= m its wrapped terms land below k,
+    where they are not read, and inv e, of m - 1 terms, does not wrap, so
+    both products share the spectrum of inv.  A step adding fewer than
+    _DIRECT_TERMS coefficients takes both products by ``np.convolve``."""
+    a = np.concatenate((a[:n], np.zeros(n - a[:n].size)))
     inv = np.array([1.0 / a[0]])
-    for j in reversed(range((n - 1).bit_length())):
-        m = -(-n >> j)  # ceil(n / 2^j)
-        e = series_product(a, inv, m)[inv.size :]
-        inv = np.concatenate((inv, -series_product(inv, e, m - inv.size)))
+    while inv.size < n:
+        k = inv.size
+        m = min(2 * k, n)
+        if m - k < _DIRECT_TERMS:
+            e = np.convolve(a[1:m], inv, "valid")  # e[t] = sum_i a[k + t - i] inv[i]
+            step = np.convolve(inv[: m - k], e)[: m - k]
+        else:
+            size = 1 << (m - 1).bit_length()
+            spectrum = np.fft.rfft(inv, size)
+            e = np.fft.irfft(np.fft.rfft(a[:m], size) * spectrum, size)[k:m]
+            step = np.fft.irfft(np.fft.rfft(e, size) * spectrum, size)[: m - k]
+        inv = np.concatenate((inv, -step))
     return inv
 
 

@@ -48,7 +48,16 @@ towards 0.
 ``renewal_series`` solves phi = g * phi + first on the grid as one
 power-series division, checked against its own solve on every other node,
 and takes one Richardson step on the two solves.  The PK series (first = h)
-and the ODE-series scale route (first = h' + g) both read it.
+and the ODE-series scale route (first = h' + g) both read it.  The division
+is a product with the reciprocal of 1 - h g(z), which depends on g alone.
+
+The two routes of one perturbed-gamma query ask for the same kernel set, on
+the same (model, rho, grid, penalty), one after the other.  So
+``build_renewal_kernels`` keeps the last set of a tagged penalty in one
+module-level slot, read-only, keyed by the model instance, rho, x_max, n
+and the penalty, and ``renewal_series`` keeps the two reciprocals of that
+set's g with it: the second route builds no kernel and forms no reciprocal.
+A callable penalty is never kept.
 """
 
 from __future__ import annotations
@@ -60,7 +69,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NoPerturbation, SeriesNotConverged, UsageError
-from .models import ModelSpec
+from .models import ModelSpec, _penalty_table
 from .numerics import GridFunction, cell_nodes, cumulative_from_cells, series_product, series_reciprocal
 
 _GL_TAIL_NODES, _GL_TAIL_WEIGHTS = np.polynomial.legendre.leggauss(24)
@@ -70,6 +79,7 @@ _OMEGA_PANELS = 48  # uniform 24-node panels over the jump support, for omega's 
 # a callable penalty's first cell: 24-node panels [0, h 4^-12], ..., [h/4, h];
 # with fewer, the log singularity of a gamma omega at 0 shows in h'(0)
 _FIRST_CELL_GRADES = 12
+_TAGGED = ("one", "overshoot_indicator")  # the penalties with a closed omega
 
 
 @dataclass(frozen=True)
@@ -89,7 +99,7 @@ class PenaltySpec:
     def __post_init__(self):
         if not 0.0 <= self.eps < math.inf:
             raise UsageError(f"penalty threshold eps must be finite and >= 0, got {self.eps}")
-        if self.tag not in ("one", "overshoot_indicator") and not callable(self.w):
+        if self.tag not in _TAGGED and not callable(self.w):
             raise UsageError(f"penalty tag {self.tag!r} needs a callable w(u, v)")
 
     def creep_value(self) -> float:
@@ -98,7 +108,7 @@ class PenaltySpec:
             return 1.0
         if self.tag == "overshoot_indicator":
             return 0.0
-        return float(self.w(np.zeros(1), np.zeros(1))[0])
+        return float(_penalty_table(self.w, np.zeros(1), np.zeros(1))[0])
 
 
 @dataclass(frozen=True)
@@ -138,6 +148,23 @@ def _penalty_rule(v_max: float, x_min: float):
     return _gl_panels(np.concatenate(([0.0], uniform[1] * 0.25 ** np.arange(grade, 0, -1), uniform[1:])))
 
 
+@dataclass
+class _KeptSet:
+    """The last kernel set of a tagged penalty, with the reciprocals of
+    1 - h g(z) that ``renewal_series`` formed for its g (fine, coarse)."""
+
+    model: ModelSpec
+    key: tuple
+    kernels: RenewalKernels
+    reciprocals: tuple[np.ndarray, np.ndarray] | None = None
+
+
+# one slot, not one set per model: the PK series and the ODE-series scale
+# route of one (model, delta, grid) ask for the same set one after the
+# other, and a slot holds at most one set (about 0.2 MB at 4097 nodes)
+_kept: _KeptSet | None = None
+
+
 def build_renewal_kernels(
     model: ModelSpec,
     rho: float,
@@ -153,7 +180,27 @@ def build_renewal_kernels(
     broadcasting callable w(u, v), integrated numerically on the cell nodes
     (the first cell on panels graded towards 0); the creeping term carries
     w(0, 0).
+
+    The last set of a tagged penalty is kept, its arrays read-only: a call
+    with the same model instance, rho, x_max, n and penalty returns it.  A
+    callable penalty's set is never kept, since its w may read state that
+    changes.
     """
+    global _kept
+    key = (rho, x_max, n, penalty.tag, penalty.eps)
+    kept = _kept
+    if kept is not None and kept.model is model and kept.key == key:
+        return kept.kernels
+    kernels = _tabulate(model, rho, x_max, n, penalty)
+    if penalty.tag in _TAGGED:
+        for grid in (kernels.g, kernels.h, kernels.h_prime):
+            grid.values.setflags(write=False)
+        _kept = _KeptSet(model, key, kernels)
+    return kernels
+
+
+def _tabulate(model: ModelSpec, rho: float, x_max: float, n: int, penalty: PenaltySpec) -> RenewalKernels:
+    """g, h and h' of ``build_renewal_kernels``, built afresh."""
     if model.sigma <= 0:
         raise NoPerturbation("renewal kernels require sigma > 0")
     kappa = rho - 2.0 * model.mu / model.sigma**2
@@ -186,7 +233,7 @@ def build_renewal_kernels(
     g_vals[0] = 0.0
 
     # h: inner weight omega
-    if penalty.tag in ("one", "overshoot_indicator"):
+    if penalty.tag in _TAGGED:
         # omega(x) = Qbar(x + eps), eps = 0 for "one"; its exponential tail is
         # int_s^inf e^{-rho(x-s)} Qbar(x+eps) dx, the second of exp_tails(rho, s+eps),
         # and C is taken by parts (module doc), Qbar read off the two tails
@@ -234,10 +281,30 @@ def build_renewal_kernels(
     )
 
 
-def _solve(g: np.ndarray, first: np.ndarray, h: float) -> np.ndarray:
-    """phi = g * phi + first for samples on a grid of step h, g[0] = 0."""
-    a = np.concatenate(([1.0], -h * g[1:]))
-    return series_product(first - 0.5 * h * first[0] * g, series_reciprocal(a, g.size), g.size)
+def _reciprocal(g: np.ndarray, h: float) -> np.ndarray:
+    """1/(1 - h g(z)) mod z^n for samples g on a grid of step h, g[0] = 0."""
+    return series_reciprocal(np.concatenate(([1.0], -h * g[1:])), g.size)
+
+
+def _solve(g: np.ndarray, first: np.ndarray, h: float, reciprocal: np.ndarray) -> np.ndarray:
+    """phi = g * phi + first for samples on a grid of step h, g[0] = 0,
+    given ``_reciprocal(g, h)``."""
+    return series_product(first - 0.5 * h * first[0] * g, reciprocal, g.size)
+
+
+def _reciprocals(g: GridFunction) -> tuple[np.ndarray, np.ndarray]:
+    """``_reciprocal`` of g on its grid and on every other node; for the g of
+    the kept kernel set, formed once and kept with it."""
+    kept = _kept
+    ours = kept is not None and kept.kernels.g is g
+    if ours and kept.reciprocals is not None:
+        return kept.reciprocals
+    pair = (_reciprocal(g.values, g.h), _reciprocal(g.values[::2], 2.0 * g.h))
+    if ours:
+        for values in pair:
+            values.setflags(write=False)
+        kept.reciprocals = pair
+    return pair
 
 
 def renewal_series(g: GridFunction, first: GridFunction) -> np.ndarray:
@@ -253,10 +320,13 @@ def renewal_series(g: GridFunction, first: GridFunction) -> np.ndarray:
     grid does not resolve the equation and SeriesNotConverged is raised.
     Otherwise the two solves give one Richardson step, (4 fine - coarse)/3 on
     the shared nodes, its correction interpolated linearly to the nodes
-    between."""
+    between.  The two reciprocals of 1 - h g(z) depend on g alone: for the
+    g of the kept kernel set (``build_renewal_kernels``) they are formed
+    once, so the PK series and the scale route of one set share them."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow ends in the raise below
-        fine = _solve(g.values, first.values, g.h)
-        coarse = _solve(g.values[::2], first.values[::2], 2.0 * g.h)
+        fine_reciprocal, coarse_reciprocal = _reciprocals(g)
+        fine = _solve(g.values, first.values, g.h, fine_reciprocal)
+        coarse = _solve(g.values[::2], first.values[::2], 2.0 * g.h, coarse_reciprocal)
         gap = np.max(np.abs(fine[::2] - coarse))
         size = np.max(np.abs(fine))
     if not gap <= 1e-2 * size < np.inf:  # a NaN or inf in either solve fails one of the two

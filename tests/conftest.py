@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from levypassage import renewal
 from levypassage.models import (
     KIND_BROWNIAN,
     KIND_PERTURBED_GAMMA,
@@ -9,6 +10,13 @@ from levypassage.models import (
     ModelSpec,
     PhaseType,
 )
+
+
+@pytest.fixture(autouse=True)
+def _cold_renewal_slot(monkeypatch):
+    # build_renewal_kernels keeps its last kernel set; every test starts with
+    # none kept, so a test that patches or counts inside the build runs it
+    monkeypatch.setattr(renewal, "_kept", None)
 
 
 @pytest.fixture(scope="session")

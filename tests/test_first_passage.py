@@ -101,6 +101,16 @@ class TestPKSeries:
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
 
 
+    @pytest.mark.parametrize("fixture", ["pgamma_model", "ph_model"])
+    def test_scalar_callable_penalty(self, fixture, request):
+        # a constant w may return a scalar: it reads as the table of ones
+        model = request.getfixturevalue(fixture)
+        scalar = PenaltySpec(tag="custom", w=lambda u, v: 1.0)
+        table = PenaltySpec(tag="custom", w=lambda u, v: np.ones(np.broadcast(u, v).shape))
+        assert scalar.creep_value() == 1.0
+        got = pk_series_transform(model, 0.5, penalty=scalar).b_grid.values
+        np.testing.assert_array_equal(got, pk_series_transform(model, 0.5, penalty=table).b_grid.values)
+
 class TestScaleFormula:
     def test_zero_threshold(self, bm_model):
         scales = build_scale_set(bm_model, 0.5, 2.0)

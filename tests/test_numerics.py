@@ -23,6 +23,8 @@ from levypassage.numerics import (
     find_root_bracketed,
     grid_convolve,
     poly_roots_complex,
+    series_product,
+    series_reciprocal,
 )
 
 
@@ -210,6 +212,57 @@ class TestGridConvolve:
         left = grid_convolve(grid_convolve(a, b), c)
         right = grid_convolve(a, grid_convolve(b, c))
         assert np.max(np.abs(left.values - right.values)) < 1e-10
+
+
+SERIES_SIZES = [1, 2, 3, 4, 255, 256, 257, 1025, 2049, 3000, 4097]
+
+
+def _reciprocal_by_recursion(a, n):
+    """1/a(z) to n terms, one coefficient at a time: the reference."""
+    inv = np.zeros(n)
+    inv[0] = 1.0 / a[0]
+    for k in range(1, n):
+        inv[k] = -np.dot(a[1 : k + 1], inv[k - 1 :: -1]) / a[0]
+    return inv
+
+
+class TestSeriesKernels:
+    @pytest.mark.parametrize("n", SERIES_SIZES)
+    def test_product_is_the_truncated_convolution(self, n):
+        # the FFT on the first 2^floor(log2(n - 1)) coefficients and the
+        # products past them, also with an operand shorter than n
+        rng = np.random.default_rng(n)
+        a, b = rng.standard_normal(n), rng.standard_normal(n)
+        for short in (b, b[: n // 3 + 1]):
+            want = np.convolve(a, short)[:n]
+            got = series_product(a, short, n)
+            assert got.shape == (n,)
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", SERIES_SIZES)
+    def test_reciprocal_is_the_recursion(self, n):
+        # a[0] = 2 and sum |a[1:]| < 1, so 1/a has bounded coefficients
+        rng = np.random.default_rng(n)
+        a = np.concatenate(([2.0], -rng.random(n - 1) / n))
+        want = _reciprocal_by_recursion(a, n)
+        got = series_reciprocal(a, n)
+        assert got.shape == (n,)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("k", [11, 12])
+    def test_fft_lengths_stay_at_twice_a_power_of_two(self, k, monkeypatch):
+        # n = 2^k + 1, the library's grids: padding past n would run FFTs of 2^(k+2)
+        n, lengths, rfft = 2**k + 1, [], np.fft.rfft
+
+        def spy(x, n=None, *args, **kwargs):
+            lengths.append(np.size(x) if n is None else n)
+            return rfft(x, n, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", spy)
+        a = np.concatenate(([1.0], -np.full(n - 1, 0.5 / n)))
+        series_product(a, a, n)
+        series_reciprocal(a, n)
+        assert lengths and max(lengths) <= 2 ** (k + 1)
 
 
 class TestEulerInversion:

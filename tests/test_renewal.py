@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.special import exp1
 
+from levypassage import renewal
 from levypassage.errors import SeriesNotConverged, UsageError
 from levypassage.first_passage import pk_series_transform
 from levypassage.lundberg import build_scale_set, solve_lundberg
@@ -10,6 +13,7 @@ from levypassage.numerics import GridFunction, cell_nodes, grid_convolve
 from levypassage.renewal import (
     PenaltySpec,
     _penalty_rule,
+    _reciprocal,
     _solve,
     build_renewal_kernels,
     renewal_series,
@@ -39,7 +43,7 @@ class TestRenewalSeries:
         ode_first = kernels.h_prime.with_values(kernels.h_prime.values + kernels.g.values)
         for first in (kernels.h, ode_first):
             want = _term_loop(kernels.g, first)
-            got = _solve(kernels.g.values, first.values, kernels.g.h)
+            got = _solve(kernels.g.values, first.values, kernels.g.h, _reciprocal(kernels.g.values, kernels.g.h))
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_extrapolated_solve_on_a_smooth_kernel(self):
@@ -49,7 +53,7 @@ class TestRenewalSeries:
         g = GridFunction(0.0, xs[1], xs * np.exp(-2.0 * xs))
         want = 4.0 / 3.0 - np.exp(-xs) / 2.0 + np.exp(-3.0 * xs) / 6.0
         first = g.with_values(np.ones(xs.size))
-        assert np.max(np.abs(_solve(g.values, first.values, g.h) - want)) > 1e-7
+        assert np.max(np.abs(_solve(g.values, first.values, g.h, _reciprocal(g.values, g.h)) - want)) > 1e-7
         assert np.max(np.abs(renewal_series(g, first) - want)) < 1e-10
 
     @pytest.mark.parametrize("mass", [3.0, 1e4])
@@ -182,3 +186,62 @@ class TestPenaltySpec:
         # a misspelt tag once fell through to the callable branch and died in a TypeError
         with pytest.raises(UsageError):
             PenaltySpec("overshoot-indicator", 0.5, w)
+
+
+class TestKeptKernelSet:
+    """build_renewal_kernels keeps its last tagged set, and renewal_series the
+    two reciprocals of that set's g."""
+
+    def _args(self, model):
+        return model, solve_lundberg(model, 0.5), 4.0, 1025, PenaltySpec()
+
+    def test_repeat_call_returns_the_kept_read_only_set(self, pgamma_model_wide):
+        kernels = build_renewal_kernels(*self._args(pgamma_model_wide))
+        assert build_renewal_kernels(*self._args(pgamma_model_wide)) is kernels
+        for grid in (kernels.g, kernels.h, kernels.h_prime):
+            with pytest.raises(ValueError):
+                grid.values[1] = 0.0
+
+    def test_any_other_key_rebuilds(self, pgamma_model_wide):
+        model, rho, x_max, n, penalty = self._args(pgamma_model_wide)
+        others = [
+            (dataclasses.replace(model), rho, x_max, n, penalty),
+            (model, 1.01 * rho, x_max, n, penalty),
+            (model, rho, 2.0, n, penalty),
+            (model, rho, x_max, 513, penalty),
+            (model, rho, x_max, n, PenaltySpec("overshoot_indicator", 0.3)),
+            (model, rho, x_max, n, PenaltySpec("custom", w=lambda u, v: np.exp(-v))),
+        ]
+        for other in others:
+            kept = build_renewal_kernels(model, rho, x_max, n, penalty)
+            assert build_renewal_kernels(*other) is not kept
+        callable_penalty = others[-1]
+        assert build_renewal_kernels(*callable_penalty) is not build_renewal_kernels(*callable_penalty)
+
+    def test_routes_share_one_build_and_give_the_same_tables(self, pgamma_model_wide, monkeypatch):
+        # the PK series and the ODE-series scale route of one (model, delta,
+        # grid) read one kernel set and one pair of reciprocals, bit for bit
+        # the tables each computes cold, in either order
+        builds, reciprocals = [], []
+        tabulate, reciprocal = renewal._tabulate, renewal.series_reciprocal
+        monkeypatch.setattr(renewal, "_tabulate", lambda *args: builds.append(1) or tabulate(*args))
+        monkeypatch.setattr(renewal, "series_reciprocal", lambda *args: reciprocals.append(1) or reciprocal(*args))
+
+        def pk():
+            return pk_series_transform(pgamma_model_wide, 0.5).b_grid.values
+
+        def scale():
+            scales = build_scale_set(pgamma_model_wide, 0.5, 4.0)
+            return np.concatenate((scales.tilted.values, scales.u_delta.values))
+
+        cold = {}
+        for route in (pk, scale):
+            monkeypatch.setattr(renewal, "_kept", None)
+            cold[route] = route()
+        for order in ((pk, scale), (scale, pk)):
+            monkeypatch.setattr(renewal, "_kept", None)
+            builds.clear()
+            reciprocals.clear()
+            for route in order + order:
+                np.testing.assert_array_equal(route(), cold[route])
+            assert len(builds) == 1 and len(reciprocals) == 2
